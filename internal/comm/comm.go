@@ -9,10 +9,11 @@
 package comm
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -83,8 +84,11 @@ func ConcatSize(msgs []Msg) int64 {
 }
 
 // SortByDst orders msgs by destination id so they concatenate maximally.
+// The sort is unstable but deterministic, and CombineSorted folds float
+// values in the order it leaves equal destinations in, so the algorithm
+// (pdqsort, as sort.Slice runs it) is part of the value-identity contract.
 func SortByDst(msgs []Msg) {
-	sort.Slice(msgs, func(i, j int) bool { return msgs[i].Dst < msgs[j].Dst })
+	slices.SortFunc(msgs, func(a, b Msg) int { return cmp.Compare(a.Dst, b.Dst) })
 }
 
 // CombineSorted folds runs of equal-destination messages into one using

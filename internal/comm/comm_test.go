@@ -2,6 +2,8 @@ package comm
 
 import (
 	"errors"
+	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -252,6 +254,31 @@ func TestCombineSorted(t *testing.T) {
 	}
 	if got := CombineSorted(nil, sum); len(got) != 0 {
 		t.Fatal("empty input should stay empty")
+	}
+}
+
+// SortByDst is unstable, and CombineSorted folds float values in the
+// order the sort leaves equal destinations in, so the permutation is part
+// of the value-identity contract: it must stay the one the reflection-
+// based sort.Slice produced, at every size class pdqsort branches on.
+func TestSortByDstKeepsSortSlicePermutation(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 1, 2, 11, 12, 13, 50, 51, 300, 5000, 40000} {
+		for _, distinct := range []int{1, 3, 17, n/4 + 1} {
+			msgs := make([]Msg, n)
+			for i := range msgs {
+				msgs[i] = Msg{Dst: graph.VertexID(rng.Intn(distinct)), Val: float64(i)}
+			}
+			want := append([]Msg(nil), msgs...)
+			sort.Slice(want, func(i, j int) bool { return want[i].Dst < want[j].Dst })
+			SortByDst(msgs)
+			for i := range msgs {
+				if msgs[i] != want[i] {
+					t.Fatalf("n=%d distinct=%d: position %d holds %+v, sort.Slice put %+v there",
+						n, distinct, i, msgs[i], want[i])
+				}
+			}
+		}
 	}
 }
 

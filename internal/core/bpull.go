@@ -232,10 +232,27 @@ func (w *worker) pullBlock(t, b int) (map[graph.VertexID][]float64, int64, error
 func (w *worker) RespondPull(reqBlock, step int) ([]comm.Msg, int64, error) {
 	rp := readParity(step)
 	prog := w.job.prog
-	var out []comm.Msg
+	scanned := func(j int) bool {
+		return w.blockRes[rp][j].Load() && w.ve.Meta(j).Bitmap.Get(reqBlock)
+	}
+	// BS is sized once from Eblock metadata: every message comes from one
+	// edge of a scanned Eblock, so their edge counts bound it. Only
+	// responding sources generate messages, so the bound is scaled by the
+	// partition's responding fraction — exact when every vertex responds
+	// (PageRank), and on a sparse frontier a starting size that append
+	// outgrows rather than a whole Eblock's worth held for a few messages.
+	var bound int64
+	for j := 0; j < w.ve.LocalBlocks(); j++ {
+		if scanned(j) {
+			_, _, edges := w.ve.EblockSize(j, reqBlock)
+			bound += int64(edges)
+		}
+	}
+	bound = (bound*int64(w.respond[rp].Count()) + int64(w.part.Len()) - 1) / int64(w.part.Len())
+	out := make([]comm.Msg, 0, bound)
 	var produced, vrr, ebar, ft int64
 	for j := 0; j < w.ve.LocalBlocks(); j++ {
-		if !w.blockRes[rp][j].Load() || !w.ve.Meta(j).Bitmap.Get(reqBlock) {
+		if !scanned(j) {
 			continue
 		}
 		st, err := w.ve.ScanEblock(j, reqBlock, func(src graph.VertexID, edges []graph.Half) error {

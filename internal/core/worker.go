@@ -171,6 +171,7 @@ func (w *worker) buildVertexStore(g *graph.Graph) error {
 	if err != nil {
 		return err
 	}
+	vs.SetMetrics(w.job.cfg.Metrics)
 	w.vstore = vs
 	return nil
 }

@@ -2,21 +2,25 @@ package diskio
 
 import "sync"
 
-// Accountant replays File's exact charging state machine — sequential
+// Accountant is the one implementation of the charge rules: sequential
 // position, last-touched page, per-page device amplification for random
-// classes, the zero-byte sync op — against a Counter without performing
-// any real I/O. Compressed stores use it to keep the *logical* byte
+// classes, the zero-byte sync op. It charges a Counter without performing
+// any I/O. Every File holds one (in mirror mode, so its charges also
+// reach the counter's physical twin) and charges what its reads and
+// writes moved; a bare Accountant replays the same sequence with no file
+// behind it. Compressed stores use a bare one to keep the *logical* byte
 // dimension byte-identical to an uncompressed run: every logical access
 // is charged here exactly as the raw File would have charged it, while
-// the store's real frame I/O goes through an ordinary File opened on
-// the counter's physical twin. Charges are applied with the raw
-// (non-mirroring) tally update, so they never leak into the physical
-// dimension.
+// the store's real frame I/O goes through an ordinary File opened on the
+// counter's physical twin. A bare Accountant applies the raw
+// (non-mirroring) tally update, so its charges never leak into the
+// physical dimension.
 type Accountant struct {
 	mu       sync.Mutex
 	ct       *Counter
-	seqPos   int64
-	lastPage int64
+	mirror   bool  // also charge ct's physical twin (File's accountant)
+	seqPos   int64 // next offset that still counts as sequential
+	lastPage int64 // most recently touched page, for device-byte accounting
 }
 
 // NewAccountant starts a charge machine in the state of a freshly
@@ -25,14 +29,27 @@ func NewAccountant(ct *Counter) *Accountant {
 	return &Accountant{ct: ct, lastPage: -1}
 }
 
-// SetCounter retargets accounting, mirroring File.SetCounter.
+// SetCounter retargets accounting to a different counter.
 func (a *Accountant) SetCounter(ct *Counter) {
 	a.mu.Lock()
 	a.ct = ct
 	a.mu.Unlock()
 }
 
-// devCharge mirrors File.devCharge. Callers hold a.mu.
+func (a *Accountant) add(ct *Counter, c Class, n, dev int64) {
+	if a.mirror {
+		ct.AddDev(c, n, dev)
+	} else {
+		ct.addDev(c, n, dev)
+	}
+}
+
+// devCharge computes the device bytes an access moves and records the page
+// position. Sequential classes transfer what they read; random classes
+// transfer whole pages, except repeated touches of the most recent page
+// (b-pull's svertex reads ascend within an Eblock scan and so coalesce,
+// while the pull baseline's scattered misses each pay a page — the
+// mechanism behind Fig. 10's orders-of-magnitude gap). Callers hold a.mu.
 func (a *Accountant) devCharge(off, n int64, c Class) int64 {
 	if n <= 0 {
 		return 0
@@ -55,23 +72,62 @@ func (a *Accountant) devCharge(off, n int64, c Class) int64 {
 
 // ReadAtClass charges an n-byte read of class c at off, exactly as
 // File.ReadAtClass would for a successful full read.
-func (a *Accountant) ReadAtClass(n, off int64, c Class) {
-	a.charge(n, off, c)
-}
+func (a *Accountant) ReadAtClass(n, off int64, c Class) { a.Charge(n, off, c) }
 
 // WriteAtClass charges an n-byte write of class c at off, exactly as
 // File.WriteAtClass would for a successful full write.
-func (a *Accountant) WriteAtClass(n, off int64, c Class) {
-	a.charge(n, off, c)
-}
+func (a *Accountant) WriteAtClass(n, off int64, c Class) { a.Charge(n, off, c) }
 
-func (a *Accountant) charge(n, off int64, c Class) {
+// Charge records one n-byte access of class c at off.
+func (a *Accountant) Charge(n, off int64, c Class) {
 	a.mu.Lock()
 	a.seqPos = off + n
 	dev := a.devCharge(off, n, c)
 	ct := a.ct
 	a.mu.Unlock()
-	ct.addDev(c, n, dev)
+	a.add(ct, c, n, dev)
+}
+
+// ChargeDev records one access whose device transfer the caller computed
+// itself.
+func (a *Accountant) ChargeDev(n, off int64, c Class, dev int64) {
+	a.mu.Lock()
+	a.seqPos = off + n
+	if n > 0 {
+		a.lastPage = (off + n - 1) / PageSize
+	}
+	ct := a.ct
+	a.mu.Unlock()
+	a.add(ct, c, n, dev)
+}
+
+// classify predicts the class chargeAuto will assign an access at off: one
+// that continues exactly where the previous access ended is sequential,
+// anything else random.
+func (a *Accountant) classify(off int64, randC, seqC Class) Class {
+	a.mu.Lock()
+	seq := off == a.seqPos
+	a.mu.Unlock()
+	if seq {
+		return seqC
+	}
+	return randC
+}
+
+// chargeAuto records an n-byte access under position-based classification.
+func (a *Accountant) chargeAuto(n, off int64, randC, seqC Class) {
+	a.mu.Lock()
+	c := randC
+	if off == a.seqPos {
+		c = seqC
+	}
+	a.seqPos = off + n
+	dev := a.devCharge(off, n, c)
+	ct := a.ct
+	a.mu.Unlock()
+	if n > 0 {
+		a.add(ct, c, n, dev)
+	}
 }
 
 // Sync charges the zero-byte sequential-write op File.Sync records.
@@ -79,7 +135,7 @@ func (a *Accountant) Sync() {
 	a.mu.Lock()
 	ct := a.ct
 	a.mu.Unlock()
-	ct.addDev(SeqWrite, 0, 0)
+	a.add(ct, SeqWrite, 0, 0)
 }
 
 // WriteFileSyncDual is WriteFileSync for a compressed file: phys is

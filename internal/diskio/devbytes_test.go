@@ -71,10 +71,7 @@ func TestDevBytesExplicitCharge(t *testing.T) {
 	if _, err := f.WriteAtClass(make([]byte, 100), 0, SeqWrite); err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, 8)
-	if _, err := f.ReadAtClassDev(buf, 0, RandRead, 0); err != nil {
-		t.Fatal(err)
-	}
+	f.ChargeDev(8, 0, RandRead, 0)
 	if ct.DevBytes(RandRead) != 0 || ct.Bytes(RandRead) != 8 {
 		t.Fatalf("explicit zero charge: dev %d logical %d",
 			ct.DevBytes(RandRead), ct.Bytes(RandRead))

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 )
 
@@ -199,16 +198,21 @@ func (s Snapshot) String() string {
 
 // File wraps an *os.File with class-tagged accounting. All stores in the
 // repository perform their I/O through File so that the per-worker Counter
-// sees every byte.
+// sees every byte. Charging and moving bytes are separate: the charge
+// rules live in one Accountant (held here in mirror mode, because an
+// uncompressed file's device bytes are its logical bytes), and the
+// ReadAtClass/WriteAtClass family is simply "move, then charge what
+// moved". Stores whose cost model is per record but whose execution is
+// per buffer or page call Charge and ReadUncharged/WriteUncharged apart.
 type File struct {
-	f        *os.File
-	path     string
-	fs       *FaultFS // fault injector covering path, or nil
-	ct       *Counter
-	mu       sync.Mutex
-	seqPos   int64 // next offset that still counts as sequential
-	lastPage int64 // most recently touched page, for device-byte accounting
-	created  bool
+	f    *os.File
+	path string
+	fs   *FaultFS // fault injector covering path, or nil
+	acct Accountant
+}
+
+func newFile(f *os.File, path string, fs *FaultFS, ct *Counter) *File {
+	return &File{f: f, path: path, fs: fs, acct: Accountant{ct: ct, mirror: true, lastPage: -1}}
 }
 
 // Create creates (truncating) an accounted file.
@@ -224,7 +228,7 @@ func Create(path string, ct *Counter) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &File{f: f, path: path, fs: fs, ct: ct, created: true, lastPage: -1}, nil
+	return newFile(f, path, fs, ct), nil
 }
 
 // Open opens an existing file for accounted reading and writing.
@@ -234,18 +238,7 @@ func Open(path string, ct *Counter) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	fs := injectorFor(path)
-	if fs != nil {
-		var size int64
-		if st, serr := f.Stat(); serr == nil {
-			size = st.Size()
-		}
-		if err := fs.open(path, size); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
-	return &File{f: f, path: path, fs: fs, ct: ct, lastPage: -1}, nil
+	return openExisting(f, path, ct)
 }
 
 // OpenRead opens an existing file for accounted read-only access. Catalog
@@ -257,6 +250,12 @@ func OpenRead(path string, ct *Counter) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
+	return openExisting(f, path, ct)
+}
+
+// openExisting registers an already-opened file with the fault injector
+// covering path, if any.
+func openExisting(f *os.File, path string, ct *Counter) (*File, error) {
 	fs := injectorFor(path)
 	if fs != nil {
 		var size int64
@@ -268,23 +267,25 @@ func OpenRead(path string, ct *Counter) (*File, error) {
 			return nil, err
 		}
 	}
-	return &File{f: f, path: path, fs: fs, ct: ct, lastPage: -1}, nil
+	return newFile(f, path, fs, ct), nil
 }
 
-// pread performs the device read, routed through the fault injector when
-// one covers this file. Real read errors pass through unwrapped (io.EOF
+// ReadUncharged performs the device read and charges nothing, routed
+// through the fault injector when one covers this file; c only labels an
+// injected fault. Real read errors pass through unwrapped (io.EOF
 // semantics matter to callers); injected faults surface as *Error.
-func (af *File) pread(p []byte, off int64, c Class) (int, error) {
+func (af *File) ReadUncharged(p []byte, off int64, c Class) (int, error) {
 	if af.fs != nil {
 		return af.fs.readAt(af.path, af.f, p, off, c.String())
 	}
 	return af.f.ReadAt(p, off)
 }
 
-// pwrite performs the device write. Injected faults and real write
-// errors both surface as a typed, path-and-class-annotated *Error —
-// a spilled message or log append that fails must name what failed.
-func (af *File) pwrite(p []byte, off int64, c Class) (int, error) {
+// WriteUncharged performs the device write and charges nothing. Injected
+// faults and real write errors both surface as a typed, path-and-class-
+// annotated *Error — a spilled message or log append that fails must name
+// what failed.
+func (af *File) WriteUncharged(p []byte, off int64, c Class) (int, error) {
 	if af.fs != nil {
 		return af.fs.writeAt(af.path, af.f, p, off, c.String())
 	}
@@ -295,43 +296,14 @@ func (af *File) pwrite(p []byte, off int64, c Class) (int, error) {
 	return n, nil
 }
 
-// guessClass predicts the sequential/random classification account()
-// will assign, for fault-error annotation before the write happens.
-func (af *File) guessClass(off int64, randC, seqC Class) Class {
-	af.mu.Lock()
-	seq := off == af.seqPos || (off == 0 && af.seqPos == 0)
-	af.mu.Unlock()
-	if seq {
-		return seqC
-	}
-	return randC
-}
+// Charge records an n-byte access of class c at off exactly as
+// ReadAtClass/WriteAtClass would for a full transfer, moving no bytes.
+func (af *File) Charge(n, off int64, c Class) { af.acct.Charge(n, off, c) }
 
-// devCharge computes the device bytes an access moves and records the page
-// position. Sequential classes transfer what they read; random classes
-// transfer whole pages, except repeated touches of the most recent page
-// (b-pull's svertex reads ascend within an Eblock scan and so coalesce,
-// while the pull baseline's scattered misses each pay a page — the
-// mechanism behind Fig. 10's orders-of-magnitude gap). Callers hold af.mu.
-func (af *File) devCharge(off, n int64, c Class) int64 {
-	if n <= 0 {
-		return 0
-	}
-	first := off / PageSize
-	last := (off + n - 1) / PageSize
-	if c == SeqRead || c == SeqWrite {
-		af.lastPage = last
-		return n
-	}
-	var dev int64
-	for p := first; p <= last; p++ {
-		if p != af.lastPage {
-			dev += PageSize
-		}
-		af.lastPage = p
-	}
-	return dev
-}
+// ChargeDev is Charge with an explicit device charge, for callers that
+// manage their own page locality (b-pull's Pull-Respond keeps a Vblock's
+// pages hot across a superstep's scans).
+func (af *File) ChargeDev(n, off int64, c Class, dev int64) { af.acct.ChargeDev(n, off, c, dev) }
 
 // Name reports the underlying file path.
 func (af *File) Name() string { return af.f.Name() }
@@ -339,11 +311,7 @@ func (af *File) Name() string { return af.f.Name() }
 // SetCounter retargets accounting to a different counter. The stores are
 // built under a worker's loading counter (Fig. 16 reports loading cost
 // separately) and then retargeted to its computation counter.
-func (af *File) SetCounter(ct *Counter) {
-	af.mu.Lock()
-	af.ct = ct
-	af.mu.Unlock()
-}
+func (af *File) SetCounter(ct *Counter) { af.acct.SetCounter(ct) }
 
 // Close closes the underlying file. Closing does not sync: bytes
 // written but never Synced are still lost to a simulated power cut.
@@ -367,10 +335,7 @@ func (af *File) Sync() error {
 		err = &Error{Op: "sync", Path: af.path, Kind: KindIO, Err: serr}
 	}
 	if err == nil {
-		af.mu.Lock()
-		ct := af.ct
-		af.mu.Unlock()
-		ct.AddDev(SeqWrite, 0, 0)
+		af.acct.Sync()
 	}
 	return err
 }
@@ -390,15 +355,15 @@ func (af *File) Size() (int64, error) {
 // matches how the paper reasons about Eblock scans (sequential) versus
 // svertex lookups (random).
 func (af *File) ReadAt(p []byte, off int64) (int, error) {
-	n, err := af.pread(p, off, af.guessClass(off, RandRead, SeqRead))
-	af.account(off, int64(n), RandRead, SeqRead)
+	n, err := af.ReadUncharged(p, off, af.acct.classify(off, RandRead, SeqRead))
+	af.acct.chargeAuto(int64(n), off, RandRead, SeqRead)
 	return n, err
 }
 
 // WriteAt writes p at off with automatic sequential/random classification.
 func (af *File) WriteAt(p []byte, off int64) (int, error) {
-	n, err := af.pwrite(p, off, af.guessClass(off, RandWrite, SeqWrite))
-	af.account(off, int64(n), RandWrite, SeqWrite)
+	n, err := af.WriteUncharged(p, off, af.acct.classify(off, RandWrite, SeqWrite))
+	af.acct.chargeAuto(int64(n), off, RandWrite, SeqWrite)
 	return n, err
 }
 
@@ -408,57 +373,14 @@ func (af *File) WriteAt(p []byte, off int64) (int, error) {
 // random writes regardless of file offsets, because the *logical* locality
 // over destination vertices is poor).
 func (af *File) ReadAtClass(p []byte, off int64, c Class) (int, error) {
-	n, err := af.pread(p, off, c)
-	af.mu.Lock()
-	af.seqPos = off + int64(n)
-	dev := af.devCharge(off, int64(n), c)
-	ct := af.ct
-	af.mu.Unlock()
-	ct.AddDev(c, int64(n), dev)
-	return n, err
-}
-
-// ReadAtClassDev reads with an explicit class and an explicit device
-// charge. Callers that manage their own page locality (b-pull's Eblock
-// scans keep one Vblock's pages hot) use it to coalesce page transfers.
-func (af *File) ReadAtClassDev(p []byte, off int64, c Class, dev int64) (int, error) {
-	n, err := af.pread(p, off, c)
-	af.mu.Lock()
-	af.seqPos = off + int64(n)
-	if n > 0 {
-		af.lastPage = (off + int64(n) - 1) / PageSize
-	}
-	ct := af.ct
-	af.mu.Unlock()
-	ct.AddDev(c, int64(n), dev)
+	n, err := af.ReadUncharged(p, off, c)
+	af.acct.Charge(int64(n), off, c)
 	return n, err
 }
 
 // WriteAtClass writes with an explicit class.
 func (af *File) WriteAtClass(p []byte, off int64, c Class) (int, error) {
-	n, err := af.pwrite(p, off, c)
-	af.mu.Lock()
-	af.seqPos = off + int64(n)
-	dev := af.devCharge(off, int64(n), c)
-	ct := af.ct
-	af.mu.Unlock()
-	ct.AddDev(c, int64(n), dev)
+	n, err := af.WriteUncharged(p, off, c)
+	af.acct.Charge(int64(n), off, c)
 	return n, err
-}
-
-func (af *File) account(off, n int64, randC, seqC Class) {
-	af.mu.Lock()
-	seq := off == af.seqPos || (off == 0 && af.seqPos == 0)
-	af.seqPos = off + n
-	c := randC
-	if seq {
-		c = seqC
-	}
-	dev := af.devCharge(off, n, c)
-	ct := af.ct
-	af.mu.Unlock()
-	if n <= 0 {
-		return
-	}
-	ct.AddDev(c, n, dev)
 }

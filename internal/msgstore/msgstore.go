@@ -4,7 +4,9 @@
 // messages across destination vertices is the I/O problem the whole paper
 // attacks — and read back sequentially at the start of the next superstep
 // (the 2·IO(M_disk) term of Eq. 7, split across srw and ssr exactly as
-// Eq. 11 splits it). An OnlineInbox adds MOCgraph's message online
+// Eq. 11 splits it). The cost is charged per spilled record; the bytes
+// reach the file a staging buffer at a time (DESIGN.md, "Charge model vs
+// physical execution"). An OnlineInbox adds MOCgraph's message online
 // computing: messages for a configured hot set of vertices are folded into
 // an in-memory accumulator immediately and never touch disk.
 package msgstore
@@ -85,23 +87,56 @@ type spillFile interface {
 	Close() error
 }
 
-// rawSpill is the codec-"none" backend, preserving the historical
-// charge sequence exactly: one random write per record at the record's
-// offset, one sequential whole-file read at drain.
+// spillBufSize is the raw spill's staging buffer: the largest whole
+// number of records within 64 KiB, so a flush never splits a record.
+const spillBufSize = (64 << 10) / recSize * recSize
+
+// rawSpill is the codec-"none" backend. It charges the historical
+// sequence exactly — one random write per record at the record's logical
+// offset, one sequential whole-file read at drain — but moves the bytes a
+// staging buffer at a time: records collect in buf and reach the file in
+// one uncharged write per spillBufSize bytes. A full buffer is written
+// by the Append that needs the room, the tail by ReadAll, so a write
+// fault surfaces from the Add, Drain or Pending that flushed, and a
+// failed flush leaves buf intact for the retry.
 type rawSpill struct {
-	f   *diskio.File
-	off int64
+	f       *diskio.File
+	off     int64  // logical end: bytes charged so far
+	buf     []byte // records charged but not yet written; they end at off
+	flushes *obs.Counter
 }
 
 func (r *rawSpill) Append(rec []byte) error {
-	_, err := r.f.WriteAtClass(rec, r.off, diskio.RandWrite)
-	if err == nil {
-		r.off += int64(len(rec))
+	if len(r.buf)+len(rec) > cap(r.buf) {
+		if err := r.flush(); err != nil {
+			return err
+		}
 	}
-	return err
+	// Charged as a random write: Giraph's spilled messages have no
+	// destination locality, which is what makes push I/O-inefficient
+	// (Section 1, "expensive random writes").
+	r.f.Charge(int64(len(rec)), r.off, diskio.RandWrite)
+	r.buf = append(r.buf, rec...)
+	r.off += int64(len(rec))
+	return nil
+}
+
+func (r *rawSpill) flush() error {
+	if len(r.buf) == 0 {
+		return nil
+	}
+	if _, err := r.f.WriteUncharged(r.buf, r.off-int64(len(r.buf)), diskio.RandWrite); err != nil {
+		return err
+	}
+	r.buf = r.buf[:0]
+	r.flushes.Inc()
+	return nil
 }
 
 func (r *rawSpill) ReadAll(p []byte) error {
+	if err := r.flush(); err != nil {
+		return err
+	}
 	_, err := r.f.ReadAtClass(p, 0, diskio.SeqRead)
 	return err
 }
@@ -118,12 +153,15 @@ type Inbox struct {
 	capacity int // B_i in messages; <= 0 means unlimited (sufficient memory)
 	mem      []comm.Msg
 	spill    spillFile
+	stage    []byte // raw spill staging, allocated at the first spill and reused by every later one
+	rec      [recSize]byte
 	spillN   int64
 	received int64
 	maxMem   int64
 
 	mSpilledMsgs  *obs.Counter // nil when metrics are disabled
 	mSpilledBytes *obs.Counter
+	mSpillFlushes *obs.Counter
 }
 
 // SetMetrics wires the inbox's spill tallies into reg ("msgstore.*"
@@ -133,6 +171,10 @@ func (b *Inbox) SetMetrics(reg *obs.Registry) {
 	defer b.mu.Unlock()
 	b.mSpilledMsgs = reg.Counter("msgstore.spilled_msgs")
 	b.mSpilledBytes = reg.Counter("msgstore.spilled_bytes")
+	// Physical writes of the raw spill's staging buffer, next to the
+	// per-record logical ops the Counter charges. (A codec spill's frame
+	// writes are already ops on the physical twin.)
+	b.mSpillFlushes = reg.Counter("msgstore.spill_flushes")
 }
 
 // NewInbox returns an inbox spilling to path once capacity messages are
@@ -145,7 +187,9 @@ func NewInbox(path string, ct *diskio.Counter, capacity int, cdc codec.Codec) *I
 }
 
 // Add accepts one message. Beyond capacity the message is spilled with
-// random-write accounting.
+// random-write accounting. A spill write fault is reported by the Add
+// whose record needed the staging buffer flushed; that record is then
+// neither charged nor counted as spilled.
 func (b *Inbox) Add(m comm.Msg) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -177,18 +221,18 @@ func (b *Inbox) spillMsg(m comm.Msg) error {
 			if err != nil {
 				return err
 			}
-			b.spill = &rawSpill{f: f}
+			if b.stage == nil {
+				b.stage = make([]byte, 0, spillBufSize)
+			}
+			b.spill = &rawSpill{f: f, buf: b.stage, flushes: b.mSpillFlushes}
 		} else {
 			b.spill = codec.NewSpillFile(b.path, b.ct, b.cdc)
 		}
 	}
-	var rec [recSize]byte
+	rec := b.rec[:] // a local array would escape through the interface call
 	binary.LittleEndian.PutUint32(rec[0:], uint32(m.Dst))
 	binary.LittleEndian.PutUint64(rec[4:], math.Float64bits(m.Val))
-	// Charged as a random write: Giraph's spilled messages have no
-	// destination locality, which is what makes push I/O-inefficient
-	// (Section 1, "expensive random writes").
-	if err := b.spill.Append(rec[:]); err != nil {
+	if err := b.spill.Append(rec); err != nil {
 		return err
 	}
 	b.spillN++

@@ -20,11 +20,14 @@ package vertexfile
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"sync"
 
 	"hybridgraph/internal/diskio"
 	"hybridgraph/internal/graph"
+	"hybridgraph/internal/obs"
 )
 
 // RecordSize is the fixed on-disk size of one vertex record.
@@ -53,6 +56,9 @@ type Store struct {
 	// the owner's update scan writes records back.
 	mem   []Record
 	memMu sync.RWMutex
+
+	// scan is ReadBcastScan's page buffer; see scanCache.
+	scan scanCache
 }
 
 // Create builds a store at path for n vertices starting at id lo, writing
@@ -137,7 +143,9 @@ func (s *Store) WriteRange(lo, hi graph.VertexID, recs []Record) error {
 	for i, r := range recs {
 		encode(buf[i*RecordSize:], r)
 	}
-	_, err := s.f.WriteAtClass(buf, int64(lo-s.lo)*RecordSize, diskio.SeqWrite)
+	off := int64(lo-s.lo) * RecordSize
+	_, err := s.f.WriteAtClass(buf, off, diskio.SeqWrite)
+	s.scan.invalidate(off, int64(len(buf)))
 	return err
 }
 
@@ -170,7 +178,9 @@ type PageSet map[int64]bool
 
 // ReadBcastScan is ReadBcast with scan-local page accounting: the logical
 // cost is one broadcast column, the device cost one page per page not yet
-// in seen.
+// in seen. The charge is per read; the bytes move per page — a page the
+// model calls hot is served from the store's page buffer, filled by one
+// uncharged page read per miss.
 func (s *Store) ReadBcastScan(v graph.VertexID, parity int, seen PageSet) (float64, error) {
 	if !s.Contains(v) {
 		return 0, fmt.Errorf("vertexfile: vertex %d outside [%d,%d)", v, s.lo, int(s.lo)+s.n)
@@ -184,11 +194,91 @@ func (s *Store) ReadBcastScan(v graph.VertexID, parity int, seen PageSet) (float
 		seen[page] = true
 		dev = diskio.PageSize
 	}
-	var b [8]byte
-	if _, err := s.f.ReadAtClassDev(b[:], off, diskio.RandRead, dev); err != nil {
+	val, err := s.scan.read(s.f, off)
+	if err != nil {
 		return 0, err
 	}
-	return float64FromBits(b[:]), nil
+	s.f.ChargeDev(BcastSize, off, diskio.RandRead, dev)
+	return val, nil
+}
+
+// scanCachePages bounds the page buffer: 128 pages (512 KiB) hold the
+// records of 16384 vertices, a few Vblocks' worth of concurrent scans.
+const scanCachePages = 128
+
+// scanCache is a direct-mapped buffer of vertex-file pages serving
+// ReadBcastScan. It is implementation memory, not model memory (the cost
+// model already treats a scanned page as resident), so MemBytes does not
+// count it. A cached page must never outlive a write to its bytes: the
+// update scan rewrites broadcast columns while remote pulls read the
+// other parity from the same page, and the column written now is the one
+// read next superstep. Fills and invalidations therefore run under one
+// lock, and a writer invalidates after its write has reached the file —
+// a fill that raced the write is either dropped by the invalidation or
+// ordered after it and so reads the new bytes.
+type scanCache struct {
+	mu    sync.Mutex
+	pages []scanPage // allocated at the first scan read; slot = page % scanCachePages
+	reads *obs.Counter
+}
+
+type scanPage struct {
+	page int64 // file page held, -1 when empty
+	n    int   // valid bytes
+	data [diskio.PageSize]byte
+}
+
+// read returns the 8-byte column at file offset off.
+func (c *scanCache) read(f *diskio.File, off int64) (float64, error) {
+	page, in := off/diskio.PageSize, int(off%diskio.PageSize)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.pages == nil {
+		c.pages = make([]scanPage, scanCachePages)
+		for i := range c.pages {
+			c.pages[i].page = -1
+		}
+	}
+	sp := &c.pages[page%scanCachePages]
+	if sp.page != page {
+		sp.page = -1
+		n, err := f.ReadUncharged(sp.data[:], page*diskio.PageSize, diskio.RandRead)
+		if err != nil && !errors.Is(err, io.EOF) { // the file's last page is short
+			return 0, err
+		}
+		sp.page, sp.n = page, n
+		c.reads.Inc()
+	}
+	if sp.n < in+BcastSize {
+		return 0, fmt.Errorf("vertexfile: %s: short page %d (%d bytes)", f.Name(), page, sp.n)
+	}
+	return float64FromBits(sp.data[in : in+BcastSize]), nil
+}
+
+// invalidate drops every cached page overlapping file bytes [off, off+n).
+func (c *scanCache) invalidate(off, n int64) {
+	if n <= 0 {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.pages == nil {
+		return
+	}
+	for p, last := off/diskio.PageSize, (off+n-1)/diskio.PageSize; p <= last; p++ {
+		if sp := &c.pages[p%scanCachePages]; sp.page == p {
+			sp.page = -1
+		}
+	}
+}
+
+// SetMetrics wires the store's physical scan reads into reg as
+// "vertexfile.scan_page_reads" — the page fills behind the per-read
+// logical charges. A nil registry disables the counter.
+func (s *Store) SetMetrics(reg *obs.Registry) {
+	s.scan.mu.Lock()
+	s.scan.reads = reg.Counter("vertexfile.scan_page_reads")
+	s.scan.mu.Unlock()
 }
 
 // WriteRecord random-writes one full record (the pull baseline's
@@ -205,7 +295,9 @@ func (s *Store) WriteRecord(r Record) error {
 	}
 	var b [RecordSize]byte
 	encode(b[:], r)
-	_, err := s.f.WriteAtClass(b[:], int64(r.ID-s.lo)*RecordSize, diskio.RandWrite)
+	off := int64(r.ID-s.lo) * RecordSize
+	_, err := s.f.WriteAtClass(b[:], off, diskio.RandWrite)
+	s.scan.invalidate(off, RecordSize)
 	return err
 }
 
