@@ -4,8 +4,10 @@
 // patterns the engines need — push-style delivery, block-centric pull
 // requests (b-pull), and per-svertex gathers (the pull baseline). The
 // default fabric is in-process (workers are goroutines, per the DESIGN.md
-// substitution); a TCP/gob fabric with the same interface demonstrates
-// multi-process distribution.
+// substitution); a TCP fabric with the same interface demonstrates
+// multi-process distribution. Messages cross every hop through buffers
+// their owner reuses (outbox, stage, the TCP connections' payload
+// buffers); DESIGN.md, "Message path", has the ownership rules.
 package comm
 
 import (
@@ -136,11 +138,13 @@ func GatherResultsSize(res []GatherResult) int64 {
 // Handler is the worker-side surface the fabric calls into.
 type Handler interface {
 	// DeliverMessages accepts a push packet addressed to this worker for
-	// consumption in superstep p.Step+1.
+	// consumption in superstep p.Step+1. p and p.Msgs are the caller's and
+	// are overwritten once the call returns: copy what must outlive it.
 	DeliverMessages(p *Packet) error
 	// RespondPull runs Pull-Respond (Algorithm 2) for the given global
 	// Vblock at superstep step, returning the generated (already
-	// concatenated/combined) messages and their wire size.
+	// concatenated/combined) messages and their wire size. The fabric reads
+	// the messages before it returns and keeps no reference to them.
 	RespondPull(reqBlock, step int) ([]Msg, int64, error)
 	// GatherValues runs the pull baseline's mirror-side gather: for each
 	// requested destination vertex, generate message values from this
@@ -154,9 +158,13 @@ type Handler interface {
 // Fabric routes traffic between workers and accounts bytes per worker.
 type Fabric interface {
 	Register(worker int, h Handler)
-	// Send delivers a push packet; counted as From-out / To-in bytes.
+	// Send delivers a push packet; counted as From-out / To-in bytes. It is
+	// synchronous: when it returns the receiver has copied (or the wire has
+	// carried) the messages, nothing holds p.Msgs, and the sender reuses
+	// the storage. Implementations and wrappers must not retain p.Msgs.
 	Send(p *Packet) error
-	// PullRequest performs a synchronous block-centric pull.
+	// PullRequest performs a synchronous block-centric pull. The returned
+	// messages belong to the caller.
 	PullRequest(from, to, block, step int) ([]Msg, int64, error)
 	// Gather performs a synchronous vertex-cut gather.
 	Gather(from, to int, ids []graph.VertexID, step int) ([]GatherResult, error)

@@ -24,7 +24,10 @@ type recorder struct {
 func (r *recorder) DeliverMessages(p *Packet) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.packets = append(r.packets, p)
+	// The packet and its messages are the sender's: keep a copy.
+	cp := *p
+	cp.Msgs = append([]Msg(nil), p.Msgs...)
+	r.packets = append(r.packets, &cp)
 	return nil
 }
 

@@ -1,5 +1,7 @@
 package comm
 
+import "hybridgraph/internal/graph"
+
 // Outbox is the sender-side message buffer used by the push engines:
 // messages accumulate per destination worker and a packet is flushed as
 // soon as its encoded size reaches the sending threshold (the paper's
@@ -8,6 +10,11 @@ package comm
 // Push does not concatenate or combine — the paper argues the poor
 // destination locality at the sender makes it not cost-effective — so
 // packets are flushed unconcatenated.
+//
+// An outbox is a fixed sending buffer: a worker builds one for the job and
+// Resets it every superstep. Each destination's buffer keeps its backing
+// array after a flush, which is sound because Fabric.Send is synchronous
+// and no fabric or handler retains p.Msgs (DESIGN.md, "Message path").
 type Outbox struct {
 	fabric    Fabric
 	from      int
@@ -51,6 +58,18 @@ func NewOutbox(fabric Fabric, workers, from, step int, thresholdBytes int64) *Ou
 	}
 }
 
+// Reset readies the outbox for another superstep on fabric: tallies and
+// the combiner are cleared, anything a failed superstep left buffered is
+// dropped, and the per-destination buffers keep their storage.
+func (o *Outbox) Reset(fabric Fabric, step int) {
+	o.fabric, o.step = fabric, step
+	o.flushes, o.sent, o.saved, o.touched = 0, 0, 0, 0
+	o.combine = nil
+	for to := range o.pending {
+		o.pending[to] = o.pending[to][:0]
+	}
+}
+
 // Add buffers one message for worker to, flushing if the buffer reaches
 // the threshold.
 func (o *Outbox) Add(to int, m Msg) error {
@@ -75,7 +94,7 @@ func (o *Outbox) Flush() error {
 
 func (o *Outbox) flush(to int) error {
 	msgs := o.pending[to]
-	o.pending[to] = nil
+	o.pending[to] = msgs[:0] // the storage is ours again once Send returns
 	o.flushes++
 	o.sent += int64(len(msgs))
 	p := &Packet{From: o.from, To: to, Step: o.step, Msgs: msgs}
@@ -98,12 +117,9 @@ func (o *Outbox) Sent() int64 { return o.sent }
 func (o *Outbox) Flushes() int64 { return o.flushes }
 
 // ShardThreshold partitions the sending threshold across the shards of a
-// parallel update scan: each shard stages at most its share of the 4 MB
-// budget before the shard buffers are merged, floored at one message so a
-// degenerate split can still form a packet. Partitioning (rather than
-// giving every shard the full threshold) keeps the aggregate staged bytes
-// within the sequential sender's budget, so packet counts and Eq. (7) net
-// bytes cannot drift from the Parallelism=1 run.
+// parallel update scan: each shard's share of the 4 MB budget, floored at
+// one message. Stages grow on demand, so the share is a bound on what a
+// balanced scan stages per shard rather than an allocation.
 func ShardThreshold(thresholdBytes int64, shards int) int64 {
 	if thresholdBytes <= 0 {
 		thresholdBytes = 4 << 20
@@ -118,10 +134,12 @@ func ShardThreshold(thresholdBytes int64, shards int) int64 {
 	return t
 }
 
-// stageEntry is one deferred Outbox.Add.
+// stageEntry is one deferred Outbox.Add: the message plus the destination
+// worker shard-order replay needs, packed into a Msg's 16 bytes.
 type stageEntry struct {
-	to int
-	m  Msg
+	to  int32
+	dst graph.VertexID
+	val float64
 }
 
 // Stage is a per-shard sender buffer for parallel update scans. Shards
@@ -134,38 +152,40 @@ type stageEntry struct {
 // reproduces the sequential run's Add sequence exactly: identical packet
 // boundaries, combine batches, wire bytes and message-log appends for any
 // Parallelism.
+//
+// A stage is owned by one worker shard for the job: MergeInto empties it
+// and keeps the backing array for the next superstep.
 type Stage struct {
 	entries []stageEntry
 }
 
-// NewStage returns a stage pre-sized for budgetBytes of staged messages
-// (see ShardThreshold); the stage grows past the budget rather than flush,
-// since flushing out of order is exactly what staging exists to prevent.
+// NewStage returns an empty stage. It grows by append and never flushes —
+// flushing out of order is exactly what staging exists to prevent — so
+// budgetBytes (see ShardThreshold) sizes nothing up front.
 func NewStage(budgetBytes int64) *Stage {
-	c := int(budgetBytes / MsgWireSize)
-	if c < 1 {
-		c = 1
-	}
-	return &Stage{entries: make([]stageEntry, 0, c)}
+	return &Stage{}
 }
 
 // Add stages one message for worker to.
 func (s *Stage) Add(to int, m Msg) {
-	s.entries = append(s.entries, stageEntry{to: to, m: m})
+	s.entries = append(s.entries, stageEntry{to: int32(to), dst: m.Dst, val: m.Val})
 }
 
 // Len reports the number of staged messages.
 func (s *Stage) Len() int { return len(s.entries) }
 
-// MergeInto replays the staged sends into o in staging order, releasing
-// the stage's memory. Threshold flushes fire during the replay exactly as
-// they would have during a sequential scan.
+// Reset drops whatever a failed superstep left staged.
+func (s *Stage) Reset() { s.entries = s.entries[:0] }
+
+// MergeInto replays the staged sends into o in staging order and empties
+// the stage. Threshold flushes fire during the replay exactly as they
+// would have during a sequential scan.
 func (s *Stage) MergeInto(o *Outbox) error {
 	for _, e := range s.entries {
-		if err := o.Add(e.to, e.m); err != nil {
+		if err := o.Add(int(e.to), Msg{Dst: e.dst, Val: e.val}); err != nil {
 			return err
 		}
 	}
-	s.entries = nil
+	s.Reset()
 	return nil
 }

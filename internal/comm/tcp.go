@@ -1,12 +1,15 @@
 package comm
 
 import (
+	"bufio"
 	"context"
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,12 +19,17 @@ import (
 	"hybridgraph/internal/obs"
 )
 
-// TCP is a fabric whose traffic really crosses loopback TCP sockets with
-// gob framing: each worker owns a listener, requests are dispatched to the
-// registered handler on the serving side, and responses travel back on the
-// same connection. Byte accounting uses the same semantic wire sizes as
-// the Local fabric (message ids and values, not gob framing overhead or
-// retry duplicates), so the cost model is transport-independent.
+// TCP is a fabric whose traffic really crosses loopback TCP sockets: each
+// worker owns a listener, requests are dispatched to the registered
+// handler on the serving side, and responses travel back on the same
+// connection. A frame is a small gob envelope (kind, sequence number,
+// epoch, addressing, the pull baseline's id lists) followed by the raw
+// message payload — a push packet or a pull response — as the run
+// AppendMsgs encodes: a count and MsgWireSize bytes per message. gob never
+// sees a message. Byte accounting uses the same semantic wire sizes as the
+// Local fabric (message ids and values, not framing overhead or retry
+// duplicates), so the cost model is transport-independent; what the
+// sockets really carried is counted apart as "comm.tcp.frame_bytes".
 //
 // The fabric is resilient: every request carries a deadline, transport
 // errors (timeouts, broken pipes, resets) trigger bounded retries with
@@ -45,6 +53,7 @@ type TCP struct {
 	in        []atomic.Int64
 	out       []atomic.Int64
 	total     atomic.Int64
+	frames    atomic.Int64 // bytes written to sockets, both directions
 	closed    atomic.Bool
 
 	jmu  sync.Mutex // guards jrng (retry jitter)
@@ -105,25 +114,105 @@ type tcpPeer struct {
 }
 
 type tcpConn struct {
-	mu  sync.Mutex
-	c   net.Conn
-	enc *gob.Encoder
-	dec *gob.Decoder
+	mu sync.Mutex
+	c  net.Conn
+	s  *tcpStream
 }
 
-// do performs one framed round trip under the request deadline. The
-// connection lock serialises concurrent requests onto the shared stream.
-func (c *tcpConn) do(req *tcpRequest, resp *tcpResponse, timeout time.Duration) error {
+// tcpStream is one end of a connection's framing, the same on both
+// sides: a gob envelope, followed — when the envelope's PayloadLen says so
+// — by that many raw bytes holding one AppendMsgs run. gob therefore only
+// ever sees the few dozen bytes of an envelope; the messages bypass it
+// through buf, the stream's one payload buffer, reused for every frame in
+// either direction.
+type tcpStream struct {
+	r   *bufio.Reader // shared by dec and the payload reads
+	w   io.Writer     // the socket, tallied into the fabric's frame_bytes
+	enc *gob.Encoder
+	dec *gob.Decoder
+	buf []byte
+}
+
+func newTCPStream(c net.Conn, frames *atomic.Int64) *tcpStream {
+	s := &tcpStream{r: bufio.NewReader(c), w: countingWriter{c, frames}}
+	s.enc = gob.NewEncoder(s.w)
+	// A reader that can ReadByte is used as is, so gob consumes exactly one
+	// envelope and leaves the payload for recvPayload.
+	s.dec = gob.NewDecoder(s.r)
+	return s
+}
+
+// maxPayload bounds the payload length a frame may announce.
+const maxPayload = 1 << 30
+
+// send writes one frame; env's PayloadLen must equal len(payload).
+func (s *tcpStream) send(env any, payload []byte) error {
+	if err := s.enc.Encode(env); err != nil || len(payload) == 0 {
+		return err
+	}
+	_, err := s.w.Write(payload)
+	return err
+}
+
+// recvPayload reads the n payload bytes that follow the envelope just
+// decoded. The result is buf: valid until the stream's next frame.
+func (s *tcpStream) recvPayload(n int) ([]byte, error) {
+	if n < 0 || n > maxPayload {
+		return nil, &PayloadError{Len: n, Count: -1}
+	}
+	s.buf = slices.Grow(s.buf[:0], n)[:n]
+	_, err := io.ReadFull(s.r, s.buf)
+	return s.buf, err
+}
+
+// countingWriter tallies the bytes a connection actually writes.
+type countingWriter struct {
+	w io.Writer
+	n *atomic.Int64
+}
+
+func (c countingWriter) Write(b []byte) (int, error) {
+	n, err := c.w.Write(b)
+	c.n.Add(int64(n))
+	return n, err
+}
+
+// do performs one framed round trip under the request deadline: msgs (a
+// push packet's, nil otherwise) are encoded into the stream's payload
+// buffer, and a response payload is decoded into a slice the caller owns
+// before the lock is released. The connection lock serialises concurrent
+// requests onto the shared stream.
+func (c *tcpConn) do(req *tcpRequest, msgs []Msg, timeout time.Duration) (tcpResponse, []Msg, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if timeout > 0 {
 		c.c.SetDeadline(time.Now().Add(timeout))
 		defer c.c.SetDeadline(time.Time{})
 	}
-	if err := c.enc.Encode(req); err != nil {
-		return err
+	var payload []byte
+	if len(msgs) > 0 {
+		c.s.buf = AppendMsgs(c.s.buf[:0], msgs)
+		payload = c.s.buf
 	}
-	return c.dec.Decode(resp)
+	req.PayloadLen = len(payload)
+	if err := c.s.send(req, payload); err != nil {
+		return tcpResponse{}, nil, err
+	}
+	var resp tcpResponse
+	if err := c.s.dec.Decode(&resp); err != nil {
+		return tcpResponse{}, nil, err
+	}
+	raw, err := c.s.recvPayload(resp.PayloadLen)
+	if err != nil {
+		return tcpResponse{}, nil, err
+	}
+	var out []Msg
+	if len(raw) > 0 {
+		if out, err = DecodeMsgs(nil, raw); err != nil {
+			return tcpResponse{}, nil, err
+		}
+	}
+	return resp, out, nil
 }
 
 const (
@@ -141,21 +230,30 @@ type tcpRequest struct {
 	To    int
 	Step  int
 	Block int
-	Msgs  []Msg
-	Wire  int64
-	IDs   []graph.VertexID
+	// PayloadLen is the size of the raw payload following the envelope: a
+	// push packet's messages as AppendMsgs encodes them.
+	PayloadLen int
+	Wire       int64
+	IDs        []graph.VertexID
 }
 
 type tcpResponse struct {
-	Msgs    []Msg
-	Wire    int64
-	Results []GatherResult
-	Err     string
+	// PayloadLen is the size of the raw payload following the envelope: a
+	// pull response's messages as AppendMsgs encodes them.
+	PayloadLen int
+	Wire       int64
+	Results    []GatherResult
+	Err        string
 	// Stale rejects a request stamped with a pre-reassignment epoch: the
 	// client must re-stamp against the current ownership table and re-route
 	// (redial — the endpoint may have been rehomed). Never cached by the
 	// dedup layer, so the re-routed retry under the same Seq is processed.
 	Stale bool
+
+	// payload is what PayloadLen counts. Unexported, so gob never sees it;
+	// the serving side encodes it into bytes of its own per response,
+	// because the dedup record keeps it for retries.
+	payload []byte
 }
 
 // dedup is one serving worker's exactly-once filter: the first delivery of
@@ -165,6 +263,7 @@ type dedup struct {
 	mu      sync.Mutex
 	entries map[dedupKey]*dedupEntry
 	order   []dedupKey
+	bytes   int64        // response bytes the completed entries retain
 	mHits   *obs.Counter // "comm.tcp.dedup_hits"; guarded by mu — serve
 	// goroutines predate SetMetrics, so a bare field would race.
 }
@@ -175,14 +274,20 @@ type dedupKey struct {
 }
 
 type dedupEntry struct {
-	done chan struct{}
-	resp tcpResponse
+	done  chan struct{}
+	resp  tcpResponse
+	bytes int64 // credited to dedup.bytes at completion, under dedup.mu
 }
 
-// dedupWindow bounds remembered responses per worker. Retries arrive
-// within milliseconds of the original, so a few thousand entries is far
-// more history than any in-flight retry needs.
-const dedupWindow = 4096
+// dedupWindow and dedupMaxBytes bound remembered responses per worker, by
+// count and by the bytes they pin (a completed pull entry holds its whole
+// response). Retries arrive within milliseconds of the original, so a few
+// thousand entries — or, for block-sized pull responses, the last few
+// dozen — is far more history than any in-flight retry needs.
+const (
+	dedupWindow   = 4096
+	dedupMaxBytes = 64 << 20
+)
 
 func newDedup() *dedup {
 	return &dedup{entries: make(map[dedupKey]*dedupEntry)}
@@ -200,26 +305,50 @@ func (d *dedup) do(from int, seq uint64, process func() tcpResponse) tcpResponse
 	e := &dedupEntry{done: make(chan struct{})}
 	d.entries[key] = e
 	d.order = append(d.order, key)
-	for len(d.order) > dedupWindow {
+	d.mu.Unlock()
+	resp := process()
+	d.mu.Lock()
+	e.resp = resp
+	e.bytes = int64(len(resp.payload)) + GatherResultsSize(resp.Results)
+	d.bytes += e.bytes
+	close(e.done)
+	d.evict(key)
+	d.mu.Unlock()
+	return resp
+}
+
+// evict drops the oldest completed entries while a bound is exceeded.
+// In-flight entries are re-queued, never dropped. So is keep, the entry
+// that just completed — the retry most likely to arrive next is answered
+// from the record whatever its size — and, under byte pressure alone, so
+// are entries that pin nothing: dropping a Send's record would free no
+// memory and let a late retry deliver its packet twice. Callers hold
+// d.mu.
+func (d *dedup) evict(keep dedupKey) {
+	for scan := len(d.order); scan > 0; scan-- {
+		overCount := len(d.order) > dedupWindow
+		if !overCount && d.bytes <= dedupMaxBytes {
+			return
+		}
 		old := d.order[0]
 		d.order = d.order[1:]
-		oe := d.entries[old]
-		if oe == nil {
+		e := d.entries[old]
+		if e == nil {
 			continue
 		}
+		completed := false
 		select {
-		case <-oe.done:
-			delete(d.entries, old)
+		case <-e.done:
+			completed = true
 		default:
-			// Still in flight; re-queue it and stop pruning for now.
-			d.order = append(d.order, old)
 		}
-		break
+		if completed && old != keep && (overCount || e.bytes > 0) {
+			delete(d.entries, old)
+			d.bytes -= e.bytes
+			continue
+		}
+		d.order = append(d.order, old)
 	}
-	d.mu.Unlock()
-	e.resp = process()
-	close(e.done)
-	return e.resp
 }
 
 // NewTCP starts listeners for n workers on loopback with default
@@ -291,6 +420,9 @@ func (f *TCP) SetMetrics(reg *obs.Registry) {
 		d.mu.Unlock()
 	}
 	reg.RegisterFunc("comm.net_bytes", f.total.Load)
+	// The physical twin of net_bytes: what the sockets carried, envelopes,
+	// responses and retransmissions included.
+	reg.RegisterFunc("comm.tcp.frame_bytes", f.frames.Load)
 }
 
 // SetContext implements ContextSetter: once ctx is cancelled, round trips
@@ -317,11 +449,18 @@ func (f *TCP) serve(worker int, ln net.Listener) {
 
 func (f *TCP) serveConn(worker int, c net.Conn) {
 	defer c.Close()
-	dec := gob.NewDecoder(c)
-	enc := gob.NewEncoder(c)
+	s := newTCPStream(c, &f.frames)
+	// The decoded packet lives in msgs for the duration of one request:
+	// handlers copy what they keep, so it is reused by the next.
+	var msgs []Msg
 	for {
 		var req tcpRequest
-		if err := dec.Decode(&req); err != nil {
+		if err := s.dec.Decode(&req); err != nil {
+			return
+		}
+		// Read before any early continue: the payload must leave the stream.
+		raw, err := s.recvPayload(req.PayloadLen)
+		if err != nil {
 			return
 		}
 		// Epoch gate, BEFORE the dedup layer: a stale rejection must never
@@ -334,7 +473,7 @@ func (f *TCP) serveConn(worker int, c net.Conn) {
 				stale := f.mStale
 				f.mu.RUnlock()
 				stale.Inc()
-				if err := enc.Encode(&tcpResponse{Stale: true}); err != nil {
+				if err := s.send(&tcpResponse{Stale: true}, nil); err != nil {
 					return
 				}
 				continue
@@ -349,15 +488,21 @@ func (f *TCP) serveConn(worker int, c net.Conn) {
 			// response. The client times out and retries.
 			continue
 		}
-		resp := f.dedups[worker].do(req.From, req.Seq, func() tcpResponse {
-			return f.process(worker, &req)
-		})
+		process := func() tcpResponse {
+			msgs = msgs[:0]
+			if len(raw) > 0 {
+				var err error
+				if msgs, err = DecodeMsgs(msgs, raw); err != nil {
+					return tcpResponse{Err: err.Error()}
+				}
+			}
+			return f.process(&req, msgs)
+		}
+		resp := f.dedups[worker].do(req.From, req.Seq, process)
 		if d.Duplicate {
 			// The network delivered the request twice; the dedup layer must
 			// absorb the copy without re-invoking the handler.
-			f.dedups[worker].do(req.From, req.Seq, func() tcpResponse {
-				return f.process(worker, &req)
-			})
+			f.dedups[worker].do(req.From, req.Seq, process)
 		}
 		if d.Delay > 0 {
 			time.Sleep(d.Delay)
@@ -367,19 +512,18 @@ func (f *TCP) serveConn(worker int, c net.Conn) {
 			// be answered from the dedup record, not re-applied.
 			continue
 		}
-		if err := enc.Encode(&resp); err != nil {
+		if err := s.send(&resp, resp.payload); err != nil {
 			return
 		}
 	}
 }
 
 // process dispatches one deduplicated request to its destination worker's
-// handler. Dispatch is by req.To, not by which listener the request
-// arrived on: after a Rehome, a dead worker's traffic lands on the
-// adopting host's listener but must still reach the adopted unit's
-// handler.
-func (f *TCP) process(worker int, req *tcpRequest) tcpResponse {
-	_ = worker
+// handler; msgs is the decoded payload of a push packet. Dispatch is by
+// req.To, not by which listener the request arrived on: after a Rehome, a
+// dead worker's traffic lands on the adopting host's listener but must
+// still reach the adopted unit's handler.
+func (f *TCP) process(req *tcpRequest, msgs []Msg) tcpResponse {
 	var resp tcpResponse
 	f.mu.RLock()
 	h := f.handlers[req.To]
@@ -390,13 +534,19 @@ func (f *TCP) process(worker int, req *tcpRequest) tcpResponse {
 	}
 	switch req.Kind {
 	case tcpSend:
-		p := &Packet{From: req.From, To: req.To, Step: req.Step, Msgs: req.Msgs, WireBytes: req.Wire}
+		p := &Packet{From: req.From, To: req.To, Step: req.Step, Msgs: msgs, WireBytes: req.Wire}
 		if err := h.DeliverMessages(p); err != nil {
 			resp.Err = err.Error()
 		}
 	case tcpPull:
-		msgs, wire, err := h.RespondPull(req.Block, req.Step)
-		resp.Msgs, resp.Wire = msgs, wire
+		out, wire, err := h.RespondPull(req.Block, req.Step)
+		if len(out) > 0 {
+			// Encoded into bytes of its own: the dedup record outlives this
+			// request, and out belongs to the handler.
+			resp.payload = AppendMsgs(nil, out)
+			resp.PayloadLen = len(resp.payload)
+		}
+		resp.Wire = wire
 		if err != nil {
 			resp.Err = err.Error()
 		}
@@ -443,6 +593,7 @@ func (f *TCP) Rehome(origin, host int) {
 			if _, ok := b.entries[k]; !ok {
 				b.entries[k] = e
 				b.order = append(b.order, k)
+				b.bytes += e.bytes // zero while the entry is still in flight
 			}
 		}
 		second.mu.Unlock()
@@ -479,7 +630,7 @@ func (f *TCP) dial(w int) (*tcpConn, error) {
 		return nil, err
 	}
 	f.mRedials.Inc()
-	c := &tcpConn{c: nc, enc: gob.NewEncoder(nc), dec: gob.NewDecoder(nc)}
+	c := &tcpConn{c: nc, s: newTCPStream(nc, &f.frames)}
 	p.conn = c
 	return c, nil
 }
@@ -499,9 +650,9 @@ func (f *TCP) invalidate(w int, c *tcpConn) {
 // request: transport failures retry with backoff over a fresh connection
 // under the same sequence number; application-level errors surface
 // immediately without retrying.
-func (f *TCP) roundTrip(w int, req *tcpRequest) (*tcpResponse, error) {
+func (f *TCP) roundTrip(w int, req *tcpRequest, msgs []Msg) (*tcpResponse, []Msg, error) {
 	if w < 0 || w >= len(f.addrs) {
-		return nil, fmt.Errorf("comm: no such worker %d", w)
+		return nil, nil, fmt.Errorf("comm: no such worker %d", w)
 	}
 	req.Seq = f.seq.Add(1)
 	f.mRequests.Inc()
@@ -510,22 +661,22 @@ func (f *TCP) roundTrip(w int, req *tcpRequest) (*tcpResponse, error) {
 		if attempt > 0 {
 			f.mRetries.Inc()
 			if err := f.sleepBackoff(attempt); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 		if err := f.ctx.err(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if f.closed.Load() {
-			return nil, errFabricClosed
+			return nil, nil, errFabricClosed
 		}
 		c, err := f.dial(w)
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		var resp tcpResponse
-		if err := c.do(req, &resp, f.cfg.Timeout); err != nil {
+		resp, out, err := c.do(req, msgs, f.cfg.Timeout)
+		if err != nil {
 			lastErr = err
 			f.invalidate(w, c)
 			continue
@@ -541,11 +692,11 @@ func (f *TCP) roundTrip(w int, req *tcpRequest) (*tcpResponse, error) {
 			continue
 		}
 		if resp.Err != "" {
-			return nil, errors.New(resp.Err)
+			return nil, nil, errors.New(resp.Err)
 		}
-		return &resp, nil
+		return &resp, out, nil
 	}
-	return nil, fmt.Errorf("comm: worker %d unreachable after %d attempts: %w",
+	return nil, nil, fmt.Errorf("comm: worker %d unreachable after %d attempts: %w",
 		w, f.cfg.MaxRetries+1, lastErr)
 }
 
@@ -585,28 +736,28 @@ func (f *TCP) Send(p *Packet) error {
 		p.Epoch = f.epoch.Load()
 	}
 	f.account(p.From, p.To, p.Bytes())
-	_, err := f.roundTrip(p.To, &tcpRequest{Kind: tcpSend, Epoch: p.Epoch, From: p.From, To: p.To,
-		Step: p.Step, Msgs: p.Msgs, Wire: p.WireBytes})
+	_, _, err := f.roundTrip(p.To, &tcpRequest{Kind: tcpSend, Epoch: p.Epoch, From: p.From, To: p.To,
+		Step: p.Step, Wire: p.WireBytes}, p.Msgs)
 	return err
 }
 
 // PullRequest implements Fabric.
 func (f *TCP) PullRequest(from, to, block, step int) ([]Msg, int64, error) {
 	f.account(from, to, PullReqSize)
-	resp, err := f.roundTrip(to, &tcpRequest{Kind: tcpPull, Epoch: f.epoch.Load(),
-		From: from, To: to, Block: block, Step: step})
+	resp, msgs, err := f.roundTrip(to, &tcpRequest{Kind: tcpPull, Epoch: f.epoch.Load(),
+		From: from, To: to, Block: block, Step: step}, nil)
 	if err != nil {
 		return nil, 0, err
 	}
 	f.account(to, from, resp.Wire)
-	return resp.Msgs, resp.Wire, nil
+	return msgs, resp.Wire, nil
 }
 
 // Gather implements Fabric.
 func (f *TCP) Gather(from, to int, ids []graph.VertexID, step int) ([]GatherResult, error) {
 	f.account(from, to, int64(len(ids))*GatherIDSize)
-	resp, err := f.roundTrip(to, &tcpRequest{Kind: tcpGather, Epoch: f.epoch.Load(),
-		From: from, To: to, IDs: ids, Step: step})
+	resp, _, err := f.roundTrip(to, &tcpRequest{Kind: tcpGather, Epoch: f.epoch.Load(),
+		From: from, To: to, IDs: ids, Step: step}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -617,8 +768,8 @@ func (f *TCP) Gather(from, to int, ids []graph.VertexID, step int) ([]GatherResu
 // Signal implements Fabric.
 func (f *TCP) Signal(from, to int, ids []graph.VertexID, step int) error {
 	f.account(from, to, int64(len(ids))*GatherIDSize)
-	_, err := f.roundTrip(to, &tcpRequest{Kind: tcpSignal, Epoch: f.epoch.Load(),
-		From: from, To: to, IDs: ids, Step: step})
+	_, _, err := f.roundTrip(to, &tcpRequest{Kind: tcpSignal, Epoch: f.epoch.Load(),
+		From: from, To: to, IDs: ids, Step: step}, nil)
 	return err
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"hybridgraph/internal/comm"
 	"hybridgraph/internal/graph"
+	"hybridgraph/internal/msgstore"
 	"hybridgraph/internal/vertexfile"
 )
 
@@ -28,18 +29,12 @@ func (w *worker) stepBPullThenPush(t int) error {
 func (w *worker) stepBPullProduce(t int, pushProduce bool) error {
 	var outbox *comm.Outbox
 	if pushProduce {
-		outbox = comm.NewOutbox(w.fab(), len(w.job.workers), w.id, t, w.job.cfg.SendThreshold)
+		outbox = w.sendBuffers(t)
 	}
 	// Per-shard send staging, replayed into the outbox in shard order after
 	// each block's scan joins (see stepPush).
-	var stages []*comm.Stage
-	hookFor := func(shard, shards int) updateHook {
-		var stage *comm.Stage
-		if outbox != nil {
-			stage = comm.NewStage(comm.ShardThreshold(w.job.cfg.SendThreshold, shards))
-			stages = append(stages, stage)
-		}
-		scratch := make([]graph.Half, 0, 256)
+	hookFor := func(shard int) updateHook {
+		sb := &w.shards[shard]
 		return func(v graph.VertexID, rec *vertexfile.Record, responded bool) error {
 			// Estimate push's IO(E^t) from the in-memory adjacency index when
 			// hybrid carries one (edges of every updated vertex).
@@ -59,26 +54,26 @@ func (w *worker) stepBPullProduce(t int, pushProduce bool) error {
 			if w.job.cfg.EdgesInMemory {
 				eb = 0
 			}
-			scratch = scratch[:0]
-			scratch, err = w.adj.Edges(v, scratch)
+			sb.edges, err = w.adj.Edges(v, sb.edges[:0])
 			if err != nil {
 				return err
 			}
+			edges := sb.edges
 			w.addStat(func(s *workerStat) {
 				s.parts.Et += eb
-				s.cpu.Edges += int64(len(scratch))
+				s.cpu.Edges += int64(len(edges))
 			})
 			if !responded {
 				return nil
 			}
 			wp := writeParity(t)
 			var sent int64
-			for _, e := range scratch {
+			for _, e := range edges {
 				val, keep := w.msgValueFor(rec.Bcast[wp], e.Dst, e.Weight)
 				if !keep {
 					continue
 				}
-				stage.Add(w.owner(e.Dst), comm.Msg{Dst: e.Dst, Val: val})
+				sb.stage.Add(w.owner(e.Dst), comm.Msg{Dst: e.Dst, Val: val})
 				sent++
 			}
 			w.addStat(func(s *workerStat) {
@@ -88,17 +83,14 @@ func (w *worker) stepBPullProduce(t int, pushProduce bool) error {
 			return nil
 		}
 	}
-	runBlock := func(blo, bhi graph.VertexID, msgs map[graph.VertexID][]float64) error {
-		stages = stages[:0]
+	runBlock := func(blo, bhi graph.VertexID, msgs msgstore.Groups) error {
 		if err := w.updateBlock(t, blo, bhi, msgs, hookFor); err != nil {
 			return err
 		}
-		for _, stage := range stages {
-			if err := stage.MergeInto(outbox); err != nil {
-				return err
-			}
+		if outbox == nil {
+			return nil
 		}
-		return nil
+		return w.mergeStages(outbox)
 	}
 
 	if t == 1 {
@@ -109,16 +101,18 @@ func (w *worker) stepBPullProduce(t int, pushProduce bool) error {
 	} else {
 		lo, hi := w.job.layout.WorkerBlocks(w.id)
 		depth := w.job.cfg.PrefetchDepth
+		// A fetch fills a receiving buffer taken from the worker's idle list;
+		// the buffer goes back once its block has been updated.
 		type fetched struct {
-			msgs map[graph.VertexID][]float64
-			mem  int64
-			err  error
+			buf *recvBuf
+			mem int64
+			err error
 		}
 		launch := func(b int) chan fetched {
 			ch := make(chan fetched, 1)
 			go func() {
-				m, mem, err := w.pullBlock(t, b)
-				ch <- fetched{m, mem, err}
+				buf, mem, err := w.pullBlock(t, b)
+				ch <- fetched{buf, mem, err}
 			}()
 			return ch
 		}
@@ -136,7 +130,7 @@ func (w *worker) stepBPullProduce(t int, pushProduce bool) error {
 		}()
 		nextLaunch := lo + 1
 		for b := lo; b < hi; b++ {
-			var msgs map[graph.VertexID][]float64
+			var buf *recvBuf
 			var brMem int64
 			if len(inflight) > 0 {
 				ch := inflight[0]
@@ -145,10 +139,10 @@ func (w *worker) stepBPullProduce(t int, pushProduce bool) error {
 				if f.err != nil {
 					return f.err
 				}
-				msgs, brMem = f.msgs, f.mem
+				buf, brMem = f.buf, f.mem
 			} else {
 				var err error
-				msgs, brMem, err = w.pullBlock(t, b)
+				buf, brMem, err = w.pullBlock(t, b)
 				if err != nil {
 					return err
 				}
@@ -176,9 +170,10 @@ func (w *worker) stepBPullProduce(t int, pushProduce bool) error {
 				}
 			})
 			blk := w.job.layout.Blocks[b]
-			if err := runBlock(blk.Lo, blk.Hi, msgs); err != nil {
+			if err := runBlock(blk.Lo, blk.Hi, buf.groups); err != nil {
 				return err
 			}
+			w.putRecvBuf(buf)
 		}
 		if len(inflight) > 0 {
 			return fmt.Errorf("core: b-pull prefetched past the last block")
@@ -191,36 +186,33 @@ func (w *worker) stepBPullProduce(t int, pushProduce bool) error {
 }
 
 // pullBlock performs Pull-Request (Algorithm 1) for global block b:
-// request messages from every worker and merge them into BR, combining
-// when the program allows it. Returns the per-vertex message lists and the
-// buffer's memory footprint.
-func (w *worker) pullBlock(t, b int) (map[graph.VertexID][]float64, int64, error) {
+// request messages from every worker and merge them into BR — a receiving
+// buffer off the worker's idle list — combining when the program allows
+// it: the responses are appended in responder order and grouped stably, so
+// a vertex's values are listed, or folded, in the order the responders
+// were asked. Returns the buffer holding the grouped messages and BR's
+// modelled memory footprint.
+func (w *worker) pullBlock(t, b int) (*recvBuf, int64, error) {
 	combine := w.job.prog.Combiner()
 	if w.job.cfg.DisableCombine {
 		combine = nil
 	}
-	out := make(map[graph.VertexID][]float64)
-	var held int64
+	buf := w.takeRecvBuf()
+	buf.msgs = buf.msgs[:0]
 	for y := range w.job.workers {
 		msgs, _, err := w.fab().PullRequest(w.id, y, b, t)
 		if err != nil {
+			w.putRecvBuf(buf)
 			return nil, 0, err
 		}
-		for _, m := range msgs {
-			if vals := out[m.Dst]; combine != nil && len(vals) == 1 {
-				vals[0] = combine(vals[0], m.Val)
-			} else {
-				out[m.Dst] = append(vals, m.Val)
-			}
-		}
+		buf.msgs = append(buf.msgs, msgs...)
 	}
-	for _, vals := range out {
-		held += int64(len(vals))*comm.MsgValSize + comm.MsgIDSize
-	}
+	buf.groups = buf.grouper.Group(buf.msgs, combine)
+	held := buf.groups.Msgs()*comm.MsgValSize + int64(len(buf.groups))*comm.MsgIDSize
 	w.addStat(func(s *workerStat) {
 		s.requests += int64(len(w.job.workers))
 	})
-	return out, held, nil
+	return buf, held, nil
 }
 
 // RespondPull implements comm.Handler: Pull-Respond (Algorithm 2). For

@@ -97,13 +97,12 @@ type Config struct {
 	// SendThreshold is the push sender threshold in bytes (default 4 MB).
 	SendThreshold int64
 	// Parallelism is the per-worker compute parallelism: every engine's
-	// update scan shards its vertex range into this many goroutines, and
-	// the inbox drain sorts message lists on as many. Defaults to
-	// runtime.NumCPU()/Workers (min 1), so a job saturates the machine
-	// without oversubscribing it. Whatever the value, runs are bit-exact:
-	// vertex values, Eq. (7)/(8) I/O totals, wire bytes, Q^t inputs and
-	// trace events are byte-identical to Parallelism=1 (see DESIGN.md,
-	// "Determinism under parallel compute").
+	// update scan shards its vertex range into this many goroutines.
+	// Defaults to runtime.NumCPU()/Workers (min 1), so a job saturates the
+	// machine without oversubscribing it. Whatever the value, runs are
+	// bit-exact: vertex values, Eq. (7)/(8) I/O totals, wire bytes, Q^t
+	// inputs and trace events are byte-identical to Parallelism=1 (see
+	// DESIGN.md, "Determinism under parallel compute").
 	Parallelism int
 	// PrefetchDepth is b-pull's block-fetch pipeline depth: how many
 	// Vblocks ahead of the one updating are being pulled concurrently
@@ -137,10 +136,10 @@ type Config struct {
 	Source graph.VertexID
 	// KeepFiles leaves the work directory in place after the job.
 	KeepFiles bool
-	// TCP routes all worker communication over loopback TCP sockets with
-	// gob framing instead of the in-process fabric, demonstrating that
-	// superstep semantics survive a real network hop. Byte accounting is
-	// identical either way.
+	// TCP routes all worker communication over loopback TCP sockets
+	// instead of the in-process fabric, demonstrating that superstep
+	// semantics survive a real network hop. Byte accounting is identical
+	// either way.
 	TCP bool
 	// FailStep, when > 0, injects a simulated crash of worker FailWorker
 	// at the start of that superstep, once — shorthand for a FaultPlan

@@ -94,6 +94,10 @@ type job struct {
 	jm    jobMetrics
 }
 
+// testWrapFabric, when a test sets it, wraps every job's fabric once
+// metrics and cancellation are wired into the real one.
+var testWrapFabric func(comm.Fabric) comm.Fabric
+
 // ErrInjectedFailure is the sentinel every injected worker crash matches:
 // errors.Is(err, ErrInjectedFailure) distinguishes faults the master's
 // detector raised on purpose from real execution errors.
@@ -370,6 +374,9 @@ func (j *job) setup(engine Engine, res *metrics.JobResult) error {
 	}
 	if cs, ok := j.fabric.(comm.ContextSetter); ok {
 		cs.SetContext(j.runCtx)
+	}
+	if testWrapFabric != nil {
+		j.fabric = testWrapFabric(j.fabric)
 	}
 	j.loadCts = make([]*diskio.Counter, t)
 	j.pcts = make([]*diskio.Counter, t)

@@ -4,6 +4,7 @@ import (
 	"hybridgraph/internal/algo"
 	"hybridgraph/internal/comm"
 	"hybridgraph/internal/graph"
+	"hybridgraph/internal/msgstore"
 	"hybridgraph/internal/vertexfile"
 )
 
@@ -43,7 +44,7 @@ func (w *worker) stepPull(t int) error {
 		if hi > len(ids) {
 			hi = len(ids)
 		}
-		var msgs map[graph.VertexID][]float64
+		var msgs msgstore.Groups
 		if t > 1 {
 			var err error
 			msgs, err = w.gatherAll(t, ids[lo:hi])
@@ -51,8 +52,9 @@ func (w *worker) stepPull(t int) error {
 				return err
 			}
 		}
+		cur := msgs.Seek(0) // ids ascend within a chunk
 		for _, v := range ids[lo:hi] {
-			mv := msgs[v]
+			mv := cur.Vals(v)
 			if t > 1 && traversal && len(mv) == 0 {
 				continue
 			}
@@ -110,22 +112,26 @@ func (w *worker) stepPull(t int) error {
 }
 
 // gatherAll requests gathers for ids from every worker and merges the
-// returned value lists per destination.
-func (w *worker) gatherAll(t int, ids []graph.VertexID) (map[graph.VertexID][]float64, error) {
-	out := make(map[graph.VertexID][]float64, len(ids))
+// returned value lists per destination, in responder order. The result
+// lives in the worker's gather buffer until the next call.
+func (w *worker) gatherAll(t int, ids []graph.VertexID) (msgstore.Groups, error) {
+	buf := &w.gathered
+	buf.msgs = buf.msgs[:0]
 	for y := range w.job.workers {
 		res, err := w.fab().Gather(w.id, y, ids, t)
 		if err != nil {
 			return nil, err
 		}
 		for _, r := range res {
-			out[r.Dst] = append(out[r.Dst], r.Vals...)
+			for _, v := range r.Vals {
+				buf.msgs = append(buf.msgs, comm.Msg{Dst: r.Dst, Val: v})
+			}
 		}
 	}
 	w.addStat(func(s *workerStat) {
 		s.requests += int64(len(ids)) * int64(len(w.job.workers))
 	})
-	return out, nil
+	return buf.grouper.Group(buf.msgs, nil), nil
 }
 
 // GatherValues implements comm.Handler: the mirror-side gather. For each

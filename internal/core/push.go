@@ -20,7 +20,7 @@ func (w *worker) stepPush(t int, produce bool) error {
 	}
 	var outbox *comm.Outbox
 	if produce {
-		outbox = comm.NewOutbox(w.fab(), len(w.job.workers), w.id, t, w.job.cfg.SendThreshold)
+		outbox = w.sendBuffers(t)
 		if w.job.cfg.SenderCombine {
 			if c := w.job.prog.Combiner(); c != nil {
 				outbox.SetCombine(c)
@@ -31,14 +31,8 @@ func (w *worker) stepPush(t int, produce bool) error {
 	// the stages replay into the single outbox in shard order after the
 	// scan joins — reproducing the sequential Add sequence, so packet
 	// boundaries, combine batches and wire bytes are Parallelism-invariant.
-	var stages []*comm.Stage
-	hookFor := func(shard, shards int) updateHook {
-		var stage *comm.Stage
-		if outbox != nil {
-			stage = comm.NewStage(comm.ShardThreshold(w.job.cfg.SendThreshold, shards))
-			stages = append(stages, stage)
-		}
-		scratch := make([]graph.Half, 0, 256)
+	hookFor := func(shard int) updateHook {
+		sb := &w.shards[shard]
 		return func(v graph.VertexID, rec *vertexfile.Record, responded bool) error {
 			// Giraph loads a vertex together with its edges, so push reads the
 			// edge run of every *updated* vertex (the active set V_act), not
@@ -53,26 +47,26 @@ func (w *worker) stepPush(t int, produce bool) error {
 			if w.job.cfg.EdgesInMemory {
 				eb = 0
 			}
-			scratch = scratch[:0]
-			scratch, err = w.adj.Edges(v, scratch)
+			sb.edges, err = w.adj.Edges(v, sb.edges[:0])
 			if err != nil {
 				return err
 			}
+			edges := sb.edges
 			w.addStat(func(s *workerStat) {
 				s.parts.Et += eb
-				s.cpu.Edges += int64(len(scratch))
+				s.cpu.Edges += int64(len(edges))
 			})
-			if !responded || stage == nil {
+			if !responded || outbox == nil {
 				return nil
 			}
 			wp := writeParity(t)
 			var sent int64
-			for _, e := range scratch {
+			for _, e := range edges {
 				val, keep := w.msgValueFor(rec.Bcast[wp], e.Dst, e.Weight)
 				if !keep {
 					continue
 				}
-				stage.Add(w.owner(e.Dst), comm.Msg{Dst: e.Dst, Val: val})
+				sb.stage.Add(w.owner(e.Dst), comm.Msg{Dst: e.Dst, Val: val})
 				sent++
 			}
 			w.addStat(func(s *workerStat) {
@@ -87,10 +81,8 @@ func (w *worker) stepPush(t int, produce bool) error {
 		return err
 	}
 	if outbox != nil {
-		for _, stage := range stages {
-			if err := stage.MergeInto(outbox); err != nil {
-				return err
-			}
+		if err := w.mergeStages(outbox); err != nil {
+			return err
 		}
 		if err := outbox.Flush(); err != nil {
 			return err
@@ -122,7 +114,8 @@ func (w *worker) relaxAsync(t int) error {
 	prog := w.job.prog
 	ctx := w.job.ctx(t)
 	in := w.inboxes[writeParity(t+1)]
-	scratch := make([]graph.Half, 0, 256)
+	w.growShards(1)
+	sb := &w.shards[0]
 	for {
 		if in.Received() == 0 {
 			return nil
@@ -134,9 +127,12 @@ func (w *worker) relaxAsync(t int) error {
 		if len(msgs) == 0 {
 			return nil
 		}
-		outbox := comm.NewOutbox(w.fab(), len(w.job.workers), w.id, t, w.job.cfg.SendThreshold)
+		outbox := w.sendBuffers(t)
 		var updated, responding, sent int64
-		for v, mv := range msgs {
+		// Ascending destination order: the Add sequence, and with it every
+		// packet's contents, is the same run to run.
+		for _, g := range msgs {
+			v, mv := g.Dst, g.Vals
 			rec, err := w.vstore.ReadRecord(v)
 			if err != nil {
 				return err
@@ -153,12 +149,11 @@ func (w *worker) relaxAsync(t int) error {
 			if err := w.vstore.WriteRecord(rec); err != nil {
 				return err
 			}
-			scratch = scratch[:0]
-			scratch, err = w.adj.Edges(v, scratch)
+			sb.edges, err = w.adj.Edges(v, sb.edges[:0])
 			if err != nil {
 				return err
 			}
-			for _, e := range scratch {
+			for _, e := range sb.edges {
 				val, keep := w.msgValueFor(bcast, e.Dst, e.Weight)
 				if !keep {
 					continue
@@ -182,9 +177,20 @@ func (w *worker) relaxAsync(t int) error {
 	}
 }
 
+// mergeStages replays the update scan's per-shard stages into outbox in
+// shard order (stages a scan did not use are empty).
+func (w *worker) mergeStages(outbox *comm.Outbox) error {
+	for i := range w.shards {
+		if err := w.shards[i].stage.MergeInto(outbox); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // drainInbox loads the messages pushed during superstep t-1, charging the
 // spill read-back and MOCgraph-free sort work.
-func (w *worker) drainInbox(t int) (map[graph.VertexID][]float64, error) {
+func (w *worker) drainInbox(t int) (msgstore.Groups, error) {
 	ib := w.inboxes[t&1]
 	if ib == nil {
 		return nil, nil
@@ -194,18 +200,7 @@ func (w *worker) drainInbox(t int) (map[graph.VertexID][]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Canonicalise each vertex's message list: delivery order depends on
-	// goroutine interleaving across senders, and floating-point update
-	// functions (PageRank's sum) are order-sensitive. Sorting makes every
-	// run — and every recovery replay, whose injected messages arrive in
-	// log order — produce bit-identical values. Independent per-list sorts
-	// parallelise freely; the result is the same regardless.
-	msgstore.SortLists(msgs, w.job.cfg.Parallelism)
-	var inMem int64
-	for _, vals := range msgs {
-		inMem += int64(len(vals))
-	}
-	inMem -= spilled
+	inMem := msgs.Msgs() - spilled
 	w.addStat(func(s *workerStat) {
 		s.parts.MdiskR += spilled * comm.MsgWireSize
 		s.cpu.Spilled += spilled // Giraph's sort-merge handling of disk messages
@@ -253,11 +248,8 @@ func (w *worker) estimateBpullCosts(t int) {
 // DeliverMessages implements comm.Handler: accept a packet pushed during
 // superstep p.Step for consumption at p.Step+1.
 func (w *worker) DeliverMessages(p *comm.Packet) error {
-	ib := w.inboxes[writeParity(p.Step+1)]
-	for _, m := range p.Msgs {
-		if err := ib.Add(m); err != nil {
-			return err
-		}
+	if err := w.inboxes[writeParity(p.Step+1)].AddAll(p.Msgs); err != nil {
+		return err
 	}
 	w.addStat(func(s *workerStat) {
 		s.cpu.Messages += int64(len(p.Msgs))

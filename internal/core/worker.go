@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -23,7 +24,12 @@ import (
 // inbox unifies the plain spilling Inbox with MOCgraph's OnlineInbox.
 type inbox interface {
 	Add(m comm.Msg) error
-	Drain() (map[graph.VertexID][]float64, error)
+	// AddAll accepts a delivered packet under one lock acquisition,
+	// copying what it keeps.
+	AddAll(msgs []comm.Msg) error
+	// Drain returns the parked messages grouped by destination with each
+	// vertex's values sorted; the result is valid until the next Drain.
+	Drain() (msgstore.Groups, error)
 	Spilled() int64
 	MaxMemBytes() int64
 	Received() int64
@@ -80,6 +86,19 @@ type worker struct {
 	scanMu    sync.Mutex
 	scanPages vertexfile.PageSet
 
+	// The message path's fixed buffers (DESIGN.md, "Message path"): built
+	// on first use, owned for the job, reset — never reallocated — per
+	// superstep. None of them is charged to MemBytes, which models the
+	// paper's B_i/BS/BR from message counts. outbox is the sending buffer;
+	// shards[s] serves shard s of the update scan; pullFree holds b-pull's
+	// idle receiving buffers (one per fetch in flight plus the one being
+	// updated); gathered is the pull baseline's.
+	outbox   *comm.Outbox
+	shards   []shardBuf
+	pullMu   sync.Mutex
+	pullFree []*recvBuf
+	gathered recvBuf
+
 	mu   sync.Mutex // guards stat: RespondPull/Gather run on requester goroutines
 	stat workerStat
 }
@@ -133,6 +152,63 @@ func (w *worker) addStat(f func(*workerStat)) {
 	w.mu.Lock()
 	f(&w.stat)
 	w.mu.Unlock()
+}
+
+// shardBuf is what one shard of the update scan works in: its send stage,
+// the vertex-record chunk and the edge list of the vertex being pushed.
+type shardBuf struct {
+	stage *comm.Stage
+	recs  []vertexfile.Record
+	edges []graph.Half
+}
+
+// growShards makes shards[0..n) usable. Called before a scan forks.
+func (w *worker) growShards(n int) {
+	for len(w.shards) < n {
+		w.shards = append(w.shards, shardBuf{stage: comm.NewStage(0)})
+	}
+}
+
+// sendBuffers returns the worker's outbox readied for superstep t on the
+// fabric currently in force, with every stage empty.
+func (w *worker) sendBuffers(t int) *comm.Outbox {
+	if w.outbox == nil {
+		w.outbox = comm.NewOutbox(w.fab(), len(w.job.workers), w.id, t, w.job.cfg.SendThreshold)
+	} else {
+		w.outbox.Reset(w.fab(), t)
+	}
+	for i := range w.shards {
+		w.shards[i].stage.Reset()
+	}
+	return w.outbox
+}
+
+// recvBuf is a receiving buffer for pulled or gathered messages: the
+// responses appended in responder order, then grouped in place.
+type recvBuf struct {
+	msgs    []comm.Msg
+	grouper msgstore.Grouper
+	groups  msgstore.Groups // a fetched block's messages, until its update ends
+}
+
+// takeRecvBuf hands out an idle b-pull receiving buffer, building one when
+// every existing buffer is in use by a fetch in flight.
+func (w *worker) takeRecvBuf() *recvBuf {
+	w.pullMu.Lock()
+	defer w.pullMu.Unlock()
+	if n := len(w.pullFree); n > 0 {
+		b := w.pullFree[n-1]
+		w.pullFree = w.pullFree[:n-1]
+		return b
+	}
+	return &recvBuf{}
+}
+
+// putRecvBuf returns a buffer whose groups have been consumed.
+func (w *worker) putRecvBuf(b *recvBuf) {
+	w.pullMu.Lock()
+	w.pullFree = append(w.pullFree, b)
+	w.pullMu.Unlock()
 }
 
 // owner maps a vertex to its worker.
@@ -369,8 +445,9 @@ type updateHook func(v graph.VertexID, rec *vertexfile.Record, responded bool) e
 
 // updateBlock runs update()/Init over vertices [lo,hi) with the delivered
 // messages, maintaining values, broadcast columns and responding flags.
-// Message slices are the concatenated per-vertex lists; combinable
-// programs may see them pre-combined — update() is agnostic.
+// Message slices are the concatenated per-vertex lists — windows of the
+// groups' flat array, which update() must not keep; combinable programs
+// may see them pre-combined — update() is agnostic.
 //
 // The scan is sharded across cfg.Parallelism goroutines. Shards are
 // contiguous runs of whole 4 KB chunks on a grid anchored at lo, so the
@@ -384,8 +461,8 @@ type updateHook func(v graph.VertexID, rec *vertexfile.Record, responded bool) e
 // Aggregator contributions reduce within each chunk as before and the
 // per-chunk partials fold in ascending chunk order after the shards join,
 // so float non-associativity cannot perturb the aggregate either.
-func (w *worker) updateBlock(t int, lo, hi graph.VertexID, msgs map[graph.VertexID][]float64,
-	hookFor func(shard, shards int) updateHook) error {
+func (w *worker) updateBlock(t int, lo, hi graph.VertexID, msgs msgstore.Groups,
+	hookFor func(shard int) updateHook) error {
 
 	if hi <= lo {
 		return nil
@@ -406,10 +483,11 @@ func (w *worker) updateBlock(t int, lo, hi graph.VertexID, msgs map[graph.Vertex
 		shards = nChunks
 	}
 
+	w.growShards(shards)
 	hooks := make([]updateHook, shards)
 	if hookFor != nil {
 		for s := 0; s < shards; s++ {
-			hooks[s] = hookFor(s, shards)
+			hooks[s] = hookFor(s)
 		}
 	}
 
@@ -425,7 +503,12 @@ func (w *worker) updateBlock(t int, lo, hi graph.VertexID, msgs map[graph.Vertex
 		cLo := shard * nChunks / shards
 		cHi := (shard + 1) * nChunks / shards
 		hook := hooks[shard]
-		recs := make([]vertexfile.Record, 0, chunk)
+		sb := &w.shards[shard]
+		sb.recs = slices.Grow(sb.recs[:0], chunk)
+		recs := sb.recs
+		// Chunks ascend, and so do the vertices within one: a cursor finds
+		// each vertex's messages in O(1).
+		cur := msgs.Seek(lo + graph.VertexID(cLo*chunk))
 		for c := cLo; c < cHi; c++ {
 			clo := lo + graph.VertexID(c*chunk)
 			chi := clo + chunk
@@ -447,7 +530,7 @@ func (w *worker) updateBlock(t int, lo, hi graph.VertexID, msgs map[graph.Vertex
 			for i := range recs {
 				rec := &recs[i]
 				v := rec.ID
-				mv := msgs[v]
+				mv := cur.Vals(v)
 				msgCount += int64(len(mv))
 				var respond bool
 				switch {
@@ -538,7 +621,10 @@ func (w *worker) clearStepFlags(t int) {
 		}
 	}
 	w.scanMu.Lock()
-	w.scanPages = make(vertexfile.PageSet)
+	if w.scanPages == nil {
+		w.scanPages = make(vertexfile.PageSet)
+	}
+	clear(w.scanPages)
 	w.scanMu.Unlock()
 }
 

@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -30,7 +29,6 @@ import (
 	"hybridgraph/internal/codec"
 	"hybridgraph/internal/comm"
 	"hybridgraph/internal/diskio"
-	"hybridgraph/internal/graph"
 )
 
 // Kind discriminates the two record flavours a worker logs.
@@ -460,11 +458,7 @@ func encodeRecord(step int, kind Kind, key uint32, msgs []comm.Msg) []byte {
 	buf = append(buf, byte(kind))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(step))
 	buf = binary.LittleEndian.AppendUint32(buf, key)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(msgs)))
-	for _, m := range msgs {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Dst))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(m.Val))
-	}
+	buf = comm.AppendMsgs(buf, msgs) // count(4) + the records
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }
 
@@ -490,14 +484,9 @@ func decodeRecord(b []byte) (kind Kind, key uint32, step int, msgs []comm.Msg, n
 	if kind != KindPush && kind != KindPullResp {
 		return 0, 0, 0, nil, 0, fmt.Errorf("unknown record kind %d", kind)
 	}
-	msgs = make([]comm.Msg, count)
-	off := recHeaderSize
-	for i := range msgs {
-		msgs[i] = comm.Msg{
-			Dst: graph.VertexID(binary.LittleEndian.Uint32(b[off:])),
-			Val: math.Float64frombits(binary.LittleEndian.Uint64(b[off+4:])),
-		}
-		off += msgSize
+	// The header's count and the records after it are one encoded run.
+	if msgs, err = comm.DecodeMsgs(nil, b[recHeaderSize-4:n-4]); err != nil {
+		return 0, 0, 0, nil, 0, err
 	}
 	return kind, key, step, msgs, n, nil
 }

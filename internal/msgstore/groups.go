@@ -1,0 +1,165 @@
+package msgstore
+
+import (
+	"cmp"
+	"slices"
+	"sort"
+
+	"hybridgraph/internal/comm"
+	"hybridgraph/internal/graph"
+)
+
+// Group is the messages one destination vertex receives in a superstep.
+type Group struct {
+	Dst  graph.VertexID
+	Vals []float64
+}
+
+// Groups is a batch of messages grouped by destination: one Group per
+// vertex that received anything, ascending by Dst, every Vals a window of
+// one flat backing array. It is what every engine hands to update() —
+// push's drained inbox, b-pull's receiving buffer BR and the pull
+// baseline's gathered values. A Groups belongs to the Grouper that built
+// it and is valid until that Grouper groups again.
+type Groups []Group
+
+// Msgs reports the number of message values in the batch.
+func (g Groups) Msgs() int64 {
+	var n int64
+	for i := range g {
+		n += int64(len(g[i].Vals))
+	}
+	return n
+}
+
+// Seek returns a cursor positioned at the first group whose destination
+// is at least v.
+func (g Groups) Seek(v graph.VertexID) Cursor {
+	i, _ := slices.BinarySearchFunc(g, v, func(gr Group, v graph.VertexID) int { return cmp.Compare(gr.Dst, v) })
+	return Cursor{g: g, i: i}
+}
+
+// Cursor looks destinations up in ascending order, the order every vertex
+// scan visits them in: a whole pass over a partition costs one step per
+// vertex plus one per group, so each lookup is O(1) amortised.
+type Cursor struct {
+	g Groups
+	i int
+}
+
+// Vals returns v's messages, nil when it received none. Successive calls
+// must not go back to a smaller v.
+func (c *Cursor) Vals(v graph.VertexID) []float64 {
+	for c.i < len(c.g) && c.g[c.i].Dst < v {
+		c.i++
+	}
+	if c.i < len(c.g) && c.g[c.i].Dst == v {
+		return c.g[c.i].Vals
+	}
+	return nil
+}
+
+// smallBatch is the size below which a comparison sort beats setting up
+// the radix passes' 256 counters.
+const smallBatch = 48
+
+// Grouper turns message batches into Groups through three buffers it
+// keeps and reuses: building a batch allocates nothing once they have
+// grown to the largest batch seen. The zero value is ready to use.
+type Grouper struct {
+	tmp    []comm.Msg // the radix sort's second buffer
+	vals   []float64  // the flat backing array
+	groups Groups
+}
+
+// Group groups msgs by destination, keeping each destination's values in
+// the order they appear in msgs. combine, when non-nil, folds every
+// destination's values left to right into one. The cost is O(len(msgs))
+// whatever range the destination ids span. msgs is reordered in place.
+func (gr *Grouper) Group(msgs []comm.Msg, combine func(a, b float64) float64) Groups {
+	msgs = gr.sortByDst(msgs)
+	// Sized once up front: appends below must never move the array the
+	// groups already built point into.
+	gr.vals = slices.Grow(gr.vals[:0], len(msgs))
+	gr.groups = gr.groups[:0]
+	for lo := 0; lo < len(msgs); {
+		hi := lo + 1
+		for hi < len(msgs) && msgs[hi].Dst == msgs[lo].Dst {
+			hi++
+		}
+		start := len(gr.vals)
+		if combine != nil {
+			v := msgs[lo].Val
+			for _, m := range msgs[lo+1 : hi] {
+				v = combine(v, m.Val)
+			}
+			gr.vals = append(gr.vals, v)
+		} else {
+			for _, m := range msgs[lo:hi] {
+				gr.vals = append(gr.vals, m.Val)
+			}
+		}
+		end := len(gr.vals)
+		gr.groups = append(gr.groups, Group{Dst: msgs[lo].Dst, Vals: gr.vals[start:end:end]})
+		lo = hi
+	}
+	return gr.groups
+}
+
+// sortValues sorts every group's values ascending, each list in isolation
+// and with sort.Float64s, whose order on NaNs, signed zeros and equal
+// values is part of the value-identity contract (DESIGN.md, "Message
+// path").
+func (g Groups) sortValues() {
+	for i := range g {
+		if len(g[i].Vals) > 1 {
+			sort.Float64s(g[i].Vals)
+		}
+	}
+}
+
+// sortByDst stably sorts msgs by destination and returns the sorted
+// slice, which is either msgs or gr.tmp. Large batches take an LSD radix
+// sort over the id bytes that actually differ within the batch — two
+// passes for any graph under 65 536 vertices per worker range, never more
+// than four — so the work is linear in the batch and independent of how
+// sparse the ids are.
+func (gr *Grouper) sortByDst(msgs []comm.Msg) []comm.Msg {
+	n := len(msgs)
+	if n < smallBatch {
+		slices.SortStableFunc(msgs, func(a, b comm.Msg) int { return cmp.Compare(a.Dst, b.Dst) })
+		return msgs
+	}
+	var diff graph.VertexID
+	sorted := true
+	for i := 1; i < n; i++ {
+		diff |= msgs[i].Dst ^ msgs[0].Dst
+		sorted = sorted && msgs[i-1].Dst <= msgs[i].Dst
+	}
+	if sorted {
+		return msgs
+	}
+	gr.tmp = slices.Grow(gr.tmp[:0], n)[:n]
+	src, dst := msgs, gr.tmp
+	for shift := 0; shift < 32; shift += 8 {
+		if (diff>>shift)&0xff == 0 {
+			continue
+		}
+		var next [256]int
+		for i := range src {
+			next[(src[i].Dst>>shift)&0xff]++
+		}
+		pos := 0
+		for b, c := range next {
+			next[b] = pos
+			pos += c
+		}
+		for i := range src {
+			b := (src[i].Dst >> shift) & 0xff
+			dst[next[b]] = src[i]
+			next[b]++
+		}
+		src, dst = dst, src
+	}
+	return src
+}

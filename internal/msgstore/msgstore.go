@@ -6,14 +6,16 @@
 // (the 2·IO(M_disk) term of Eq. 7, split across srw and ssr exactly as
 // Eq. 11 splits it). The cost is charged per spilled record; the bytes
 // reach the file a staging buffer at a time (DESIGN.md, "Charge model vs
-// physical execution"). An OnlineInbox adds MOCgraph's message online
-// computing: messages for a configured hot set of vertices are folded into
-// an in-memory accumulator immediately and never touch disk.
+// physical execution"). Draining yields Groups: the superstep's messages
+// grouped by destination in one flat array the inbox owns and reuses, each
+// vertex's values sorted ascending (DESIGN.md, "Message path"). An
+// OnlineInbox adds MOCgraph's message online computing: messages for a
+// configured hot set of vertices are folded into an in-memory accumulator
+// immediately and never touch disk.
 package msgstore
 
 import (
-	"encoding/binary"
-	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -34,47 +36,6 @@ const (
 	_ = uint(recSize - comm.MsgWireSize)
 	_ = uint(comm.MsgWireSize - recSize)
 )
-
-// SortLists canonicalises a drained message map by sorting each vertex's
-// list ascending, fanning the independent lists across up to p goroutines.
-// Delivery order depends on goroutine interleaving across senders and
-// floating-point update functions are order-sensitive, so every engine
-// sorts before consuming; each list is sorted in isolation, which makes
-// the result bit-identical for every p (including 1).
-func SortLists(m map[graph.VertexID][]float64, p int) {
-	if p <= 1 || len(m) <= 1 {
-		for _, vals := range m {
-			sort.Float64s(vals)
-		}
-		return
-	}
-	lists := make([][]float64, 0, len(m))
-	for _, vals := range m {
-		if len(vals) > 1 {
-			lists = append(lists, vals)
-		}
-	}
-	if p > len(lists) {
-		p = len(lists)
-	}
-	if p <= 1 {
-		for _, vals := range lists {
-			sort.Float64s(vals)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for s := 0; s < p; s++ {
-		go func(s int) {
-			defer wg.Done()
-			for i := s; i < len(lists); i += p {
-				sort.Float64s(lists[i])
-			}
-		}(s)
-	}
-	wg.Wait()
-}
 
 // spillFile is the spill backend: the raw accounted file, or a
 // compressed codec.SpillFile charging identical logical bytes while
@@ -154,6 +115,8 @@ type Inbox struct {
 	mem      []comm.Msg
 	spill    spillFile
 	stage    []byte // raw spill staging, allocated at the first spill and reused by every later one
+	readBack []byte // the spill read back at drain, reused
+	grouper  Grouper
 	rec      [recSize]byte
 	spillN   int64
 	received int64
@@ -193,6 +156,10 @@ func NewInbox(path string, ct *diskio.Counter, capacity int, cdc codec.Codec) *I
 func (b *Inbox) Add(m comm.Msg) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	return b.add(m)
+}
+
+func (b *Inbox) add(m comm.Msg) error {
 	b.received++
 	if b.capacity == 0 || (b.capacity > 0 && len(b.mem) < b.capacity) {
 		b.mem = append(b.mem, m)
@@ -204,10 +171,25 @@ func (b *Inbox) Add(m comm.Msg) error {
 	return b.spillMsg(m)
 }
 
-// AddAll accepts a batch.
+// AddAll accepts a batch — a delivered packet — under one lock
+// acquisition, copying what it keeps: msgs stays the caller's.
 func (b *Inbox) AddAll(msgs []comm.Msg) error {
-	for _, m := range msgs {
-		if err := b.Add(m); err != nil {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	// The head of the batch that fits in memory goes in with one append;
+	// the rest spills message by message, as it would have one Add at a
+	// time.
+	n := len(msgs)
+	if b.capacity != 0 {
+		n = min(n, max(b.capacity-len(b.mem), 0))
+	}
+	if n > 0 {
+		b.mem = append(b.mem, msgs[:n]...)
+		b.received += int64(n)
+		b.maxMem = max(b.maxMem, int64(len(b.mem))*recSize)
+	}
+	for _, m := range msgs[n:] {
+		if err := b.add(m); err != nil {
 			return err
 		}
 	}
@@ -230,8 +212,7 @@ func (b *Inbox) spillMsg(m comm.Msg) error {
 		}
 	}
 	rec := b.rec[:] // a local array would escape through the interface call
-	binary.LittleEndian.PutUint32(rec[0:], uint32(m.Dst))
-	binary.LittleEndian.PutUint64(rec[4:], math.Float64bits(m.Val))
+	comm.PutRecord(rec, m)
 	if err := b.spill.Append(rec); err != nil {
 		return err
 	}
@@ -262,35 +243,58 @@ func (b *Inbox) MaxMemBytes() int64 {
 	return b.maxMem
 }
 
-// Drain returns all buffered messages grouped by destination vertex,
-// reading any spill back sequentially, and resets the inbox for reuse.
-func (b *Inbox) Drain() (map[graph.VertexID][]float64, error) {
+// Drain returns all buffered messages grouped by destination vertex, each
+// vertex's values sorted ascending, reading any spill back sequentially,
+// and resets the inbox for reuse. Delivery order depends on goroutine
+// interleaving across senders and floating-point update functions are
+// order-sensitive; the per-vertex sort makes every run — and every
+// recovery replay, whose injected messages arrive in log order — produce
+// bit-identical values. The result is valid until the next Drain.
+func (b *Inbox) Drain() (Groups, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	out := make(map[graph.VertexID][]float64, len(b.mem))
-	for _, m := range b.mem {
-		out[m.Dst] = append(out[m.Dst], m.Val)
+	return b.drain(nil)
+}
+
+// drain is Drain with extra appended to the batch before it is grouped.
+// Callers hold b.mu.
+func (b *Inbox) drain(extra []comm.Msg) (Groups, error) {
+	all, err := b.appendSpilled(b.mem)
+	if err != nil {
+		return nil, err
 	}
 	if b.spill != nil {
-		buf := make([]byte, b.spillN*recSize)
-		if err := b.spill.ReadAll(buf); err != nil {
-			return nil, err
-		}
-		for o := int64(0); o < int64(len(buf)); o += recSize {
-			dst := graph.VertexID(binary.LittleEndian.Uint32(buf[o:]))
-			val := math.Float64frombits(binary.LittleEndian.Uint64(buf[o+4:]))
-			out[dst] = append(out[dst], val)
-		}
 		if err := b.spill.Close(); err != nil {
 			return nil, err
 		}
 		b.spill = nil
 	}
-	b.mem = b.mem[:0]
+	all = append(all, extra...)
+	out := b.grouper.Group(all, nil)
+	out.sortValues()
+	b.mem = all[:0]
 	b.spillN = 0
 	b.received = 0
 	b.maxMem = 0 // peak is tracked per drain interval (one superstep)
 	return out, nil
+}
+
+// appendSpilled reads the spill back with one charged sequential read and
+// appends its records to dst in arrival order.
+func (b *Inbox) appendSpilled(dst []comm.Msg) ([]comm.Msg, error) {
+	if b.spill == nil {
+		return dst, nil
+	}
+	n := int(b.spillN * recSize)
+	b.readBack = slices.Grow(b.readBack[:0], n)[:n]
+	if err := b.spill.ReadAll(b.readBack); err != nil {
+		return dst, err
+	}
+	dst = slices.Grow(dst, int(b.spillN))
+	for o := 0; o < n; o += recSize {
+		dst = append(dst, comm.GetRecord(b.readBack[o:]))
+	}
+	return dst, nil
 }
 
 // Pending returns a copy of every buffered message — memory and spill —
@@ -302,19 +306,10 @@ func (b *Inbox) Pending() ([]comm.Msg, error) {
 	defer b.mu.Unlock()
 	out := make([]comm.Msg, len(b.mem), len(b.mem)+int(b.spillN))
 	copy(out, b.mem)
-	if b.spill != nil && b.spillN > 0 {
-		buf := make([]byte, b.spillN*recSize)
-		if err := b.spill.ReadAll(buf); err != nil {
-			return nil, err
-		}
-		for o := int64(0); o < int64(len(buf)); o += recSize {
-			out = append(out, comm.Msg{
-				Dst: graph.VertexID(binary.LittleEndian.Uint32(buf[o:])),
-				Val: math.Float64frombits(binary.LittleEndian.Uint64(buf[o+4:])),
-			})
-		}
+	if b.spillN == 0 {
+		return out, nil
 	}
-	return out, nil
+	return b.appendSpilled(out)
 }
 
 // OnlineInbox implements MOCgraph's message online computing: messages to
@@ -328,6 +323,7 @@ type OnlineInbox struct {
 	acc     map[graph.VertexID]float64
 	cold    *Inbox
 	online  int64
+	hotMsgs []comm.Msg // the accumulator as messages at drain, reused
 
 	mOnlineMsgs     *obs.Counter // nil when metrics are disabled
 	mOnlineCombines *obs.Counter
@@ -352,20 +348,45 @@ func NewOnlineInbox(cold *Inbox, hot map[graph.VertexID]bool, combine func(a, b 
 // Add accepts one message, consuming it online when possible.
 func (o *OnlineInbox) Add(m comm.Msg) error {
 	o.mu.Lock()
-	if o.hot[m.Dst] {
-		if v, ok := o.acc[m.Dst]; ok {
-			o.acc[m.Dst] = o.combine(v, m.Val)
-			o.mOnlineCombines.Inc()
-		} else {
-			o.acc[m.Dst] = m.Val
-		}
-		o.online++
-		o.mOnlineMsgs.Inc()
+	if o.fold(m) {
 		o.mu.Unlock()
 		return nil
 	}
 	o.mu.Unlock()
 	return o.cold.Add(m)
+}
+
+// AddAll accepts a batch under one acquisition of each lock.
+func (o *OnlineInbox) AddAll(msgs []comm.Msg) error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.cold.mu.Lock()
+	defer o.cold.mu.Unlock()
+	for _, m := range msgs {
+		if o.fold(m) {
+			continue
+		}
+		if err := o.cold.add(m); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fold consumes m online when its destination is hot. Callers hold o.mu.
+func (o *OnlineInbox) fold(m comm.Msg) bool {
+	if !o.hot[m.Dst] {
+		return false
+	}
+	if v, ok := o.acc[m.Dst]; ok {
+		o.acc[m.Dst] = o.combine(v, m.Val)
+		o.mOnlineCombines.Inc()
+	} else {
+		o.acc[m.Dst] = m.Val
+	}
+	o.online++
+	o.mOnlineMsgs.Inc()
+	return true
 }
 
 // Received reports the number of messages accepted (online + cold). Note
@@ -417,22 +438,32 @@ func (o *OnlineInbox) Pending() ([]comm.Msg, error) {
 
 // Drain merges the online accumulator with the cold inbox's contents and
 // resets both.
-func (o *OnlineInbox) Drain() (map[graph.VertexID][]float64, error) {
-	out, err := o.cold.Drain()
+func (o *OnlineInbox) Drain() (Groups, error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.hotMsgs = o.hotMsgs[:0]
+	for dst, v := range o.acc {
+		o.hotMsgs = append(o.hotMsgs, comm.Msg{Dst: dst, Val: v})
+	}
+	o.cold.mu.Lock()
+	out, err := o.cold.drain(o.hotMsgs)
+	o.cold.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	for dst, v := range o.acc {
+	for i := range out {
 		// Fold any cold stragglers for a hot vertex into the accumulator
 		// value so the consumer sees one combined message.
-		for _, c := range out[dst] {
-			v = o.combine(v, c)
+		if g := &out[i]; len(g.Vals) > 1 && o.hot[g.Dst] {
+			v := g.Vals[0]
+			for _, c := range g.Vals[1:] {
+				v = o.combine(v, c)
+			}
+			g.Vals = g.Vals[:1]
+			g.Vals[0] = v
 		}
-		out[dst] = append(out[dst][:0], v)
 	}
-	o.acc = make(map[graph.VertexID]float64)
+	clear(o.acc)
 	o.online = 0
 	return out, nil
 }

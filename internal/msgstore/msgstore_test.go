@@ -17,6 +17,15 @@ func newInbox(t *testing.T, capacity int) (*Inbox, *diskio.Counter) {
 	return NewInbox(filepath.Join(t.TempDir(), "spill.dat"), &ct, capacity, nil), &ct
 }
 
+// byDst indexes drained groups by destination for assertions.
+func byDst(g Groups) map[graph.VertexID][]float64 {
+	m := make(map[graph.VertexID][]float64, len(g))
+	for _, gr := range g {
+		m[gr.Dst] = gr.Vals
+	}
+	return m
+}
+
 func TestInboxInMemory(t *testing.T) {
 	b, ct := newInbox(t, 10)
 	for i := 0; i < 5; i++ {
@@ -27,10 +36,11 @@ func TestInboxInMemory(t *testing.T) {
 	if b.Spilled() != 0 || b.Received() != 5 {
 		t.Fatalf("spilled=%d received=%d", b.Spilled(), b.Received())
 	}
-	msgs, err := b.Drain()
+	drained, err := b.Drain()
 	if err != nil {
 		t.Fatal(err)
 	}
+	msgs := byDst(drained)
 	if len(msgs[0]) != 3 || len(msgs[1]) != 2 {
 		t.Fatalf("msgs = %v", msgs)
 	}
@@ -54,13 +64,14 @@ func TestInboxSpillsOverCapacity(t *testing.T) {
 	if got := ct.Bytes(diskio.RandWrite); got != 7*recSize {
 		t.Fatalf("RandWrite = %d, want %d", got, 7*recSize)
 	}
-	msgs, err := b.Drain()
+	drained, err := b.Drain()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(msgs) != 10 {
-		t.Fatalf("drained %d destinations, want 10", len(msgs))
+	if len(drained) != 10 {
+		t.Fatalf("drained %d destinations, want 10", len(drained))
 	}
+	msgs := byDst(drained)
 	for i := 0; i < 10; i++ {
 		vals := msgs[graph.VertexID(i)]
 		if len(vals) != 1 || vals[0] != float64(i) {
@@ -90,7 +101,7 @@ func TestInboxUnlimitedAndAlwaysSpill(t *testing.T) {
 		t.Fatal("negative capacity should always spill")
 	}
 	msgs, err := always.Drain()
-	if err != nil || msgs[1][0] != 2 {
+	if err != nil || len(msgs) != 1 || msgs[0].Dst != 1 || msgs[0].Vals[0] != 2 {
 		t.Fatalf("drain after spill: %v, %v", msgs, err)
 	}
 }
@@ -136,10 +147,7 @@ func TestInboxConcurrentAdd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := 0
-	for _, vals := range msgs {
-		total += len(vals)
-	}
+	total := msgs.Msgs()
 	if total != 1600 {
 		t.Fatalf("drained %d messages, want 1600", total)
 	}
@@ -163,10 +171,11 @@ func TestOnlineInboxCombinesHot(t *testing.T) {
 	if ct.Bytes(diskio.RandWrite) != recSize {
 		t.Fatalf("cold spill bytes = %d", ct.Bytes(diskio.RandWrite))
 	}
-	msgs, err := o.Drain()
+	drained, err := o.Drain()
 	if err != nil {
 		t.Fatal(err)
 	}
+	msgs := byDst(drained)
 	if len(msgs[1]) != 1 || msgs[1][0] != 10 {
 		t.Fatalf("hot vertex combined to %v, want [10]", msgs[1])
 	}
@@ -220,10 +229,11 @@ func TestOnlineInboxFoldsColdStragglers(t *testing.T) {
 	o := NewOnlineInbox(cold, hot, func(a, b float64) float64 { return a + b })
 	cold.Add(comm.Msg{Dst: 1, Val: 5}) // bypasses the online path
 	o.Add(comm.Msg{Dst: 1, Val: 2})
-	msgs, err := o.Drain()
+	drained, err := o.Drain()
 	if err != nil {
 		t.Fatal(err)
 	}
+	msgs := byDst(drained)
 	if len(msgs[1]) != 1 || msgs[1][0] != 7 {
 		t.Fatalf("folded = %v, want [7]", msgs[1])
 	}
@@ -252,13 +262,14 @@ func TestInboxRoundTripProperty(t *testing.T) {
 			}
 			want[m.Dst]++
 		}
-		got, err := b.Drain()
+		drained, err := b.Drain()
 		if err != nil {
 			return false
 		}
-		if len(got) != len(want) {
+		if len(drained) != len(want) {
 			return false
 		}
+		got := byDst(drained)
 		for dst, n := range want {
 			if len(got[dst]) != n {
 				return false

@@ -19,14 +19,6 @@ func seqMsgs(n int) []comm.Msg {
 	return msgs
 }
 
-func countMsgs(m map[graph.VertexID][]float64) int {
-	var n int
-	for _, vals := range m {
-		n += len(vals)
-	}
-	return n
-}
-
 // The raw spill moves bytes a buffer at a time but must charge exactly
 // what one write per record charged: the counter (bytes, device bytes,
 // ops) and its physical twin after Add×n+Drain equal a per-record
@@ -56,7 +48,7 @@ func TestSpillChargesPerRecord(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := countMsgs(out); got != n {
+			if got := int(out.Msgs()); got != n {
 				t.Fatalf("capacity %d: drained %d messages, want %d", capacity, got, n)
 			}
 
@@ -108,7 +100,7 @@ func TestPendingSeesStagedRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := countMsgs(out); n != len(msgs)+1 {
+	if n := int(out.Msgs()); n != len(msgs)+1 {
 		t.Fatalf("drained %d messages after Pending, want %d", n, len(msgs)+1)
 	}
 }
@@ -145,7 +137,7 @@ func TestSpillFlushFaultSurfacesTyped(t *testing.T) {
 	if err != nil {
 		t.Fatalf("retried Drain: %v", err)
 	}
-	if n := countMsgs(out); n != len(msgs) {
+	if n := int(out.Msgs()); n != len(msgs) {
 		t.Fatalf("retried Drain returned %d messages, want %d", n, len(msgs))
 	}
 
