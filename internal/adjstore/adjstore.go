@@ -10,32 +10,39 @@ package adjstore
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"hybridgraph/internal/codec"
 	"hybridgraph/internal/diskio"
 	"hybridgraph/internal/graph"
+	"hybridgraph/internal/obs"
 )
 
 const edgeSize = 8 // dst uint32 + weight float32
 
-// blockReader is the store's file abstraction: a raw accounted File
-// (codec "none") or a compressed codec.BlockFile, which charges the
-// identical logical bytes and puts its frame I/O on the counter's
-// physical twin.
-type blockReader interface {
-	ReadAtClass(p []byte, off int64, c diskio.Class) (int, error)
-	Size() (int64, error)
-	SetCounter(*diskio.Counter)
-	Close() error
-}
-
 // Store holds the out-edges of one worker's vertex range [Lo, Lo+N).
 type Store struct {
-	f      blockReader
+	f      codec.Reader // the run file, raw or compressed
 	lo     graph.VertexID
 	offs   []int64 // len N+1, byte offsets into the file
 	nEdges int64
 	memG   *graph.Graph // non-nil for memory-resident stores
+
+	ownMu sync.Mutex
+	own   PageBuf // Edges' buffer, for callers that bring none
+}
+
+// pageBufSize is the grid a scan's reads sit on: a compressed file's chunk.
+const pageBufSize = codec.ChunkSize
+
+// PageBuf is one reader's window onto an adjacency file: the bytes
+// [Off, Off+len(Bytes)) of Src. A scan in ascending vertex order — a shard
+// of push's update scan — passes the same one to every EdgesBuf call and
+// so moves the file a window at a time. The zero value is empty.
+type PageBuf struct {
+	Src   *Store
+	Off   int64
+	Bytes []byte
 }
 
 // Build writes the adjacency runs for partition part of g to path and
@@ -62,27 +69,9 @@ func Build(path string, ct *diskio.Counter, g *graph.Graph, part graph.Partition
 		}
 	}
 	s.offs[n] = off
-	if !codec.IsNone(cdc) {
-		if err := codec.WriteBlockFile(path, ct, cdc, buf); err != nil {
-			return nil, err
-		}
-		bf, err := codec.OpenBlockFile(path, ct)
-		if err != nil {
-			return nil, err
-		}
-		s.f = bf
-		return s, nil
-	}
-	f, err := diskio.Create(path, ct)
-	if err != nil {
+	var err error
+	if s.f, err = codec.CreateReader(path, ct, cdc, buf); err != nil {
 		return nil, err
-	}
-	s.f = f
-	if len(buf) > 0 {
-		if _, err := f.WriteAtClass(buf, 0, diskio.SeqWrite); err != nil {
-			f.Close()
-			return nil, err
-		}
 	}
 	return s, nil
 }
@@ -99,7 +88,7 @@ func BuildReverse(path string, ct *diskio.Counter, g *graph.Graph, part graph.Pa
 // function of (g, part), so the catalog need not persist it. The file size
 // must match the index; deeper integrity is the manifest CRC's job.
 func Open(path string, ct *diskio.Counter, g *graph.Graph, part graph.Partition, cdc codec.Codec) (*Store, error) {
-	f, err := openReader(path, ct, cdc)
+	f, err := codec.OpenReader(path, ct, cdc)
 	if err != nil {
 		return nil, err
 	}
@@ -123,14 +112,6 @@ func Open(path string, ct *diskio.Counter, g *graph.Graph, part graph.Partition,
 		return nil, fmt.Errorf("adjstore: %s is %d bytes, index expects %d", path, size, off)
 	}
 	return s, nil
-}
-
-// openReader opens path as a raw file or a compressed block file.
-func openReader(path string, ct *diskio.Counter, cdc codec.Codec) (blockReader, error) {
-	if codec.IsNone(cdc) {
-		return diskio.OpenRead(path, ct)
-	}
-	return codec.OpenBlockFile(path, ct)
 }
 
 // SizeBytes reports the store's edge-run bytes (the on-disk file size for
@@ -178,6 +159,17 @@ func (s *Store) EdgeBytes(v graph.VertexID) (int64, error) {
 // charged as sequential: push streams the edge file in vertex-id order, and
 // the paper's Eq. 11 accounts IO(Et) at sequential-read throughput.
 func (s *Store) Edges(v graph.VertexID, dst []graph.Half) ([]graph.Half, error) {
+	s.ownMu.Lock()
+	defer s.ownMu.Unlock()
+	return s.EdgesBuf(v, dst, &s.own)
+}
+
+// EdgesBuf is Edges through the caller's window: the charge is v's run,
+// one sequential read of its length, wherever the bytes come from
+// (DESIGN.md, "Charge model vs physical execution"). A run outside the
+// window refills it with one uncharged read: an aligned page, or just the
+// run after a jump far ahead (a sparse frontier).
+func (s *Store) EdgesBuf(v graph.VertexID, dst []graph.Half, pb *PageBuf) ([]graph.Half, error) {
 	i, err := s.idx(v)
 	if err != nil {
 		return dst, err
@@ -185,19 +177,33 @@ func (s *Store) Edges(v graph.VertexID, dst []graph.Half) ([]graph.Half, error) 
 	if s.memG != nil {
 		return append(dst, s.memG.OutEdges(v)...), nil
 	}
-	length := s.offs[i+1] - s.offs[i]
-	if length == 0 {
-		return dst, nil
+	off, length := s.offs[i], s.offs[i+1]-s.offs[i]
+	// A run that crosses a page boundary is decoded a window at a time, so
+	// a forward scan reads — and a compressed file inflates — each page once.
+	for pos, end := off, off+length; pos < end; {
+		if wEnd := pb.Off + int64(len(pb.Bytes)); pb.Src != s || pos < pb.Off || pos >= wEnd {
+			lo, hi := pos, end
+			if jumped := pb.Src == s && pos >= wEnd+pageBufSize; !jumped {
+				lo -= lo % pageBufSize
+				hi = min(lo+pageBufSize, s.offs[len(s.offs)-1])
+			}
+			pb.Src, pb.Off = s, lo
+			if pb.Bytes, err = codec.ReadWindow(s.f, pb.Bytes, lo, hi); err != nil {
+				return dst, err
+			}
+		}
+		run := pb.Bytes[pos-pb.Off:]
+		run = run[:min(int64(len(run)), end-pos)]
+		for o := 0; o < len(run); o += edgeSize {
+			dst = append(dst, graph.Half{
+				Dst:    graph.VertexID(binary.LittleEndian.Uint32(run[o:])),
+				Weight: floatFromBits(binary.LittleEndian.Uint32(run[o+4:])),
+			})
+		}
+		pos += int64(len(run))
 	}
-	buf := make([]byte, length)
-	if _, err := s.f.ReadAtClass(buf, s.offs[i], diskio.SeqRead); err != nil {
-		return dst, err
-	}
-	for o := 0; o < len(buf); o += edgeSize {
-		dst = append(dst, graph.Half{
-			Dst:    graph.VertexID(binary.LittleEndian.Uint32(buf[o:])),
-			Weight: floatFromBits(binary.LittleEndian.Uint32(buf[o+4:])),
-		})
+	if length > 0 {
+		s.f.Charge(length, off, diskio.SeqRead)
 	}
 	return dst, nil
 }
@@ -207,6 +213,16 @@ func (s *Store) idx(v graph.VertexID) (int, error) {
 		return 0, fmt.Errorf("adjstore: vertex %d outside [%d,%d)", v, s.lo, int(s.lo)+s.Len())
 	}
 	return int(v - s.lo), nil
+}
+
+// SetMetrics wires a compressed store's chunk counters into reg.
+func (s *Store) SetMetrics(reg *obs.Registry) {
+	if s == nil {
+		return
+	}
+	if bf, ok := s.f.(*codec.BlockFile); ok {
+		bf.SetMetrics(reg)
+	}
 }
 
 // SetCounter retargets the store's I/O accounting (no-op for

@@ -2,10 +2,13 @@ package adjstore
 
 import (
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"hybridgraph/internal/codec"
 	"hybridgraph/internal/diskio"
 	"hybridgraph/internal/graph"
+	"hybridgraph/internal/obs"
 )
 
 func build(t *testing.T, g *graph.Graph, p graph.Partition) (*Store, *diskio.Counter) {
@@ -125,5 +128,64 @@ func TestReadAccountedSequential(t *testing.T) {
 	}
 	if d.Bytes[diskio.RandRead] != 0 {
 		t.Fatalf("RandRead = %d, want 0 (push edge reads are charged sequential)", d.Bytes[diskio.RandRead])
+	}
+}
+
+// TestEdgesBufWindowedScan: reading through a PageBuf returns what the
+// graph holds and charges what one read per vertex run charged — one
+// sequential-read op of the run's length per vertex with edges — whether
+// the scan is dense, sparse or goes backwards; and a forward scan of a
+// compressed store inflates every chunk exactly once, runs that straddle a
+// chunk boundary included.
+func TestEdgesBufWindowedScan(t *testing.T) {
+	const n = 3000
+	g := graph.GenRMAT(n, 60000, 0.57, 0.19, 0.19, 9)
+	part := graph.Partition{Lo: 0, Hi: n}
+	for _, codecName := range []string{"none", "lz"} {
+		cdc, err := codec.Lookup(codecName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := Build(filepath.Join(t.TempDir(), "adj.dat"), &diskio.Counter{}, g, part, cdc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		chunks := (s.SizeBytes() + codec.ChunkSize - 1) / codec.ChunkSize
+		if chunks < 4 {
+			t.Fatalf("store spans %d chunks: no boundary to straddle", chunks)
+		}
+		orders := map[string]func(i int) graph.VertexID{
+			"forward":  func(i int) graph.VertexID { return graph.VertexID(i) },
+			"sparse":   func(i int) graph.VertexID { return graph.VertexID(i * 37 % n) },
+			"backward": func(i int) graph.VertexID { return graph.VertexID(n - 1 - i) },
+		}
+		for name, order := range orders {
+			var ct, want diskio.Counter
+			ref := diskio.NewAccountant(&want)
+			reg := obs.NewRegistry()
+			s.SetCounter(&ct)
+			s.SetMetrics(reg)
+			var pb PageBuf
+			var edges []graph.Half
+			for i := 0; i < n; i++ {
+				v := order(i)
+				if edges, err = s.EdgesBuf(v, edges[:0], &pb); err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(edges, g.OutEdges(v)) {
+					t.Fatalf("%s/%s: vertex %d: got %v, graph holds %v", codecName, name, v, edges, g.OutEdges(v))
+				}
+				if len(edges) > 0 {
+					ref.ReadAtClass(int64(len(edges))*edgeSize, s.offs[v], diskio.SeqRead)
+				}
+			}
+			if ct.Snapshot() != want.Snapshot() {
+				t.Errorf("%s/%s: charged %+v, one read per run charges %+v", codecName, name, ct.Snapshot(), want.Snapshot())
+			}
+			if got := reg.Snapshot()["codec.chunk_decodes"]; codecName == "lz" && name == "forward" && got != chunks {
+				t.Errorf("lz/forward: %d chunk decodes for %d chunks", got, chunks)
+			}
+		}
 	}
 }

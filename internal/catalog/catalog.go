@@ -31,7 +31,8 @@ import (
 
 // ManifestVersion is bumped whenever the on-disk layout changes shape;
 // entries with a different version are rejected rather than misread.
-const ManifestVersion = 1
+// Version 2: veblock.dat is destination-block-major (1 was source-major).
+const ManifestVersion = 2
 
 // ManifestName is the per-graph manifest file name.
 const ManifestName = "manifest.json"

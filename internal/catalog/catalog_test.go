@@ -3,8 +3,10 @@ package catalog
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"hybridgraph/internal/algo"
@@ -105,6 +107,48 @@ func TestCorruptedStoreRejected(t *testing.T) {
 	}
 	if _, err := c2.Entry("g"); err == nil {
 		t.Fatal("Entry succeeded over a corrupted adjacency store")
+	}
+}
+
+// An entry written by an older build lays veblock.dat out differently
+// under the same file names and checksums that still verify: the manifest
+// version is the only thing that tells them apart, so a version-1 entry
+// must be refused, by an error naming both versions.
+func TestOldManifestVersionRejected(t *testing.T) {
+	dir := t.TempDir()
+	c, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Ingest("g", testGraph(), 3, 2, ""); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "g", ManifestName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := fmt.Sprintf(`"version": %d`, ManifestVersion)
+	if !strings.Contains(string(data), cur) {
+		t.Fatalf("manifest does not declare %s:\n%s", cur, data)
+	}
+	old := strings.Replace(string(data), cur, `"version": 1`, 1)
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = c2.Entry("g")
+	if err == nil {
+		t.Fatal("Entry served a version-1 entry")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "version 1") || !strings.Contains(msg, fmt.Sprintf("want %d", ManifestVersion)) {
+		t.Fatalf("error does not name both versions: %v", err)
+	}
+	if list, err := c2.List(); err != nil || len(list) != 0 {
+		t.Fatalf("List = %v, %v; want the old entry skipped", list, err)
 	}
 }
 

@@ -4,10 +4,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"hybridgraph/internal/diskio"
-	"hybridgraph/internal/lru"
+	"hybridgraph/internal/obs"
 )
 
 // ChunkSize is the logical granularity of a compressed block file: the
@@ -26,12 +27,12 @@ const (
 	footerSize  = 4 + 8 + 8 // magic + index offset + logical size
 )
 
-// chunkCacheCap bounds the decoded-chunk LRU each BlockFile holds
+// chunkCacheCap bounds the decoded-chunk cache each BlockFile holds
 // (chunkCacheCap × ChunkSize bytes at most). One chunk is not enough:
-// b-pull's Pull-Respond interleaves fragment scans with metadata reads
-// in a different file region, and a single-slot cache re-decodes a full
-// frame on every alternation — physical reads would dwarf the logical
-// bytes the access actually asked for.
+// several readers stream different regions of one file at once — the
+// update scan's shards over an adjacency file, concurrent pull requests
+// over an Eblock file — and a single slot would re-decode a full frame on
+// every alternation.
 const chunkCacheCap = 8
 
 // BlockFile is the compressed replacement for the write-once,
@@ -43,8 +44,8 @@ const chunkCacheCap = 8
 // counter's physical twin.
 //
 // Safe for concurrent readers: a mutex serialises chunk decode and the
-// one-chunk cache (parallel shards scanning disjoint ranges still get
-// exact logical accounting — charges are per-access, not positional).
+// chunk cache (parallel shards scanning disjoint ranges still get exact
+// logical accounting — charges are per-access, not positional).
 type BlockFile struct {
 	f    *diskio.File // physical frames, charged to the phys twin
 	acct *diskio.Accountant
@@ -53,12 +54,75 @@ type BlockFile struct {
 	mu     sync.Mutex
 	size   int64 // logical bytes
 	chunks []chunkRef
-	cache  *lru.Cache // chunk index -> decoded chunk
+	// The decoded-chunk cache (first in, first out; slot storage is reused)
+	slots []chunkSlot
+	next  int    // chunks cached so far
+	raw   []byte // the frame being decoded
+
+	lookups, decodes *obs.Counter // nil when metrics are disabled
+}
+
+type chunkSlot struct {
+	ci   int
+	data []byte
 }
 
 type chunkRef struct {
 	physOff int64
 	physLen int64
+}
+
+// Reader is a write-once store file (adjacency runs, a VE-BLOCK image)
+// open for reading: a raw diskio.File under codec "none", else a BlockFile
+// charging the same logical bytes, its frame I/O on the physical twin.
+type Reader interface {
+	ReadUncharged(p []byte, off int64, c diskio.Class) (int, error)
+	Charge(n, off int64, c diskio.Class)
+	Size() (int64, error)
+	SetCounter(*diskio.Counter)
+	Close() error
+}
+
+// OpenReader opens a store file written under c.
+func OpenReader(path string, ct *diskio.Counter, c Codec) (Reader, error) {
+	if IsNone(c) {
+		return diskio.OpenRead(path, ct)
+	}
+	return OpenBlockFile(path, ct)
+}
+
+// ReadWindow moves f's bytes [lo, hi) into buf's storage, one uncharged read.
+func ReadWindow(f Reader, buf []byte, lo, hi int64) ([]byte, error) {
+	buf = slices.Grow(buf[:0], int(hi-lo))[:hi-lo]
+	if n, err := f.ReadUncharged(buf, lo, diskio.SeqRead); int64(n) < hi-lo {
+		if err == nil || err == io.EOF {
+			err = fmt.Errorf("codec: short read at %d: %d of %d bytes", lo, n, hi-lo)
+		}
+		return buf[:0], err
+	}
+	return buf, nil
+}
+
+// CreateReader writes buf as path's whole image under c — one sequential
+// logical write, none for an empty image — and returns it open for reading.
+func CreateReader(path string, ct *diskio.Counter, c Codec, buf []byte) (Reader, error) {
+	if !IsNone(c) {
+		if err := WriteBlockFile(path, ct, c, buf); err != nil {
+			return nil, err
+		}
+		return OpenBlockFile(path, ct)
+	}
+	f, err := diskio.Create(path, ct)
+	if err != nil {
+		return nil, err
+	}
+	if len(buf) > 0 {
+		if _, err := f.WriteAtClass(buf, 0, diskio.SeqWrite); err != nil {
+			f.Close()
+			return nil, err
+		}
+	}
+	return f, nil
 }
 
 // WriteBlockFile writes buf as a compressed block file at path. The
@@ -87,7 +151,7 @@ func OpenBlockFile(path string, ct *diskio.Counter) (*BlockFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &BlockFile{f: f, acct: diskio.NewAccountant(ct), path: path, cache: lru.New(chunkCacheCap)}
+	b := &BlockFile{f: f, acct: diskio.NewAccountant(ct), path: path}
 	if err := b.loadIndex(); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("codec: open %s: %w", path, err)
@@ -164,6 +228,15 @@ func (b *BlockFile) SetCounter(ct *diskio.Counter) {
 	b.f.SetCounter(diskio.PhysFor(ct))
 }
 
+// SetMetrics wires reg's "codec.chunk_lookups" (chunk accesses) and
+// "codec.chunk_decodes" (those that inflated a frame); nil disables them.
+func (b *BlockFile) SetMetrics(reg *obs.Registry) {
+	b.mu.Lock()
+	b.lookups = reg.Counter("codec.chunk_lookups")
+	b.decodes = reg.Counter("codec.chunk_decodes")
+	b.mu.Unlock()
+}
+
 // Name reports the file path.
 func (b *BlockFile) Name() string { return b.path }
 
@@ -174,19 +247,31 @@ func (b *BlockFile) Close() error { return b.f.Close() }
 // raw store's File.ReadAtClass would charge, and decompressing only the
 // chunks the range touches (physical reads carry the same class).
 func (b *BlockFile) ReadAtClass(p []byte, off int64, c diskio.Class) (int, error) {
+	n, err := b.ReadUncharged(p, off, c)
+	if err == nil || err == io.EOF {
+		// Like the raw File, a zero-byte or past-end read still records
+		// one zero-byte operation of class c.
+		b.acct.ReadAtClass(int64(n), off, c)
+	}
+	return n, err
+}
+
+// Charge records the logical access a full ReadAtClass would, moving nothing.
+func (b *BlockFile) Charge(n, off int64, c diskio.Class) { b.acct.Charge(n, off, c) }
+
+// ReadUncharged moves logical bytes at off into p and charges nothing
+// logical; frames it has to fetch are physical reads of class c.
+func (b *BlockFile) ReadUncharged(p []byte, off int64, c diskio.Class) (int, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if off < 0 {
 		return 0, fmt.Errorf("codec: %s: negative read offset %d", b.path, off)
 	}
 	n := int64(len(p))
-	if n == 0 || off >= b.size {
-		// Mirror the raw File: a zero-byte or past-end read still records
-		// one zero-byte operation of class c.
-		b.acct.ReadAtClass(0, off, c)
-		if n == 0 {
-			return 0, nil
-		}
+	if n == 0 {
+		return 0, nil
+	}
+	if off >= b.size {
 		return 0, io.EOF
 	}
 	short := false
@@ -198,42 +283,68 @@ func (b *BlockFile) ReadAtClass(p []byte, off int64, c diskio.Class) (int, error
 	for copied < n {
 		pos := off + copied
 		ci := int(pos / ChunkSize)
+		in := pos - int64(ci)*ChunkSize
+		if whole := min(ChunkSize, b.size-pos); in == 0 && n-copied >= whole {
+			// The caller takes the whole chunk: inflate it straight into p
+			// (caching it would make later reads depend on earlier readers).
+			if _, err := b.decode(ci, p[copied:copied:copied+whole], c); err != nil {
+				return int(copied), fmt.Errorf("codec: %s: %w", b.path, err)
+			}
+			copied += whole
+			continue
+		}
 		chunk, err := b.chunkLocked(ci, c)
 		if err != nil {
 			return int(copied), fmt.Errorf("codec: %s: %w", b.path, err)
 		}
-		in := pos - int64(ci)*ChunkSize
 		copied += int64(copy(p[copied:n], chunk[in:]))
 	}
-	b.acct.ReadAtClass(n, off, c)
 	if short {
 		return int(n), io.EOF
 	}
 	return int(n), nil
 }
 
-// chunkLocked returns the decoded chunk ci, via the chunk LRU.
-func (b *BlockFile) chunkLocked(ci int, c diskio.Class) ([]byte, error) {
-	if v, ok := b.cache.Get(uint32(ci)); ok {
-		return v.([]byte), nil
-	}
+// decode reads chunk ci's frame, a physical read of class c, and decodes
+// it into dst's storage. Callers hold b.mu.
+func (b *BlockFile) decode(ci int, dst []byte, c diskio.Class) ([]byte, error) {
+	b.lookups.Inc()
+	b.decodes.Inc()
 	ref := b.chunks[ci]
-	raw := make([]byte, ref.physLen)
-	if _, err := b.f.ReadAtClass(raw, ref.physOff, c); err != nil {
+	b.raw = slices.Grow(b.raw[:0], int(ref.physLen))[:ref.physLen]
+	if _, err := b.f.ReadAtClass(b.raw, ref.physOff, c); err != nil {
 		return nil, err
 	}
-	chunk, _, err := DecodeFrame(nil, raw)
+	chunk, _, err := DecodeFrame(dst[:0], b.raw)
 	if err != nil {
 		return nil, err
 	}
-	wantLen := ChunkSize
-	if ci == len(b.chunks)-1 {
-		wantLen = int(b.size - int64(ci)*ChunkSize)
+	if want := min(ChunkSize, b.size-int64(ci)*ChunkSize); int64(len(chunk)) != want {
+		return nil, fmt.Errorf("%w: chunk %d decoded to %d bytes, want %d", ErrCorrupt, ci, len(chunk), want)
 	}
-	if len(chunk) != wantLen {
-		return nil, fmt.Errorf("%w: chunk %d decoded to %d bytes, want %d", ErrCorrupt, ci, len(chunk), wantLen)
+	return chunk, nil
+}
+
+// chunkLocked returns the decoded chunk ci via the cache, valid until the
+// next call.
+func (b *BlockFile) chunkLocked(ci int, c diskio.Class) ([]byte, error) {
+	for k := range b.slots {
+		if b.slots[k].ci == ci {
+			b.lookups.Inc()
+			return b.slots[k].data, nil
+		}
 	}
-	b.cache.Put(uint32(ci), chunk)
+	if len(b.slots) < chunkCacheCap {
+		b.slots = append(b.slots, chunkSlot{})
+	}
+	slot := &b.slots[b.next%len(b.slots)] // the new slot while the cache grows
+	b.next++
+	slot.ci = -1 // holds nothing until the decode succeeds
+	chunk, err := b.decode(ci, slot.data, c)
+	if err != nil {
+		return nil, err
+	}
+	slot.ci, slot.data = ci, chunk
 	return chunk, nil
 }
 
@@ -251,6 +362,7 @@ type SpillFile struct {
 	acct       *diskio.Accountant
 	f          *diskio.File
 	staging    []byte
+	frame      []byte // the frame being written, reused
 	physOff    int64
 	logicalLen int64
 }
@@ -278,29 +390,51 @@ func (s *SpillFile) Len() int64 { return s.logicalLen }
 // Append spills one record, charging the random write the raw spill
 // would perform at the same logical offset.
 func (s *SpillFile) Append(rec []byte) error {
+	_, err := s.AppendRun(rec, len(rec))
+	return err
+}
+
+// AppendRun spills the whole recSize-byte records in recs, charging one
+// random write per record (one ChargeRun per stretch between frame
+// flushes, which fall where Append's would). It reports how many records
+// were accepted, and charged, before a flush failed.
+func (s *SpillFile) AppendRun(recs []byte, recSize int) (int, error) {
+	if recSize <= 0 || len(recs)%recSize != 0 {
+		return 0, fmt.Errorf("codec: %s: %d bytes is not a run of %d-byte records", s.path, len(recs), recSize)
+	}
 	if s.f == nil {
 		f, err := diskio.Create(s.path, diskio.PhysFor(s.ct))
 		if err != nil {
-			return err
+			return 0, err
 		}
 		s.f = f
 		s.acct = diskio.NewAccountant(s.ct)
 	}
-	s.acct.WriteAtClass(int64(len(rec)), s.logicalLen, diskio.RandWrite)
-	s.staging = append(s.staging, rec...)
-	s.logicalLen += int64(len(rec))
-	if len(s.staging) >= SpillChunk {
-		return s.flush()
+	accepted := 0
+	for len(recs) > 0 {
+		// The record that takes the staging area to SpillChunk or past it
+		// is the last of its frame.
+		k := min(len(recs)/recSize, (SpillChunk-len(s.staging)+recSize-1)/recSize)
+		s.acct.ChargeRun(int64(recSize), k, s.logicalLen, diskio.RandWrite)
+		s.staging = append(s.staging, recs[:k*recSize]...)
+		s.logicalLen += int64(k * recSize)
+		recs = recs[k*recSize:]
+		accepted += k
+		if len(s.staging) >= SpillChunk {
+			if err := s.flush(); err != nil {
+				return accepted, err
+			}
+		}
 	}
-	return nil
+	return accepted, nil
 }
 
 func (s *SpillFile) flush() error {
-	frame := AppendFrame(nil, s.c, s.staging)
-	if _, err := s.f.WriteAtClass(frame, s.physOff, diskio.RandWrite); err != nil {
+	s.frame = AppendFrame(s.frame[:0], s.c, s.staging)
+	if _, err := s.f.WriteAtClass(s.frame, s.physOff, diskio.RandWrite); err != nil {
 		return err
 	}
-	s.physOff += int64(len(frame))
+	s.physOff += int64(len(s.frame))
 	s.staging = s.staging[:0]
 	return nil
 }

@@ -36,7 +36,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"sort"
+	"sync"
 )
 
 // Frame geometry.
@@ -318,22 +320,45 @@ const (
 func (lzCodec) Name() string { return "lz" }
 func (lzCodec) ID() byte     { return 2 }
 
+// DEFLATE coders are kept across frames: building one costs far more than
+// coding a frame, and Reset leaves one exactly as its constructor would.
+type flateEnc struct {
+	zw  *flate.Writer
+	out []byte // the frame being appended to
+}
+
+func (e *flateEnc) Write(p []byte) (int, error) {
+	e.out = append(e.out, p...)
+	return len(p), nil
+}
+
+var (
+	flateEncs = sync.Pool{New: func() any {
+		e := &flateEnc{}
+		e.zw, _ = flate.NewWriter(e, flate.BestSpeed) // the level is valid
+		return e
+	}}
+	flateDecs = sync.Pool{New: func() any { return flate.NewReader(bytes.NewReader(nil)) }}
+)
+
 func (lzCodec) Encode(dst, src []byte) []byte {
 	if len(src) == 0 {
 		return append(dst, lzRaw)
 	}
-	var buf bytes.Buffer
-	buf.Grow(len(src) / 2)
-	zw, err := flate.NewWriter(&buf, flate.BestSpeed)
+	start := len(dst)
+	e := flateEncs.Get().(*flateEnc)
+	e.out = append(dst, lzFlate)
+	e.zw.Reset(e)
+	_, err := e.zw.Write(src)
 	if err == nil {
-		if _, err = zw.Write(src); err == nil {
-			err = zw.Close()
-		}
+		err = e.zw.Close()
 	}
-	if err != nil || buf.Len() >= len(src) {
-		return append(append(dst, lzRaw), src...)
+	dst, e.out = e.out, nil
+	flateEncs.Put(e)
+	if err != nil || len(dst)-start-1 >= len(src) {
+		return append(append(dst[:start], lzRaw), src...)
 	}
-	return append(append(dst, lzFlate), buf.Bytes()...)
+	return dst
 }
 
 func (lzCodec) Decode(dst, src []byte, logicalLen int) ([]byte, error) {
@@ -347,8 +372,13 @@ func (lzCodec) Decode(dst, src []byte, logicalLen int) ([]byte, error) {
 		}
 		return append(dst, src[1:]...), nil
 	case lzFlate:
-		zr := flate.NewReader(bytes.NewReader(src[1:]))
-		out := make([]byte, logicalLen)
+		zr := flateDecs.Get().(io.ReadCloser)
+		defer flateDecs.Put(zr)
+		if err := zr.(flate.Resetter).Reset(bytes.NewReader(src[1:]), nil); err != nil {
+			return dst, fmt.Errorf("%w: flate decode: %v", ErrCorrupt, err)
+		}
+		dst = slices.Grow(dst, logicalLen)
+		out := dst[len(dst) : len(dst)+logicalLen]
 		if _, err := io.ReadFull(zr, out); err != nil {
 			return dst, fmt.Errorf("%w: flate decode: %v", ErrCorrupt, err)
 		}
@@ -357,8 +387,7 @@ func (lzCodec) Decode(dst, src []byte, logicalLen int) ([]byte, error) {
 		if n, _ := zr.Read(one[:]); n != 0 {
 			return dst, fmt.Errorf("%w: flate stream longer than logical length %d", ErrCorrupt, logicalLen)
 		}
-		zr.Close()
-		return append(dst, out...), nil
+		return dst[:len(dst)+logicalLen], nil
 	default:
 		return dst, fmt.Errorf("%w: unknown lz marker %d", ErrCorrupt, src[0])
 	}

@@ -86,11 +86,59 @@ func ConcatSize(msgs []Msg) int64 {
 }
 
 // SortByDst orders msgs by destination id so they concatenate maximally.
-// The sort is unstable but deterministic, and CombineSorted folds float
-// values in the order it leaves equal destinations in, so the algorithm
-// (pdqsort, as sort.Slice runs it) is part of the value-identity contract.
+// It serves the sender-side combiner (Outbox.flush) and is unstable: the
+// order among equal destinations is pdqsort's, pinned by a test. Whatever
+// must fold in an order the data defines uses StableSortByDst.
 func SortByDst(msgs []Msg) {
 	slices.SortFunc(msgs, func(a, b Msg) int { return cmp.Compare(a.Dst, b.Dst) })
+}
+
+// smallBatch: below it a comparison sort beats the radix passes' set-up.
+const smallBatch = 48
+
+// StableSortByDst sorts msgs by destination, keeping messages to one
+// destination in their order, and returns the sorted slice: msgs itself
+// or *tmp, the caller's second buffer. Large batches take an LSD radix
+// sort over the id bytes that differ within the batch — two passes under
+// 65 536 ids, at most four — linear however sparse the ids are.
+func StableSortByDst(msgs []Msg, tmp *[]Msg) []Msg {
+	n := len(msgs)
+	if n < smallBatch {
+		slices.SortStableFunc(msgs, func(a, b Msg) int { return cmp.Compare(a.Dst, b.Dst) })
+		return msgs
+	}
+	var diff graph.VertexID
+	sorted := true
+	for i := 1; i < n; i++ {
+		diff |= msgs[i].Dst ^ msgs[0].Dst
+		sorted = sorted && msgs[i-1].Dst <= msgs[i].Dst
+	}
+	if sorted {
+		return msgs
+	}
+	*tmp = slices.Grow((*tmp)[:0], n)[:n]
+	src, dst := msgs, *tmp
+	for shift := 0; shift < 32; shift += 8 {
+		if (diff>>shift)&0xff == 0 {
+			continue
+		}
+		var next [256]int
+		for i := range src {
+			next[(src[i].Dst>>shift)&0xff]++
+		}
+		pos := 0
+		for b, c := range next {
+			next[b] = pos
+			pos += c
+		}
+		for i := range src {
+			b := (src[i].Dst >> shift) & 0xff
+			dst[next[b]] = src[i]
+			next[b]++
+		}
+		src, dst = dst, src
+	}
+	return src
 }
 
 // CombineSorted folds runs of equal-destination messages into one using

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"hybridgraph/internal/comm"
 	"hybridgraph/internal/graph"
@@ -47,40 +48,14 @@ func (w *worker) stepBPullProduce(t int, pushProduce bool) error {
 				return nil
 			}
 			// The switch superstep really reads the adjacency list and pushes.
-			eb, err := w.adj.EdgeBytes(v)
-			if err != nil {
-				return err
+			sent, err := w.pushRes(sb, t, v, rec, responded)
+			if sent > 0 {
+				w.addStat(func(s *workerStat) {
+					s.produced += sent
+					s.cpu.Messages += sent
+				})
 			}
-			if w.job.cfg.EdgesInMemory {
-				eb = 0
-			}
-			sb.edges, err = w.adj.Edges(v, sb.edges[:0])
-			if err != nil {
-				return err
-			}
-			edges := sb.edges
-			w.addStat(func(s *workerStat) {
-				s.parts.Et += eb
-				s.cpu.Edges += int64(len(edges))
-			})
-			if !responded {
-				return nil
-			}
-			wp := writeParity(t)
-			var sent int64
-			for _, e := range edges {
-				val, keep := w.msgValueFor(rec.Bcast[wp], e.Dst, e.Weight)
-				if !keep {
-					continue
-				}
-				sb.stage.Add(w.owner(e.Dst), comm.Msg{Dst: e.Dst, Val: val})
-				sent++
-			}
-			w.addStat(func(s *workerStat) {
-				s.produced += sent
-				s.cpu.Messages += sent
-			})
-			return nil
+			return err
 		}
 	}
 	runBlock := func(blo, bhi graph.VertexID, msgs msgstore.Groups) error {
@@ -173,7 +148,7 @@ func (w *worker) stepBPullProduce(t int, pushProduce bool) error {
 			if err := runBlock(blk.Lo, blk.Hi, buf.groups); err != nil {
 				return err
 			}
-			w.putRecvBuf(buf)
+			w.pullFree.put(buf)
 		}
 		if len(inflight) > 0 {
 			return fmt.Errorf("core: b-pull prefetched past the last block")
@@ -197,12 +172,12 @@ func (w *worker) pullBlock(t, b int) (*recvBuf, int64, error) {
 	if w.job.cfg.DisableCombine {
 		combine = nil
 	}
-	buf := w.takeRecvBuf()
+	buf := w.pullFree.take()
 	buf.msgs = buf.msgs[:0]
 	for y := range w.job.workers {
 		msgs, _, err := w.fab().PullRequest(w.id, y, b, t)
 		if err != nil {
-			w.putRecvBuf(buf)
+			w.pullFree.put(buf)
 			return nil, 0, err
 		}
 		buf.msgs = append(buf.msgs, msgs...)
@@ -217,37 +192,37 @@ func (w *worker) pullBlock(t, b int) (*recvBuf, int64, error) {
 
 // RespondPull implements comm.Handler: Pull-Respond (Algorithm 2). For
 // each local Vblock whose res indicator and destination bitmap allow it,
-// scan the Eblock toward the requested block; for each fragment whose
-// source vertex responded at t-1, random-read its broadcast value and
-// generate one message per clustered edge. The sending buffer BS is then
-// concatenated (and combined when legal) before crossing the wire.
+// scan the Eblock toward the requested block — together one forward pass
+// over the Eblock file; for each fragment whose source vertex responded at
+// t-1, random-read its broadcast value and generate one message per
+// clustered edge. The sending buffer BS is concatenated (and combined when
+// legal) before crossing the wire. The scan visits sources in ascending
+// id order, and that is the order a destination's values are listed, or
+// folded, in (DESIGN.md, "Fold order in Pull-Respond").
 func (w *worker) RespondPull(reqBlock, step int) ([]comm.Msg, int64, error) {
+	if reqBlock < 0 || reqBlock >= w.job.layout.NumBlocks() {
+		return nil, 0, fmt.Errorf("core: pull request for block %d of %d", reqBlock, w.job.layout.NumBlocks())
+	}
 	rp := readParity(step)
-	prog := w.job.prog
-	scanned := func(j int) bool {
-		return w.blockRes[rp][j].Load() && w.ve.Meta(j).Bitmap.Get(reqBlock)
+	blk := w.job.layout.Blocks[reqBlock]
+	combine := w.job.prog.Combiner()
+	if w.job.cfg.DisableCombine {
+		combine = nil
 	}
-	// BS is sized once from Eblock metadata: every message comes from one
-	// edge of a scanned Eblock, so their edge counts bound it. Only
-	// responding sources generate messages, so the bound is scaled by the
-	// partition's responding fraction — exact when every vertex responds
-	// (PageRank), and on a sparse frontier a starting size that append
-	// outgrows rather than a whole Eblock's worth held for a few messages.
-	var bound int64
-	for j := 0; j < w.ve.LocalBlocks(); j++ {
-		if scanned(j) {
-			_, _, edges := w.ve.EblockSize(j, reqBlock)
-			bound += int64(edges)
-		}
+	free := &w.respFree[w.job.layout.OwnerOfBlock(reqBlock)]
+	rb := free.take()
+	defer free.put(rb)
+	n := blk.Len()
+	rb.msgs = rb.msgs[:0]
+	if combine != nil {
+		rb.acc = slices.Grow(rb.acc[:0], n)[:n]
+		rb.seen = slices.Grow(rb.seen[:0], n)[:n]
+		clear(rb.seen)
 	}
-	bound = (bound*int64(w.respond[rp].Count()) + int64(w.part.Len()) - 1) / int64(w.part.Len())
-	out := make([]comm.Msg, 0, bound)
-	var produced, vrr, ebar, ft int64
-	for j := 0; j < w.ve.LocalBlocks(); j++ {
-		if !scanned(j) {
-			continue
-		}
-		st, err := w.ve.ScanEblock(j, reqBlock, func(src graph.VertexID, edges []graph.Half) error {
+	var produced, distinct, vrr int64
+	st, err := w.ve.ScanBlock(reqBlock, &rb.scan,
+		func(j int) bool { return w.blockRes[rp][j].Load() },
+		func(src graph.VertexID, edges []graph.Half) error {
 			if !w.respond[rp].Get(w.localIdx(src)) {
 				return nil
 			}
@@ -263,17 +238,26 @@ func (w *worker) RespondPull(reqBlock, step int) ([]comm.Msg, int64, error) {
 				if !keep {
 					continue
 				}
-				out = append(out, comm.Msg{Dst: e.Dst, Val: val})
 				produced++
+				d := int(e.Dst - blk.Lo) // wraps far past n below blk.Lo
+				switch {
+				case d >= n:
+					return fmt.Errorf("core: eblock toward block %d holds an edge to vertex %d", reqBlock, e.Dst)
+				case combine == nil:
+					rb.msgs = append(rb.msgs, comm.Msg{Dst: e.Dst, Val: val})
+				case rb.seen[d]:
+					rb.acc[d] = combine(rb.acc[d], val)
+				default:
+					rb.seen[d], rb.acc[d] = true, val
+					distinct++
+				}
 			}
 			return nil
 		})
-		if err != nil {
-			return nil, 0, err
-		}
-		ebar += st.EdgeBytes
-		ft += st.FragBytes
+	if err != nil {
+		return nil, 0, err
 	}
+	ebar, ft := st.EdgeBytes, st.FragBytes
 	if w.job.cfg.EdgesInMemory {
 		ebar, ft = 0, 0
 	}
@@ -281,11 +265,19 @@ func (w *worker) RespondPull(reqBlock, step int) ([]comm.Msg, int64, error) {
 		vrr = 0
 	}
 
-	rawBytes := int64(len(out)) * comm.MsgWireSize
-	comm.SortByDst(out)
-	if c := prog.Combiner(); c != nil && !w.job.cfg.DisableCombine {
-		out = comm.CombineSorted(out, c)
+	// The response is the one allocation that leaves the call.
+	var out []comm.Msg
+	if combine != nil {
+		out = make([]comm.Msg, 0, distinct)
+		for d, ok := range rb.seen {
+			if ok {
+				out = append(out, comm.Msg{Dst: blk.Lo + graph.VertexID(d), Val: rb.acc[d]})
+			}
+		}
+	} else {
+		out = slices.Clone(comm.StableSortByDst(rb.msgs, &rb.tmp))
 	}
+	rawBytes := produced * comm.MsgWireSize
 	wire := comm.ConcatSize(out)
 	bsMem := int64(len(out)) * comm.MsgWireSize
 

@@ -83,8 +83,9 @@ func TestCodecLogicalIdentity(t *testing.T) {
 // a frame's compressed size depends on the order of its records. So the
 // physical dimension is asserted for b-pull, for the loading phase, and
 // for every push/hybrid superstep that neither writes nor drains a spill.
-// (The graph is small enough that every BlockFile fits its chunk cache;
-// past that, physical reads also depend on how concurrent scans share it.)
+// (b-pull's physical reads hold at any store size — TestDecodeAmplification
+// checks one three times the chunk cache; a sparse push frontier's jumps
+// still share the cache, which this graph's stores fit.)
 func TestCodecParallelismIdentity(t *testing.T) {
 	g := graph.GenRMAT(700, 5600, 0.57, 0.19, 0.19, 92)
 	for _, e := range []Engine{Push, BPull, Hybrid} {

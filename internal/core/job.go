@@ -447,13 +447,7 @@ func (j *job) setup(engine Engine, res *metrics.JobResult) error {
 		if engine == Push || engine == PushM || engine == Hybrid {
 			wk.initInboxes()
 		}
-		// Stores were built under the loading counter; computation I/O
-		// goes to the worker's own counter from here on.
-		for _, s := range []interface{ SetCounter(*diskio.Counter) }{wk.vstore, wk.adj, wk.mirror, wk.ve} {
-			if s != nil {
-				s.SetCounter(wk.ct)
-			}
-		}
+		wk.storesBuilt()
 		if engine == Pull {
 			wk.vcache = newPullCache(wk.vstore, j.cfg.VertexCache, j.cfg.Metrics)
 		}

@@ -34,47 +34,18 @@ func (w *worker) stepPush(t int, produce bool) error {
 	hookFor := func(shard int) updateHook {
 		sb := &w.shards[shard]
 		return func(v graph.VertexID, rec *vertexfile.Record, responded bool) error {
-			// Giraph loads a vertex together with its edges, so push reads the
-			// edge run of every *updated* vertex (the active set V_act), not
-			// just the responders — the IO(E^t) asymmetry against b-pull.
 			if rec.OutDeg == 0 {
 				return nil
 			}
-			eb, err := w.adj.EdgeBytes(v)
-			if err != nil {
-				return err
+			sent, err := w.pushRes(sb, t, v, rec, responded && outbox != nil)
+			if sent > 0 {
+				w.addStat(func(s *workerStat) {
+					s.produced += sent
+					s.estM += sent
+					s.cpu.Messages += sent
+				})
 			}
-			if w.job.cfg.EdgesInMemory {
-				eb = 0
-			}
-			sb.edges, err = w.adj.Edges(v, sb.edges[:0])
-			if err != nil {
-				return err
-			}
-			edges := sb.edges
-			w.addStat(func(s *workerStat) {
-				s.parts.Et += eb
-				s.cpu.Edges += int64(len(edges))
-			})
-			if !responded || outbox == nil {
-				return nil
-			}
-			wp := writeParity(t)
-			var sent int64
-			for _, e := range edges {
-				val, keep := w.msgValueFor(rec.Bcast[wp], e.Dst, e.Weight)
-				if !keep {
-					continue
-				}
-				sb.stage.Add(w.owner(e.Dst), comm.Msg{Dst: e.Dst, Val: val})
-				sent++
-			}
-			w.addStat(func(s *workerStat) {
-				s.produced += sent
-				s.estM += sent
-				s.cpu.Messages += sent
-			})
-			return nil
+			return err
 		}
 	}
 	if err := w.updateBlock(t, w.part.Lo, w.part.Hi, msgs, hookFor); err != nil {
@@ -103,6 +74,39 @@ func (w *worker) stepPush(t int, produce bool) error {
 		w.estimateBpullCosts(t)
 	}
 	return nil
+}
+
+// pushRes is pushRes() for one updated vertex with out-edges: read its
+// adjacency run through the shard's window — Giraph loads a vertex with
+// its edges, so push reads the run of every *updated* vertex (V_act), not
+// just the responders: the IO(E^t) asymmetry against b-pull — and, when
+// stage is set, stage one message per edge. It reports how many.
+func (w *worker) pushRes(sb *shardBuf, t int, v graph.VertexID, rec *vertexfile.Record, stage bool) (sent int64, err error) {
+	eb, err := w.adj.EdgeBytes(v)
+	if err != nil {
+		return 0, err
+	}
+	if w.job.cfg.EdgesInMemory {
+		eb = 0
+	}
+	if sb.edges, err = w.adj.EdgesBuf(v, sb.edges[:0], &sb.adj); err != nil {
+		return 0, err
+	}
+	edges := sb.edges
+	w.addStat(func(s *workerStat) {
+		s.parts.Et += eb
+		s.cpu.Edges += int64(len(edges))
+	})
+	if !stage {
+		return 0, nil
+	}
+	for _, e := range edges {
+		if val, keep := w.msgValueFor(rec.Bcast[writeParity(t)], e.Dst, e.Weight); keep {
+			sb.stage.Add(w.owner(e.Dst), comm.Msg{Dst: e.Dst, Val: val})
+			sent++
+		}
+	}
+	return sent, nil
 }
 
 // relaxAsync is the asynchronous-iteration extension: instead of parking
@@ -149,7 +153,7 @@ func (w *worker) relaxAsync(t int) error {
 			if err := w.vstore.WriteRecord(rec); err != nil {
 				return err
 			}
-			sb.edges, err = w.adj.Edges(v, sb.edges[:0])
+			sb.edges, err = w.adj.EdgesBuf(v, sb.edges[:0], &sb.adj)
 			if err != nil {
 				return err
 			}

@@ -183,11 +183,7 @@ func (j *job) adoptWorker(fw, host, step int, reason string, res *metrics.JobRes
 	if rerr != nil {
 		return fmt.Errorf("core: adopting worker %d on %d: %w", fw, host, rerr)
 	}
-	for _, s := range []interface{ SetCounter(*diskio.Counter) }{w.vstore, w.adj, w.ve} {
-		if s != nil {
-			s.SetCounter(w.ct)
-		}
-	}
+	w.storesBuilt()
 
 	// Migration network bytes: the state that logically crossed machines —
 	// the checkpoint snapshot slice, the unit's retained message-log

@@ -17,6 +17,7 @@ import (
 	"hybridgraph/internal/metrics"
 	"hybridgraph/internal/msglog"
 	"hybridgraph/internal/msgstore"
+	"hybridgraph/internal/obs"
 	"hybridgraph/internal/veblock"
 	"hybridgraph/internal/vertexfile"
 )
@@ -92,11 +93,13 @@ type worker struct {
 	// paper's B_i/BS/BR from message counts. outbox is the sending buffer;
 	// shards[s] serves shard s of the update scan; pullFree holds b-pull's
 	// idle receiving buffers (one per fetch in flight plus the one being
-	// updated); gathered is the pull baseline's.
+	// updated); respFree[y] the scratch Pull-Respond serves worker y in (one
+	// up to PrefetchDepth 1: y's consecutive requests continue in the same
+	// Eblock window); gathered is the pull baseline's.
 	outbox   *comm.Outbox
 	shards   []shardBuf
-	pullMu   sync.Mutex
-	pullFree []*recvBuf
+	pullFree idleList[recvBuf]
+	respFree []idleList[respondBuf]
 	gathered recvBuf
 
 	mu   sync.Mutex // guards stat: RespondPull/Gather run on requester goroutines
@@ -155,10 +158,12 @@ func (w *worker) addStat(f func(*workerStat)) {
 }
 
 // shardBuf is what one shard of the update scan works in: its send stage,
-// the vertex-record chunk and the edge list of the vertex being pushed.
+// the vertex-record chunk, its window onto the adjacency file and the
+// edge list of the vertex being pushed.
 type shardBuf struct {
 	stage *comm.Stage
 	recs  []vertexfile.Record
+	adj   adjstore.PageBuf
 	edges []graph.Half
 }
 
@@ -191,24 +196,36 @@ type recvBuf struct {
 	groups  msgstore.Groups // a fetched block's messages, until its update ends
 }
 
-// takeRecvBuf hands out an idle b-pull receiving buffer, building one when
-// every existing buffer is in use by a fetch in flight.
-func (w *worker) takeRecvBuf() *recvBuf {
-	w.pullMu.Lock()
-	defer w.pullMu.Unlock()
-	if n := len(w.pullFree); n > 0 {
-		b := w.pullFree[n-1]
-		w.pullFree = w.pullFree[:n-1]
-		return b
-	}
-	return &recvBuf{}
+// respondBuf is what one Pull-Respond call works in; nothing in it escapes.
+type respondBuf struct {
+	scan      veblock.ScanBuf
+	acc       []float64  // combining programs: one fold slot per vertex of the block
+	seen      []bool     // which slots hold a value
+	msgs, tmp []comm.Msg // concatenating programs: messages in scan order; the sort's second buffer
 }
 
-// putRecvBuf returns a buffer whose groups have been consumed.
-func (w *worker) putRecvBuf(b *recvBuf) {
-	w.pullMu.Lock()
-	w.pullFree = append(w.pullFree, b)
-	w.pullMu.Unlock()
+// idleList holds the buffers of one kind that are not in use. take builds
+// one only when all are out, so the list grows to what is concurrent.
+type idleList[T any] struct {
+	mu   sync.Mutex
+	free []*T
+}
+
+func (l *idleList[T]) take() *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.free); n > 0 {
+		b := l.free[n-1]
+		l.free = l.free[:n-1]
+		return b
+	}
+	return new(T)
+}
+
+func (l *idleList[T]) put(b *T) {
+	l.mu.Lock()
+	l.free = append(l.free, b)
+	l.mu.Unlock()
 }
 
 // owner maps a vertex to its worker.
@@ -247,7 +264,6 @@ func (w *worker) buildVertexStore(g *graph.Graph) error {
 	if err != nil {
 		return err
 	}
-	vs.SetMetrics(w.job.cfg.Metrics)
 	w.vstore = vs
 	return nil
 }
@@ -331,6 +347,18 @@ func (w *worker) buildVE(g *graph.Graph) error {
 	return nil
 }
 
+// storesBuilt ends a (re)build of the worker's stores: built under the
+// loading counter, they charge the worker's own and report to its registry.
+func (w *worker) storesBuilt() {
+	for _, s := range []interface {
+		SetCounter(*diskio.Counter)
+		SetMetrics(*obs.Registry)
+	}{w.vstore, w.adj, w.mirror, w.ve} {
+		s.SetCounter(w.ct)
+		s.SetMetrics(w.job.cfg.Metrics)
+	}
+}
+
 func (w *worker) initFlags() {
 	n := w.part.Len()
 	for p := 0; p < 2; p++ {
@@ -341,6 +369,7 @@ func (w *worker) initFlags() {
 		for p := 0; p < 2; p++ {
 			w.blockRes[p] = make([]atomic.Bool, w.ve.LocalBlocks())
 		}
+		w.respFree = make([]idleList[respondBuf], len(w.job.workers))
 	}
 }
 

@@ -36,13 +36,7 @@ func (a *Accountant) SetCounter(ct *Counter) {
 	a.mu.Unlock()
 }
 
-func (a *Accountant) add(ct *Counter, c Class, n, dev int64) {
-	if a.mirror {
-		ct.AddDev(c, n, dev)
-	} else {
-		ct.addDev(c, n, dev)
-	}
-}
+func (a *Accountant) add(ct *Counter, c Class, n, dev int64) { ct.addOps(c, n, dev, 1, a.mirror) }
 
 // devCharge computes the device bytes an access moves and records the page
 // position. Sequential classes transfer what they read; random classes
@@ -86,6 +80,34 @@ func (a *Accountant) Charge(n, off int64, c Class) {
 	ct := a.ct
 	a.mu.Unlock()
 	a.add(ct, c, n, dev)
+}
+
+// ChargeRun records count back-to-back recSize-byte accesses, the first
+// at off, leaving counter, sequential position and last-touched page
+// exactly where count successive Charge calls would, in one update. Page
+// visits of such a run never go back, so a random-class run pays each page
+// it touches once, except a first page that is still the last one touched.
+func (a *Accountant) ChargeRun(recSize int64, count int, off int64, c Class) {
+	if count <= 0 {
+		return
+	}
+	n := recSize * int64(count)
+	a.mu.Lock()
+	a.seqPos = off + n
+	dev := n
+	if n > 0 {
+		first, last := off/PageSize, (off+n-1)/PageSize
+		if c != SeqRead && c != SeqWrite {
+			dev = (last - first + 1) * PageSize
+			if first == a.lastPage {
+				dev -= PageSize
+			}
+		}
+		a.lastPage = last
+	}
+	ct := a.ct
+	a.mu.Unlock()
+	ct.addOps(c, n, dev, int64(count), a.mirror)
 }
 
 // ChargeDev records one access whose device transfer the caller computed

@@ -1,6 +1,7 @@
 package diskio
 
 import (
+	"math/rand"
 	"path/filepath"
 	"testing"
 )
@@ -107,5 +108,51 @@ func TestSnapshotDevTotal(t *testing.T) {
 	s.Dev[SeqWrite] = 7
 	if s.DevTotal() != 12 {
 		t.Fatalf("DevTotal = %d", s.DevTotal())
+	}
+}
+
+// TestChargeRunEqualsRepeatedCharge is ChargeRun's whole contract: after
+// any history, one ChargeRun(recSize, count, off, c) leaves the counter
+// (ops, bytes, device bytes), its physical twin, the sequential position
+// and the last-touched page exactly where count Charge calls over the
+// same tiling leave them — for the mirroring accountant a File holds and
+// the bare one a compressed store holds, for records that straddle pages
+// and records larger than a page.
+func TestChargeRunEqualsRepeatedCharge(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	sizes := []int64{0, 1, 12, 20, PageSize - 1, PageSize, PageSize + 1, 3*PageSize + 5}
+	for _, mirror := range []bool{true, false} {
+		var runCt, runPhys, refCt, refPhys Counter
+		runCt.SetPhys(&runPhys)
+		refCt.SetPhys(&refPhys)
+		run := &Accountant{ct: &runCt, mirror: mirror, lastPage: -1}
+		ref := &Accountant{ct: &refCt, mirror: mirror, lastPage: -1}
+		off := int64(0)
+		for step := 0; step < 4000; step++ {
+			recSize := sizes[rng.Intn(len(sizes))]
+			count := rng.Intn(40)
+			c := Class(rng.Intn(int(numClasses)))
+			switch rng.Intn(3) {
+			case 0: // continue where the last access ended
+			case 1:
+				off = rng.Int63n(64 * PageSize)
+			case 2: // land exactly on a page boundary
+				off = rng.Int63n(64) * PageSize
+			}
+			run.ChargeRun(recSize, count, off, c)
+			for k := 0; k < count; k++ {
+				ref.Charge(recSize, off+int64(k)*recSize, c)
+			}
+			off += recSize * int64(count)
+			if runCt.Snapshot() != refCt.Snapshot() || runPhys.Snapshot() != refPhys.Snapshot() ||
+				run.seqPos != ref.seqPos || run.lastPage != ref.lastPage {
+				t.Fatalf("mirror=%v step %d: ChargeRun(%d, %d, off, %v) left %+v phys %+v seqPos %d lastPage %d;\n%d Charge calls leave %+v phys %+v seqPos %d lastPage %d",
+					mirror, step, recSize, count, c, runCt.Snapshot(), runPhys.Snapshot(), run.seqPos, run.lastPage,
+					count, refCt.Snapshot(), refPhys.Snapshot(), ref.seqPos, ref.lastPage)
+			}
+		}
+		if mirror == (runPhys.Snapshot() == Snapshot{}) {
+			t.Fatalf("mirror=%v but the physical twin holds %+v", mirror, runPhys.Snapshot())
+		}
 	}
 }

@@ -71,18 +71,20 @@ func (ct *Counter) Add(c Class, n int64) { ct.AddDev(c, n, n) }
 // logical bytes, so the physical dimension tracks charge-for-charge.
 // Compressed stores instead charge logical bytes through an Accountant
 // (which does not mirror) and let their real frame I/O land on the twin.
-func (ct *Counter) AddDev(c Class, n, dev int64) {
-	ct.addDev(c, n, dev)
-	if p := ct.phys.Load(); p != nil {
-		p.addDev(c, n, dev)
-	}
-}
+func (ct *Counter) AddDev(c Class, n, dev int64) { ct.addOps(c, n, dev, 1, true) }
 
-// addDev is the raw, non-mirroring tally update.
-func (ct *Counter) addDev(c Class, n, dev int64) {
+// addOps is the tally update: n logical and dev device bytes moved by ops
+// operations, mirrored into the physical twin when asked.
+func (ct *Counter) addOps(c Class, n, dev, ops int64, mirror bool) {
 	ct.bytes[c].Add(n)
 	ct.dev[c].Add(dev)
-	ct.ops[c].Add(1)
+	ct.ops[c].Add(ops)
+	if !mirror {
+		return
+	}
+	if p := ct.phys.Load(); p != nil {
+		p.addOps(c, n, dev, ops, false)
+	}
 }
 
 // SetPhys attaches the counter that receives this counter's physical
@@ -299,6 +301,11 @@ func (af *File) WriteUncharged(p []byte, off int64, c Class) (int, error) {
 // Charge records an n-byte access of class c at off exactly as
 // ReadAtClass/WriteAtClass would for a full transfer, moving no bytes.
 func (af *File) Charge(n, off int64, c Class) { af.acct.Charge(n, off, c) }
+
+// ChargeRun is count Charge calls over back-to-back recSize-byte records.
+func (af *File) ChargeRun(recSize int64, count int, off int64, c Class) {
+	af.acct.ChargeRun(recSize, count, off, c)
+}
 
 // ChargeDev is Charge with an explicit device charge, for callers that
 // manage their own page locality (b-pull's Pull-Respond keeps a Vblock's

@@ -407,6 +407,11 @@ func (fs *FaultFS) readAt(path string, f *os.File, p []byte, off int64, class st
 	}
 	fs.mu.Unlock()
 	n, err := f.ReadAt(p, off)
+	if fs.Cut() {
+		// Power went while the read was in flight: it may have seen a file
+		// already truncated, which must not pass for a short one.
+		return 0, fs.notify(&Error{Op: "read", Path: path, Class: class, Kind: KindPowerCut})
+	}
 	if flip && bit/8 < n {
 		p[bit/8] ^= 1 << (bit % 8)
 		// Silent corruption: the reader gets no error — only CRC framing

@@ -2,11 +2,12 @@ package graph
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
 	"strconv"
-	"strings"
+	"unicode"
 )
 
 // WriteEdgeList writes g in the whitespace-separated text edge-list format
@@ -27,6 +28,54 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
+// ParseEdgeLine parses one line of the text edge-list format in place:
+// "src dst [weight]", fields separated by white space, the weight
+// defaulting to 1. Blank lines and '#' comments report ok false; a
+// "# vertices N" comment with N > 0 also reports N. Errors carry no line
+// number — the caller, who is counting, adds it.
+func ParseEdgeLine(line []byte) (e Edge, vertices int, ok bool, err error) {
+	text := bytes.TrimSpace(line)
+	if len(text) == 0 {
+		return e, 0, false, nil
+	}
+	if text[0] == '#' {
+		var hn int // a local: &vertices would move the result to the heap on every call
+		if _, err := fmt.Sscanf(string(text), "# vertices %d", &hn); err != nil {
+			hn = 0
+		}
+		return e, max(hn, 0), false, nil
+	}
+	var fields [3][]byte
+	rest := text
+	for i := range fields {
+		end := bytes.IndexFunc(rest, unicode.IsSpace)
+		if end < 0 {
+			end = len(rest)
+		}
+		fields[i] = rest[:end]
+		rest = bytes.TrimLeftFunc(rest[end:], unicode.IsSpace)
+	}
+	if len(fields[1]) == 0 {
+		return e, 0, false, fmt.Errorf("want 'src dst [weight]', got %q", string(text))
+	}
+	// strconv clones its input into errors, so the conversions don't escape.
+	src, err := strconv.ParseUint(string(fields[0]), 10, 32)
+	if err != nil {
+		return e, 0, false, fmt.Errorf("bad src: %v", err)
+	}
+	dst, err := strconv.ParseUint(string(fields[1]), 10, 32)
+	if err != nil {
+		return e, 0, false, fmt.Errorf("bad dst: %v", err)
+	}
+	w := 1.0
+	if len(fields[2]) > 0 {
+		if w, err = strconv.ParseFloat(string(fields[2]), 32); err != nil {
+			return e, 0, false, fmt.Errorf("bad weight: %v", err)
+		}
+	}
+	return Edge{Src: VertexID(src), Dst: VertexID(dst), Weight: float32(w)}, 0, true, nil
+}
+
 // ReadEdgeList parses the text edge-list format. Lines starting with '#'
 // are comments, except a "# vertices N" header which fixes the vertex
 // count; without the header the count is max(id)+1. The weight column is
@@ -39,43 +88,18 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 	line := 0
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
+		e, hn, ok, err := ParseEdgeLine(sc.Bytes())
+		if err != nil {
+			return nil, fmt.Errorf("graph: line %d: %v", line, err)
+		}
+		if hn > 0 {
+			n = hn
+		}
+		if !ok {
 			continue
 		}
-		if strings.HasPrefix(text, "#") {
-			var hn int
-			if _, err := fmt.Sscanf(text, "# vertices %d", &hn); err == nil && hn > 0 {
-				n = hn
-			}
-			continue
-		}
-		fields := strings.Fields(text)
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("graph: line %d: want 'src dst [weight]', got %q", line, text)
-		}
-		src, err := strconv.ParseUint(fields[0], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: bad src: %v", line, err)
-		}
-		dst, err := strconv.ParseUint(fields[1], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: bad dst: %v", line, err)
-		}
-		w := 1.0
-		if len(fields) >= 3 {
-			w, err = strconv.ParseFloat(fields[2], 32)
-			if err != nil {
-				return nil, fmt.Errorf("graph: line %d: bad weight: %v", line, err)
-			}
-		}
-		edges = append(edges, Edge{Src: VertexID(src), Dst: VertexID(dst), Weight: float32(w)})
-		if int(src) >= n {
-			n = int(src) + 1
-		}
-		if int(dst) >= n {
-			n = int(dst) + 1
-		}
+		edges = append(edges, e)
+		n = max(n, int(e.Src)+1, int(e.Dst)+1)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

@@ -194,7 +194,7 @@ func (b *builder) finish(n int) (*Stats, error) {
 	if err := b.mergeA(n, parts, layout, sb); err != nil {
 		return nil, err
 	}
-	if err := b.mergeB(layout, sb); err != nil {
+	if err := b.mergeB(sb); err != nil {
 		return nil, err
 	}
 	b.stats.Runs = b.sa.spilled + sb.spilled
@@ -325,9 +325,10 @@ func (b *builder) mergeA(n int, parts []graph.Partition, layout *veblock.Layout,
 			lastSrc = r.src
 		}
 		runLen++
-		jb := layout.BlockOf(graph.VertexID(r.src))
+		// VE-BLOCK key: (owner, destination block, source); the source
+		// block needs no field of its own — it ascends with src.
 		ib := layout.BlockOf(graph.VertexID(r.dst))
-		if err := sb.add(rec{uint32(jb), uint32(ib), r.src, r.dst, r.w}); err != nil {
+		if err := sb.add(rec{uint32(cur), uint32(ib), r.src, r.dst, r.w}); err != nil {
 			aw.Close()
 			return err
 		}
@@ -344,12 +345,12 @@ func (b *builder) mergeA(n int, parts []graph.Partition, layout *veblock.Layout,
 	return elF.Close()
 }
 
-// mergeB drains the phase-B sort: the (srcBlock, dstBlock, src, dst,
-// weight) order is exactly the VE-BLOCK file layout, so one pass writes
-// each worker's veblock.dat — fragments of same-source edges prefixed
-// by their (svertex, count) auxiliary record, Eblocks in destination-
-// block order, local blocks ascending.
-func (b *builder) mergeB(layout *veblock.Layout, sb *sorter) error {
+// mergeB drains the phase-B sort: the (owner, dstBlock, src, dst, weight)
+// order — src ascending carries srcBlock with it — is exactly the
+// destination-major VE-BLOCK file layout (veblock.Store), so one pass
+// writes each worker's veblock.dat: fragments of same-source edges
+// prefixed by their (svertex, count) auxiliary record.
+func (b *builder) mergeB(sb *sorter) error {
 	it, err := sb.finish()
 	if err != nil {
 		return err
@@ -367,7 +368,7 @@ func (b *builder) mergeB(layout *veblock.Layout, sb *sorter) error {
 	}
 	// One fragment is buffered at a time: its (svertex, count) auxiliary
 	// record precedes the edges, and the count is only known when the
-	// (srcBlock, dstBlock, src) key changes. The buffer is bounded by
+	// (owner, dstBlock, src) key changes. The buffer is bounded by
 	// the largest single-vertex edge run into one block, not the budget.
 	var frag []byte
 	var fragKey [3]uint32
@@ -406,9 +407,9 @@ func (b *builder) mergeB(layout *veblock.Layout, sb *sorter) error {
 				return err
 			}
 		}
-		// The fragment was flushed to its own block's worker; only now
+		// The fragment was flushed to its own worker's shard; only now
 		// may the shard advance.
-		for w := layout.OwnerOfBlock(int(r.a)); w > cur; {
+		for int(r.a) > cur {
 			if err := vw.Close(); err != nil {
 				return err
 			}

@@ -2,10 +2,11 @@ package ingest
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"hybridgraph/internal/codec"
 	"hybridgraph/internal/diskio"
@@ -14,10 +15,10 @@ import (
 // rec is the 20-byte spill record, one per edge, carrying the sort key
 // as its leading fields. Phase A (edge order) leaves a and b zero, so
 // the key degenerates to (src, dst, weight bits); phase B (VE-BLOCK
-// order) sets a to the source's Vblock and b to the destination's, so
-// the same comparator yields the Eblock layout order. The weight rides
-// as its IEEE-754 bit pattern: total, deterministic ordering with no
-// NaN pitfalls, and bit-exact round-tripping.
+// order) sets a to the source's worker and b to the destination's
+// Vblock, so the same comparator yields the Eblock file order. The weight
+// rides as its IEEE-754 bit pattern: total, deterministic ordering with
+// no NaN pitfalls, and bit-exact round-tripping.
 type rec struct {
 	a, b, src, dst, w uint32
 }
@@ -29,18 +30,18 @@ const recSize = 20
 // frames without denting the budget.
 const spillFrameRecs = (32 << 10) / recSize
 
-func recLess(x, y rec) bool {
+func recCompare(x, y rec) int {
 	switch {
 	case x.a != y.a:
-		return x.a < y.a
+		return cmp.Compare(x.a, y.a)
 	case x.b != y.b:
-		return x.b < y.b
+		return cmp.Compare(x.b, y.b)
 	case x.src != y.src:
-		return x.src < y.src
+		return cmp.Compare(x.src, y.src)
 	case x.dst != y.dst:
-		return x.dst < y.dst
+		return cmp.Compare(x.dst, y.dst)
 	default:
-		return x.w < y.w
+		return cmp.Compare(x.w, y.w)
 	}
 }
 
@@ -140,9 +141,10 @@ func (s *sorter) spill() error {
 	return nil
 }
 
-func sortRecs(recs []rec) {
-	sort.Slice(recs, func(i, j int) bool { return recLess(recs[i], recs[j]) })
-}
+// sortRecs sorts a run. recCompare is a total order over all five fields,
+// so equal records are identical and the unstable sort's output bytes do
+// not depend on the algorithm.
+func sortRecs(recs []rec) { slices.SortFunc(recs, recCompare) }
 
 // writeRun writes recs (already sorted) as a run file: a sequence of
 // codec frames of spillFrameRecs records each. Physical frame bytes
@@ -409,11 +411,8 @@ func (s *sorter) newMergeIter(runs []string, mem []rec) (*mergeIter, error) {
 }
 
 func headLess(x, y mergeHead) bool {
-	if recLess(x.r, y.r) {
-		return true
-	}
-	if recLess(y.r, x.r) {
-		return false
+	if c := recCompare(x.r, y.r); c != 0 {
+		return c < 0
 	}
 	return x.idx < y.idx
 }

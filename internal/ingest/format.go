@@ -20,6 +20,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+
+	"hybridgraph/internal/graph"
 )
 
 // ErrFormat is the typed sentinel every malformed-input failure wraps:
@@ -90,46 +92,21 @@ func parseText(r io.Reader, emit emitFunc) (int, int64, error) {
 	var parsed int64
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
+		e, hn, ok, err := graph.ParseEdgeLine(sc.Bytes())
+		if err != nil {
+			return 0, 0, fmt.Errorf("%w: line %d: %v", ErrFormat, line, err)
+		}
+		if hn > 0 {
+			n = hn
+		}
+		if !ok {
 			continue
 		}
-		if strings.HasPrefix(text, "#") {
-			var hn int
-			if _, err := fmt.Sscanf(text, "# vertices %d", &hn); err == nil && hn > 0 {
-				n = hn
-			}
-			continue
-		}
-		fields := strings.Fields(text)
-		if len(fields) < 2 {
-			return 0, 0, fmt.Errorf("%w: line %d: want 'src dst [weight]', got %q", ErrFormat, line, text)
-		}
-		src, err := strconv.ParseUint(fields[0], 10, 32)
-		if err != nil {
-			return 0, 0, fmt.Errorf("%w: line %d: bad src: %v", ErrFormat, line, err)
-		}
-		dst, err := strconv.ParseUint(fields[1], 10, 32)
-		if err != nil {
-			return 0, 0, fmt.Errorf("%w: line %d: bad dst: %v", ErrFormat, line, err)
-		}
-		w := 1.0
-		if len(fields) >= 3 {
-			w, err = strconv.ParseFloat(fields[2], 32)
-			if err != nil {
-				return 0, 0, fmt.Errorf("%w: line %d: bad weight: %v", ErrFormat, line, err)
-			}
-		}
-		if err := emit(uint32(src), uint32(dst), float32(w)); err != nil {
+		if err := emit(uint32(e.Src), uint32(e.Dst), e.Weight); err != nil {
 			return 0, 0, err
 		}
 		parsed++
-		if int(src) >= n {
-			n = int(src) + 1
-		}
-		if int(dst) >= n {
-			n = int(dst) + 1
-		}
+		n = max(n, int(e.Src)+1, int(e.Dst)+1)
 	}
 	if err := sc.Err(); err != nil {
 		return 0, 0, fmt.Errorf("%w: line %d: %v", ErrFormat, line, err)

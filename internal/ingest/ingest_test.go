@@ -338,7 +338,7 @@ func TestBuildMatchesLegacyStoreBuilders(t *testing.T) {
 		t.Fatal(err)
 	}
 	const workers, blocksPer = 3, 2
-	for _, codecName := range []string{"none", "lz"} {
+	for _, codecName := range []string{"none", "delta", "lz"} {
 		t.Run(codecName, func(t *testing.T) {
 			cdc, err := codec.Lookup(codecName)
 			if err != nil {

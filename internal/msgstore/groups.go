@@ -59,10 +59,6 @@ func (c *Cursor) Vals(v graph.VertexID) []float64 {
 	return nil
 }
 
-// smallBatch is the size below which a comparison sort beats setting up
-// the radix passes' 256 counters.
-const smallBatch = 48
-
 // Grouper turns message batches into Groups through three buffers it
 // keeps and reuses: building a batch allocates nothing once they have
 // grown to the largest batch seen. The zero value is ready to use.
@@ -77,7 +73,7 @@ type Grouper struct {
 // destination's values left to right into one. The cost is O(len(msgs))
 // whatever range the destination ids span. msgs is reordered in place.
 func (gr *Grouper) Group(msgs []comm.Msg, combine func(a, b float64) float64) Groups {
-	msgs = gr.sortByDst(msgs)
+	msgs = comm.StableSortByDst(msgs, &gr.tmp)
 	// Sized once up front: appends below must never move the array the
 	// groups already built point into.
 	gr.vals = slices.Grow(gr.vals[:0], len(msgs))
@@ -116,50 +112,4 @@ func (g Groups) sortValues() {
 			sort.Float64s(g[i].Vals)
 		}
 	}
-}
-
-// sortByDst stably sorts msgs by destination and returns the sorted
-// slice, which is either msgs or gr.tmp. Large batches take an LSD radix
-// sort over the id bytes that actually differ within the batch — two
-// passes for any graph under 65 536 vertices per worker range, never more
-// than four — so the work is linear in the batch and independent of how
-// sparse the ids are.
-func (gr *Grouper) sortByDst(msgs []comm.Msg) []comm.Msg {
-	n := len(msgs)
-	if n < smallBatch {
-		slices.SortStableFunc(msgs, func(a, b comm.Msg) int { return cmp.Compare(a.Dst, b.Dst) })
-		return msgs
-	}
-	var diff graph.VertexID
-	sorted := true
-	for i := 1; i < n; i++ {
-		diff |= msgs[i].Dst ^ msgs[0].Dst
-		sorted = sorted && msgs[i-1].Dst <= msgs[i].Dst
-	}
-	if sorted {
-		return msgs
-	}
-	gr.tmp = slices.Grow(gr.tmp[:0], n)[:n]
-	src, dst := msgs, gr.tmp
-	for shift := 0; shift < 32; shift += 8 {
-		if (diff>>shift)&0xff == 0 {
-			continue
-		}
-		var next [256]int
-		for i := range src {
-			next[(src[i].Dst>>shift)&0xff]++
-		}
-		pos := 0
-		for b, c := range next {
-			next[b] = pos
-			pos += c
-		}
-		for i := range src {
-			b := (src[i].Dst >> shift) & 0xff
-			dst[next[b]] = src[i]
-			next[b]++
-		}
-		src, dst = dst, src
-	}
-	return src
 }

@@ -43,7 +43,9 @@ const (
 // appended in arrival order either way; ReadAll reassembles the full
 // record stream.
 type spillFile interface {
-	Append(rec []byte) error
+	// AppendRun spills the whole records in recs, one random write charged
+	// per record, and reports how many it accepted before a flush failed.
+	AppendRun(recs []byte, recSize int) (int, error)
 	ReadAll(p []byte) error
 	Close() error
 }
@@ -55,11 +57,12 @@ const spillBufSize = (64 << 10) / recSize * recSize
 // rawSpill is the codec-"none" backend. It charges the historical
 // sequence exactly — one random write per record at the record's logical
 // offset, one sequential whole-file read at drain — but moves the bytes a
-// staging buffer at a time: records collect in buf and reach the file in
-// one uncharged write per spillBufSize bytes. A full buffer is written
-// by the Append that needs the room, the tail by ReadAll, so a write
-// fault surfaces from the Add, Drain or Pending that flushed, and a
-// failed flush leaves buf intact for the retry.
+// staging buffer at a time and takes the charges a run at a time: records
+// collect in buf, reach the file in one uncharged write per spillBufSize
+// bytes, and each stretch between two flushes is one ChargeRun. A full
+// buffer is written by the AppendRun that needs the room, the tail by
+// ReadAll, so a write fault surfaces from the Add, Drain or Pending that
+// flushed, and a failed flush leaves buf intact for the retry.
 type rawSpill struct {
 	f       *diskio.File
 	off     int64  // logical end: bytes charged so far
@@ -67,19 +70,25 @@ type rawSpill struct {
 	flushes *obs.Counter
 }
 
-func (r *rawSpill) Append(rec []byte) error {
-	if len(r.buf)+len(rec) > cap(r.buf) {
-		if err := r.flush(); err != nil {
-			return err
+func (r *rawSpill) AppendRun(recs []byte, recSize int) (int, error) {
+	accepted := 0
+	for len(recs) > 0 {
+		if len(r.buf)+recSize > cap(r.buf) {
+			if err := r.flush(); err != nil {
+				return accepted, err
+			}
 		}
+		k := min(len(recs), cap(r.buf)-len(r.buf)) / recSize
+		// Charged as random writes: Giraph's spilled messages have no
+		// destination locality, which is what makes push I/O-inefficient
+		// (Section 1, "expensive random writes").
+		r.f.ChargeRun(int64(recSize), k, r.off, diskio.RandWrite)
+		r.buf = append(r.buf, recs[:k*recSize]...)
+		r.off += int64(k * recSize)
+		recs = recs[k*recSize:]
+		accepted += k
 	}
-	// Charged as a random write: Giraph's spilled messages have no
-	// destination locality, which is what makes push I/O-inefficient
-	// (Section 1, "expensive random writes").
-	r.f.Charge(int64(len(rec)), r.off, diskio.RandWrite)
-	r.buf = append(r.buf, rec...)
-	r.off += int64(len(rec))
-	return nil
+	return accepted, nil
 }
 
 func (r *rawSpill) flush() error {
@@ -117,7 +126,7 @@ type Inbox struct {
 	stage    []byte // raw spill staging, allocated at the first spill and reused by every later one
 	readBack []byte // the spill read back at drain, reused
 	grouper  Grouper
-	rec      [recSize]byte
+	enc      []byte // a spilling batch as records, reused
 	spillN   int64
 	received int64
 	maxMem   int64
@@ -151,34 +160,20 @@ func NewInbox(path string, ct *diskio.Counter, capacity int, cdc codec.Codec) *I
 
 // Add accepts one message. Beyond capacity the message is spilled with
 // random-write accounting. A spill write fault is reported by the Add
-// whose record needed the staging buffer flushed; that record is then
-// neither charged nor counted as spilled.
-func (b *Inbox) Add(m comm.Msg) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.add(m)
-}
-
-func (b *Inbox) add(m comm.Msg) error {
-	b.received++
-	if b.capacity == 0 || (b.capacity > 0 && len(b.mem) < b.capacity) {
-		b.mem = append(b.mem, m)
-		if n := int64(len(b.mem)) * recSize; n > b.maxMem {
-			b.maxMem = n
-		}
-		return nil
-	}
-	return b.spillMsg(m)
-}
+// whose record needed the staging buffer flushed (see spillMsgs).
+func (b *Inbox) Add(m comm.Msg) error { return b.AddAll([]comm.Msg{m}) }
 
 // AddAll accepts a batch — a delivered packet — under one lock
 // acquisition, copying what it keeps: msgs stays the caller's.
 func (b *Inbox) AddAll(msgs []comm.Msg) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	// The head of the batch that fits in memory goes in with one append;
-	// the rest spills message by message, as it would have one Add at a
-	// time.
+	return b.addAll(msgs)
+}
+
+// addAll is AddAll under b.mu. The head of the batch that fits in memory
+// goes in with one append; the rest spills as one run, charged per record.
+func (b *Inbox) addAll(msgs []comm.Msg) error {
 	n := len(msgs)
 	if b.capacity != 0 {
 		n = min(n, max(b.capacity-len(b.mem), 0))
@@ -188,15 +183,15 @@ func (b *Inbox) AddAll(msgs []comm.Msg) error {
 		b.received += int64(n)
 		b.maxMem = max(b.maxMem, int64(len(b.mem))*recSize)
 	}
-	for _, m := range msgs[n:] {
-		if err := b.add(m); err != nil {
-			return err
-		}
+	if n == len(msgs) {
+		return nil
 	}
-	return nil
+	return b.spillMsgs(msgs[n:])
 }
 
-func (b *Inbox) spillMsg(m comm.Msg) error {
+// spillMsgs spills msgs in arrival order. When a flush fails part-way only
+// the records accepted so far are charged, counted and kept for the retry.
+func (b *Inbox) spillMsgs(msgs []comm.Msg) error {
 	if b.spill == nil {
 		if codec.IsNone(b.cdc) {
 			f, err := diskio.Create(b.path, b.ct)
@@ -211,15 +206,16 @@ func (b *Inbox) spillMsg(m comm.Msg) error {
 			b.spill = codec.NewSpillFile(b.path, b.ct, b.cdc)
 		}
 	}
-	rec := b.rec[:] // a local array would escape through the interface call
-	comm.PutRecord(rec, m)
-	if err := b.spill.Append(rec); err != nil {
-		return err
+	b.enc = slices.Grow(b.enc[:0], len(msgs)*recSize)[:len(msgs)*recSize]
+	for i, m := range msgs {
+		comm.PutRecord(b.enc[i*recSize:], m)
 	}
-	b.spillN++
-	b.mSpilledMsgs.Inc()
-	b.mSpilledBytes.Add(recSize)
-	return nil
+	accepted, err := b.spill.AppendRun(b.enc, recSize)
+	b.received += int64(accepted)
+	b.spillN += int64(accepted)
+	b.mSpilledMsgs.Add(int64(accepted))
+	b.mSpilledBytes.Add(int64(accepted) * recSize)
+	return err
 }
 
 // Received reports the number of messages accepted so far.
@@ -366,7 +362,7 @@ func (o *OnlineInbox) AddAll(msgs []comm.Msg) error {
 		if o.fold(m) {
 			continue
 		}
-		if err := o.cold.add(m); err != nil {
+		if err := o.cold.addAll([]comm.Msg{m}); err != nil {
 			return err
 		}
 	}

@@ -10,7 +10,6 @@ package veblock
 
 import (
 	"fmt"
-	"sort"
 
 	"hybridgraph/internal/graph"
 )
@@ -20,6 +19,7 @@ import (
 type Layout struct {
 	Blocks      []graph.Partition // all V blocks, ascending by Lo, contiguous
 	WorkerFirst []int             // len T+1; worker w owns blocks [WorkerFirst[w], WorkerFirst[w+1])
+	blockOf     []int32           // vertex id → global block id
 }
 
 // NewLayout subdivides each worker partition into blocksPer[w] Vblocks.
@@ -34,6 +34,11 @@ func NewLayout(parts []graph.Partition, blocksPer []int) (*Layout, error) {
 		l.Blocks = append(l.Blocks, graph.BlockRanges(p, blocksPer[w])...)
 	}
 	l.WorkerFirst[len(parts)] = len(l.Blocks)
+	for b, blk := range l.Blocks {
+		for v := blk.Lo; v < blk.Hi; v++ {
+			l.blockOf = append(l.blockOf, int32(b))
+		}
+	}
 	return l, nil
 }
 
@@ -51,9 +56,8 @@ func (l *Layout) NumBlocks() int { return len(l.Blocks) }
 
 // BlockOf returns the global id of the block containing v, or -1.
 func (l *Layout) BlockOf(v graph.VertexID) int {
-	i := sort.Search(len(l.Blocks), func(i int) bool { return l.Blocks[i].Hi > v })
-	if i < len(l.Blocks) && l.Blocks[i].Contains(v) {
-		return i
+	if int(v) < len(l.blockOf) {
+		return int(l.blockOf[v])
 	}
 	return -1
 }

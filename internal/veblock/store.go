@@ -4,28 +4,23 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 
 	"hybridgraph/internal/bitset"
 	"hybridgraph/internal/codec"
 	"hybridgraph/internal/diskio"
 	"hybridgraph/internal/graph"
+	"hybridgraph/internal/obs"
 )
-
-// blockReader abstracts the Eblock file: a raw accounted File (codec
-// "none") or a compressed codec.BlockFile with identical logical
-// charges and physical frame I/O on the counter's twin.
-type blockReader interface {
-	ReadAtClass(p []byte, off int64, c diskio.Class) (int, error)
-	Size() (int64, error)
-	SetCounter(*diskio.Counter)
-	Close() error
-}
 
 const (
 	// FragAuxSize is the on-disk size of a fragment's auxiliary data
 	// (svertex id + clustered edge count), the paper's S_f.
 	FragAuxSize = 8
 	edgeSize    = 8 // dst uint32 + weight float32
+
+	// scanWindow is what one physical read of a scan moves: a codec chunk.
+	scanWindow = codec.ChunkSize
 )
 
 // BlockMeta is the paper's X_j metadata for one Vblock: kept in memory on
@@ -46,50 +41,36 @@ type span struct {
 
 // Store is one worker's share of VE-BLOCK: the Eblocks of its local
 // Vblocks plus their metadata. Vertex values live in the shared
-// vertexfile.Store; this type only handles edges and metadata.
+// vertexfile.Store; this type only handles edges and metadata. The file
+// is destination-block-major — all Eblocks toward block 0, local source
+// blocks ascending, then all toward block 1, … — so a pull request for
+// block i reads one contiguous run (DESIGN.md, "VE-BLOCK file order").
 type Store struct {
 	layout *Layout
-	worker int
-	f      blockReader
-	buf    []byte // memory-resident Eblocks when f is nil
-	firstB int    // global id of first local block
-	nLocal int    // number of local blocks
+	f      codec.Reader // the Eblock file, raw or compressed
+	buf    []byte       // memory-resident Eblocks when f is nil
+	firstB int          // global id of first local block
+	nLocal int          // number of local blocks
 	meta   []BlockMeta
 	spans  [][]span // spans[j][i]: Eblock g_{(firstB+j), i}
 	frags  int64    // total fragments on this worker (contributes to f)
 	edges  int64    // total edges stored
 }
 
+// scanBufs lends ScanEblock its scan buffers.
+var scanBufs = sync.Pool{New: func() any { return new(ScanBuf) }}
+
 // Build constructs worker w's VE-BLOCK file at path from the staged graph.
 // Edges are grouped into Eblocks by (source block, destination block) and
 // clustered into per-svertex fragments, then written in one sequential
 // pass — the "VE-BLOCK" loading path of Fig. 16.
 func Build(path string, ct *diskio.Counter, g *graph.Graph, layout *Layout, w int, cdc codec.Codec) (*Store, error) {
-	s, buf, err := assemble(g, layout, w)
+	s, buf, err := assemble(g, layout, w, true)
 	if err != nil {
 		return nil, err
 	}
-	if !codec.IsNone(cdc) {
-		if err := codec.WriteBlockFile(path, ct, cdc, buf); err != nil {
-			return nil, err
-		}
-		bf, err := codec.OpenBlockFile(path, ct)
-		if err != nil {
-			return nil, err
-		}
-		s.f = bf
-		return s, nil
-	}
-	f, err := diskio.Create(path, ct)
-	if err != nil {
+	if s.f, err = codec.CreateReader(path, ct, cdc, buf); err != nil {
 		return nil, err
-	}
-	s.f = f
-	if len(buf) > 0 {
-		if _, err := f.WriteAtClass(buf, 0, diskio.SeqWrite); err != nil {
-			f.Close()
-			return nil, err
-		}
 	}
 	return s, nil
 }
@@ -97,31 +78,25 @@ func Build(path string, ct *diskio.Counter, g *graph.Graph, layout *Layout, w in
 // Open opens a previously built VE-BLOCK file read-only. The span index
 // and X_j metadata are recomputed from the staged graph — they are a
 // deterministic function of (g, layout, w), so the catalog need not
-// persist them. The file size must match the assembled layout; deeper
-// integrity is the manifest CRC's job.
+// persist them. The file size must match the index; deeper integrity is
+// the manifest CRC's job.
 func Open(path string, ct *diskio.Counter, g *graph.Graph, layout *Layout, w int, cdc codec.Codec) (*Store, error) {
-	s, buf, err := assemble(g, layout, w)
+	s, _, err := assemble(g, layout, w, false)
 	if err != nil {
 		return nil, err
 	}
-	var f blockReader
-	var err2 error
-	if codec.IsNone(cdc) {
-		f, err2 = diskio.OpenRead(path, ct)
-	} else {
-		f, err2 = codec.OpenBlockFile(path, ct)
-	}
-	if err2 != nil {
-		return nil, err2
+	f, err := codec.OpenReader(path, ct, cdc)
+	if err != nil {
+		return nil, err
 	}
 	size, err := f.Size()
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	if size != int64(len(buf)) {
+	if size != s.SizeBytes() {
 		f.Close()
-		return nil, fmt.Errorf("veblock: %s is %d bytes, layout expects %d", path, size, len(buf))
+		return nil, fmt.Errorf("veblock: %s is %d bytes, layout expects %d", path, size, s.SizeBytes())
 	}
 	s.f = f
 	return s, nil
@@ -130,7 +105,7 @@ func Open(path string, ct *diskio.Counter, g *graph.Graph, layout *Layout, w int
 // BuildMem constructs worker w's VE-BLOCK in memory: same structure and
 // scan semantics, no I/O charges (sufficient-memory scenario).
 func BuildMem(g *graph.Graph, layout *Layout, w int) (*Store, error) {
-	s, buf, err := assemble(g, layout, w)
+	s, buf, err := assemble(g, layout, w, true)
 	if err != nil {
 		return nil, err
 	}
@@ -138,82 +113,102 @@ func BuildMem(g *graph.Graph, layout *Layout, w int) (*Store, error) {
 	return s, nil
 }
 
-func assemble(g *graph.Graph, layout *Layout, w int) (*Store, []byte, error) {
+// assemble computes worker w's span index, X_j metadata and totals from
+// the staged graph — per-Eblock counts suffice — and, when image is set,
+// lays the Eblock bytes out as well.
+func assemble(g *graph.Graph, layout *Layout, w int, image bool) (*Store, []byte, error) {
 	lo, hi := layout.WorkerBlocks(w)
+	v := layout.NumBlocks()
 	s := &Store{
 		layout: layout,
-		worker: w,
 		firstB: lo,
 		nLocal: hi - lo,
 		meta:   make([]BlockMeta, hi-lo),
 		spans:  make([][]span, hi-lo),
 	}
-	v := layout.NumBlocks()
-	var buf []byte
-	var off int64
-	for j := 0; j < s.nLocal; j++ {
-		blk := layout.Blocks[lo+j]
-		m := &s.meta[j]
-		m.NumVertices = blk.Len()
-		m.Bitmap = bitset.New(v)
-		s.spans[j] = make([]span, v)
-
-		// Group this block's out-edges by destination block, preserving
-		// source order so each Eblock's edges cluster into fragments.
-		byDst := make([][]graph.Edge, v)
-		for u := blk.Lo; u < blk.Hi; u++ {
-			out := g.OutEdges(u)
-			m.OutDegree += int64(len(out))
-			for _, h := range out {
-				db := layout.BlockOf(h.Dst)
-				if db < 0 {
-					return nil, nil, fmt.Errorf("veblock: edge (%d,%d) destination outside layout", u, h.Dst)
+	// walk visits the worker's out-edges in (source block, source,
+	// adjacency) order; opens marks the first edge of a fragment.
+	walk := func(fn func(j, i int, u graph.VertexID, h graph.Half, opens bool)) error {
+		opened := make([]graph.VertexID, v) // opened[i] == u+1: u has a fragment in g_{j,i}
+		for j := 0; j < s.nLocal; j++ {
+			blk := layout.Blocks[lo+j]
+			for u := blk.Lo; u < blk.Hi; u++ {
+				for _, h := range g.OutEdges(u) {
+					db := layout.BlockOf(h.Dst)
+					if db < 0 {
+						return fmt.Errorf("veblock: edge (%d,%d) destination outside layout", u, h.Dst)
+					}
+					opens := opened[db] != u+1
+					opened[db] = u + 1
+					fn(j, db, u, h, opens)
 				}
-				byDst[db] = append(byDst[db], graph.Edge{Src: u, Dst: h.Dst, Weight: h.Weight})
 			}
 		}
-		for i := 0; i < v; i++ {
-			sp := span{off: off}
-			edges := byDst[i]
-			k := 0
-			for k < len(edges) {
-				src := edges[k].Src
-				run := k
-				for run < len(edges) && edges[run].Src == src {
-					run++
-				}
-				var aux [FragAuxSize]byte
-				binary.LittleEndian.PutUint32(aux[0:], uint32(src))
-				binary.LittleEndian.PutUint32(aux[4:], uint32(run-k))
-				buf = append(buf, aux[:]...)
-				for _, e := range edges[k:run] {
-					var rec [edgeSize]byte
-					binary.LittleEndian.PutUint32(rec[0:], uint32(e.Dst))
-					binary.LittleEndian.PutUint32(rec[4:], math.Float32bits(e.Weight))
-					buf = append(buf, rec[:]...)
-				}
-				sp.frags++
-				sp.edges += int32(run - k)
-				k = run
-			}
+		return nil
+	}
+	for j := range s.meta {
+		s.meta[j].NumVertices = layout.Blocks[lo+j].Len()
+		s.meta[j].Bitmap = bitset.New(v)
+		s.spans[j] = make([]span, v)
+	}
+	err := walk(func(j, i int, _ graph.VertexID, _ graph.Half, opens bool) {
+		sp := &s.spans[j][i]
+		if opens {
+			sp.frags++
+		}
+		sp.edges++
+		s.meta[j].OutDegree++
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	// Destination-major file order: a pull for block i is one run.
+	var off int64
+	for i := 0; i < v; i++ {
+		for j := 0; j < s.nLocal; j++ {
+			sp := &s.spans[j][i]
+			sp.off = off
 			sp.size = int64(sp.frags)*FragAuxSize + int64(sp.edges)*edgeSize
 			off += sp.size
-			s.spans[j][i] = sp
 			if sp.edges > 0 {
-				m.Bitmap.Set(i)
+				s.meta[j].Bitmap.Set(i)
 			}
 			s.frags += int64(sp.frags)
 			s.edges += int64(sp.edges)
 		}
 	}
 	// In-degrees of local vertices (metadata item "ind" of X_j).
-	for u := 0; u < g.NumVertices; u++ {
-		for _, h := range g.OutEdges(graph.VertexID(u)) {
-			if b := layout.BlockOf(h.Dst); b >= lo && b < hi {
-				s.meta[b-lo].InDegree++
-			}
+	for _, h := range g.Adj {
+		if b := layout.BlockOf(h.Dst); b >= lo && b < hi {
+			s.meta[b-lo].InDegree++
 		}
 	}
+	if !image {
+		return s, nil, nil
+	}
+	// A fragment's aux record is written when it opens, its count bumped
+	// per edge; walk ascends by source, so each Eblock's fragments do.
+	buf := make([]byte, off)
+	next := make([]int64, 0, s.nLocal*v) // write position within g_{j,i}, at [j*v+i]
+	for j := range s.spans {
+		for i := range s.spans[j] {
+			next = append(next, s.spans[j][i].off)
+		}
+	}
+	aux := make([]int64, v) // where destination block i's open fragment began
+	_ = walk(func(j, i int, u graph.VertexID, h graph.Half, opens bool) {
+		at := &next[j*v+i]
+		if opens {
+			aux[i] = *at
+			binary.LittleEndian.PutUint32(buf[*at:], uint32(u))
+			*at += FragAuxSize
+		}
+		cnt := buf[aux[i]+4:]
+		binary.LittleEndian.PutUint32(cnt, binary.LittleEndian.Uint32(cnt)+1)
+		binary.LittleEndian.PutUint32(buf[*at:], uint32(h.Dst))
+		binary.LittleEndian.PutUint32(buf[*at+4:], math.Float32bits(h.Weight))
+		*at += edgeSize
+	})
 	return s, buf, nil
 }
 
@@ -262,49 +257,104 @@ type ScanStats struct {
 	Fragments int
 }
 
+// ScanBuf is the scratch a stream of scans works in, lent to one call at
+// a time: a window onto the Eblock file and the edge list handed to the
+// callback. The window outlives the call, so a reader pulling adjacent
+// blocks continues where it stopped. Truncating Bytes empties it.
+type ScanBuf struct {
+	Bytes  []byte // file bytes [off, off+len(Bytes)) of src
+	Halves []graph.Half
+	src    *Store
+	off    int64
+}
+
 // ScanEblock sequentially reads Eblock g_{j,i} and invokes fn once per
 // fragment with the source vertex and its clustered edges. The edges slice
 // is reused across calls. Returns per-component byte counts.
 func (s *Store) ScanEblock(j, i int, fn func(src graph.VertexID, edges []graph.Half) error) (ScanStats, error) {
+	if j < 0 || j >= s.nLocal {
+		return ScanStats{}, fmt.Errorf("veblock: eblock (%d,%d) out of range", j, i)
+	}
+	sb := scanBufs.Get().(*ScanBuf)
+	defer scanBufs.Put(sb)
+	return s.ScanBlock(i, sb, func(k int) bool { return k == j }, fn)
+}
+
+// ScanBlock serves one pull request for destination block i: the Eblocks
+// g_{j,i} of every local j that want admits, in ascending j — ascending
+// file offset — as one forward pass through sb's window. Each non-empty
+// Eblock is charged one sequential read of its length; the bytes move a
+// window at a time (DESIGN.md, "Charge model vs physical execution"). fn
+// runs once per fragment; its edges are sb's, overwritten by the next.
+func (s *Store) ScanBlock(i int, sb *ScanBuf, want func(j int) bool, fn func(src graph.VertexID, edges []graph.Half) error) (ScanStats, error) {
 	var st ScanStats
-	if j < 0 || j >= s.nLocal || i < 0 || i >= s.layout.NumBlocks() {
-		return st, fmt.Errorf("veblock: eblock (%d,%d) out of range", j, i)
+	if i < 0 || i >= s.layout.NumBlocks() {
+		return st, fmt.Errorf("veblock: destination block %d out of range", i)
 	}
-	sp := s.spans[j][i]
-	if sp.size == 0 {
-		return st, nil
-	}
-	var buf []byte
-	if s.f == nil {
-		buf = s.buf[sp.off : sp.off+sp.size]
-	} else {
-		buf = make([]byte, sp.size)
-		if _, err := s.f.ReadAtClass(buf, sp.off, diskio.SeqRead); err != nil {
-			return st, err
+	for j := 0; j < s.nLocal; j++ {
+		sp := s.spans[j][i]
+		if sp.size == 0 || !want(j) {
+			continue
 		}
-	}
-	var edges []graph.Half
-	o := 0
-	for o < len(buf) {
-		src := graph.VertexID(binary.LittleEndian.Uint32(buf[o:]))
-		cnt := int(binary.LittleEndian.Uint32(buf[o+4:]))
-		o += FragAuxSize
-		st.FragBytes += FragAuxSize
-		st.Fragments++
-		edges = edges[:0]
-		for e := 0; e < cnt; e++ {
-			edges = append(edges, graph.Half{
-				Dst:    graph.VertexID(binary.LittleEndian.Uint32(buf[o:])),
-				Weight: math.Float32frombits(binary.LittleEndian.Uint32(buf[o+4:])),
-			})
-			o += edgeSize
-			st.EdgeBytes += edgeSize
+		for pos, end := sp.off, sp.off+sp.size; pos < end; {
+			b, err := s.window(sb, pos)
+			if err != nil {
+				return st, err
+			}
+			src := graph.VertexID(binary.LittleEndian.Uint32(b))
+			left := int64(binary.LittleEndian.Uint32(b[4:]))
+			pos += FragAuxSize
+			if pos+left*edgeSize > end {
+				return st, fmt.Errorf("veblock: eblock (%d,%d): fragment of %d edges overruns the block", j, i, left)
+			}
+			st.FragBytes += FragAuxSize
+			st.EdgeBytes += left * edgeSize
+			st.Fragments++
+			// A fragment's edges may continue into the next window.
+			sb.Halves = sb.Halves[:0]
+			for left > 0 {
+				if b, err = s.window(sb, pos); err != nil {
+					return st, err
+				}
+				b = b[:min(left, int64(len(b))/edgeSize)*edgeSize]
+				for o := 0; o < len(b); o += edgeSize {
+					sb.Halves = append(sb.Halves, graph.Half{
+						Dst:    graph.VertexID(binary.LittleEndian.Uint32(b[o:])),
+						Weight: math.Float32frombits(binary.LittleEndian.Uint32(b[o+4:])),
+					})
+				}
+				pos += int64(len(b))
+				left -= int64(len(b)) / edgeSize
+			}
+			if err := fn(src, sb.Halves); err != nil {
+				return st, err
+			}
 		}
-		if err := fn(src, edges); err != nil {
-			return st, err
+		if s.f != nil {
+			s.f.Charge(sp.size, sp.off, diskio.SeqRead)
 		}
 	}
 	return st, nil
+}
+
+// window returns the Eblock bytes from pos, a record boundary inside the
+// store, to the end of the window holding it. Windows sit on a scanWindow
+// grid — one aligned read of a raw file, one chunk of a compressed one
+// inflated in place — so what a stream of scans physically reads depends
+// only on the offsets it asks for. A resident image is one window.
+func (s *Store) window(sb *ScanBuf, pos int64) ([]byte, error) {
+	if s.f == nil {
+		return s.buf[pos:], nil
+	}
+	if sb.src != s || pos < sb.off || pos >= sb.off+int64(len(sb.Bytes)) {
+		base := pos - pos%scanWindow
+		sb.src, sb.off = s, base
+		var err error
+		if sb.Bytes, err = codec.ReadWindow(s.f, sb.Bytes, base, min(base+scanWindow, s.SizeBytes())); err != nil {
+			return nil, err
+		}
+	}
+	return sb.Bytes[pos-sb.off:], nil
 }
 
 // MetaMemBytes reports the in-memory footprint of the X_j metadata as the
@@ -319,6 +369,16 @@ func (s *Store) MetaMemBytes() int64 {
 		b += s.meta[j].Bitmap.MemBytes()
 	}
 	return b
+}
+
+// SetMetrics wires a compressed store's chunk counters into reg.
+func (s *Store) SetMetrics(reg *obs.Registry) {
+	if s == nil {
+		return
+	}
+	if bf, ok := s.f.(*codec.BlockFile); ok {
+		bf.SetMetrics(reg)
+	}
 }
 
 // SetCounter retargets the store's I/O accounting (no-op for

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"hybridgraph/internal/diskio"
@@ -60,6 +61,11 @@ type Store struct {
 	// scan is ReadBcastScan's page buffer; see scanCache.
 	scan scanCache
 }
+
+// rangeBufs lends ReadRange and WriteRange the byte buffers they encode
+// through: as many as ranges are ever in flight at once (the update scan's
+// shards), each grown to the largest range it has carried.
+var rangeBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // Create builds a store at path for n vertices starting at id lo, writing
 // the initial records sequentially. recs must have length n and be in id
@@ -117,7 +123,10 @@ func (s *Store) ReadRange(lo, hi graph.VertexID, recs []Record) error {
 		s.memMu.RUnlock()
 		return nil
 	}
-	buf := make([]byte, int(hi-lo)*RecordSize)
+	bp := rangeBufs.Get().(*[]byte)
+	defer rangeBufs.Put(bp)
+	*bp = slices.Grow((*bp)[:0], int(hi-lo)*RecordSize)[:int(hi-lo)*RecordSize]
+	buf := *bp
 	if _, err := s.f.ReadAtClass(buf, int64(lo-s.lo)*RecordSize, diskio.SeqRead); err != nil {
 		return err
 	}
@@ -139,7 +148,10 @@ func (s *Store) WriteRange(lo, hi graph.VertexID, recs []Record) error {
 		s.memMu.Unlock()
 		return nil
 	}
-	buf := make([]byte, int(hi-lo)*RecordSize)
+	bp := rangeBufs.Get().(*[]byte)
+	defer rangeBufs.Put(bp)
+	*bp = slices.Grow((*bp)[:0], int(hi-lo)*RecordSize)[:int(hi-lo)*RecordSize]
+	buf := *bp
 	for i, r := range recs {
 		encode(buf[i*RecordSize:], r)
 	}
