@@ -86,9 +86,9 @@ func ConcatSize(msgs []Msg) int64 {
 }
 
 // SortByDst orders msgs by destination id so they concatenate maximally.
-// It serves the sender-side combiner (Outbox.flush) and is unstable: the
-// order among equal destinations is pdqsort's, pinned by a test. Whatever
-// must fold in an order the data defines uses StableSortByDst.
+// It serves the sender-side combiner (Outbox.flush) and lists of distinct
+// destinations. It is unstable — pdqsort's order among equal destinations,
+// pinned by a test: what folds in an order the data defines uses StableSortByDst.
 func SortByDst(msgs []Msg) {
 	slices.SortFunc(msgs, func(a, b Msg) int { return cmp.Compare(a.Dst, b.Dst) })
 }

@@ -1,6 +1,10 @@
 package comm
 
-import "hybridgraph/internal/graph"
+import (
+	"slices"
+
+	"hybridgraph/internal/graph"
+)
 
 // Outbox is the sender-side message buffer used by the push engines:
 // messages accumulate per destination worker and a packet is flushed as
@@ -70,11 +74,19 @@ func (o *Outbox) Reset(fabric Fabric, step int) {
 	}
 }
 
-// Add buffers one message for worker to, flushing if the buffer reaches
-// the threshold.
+// minBuffer is where a message buffer that grows by doubling starts.
+const minBuffer = 64
+
+// Add buffers one message for worker to — in a buffer that grows by
+// doubling — flushing if the buffer reaches the threshold.
 func (o *Outbox) Add(to int, m Msg) error {
-	o.pending[to] = append(o.pending[to], m)
-	if int64(len(o.pending[to]))*MsgWireSize >= o.threshold {
+	buf := o.pending[to]
+	if len(buf) == cap(buf) {
+		buf = slices.Grow(buf, max(cap(buf), minBuffer))
+	}
+	buf = append(buf, m)
+	o.pending[to] = buf
+	if int64(len(buf))*MsgWireSize >= o.threshold {
 		return o.flush(to)
 	}
 	return nil
@@ -146,12 +158,12 @@ type stageEntry struct {
 // cannot share an Outbox directly — threshold-triggered flushes depend on
 // the exact Add order, and interleaving shards would change packet
 // boundaries (and, under sender combining, which messages meet in a
-// packet). Instead each shard stages its sends locally and the caller
-// replays the stages into one Outbox in shard order after the scan joins.
-// Because shards cover disjoint ascending vertex ranges, that replay
-// reproduces the sequential run's Add sequence exactly: identical packet
-// boundaries, combine batches, wire bytes and message-log appends for any
-// Parallelism.
+// packet). Instead the first shard, whose sends head the sequence, adds as
+// it goes, every later shard stages its sends locally, and the caller
+// replays the stages in shard order after the scan joins. Shards cover
+// disjoint ascending vertex ranges, so the Outbox sees the sequential
+// run's Add sequence exactly: identical packet boundaries, combine
+// batches, wire bytes and message-log appends for any Parallelism.
 //
 // A stage is owned by one worker shard for the job: MergeInto empties it
 // and keeps the backing array for the next superstep.
@@ -159,15 +171,18 @@ type Stage struct {
 	entries []stageEntry
 }
 
-// NewStage returns an empty stage. It grows by append and never flushes —
-// flushing out of order is exactly what staging exists to prevent — so
-// budgetBytes (see ShardThreshold) sizes nothing up front.
+// NewStage returns an empty stage. A stage never flushes — flushing out of
+// order is what staging exists to prevent — and grows by doubling, so
+// budgetBytes (see ShardThreshold) sizes nothing and is ignored.
 func NewStage(budgetBytes int64) *Stage {
 	return &Stage{}
 }
 
 // Add stages one message for worker to.
 func (s *Stage) Add(to int, m Msg) {
+	if len(s.entries) == cap(s.entries) {
+		s.entries = slices.Grow(s.entries, max(cap(s.entries), minBuffer))
+	}
 	s.entries = append(s.entries, stageEntry{to: int32(to), dst: m.Dst, val: m.Val})
 }
 

@@ -94,6 +94,46 @@ func TestStageReusedAcrossMerges(t *testing.T) {
 	}
 }
 
+// A stage and an outbox buffer reach their working size in a logarithmic
+// number of steps — append's 1.25× growth past 256 elements would take
+// about thirty to get to 200 000 — and an outbox buffer never outgrows
+// what its threshold lets it hold before a flush.
+func TestSendBuffersGrowByDoubling(t *testing.T) {
+	const n = 200000
+	steps := func(add func(i int), capOf func() int) int {
+		grown, last := 0, 0
+		for i := 0; i < n; i++ {
+			add(i)
+			if c := capOf(); c != last {
+				grown, last = grown+1, c
+			}
+		}
+		return grown
+	}
+	st := NewStage(0)
+	if got := steps(func(i int) { st.Add(1, Msg{Dst: graph.VertexID(i)}) }, func() int { return cap(st.entries) }); got > 13 {
+		t.Errorf("stage reallocated %d times on the way to %d entries", got, n)
+	}
+	fab := NewLocal(2)
+	fab.Register(1, &recorder{})
+	big := NewOutbox(fab, 2, 0, 1, 0) // 4 MB: nothing flushes
+	if got := steps(func(i int) { big.Add(1, Msg{Dst: graph.VertexID(i)}) }, func() int { return cap(big.pending[1]) }); got > 13 {
+		t.Errorf("outbox buffer reallocated %d times on the way to %d messages", got, n)
+	}
+	small := NewOutbox(fab, 2, 0, 1, 100*MsgWireSize)
+	steps(func(i int) {
+		if err := small.Add(1, Msg{Dst: graph.VertexID(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}, func() int { return 0 })
+	if c := cap(small.pending[1]); c > 128 { // 100 messages, rounded up to a size class
+		t.Errorf("a 100-message threshold grew a %d-message buffer", c)
+	}
+	if small.Flushes() != n/100 {
+		t.Errorf("%d flushes, want %d", small.Flushes(), n/100)
+	}
+}
+
 // The dedup window pins whole pull responses; its byte bound must hold
 // over a long run of large pulls, and the retry most likely to arrive —
 // of the request that just completed — must still be answered from the

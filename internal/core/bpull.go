@@ -32,8 +32,8 @@ func (w *worker) stepBPullProduce(t int, pushProduce bool) error {
 	if pushProduce {
 		outbox = w.sendBuffers(t)
 	}
-	// Per-shard send staging, replayed into the outbox in shard order after
-	// each block's scan joins (see stepPush).
+	// Shard 0 sends as it goes, the others stage, and the stages replay into
+	// the outbox in shard order after each block's scan joins (see stepPush).
 	hookFor := func(shard int) updateHook {
 		sb := &w.shards[shard]
 		return func(v graph.VertexID, rec *vertexfile.Record, responded bool) error {
@@ -220,6 +220,9 @@ func (w *worker) RespondPull(reqBlock, step int) ([]comm.Msg, int64, error) {
 		clear(rb.seen)
 	}
 	var produced, distinct, vrr int64
+	// The svertex reads are charged once for the request, on every return.
+	var reads vertexfile.ScanRun
+	defer w.vstore.ChargeRun(&reads)
 	st, err := w.ve.ScanBlock(reqBlock, &rb.scan,
 		func(j int) bool { return w.blockRes[rp][j].Load() },
 		func(src graph.VertexID, edges []graph.Half) error {
@@ -227,7 +230,7 @@ func (w *worker) RespondPull(reqBlock, step int) ([]comm.Msg, int64, error) {
 				return nil
 			}
 			w.scanMu.Lock()
-			bcast, err := w.vstore.ReadBcastScan(src, rp, w.scanPages)
+			bcast, err := w.vstore.ReadBcastRun(src, rp, w.scanPages, &reads)
 			w.scanMu.Unlock()
 			if err != nil {
 				return err

@@ -418,10 +418,8 @@ func (w *worker) applySnapshot(s *checkpoint.Snapshot) error {
 			if w.inboxes[p] == nil {
 				continue
 			}
-			for _, m := range s.Pending[p] {
-				if err := w.inboxes[p].Add(m); err != nil {
-					return err
-				}
+			if err := w.inboxes[p].AddFrom(0, s.Pending[p]); err != nil {
+				return err
 			}
 		}
 	}

@@ -27,10 +27,10 @@ func (w *worker) stepPush(t int, produce bool) error {
 			}
 		}
 	}
-	// Each shard of the parallel update scan stages its sends locally and
-	// the stages replay into the single outbox in shard order after the
-	// scan joins — reproducing the sequential Add sequence, so packet
-	// boundaries, combine batches and wire bytes are Parallelism-invariant.
+	// The first shard of the update scan sends through the outbox as it
+	// goes; the others stage their sends and the stages replay into it in
+	// shard order after the scan joins — the sequential Add sequence, so
+	// packet boundaries, combine batches and wire bytes are Parallelism-invariant.
 	hookFor := func(shard int) updateHook {
 		sb := &w.shards[shard]
 		return func(v graph.VertexID, rec *vertexfile.Record, responded bool) error {
@@ -80,8 +80,9 @@ func (w *worker) stepPush(t int, produce bool) error {
 // adjacency run through the shard's window — Giraph loads a vertex with
 // its edges, so push reads the run of every *updated* vertex (V_act), not
 // just the responders: the IO(E^t) asymmetry against b-pull — and, when
-// stage is set, stage one message per edge. It reports how many.
-func (w *worker) pushRes(sb *shardBuf, t int, v graph.VertexID, rec *vertexfile.Record, stage bool) (sent int64, err error) {
+// send is set, send one message per edge, staged unless the shard is the
+// first. It reports how many.
+func (w *worker) pushRes(sb *shardBuf, t int, v graph.VertexID, rec *vertexfile.Record, send bool) (sent int64, err error) {
 	eb, err := w.adj.EdgeBytes(v)
 	if err != nil {
 		return 0, err
@@ -97,14 +98,21 @@ func (w *worker) pushRes(sb *shardBuf, t int, v graph.VertexID, rec *vertexfile.
 		s.parts.Et += eb
 		s.cpu.Edges += int64(len(edges))
 	})
-	if !stage {
+	if !send {
 		return 0, nil
 	}
+	staged := sb != &w.shards[0]
 	for _, e := range edges {
-		if val, keep := w.msgValueFor(rec.Bcast[writeParity(t)], e.Dst, e.Weight); keep {
-			sb.stage.Add(w.owner(e.Dst), comm.Msg{Dst: e.Dst, Val: val})
-			sent++
+		val, keep := w.msgValueFor(rec.Bcast[writeParity(t)], e.Dst, e.Weight)
+		if !keep {
+			continue
 		}
+		if m := (comm.Msg{Dst: e.Dst, Val: val}); staged {
+			sb.stage.Add(w.owner(e.Dst), m)
+		} else if err := w.outbox.Add(w.owner(e.Dst), m); err != nil {
+			return sent, err
+		}
+		sent++
 	}
 	return sent, nil
 }
@@ -181,8 +189,8 @@ func (w *worker) relaxAsync(t int) error {
 	}
 }
 
-// mergeStages replays the update scan's per-shard stages into outbox in
-// shard order (stages a scan did not use are empty).
+// mergeStages replays the update scan's per-shard stages into outbox, behind
+// the first shard's sends, in shard order (stages a scan did not use are empty).
 func (w *worker) mergeStages(outbox *comm.Outbox) error {
 	for i := range w.shards {
 		if err := w.shards[i].stage.MergeInto(outbox); err != nil {
@@ -193,7 +201,7 @@ func (w *worker) mergeStages(outbox *comm.Outbox) error {
 }
 
 // drainInbox loads the messages pushed during superstep t-1, charging the
-// spill read-back and MOCgraph-free sort work.
+// spill read-back and the sort-merge handling of spilled messages.
 func (w *worker) drainInbox(t int) (msgstore.Groups, error) {
 	ib := w.inboxes[t&1]
 	if ib == nil {
@@ -252,7 +260,7 @@ func (w *worker) estimateBpullCosts(t int) {
 // DeliverMessages implements comm.Handler: accept a packet pushed during
 // superstep p.Step for consumption at p.Step+1.
 func (w *worker) DeliverMessages(p *comm.Packet) error {
-	if err := w.inboxes[writeParity(p.Step+1)].AddAll(p.Msgs); err != nil {
+	if err := w.inboxes[writeParity(p.Step+1)].AddFrom(p.From, p.Msgs); err != nil {
 		return err
 	}
 	w.addStat(func(s *workerStat) {

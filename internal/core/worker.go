@@ -24,17 +24,16 @@ import (
 
 // inbox unifies the plain spilling Inbox with MOCgraph's OnlineInbox.
 type inbox interface {
-	Add(m comm.Msg) error
-	// AddAll accepts a delivered packet under one lock acquisition,
-	// copying what it keeps.
-	AddAll(msgs []comm.Msg) error
-	// Drain returns the parked messages grouped by destination with each
-	// vertex's values sorted; the result is valid until the next Drain.
+	// AddFrom accepts a packet worker from delivered (a restore re-adds as
+	// sender 0) under one lock acquisition, copying what it keeps.
+	AddFrom(from int, msgs []comm.Msg) error
+	// Drain returns the parked messages grouped by destination, a vertex's
+	// values by sender, then as they arrived; valid until the next Drain.
 	Drain() (msgstore.Groups, error)
 	Spilled() int64
 	MaxMemBytes() int64
 	Received() int64
-	// Pending lists buffered messages without resetting (checkpointing).
+	// Pending lists buffered messages, in that order, without resetting.
 	Pending() ([]comm.Msg, error)
 }
 
@@ -161,7 +160,7 @@ func (w *worker) addStat(f func(*workerStat)) {
 // the vertex-record chunk, its window onto the adjacency file and the
 // edge list of the vertex being pushed.
 type shardBuf struct {
-	stage *comm.Stage
+	stage *comm.Stage // unused by shards[0]: its sends head the replay order and go straight to the outbox
 	recs  []vertexfile.Record
 	adj   adjstore.PageBuf
 	edges []graph.Half
@@ -485,8 +484,9 @@ type updateHook func(v graph.VertexID, rec *vertexfile.Record, responded bool) e
 // reordered, never re-split. hookFor, when non-nil, is called once per
 // shard in ascending shard order before the scan starts and returns that
 // shard's per-vertex hook (which may be nil); because shards cover
-// disjoint ascending vertex ranges, replaying per-shard staged state in
-// shard order afterwards reproduces the sequential visit order exactly.
+// disjoint ascending vertex ranges, shard 0 acting as it goes and the later
+// shards' staged state replayed in shard order afterwards reproduce the
+// sequential visit order exactly.
 // Aggregator contributions reduce within each chunk as before and the
 // per-chunk partials fold in ascending chunk order after the shards join,
 // so float non-associativity cannot perturb the aggregate either.

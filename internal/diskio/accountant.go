@@ -123,6 +123,23 @@ func (a *Accountant) ChargeDev(n, off int64, c Class, dev int64) {
 	a.add(ct, c, n, dev)
 }
 
+// ChargeDevRun is count ChargeDev calls of n bytes in one update: dev
+// device bytes in total, the last access at lastOff, and counter,
+// sequential position and last-touched page left exactly where they would.
+func (a *Accountant) ChargeDevRun(n int64, count int, lastOff int64, c Class, dev int64) {
+	if count <= 0 {
+		return
+	}
+	a.mu.Lock()
+	a.seqPos = lastOff + n
+	if n > 0 {
+		a.lastPage = (lastOff + n - 1) / PageSize
+	}
+	ct := a.ct
+	a.mu.Unlock()
+	ct.addOps(c, n*int64(count), dev, int64(count), a.mirror)
+}
+
 // classify predicts the class chargeAuto will assign an access at off: one
 // that continues exactly where the previous access ended is sequential,
 // anything else random.

@@ -156,3 +156,49 @@ func TestChargeRunEqualsRepeatedCharge(t *testing.T) {
 		}
 	}
 }
+
+// ChargeDevRun is count ChargeDev calls taken at once: scattered offsets,
+// a caller-computed device charge per access (a fresh page or a hot one),
+// mirror and bare accountant — tallies, sequential position and
+// last-touched page end up where the per-access calls leave them, also
+// when other charges run in between.
+func TestChargeDevRunEqualsRepeatedChargeDev(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for _, mirror := range []bool{true, false} {
+		var runCt, runPhys, refCt, refPhys Counter
+		runCt.SetPhys(&runPhys)
+		refCt.SetPhys(&refPhys)
+		run := &Accountant{ct: &runCt, mirror: mirror, lastPage: -1}
+		ref := &Accountant{ct: &refCt, mirror: mirror, lastPage: -1}
+		for step := 0; step < 4000; step++ {
+			n := []int64{0, 8, 12, PageSize}[rng.Intn(4)]
+			count := rng.Intn(30)
+			c := Class(rng.Intn(int(numClasses)))
+			var dev, lastOff int64
+			for k := 0; k < count; k++ {
+				lastOff = rng.Int63n(64 * PageSize)
+				if rng.Intn(3) == 0 {
+					lastOff = lastOff / PageSize * PageSize
+				}
+				d := int64(rng.Intn(2)) * PageSize
+				ref.ChargeDev(n, lastOff, c, d)
+				dev += d
+			}
+			run.ChargeDevRun(n, count, lastOff, c, dev)
+			if rng.Intn(4) == 0 { // an ordinary charge sees the same state on both
+				off := rng.Int63n(64 * PageSize)
+				run.Charge(100, off, RandRead)
+				ref.Charge(100, off, RandRead)
+			}
+			if runCt.Snapshot() != refCt.Snapshot() || runPhys.Snapshot() != refPhys.Snapshot() ||
+				run.seqPos != ref.seqPos || run.lastPage != ref.lastPage {
+				t.Fatalf("mirror=%v step %d: ChargeDevRun(%d, %d, %d, %v, %d) left %+v phys %+v seqPos %d lastPage %d;\n%d ChargeDev calls leave %+v phys %+v seqPos %d lastPage %d",
+					mirror, step, n, count, lastOff, c, dev, runCt.Snapshot(), runPhys.Snapshot(), run.seqPos, run.lastPage,
+					count, refCt.Snapshot(), refPhys.Snapshot(), ref.seqPos, ref.lastPage)
+			}
+		}
+		if mirror == (runPhys.Snapshot() == Snapshot{}) {
+			t.Fatalf("mirror=%v but the physical twin holds %+v", mirror, runPhys.Snapshot())
+		}
+	}
+}

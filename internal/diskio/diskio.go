@@ -312,6 +312,11 @@ func (af *File) ChargeRun(recSize int64, count int, off int64, c Class) {
 // pages hot across a superstep's scans).
 func (af *File) ChargeDev(n, off int64, c Class, dev int64) { af.acct.ChargeDev(n, off, c, dev) }
 
+// ChargeDevRun is count ChargeDev calls: dev in total, the last at lastOff.
+func (af *File) ChargeDevRun(n int64, count int, lastOff int64, c Class, dev int64) {
+	af.acct.ChargeDevRun(n, count, lastOff, c, dev)
+}
+
 // Name reports the underlying file path.
 func (af *File) Name() string { return af.f.Name() }
 

@@ -18,9 +18,14 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 	if _, err := fmt.Fprintf(bw, "# vertices %d\n", g.NumVertices); err != nil {
 		return err
 	}
+	// One reused line buffer; the bytes are fmt's "%d %d %g\n".
+	var line []byte
 	for v := 0; v < g.NumVertices; v++ {
 		for _, h := range g.OutEdges(VertexID(v)) {
-			if _, err := fmt.Fprintf(bw, "%d %d %g\n", v, h.Dst, h.Weight); err != nil {
+			line = append(strconv.AppendInt(line[:0], int64(v), 10), ' ')
+			line = append(strconv.AppendUint(line, uint64(h.Dst), 10), ' ')
+			line = append(strconv.AppendFloat(line, float64(h.Weight), 'g', -1, 32), '\n')
+			if _, err := bw.Write(line); err != nil {
 				return err
 			}
 		}

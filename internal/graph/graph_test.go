@@ -2,6 +2,8 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -152,6 +154,47 @@ func TestEdgeListRoundTrip(t *testing.T) {
 		if got.Adj[i].Dst != g.Adj[i].Dst {
 			t.Fatalf("edge %d dst %d vs %d", i, got.Adj[i].Dst, g.Adj[i].Dst)
 		}
+	}
+}
+
+// WriteEdgeList's bytes are fmt's "%d %d %g" lines — which ingest and the
+// dataset files were written against — on integral, fractional, tiny,
+// huge and non-finite weights alike.
+func TestWriteEdgeListMatchesFmt(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	b := NewBuilder(300)
+	special := []float32{1, 0, -2, 0.1, 1.5, 1e-7, 123456789, 1e21, 16777216, 0.000123,
+		float32(math.Inf(1)), float32(math.NaN()), math.MaxFloat32, math.SmallestNonzeroFloat32}
+	for i := 0; i < 4000; i++ {
+		w := special[i%len(special)]
+		switch rng.Intn(3) {
+		case 0:
+			w = rng.Float32() * 100
+		case 1:
+			w = float32(rng.Intn(1000))
+		}
+		b.AddEdge(VertexID(rng.Intn(300)), VertexID(rng.Intn(300)), w)
+	}
+	g := b.Build()
+	var want bytes.Buffer
+	fmt.Fprintf(&want, "# vertices %d\n", g.NumVertices)
+	for v := 0; v < g.NumVertices; v++ {
+		for _, h := range g.OutEdges(VertexID(v)) {
+			fmt.Fprintf(&want, "%d %d %g\n", v, h.Dst, h.Weight)
+		}
+	}
+	var got bytes.Buffer
+	if err := WriteEdgeList(&got, g); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		gl, wl := bytes.Split(got.Bytes(), []byte("\n")), bytes.Split(want.Bytes(), []byte("\n"))
+		for i := range wl {
+			if i >= len(gl) || !bytes.Equal(gl[i], wl[i]) {
+				t.Fatalf("line %d: wrote %q, fmt writes %q", i+1, gl[min(i, len(gl)-1)], wl[i])
+			}
+		}
+		t.Fatalf("wrote %d bytes, fmt writes %d", got.Len(), want.Len())
 	}
 }
 

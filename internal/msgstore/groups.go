@@ -3,7 +3,6 @@ package msgstore
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"hybridgraph/internal/comm"
 	"hybridgraph/internal/graph"
@@ -59,11 +58,12 @@ func (c *Cursor) Vals(v graph.VertexID) []float64 {
 	return nil
 }
 
-// Grouper turns message batches into Groups through three buffers it
-// keeps and reuses: building a batch allocates nothing once they have
-// grown to the largest batch seen. The zero value is ready to use.
+// Grouper turns message batches into Groups through buffers it keeps and
+// reuses: building a batch allocates nothing once they have grown to the
+// largest batch seen. The zero value is ready to use.
 type Grouper struct {
 	tmp    []comm.Msg // the radix sort's second buffer
+	pos    []uint32   // the counting scatter's slot per destination id
 	vals   []float64  // the flat backing array
 	groups Groups
 }
@@ -102,14 +102,31 @@ func (gr *Grouper) Group(msgs []comm.Msg, combine func(a, b float64) float64) Gr
 	return gr.groups
 }
 
-// sortValues sorts every group's values ascending, each list in isolation
-// and with sort.Float64s, whose order on NaNs, signed zeros and equal
-// values is part of the value-identity contract (DESIGN.md, "Message
-// path").
-func (g Groups) sortValues() {
-	for i := range g {
-		if len(g[i].Vals) > 1 {
-			sort.Float64s(g[i].Vals)
+// scatter groups msgs — every destination within [lo, lo+span) — by
+// counting on dst-lo: count, prefix and group headers, then the values
+// scattered run by run in the order given, which a destination's values
+// keep. The runs cover msgs exactly once; msgs is left as it was.
+func (gr *Grouper) scatter(msgs []comm.Msg, order []run, lo graph.VertexID, span int) Groups {
+	gr.pos = slices.Grow(gr.pos[:0], span)[:span]
+	clear(gr.pos)
+	for i := range msgs {
+		gr.pos[msgs[i].Dst-lo]++
+	}
+	gr.vals = slices.Grow(gr.vals[:0], len(msgs))[:len(msgs)]
+	gr.groups = slices.Grow(gr.groups[:0], min(len(msgs), span))
+	next := uint32(0)
+	for d, c := range gr.pos {
+		if gr.pos[d] = next; c > 0 {
+			gr.groups = append(gr.groups, Group{Dst: lo + graph.VertexID(d), Vals: gr.vals[next : next+c : next+c]})
+			next += c
 		}
 	}
+	for _, r := range order {
+		for _, m := range msgs[r.off : r.off+r.n] {
+			p := &gr.pos[m.Dst-lo]
+			gr.vals[*p] = m.Val
+			*p++
+		}
+	}
+	return gr.groups
 }

@@ -1,6 +1,7 @@
 package msgstore
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -9,23 +10,17 @@ import (
 	"testing"
 	"unsafe"
 
+	"hybridgraph/internal/codec"
 	"hybridgraph/internal/comm"
 	"hybridgraph/internal/diskio"
 	"hybridgraph/internal/graph"
 )
 
-// referenceLists is the drain this package had before Groups: a map of
-// per-vertex slices in arrival order, each then sorted with
-// sort.Float64s.
-func referenceLists(msgs []comm.Msg, sortVals bool) map[graph.VertexID][]float64 {
+// referenceLists keeps one slice per vertex in the order msgs lists them.
+func referenceLists(msgs []comm.Msg) map[graph.VertexID][]float64 {
 	m := make(map[graph.VertexID][]float64)
 	for _, msg := range msgs {
 		m[msg.Dst] = append(m[msg.Dst], msg.Val)
-	}
-	if sortVals {
-		for _, vals := range m {
-			sort.Float64s(vals)
-		}
 	}
 	return m
 }
@@ -75,8 +70,7 @@ func checkGroups(t *testing.T, label string, g Groups, want map[graph.VertexID][
 	}
 }
 
-// awkwardValues are the floats whose order sort.Float64s defines but ==
-// cannot see: NaNs of several payloads, both zeros, infinities.
+// awkwardValues are the floats == cannot tell apart or compare: NaNs of several payloads, both zeros, infinities.
 var awkwardValues = []float64{
 	math.NaN(), math.Float64frombits(0x7ff8000000000123), math.Float64frombits(0xfff8000000000456),
 	0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 1, -1, 1, 0.5,
@@ -108,37 +102,149 @@ func groupCases() map[string][]comm.Msg {
 	return cases
 }
 
-func TestDrainMatchesMapAndSortReference(t *testing.T) {
-	for name, msgs := range groupCases() {
-		n := len(msgs)
-		for _, capacity := range []int{0, -1, 1, n / 10} {
-			var ct diskio.Counter
-			b := NewInbox(filepath.Join(t.TempDir(), "s.dat"), &ct, capacity, nil)
-			// Two cycles through one inbox: the second runs in reused buffers.
-			for cycle := 0; cycle < 2; cycle++ {
-				half := n / 2
-				if err := b.AddAll(msgs[:half]); err != nil {
-					t.Fatal(err)
-				}
-				for _, m := range msgs[half:] {
-					if err := b.Add(m); err != nil {
-						t.Fatal(err)
-					}
-				}
-				wantSpilled := int64(0)
-				if capacity != 0 {
-					wantSpilled = int64(n - min(n, max(capacity, 0)))
-				}
-				if b.Spilled() != wantSpilled {
-					t.Fatalf("%s cap %d: spilled %d, want %d", name, capacity, b.Spilled(), wantSpilled)
-				}
-				got, err := b.Drain()
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkGroups(t, name, got, referenceLists(msgs, true))
+// senderMajorLists is the delivery-order contract spelled out: one list
+// per (destination, sender) in that sender's arrival order, a
+// destination's lists concatenated by ascending sender.
+func senderMajorLists(streams map[int][]comm.Msg) map[graph.VertexID][]float64 {
+	senders := make([]int, 0, len(streams))
+	for from := range streams {
+		senders = append(senders, from)
+	}
+	sort.Ints(senders)
+	want := make(map[graph.VertexID][]float64)
+	for _, from := range senders {
+		for _, m := range streams[from] {
+			want[m.Dst] = append(want[m.Dst], m.Val)
+		}
+	}
+	return want
+}
+
+// poison overwrites every message buffer the inbox owns, and the groups it
+// last handed out, up to capacity: whatever the next drain returns must
+// have been written by that drain.
+func poison(b *Inbox, last Groups) {
+	nan := math.Float64frombits(0x7ff8dead00000000)
+	for _, buf := range [][]comm.Msg{b.mem[:cap(b.mem)], b.ordered[:cap(b.ordered)], b.grouper.tmp[:cap(b.grouper.tmp)]} {
+		for i := range buf {
+			buf[i] = comm.Msg{Dst: 0xdeadbeef, Val: nan}
+		}
+	}
+	for i := range b.grouper.vals[:cap(b.grouper.vals)] {
+		b.grouper.vals[:cap(b.grouper.vals)][i] = nan
+	}
+	for i := range b.readBack[:cap(b.readBack)] {
+		b.readBack[:cap(b.readBack)][i] = 0xff
+	}
+	for i := range last {
+		last[i].Dst = 0xdeadbeef
+	}
+}
+
+// deliver adds every sender's stream to b: whole and highest sender first
+// — the arrival order furthest from delivery order — or, with an rng, in
+// random chunks from random senders.
+func deliver(t *testing.T, b *Inbox, streams map[int][]comm.Msg, rng *rand.Rand) {
+	t.Helper()
+	senders := make([]int, 0, len(streams))
+	for from := range streams {
+		senders = append(senders, from)
+	}
+	sort.Sort(sort.Reverse(sort.IntSlice(senders)))
+	if rng == nil {
+		for _, from := range senders {
+			if err := b.AddFrom(from, streams[from]); err != nil {
+				t.Fatal(err)
 			}
 		}
+		return
+	}
+	left := make([][]comm.Msg, len(senders))
+	for i, from := range senders {
+		left[i] = streams[from]
+	}
+	for len(senders) > 0 {
+		i := rng.Intn(len(senders))
+		k := min(1+rng.Intn(40), len(left[i]))
+		if err := b.AddFrom(senders[i], left[i][:k]); err != nil {
+			t.Fatal(err)
+		}
+		if left[i] = left[i][k:]; len(left[i]) == 0 {
+			senders, left = slices.Delete(senders, i, i+1), slices.Delete(left, i, i+1)
+		}
+	}
+}
+
+// A drain's lists are a property of what each sender sent, not of how the
+// senders' packets interleaved: the same per-sender streams, delivered in
+// three different interleavings to one inbox — in memory and spilled, raw
+// and compressed, over dense and over sparse id ranges, its buffers
+// poisoned between drains — drain to the reference bit for bit each time,
+// and so does what Pending lists once a restore has re-added it.
+func TestDrainIsSenderMajor(t *testing.T) {
+	lz, err := codec.Lookup("lz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sawDense, sawSparse bool
+	for name, msgs := range groupCases() {
+		n := len(msgs)
+		rng := rand.New(rand.NewSource(int64(n)))
+		streams := make(map[int][]comm.Msg)
+		lo, hi := graph.VertexID(math.MaxUint32), graph.VertexID(0)
+		for _, m := range msgs {
+			from := []int{0, 2, 5}[rng.Intn(3)]
+			streams[from] = append(streams[from], m)
+			lo, hi = min(lo, m.Dst), max(hi, m.Dst)
+		}
+		want := senderMajorLists(streams)
+		if n > 3 {
+			dense := int64(hi)-int64(lo) < denseSpan*int64(n)
+			sawDense, sawSparse = sawDense || dense, sawSparse || !dense
+		}
+		for _, cdc := range []codec.Codec{nil, lz} {
+			for _, capacity := range []int{0, -1, 1, n / 10} {
+				var ct diskio.Counter
+				b := NewInbox(filepath.Join(t.TempDir(), "s.dat"), &ct, capacity, cdc)
+				for cycle := 0; cycle < 3; cycle++ {
+					label := fmt.Sprintf("%s cap %d lz %v cycle %d", name, capacity, cdc != nil, cycle)
+					if cycle == 0 {
+						deliver(t, b, streams, nil)
+					} else {
+						deliver(t, b, streams, rng)
+					}
+					wantSpilled := int64(0)
+					if capacity != 0 {
+						wantSpilled = int64(n - min(n, max(capacity, 0)))
+					}
+					if b.Spilled() != wantSpilled || b.Received() != int64(n) {
+						t.Fatalf("%s: spilled %d received %d, want %d and %d", label, b.Spilled(), b.Received(), wantSpilled, n)
+					}
+					pending, err := b.Pending()
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := b.Drain()
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkGroups(t, label, got, want)
+					restored := NewInbox(filepath.Join(t.TempDir(), "r.dat"), &ct, capacity, cdc)
+					if err := restored.AddAll(pending); err != nil {
+						t.Fatal(err)
+					}
+					again, err := restored.Drain()
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkGroups(t, label+" restored", again, want)
+					poison(b, got)
+				}
+			}
+		}
+	}
+	if !sawDense || !sawSparse {
+		t.Fatalf("cases cover dense=%v sparse=%v drains, want both", sawDense, sawSparse)
 	}
 }
 
@@ -147,11 +253,11 @@ func TestDrainMatchesMapAndSortReference(t *testing.T) {
 func TestGrouperStableAndFolds(t *testing.T) {
 	var gr Grouper
 	for name, msgs := range groupCases() {
-		checkGroups(t, name, gr.Group(slices.Clone(msgs), nil), referenceLists(msgs, false))
+		checkGroups(t, name, gr.Group(slices.Clone(msgs), nil), referenceLists(msgs))
 
 		sub := func(a, b float64) float64 { return a - b } // order-sensitive on purpose
 		want := make(map[graph.VertexID][]float64)
-		for dst, vals := range referenceLists(msgs, false) {
+		for dst, vals := range referenceLists(msgs) {
 			v := vals[0]
 			for _, x := range vals[1:] {
 				v = sub(v, x)
@@ -178,5 +284,40 @@ func TestGrouperAllocatesNothingWhenWarm(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s: %v allocations per batch in a warm Grouper", name, allocs)
 		}
+	}
+}
+
+// BenchmarkInboxDrain is one superstep's receive side: 150 000 messages to
+// 10 000 vertices from two senders whose packets interleave, added and
+// drained — in memory, and with all but a tenth spilled.
+func BenchmarkInboxDrain(b *testing.B) {
+	const n, packet = 150000, 1000
+	rng := rand.New(rand.NewSource(1))
+	msgs := make([]comm.Msg, n)
+	for i := range msgs {
+		msgs[i] = comm.Msg{Dst: graph.VertexID(5000 + rng.Intn(10000)), Val: rng.Float64()}
+	}
+	for name, capacity := range map[string]int{"memory": 0, "spill": n / 10} {
+		b.Run(name, func(b *testing.B) {
+			in := NewInbox(filepath.Join(b.TempDir(), "s.dat"), &diskio.Counter{}, capacity, nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			var groups int
+			for i := 0; i < b.N; i++ {
+				for off := 0; off < n; off += packet {
+					if err := in.AddFrom(off/packet%2, msgs[off:off+packet]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				out, err := in.Drain()
+				if err != nil {
+					b.Fatal(err)
+				}
+				groups += len(out)
+			}
+			if groups == 0 {
+				b.Fatal("nothing drained")
+			}
+		})
 	}
 }

@@ -8,15 +8,16 @@
 // reach the file a staging buffer at a time (DESIGN.md, "Charge model vs
 // physical execution"). Draining yields Groups: the superstep's messages
 // grouped by destination in one flat array the inbox owns and reuses, each
-// vertex's values sorted ascending (DESIGN.md, "Message path"). An
-// OnlineInbox adds MOCgraph's message online computing: messages for a
-// configured hot set of vertices are folded into an in-memory accumulator
-// immediately and never touch disk.
+// vertex's values in delivery order — senders ascending, one sender's as
+// they arrived (DESIGN.md, "Message path"). An OnlineInbox adds MOCgraph's
+// message online computing: messages for a configured hot set of vertices
+// are folded into in-memory accumulators immediately and never touch disk.
 package msgstore
 
 import (
+	"cmp"
+	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"hybridgraph/internal/codec"
@@ -113,6 +114,13 @@ func (r *rawSpill) ReadAll(p []byte) error {
 
 func (r *rawSpill) Close() error { return r.f.Close() }
 
+// run is a stretch of the arrival stream one sender delivered: n messages from position off.
+type run struct{ from, off, n int }
+
+// bySender, under a stable sort, puts runs in delivery order: senders
+// ascending, one sender's stretches as they arrived.
+func bySender(x, y run) int { return cmp.Compare(x.from, y.from) }
+
 // Inbox is one worker's receive buffer for one superstep's incoming
 // messages. Safe for concurrent Add from multiple senders.
 type Inbox struct {
@@ -122,11 +130,13 @@ type Inbox struct {
 	path     string
 	capacity int // B_i in messages; <= 0 means unlimited (sufficient memory)
 	mem      []comm.Msg
+	runs     []run // who sent which stretch of the arrival stream mem ‖ spill, adjacent ones of a sender coalesced
 	spill    spillFile
 	stage    []byte // raw spill staging, allocated at the first spill and reused by every later one
 	readBack []byte // the spill read back at drain, reused
 	grouper  Grouper
-	enc      []byte // a spilling batch as records, reused
+	ordered  []comm.Msg // the sparse drain's batch in delivery order, reused
+	enc      []byte     // a spilling batch as records, reused
 	spillN   int64
 	received int64
 	maxMem   int64
@@ -158,35 +168,50 @@ func NewInbox(path string, ct *diskio.Counter, capacity int, cdc codec.Codec) *I
 	return &Inbox{ct: ct, cdc: cdc, path: path, capacity: capacity}
 }
 
-// Add accepts one message. Beyond capacity the message is spilled with
-// random-write accounting. A spill write fault is reported by the Add
-// whose record needed the staging buffer flushed (see spillMsgs).
-func (b *Inbox) Add(m comm.Msg) error { return b.AddAll([]comm.Msg{m}) }
+// Add accepts one message from sender 0. Beyond capacity the message is
+// spilled with random-write accounting. A spill write fault is reported by
+// the Add whose record needed the staging buffer flushed (see spillMsgs).
+func (b *Inbox) Add(m comm.Msg) error { return b.AddFrom(0, []comm.Msg{m}) }
 
-// AddAll accepts a batch — a delivered packet — under one lock
-// acquisition, copying what it keeps: msgs stays the caller's.
-func (b *Inbox) AddAll(msgs []comm.Msg) error {
+// AddAll accepts a batch from sender 0.
+func (b *Inbox) AddAll(msgs []comm.Msg) error { return b.AddFrom(0, msgs) }
+
+// AddFrom accepts a batch — a packet worker from delivered — under one
+// lock acquisition, copying what it keeps: msgs stays the caller's.
+func (b *Inbox) AddFrom(from int, msgs []comm.Msg) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.addAll(msgs)
+	return b.addFrom(from, msgs)
 }
 
-// addAll is AddAll under b.mu. The head of the batch that fits in memory
+// addFrom is AddFrom under b.mu. The head of the batch that fits in memory
 // goes in with one append; the rest spills as one run, charged per record.
-func (b *Inbox) addAll(msgs []comm.Msg) error {
+func (b *Inbox) addFrom(from int, msgs []comm.Msg) error {
 	n := len(msgs)
 	if b.capacity != 0 {
 		n = min(n, max(b.capacity-len(b.mem), 0))
 	}
+	before := b.received
 	if n > 0 {
+		if len(b.mem)+n > cap(b.mem) {
+			b.mem = slices.Grow(b.mem, max(n, cap(b.mem))) // doubling, not append's 1.25×
+		}
 		b.mem = append(b.mem, msgs[:n]...)
 		b.received += int64(n)
 		b.maxMem = max(b.maxMem, int64(len(b.mem))*recSize)
 	}
-	if n == len(msgs) {
-		return nil
+	var err error
+	if n < len(msgs) {
+		err = b.spillMsgs(msgs[n:])
 	}
-	return b.spillMsgs(msgs[n:])
+	if got := int(b.received - before); got > 0 {
+		if last := len(b.runs) - 1; last >= 0 && b.runs[last].from == from {
+			b.runs[last].n += got
+		} else {
+			b.runs = append(b.runs, run{from, int(before), got})
+		}
+	}
+	return err
 }
 
 // spillMsgs spills msgs in arrival order. When a flush fails part-way only
@@ -239,21 +264,25 @@ func (b *Inbox) MaxMemBytes() int64 {
 	return b.maxMem
 }
 
-// Drain returns all buffered messages grouped by destination vertex, each
-// vertex's values sorted ascending, reading any spill back sequentially,
-// and resets the inbox for reuse. Delivery order depends on goroutine
-// interleaving across senders and floating-point update functions are
-// order-sensitive; the per-vertex sort makes every run — and every
-// recovery replay, whose injected messages arrive in log order — produce
-// bit-identical values. The result is valid until the next Drain.
+// Drain returns all buffered messages grouped by destination vertex,
+// reading any spill back sequentially, and resets the inbox for reuse.
+// Each vertex's values are in delivery order: senders ascending by worker
+// id, one sender's as they arrived. Floating-point update functions are
+// order-sensitive and how senders interleave depends on scheduling, but a
+// sender's own order does not: every run — and every recovery replay,
+// which injects sender by sender in log order — produces bit-identical
+// values. The result is valid until the next Drain.
 func (b *Inbox) Drain() (Groups, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.drain(nil)
 }
 
-// drain is Drain with extra appended to the batch before it is grouped.
-// Callers hold b.mu.
+// denseSpan: a batch whose ids span at most this many times its length is dense.
+const denseSpan = 2
+
+// drain is Drain with extra listed after every sender's messages. Callers
+// hold b.mu.
 func (b *Inbox) drain(extra []comm.Msg) (Groups, error) {
 	all, err := b.appendSpilled(b.mem)
 	if err != nil {
@@ -265,10 +294,28 @@ func (b *Inbox) drain(extra []comm.Msg) (Groups, error) {
 		}
 		b.spill = nil
 	}
+	b.runs = append(b.runs, run{math.MaxInt, len(all), len(extra)})
 	all = append(all, extra...)
-	out := b.grouper.Group(all, nil)
-	out.sortValues()
+	slices.SortStableFunc(b.runs, bySender)
+	lo, hi := graph.VertexID(math.MaxUint32), graph.VertexID(0)
+	for i := range all {
+		lo, hi = min(lo, all[i].Dst), max(hi, all[i].Dst)
+	}
+	var out Groups
+	if span := int64(hi) - int64(lo) + 1; len(all) > 0 && span <= denseSpan*int64(len(all)) {
+		out = b.grouper.scatter(all, b.runs, lo, int(span))
+	} else {
+		// Few messages over a wide id range (a relaxAsync round, a traversal
+		// frontier): group a copy in delivery order stably. Group reorders
+		// what it is given, so the copy is a buffer apart from b.mem.
+		b.ordered = slices.Grow(b.ordered[:0], len(all))
+		for _, r := range b.runs {
+			b.ordered = append(b.ordered, all[r.off:r.off+r.n]...)
+		}
+		out = b.grouper.Group(b.ordered, nil)
+	}
 	b.mem = all[:0]
+	b.runs = b.runs[:0]
 	b.spillN = 0
 	b.received = 0
 	b.maxMem = 0 // peak is tracked per drain interval (one superstep)
@@ -294,18 +341,26 @@ func (b *Inbox) appendSpilled(dst []comm.Msg) ([]comm.Msg, error) {
 }
 
 // Pending returns a copy of every buffered message — memory and spill —
-// without resetting the inbox, in arrival order. Used by checkpointing to
-// capture parked messages; the spill re-read is charged as a sequential
-// read like any other checkpoint byte.
+// without resetting the inbox, in delivery order, so that re-added from
+// one sender (a checkpoint restore) they drain to the same lists. The
+// spill re-read is charged as a sequential read like any checkpoint byte.
 func (b *Inbox) Pending() ([]comm.Msg, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	out := make([]comm.Msg, len(b.mem), len(b.mem)+int(b.spillN))
-	copy(out, b.mem)
-	if b.spillN == 0 {
-		return out, nil
+	arrived := slices.Clone(b.mem)
+	if b.spillN > 0 {
+		var err error
+		if arrived, err = b.appendSpilled(arrived); err != nil {
+			return nil, err
+		}
 	}
-	return b.appendSpilled(out)
+	runs := slices.Clone(b.runs) // b.runs stays in arrival order: the inbox may receive again
+	slices.SortStableFunc(runs, bySender)
+	out := make([]comm.Msg, 0, len(arrived))
+	for _, r := range runs {
+		out = append(out, arrived[r.off:r.off+r.n]...)
+	}
+	return out, nil
 }
 
 // OnlineInbox implements MOCgraph's message online computing: messages to
@@ -316,10 +371,14 @@ type OnlineInbox struct {
 	mu      sync.Mutex
 	hot     map[graph.VertexID]bool
 	combine func(a, b float64) float64
-	acc     map[graph.VertexID]float64
+	// acc[s] folds sender s's messages as they arrive; Drain folds the
+	// senders' values in ascending sender order: delivery order, one
+	// reduction level up, since only a sender's own order is defined.
+	acc     []map[graph.VertexID]float64
+	got     map[graph.VertexID]bool // destinations some accumulator holds
 	cold    *Inbox
 	online  int64
-	hotMsgs []comm.Msg // the accumulator as messages at drain, reused
+	hotMsgs []comm.Msg // the accumulators as messages at drain, reused
 
 	mOnlineMsgs     *obs.Counter // nil when metrics are disabled
 	mOnlineCombines *obs.Counter
@@ -338,51 +397,62 @@ func (o *OnlineInbox) SetMetrics(reg *obs.Registry) {
 // NewOnlineInbox wraps cold with online computing for the hot vertices.
 // combine must be a commutative, associative reducer.
 func NewOnlineInbox(cold *Inbox, hot map[graph.VertexID]bool, combine func(a, b float64) float64) *OnlineInbox {
-	return &OnlineInbox{hot: hot, combine: combine, acc: make(map[graph.VertexID]float64), cold: cold}
+	return &OnlineInbox{hot: hot, combine: combine, got: make(map[graph.VertexID]bool), cold: cold}
 }
 
-// Add accepts one message, consuming it online when possible.
-func (o *OnlineInbox) Add(m comm.Msg) error {
-	o.mu.Lock()
-	if o.fold(m) {
-		o.mu.Unlock()
-		return nil
-	}
-	o.mu.Unlock()
-	return o.cold.Add(m)
-}
+// Add accepts one message from sender 0, consuming it online when possible.
+func (o *OnlineInbox) Add(m comm.Msg) error { return o.AddFrom(0, []comm.Msg{m}) }
 
-// AddAll accepts a batch under one acquisition of each lock.
-func (o *OnlineInbox) AddAll(msgs []comm.Msg) error {
+// AddFrom accepts a batch from worker from, each lock taken once.
+func (o *OnlineInbox) AddFrom(from int, msgs []comm.Msg) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.cold.mu.Lock()
 	defer o.cold.mu.Unlock()
-	for _, m := range msgs {
-		if o.fold(m) {
+	for i, m := range msgs {
+		if o.fold(from, m) {
 			continue
 		}
-		if err := o.cold.addAll([]comm.Msg{m}); err != nil {
+		if err := o.cold.addFrom(from, msgs[i:i+1]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// fold consumes m online when its destination is hot. Callers hold o.mu.
-func (o *OnlineInbox) fold(m comm.Msg) bool {
+// fold consumes m online, into from's accumulator, when its destination is
+// hot. Callers hold o.mu.
+func (o *OnlineInbox) fold(from int, m comm.Msg) bool {
 	if !o.hot[m.Dst] {
 		return false
 	}
-	if v, ok := o.acc[m.Dst]; ok {
-		o.acc[m.Dst] = o.combine(v, m.Val)
-		o.mOnlineCombines.Inc()
-	} else {
-		o.acc[m.Dst] = m.Val
+	for len(o.acc) <= from {
+		o.acc = append(o.acc, make(map[graph.VertexID]float64))
 	}
+	if v, ok := o.acc[from][m.Dst]; ok {
+		m.Val = o.combine(v, m.Val)
+	}
+	o.acc[from][m.Dst] = m.Val
+	if o.got[m.Dst] {
+		o.mOnlineCombines.Inc() // this sender's fold now, or Drain's across senders
+	}
+	o.got[m.Dst] = true
 	o.online++
 	o.mOnlineMsgs.Inc()
 	return true
+}
+
+// partials appends the accumulators to out as messages, senders ascending
+// and each sender's ascending by destination.
+func (o *OnlineInbox) partials(out []comm.Msg) []comm.Msg {
+	for _, acc := range o.acc {
+		start := len(out)
+		for dst, v := range acc {
+			out = append(out, comm.Msg{Dst: dst, Val: v})
+		}
+		comm.SortByDst(out[start:])
+	}
+	return out
 }
 
 // Received reports the number of messages accepted (online + cold). Note
@@ -405,42 +475,35 @@ func (o *OnlineInbox) OnlineCount() int64 {
 // Spilled reports how many messages reached disk despite online computing.
 func (o *OnlineInbox) Spilled() int64 { return o.cold.Spilled() }
 
-// MaxMemBytes reports the peak memory of accumulator plus cold buffer.
+// MaxMemBytes reports the peak memory of accumulator — one slot per
+// distinct hot destination — plus cold buffer.
 func (o *OnlineInbox) MaxMemBytes() int64 {
 	o.mu.Lock()
-	n := int64(len(o.acc)) * recSize
+	n := int64(len(o.got)) * recSize
 	o.mu.Unlock()
 	return n + o.cold.MaxMemBytes()
 }
 
 // Pending returns a copy of every buffered message without resetting: the
-// cold inbox's messages followed by the online accumulator's combined
-// values, the latter in ascending destination order so checkpoint bytes
-// are deterministic.
+// cold inbox's messages followed by the online accumulators' values in
+// (sender, destination) order, so checkpoint bytes are deterministic and a
+// restore folds them as Drain would have.
 func (o *OnlineInbox) Pending() ([]comm.Msg, error) {
 	out, err := o.cold.Pending()
 	if err != nil {
 		return nil, err
 	}
 	o.mu.Lock()
-	hot := make([]comm.Msg, 0, len(o.acc))
-	for dst, v := range o.acc {
-		hot = append(hot, comm.Msg{Dst: dst, Val: v})
-	}
-	o.mu.Unlock()
-	sort.Slice(hot, func(i, j int) bool { return hot[i].Dst < hot[j].Dst })
-	return append(out, hot...), nil
+	defer o.mu.Unlock()
+	return o.partials(out), nil
 }
 
-// Drain merges the online accumulator with the cold inbox's contents and
+// Drain merges the online accumulators with the cold inbox's contents and
 // resets both.
 func (o *OnlineInbox) Drain() (Groups, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.hotMsgs = o.hotMsgs[:0]
-	for dst, v := range o.acc {
-		o.hotMsgs = append(o.hotMsgs, comm.Msg{Dst: dst, Val: v})
-	}
+	o.hotMsgs = o.partials(o.hotMsgs[:0])
 	o.cold.mu.Lock()
 	out, err := o.cold.drain(o.hotMsgs)
 	o.cold.mu.Unlock()
@@ -448,8 +511,8 @@ func (o *OnlineInbox) Drain() (Groups, error) {
 		return nil, err
 	}
 	for i := range out {
-		// Fold any cold stragglers for a hot vertex into the accumulator
-		// value so the consumer sees one combined message.
+		// Fold a hot vertex's values — any cold stragglers, then each
+		// sender's accumulator — so the consumer sees one combined message.
 		if g := &out[i]; len(g.Vals) > 1 && o.hot[g.Dst] {
 			v := g.Vals[0]
 			for _, c := range g.Vals[1:] {
@@ -459,7 +522,10 @@ func (o *OnlineInbox) Drain() (Groups, error) {
 			g.Vals[0] = v
 		}
 	}
-	clear(o.acc)
+	for _, acc := range o.acc {
+		clear(acc)
+	}
+	clear(o.got)
 	o.online = 0
 	return out, nil
 }

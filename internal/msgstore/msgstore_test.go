@@ -1,7 +1,10 @@
 package msgstore
 
 import (
+	"fmt"
+	"math/rand"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -279,5 +282,62 @@ func TestInboxRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A hot vertex's value is folded per sender in arrival order, then across
+// senders in ascending order, so it does not depend on how the senders'
+// packets interleave — with an order-sensitive reducer standing in for a
+// float sum's rounding — and a restore of what Pending lists folds to the
+// same bits. Memory still counts one slot per hot destination.
+func TestOnlineInboxFoldIsSenderMajor(t *testing.T) {
+	sub := func(a, b float64) float64 { return a - b }
+	hot := map[graph.VertexID]bool{1: true, 2: true}
+	streams := map[int][]comm.Msg{
+		0: {{Dst: 1, Val: 1}, {Dst: 9, Val: 90}, {Dst: 1, Val: 2}, {Dst: 2, Val: 3}},
+		1: {{Dst: 2, Val: 4}, {Dst: 1, Val: 5}, {Dst: 9, Val: 91}, {Dst: 1, Val: 6}},
+		3: {{Dst: 1, Val: 7}},
+	}
+	// dst 1: ((1-2) - (5-6)) - 7; dst 2: 3 - 4; dst 9 is cold and listed.
+	want := map[graph.VertexID][]float64{1: {-7}, 2: {-1}, 9: {90, 91}}
+	check := func(label string, o *OnlineInbox) {
+		t.Helper()
+		if got := o.MaxMemBytes(); got != 2*recSize {
+			t.Fatalf("%s: MaxMemBytes = %d, want %d (two hot destinations)", label, got, 2*recSize)
+		}
+		got, err := o.Drain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(byDst(got), want) {
+			t.Fatalf("%s: drained %v, want %v", label, byDst(got), want)
+		}
+	}
+	o := NewOnlineInbox(NewInbox(filepath.Join(t.TempDir(), "c.dat"), &diskio.Counter{}, -1, nil), hot, sub)
+	rng := rand.New(rand.NewSource(3))
+	for cycle := 0; cycle < 4; cycle++ {
+		left := map[int][]comm.Msg{0: streams[0], 1: streams[1], 3: streams[3]}
+		for _, from := range []int{3, 1, 0, 1, 0, 3, 0, 1, 1, 0} { // enough turns for every stream
+			k := min(len(left[from]), 1+rng.Intn(2))
+			if err := o.AddFrom(from, left[from][:k]); err != nil {
+				t.Fatal(err)
+			}
+			left[from] = left[from][k:]
+		}
+		if n := len(left[0]) + len(left[1]) + len(left[3]); n != 0 {
+			t.Fatalf("cycle %d left %d messages undelivered", cycle, n)
+		}
+		pending, err := o.Pending()
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("cycle %d", cycle), o)
+		restored := NewOnlineInbox(NewInbox(filepath.Join(t.TempDir(), "r.dat"), &diskio.Counter{}, -1, nil), hot, sub)
+		for _, m := range pending {
+			if err := restored.Add(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(fmt.Sprintf("cycle %d restored", cycle), restored)
 	}
 }

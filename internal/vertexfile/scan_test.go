@@ -9,7 +9,15 @@ import (
 	"hybridgraph/internal/obs"
 )
 
-// ReadBcastScan serves reads from buffered pages while the update scan
+// readScan is one ReadBcastRun charged on the spot: the scan read as the
+// tests below drive it, a run of one.
+func readScan(s *Store, v graph.VertexID, parity int, seen PageSet) (float64, error) {
+	var run ScanRun
+	defer s.ChargeRun(&run)
+	return s.ReadBcastRun(v, parity, seen, &run)
+}
+
+// ReadBcastRun serves reads from buffered pages while the update scan
 // rewrites the same pages' other parity. Run as b-pull runs it — a writer
 // rewriting column t&1 chunk by chunk while concurrent scans read column
 // (t-1)&1, the parities swapping every superstep — it must return what
@@ -67,7 +75,7 @@ func TestScanInterleavedWithWrites(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < n; i++ {
 					scanMu.Lock()
-					val, err := s.ReadBcastScan(graph.VertexID(lo+i), rp, seen)
+					val, err := readScan(s, graph.VertexID(lo+i), rp, seen)
 					scanMu.Unlock()
 					if err != nil {
 						t.Error(err)
@@ -119,7 +127,7 @@ func TestScanPageReadsAndInvalidation(t *testing.T) {
 		before := ct.DevBytes(diskio.RandRead)
 		seen := make(PageSet)
 		for i := 0; i < n; i++ {
-			got, err := s.ReadBcastScan(graph.VertexID(lo+i), parity, seen)
+			got, err := readScan(s, graph.VertexID(lo+i), parity, seen)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,11 +166,36 @@ func TestScanPageReadsAndInvalidation(t *testing.T) {
 	if err := s.WriteRecord(rec); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.ReadBcastScan(rec.ID, 0, make(PageSet))
+	got, err := readScan(s, rec.ID, 0, make(PageSet))
 	if err != nil || got != -7 {
 		t.Fatalf("scan after WriteRecord = %g, %v; want -7", got, err)
 	}
 	if got := pageReads.Value(); got != 2*pages+1 {
 		t.Fatalf("%d page reads after one WriteRecord, want %d", got, 2*pages+1)
+	}
+}
+
+// BenchmarkReadBcastRun is one Pull-Respond request's svertex reads: 10 000
+// ascending vertices through one PageSet, tallied and charged once.
+func BenchmarkReadBcastRun(b *testing.B) {
+	const n = 10000
+	s, ct := newStore(b, 0, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sum float64
+	for i := 0; i < b.N; i++ {
+		seen := make(PageSet)
+		var run ScanRun
+		for v := 0; v < n; v++ {
+			val, err := s.ReadBcastRun(graph.VertexID(v), 0, seen, &run)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sum += val
+		}
+		s.ChargeRun(&run)
+	}
+	if ops := ct.Ops(diskio.RandRead); sum == 0 || ops != int64(b.N)*n {
+		b.Fatalf("sum %g, %d read ops charged, want %d", sum, ops, int64(b.N)*n)
 	}
 }

@@ -58,7 +58,7 @@ type Store struct {
 	mem   []Record
 	memMu sync.RWMutex
 
-	// scan is ReadBcastScan's page buffer; see scanCache.
+	// scan is ReadBcastRun's page buffer; see scanCache.
 	scan scanCache
 }
 
@@ -188,12 +188,17 @@ func (s *Store) ReadBcast(v graph.VertexID, parity int) (float64, error) {
 // that; accesses without one pay a full page each.
 type PageSet map[int64]bool
 
-// ReadBcastScan is ReadBcast with scan-local page accounting: the logical
+// ScanRun is one caller's tally of ReadBcastRun reads it has yet to charge:
+// how many, their device bytes, and where the last one was.
+type ScanRun struct{ count, dev, lastOff int64 }
+
+// ReadBcastRun is ReadBcast with scan-local page accounting: the logical
 // cost is one broadcast column, the device cost one page per page not yet
-// in seen. The charge is per read; the bytes move per page — a page the
-// model calls hot is served from the store's page buffer, filled by one
-// uncharged page read per miss.
-func (s *Store) ReadBcastScan(v graph.VertexID, parity int, seen PageSet) (float64, error) {
+// in seen. The cost is tallied in run — one Pull-Respond request's reads —
+// and charged by ChargeRun; the bytes move per page — a page the model
+// calls hot is served from the store's page buffer, filled by one
+// uncharged page read per miss. A read that fails is not tallied.
+func (s *Store) ReadBcastRun(v graph.VertexID, parity int, seen PageSet, run *ScanRun) (float64, error) {
 	if !s.Contains(v) {
 		return 0, fmt.Errorf("vertexfile: vertex %d outside [%d,%d)", v, s.lo, int(s.lo)+s.n)
 	}
@@ -210,8 +215,16 @@ func (s *Store) ReadBcastScan(v graph.VertexID, parity int, seen PageSet) (float
 	if err != nil {
 		return 0, err
 	}
-	s.f.ChargeDev(BcastSize, off, diskio.RandRead, dev)
+	run.count, run.dev, run.lastOff = run.count+1, run.dev+dev, off
 	return val, nil
+}
+
+// ChargeRun charges run's reads, exactly as charging each when it happened
+// would have. Callers charge on their error paths too.
+func (s *Store) ChargeRun(run *ScanRun) {
+	if run.count > 0 {
+		s.f.ChargeDevRun(BcastSize, int(run.count), run.lastOff, diskio.RandRead, run.dev)
+	}
 }
 
 // scanCachePages bounds the page buffer: 128 pages (512 KiB) hold the
@@ -219,7 +232,7 @@ func (s *Store) ReadBcastScan(v graph.VertexID, parity int, seen PageSet) (float
 const scanCachePages = 128
 
 // scanCache is a direct-mapped buffer of vertex-file pages serving
-// ReadBcastScan. It is implementation memory, not model memory (the cost
+// ReadBcastRun. It is implementation memory, not model memory (the cost
 // model already treats a scanned page as resident), so MemBytes does not
 // count it. A cached page must never outlive a write to its bytes: the
 // update scan rewrites broadcast columns while remote pulls read the

@@ -10,7 +10,7 @@ import (
 	"hybridgraph/internal/graph"
 )
 
-func newStore(t *testing.T, lo graph.VertexID, n int) (*Store, *diskio.Counter) {
+func newStore(t testing.TB, lo graph.VertexID, n int) (*Store, *diskio.Counter) {
 	t.Helper()
 	var ct diskio.Counter
 	recs := make([]Record, n)
