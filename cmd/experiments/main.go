@@ -35,7 +35,6 @@ func main() {
 		chaos   = flag.Int64("chaos-seed", 0, "base seed of the chaos campaign's fault schedules (0 = default 1)")
 		policy  = flag.String("recovery", "", "restrict the chaos/recovery experiments to one policy: scratch, resume, checkpoint, confined, reassign")
 		codecNm = flag.String("codec", "", "block codec every disk-backed job runs with: none, delta, lz (results identical; physical bytes shrink)")
-		outPath = flag.String("out", "", "override the bench/benchpar/benchcodec JSON artifact path")
 	)
 	flag.Parse()
 
@@ -47,7 +46,7 @@ func main() {
 	}
 	opts := harness.Options{Scale: *scale, Workers: *workers, LargeWorkers: *largeW, Quick: *quick,
 		Parallelism: *par, TraceDir: *trace, ChaosSeed: *chaos, Recovery: *policy,
-		Codec: *codecNm, Out: *outPath}
+		Codec: *codecNm}
 	if *ssd {
 		opts.Profile = diskio.SSDAmazon
 	}

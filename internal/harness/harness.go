@@ -23,7 +23,7 @@ import (
 // Options configures an experiment run.
 type Options struct {
 	// Scale multiplies every dataset's vertex count (default 0.25; tests
-	// and benchmarks use less).
+	// use less).
 	Scale float64
 	// Workers is the small-graph cluster size (default 5, as the paper).
 	Workers int
@@ -37,7 +37,7 @@ type Options struct {
 	// any setting; only wall-clock changes.
 	Parallelism int
 	// Quick trims dataset lists and sweeps so the full suite runs in
-	// seconds (used by `go test -bench` and CI).
+	// seconds (used by the package's tests and CI).
 	Quick bool
 	// TraceDir, when set, exports one JSONL superstep trace journal per job
 	// the experiments run, auto-named <algorithm>_<engine>_<seq>.jsonl (see
@@ -60,9 +60,6 @@ type Options struct {
 	// and disk-chaos campaigns honour it, which is how CI runs their
 	// compression legs.
 	Codec string
-	// Out overrides the benchmark experiments' JSON artifact path (bench,
-	// benchpar, benchcodec each have their own default when empty).
-	Out string
 }
 
 func (o Options) withDefaults() Options {
@@ -171,10 +168,6 @@ var Experiments = []Experiment{
 	{"chaos", "Chaos campaign: seeded crash+stall+transport faults, values must match fault-free", Chaos},
 	{"reassignchaos", "Reassign chaos: seeded permanent crashes, partitions adopted by survivors, values must match fault-free", ReassignChaos},
 	{"diskchaos", "Disk-fault chaos: seeded storage faults under crash+stall plans, identical or typed failure", DiskChaos},
-	{"bench", "Machine-readable benchmark matrix, written to BENCH_pr4.json (runtime, Eq. 7/8 bytes, Qt)", Bench},
-	{"benchpar", "Parallel-compute benchmark: Parallelism=1 vs NumCPU, written to BENCH_pr7.json (speedup, identity checks)", BenchPar},
-	{"benchcodec", "Codec ablation: none vs delta vs lz, written to BENCH_pr9.json (logical/physical bytes, identity checks)", BenchCodec},
-	{"benchingest", "Streaming ingest benchmark: edges/sec, spill bytes and peak heap at several memory budgets, written to BENCH_pr10.json", BenchIngest},
 }
 
 // ByName finds an experiment.

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -13,16 +12,21 @@ func quickOpts() Options {
 	return Options{Scale: 0.08, Workers: 3, LargeWorkers: 4, Quick: true}
 }
 
+// ran memoises each experiment's quick-scale tables, so the sweep and the
+// Test*Shape* tests share one run per experiment (tests in this package
+// are sequential; a failed run is not cached).
+var ran = map[string][]*Table{}
+
 func mustRun(t *testing.T, name string) []*Table {
 	t.Helper()
+	if tables, ok := ran[name]; ok {
+		return tables
+	}
 	exp, ok := ByName(name)
 	if !ok {
 		t.Fatalf("experiment %q not registered", name)
 	}
-	o := quickOpts()
-	// Keep the bench-style JSON artifacts out of the package directory.
-	o.Out = filepath.Join(t.TempDir(), "artifact.json")
-	tables, err := exp.Run(o)
+	tables, err := exp.Run(quickOpts())
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -39,6 +43,7 @@ func mustRun(t *testing.T, name string) []*Table {
 			t.Fatalf("%s: printed table missing its id", name)
 		}
 	}
+	ran[name] = tables
 	return tables
 }
 
@@ -116,6 +121,7 @@ func TestFig8ShapeBpullBeatsPushUnderPressure(t *testing.T) {
 func TestFig10ShapePullIOWorst(t *testing.T) {
 	tables := mustRun(t, "fig10")
 	pr := tables[0] // PageRank
+	pushCol := colIndex(t, pr, "push")
 	pullCol := colIndex(t, pr, "pull")
 	bpullCol := colIndex(t, pr, "b-pull")
 	for r := range pr.Rows {
@@ -123,6 +129,10 @@ func TestFig10ShapePullIOWorst(t *testing.T) {
 		bpull := cellFloat(t, pr, r, bpullCol)
 		if !(pull > bpull) {
 			t.Errorf("fig10 %s: pull I/O %g should exceed b-pull %g", pr.Rows[r][0], pull, bpull)
+		}
+		// The paper's headline under memory pressure: Eq. (8) < Eq. (7).
+		if push := cellFloat(t, pr, r, pushCol); !(bpull < push) {
+			t.Errorf("fig10 %s: b-pull I/O %g should undercut push %g", pr.Rows[r][0], bpull, push)
 		}
 	}
 }

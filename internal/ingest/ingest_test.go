@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"bufio"
 	"bytes"
 	"compress/gzip"
 	"encoding/binary"
@@ -9,9 +10,12 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"hybridgraph/internal/adjstore"
 	"hybridgraph/internal/codec"
@@ -324,6 +328,116 @@ func TestBuildByteIdenticalAcrossBudgets(t *testing.T) {
 				budget, st.Vertices, st.Edges, g.NumVertices, g.NumEdges())
 		}
 		compareTrees(t, memDir, dir)
+	}
+}
+
+// TestBuildHeapBound holds MemBudget to what it documents: the builder's
+// working memory. A 2 M-edge text edge list (~24 MB) streamed from a file
+// through BuildFromStream at a 16 MiB budget must keep the sampled heap
+// above the pre-build baseline within the budget while really spilling;
+// the same input with no budget must exceed it, or the bound proves
+// nothing. The scope is the build only: catalog.IngestStream goes on to
+// load the published entry's in-memory graph, which is O(edges) and not
+// what MemBudget bounds.
+func TestBuildHeapBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("streams a 24 MB edge list twice")
+	}
+	const budget = 16 << 20
+	file := filepath.Join(t.TempDir(), "edges.el")
+	writeSyntheticEdgeList(t, file, 125_000, 2_000_000, 42)
+
+	build := func(memBudget int64) (peak int64, st *Stats) {
+		t.Helper()
+		f, err := os.Open(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		o := Options{Dir: t.TempDir(), Workers: 5, BlocksPer: 1, Codec: codec.None, MemBudget: memBudget}
+		peak = sampledHeapPeak(func() { st, err = BuildFromStream(o, f) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("MemBudget %d: sampled peak heap %d B above baseline, %d runs, %d merge generations",
+			memBudget, peak, st.Runs, st.MergeGenerations)
+		return peak, st
+	}
+
+	peak, st := build(budget)
+	if peak > budget {
+		t.Errorf("peak heap %d B exceeds the %d B budget", peak, budget)
+	}
+	if st.Runs < 20 {
+		t.Errorf("%d spilled runs, want >= 20 (the sort did not really spill)", st.Runs)
+	}
+	if unlimited, _ := build(0); unlimited <= budget {
+		t.Errorf("unlimited build peaked at %d B, within the %d B budget: the bound has no teeth on this input", unlimited, budget)
+	}
+}
+
+// sampledHeapPeak runs f and returns the high-water mark of
+// runtime.MemStats.HeapAlloc, sampled every 20 ms, above its value just
+// before f (after a GC).
+func sampledHeapPeak(f func()) int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	base := ms.HeapAlloc
+	peak := base // the sampler's until it closes sampled
+	stop := make(chan struct{})
+	sampled := make(chan struct{})
+	go func() {
+		defer close(sampled)
+		tick := time.NewTicker(20 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				runtime.ReadMemStats(&ms)
+				if ms.HeapAlloc > peak {
+					peak = ms.HeapAlloc
+				}
+			}
+		}
+	}()
+	f()
+	close(stop)
+	<-sampled
+	return int64(peak - base)
+}
+
+// writeSyntheticEdgeList streams a deterministic text edge list of m
+// edges over n vertices to path, without holding it in memory.
+func writeSyntheticEdgeList(t *testing.T, path string, n, m int, seed int64) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := bufio.NewWriterSize(f, 1<<20)
+	rng := rand.New(rand.NewSource(seed))
+	var line []byte
+	fmt.Fprintf(w, "# vertices %d\n", n)
+	for i := 0; i < m; i++ {
+		src := rng.Intn(n)
+		dst := rng.Intn(n)
+		if dst == src {
+			dst = (dst + 1) % n
+		}
+		line = strconv.AppendInt(line[:0], int64(src), 10)
+		line = append(line, ' ')
+		line = strconv.AppendInt(line, int64(dst), 10)
+		line = append(line, '\n')
+		w.Write(line) // a write error is sticky: Flush reports it
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
