@@ -94,8 +94,8 @@ var (
 // FaultPlan is a deterministic schedule of injected faults: worker
 // crashes and stalls at (superstep, worker) points and, over TCP, seeded
 // transport faults. Assign one to Config.FaultPlan and pick a
-// Config.Recovery policy ("scratch", "resume", "checkpoint" or
-// "confined").
+// Config.Recovery policy ("scratch", "resume", "checkpoint", "confined"
+// or "reassign").
 type FaultPlan = faultplan.Plan
 
 // Crash is one scheduled worker failure.

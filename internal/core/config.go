@@ -141,18 +141,14 @@ type Config struct {
 	// semantics survive a real network hop. Byte accounting is identical
 	// either way.
 	TCP bool
-	// FailStep, when > 0, injects a simulated crash of worker FailWorker
-	// at the start of that superstep, once — shorthand for a FaultPlan
-	// with a single crash. The master's fault detector notices it at the
-	// barrier and recovers per the Recovery policy.
-	FailStep   int
-	FailWorker int
-	// FaultPlan injects a deterministic schedule of faults: multiple
-	// worker crashes at (superstep, worker) points, plus — over TCP —
-	// seeded transport faults (dropped, delayed, duplicated RPCs) the
-	// resilient fabric must absorb. Overrides FailStep/FailWorker when
-	// set. The plan is pure data; each Run tracks its own firing state,
-	// so a Config (and its plan) can be reused across runs.
+	// FaultPlan injects a deterministic schedule of faults: worker
+	// crashes and stalls at (superstep, worker) points, storage faults,
+	// plus — over TCP — seeded transport faults (dropped, delayed,
+	// duplicated RPCs) the resilient fabric must absorb. The master's
+	// fault detector notices a crash or stall at the barrier and recovers
+	// per the Recovery policy. The plan is pure data; each Run tracks its
+	// own firing state, so a Config (and its plan) can be reused across
+	// runs.
 	FaultPlan *faultplan.Plan
 	// PhaseAware enables the Appendix G extension: hybrid analyses the
 	// history of Q^t signs for periodicity and, when a Multi-Phase-Style
@@ -169,37 +165,26 @@ type Config struct {
 	// fixpoint updates (SSSP, WCC); it collapses their long convergent
 	// tails into a handful of supersteps.
 	Async bool
-	// Recovery selects the fault-tolerance policy: "scratch" (default)
-	// recomputes from superstep 1 as the paper's prototype does;
-	// "resume" implements the lightweight solution the paper motivates
-	// for self-correcting algorithms ("some algorithms always converge to
-	// the same results from any input", Appendix A) — vertex values
-	// survive and the restart's first superstep just re-announces them.
-	// Resume is only sound for algorithms whose fixpoint is independent
-	// of the starting state (WCC, SSSP, converging PageRank);
-	// "checkpoint" restores every worker from the last committed
-	// superstep checkpoint (see CheckpointEvery) and replays only the
-	// supersteps since — the Pregel/Giraph policy, sound for every
-	// algorithm. "confined" restores only the failed worker: every worker
-	// logs its outgoing push packets and served pull responses to a local
-	// superstep-segmented message log (internal/msglog, pruned on
-	// checkpoint commit), and after a failure the crashed worker alone
-	// restores its snapshot and replays the supersteps since by consuming
-	// survivors' logs — survivors serve log segments with zero recompute
-	// I/O, so recovery cost scales with the failed partition instead of
-	// the whole job. Confined requires a deterministic superstep schedule
-	// (no Async) and an engine with loggable exchanges (push, pushM,
-	// b-pull, hybrid — not the pull baseline's gather/scatter).
-	// "reassign" extends confined with permanent-loss handling: when a
-	// worker is declared permanently dead (a faultplan crash marked
-	// Permanent, or its crash/stall count exceeding MaxRestarts), a
-	// least-loaded survivor adopts the dead worker's whole Vblock range —
-	// restoring its snapshot, rebuilding its edge stores from the shared
-	// catalog, and replaying the logged supersteps confined-style — and
-	// the job continues degraded on the shrunken worker set.
-	// Non-permanent failures under "reassign" recover confined-style in
-	// place. Requires Workers >= 2 and the same engine/Async constraints
-	// as confined.
+	// Recovery selects the fault-tolerance policy, one point in three
+	// choices (DESIGN.md, "Fault tolerance"):
+	//
+	//	policy       restore source   scope            placement
+	//	"scratch"    nothing          all workers      same slot
+	//	"resume"     live values      all workers      same slot
+	//	"checkpoint" checkpoint       all workers      same slot
+	//	"confined"   checkpoint       failed workers   same slot
+	//	"reassign"   checkpoint       failed workers   adopting host
+	//
+	// "scratch" (also "") recomputes from superstep 1 like the paper's
+	// prototype; "resume" re-announces the surviving values there, sound
+	// only for algorithms whose fixpoint ignores the starting state (WCC,
+	// SSSP, converging PageRank). The failed-worker scope logs what every
+	// worker sends (internal/msglog) and replays only the failed worker
+	// against the survivors' logs; it requires synchronous iteration and
+	// an engine other than the pull baseline. "reassign" hands a
+	// permanently dead worker's partition — a crash marked Permanent, or
+	// more than MaxRestarts failures — to the least-loaded survivor and
+	// requires Workers >= 2.
 	Recovery string
 	// MaxRestarts bounds how many times one worker may crash or stall
 	// before the reassign policy declares it permanently dead and hands
@@ -341,15 +326,12 @@ func (c Config) withDefaults() Config {
 		c.EdgesInMemory = true
 		c.VerticesInMemory = true
 	}
-	if (c.Recovery == "checkpoint" || c.Recovery == "confined" || c.Recovery == "reassign") &&
-		c.CheckpointEvery <= 0 {
+	pol := recoveryPolicies[c.Recovery]
+	if pol.source == fromCheckpoint && c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 5
 	}
-	if c.Recovery == "reassign" && c.MaxRestarts <= 0 {
+	if pol.adopt && c.MaxRestarts <= 0 {
 		c.MaxRestarts = 1
-	}
-	if c.FaultPlan == nil && c.FailStep > 0 {
-		c.FaultPlan = faultplan.NewPlan(faultplan.Crash{Step: c.FailStep, Worker: c.FailWorker})
 	}
 	if c.BarrierDeadline <= 0 && c.FaultPlan != nil && len(c.FaultPlan.Stalls) > 0 {
 		c.BarrierDeadline = 250 * time.Millisecond
@@ -357,22 +339,24 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// validate rejects configurations the engines cannot honour.
-func (c Config) validate(n int) error {
+// validate rejects configurations the engines cannot honour and parses
+// the recovery policy.
+func (c Config) validate(n int) (recoveryPolicy, error) {
+	pol, known := recoveryPolicies[c.Recovery]
 	if n <= 0 {
-		return fmt.Errorf("core: graph has no vertices")
+		return pol, fmt.Errorf("core: graph has no vertices")
 	}
 	if c.Workers > n {
-		return fmt.Errorf("core: %d workers for %d vertices", c.Workers, n)
+		return pol, fmt.Errorf("core: %d workers for %d vertices", c.Workers, n)
 	}
 	if c.BlocksPerWorker < 0 {
-		return fmt.Errorf("core: negative BlocksPerWorker")
+		return pol, fmt.Errorf("core: negative BlocksPerWorker")
 	}
 	if c.Parallelism < 0 {
-		return fmt.Errorf("core: negative Parallelism")
+		return pol, fmt.Errorf("core: negative Parallelism")
 	}
 	if c.PrefetchDepth < 0 {
-		return fmt.Errorf("core: negative PrefetchDepth")
+		return pol, fmt.Errorf("core: negative PrefetchDepth")
 	}
 	// Parallelism/SendThreshold interaction: the parallel scan partitions
 	// the sender threshold across shards (comm.ShardThreshold, floored at
@@ -381,53 +365,77 @@ func (c Config) validate(n int) error {
 	// even the sequential outbox would flush every Add — so reject it here
 	// rather than let packet accounting silently degenerate.
 	if c.SendThreshold > 0 && c.SendThreshold < comm.MsgWireSize {
-		return fmt.Errorf("core: SendThreshold %d is smaller than one wire message (%d bytes)",
+		return pol, fmt.Errorf("core: SendThreshold %d is smaller than one wire message (%d bytes)",
 			c.SendThreshold, comm.MsgWireSize)
 	}
 	if c.Stores != nil && c.Workers != c.Stores.Workers() {
-		return fmt.Errorf("core: %d workers but the store source was built for %d",
+		return pol, fmt.Errorf("core: %d workers but the store source was built for %d",
 			c.Workers, c.Stores.Workers())
 	}
 	if _, err := codec.Lookup(c.Codec); err != nil {
-		return fmt.Errorf("core: %w", err)
+		return pol, fmt.Errorf("core: %w", err)
 	}
 	if c.Stores != nil {
 		want, err := codec.Lookup(c.Stores.Codec())
 		if err != nil {
-			return fmt.Errorf("core: store source declares %w", err)
+			return pol, fmt.Errorf("core: store source declares %w", err)
 		}
 		have, _ := codec.Lookup(c.Codec)
 		if want.ID() != have.ID() {
-			return fmt.Errorf("core: Config.Codec %q does not match the store source's ingest codec %q",
+			return pol, fmt.Errorf("core: Config.Codec %q does not match the store source's ingest codec %q",
 				have.Name(), want.Name())
 		}
 	}
-	switch c.Recovery {
-	case "", "scratch", "resume", "checkpoint", "confined", "reassign":
-	default:
-		return fmt.Errorf("core: unknown recovery policy %q", c.Recovery)
+	if !known {
+		return pol, fmt.Errorf("core: unknown recovery policy %q", c.Recovery)
 	}
-	if (c.Recovery == "confined" || c.Recovery == "reassign") && c.Async {
+	if pol.failedOnly && c.Async {
 		// Async drains messages eagerly past the barrier, so a survivor's
 		// log is not a superstep-consistent record of what the failed
 		// worker must re-consume.
-		return fmt.Errorf("core: %s recovery requires synchronous iteration (Async is set)", c.Recovery)
+		return pol, fmt.Errorf("core: %s recovery requires synchronous iteration (Async is set)", pol.name)
 	}
-	if c.Recovery == "reassign" && c.Workers < 2 {
+	if pol.adopt && c.Workers < 2 {
 		// A single worker has no survivor to adopt its partition.
-		return fmt.Errorf("core: reassign recovery requires at least 2 workers, have %d", c.Workers)
+		return pol, fmt.Errorf("core: %s recovery requires at least 2 workers, have %d", pol.name, c.Workers)
 	}
 	if c.FaultPlan != nil {
 		for _, cr := range c.FaultPlan.Crashes {
 			if cr.Worker < 0 || cr.Worker >= c.Workers {
-				return fmt.Errorf("core: fault plan crashes worker %d of %d", cr.Worker, c.Workers)
+				return pol, fmt.Errorf("core: fault plan crashes worker %d of %d", cr.Worker, c.Workers)
 			}
 		}
 		for _, s := range c.FaultPlan.Stalls {
 			if s.Worker < 0 || s.Worker >= c.Workers {
-				return fmt.Errorf("core: fault plan stalls worker %d of %d", s.Worker, c.Workers)
+				return pol, fmt.Errorf("core: fault plan stalls worker %d of %d", s.Worker, c.Workers)
 			}
 		}
 	}
-	return nil
+	return pol, nil
+}
+
+// recoveryPolicy is Config.Recovery parsed into its three choices.
+type recoveryPolicy struct {
+	name       string        // as journaled ("" reads "scratch")
+	source     restoreSource // what a rolled-back worker restarts from
+	failedOnly bool          // only the failed workers roll back, replaying the survivors' logs
+	adopt      bool          // a permanently dead worker's partition moves to a survivor
+}
+
+// restoreSource is where a rolled-back worker's state comes from.
+type restoreSource int
+
+const (
+	fromNothing    restoreSource = iota // superstep 1's Init recomputes it
+	fromLive                            // the values survive; superstep 1 re-announces them
+	fromCheckpoint                      // the newest committed checkpoint that verifies
+)
+
+var recoveryPolicies = map[string]recoveryPolicy{
+	"":           {name: "scratch"},
+	"scratch":    {name: "scratch"},
+	"resume":     {name: "resume", source: fromLive},
+	"checkpoint": {name: "checkpoint", source: fromCheckpoint},
+	"confined":   {name: "confined", source: fromCheckpoint, failedOnly: true},
+	"reassign":   {name: "reassign", source: fromCheckpoint, failedOnly: true, adopt: true},
 }

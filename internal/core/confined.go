@@ -7,26 +7,21 @@ import (
 	"sync"
 
 	"hybridgraph/internal/algo"
-	"hybridgraph/internal/checkpoint"
 	"hybridgraph/internal/comm"
 	"hybridgraph/internal/diskio"
-	"hybridgraph/internal/graph"
 	"hybridgraph/internal/metrics"
 	"hybridgraph/internal/obs"
 )
 
-// Confined recovery (Recovery: "confined"): instead of rolling every
-// worker back to the last committed checkpoint, only the failed worker
-// restores its snapshot and replays the supersteps since, consuming the
-// survivors' sender-side message logs (internal/msglog). Survivors serve
-// log segments without recomputing anything — under push the failed
+// Log replay, the failed-worker half of the recovery pipeline (see
+// recovery.go): a failed worker re-executes the supersteps since its
+// restored base alone, and the survivors serve their sender-side message
+// logs (internal/msglog) instead of recomputing — under push the failed
 // worker's missing inbox deliveries are injected from the logs, and under
-// b-pull its re-pulls read logged responses instead of the survivors'
-// (by now advanced) vertex values. The job-level state the master keeps
-// in memory (hybrid's mode schedule, Q^t history, aggregator value)
-// survives a worker failure by construction, so nothing global is
-// restored or discarded: recovery cost scales with the failed partition,
-// which is the point.
+// b-pull its re-pulls read logged responses instead of the survivors' (by
+// now advanced) vertex values. The master's in-memory state (hybrid's mode
+// schedule, Q^t history, aggregator value) survives a worker failure, so
+// recovery cost scales with the failed partition.
 
 // ErrStalledWorker is the sentinel every barrier-deadline stall detection
 // matches: errors.Is(err, ErrStalledWorker) distinguishes workers the
@@ -51,8 +46,8 @@ func (e *StalledWorker) Error() string {
 // Is makes errors.Is(err, ErrStalledWorker) true for every detection.
 func (e *StalledWorker) Is(target error) bool { return target == ErrStalledWorker }
 
-// sendLogger wraps the job fabric for one worker under the confined
-// policy: every cross-worker push packet is appended to the worker's
+// sendLogger wraps the job fabric for one worker under the failed-worker
+// scope: every cross-worker push packet is appended to the worker's
 // message log before it reaches the fabric, so transport retries and
 // duplicated deliveries can never double-log. Loopback packets are not
 // logged — replay regenerates them locally. Pull responses are logged on
@@ -83,9 +78,10 @@ func (s *sendLogger) Send(p *comm.Packet) error {
 // broadcast columns for that superstep are still intact, so live serving
 // is exact.
 type replayFabric struct {
-	j      *job
-	failed int
-	rejoin bool
+	comm.Fabric // the job's fabric
+	j           *job
+	failed      int
+	rejoin      bool
 
 	logCt *diskio.Counter // survivors' log-segment reads
 
@@ -107,29 +103,25 @@ func (rf *replayFabric) takeStep() (served map[int]int64, net int64) {
 	return rf.served, rf.net
 }
 
-func (rf *replayFabric) addNet(n int64) {
+// add books replayed traffic: log bytes survivor served and wire bytes.
+func (rf *replayFabric) add(survivor int, served, net int64) {
 	rf.mu.Lock()
-	rf.net += n
+	rf.served[survivor] += served
+	rf.net += net
 	rf.mu.Unlock()
 }
-
-// Register implements comm.Fabric (never called during replay).
-func (rf *replayFabric) Register(worker int, h comm.Handler) {}
 
 // Send implements comm.Fabric.
 func (rf *replayFabric) Send(p *comm.Packet) error {
 	w := rf.j.workers[rf.failed]
 	if rf.rejoin {
 		// The survivors never heard from this worker at the rejoin
-		// superstep: send for real, logging first like a normal superstep so
-		// a later failure of another worker can replay against this log.
+		// superstep: send for real, logged like a normal superstep so a
+		// later failure of another worker can replay against this log.
 		if p.To != rf.failed {
-			if err := w.mlog.AppendPush(p.Step, p.To, p.Msgs); err != nil {
-				return err
-			}
-			rf.addNet(p.Bytes())
+			rf.add(p.To, 0, p.Bytes())
 		}
-		return rf.j.fabric.Send(p)
+		return w.sendLog.Send(p)
 	}
 	if p.To == rf.failed {
 		// Loopback: the worker's own deliveries are regenerated, not logged.
@@ -146,11 +138,11 @@ func (rf *replayFabric) PullRequest(from, to, block, step int) ([]comm.Msg, int6
 		return rf.j.workers[to].RespondPull(block, step)
 	}
 	if rf.rejoin {
-		msgs, wire, err := rf.j.fabric.PullRequest(from, to, block, step)
+		msgs, wire, err := rf.Fabric.PullRequest(from, to, block, step)
 		if err != nil {
 			return nil, 0, err
 		}
-		rf.addNet(comm.PullReqSize + wire)
+		rf.add(to, 0, comm.PullReqSize+wire)
 		return msgs, wire, nil
 	}
 	// Drop mode: the survivor serves its log segment — zero recompute I/O.
@@ -159,78 +151,25 @@ func (rf *replayFabric) PullRequest(from, to, block, step int) ([]comm.Msg, int6
 		return nil, 0, err
 	}
 	wire := comm.ConcatSize(msgs)
-	rf.mu.Lock()
-	rf.served[to] += wire
-	rf.net += comm.PullReqSize + wire
-	rf.mu.Unlock()
+	rf.add(to, wire, comm.PullReqSize+wire)
 	return msgs, wire, nil
 }
 
-// Gather implements comm.Fabric. The pull baseline is rejected at setup
-// under the confined policy, so replay can never reach here.
-func (rf *replayFabric) Gather(from, to int, ids []graph.VertexID, step int) ([]comm.GatherResult, error) {
-	return nil, fmt.Errorf("core: confined replay does not support the pull baseline")
-}
-
-// Signal implements comm.Fabric.
-func (rf *replayFabric) Signal(from, to int, ids []graph.VertexID, step int) error {
-	return fmt.Errorf("core: confined replay does not support the pull baseline")
-}
-
-// Traffic implements comm.Fabric.
-func (rf *replayFabric) Traffic(w int) (in, out int64) { return rf.j.fabric.Traffic(w) }
-
-// TotalBytes implements comm.Fabric.
-func (rf *replayFabric) TotalBytes() int64 { return rf.j.fabric.TotalBytes() }
-
-// rejoinStat is what a rejoin superstep contributes back to the stalled
-// step's StepStats: the semantic quantities that drive halting decisions.
-type rejoinStat struct {
-	updated    int64
-	responding int64
-	produced   int64
-	agg        float64
-	aggSet     bool
-}
-
-// confinedRecoverAll recovers every failed worker in turn, patches the
-// stalled step's aggregate with the rejoin contributions, and re-applies
-// the halting checks the stalled superstep skipped. halt reports that the
-// job is finished (the stalled step turned out to be the last one).
-func (j *job) confinedRecoverAll(engine Engine, res *metrics.JobResult, failed []int, failStep, lastDone int, stalled bool) (halt bool, err error) {
-	var rej rejoinStat
-	aggProg, aggregating := j.prog.(algo.Aggregating)
-	for _, fw := range failed {
-		r, rerr := j.confinedRecover(engine, res, fw, lastDone, stalled)
-		if rerr != nil {
-			return false, rerr
-		}
-		rej.updated += r.updated
-		rej.responding += r.responding
-		rej.produced += r.produced
-		if aggregating && r.aggSet {
-			if rej.aggSet {
-				rej.agg = aggProg.Reduce(rej.agg, r.agg)
-			} else {
-				rej.agg, rej.aggSet = r.agg, true
-			}
-		}
+// finishStall patches a stalled superstep's stats with the failed workers'
+// rejoin contributions — the semantic quantities that drive halting
+// decisions — and re-applies the halting checks the superstep
+// skipped: otherwise a recovered run could iterate past the step a
+// fault-free run stops at. It reports whether the job is finished.
+func (j *job) finishStall(res *metrics.JobResult, f failure, rej workerStat) bool {
+	if !f.stalled {
+		return false
 	}
-	if !stalled || len(res.Steps) == 0 {
-		return false, nil
-	}
+	// The loop recorded the stalled superstep's stats before it failed.
 	st := &res.Steps[len(res.Steps)-1]
-	if st.Step != failStep {
-		return false, nil
-	}
-	// The stalled step's stats were aggregated without the failed workers;
-	// fold their rejoin contributions back in so the halting checks the
-	// superstep skipped see the complete superstep — otherwise a confined
-	// run could iterate past the step a fault-free run stops at, diverging
-	// from it.
 	st.Updated += rej.updated
 	st.Responding += rej.responding
 	st.Produced += rej.produced
+	aggProg, aggregating := j.prog.(algo.Aggregating)
 	if rej.aggSet {
 		if j.lastStepAggSet {
 			st.Aggregate = aggProg.Reduce(st.Aggregate, rej.agg)
@@ -239,172 +178,66 @@ func (j *job) confinedRecoverAll(engine Engine, res *metrics.JobResult, failed [
 		}
 	}
 	j.prevAgg = st.Aggregate
-	if st.Responding == 0 {
-		return true, nil
-	}
-	if aggregating && failStep > 1 && aggProg.Converged(st.Aggregate) {
-		return true, nil
-	}
-	return false, nil
+	return st.Responding == 0 || (aggregating && f.step > 1 && aggProg.Converged(st.Aggregate))
 }
 
-// confinedRecover restores one failed worker from its own snapshot (or
-// per-worker scratch when no checkpoint verifies) and replays supersteps
-// [ckpt+1, lastDone] against the survivors' logs. The caller resumes the
-// main loop at lastDone+1; nothing is discarded.
-func (j *job) confinedRecover(engine Engine, res *metrics.JobResult, fw, lastDone int, stalled bool) (rejoinStat, error) {
-	w := j.workers[fw]
-	base := j.ckptStep
-	restored := false
-	if base > 0 {
-		ok, err := j.confinedRestore(w, base, res)
-		if err != nil {
-			return rejoinStat{}, err
-		}
-		restored = ok
-		if !ok {
-			base = 0
-		}
+// replay brings failed worker w from checkpoint base (0: its freshly
+// loaded state) up to f.lastDone alone, behind the replay fabric, then
+// parks the messages the survivors sent it during f.lastDone for the
+// superstep the resumed loop runs next, and returns the stats of a
+// stalled worker's rejoin superstep. Nothing is discarded: the survivors
+// never roll back.
+func (j *job) replay(res *metrics.JobResult, w *worker, base int, f failure) (workerStat, error) {
+	if base == 0 {
+		// Superstep 1's Init overwrites the values.
+		w.reset()
 	}
-	if !restored {
-		// Per-worker scratch: fresh flags and inboxes; replay starts at
-		// superstep 1, whose Init overwrites the vertex values.
-		w.initFlags()
-		if w.inboxes[0] != nil || w.inboxes[1] != nil {
-			w.initInboxes()
-		}
-	}
-
-	rf := &replayFabric{j: j, failed: fw, logCt: &diskio.Counter{}, served: map[int]int64{}}
+	rf := &replayFabric{Fabric: j.fabric, j: j, failed: w.id, logCt: &diskio.Counter{},
+		served: map[int]int64{}}
 	// The survivors' log-segment reads get their own physical twin so the
 	// frame bytes of a compressed msglog land in ReplayPhysIO.
 	rf.logCt.SetPhys(&diskio.Counter{})
 	j.replayFab = rf
 	defer func() { j.replayFab = nil }()
 
-	var rej rejoinStat
-	replayed := 0
-	for u := base + 1; u <= lastDone; u++ {
+	var rej workerStat
+	for u := base + 1; u <= f.lastDone; u++ {
 		// Replay can span many supersteps; honour cancellation between them
 		// so an abort during recovery returns promptly with the context's
 		// cause instead of replaying to completion first.
-		if cerr := context.Cause(j.runCtx); cerr != nil {
-			return rejoinStat{}, cerr
+		if err := context.Cause(j.runCtx); err != nil {
+			return workerStat{}, err
 		}
-		rf.rejoin = stalled && u == lastDone
-		r, err := j.replayStep(w, u, base, engine, rf, res)
+		rf.rejoin = f.stalled && u == f.lastDone
+		r, err := j.replayStep(w, u, base, rf, res)
 		if err != nil {
-			return rejoinStat{}, err
+			return workerStat{}, err
 		}
 		if rf.rejoin {
 			rej = r
 		}
-		replayed++
 	}
-	// The messages survivors sent during the last completed superstep are
-	// waiting in their logs; park them in the recovered worker's inbox for
-	// the superstep the resumed loop runs next.
-	if lastDone > base {
+	if f.lastDone > base {
 		rf.rejoin = false
 		rf.resetStep()
-		wb := w.ct.Snapshot()
-		lb := rf.logCt.Snapshot()
-		wpb := j.pcts[w.id].Snapshot()
-		lpb := rf.logCt.Phys().Snapshot()
-		if err := j.injectLogged(w, lastDone, rf); err != nil {
-			return rejoinStat{}, err
+		win := openWindow(w.ct, rf.logCt)
+		if err := j.injectLogged(w, f.lastDone, rf); err != nil {
+			return workerStat{}, err
 		}
-		d := w.ct.Snapshot().Sub(wb)
-		logD := rf.logCt.Snapshot().Sub(lb)
-		physD := j.pcts[w.id].Snapshot().Sub(wpb).Add(rf.logCt.Phys().Snapshot().Sub(lpb))
+		logical, phys := win.delta()
 		_, net := rf.takeStep()
-		res.ReplayIO = res.ReplayIO.Add(d).Add(logD)
-		res.ReplayPhysIO = res.ReplayPhysIO.Add(physD)
-		res.ReplayNetBytes += net
-		diskD := d.Add(logD)
-		if j.cfg.ChargePhysical {
-			diskD = physD
-		}
-		res.RecoverySimSeconds += j.cfg.Profile.DiskSeconds(diskD) + j.cfg.Profile.NetSeconds(net)
-	}
-
-	res.ConfinedRecoveries++
-	j.jm.recoveries.Inc()
-	j.jm.confined.Inc()
-	if j.trace != nil {
-		policy := "confined"
-		if j.cfg.Recovery == "reassign" {
-			policy = "reassign"
-		}
-		j.trace.Emit(obs.RecoveryEvent{Type: obs.EventRecovery, Policy: policy,
-			RestartStep: lastDone + 1, Discarded: 0, Restored: restored,
-			Worker: fw, Replayed: replayed})
+		j.chargeReplay(res, logical, phys, net, 0)
 	}
 	return rej, nil
-}
-
-// confinedRestore restores only worker w from the committed checkpoint at
-// step base. ok is false when the worker's snapshot fails verification —
-// the caller then falls back to per-worker scratch replay. Either way the
-// bytes read are charged to the recovery accounting, and an aborted
-// restore is journaled as restore_failed.
-func (j *job) confinedRestore(w *worker, base int, res *metrics.JobResult) (ok bool, err error) {
-	coord := checkpoint.Coordinator{Dir: j.dir}
-	before := w.ct.Snapshot()
-	physBefore := j.pcts[w.id].Snapshot()
-	failReason := ""
-	defer func() {
-		delta := w.ct.Snapshot().Sub(before)
-		physDelta := j.pcts[w.id].Snapshot().Sub(physBefore)
-		res.ReplayIO = res.ReplayIO.Add(delta)
-		res.ReplayPhysIO = res.ReplayPhysIO.Add(physDelta)
-		if j.cfg.ChargePhysical {
-			res.RecoverySimSeconds += j.cfg.Profile.DiskSeconds(physDelta)
-		} else {
-			res.RecoverySimSeconds += j.cfg.Profile.DiskSeconds(delta)
-		}
-		if ok {
-			res.Restores++
-			j.jm.restores.Inc()
-			if j.trace != nil {
-				j.trace.Emit(obs.CheckpointEvent{Type: obs.EventRestore, Step: base,
-					Workers: 1, Bytes: delta.Total(),
-					SimSecs: j.cfg.Profile.DiskSeconds(delta)})
-			}
-		} else if failReason != "" {
-			j.jm.restoreFail.Inc()
-			if j.trace != nil {
-				j.trace.Emit(obs.RestoreFailedEvent{Type: obs.EventRestoreFailed,
-					Step: base, Reason: failReason})
-			}
-		}
-	}()
-	snap, serr := checkpoint.ReadSnapshot(coord.SnapshotPath(base, w.id), w.ct)
-	if serr != nil {
-		failReason = serr.Error()
-		return false, nil
-	}
-	if snap.Step != base || snap.Worker != w.id || len(snap.Records) != w.part.Len() {
-		failReason = fmt.Sprintf("snapshot claims step %d worker %d with %d records, want step %d worker %d with %d",
-			snap.Step, snap.Worker, len(snap.Records), base, w.id, w.part.Len())
-		return false, nil
-	}
-	if aerr := w.applySnapshot(snap); aerr != nil {
-		return false, aerr
-	}
-	return true, nil
 }
 
 // replayStep re-executes superstep u on the failed worker alone, behind
 // the replay fabric. Messages the survivors pushed to it during u-1 are
 // injected from their logs first (unless u-1 is the checkpoint step,
 // whose deliveries the snapshot already parked).
-func (j *job) replayStep(w *worker, u, base int, engine Engine, rf *replayFabric, res *metrics.JobResult) (rejoinStat, error) {
+func (j *job) replayStep(w *worker, u, base int, rf *replayFabric, res *metrics.JobResult) (workerStat, error) {
 	rf.resetStep()
-	wb := w.ct.Snapshot()
-	lb := rf.logCt.Snapshot()
-	wpb := j.pcts[w.id].Snapshot()
-	lpb := rf.logCt.Phys().Snapshot()
+	own, logs := openWindow(w.ct), openWindow(rf.logCt)
 	survBefore := make([]diskio.Snapshot, len(j.workers))
 	for i, sv := range j.workers {
 		if i != w.id {
@@ -415,34 +248,24 @@ func (j *job) replayStep(w *worker, u, base int, engine Engine, rf *replayFabric
 	w.clearStepFlags(u)
 	if u-1 > base {
 		if err := j.injectLogged(w, u-1, rf); err != nil {
-			return rejoinStat{}, err
+			return workerStat{}, err
 		}
 	}
-	mode := engine
-	if engine == Hybrid {
+	mode := j.engine
+	if j.engine == Hybrid {
 		mode = j.modes[u]
 	}
-	if err := j.stepWorker(w, u, engine, mode); err != nil {
-		return rejoinStat{}, err
+	if err := j.stepWorker(w, u, j.engine, mode); err != nil {
+		return workerStat{}, err
 	}
 
-	d := w.ct.Snapshot().Sub(wb)
-	logD := rf.logCt.Snapshot().Sub(lb)
-	physD := j.pcts[w.id].Snapshot().Sub(wpb).Add(rf.logCt.Phys().Snapshot().Sub(lpb))
+	d, pd := own.delta()
+	logD, lpd := logs.delta()
 	served, net := rf.takeStep()
 	w.mu.Lock()
 	stat := w.stat
 	w.mu.Unlock()
-	cpuSec := stat.cpu.Seconds(j.cfg.Profile)
-	diskD := d.Add(logD)
-	if j.cfg.ChargePhysical {
-		diskD = physD
-	}
-	simSecs := cpuSec + j.cfg.Profile.DiskSeconds(diskD) + j.cfg.Profile.NetSeconds(net)
-	res.ReplayIO = res.ReplayIO.Add(d).Add(logD)
-	res.ReplayPhysIO = res.ReplayPhysIO.Add(physD)
-	res.ReplayNetBytes += net
-	res.RecoverySimSeconds += simSecs
+	simSecs := j.chargeReplay(res, d.Add(logD), pd.Add(lpd), net, stat.cpu.Seconds(j.cfg.Profile))
 	res.ReplayedSupersteps++
 	j.jm.replayBytes.Add(d.Total() + logD.Total())
 	j.jm.replaySteps.Inc()
@@ -460,8 +283,7 @@ func (j *job) replayStep(w *worker, u, base int, engine Engine, rf *replayFabric
 				Worker: i, Bytes: served[i], IO: sv.ct.Snapshot().Sub(survBefore[i])})
 		}
 	}
-	return rejoinStat{updated: stat.updated, responding: stat.responding,
-		produced: stat.produced, agg: stat.agg, aggSet: stat.aggSet}, nil
+	return stat, nil
 }
 
 // injectLogged parks the messages every survivor pushed to w during
@@ -484,10 +306,7 @@ func (j *job) injectLogged(w *worker, step int, rf *replayFabric) error {
 			return err
 		}
 		wire := int64(len(msgs)) * comm.MsgWireSize
-		rf.mu.Lock()
-		rf.served[sv.id] += wire
-		rf.net += wire
-		rf.mu.Unlock()
+		rf.add(sv.id, wire, wire)
 	}
 	return nil
 }

@@ -2,37 +2,80 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 	"testing"
 
 	"hybridgraph/internal/algo"
 	"hybridgraph/internal/checkpoint"
+	"hybridgraph/internal/comm"
+	"hybridgraph/internal/faultplan"
 	"hybridgraph/internal/graph"
 )
 
 // flipByte corrupts one byte in the middle of a checkpoint file.
 func flipByte(t *testing.T, path string) {
 	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data) == 0 {
-		t.Fatalf("%s is empty", path)
-	}
-	data[len(data)/2] ^= 0xFF
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := flipMiddle(path); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestRestoreSurvivesCorruption seeds a work directory with a committed
-// checkpoint, corrupts one of its pieces, and drives a crash recovery
-// through it: the CRC must catch the damage, the job must fall back to
-// scratch recomputation with values exactly matching a fault-free run,
-// the aborted restore must be journaled as restore_failed, and the bytes
-// it read before giving up must be charged to RecoverySimSeconds.
+func flipMiddle(path string) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	if len(data) == 0 {
+		return fmt.Errorf("%s is empty", path)
+	}
+	data[len(data)/2] ^= 0xFF
+	return os.WriteFile(path, data, 0o644)
+}
+
+// tearFabric flips one byte of each of paths the first time any worker
+// sends or pulls during superstep step: the damage lands after the
+// checkpoint was committed and before the crash that needs it.
+type tearFabric struct {
+	closeThrough
+	t     *testing.T
+	step  int
+	paths []string
+	once  *sync.Once
+}
+
+func (f tearFabric) tear(step int) {
+	if step != f.step {
+		return
+	}
+	f.once.Do(func() {
+		for _, p := range f.paths {
+			if err := flipMiddle(p); err != nil {
+				f.t.Error(err)
+			}
+		}
+	})
+}
+
+func (f tearFabric) Send(p *comm.Packet) error {
+	f.tear(p.Step)
+	return f.Fabric.Send(p)
+}
+
+func (f tearFabric) PullRequest(from, to, block, step int) ([]comm.Msg, int64, error) {
+	f.tear(step)
+	return f.Fabric.PullRequest(from, to, block, step)
+}
+
+// TestRestoreSurvivesCorruption drives crash recoveries through damaged
+// checkpoints: the CRC must catch the damage, the aborted restore must be
+// journaled as restore_failed, the bytes it read before giving up must be
+// charged to RecoverySimSeconds, and recovery must fall back — to an older
+// checkpoint, or to superstep 1 — with values exactly matching a
+// fault-free run.
 func TestRestoreSurvivesCorruption(t *testing.T) {
 	g := graph.GenRMAT(400, 3000, 0.57, 0.19, 0.19, 71)
 	prog := func() algo.Program { return algo.NewPageRank(0.85) }
@@ -62,7 +105,7 @@ func TestRestoreSurvivesCorruption(t *testing.T) {
 		var buf bytes.Buffer
 		cfg := Config{Workers: 3, MsgBuf: 100, MaxSteps: 5, Recovery: "checkpoint",
 			CheckpointEvery: 10, WorkDir: dir, KeepFiles: true,
-			FailStep: 2, FailWorker: 1, TraceWriter: &buf}
+			FaultPlan: faultplan.NewPlan(faultplan.Crash{Step: 2, Worker: 1}), TraceWriter: &buf}
 		res, err := Run(g, prog(), cfg, Push)
 		if err != nil {
 			t.Fatal(err)
@@ -145,4 +188,87 @@ func TestRestoreSurvivesCorruption(t *testing.T) {
 			}
 		}
 	})
+
+	// A failed worker under the log-replay policies: its newest snapshot is
+	// torn while superstep 5 runs, after checkpoint 4 committed and the
+	// survivors' logs were pruned through checkpoint 2. The worker must fall
+	// back to checkpoint 2 and replay 3-5 from the logs; with both retained
+	// snapshots torn no worker-local base is left that the logs still cover,
+	// so recovery must widen to the whole job and recompute from superstep 1
+	// — after which a second failure replays against logs that hold only the
+	// recomputed supersteps.
+	for _, policy := range []string{"confined", "reassign"} {
+		for _, e := range []Engine{Push, BPull, Hybrid} {
+			base := Config{Workers: 3, MsgBuf: 100, MaxSteps: 8}
+			crash := faultplan.Crash{Step: 6, Worker: 1}
+			want := runOne(t, g, prog(), base, e)
+			torn := func(t *testing.T, crashes []faultplan.Crash, tornSteps ...int) *parsedTrace {
+				dir := t.TempDir()
+				coord := checkpoint.Coordinator{Dir: dir}
+				var paths []string
+				for _, s := range tornSteps {
+					paths = append(paths, coord.SnapshotPath(s, crashes[0].Worker))
+				}
+				withFabricWrap(t, func(f comm.Fabric) comm.Fabric {
+					return tearFabric{closeThrough{f}, t, 5, paths, &sync.Once{}}
+				})
+				var buf bytes.Buffer
+				cfg := base
+				cfg.Recovery, cfg.CheckpointEvery, cfg.WorkDir, cfg.TraceWriter = policy, 2, dir, &buf
+				cfg.FaultPlan = faultplan.NewPlan(crashes...)
+				res := runOne(t, g, prog(), cfg, e)
+				differ := 0
+				for v := range want.Values {
+					if res.Values[v] != want.Values[v] {
+						differ++
+					}
+				}
+				if differ > 0 {
+					t.Fatalf("%d of %d vertices differ from the fault-free run", differ, len(want.Values))
+				}
+				return parseTrace(t, buf.Bytes())
+			}
+			t.Run(policy+"/"+string(e)+"/newest-torn", func(t *testing.T) {
+				p := torn(t, []faultplan.Crash{crash}, 4)
+				if len(p.restoreFailed) != 1 || p.restoreFailed[0].Step != 4 {
+					t.Fatalf("restore_failed = %+v, want exactly one at checkpoint 4", p.restoreFailed)
+				}
+				if len(p.restores) != 1 || p.restores[0].Step != 2 {
+					t.Fatalf("restores = %+v, want one of checkpoint 2", p.restores)
+				}
+				var replayed []int
+				for _, ev := range p.replaySteps {
+					replayed = append(replayed, ev.Step)
+				}
+				if !slices.Equal(replayed, []int{3, 4, 5}) {
+					t.Fatalf("replayed supersteps %v, want [3 4 5]", replayed)
+				}
+			})
+			t.Run(policy+"/"+string(e)+"/both-torn", func(t *testing.T) {
+				p := torn(t, []faultplan.Crash{crash}, 2, 4)
+				var rejected []int
+				for _, ev := range p.restoreFailed {
+					rejected = append(rejected, ev.Step)
+				}
+				if !slices.Equal(rejected, []int{4, 2}) {
+					t.Fatalf("restore_failed at %v, want [4 2]", rejected)
+				}
+				if len(p.restores) != 0 || len(p.replaySteps) != 0 {
+					t.Fatalf("restores %+v, replay steps %+v: want neither once recovery widens",
+						p.restores, p.replaySteps)
+				}
+				if len(p.recoveries) != 1 || p.recoveries[0].RestartStep != 1 {
+					t.Fatalf("recovery = %+v, want one whole-job restart at superstep 1", p.recoveries)
+				}
+			})
+			t.Run(policy+"/"+string(e)+"/widen-then-crash", func(t *testing.T) {
+				p := torn(t, []faultplan.Crash{{Step: 6, Worker: 0}, crash}, 2, 4)
+				if len(p.recoveries) != 2 || p.recoveries[0].RestartStep != 1 ||
+					p.recoveries[1].RestartStep != 6 || !p.recoveries[1].Restored {
+					t.Fatalf("recoveries = %+v, want a whole-job restart at 1, then a restored worker 1 resuming at 6",
+						p.recoveries)
+				}
+			})
+		}
+	}
 }

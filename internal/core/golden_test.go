@@ -17,7 +17,7 @@ import (
 )
 
 var updateGolden = flag.Bool("update-golden", false,
-	"rewrite testdata/golden_identity.txt from this build instead of comparing against it")
+	"rewrite the testdata golden files from this build instead of comparing against them")
 
 // goldenLines renders everything about one job that must not move when the
 // message path is reworked: the value bits, and per superstep the mode,
@@ -79,8 +79,15 @@ func TestGoldenIdentity(t *testing.T) {
 			}
 		}
 	}
+	checkGolden(t, "golden_identity.txt", lines)
+}
+
+// checkGolden compares lines against testdata/<name>, or rewrites the file
+// under -update-golden.
+func checkGolden(t *testing.T, name string, lines []string) {
+	t.Helper()
 	got := strings.Join(lines, "\n") + "\n"
-	path := filepath.Join("testdata", "golden_identity.txt")
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)

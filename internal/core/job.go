@@ -61,10 +61,11 @@ type job struct {
 
 	prevAgg float64 // last superstep's reduced aggregator value
 
+	pol        recoveryPolicy
 	crashFired []bool // per fault-plan crash: already injected
 	stallFired []bool // per fault-plan stall: already injected
 
-	// Reassign policy state (Recovery: "reassign"): the epoch-versioned
+	// Adopting-placement state (Recovery: "reassign"): the epoch-versioned
 	// ownership table, per-worker failure counts driving the permanence
 	// decision, and the per-unit migration-cost stash that lands in the
 	// first post-adoption superstep's stats. All nil under other policies.
@@ -72,21 +73,22 @@ type job struct {
 	crashCounts []int
 	stallCounts []int
 	pendingMig  []pendingMig
-	resuming    bool // lightweight recovery: superstep 1 re-announces values
-	ckptStep    int  // last committed checkpoint superstep (0 = none)
+	resuming    bool // live-values recovery: superstep 1 re-announces values
+	ckptStep    int  // newest retained checkpoint superstep (0 = none)
 	ckptPrev    int  // previous retained checkpoint (fallback for torn restores)
+	logFloor    int  // message logs hold every superstep after this one
 
 	// faultFS is the storage-fault injector installed over the work
 	// directory when the fault plan carries a Disk config; nil otherwise.
 	faultFS *diskio.FaultFS
 
 	// lastStepAggSet records whether any worker contributed to the last
-	// superstep's aggregate — confined stall recovery needs it to fold the
-	// rejoin contribution in correctly.
+	// superstep's aggregate — a stalled worker's rejoin needs it to fold
+	// its contribution in correctly.
 	lastStepAggSet bool
 	// replayFab, while non-nil, redirects the failed worker's superstep
-	// sends and pulls through the confined replay fabric. Installed and
-	// removed between supersteps only.
+	// sends and pulls through the log-replay fabric. Installed and removed
+	// between supersteps only.
 	replayFab *replayFabric
 
 	// observability: nil trace drops events, nil-instrument jm no-ops.
@@ -137,13 +139,14 @@ func Run(g *graph.Graph, prog algo.Program, cfg Config, engine Engine) (*metrics
 // cancelled job's work directory is removed like any failed job's.
 func RunContext(ctx context.Context, g *graph.Graph, prog algo.Program, cfg Config, engine Engine) (_ *metrics.JobResult, err error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.validate(g.NumVertices); err != nil {
+	pol, err := cfg.validate(g.NumVertices)
+	if err != nil {
 		return nil, err
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	j := &job{cfg: cfg, runCtx: ctx, g: g, prog: prog, engine: engine}
+	j := &job{cfg: cfg, runCtx: ctx, g: g, prog: prog, engine: engine, pol: pol}
 	j.cdc, _ = codec.Lookup(cfg.Codec)
 	tr, err := newJobTracer(cfg, prog, engine)
 	if err != nil {
@@ -343,14 +346,13 @@ func (j *job) setup(engine Engine, res *metrics.JobResult) error {
 		j.crashFired = make([]bool, len(j.cfg.FaultPlan.Crashes))
 		j.stallFired = make([]bool, len(j.cfg.FaultPlan.Stalls))
 	}
-	logged := j.cfg.Recovery == "confined" || j.cfg.Recovery == "reassign"
-	if logged && engine == Pull {
+	if j.pol.failedOnly && engine == Pull {
 		// The pull baseline's gather/scatter exchanges carry whole vertex
 		// states on demand, not superstep-framed messages; there is nothing
 		// a sender-side log could replay.
-		return fmt.Errorf("core: %s recovery does not support the pull baseline", j.cfg.Recovery)
+		return fmt.Errorf("core: %s recovery does not support the pull baseline", j.pol.name)
 	}
-	if j.cfg.Recovery == "reassign" {
+	if j.pol.adopt {
 		j.own = newOwnership(t)
 		j.crashCounts = make([]int, t)
 		j.stallCounts = make([]int, t)
@@ -451,7 +453,7 @@ func (j *job) setup(engine Engine, res *metrics.JobResult) error {
 		if engine == Pull {
 			wk.vcache = newPullCache(wk.vstore, j.cfg.VertexCache, j.cfg.Metrics)
 		}
-		if logged {
+		if j.pol.failedOnly {
 			wk.logCt = &diskio.Counter{}
 			wk.logCt.SetPhys(j.pcts[w])
 			ml, err := msglog.Open(filepath.Join(wk.dir, "msglog"), wk.logCt, j.cdc)
@@ -496,11 +498,8 @@ func (j *job) setup(engine Engine, res *metrics.JobResult) error {
 	return nil
 }
 
-// run drives the superstep loop. After each detected worker failure it
-// recovers per the configured policy — recompute from superstep 1
-// (scratch/resume, the prototype's Appendix A behaviour) or restore the
-// last committed checkpoint and replay only the supersteps since — and
-// charges the discarded work to RecoverySimSeconds.
+// run drives the superstep loop, handing every detected worker failure to
+// the recovery driver and resuming where it says.
 func (j *job) run(engine Engine, res *metrics.JobResult) error {
 	start := 1
 	if j.cfg.ResumeFromCheckpoint {
@@ -508,13 +507,15 @@ func (j *job) run(engine Engine, res *metrics.JobResult) error {
 		// WorkDir: pick up at the last committed checkpoint rather than
 		// recomputing everything a process kill threw away. Verification
 		// failures fall through to a fresh start, never an error.
-		step, ok, err := j.restoreFromCheckpoint(engine, res)
+		step, ok, err := j.restore(res, j.workers, true)
 		if err != nil {
 			return err
 		}
 		if ok {
-			res.Restores++
 			start = step + 1
+		}
+		if err := j.rollbackLogs(start - 1); err != nil {
+			return err
 		}
 	}
 	for {
@@ -522,123 +523,24 @@ func (j *job) run(engine Engine, res *metrics.JobResult) error {
 		if err == nil {
 			return nil
 		}
-		var failed []int
-		var failStep, lastDone int
-		stalled := false
-		permHint := false
-		var inj *InjectedFailure
-		var stl *StalledWorker
-		switch {
-		case errors.As(err, &inj):
-			// A crash fires before superstep Step runs: Step-1 completed.
-			failed, failStep, lastDone = []int{inj.Worker}, inj.Step, inj.Step-1
-			permHint = inj.Permanent
-		case errors.As(err, &stl):
-			// A stall is detected at the barrier of Step: the survivors
-			// completed Step, the stalled workers did not.
-			failed, failStep, lastDone, stalled = stl.Workers, stl.Step, stl.Step, true
-			res.Stalls += len(stl.Workers)
-		default:
-			// A cancelled run context makes fabric operations fail with
-			// whatever they were doing; attribute the abort to the cause so
-			// callers can match it with errors.Is regardless of which layer
-			// noticed first.
-			if cerr := context.Cause(j.runCtx); cerr != nil {
-				return cerr
-			}
-			return err
-		}
-		res.Restarts++
-		if j.cfg.OnRecovery != nil {
-			kind := "crash"
-			if stalled {
-				kind = "stall"
-			}
-			for _, fw := range failed {
-				j.cfg.OnRecovery(RecoveryNotice{Kind: kind, Step: failStep, Worker: fw, Host: -1})
-			}
-		}
-		if j.cfg.Recovery == "confined" || j.cfg.Recovery == "reassign" {
+		if f, ok := detected(err); ok {
 			var halt bool
-			var rerr error
-			if j.cfg.Recovery == "reassign" {
-				halt, rerr = j.reassignRecoverAll(engine, res, failed, failStep, lastDone, stalled, permHint)
-			} else {
-				halt, rerr = j.confinedRecoverAll(engine, res, failed, failStep, lastDone, stalled)
-			}
-			if rerr != nil {
-				// Recovery aborted: surface a cancelled run context as its
-				// cause, like the main-loop paths, so callers can match it.
-				if cerr := context.Cause(j.runCtx); cerr != nil {
-					return cerr
+			if start, halt, err = j.recoverFailure(res, f); err == nil {
+				if halt {
+					return nil
 				}
-				return rerr
+				continue
 			}
-			if halt {
-				return nil
-			}
-			start = lastDone + 1
-			continue
 		}
-		restart, rerr := j.recover(engine, res)
-		if rerr != nil {
-			if cerr := context.Cause(j.runCtx); cerr != nil {
-				return cerr
-			}
-			return rerr
+		// A cancelled run context makes fabric operations fail with
+		// whatever they were doing; attribute the abort to the cause so
+		// callers can match it with errors.Is regardless of which layer
+		// noticed first.
+		if cerr := context.Cause(j.runCtx); cerr != nil {
+			return cerr
 		}
-		// Steps the restart will redo are discarded; their simulated time
-		// and I/O are the price of recovery — the quantity confined
-		// recovery's ReplayIO is compared against.
-		kept := 0
-		for i := range res.Steps {
-			if res.Steps[i].Step >= restart {
-				break
-			}
-			kept = i + 1
-		}
-		for _, s := range res.Steps[kept:] {
-			res.RecoverySimSeconds += s.SimSeconds
-			res.ReplayedSupersteps++
-			res.ReplayIO = res.ReplayIO.Add(s.IO)
-			res.ReplayPhysIO = res.ReplayPhysIO.Add(s.PhysIO)
-			res.ReplayNetBytes += s.NetBytes
-		}
-		discarded := len(res.Steps) - kept
-		res.Steps = res.Steps[:kept]
-		j.jm.recoveries.Inc()
-		if j.trace != nil {
-			policy := j.cfg.Recovery
-			if policy == "" {
-				policy = "scratch"
-			}
-			j.trace.Emit(obs.RecoveryEvent{Type: obs.EventRecovery, Policy: policy,
-				RestartStep: restart, Discarded: discarded,
-				Restored: j.cfg.Recovery == "checkpoint" && restart > 1})
-		}
-		start = restart
+		return err
 	}
-}
-
-// recover applies the configured recovery policy and reports the superstep
-// the restarted loop should resume from. The checkpoint policy falls back
-// to scratch when no committed checkpoint exists yet (a crash before the
-// first checkpoint interval) or the checkpoint fails verification.
-func (j *job) recover(engine Engine, res *metrics.JobResult) (int, error) {
-	if j.cfg.Recovery == "checkpoint" {
-		step, ok, err := j.restoreFromCheckpoint(engine, res)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			res.Restores++
-			return step + 1, nil
-		}
-	}
-	if err := j.resetForRecovery(engine); err != nil {
-		return 0, err
-	}
-	return 1, nil
 }
 
 // injectCrash reports whether a scheduled, not-yet-fired crash hits at the
@@ -662,30 +564,6 @@ func (j *job) injectCrash(t int) (worker int, permanent, fired bool) {
 		}
 	}
 	return 0, false, false
-}
-
-// resetForRecovery returns every worker to its freshly-loaded state: flag
-// vectors cleared, inboxes emptied, caches dropped. Under the default
-// scratch policy vertex values need no reset — superstep 1's Init
-// overwrites them; under "resume" they survive and are re-announced.
-func (j *job) resetForRecovery(engine Engine) error {
-	if j.cfg.Recovery == "resume" {
-		j.resuming = true
-	}
-	for _, w := range j.workers {
-		w.initFlags()
-		if engine == Push || engine == PushM || engine == Hybrid {
-			w.initInboxes()
-		}
-		if engine == Pull {
-			w.vcache = newPullCache(w.vstore, j.cfg.VertexCache, j.cfg.Metrics)
-		}
-	}
-	j.prevAgg = 0
-	if engine == Hybrid {
-		j.initHybridModes()
-	}
-	return nil
 }
 
 func (j *job) runOnce(engine Engine, res *metrics.JobResult, start int) error {
@@ -1002,13 +880,7 @@ func (j *job) superstep(t int, engine, mode Engine) (metrics.StepStats, error) {
 		// pays during normal execution; they cost time but stay out of st.IO
 		// so the Q^t inputs and the trace-vs-stats cross-check see pure
 		// Eq. (7)/(8) traffic.
-		diskSec := j.cfg.Profile.DiskSeconds(d.Add(logD))
-		if j.cfg.ChargePhysical {
-			// Charge what the platter actually moved: the compressed frame
-			// bytes. Logical stats and Q^t inputs are untouched — only the
-			// time dimension switches to the physical reality.
-			diskSec = j.cfg.Profile.DiskSeconds(pd)
-		}
+		diskSec := j.diskSeconds(d.Add(logD), pd)
 		netSec := j.cfg.Profile.NetSeconds(nIn + nOut)
 		st.CPUSeconds += cpuSec
 		st.DiskSeconds += diskSec

@@ -35,16 +35,6 @@ func (o *ownership) hostOf(w int) int { return o.hosts[w] }
 // isDead reports whether w is permanently lost.
 func (o *ownership) isDead(w int) bool { return o.dead[w] }
 
-// anyDead reports whether any worker has been lost.
-func (o *ownership) anyDead() bool {
-	for _, d := range o.dead {
-		if d {
-			return true
-		}
-	}
-	return false
-}
-
 // deadCount reports how many workers have been lost.
 func (o *ownership) deadCount() int {
 	n := 0

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"hybridgraph/internal/checkpoint"
 	"hybridgraph/internal/comm"
@@ -11,23 +12,17 @@ import (
 	"hybridgraph/internal/obs"
 )
 
-// Partition-reassignment recovery (Recovery: "reassign"): confined
-// recovery handles transient failures in place, but when a worker is
-// declared permanently dead — a fault-plan crash marked Permanent, or the
-// same worker failing more than Config.MaxRestarts times — there is no
-// machine to restart. Instead of failing the job, a least-loaded survivor
-// adopts the dead worker's whole Vblock range: the ownership table bumps
-// to a new epoch and the fabric rewires the dead slot's address to the
-// host (stale-epoch traffic is rejected and re-sent, see comm.Rehomer),
-// the host rebuilds the dead partition's stores from the shared catalog,
-// restores its last checkpoint snapshot, and replays the supersteps since
-// against the survivors' message logs exactly as confined recovery would.
-// The adopted unit keeps its origin identity — packets, pulls and
-// per-origin combine folds are addressed and ordered as before — so final
-// vertex values are byte-identical to a fault-free run; only the physical
-// placement changed. Migration traffic is charged to the Migration*
-// counters, journaled as reassign/adopt_block events, and the job runs on
-// degraded from there.
+// Adopting placement (Recovery: "reassign"): a worker declared
+// permanently dead — a fault-plan crash marked Permanent, or the same
+// worker failing more than Config.MaxRestarts times — has no machine to
+// restart on, so a least-loaded survivor adopts its whole Vblock range.
+// The ownership table bumps to a new epoch, the fabric rewires the dead
+// slot's address to the host (stale-epoch traffic is rejected and re-sent,
+// see comm.Rehomer), and the host rebuilds the partition's stores from the
+// shared catalog before the usual restore and log replay. The adopted unit
+// keeps its origin identity, so final vertex values are byte-identical to
+// a fault-free run; migration traffic is charged to the Migration*
+// counters and journaled as reassign/adopt_block events.
 
 // ErrNoSurvivors is the typed failure a reassignment raises when a
 // permanent loss leaves no live worker to adopt the dead partition.
@@ -44,72 +39,71 @@ type pendingMig struct {
 	net int64
 }
 
-// reassignRecoverAll is the reassign policy's recovery driver. It counts
-// the failures, decides which failed workers are permanently dead,
-// performs the adoptions (including units orphaned because their host
-// died), and then runs the shared confined restore+replay for every
-// failed unit. permHint marks an injected crash the fault plan declared
-// permanent outright.
-func (j *job) reassignRecoverAll(engine Engine, res *metrics.JobResult, failed []int,
-	failStep, lastDone int, stalled, permHint bool) (halt bool, err error) {
-
+// adoptLost is the placement half of the reassign policy. It counts the
+// failures, decides which failed workers are permanently dead, and moves
+// their partitions — and any units orphaned because their host died — to
+// survivors. It returns every unit the restore and replay must recover.
+func (j *job) adoptLost(res *metrics.JobResult, f failure) ([]int, error) {
 	var perm []int
-	for _, fw := range failed {
+	for _, fw := range f.workers {
 		if j.own.isDead(fw) {
 			// An orphaned unit swept up in its host's stall: it has no
 			// machine of its own to count failures against.
 			continue
 		}
-		if stalled {
+		if f.stalled {
 			j.stallCounts[fw]++
 		} else {
 			j.crashCounts[fw]++
 		}
-		permanent := permHint && !stalled
-		if j.crashCounts[fw]+j.stallCounts[fw] > j.cfg.MaxRestarts {
-			permanent = true
-		}
-		if permanent {
+		if f.permanent || j.crashCounts[fw]+j.stallCounts[fw] > j.cfg.MaxRestarts {
 			perm = append(perm, fw)
 		}
+	}
+	failed := slices.Clone(f.workers)
+	if len(perm) == 0 {
+		return failed, nil
 	}
 
 	// Expand with orphans: units a dying host was carrying are lost with
 	// it and need both a new host and recovery. They are not "dead again" —
 	// their ownership entry just re-homes. Every loss is marked before any
 	// host is picked so picking sees the complete dead set.
-	allFailed := append([]int(nil), failed...)
-	if len(perm) > 0 {
-		reasons := make(map[int]string, len(perm))
-		var units []int
-		for _, fw := range perm {
-			for _, u := range j.own.adoptedBy(fw) {
-				units = appendUnique(units, u)
-				allFailed = appendUnique(allFailed, u)
-				reasons[u] = "host-lost"
+	reasons := make(map[int]string, len(perm))
+	var units []int
+	for _, fw := range perm {
+		for _, u := range j.own.adoptedBy(fw) {
+			if !slices.Contains(units, u) {
+				units = append(units, u)
 			}
-			units = appendUnique(units, fw)
-			switch {
-			case permHint && !stalled:
-				reasons[fw] = "permanent-crash"
-			case stalled:
-				reasons[fw] = "stall-limit"
-			default:
-				reasons[fw] = "crash-limit"
+			if !slices.Contains(failed, u) {
+				failed = append(failed, u)
 			}
-			j.own.markDead(fw)
+			reasons[u] = "host-lost"
 		}
-		if len(j.own.survivors()) == 0 {
-			return false, fmt.Errorf("%w (workers %v at superstep %d)", ErrNoSurvivors, perm, failStep)
+		if !slices.Contains(units, fw) {
+			units = append(units, fw)
 		}
-		sortInts(units)
-		for _, u := range units {
-			if err := j.adoptWorker(u, j.pickHost(), failStep, reasons[u], res); err != nil {
-				return false, err
-			}
+		switch {
+		case f.permanent:
+			reasons[fw] = "permanent-crash"
+		case f.stalled:
+			reasons[fw] = "stall-limit"
+		default:
+			reasons[fw] = "crash-limit"
+		}
+		j.own.markDead(fw)
+	}
+	if len(j.own.survivors()) == 0 {
+		return nil, fmt.Errorf("%w (workers %v at superstep %d)", ErrNoSurvivors, perm, f.step)
+	}
+	slices.Sort(units)
+	for _, u := range units {
+		if err := j.adoptWorker(u, j.pickHost(), f.step, reasons[u], res); err != nil {
+			return nil, err
 		}
 	}
-	return j.confinedRecoverAll(engine, res, allFailed, failStep, lastDone, stalled)
+	return failed, nil
 }
 
 // pickHost selects the survivor that adopts the next unit: fewest hosted
@@ -132,10 +126,9 @@ func (j *job) pickHost() int {
 
 // adoptWorker performs one adoption: ownership and fabric epoch bump,
 // store rebuild from the shared catalog under a migration counter, and
-// the migration accounting and journal events. The caller follows up with
-// confinedRecover, which restores the snapshot and replays the logs — by
-// then the unit is fully re-homed, so replay traffic flows through the
-// new placement.
+// the migration accounting and journal events. The recovery driver then
+// restores the snapshot and replays the logs — by then the unit is fully
+// re-homed, so replay traffic flows through the new placement.
 func (j *job) adoptWorker(fw, host, step int, reason string, res *metrics.JobResult) error {
 	w := j.workers[fw]
 	epoch := j.own.adopt(fw, host)
@@ -213,11 +206,7 @@ func (j *job) adoptWorker(fw, host, step int, reason string, res *metrics.JobRes
 	res.MigrationPhysIO = res.MigrationPhysIO.Add(migPhys)
 	res.MigrationNetBytes += netBytes
 	res.Degraded = true
-	migDisk := migIO
-	if j.cfg.ChargePhysical {
-		migDisk = migPhys
-	}
-	res.RecoverySimSeconds += j.cfg.Profile.DiskSeconds(migDisk) + j.cfg.Profile.NetSeconds(netBytes)
+	res.RecoverySimSeconds += j.diskSeconds(migIO, migPhys) + j.cfg.Profile.NetSeconds(netBytes)
 	j.pendingMig[fw] = pendingMig{set: true, io: migIO, net: netBytes}
 	j.jm.reassigns.Inc()
 	j.jm.migIOBytes.Add(migIO.Total())
@@ -242,23 +231,4 @@ func (j *job) adoptWorker(fw, host, step int, reason string, res *metrics.JobRes
 			Worker: fw, Host: host, Epoch: epoch})
 	}
 	return nil
-}
-
-// appendUnique appends v unless already present (tiny slices only).
-func appendUnique(s []int, v int) []int {
-	for _, x := range s {
-		if x == v {
-			return s
-		}
-	}
-	return append(s, v)
-}
-
-// sortInts sorts ascending (insertion sort: recovery-path slices are tiny).
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for k := i; k > 0 && s[k] < s[k-1]; k-- {
-			s[k], s[k-1] = s[k-1], s[k]
-		}
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hybridgraph/internal/algo"
+	"hybridgraph/internal/faultplan"
 	"hybridgraph/internal/graph"
 )
 
@@ -20,8 +21,7 @@ func TestRecoveryRecomputesFromScratch(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cfg.FailStep = 4
-				cfg.FailWorker = 1
+				cfg.FaultPlan = faultplan.NewPlan(faultplan.Crash{Step: 4, Worker: 1})
 				failed, err := Run(g, prog, cfg, e)
 				if err != nil {
 					t.Fatal(err)
@@ -49,7 +49,8 @@ func TestRecoveryRecomputesFromScratch(t *testing.T) {
 
 func TestRecoveryFiresOnlyOnce(t *testing.T) {
 	g := graph.GenUniform(200, 1000, 52)
-	cfg := Config{Workers: 2, MsgBuf: 50, MaxSteps: 6, FailStep: 2}
+	cfg := Config{Workers: 2, MsgBuf: 50, MaxSteps: 6,
+		FaultPlan: faultplan.NewPlan(faultplan.Crash{Step: 2})}
 	res, err := Run(g, algo.NewPageRank(0.85), cfg, Push)
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hybridgraph/internal/algo"
+	"hybridgraph/internal/faultplan"
 	"hybridgraph/internal/graph"
 )
 
@@ -23,7 +24,7 @@ func TestResumeRecoveryCorrectAndCheaper(t *testing.T) {
 
 	failAt := clean.Supersteps() * 2 / 3
 	scratch := base
-	scratch.FailStep = failAt
+	scratch.FaultPlan = faultplan.NewPlan(faultplan.Crash{Step: failAt})
 	scratchRes, err := Run(g, prog, scratch, BPull)
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +70,7 @@ func TestResumeRecoveryConvergingPageRank(t *testing.T) {
 		t.Fatal(err)
 	}
 	resume := base
-	resume.FailStep = 6
+	resume.FaultPlan = faultplan.NewPlan(faultplan.Crash{Step: 6})
 	resume.Recovery = "resume"
 	res, err := Run(g, prog, resume, Push)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"hybridgraph/internal/algo"
+	"hybridgraph/internal/faultplan"
 	"hybridgraph/internal/graph"
 	"hybridgraph/internal/obs"
 )
@@ -315,7 +316,7 @@ func TestTraceFaultEvents(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := Config{Workers: 3, MsgBuf: 120, MaxSteps: 6,
 		Recovery: "checkpoint", CheckpointEvery: 2,
-		FailStep: 5, FailWorker: 1,
+		FaultPlan:   faultplan.NewPlan(faultplan.Crash{Step: 5, Worker: 1}),
 		TraceWriter: &buf}
 	res, err := Run(g, algo.NewPageRank(0.85), cfg, Push)
 	if err != nil {

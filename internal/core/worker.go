@@ -66,9 +66,9 @@ type worker struct {
 
 	vcache *pullCache // pull baseline's resident vertex set
 
-	// Confined recovery (Recovery: "confined"): every outgoing push packet
-	// and served pull response is appended to mlog so survivors can serve
-	// a failed worker's replay without recomputing. Log writes are charged
+	// Failed-worker recovery ("confined", "reassign"): every outgoing push
+	// packet and served pull response is appended to mlog so survivors can
+	// serve a failed worker's replay without recomputing. Log writes are charged
 	// to logCt, kept apart from ct so Q^t inputs and the trace-vs-stats
 	// cross-check see pure Eq. (7)/(8) traffic; the per-step delta
 	// surfaces as StepStats.LogIO. sendLog wraps the job fabric with the
@@ -369,6 +369,18 @@ func (w *worker) initFlags() {
 			w.blockRes[p] = make([]atomic.Bool, w.ve.LocalBlocks())
 		}
 		w.respFree = make([]idleList[respondBuf], len(w.job.workers))
+	}
+}
+
+// reset returns the worker's flags, inboxes and pull cache to their
+// freshly loaded state.
+func (w *worker) reset() {
+	w.initFlags()
+	if w.inboxes[0] != nil || w.inboxes[1] != nil {
+		w.initInboxes()
+	}
+	if w.vcache != nil {
+		w.vcache = newPullCache(w.vstore, w.job.cfg.VertexCache, w.job.cfg.Metrics)
 	}
 }
 
