@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"hybridgraph/internal/algo"
 	"hybridgraph/internal/catalog"
@@ -70,6 +71,43 @@ func TestCodecLogicalIdentity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestNoneMirrorsPhysical: under codec none every store holds its logical
+// bytes, so the physical twins must mirror the logical counters in every
+// field — bytes, device bytes and ops, per class — on every path that
+// moves bytes: supersteps, message logs, loading, checkpoints, restores,
+// log replay, a stalled worker's rejoin and a partition migration.
+func TestNoneMirrorsPhysical(t *testing.T) {
+	g := graph.GenRMAT(400, 3000, 0.57, 0.19, 0.19, 98)
+	runs := []struct {
+		name   string
+		policy string
+		plan   *faultplan.Plan
+	}{
+		{"checkpoint/crash", "checkpoint", faultplan.NewPlan(faultplan.Crash{Step: 5, Worker: 1})},
+		{"confined/crash", "confined", faultplan.NewPlan(faultplan.Crash{Step: 5, Worker: 1})},
+		{"reassign/crash", "reassign", faultplan.NewPlan(faultplan.PermanentCrash(5, 1))},
+		{"confined/stall", "confined", faultplan.NewPlan().WithStalls(faultplan.Stall{Step: 5, Worker: 2})},
+	}
+	for _, e := range []Engine{Push, BPull, Hybrid} {
+		for _, r := range runs {
+			label := string(e) + "/" + r.name
+			cfg := Config{Workers: 3, MsgBuf: 100, MaxSteps: 8, Recovery: r.policy,
+				CheckpointEvery: 2, FaultPlan: r.plan, BarrierDeadline: 50 * time.Millisecond}
+			res := runOne(t, g, algo.NewPageRank(0.85), cfg, e)
+			if res.Restarts == 0 {
+				t.Fatalf("%s: the fault did not trigger recovery", label)
+			}
+			logical := res.IO.Add(res.LogIO).Add(res.LoadIO).Add(res.CheckpointIO).
+				Add(res.ReplayIO).Add(res.MigrationIO)
+			phys := res.PhysIO.Add(res.LoadPhysIO).Add(res.CheckpointPhysIO).
+				Add(res.ReplayPhysIO).Add(res.MigrationPhysIO)
+			if logical != phys {
+				t.Errorf("%s: physical %+v != logical %+v", label, phys, logical)
+			}
+		}
 	}
 }
 

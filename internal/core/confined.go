@@ -238,6 +238,7 @@ func (j *job) replay(res *metrics.JobResult, w *worker, base int, f failure) (wo
 func (j *job) replayStep(w *worker, u, base int, rf *replayFabric, res *metrics.JobResult) (workerStat, error) {
 	rf.resetStep()
 	own, logs := openWindow(w.ct), openWindow(rf.logCt)
+	logBefore := w.logCt.Snapshot()
 	survBefore := make([]diskio.Snapshot, len(j.workers))
 	for i, sv := range j.workers {
 		if i != w.id {
@@ -261,6 +262,13 @@ func (j *job) replayStep(w *worker, u, base int, rf *replayFabric, res *metrics.
 
 	d, pd := own.delta()
 	logD, lpd := logs.delta()
+	if rf.rejoin {
+		// The rejoin finishes the stalled superstep, whose stats the loop has
+		// recorded: what it logs is that superstep's LogIO. Its physical
+		// bytes are on the worker's twin, inside pd.
+		st := &res.Steps[len(res.Steps)-1]
+		st.LogIO = st.LogIO.Add(w.logCt.Snapshot().Sub(logBefore))
+	}
 	served, net := rf.takeStep()
 	w.mu.Lock()
 	stat := w.stat
