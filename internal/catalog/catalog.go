@@ -61,7 +61,7 @@ type Manifest struct {
 	IngestWriteBytes int64              `json:"ingest_write_bytes"`
 	Files            map[string]FileSum `json:"files"`
 	// Codec names the block codec the adjacency and VE-BLOCK files were
-	// encoded with at ingest (empty means "none", the raw layout). Jobs
+	// encoded with at ingest (a manifest that omits it means "none"). Jobs
 	// must open the entry with the same codec; the mismatch is a typed
 	// configuration error, not a silent re-encode.
 	Codec string `json:"codec,omitempty"`
@@ -201,10 +201,7 @@ func (c *Catalog) ingestWith(name, codecName string, workers, blocksPer int,
 	m := &Manifest{Name: name, Version: ManifestVersion,
 		Vertices: st.Vertices, Edges: st.Edges,
 		Workers: workers, Files: make(map[string]FileSum),
-		IngestWriteBytes: ct.Bytes(diskio.SeqWrite)}
-	if !codec.IsNone(cdc) {
-		m.Codec = cdc.Name()
-	}
+		IngestWriteBytes: ct.Bytes(diskio.SeqWrite), Codec: cdc.Name()}
 	m.BlocksPer = make([]int, workers)
 	for i := range m.BlocksPer {
 		m.BlocksPer[i] = blocksPer
@@ -423,14 +420,9 @@ func (e *Entry) BlocksPer() []int {
 }
 
 // Codec implements core.StoreSource: the canonical name of the block
-// codec the entry's store files were encoded with at ingest ("none" for
-// the raw layout). Jobs must run with a matching Config.Codec.
-func (e *Entry) Codec() string {
-	if codec.IsNone(e.cdc) {
-		return "none"
-	}
-	return e.cdc.Name()
-}
+// codec the entry's store files were encoded with at ingest. Jobs must
+// run with a matching Config.Codec.
+func (e *Entry) Codec() string { return e.cdc.Name() }
 
 // OpenAdj implements core.StoreSource.
 func (e *Entry) OpenAdj(w int, ct *diskio.Counter, g *graph.Graph, part graph.Partition) (*adjstore.Store, error) {

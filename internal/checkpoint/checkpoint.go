@@ -1,9 +1,10 @@
 // Package checkpoint implements superstep checkpointing for HybridGraph's
 // fault tolerance: per-worker snapshots of vertex values, flag vectors and
 // parked inbox messages, plus the master's record of job-level scheduling
-// state (hybrid's mode history), all written through the diskio accounting
-// layer as sequential writes so checkpoint overhead is charged to the same
-// cost model as every other byte the system moves.
+// state (hybrid's mode history). Every file is written by codec.WriteFile
+// and read by codec.ReadFile under every codec, charged as the sequential
+// write or read of its logical bytes, so checkpoint overhead is charged to
+// the same cost model as every other byte the system moves.
 //
 // Recovery must restore *mode-specific* state, not just vertex values
 // (push parks messages in inboxes, b-pull re-derives them from responding
@@ -23,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -358,86 +358,33 @@ func (c Coordinator) Remove(step, workers int) error {
 	return errors.Join(errs...)
 }
 
-// writeFile frames payload with magic, version and CRC and writes it to
-// path atomically (tmp + fsync + rename) as one sequential write. The
-// fsync before the rename is the durability half of the commit rule:
-// without it a power cut can leave a fully renamed, fully referenced
-// snapshot whose bytes never reached the platter.
+// writeFile wraps payload in magic, version and CRC and writes it to path
+// atomically (tmp + fsync + rename) as one sequential write, under cdc
+// (codec.WriteFile). The fsync before the rename is the durability half
+// of the commit rule: without it a power cut can leave a fully renamed,
+// fully referenced snapshot whose bytes never reached the platter.
+// Returns the logical file size.
 func writeFile(path string, ct *diskio.Counter, payload []byte, cdc codec.Codec) (int64, error) {
 	buf := make([]byte, 0, len(magic)+8+len(payload)+4)
 	buf = append(buf, magic...)
 	buf = appendU32(buf, version)
 	buf = append(buf, payload...)
 	buf = appendU32(buf, crc32.ChecksumIEEE(payload))
-	if codec.IsNone(cdc) {
-		if err := diskio.WriteFileSync(path, buf, ct, diskio.SeqWrite); err != nil {
-			return 0, err
-		}
-		return int64(len(buf)), nil
-	}
-	// Compressed: the whole HGCK image becomes one codec frame. The
-	// physical bytes land on ct's twin, the logical charge and returned
-	// size stay the uncompressed length.
-	frame := codec.AppendFrame(nil, cdc, buf)
-	if err := diskio.WriteFileSyncDual(path, frame, int64(len(buf)), ct, diskio.SeqWrite); err != nil {
+	if err := codec.WriteFile(path, ct, cdc, buf); err != nil {
 		return 0, err
 	}
 	return int64(len(buf)), nil
 }
 
-// readFile reads a framed file sequentially, verifies magic, version and
-// CRC, and returns the payload. Codec-framed files are sniffed by their
-// frame magic (format detection is uncharged metadata introspection, like
-// os.Stat): the physical frame is read on ct's twin and the decoded HGCK
-// image charged to ct, so logical accounting matches an uncompressed read.
+// readFile reads a file writeFile wrote under any codec (codec.ReadFile,
+// charged as the sequential read of its logical bytes), verifies magic,
+// version and CRC, and returns the payload.
 func readFile(path string, ct *diskio.Counter) ([]byte, error) {
-	framed, err := sniffFramed(path)
+	buf, err := codec.ReadFile(path, ct)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	var buf []byte
-	if framed {
-		f, err := diskio.OpenRead(path, diskio.PhysFor(ct))
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		size, err := f.Size()
-		if err != nil {
-			return nil, err
-		}
-		raw := make([]byte, size)
-		if _, err := f.ReadAtClass(raw, 0, diskio.SeqRead); err != nil {
-			return nil, err
-		}
-		var n int
-		buf, n, err = codec.DecodeFrame(nil, raw)
-		if err != nil {
-			return nil, fmt.Errorf("checkpoint: %s: %w", path, err)
-		}
-		if int64(n) != size {
-			return nil, fmt.Errorf("checkpoint: %s: %d trailing bytes after frame: %w", path, size-int64(n), codec.ErrCorrupt)
-		}
-		diskio.NewAccountant(ct).ReadAtClass(int64(len(buf)), 0, diskio.SeqRead)
-	} else {
-		f, err := diskio.Open(path, ct)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		size, err := f.Size()
-		if err != nil {
-			return nil, err
-		}
-		if size < int64(len(magic))+8+4 {
-			return nil, fmt.Errorf("checkpoint: %s truncated (%d bytes)", path, size)
-		}
-		buf = make([]byte, size)
-		if _, err := f.ReadAtClass(buf, 0, diskio.SeqRead); err != nil {
-			return nil, err
-		}
-	}
-	if int64(len(buf)) < int64(len(magic))+8+4 {
+	if len(buf) < len(magic)+8+4 {
 		return nil, fmt.Errorf("checkpoint: %s truncated (%d bytes)", path, len(buf))
 	}
 	if string(buf[:len(magic)]) != magic {
@@ -452,47 +399,6 @@ func readFile(path string, ct *diskio.Counter) ([]byte, error) {
 		return nil, fmt.Errorf("checkpoint: %s CRC mismatch (got %08x, want %08x)", path, got, want)
 	}
 	return payload, nil
-}
-
-// sniffFramed peeks at the first bytes of path without charging I/O.
-// Raw checkpoint files start "HGCK", codec frames "HGCB" — the two can
-// never collide, so four bytes decide the format.
-func sniffFramed(path string) (bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return false, err
-	}
-	defer f.Close()
-	var b [4]byte
-	n, _ := io.ReadFull(f, b[:])
-	return n == 4 && string(b[:]) == codec.FrameMagic, nil
-}
-
-// SnapshotLogicalSize reports the logical byte size of the checkpoint
-// file at path: the frame header's declared logical length for a
-// codec-framed file, the raw file size otherwise. Reassignment's Cmig
-// uses it so migration cost stays in logical bytes under any codec.
-// Uncharged, like the os.Stat it replaces.
-func SnapshotLogicalSize(path string) (int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	var hdr [codec.HeaderSize]byte
-	n, _ := io.ReadFull(f, hdr[:])
-	if n >= 4 && string(hdr[:4]) == codec.FrameMagic {
-		h, err := codec.ParseHeader(hdr[:n])
-		if err != nil {
-			return 0, fmt.Errorf("checkpoint: %s: %w", path, err)
-		}
-		return int64(h.LogicalLen), nil
-	}
-	st, err := f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	return st.Size(), nil
 }
 
 func appendU32(b []byte, v uint32) []byte {

@@ -16,12 +16,6 @@ import (
 // a random logical access decompresses one chunk, not the whole store.
 const ChunkSize = 64 << 10
 
-// SpillChunk is the staging threshold of a compressed spill file:
-// records accumulate in memory and are flushed as one frame per
-// SpillChunk logical bytes (12-byte spill records framed individually
-// would expand, not compress).
-const SpillChunk = 16 << 10
-
 const (
 	footerMagic = "HGCI"
 	footerSize  = 4 + 8 + 8 // magic + index offset + logical size
@@ -125,14 +119,17 @@ func CreateReader(path string, ct *diskio.Counter, c Codec, buf []byte) (Reader,
 	return f, nil
 }
 
-// WriteBlockFile writes buf as a compressed block file at path. The
-// logical charge is exactly the uncompressed store's: one sequential
-// write of len(buf) bytes at offset 0 on a fresh file — and, like the
-// raw stores, nothing at all for an empty image (the file is created
-// and left empty). It is the buffered convenience over BlockWriter; the
-// two produce byte-identical files.
+// WriteBlockFile writes buf as a block file at path, framed with c even
+// when c is the identity codec. The logical charge is exactly the
+// uncompressed store's: one sequential write of len(buf) bytes at offset
+// 0 on a fresh file — and, like the raw stores, nothing at all for an
+// empty image (the file is created and left empty). Under any codec but
+// the identity one, a BlockWriter writes the same file.
 func WriteBlockFile(path string, ct *diskio.Counter, c Codec, buf []byte) error {
-	w, err := NewBlockWriter(path, ct, c)
+	if c == nil {
+		c = None
+	}
+	w, err := newBlockWriter(path, ct, c)
 	if err != nil {
 		return err
 	}
@@ -346,139 +343,4 @@ func (b *BlockFile) chunkLocked(ci int, c diskio.Class) ([]byte, error) {
 	}
 	slot.ci, slot.data = ci, chunk
 	return chunk, nil
-}
-
-// SpillFile is the compressed replacement for a message-spill file:
-// records are charged logically as the paper's random writes (arrival
-// order, destination locality unknown), staged in memory, and flushed
-// to disk as compressed frames. ReadAll reassembles the full logical
-// record stream — flushed frames plus the unflushed tail — and charges
-// the one sequential read the raw spill's drain performs.
-type SpillFile struct {
-	path string
-	c    Codec
-	ct   *diskio.Counter
-
-	acct       *diskio.Accountant
-	f          *diskio.File
-	staging    []byte
-	frame      []byte // the frame being written, reused
-	physOff    int64
-	logicalLen int64
-}
-
-// NewSpillFile prepares a spill at path; like the raw spill, the file
-// is created lazily on the first Append.
-func NewSpillFile(path string, ct *diskio.Counter, c Codec) *SpillFile {
-	return &SpillFile{path: path, c: c, ct: ct}
-}
-
-// SetCounter retargets future logical and physical charges.
-func (s *SpillFile) SetCounter(ct *diskio.Counter) {
-	s.ct = ct
-	if s.acct != nil {
-		s.acct.SetCounter(ct)
-	}
-	if s.f != nil {
-		s.f.SetCounter(diskio.PhysFor(ct))
-	}
-}
-
-// Len reports the logical bytes appended since the last Close.
-func (s *SpillFile) Len() int64 { return s.logicalLen }
-
-// Append spills one record, charging the random write the raw spill
-// would perform at the same logical offset.
-func (s *SpillFile) Append(rec []byte) error {
-	_, err := s.AppendRun(rec, len(rec))
-	return err
-}
-
-// AppendRun spills the whole recSize-byte records in recs, charging one
-// random write per record (one ChargeRun per stretch between frame
-// flushes, which fall where Append's would). It reports how many records
-// were accepted, and charged, before a flush failed.
-func (s *SpillFile) AppendRun(recs []byte, recSize int) (int, error) {
-	if recSize <= 0 || len(recs)%recSize != 0 {
-		return 0, fmt.Errorf("codec: %s: %d bytes is not a run of %d-byte records", s.path, len(recs), recSize)
-	}
-	if s.f == nil {
-		f, err := diskio.Create(s.path, diskio.PhysFor(s.ct))
-		if err != nil {
-			return 0, err
-		}
-		s.f = f
-		s.acct = diskio.NewAccountant(s.ct)
-	}
-	accepted := 0
-	for len(recs) > 0 {
-		// The record that takes the staging area to SpillChunk or past it
-		// is the last of its frame.
-		k := min(len(recs)/recSize, (SpillChunk-len(s.staging)+recSize-1)/recSize)
-		s.acct.ChargeRun(int64(recSize), k, s.logicalLen, diskio.RandWrite)
-		s.staging = append(s.staging, recs[:k*recSize]...)
-		s.logicalLen += int64(k * recSize)
-		recs = recs[k*recSize:]
-		accepted += k
-		if len(s.staging) >= SpillChunk {
-			if err := s.flush(); err != nil {
-				return accepted, err
-			}
-		}
-	}
-	return accepted, nil
-}
-
-func (s *SpillFile) flush() error {
-	s.frame = AppendFrame(s.frame[:0], s.c, s.staging)
-	if _, err := s.f.WriteAtClass(s.frame, s.physOff, diskio.RandWrite); err != nil {
-		return err
-	}
-	s.physOff += int64(len(s.frame))
-	s.staging = s.staging[:0]
-	return nil
-}
-
-// ReadAll fills p (which must be exactly Len() bytes) with the logical
-// record stream and charges the whole-spill sequential read.
-func (s *SpillFile) ReadAll(p []byte) error {
-	if int64(len(p)) != s.logicalLen {
-		return fmt.Errorf("codec: %s: drain of %d bytes, spilled %d", s.path, len(p), s.logicalLen)
-	}
-	out := p[:0]
-	if s.physOff > 0 {
-		raw := make([]byte, s.physOff)
-		if _, err := s.f.ReadAtClass(raw, 0, diskio.SeqRead); err != nil {
-			return err
-		}
-		for len(raw) > 0 {
-			var n int
-			var err error
-			out, n, err = DecodeFrame(out, raw)
-			if err != nil {
-				return fmt.Errorf("codec: %s: %w", s.path, err)
-			}
-			raw = raw[n:]
-		}
-	}
-	out = append(out, s.staging...)
-	if int64(len(out)) != s.logicalLen {
-		return fmt.Errorf("%w: %s: spill decoded to %d bytes, want %d", ErrCorrupt, s.path, len(out), s.logicalLen)
-	}
-	s.acct.ReadAtClass(s.logicalLen, 0, diskio.SeqRead)
-	return nil
-}
-
-// Close releases the physical file and resets to the lazy state, so the
-// next Append starts a fresh spill cycle exactly as the raw spill's
-// close-and-recreate does.
-func (s *SpillFile) Close() error {
-	var err error
-	if s.f != nil {
-		err = s.f.Close()
-	}
-	s.f, s.acct = nil, nil
-	s.staging = nil
-	s.physOff, s.logicalLen = 0, 0
-	return err
 }

@@ -7,18 +7,18 @@ import (
 	"hybridgraph/internal/diskio"
 )
 
-// BlockWriter streams a block file to disk without holding the logical
-// image in memory: logical bytes are staged up to ChunkSize, each full
-// chunk is emitted as one frame, and Close appends the chunk index and
-// footer. The output is byte-identical to WriteBlockFile over the same
-// logical stream — same chunk boundaries, index frame, footer, and the
-// same single whole-image logical charge — so builders that used to
-// buffer a store can switch to streaming without disturbing manifests,
-// CRCs or accounting.
+// BlockWriter streams a store file to disk without holding the logical
+// image in memory, in the layout OpenReader reads under its codec: the
+// image is staged ChunkSize bytes at a time and each chunk written as it
+// is under the identity codec, else as one frame, with the chunk index
+// and footer appended at Close — WriteBlockFile's bytes. Either way the
+// logical charge is the one sequential write of the whole image, taken
+// at Close, so builders that used to buffer a store can stream it
+// without disturbing manifests, CRCs or accounting.
 type BlockWriter struct {
 	f       *diskio.File
-	ct      *diskio.Counter
-	c       Codec
+	acct    *diskio.Accountant
+	c       Codec  // the frames' codec; nil writes the image as it is
 	buf     []byte // staged logical bytes, < ChunkSize after flush
 	frame   []byte
 	lens    []uint32 // physical frame length per chunk
@@ -27,22 +27,24 @@ type BlockWriter struct {
 	closed  bool
 }
 
-// NewBlockWriter creates (truncating) a block file at path. As with
-// WriteBlockFile, physical frame I/O lands on ct's physical twin and the
-// logical charge is taken once, at Close.
+// NewBlockWriter creates (truncating) a store file at path under c.
 func NewBlockWriter(path string, ct *diskio.Counter, c Codec) (*BlockWriter, error) {
-	f, err := diskio.Create(path, diskio.PhysFor(ct))
+	return newBlockWriter(path, ct, framing(c))
+}
+
+// newBlockWriter is NewBlockWriter for the frames' codec c (nil: the
+// identity layout); WriteBlockFile frames even under the identity codec.
+func newBlockWriter(path string, ct *diskio.Counter, c Codec) (*BlockWriter, error) {
+	phys, acct := sides(ct, c != nil)
+	f, err := diskio.Create(path, phys)
 	if err != nil {
 		return nil, err
 	}
-	if c == nil {
-		c = None
-	}
-	return &BlockWriter{f: f, ct: ct, c: c, buf: make([]byte, 0, ChunkSize)}, nil
+	return &BlockWriter{f: f, acct: acct, c: c, buf: make([]byte, 0, ChunkSize)}, nil
 }
 
-// Write stages logical bytes, flushing a frame per completed ChunkSize
-// chunk. Implements io.Writer.
+// Write stages logical bytes, flushing each completed ChunkSize chunk.
+// Implements io.Writer.
 func (w *BlockWriter) Write(p []byte) (int, error) {
 	if w.closed {
 		return 0, fmt.Errorf("codec: write to closed block writer %s", w.f.Name())
@@ -65,25 +67,23 @@ func (w *BlockWriter) Write(p []byte) (int, error) {
 }
 
 func (w *BlockWriter) flushChunk() error {
-	w.frame = AppendFrame(w.frame[:0], w.c, w.buf)
-	if _, err := w.f.WriteAtClass(w.frame, w.physOff, diskio.SeqWrite); err != nil {
+	out := encode(&w.frame, w.c, w.buf)
+	if _, err := w.f.WriteAtClass(out, w.physOff, diskio.SeqWrite); err != nil {
 		return err
 	}
-	w.lens = append(w.lens, uint32(len(w.frame)))
-	w.physOff += int64(len(w.frame))
+	if w.c != nil {
+		w.lens = append(w.lens, uint32(len(out)))
+	}
+	w.physOff += int64(len(out))
 	w.logical += int64(len(w.buf))
 	w.buf = w.buf[:0]
 	return nil
 }
 
-// Logical reports the logical bytes accepted so far, staged included.
-func (w *BlockWriter) Logical() int64 { return w.logical + int64(len(w.buf)) }
-
-// Close flushes the final partial chunk, writes the index frame and
-// footer, and takes the whole-image logical charge. A writer that never
-// received a byte leaves an empty file, exactly like WriteBlockFile on
-// an empty image. Close is not idempotent-safe for further Writes but
-// may be called once on any writer.
+// Close writes the staged tail and, for a framed file, the index frame
+// and footer, and takes the whole-image logical charge. A writer that
+// never received a byte leaves an empty file and charges nothing. Close
+// may be called once on any writer; no Write may follow it.
 func (w *BlockWriter) Close() error {
 	if w.closed {
 		return nil
@@ -98,22 +98,24 @@ func (w *BlockWriter) Close() error {
 	if w.logical == 0 {
 		return nil
 	}
-	index := make([]byte, 0, 4+4*len(w.lens))
-	index = binary.LittleEndian.AppendUint32(index, uint32(len(w.lens)))
-	for _, l := range w.lens {
-		index = binary.LittleEndian.AppendUint32(index, l)
+	if w.c != nil {
+		index := make([]byte, 0, 4+4*len(w.lens))
+		index = binary.LittleEndian.AppendUint32(index, uint32(len(w.lens)))
+		for _, l := range w.lens {
+			index = binary.LittleEndian.AppendUint32(index, l)
+		}
+		indexFrame := AppendFrame(nil, None, index)
+		if _, err := w.f.WriteAtClass(indexFrame, w.physOff, diskio.SeqWrite); err != nil {
+			return err
+		}
+		footer := make([]byte, 0, footerSize)
+		footer = append(footer, footerMagic...)
+		footer = binary.LittleEndian.AppendUint64(footer, uint64(w.physOff))
+		footer = binary.LittleEndian.AppendUint64(footer, uint64(w.logical))
+		if _, err := w.f.WriteAtClass(footer, w.physOff+int64(len(indexFrame)), diskio.SeqWrite); err != nil {
+			return err
+		}
 	}
-	indexFrame := AppendFrame(nil, None, index)
-	if _, err := w.f.WriteAtClass(indexFrame, w.physOff, diskio.SeqWrite); err != nil {
-		return err
-	}
-	footer := make([]byte, 0, footerSize)
-	footer = append(footer, footerMagic...)
-	footer = binary.LittleEndian.AppendUint64(footer, uint64(w.physOff))
-	footer = binary.LittleEndian.AppendUint64(footer, uint64(w.logical))
-	if _, err := w.f.WriteAtClass(footer, w.physOff+int64(len(indexFrame)), diskio.SeqWrite); err != nil {
-		return err
-	}
-	diskio.NewAccountant(w.ct).WriteAtClass(w.logical, 0, diskio.SeqWrite)
+	w.acct.WriteAtClass(w.logical, 0, diskio.SeqWrite)
 	return nil
 }

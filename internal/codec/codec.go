@@ -9,7 +9,11 @@
 // *physical* bytes are what actually hits the disk: compressed frames,
 // charged to a parallel physical counter (diskio.Counter.Phys). A codec
 // therefore never changes a job's logical statistics or its final
-// values; it only shrinks the physical dimension.
+// values; it only shrinks the physical dimension. The package is also
+// the only one that tells codecs apart: each structure has one type here
+// (a SpillFile, an Appender, WriteFile/ReadFile, a BlockWriter, a Reader)
+// that under the identity codec "none" keeps the logical bytes as they
+// are, with the physical twin mirroring every logical charge (file.go).
 //
 // Every compressed block is wrapped in a self-describing frame:
 //
@@ -47,10 +51,6 @@ const (
 	FrameOverhead = HeaderSize + 4 // plus trailing CRC32
 	MaxBlockLen   = 1<<31 - 1      // lengths are u32; keep int-safe
 	magic         = "HGCB"
-	// FrameMagic is the frame prefix, exported so readers of
-	// self-describing files (checkpoint snapshots) can sniff whether a
-	// file is codec-framed before deciding how to charge the read.
-	FrameMagic = magic
 )
 
 // ErrCorrupt is the typed sentinel every decode failure wraps: bad

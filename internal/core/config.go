@@ -131,9 +131,6 @@ type Config struct {
 	// VerticesInMemory keeps vertex records memory-resident while edges
 	// stay on disk (Table 5 ext-edge).
 	VerticesInMemory bool
-	// Source seeds SSSP/SA-style programs (informational; programs carry
-	// their own source).
-	Source graph.VertexID
 	// KeepFiles leaves the work directory in place after the job.
 	KeepFiles bool
 	// TCP routes all worker communication over loopback TCP sockets

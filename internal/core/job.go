@@ -918,11 +918,12 @@ func (j *job) superstep(t int, engine, mode Engine) (metrics.StepStats, error) {
 	j.lastStepAggSet = aggSet
 	j.finishQt(t, mode, &st)
 
-	if j.trace != nil && !codec.IsNone(j.cdc) {
-		// One codec event pair per superstep, derived from the counter
-		// deltas: the write classes are the compress direction, the read
-		// classes decompress. Logical bytes include the message log — the
-		// codec frames it too.
+	if j.trace != nil {
+		// One codec event pair per superstep under every codec, derived
+		// from the counter deltas: the write classes are the compress
+		// direction, the read classes decompress. Logical bytes include the
+		// message log — the codec stores it too. Under the identity codec
+		// the physical bytes equal the logical ones.
 		wLog := st.IO.Bytes[diskio.SeqWrite] + st.IO.Bytes[diskio.RandWrite] +
 			st.LogIO.Bytes[diskio.SeqWrite] + st.LogIO.Bytes[diskio.RandWrite]
 		rLog := st.IO.Bytes[diskio.SeqRead] + st.IO.Bytes[diskio.RandRead] +

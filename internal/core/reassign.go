@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"hybridgraph/internal/checkpoint"
+	"hybridgraph/internal/codec"
 	"hybridgraph/internal/comm"
 	"hybridgraph/internal/diskio"
 	"hybridgraph/internal/metrics"
@@ -190,14 +191,12 @@ func (j *job) adoptWorker(fw, host, step int, reason string, res *metrics.JobRes
 		// crosses the wire in the paper's model is the state, not however
 		// the local file happens to be framed on disk.
 		coord := checkpoint.Coordinator{Dir: j.dir}
-		if sz, err := checkpoint.SnapshotLogicalSize(coord.SnapshotPath(j.ckptStep, fw)); err == nil {
+		if sz, err := codec.LogicalSize(coord.SnapshotPath(j.ckptStep, fw)); err == nil {
 			netBytes += sz
 		}
 	}
 	if w.mlog != nil {
-		if sb, err := w.mlog.SegmentBytes(); err == nil {
-			netBytes += sb
-		}
+		netBytes += w.mlog.SegmentBytes()
 	}
 	netBytes += migIO.Bytes[diskio.SeqWrite]
 

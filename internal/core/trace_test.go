@@ -276,6 +276,16 @@ func checkTracedRun(t *testing.T, g *graph.Graph, prog algo.Program, engine Engi
 	if engine == Push && spilledTotal == 0 {
 		t.Fatal("expected spills under MsgBuf=150; cross-check never exercised MdiskW")
 	}
+	// The codec events are emitted under the identity codec too, and there
+	// they read physical == logical.
+	if len(p.codecs) == 0 {
+		t.Fatal("no compress/decompress events under codec none")
+	}
+	for _, ev := range p.codecs {
+		if ev.Codec != "none" || ev.Physical != ev.Logical {
+			t.Fatalf("codec event under none = %+v, want physical == logical", ev)
+		}
+	}
 
 	// Mode switch events must match the SwitchedFrom markers.
 	switched := 0

@@ -14,7 +14,8 @@ import "sync"
 // the store's real frame I/O goes through an ordinary File opened on the
 // counter's physical twin. A bare Accountant applies the raw
 // (non-mirroring) tally update, so its charges never leak into the
-// physical dimension.
+// physical dimension; a mirroring one (NewMirrorAccountant) charges for
+// a store whose file holds its logical bytes as they are.
 type Accountant struct {
 	mu       sync.Mutex
 	ct       *Counter
@@ -27,6 +28,12 @@ type Accountant struct {
 // created or opened File.
 func NewAccountant(ct *Counter) *Accountant {
 	return &Accountant{ct: ct, lastPage: -1}
+}
+
+// NewMirrorAccountant is NewAccountant whose charges also reach ct's
+// physical twin, as a File's own charges do.
+func NewMirrorAccountant(ct *Counter) *Accountant {
+	return &Accountant{ct: ct, mirror: true, lastPage: -1}
 }
 
 // SetCounter retargets accounting to a different counter.
@@ -175,19 +182,4 @@ func (a *Accountant) Sync() {
 	ct := a.ct
 	a.mu.Unlock()
 	a.add(ct, SeqWrite, 0, 0)
-}
-
-// WriteFileSyncDual is WriteFileSync for a compressed file: phys is
-// what reaches the disk (written, fsynced and renamed through the fault
-// layer, charged to ct's physical twin), while ct receives the logical
-// charges the uncompressed WriteFileSync would have made for a
-// logicalLen-byte payload — one class-c write plus the sync op.
-func WriteFileSyncDual(path string, phys []byte, logicalLen int64, ct *Counter, c Class) error {
-	if err := WriteFileSync(path, phys, PhysFor(ct), c); err != nil {
-		return err
-	}
-	a := NewAccountant(ct)
-	a.WriteAtClass(logicalLen, 0, c)
-	a.Sync()
-	return nil
 }

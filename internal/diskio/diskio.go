@@ -302,11 +302,6 @@ func (af *File) WriteUncharged(p []byte, off int64, c Class) (int, error) {
 // ReadAtClass/WriteAtClass would for a full transfer, moving no bytes.
 func (af *File) Charge(n, off int64, c Class) { af.acct.Charge(n, off, c) }
 
-// ChargeRun is count Charge calls over back-to-back recSize-byte records.
-func (af *File) ChargeRun(recSize int64, count int, off int64, c Class) {
-	af.acct.ChargeRun(recSize, count, off, c)
-}
-
 // ChargeDev is Charge with an explicit device charge, for callers that
 // manage their own page locality (b-pull's Pull-Respond keeps a Vblock's
 // pages hot across a superstep's scans).

@@ -9,10 +9,12 @@
 //
 // Records are CRC-framed individually, so a torn tail write surfaces as a
 // verification error instead of silently replaying garbage. Segments are
-// one file per superstep and are pruned once the checkpoint coordinator
-// commits a superstep that subsumes them. All writes flow through the
-// diskio counter handed to Open, so log overhead is charged to the same
-// cost model as computation.
+// one file per superstep, written by a codec.Appender and read back by
+// codec.ReadFile under every codec, and are pruned once the checkpoint
+// coordinator commits a superstep that subsumes them. The log keeps each
+// retained segment's end in memory, so neither its size nor a reopen
+// reads a segment. All I/O is charged to the diskio counters handed to
+// it, so log overhead is charged to the same cost model as computation.
 package msglog
 
 import (
@@ -20,8 +22,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -57,25 +61,24 @@ type Log struct {
 	cdc codec.Codec
 
 	mu      sync.Mutex
-	step    int          // superstep of the open segment (-1 = none)
-	f       *diskio.File // open segment, append position off
-	off     int64        // logical append position (== physical when raw)
-	poff    int64        // physical append position (framed segments)
-	acct    *diskio.Accountant
-	bytes   int64 // total record bytes appended over the log's lifetime
+	step    int               // superstep of the open segment (-1 = none)
+	seg     *codec.Appender   // the open segment
+	ends    map[int]codec.End // where every retained segment ends, by superstep
+	bytes   int64             // total record bytes appended over the log's lifetime
 	records int64
 }
 
 // Open creates (or reopens) a worker's message log rooted at dir. All
-// write I/O is charged to ct as sequential writes. With a non-trivial
-// codec each record is stored as one compressed frame: the logical
-// charge (the record bytes, the number Eq.-style LogIO reasons about)
-// is unchanged, while the frame bytes land on ct's physical twin.
+// write I/O is charged to ct as sequential writes of the record bytes —
+// the number Eq.-style LogIO reasons about — whatever the codec: under
+// the identity codec a segment holds the records as they are, under any
+// other each record is stored as one frame whose bytes land on ct's
+// physical twin.
 func Open(dir string, ct *diskio.Counter, cdc codec.Codec) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	return &Log{dir: dir, ct: ct, cdc: cdc, step: -1}, nil
+	return &Log{dir: dir, ct: ct, cdc: cdc, step: -1, ends: make(map[int]codec.End)}, nil
 }
 
 // SegmentPath names the segment file holding superstep step's records.
@@ -103,115 +106,38 @@ func (l *Log) append(step int, kind Kind, key uint32, msgs []comm.Msg) error {
 	if err := l.switchTo(step); err != nil {
 		return err
 	}
-	if codec.IsNone(l.cdc) {
-		if _, err := l.f.WriteAtClass(rec, l.off, diskio.SeqWrite); err != nil {
-			return fmt.Errorf("msglog: %s: %w", l.SegmentPath(step), err)
-		}
-	} else {
-		frame := codec.AppendFrame(nil, l.cdc, rec)
-		if _, err := l.f.WriteAtClass(frame, l.poff, diskio.SeqWrite); err != nil {
-			return fmt.Errorf("msglog: %s: %w", l.SegmentPath(step), err)
-		}
-		l.poff += int64(len(frame))
-		l.acct.WriteAtClass(int64(len(rec)), l.off, diskio.SeqWrite)
+	if err := l.seg.Append(rec); err != nil {
+		return fmt.Errorf("msglog: %s: %w", l.SegmentPath(step), err)
 	}
-	l.off += int64(len(rec))
+	l.ends[step] = l.seg.End()
 	l.bytes += int64(len(rec))
 	l.records++
 	return nil
 }
 
-// switchTo points the append position at step's segment, reopening an
-// existing segment at its tail (a worker that rejoins after a stall
-// appends to the step it never finished). Callers hold l.mu.
+// switchTo points the append position at step's segment, reopening a
+// retained segment at the end the log kept for it (a worker that rejoins
+// after a stall appends to the step it never finished). Callers hold l.mu.
 func (l *Log) switchTo(step int) error {
-	if l.f != nil && l.step == step {
+	if l.seg != nil && l.step == step {
 		return nil
 	}
-	if l.f != nil {
-		if err := l.f.Close(); err != nil {
+	if l.seg != nil {
+		if err := l.seg.Close(); err != nil {
 			return err
 		}
-		l.f = nil
+		l.seg = nil
 	}
-	path := l.SegmentPath(step)
-	fct := l.ct
-	if !codec.IsNone(l.cdc) {
-		fct = diskio.PhysFor(l.ct)
-		l.acct = diskio.NewAccountant(l.ct)
+	var end *codec.End
+	if e, ok := l.ends[step]; ok {
+		end = &e
 	}
-	if _, err := os.Stat(path); err == nil {
-		f, err := diskio.Open(path, fct)
-		if err != nil {
-			return err
-		}
-		size, err := f.Size()
-		if err != nil {
-			f.Close()
-			return err
-		}
-		if codec.IsNone(l.cdc) {
-			l.f, l.off = f, size
-		} else {
-			// Reopening a framed segment at its tail: the logical append
-			// position is the sum of frame logical lengths, recovered by
-			// re-reading the segment (a physical-only cost — the raw log's
-			// reopen performs no data I/O, and neither does our logical
-			// dimension).
-			logical, phys, lerr := loadSegment(path, diskio.PhysFor(l.ct))
-			if lerr != nil {
-				f.Close()
-				return fmt.Errorf("msglog: reopen %s: %w", path, lerr)
-			}
-			l.f, l.off, l.poff = f, int64(len(logical)), phys
-		}
-	} else {
-		f, err := diskio.Create(path, fct)
-		if err != nil {
-			return err
-		}
-		l.f, l.off, l.poff = f, 0, 0
+	seg, err := codec.OpenAppender(l.SegmentPath(step), l.ct, l.cdc, end)
+	if err != nil {
+		return err
 	}
-	l.step = step
+	l.seg, l.step, l.ends[step] = seg, step, seg.End()
 	return nil
-}
-
-// loadSegment reads one whole segment through the fault layer (charged
-// to physCt as one sequential read) and returns its logical record
-// bytes: frames are decoded when the segment is framed, raw bytes pass
-// through. The sniff is unambiguous — a raw record starts with its kind
-// byte (1 or 2), never with the frame magic's 'H'.
-func loadSegment(path string, physCt *diskio.Counter) (logical []byte, physSize int64, err error) {
-	f, err := diskio.OpenRead(path, physCt)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer f.Close()
-	size, err := f.Size()
-	if err != nil {
-		return nil, 0, err
-	}
-	if size == 0 {
-		return nil, 0, nil
-	}
-	buf := make([]byte, size)
-	if _, err := f.ReadAtClass(buf, 0, diskio.SeqRead); err != nil {
-		return nil, 0, err
-	}
-	if buf[0] != 'H' {
-		return buf, size, nil // raw segment
-	}
-	var out []byte
-	rest := buf
-	for len(rest) > 0 {
-		var n int
-		out, n, err = codec.DecodeFrame(out, rest)
-		if err != nil {
-			return nil, 0, err
-		}
-		rest = rest[n:]
-	}
-	return out, size, nil
 }
 
 // PushTo reads every push record worker dst was sent during superstep
@@ -253,40 +179,12 @@ func (l *Log) PullResp(step, block int, rct *diskio.Counter) ([]comm.Msg, bool, 
 // cost: survivors stream a segment once per replayed superstep.
 func (l *Log) scan(step int, rct *diskio.Counter, fn func(kind Kind, key uint32, msgs []comm.Msg) bool) error {
 	path := l.SegmentPath(step)
-	if _, err := os.Stat(path); err != nil {
-		if os.IsNotExist(err) {
-			return nil
+	buf, err := codec.ReadFile(path, rct)
+	if err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil // the sender logged nothing that superstep
 		}
-		return err
-	}
-	var buf []byte
-	if codec.IsNone(l.cdc) {
-		f, err := diskio.Open(path, rct)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		size, err := f.Size()
-		if err != nil {
-			return err
-		}
-		buf = make([]byte, size)
-		if size > 0 {
-			if _, err := f.ReadAtClass(buf, 0, diskio.SeqRead); err != nil {
-				return err
-			}
-		}
-	} else {
-		logical, _, err := loadSegment(path, diskio.PhysFor(rct))
-		if err != nil {
-			return fmt.Errorf("msglog: %s: %w", path, err)
-		}
-		buf = logical
-		if len(buf) > 0 {
-			// The raw log charges the whole-segment sequential read; the
-			// logical dimension charges the same record bytes.
-			diskio.NewAccountant(rct).ReadAtClass(int64(len(buf)), 0, diskio.SeqRead)
-		}
+		return fmt.Errorf("msglog: %s: %w", path, err)
 	}
 	off := 0
 	for off < len(buf) {
@@ -313,10 +211,15 @@ func (l *Log) scan(step int, rct *diskio.Counter, fn func(kind Kind, key uint32,
 // callers log them and carry on with a larger-than-necessary log.
 func (l *Log) Prune(through int) (int, error) {
 	l.mu.Lock()
-	if l.f != nil && l.step <= through {
-		l.f.Close()
-		l.f = nil
+	if l.seg != nil && l.step <= through {
+		l.seg.Close()
+		l.seg = nil
 		l.step = -1
+	}
+	for s := range l.ends {
+		if s <= through {
+			delete(l.ends, s)
+		}
 	}
 	l.mu.Unlock()
 	ents, err := os.ReadDir(l.dir)
@@ -354,32 +257,21 @@ func (l *Log) Prune(through int) (int, error) {
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.f != nil {
-		if err := l.f.Sync(); err != nil {
+	if l.seg != nil {
+		if err := l.seg.Sync(); err != nil {
 			return fmt.Errorf("msglog: %s: %w", l.SegmentPath(l.step), err)
 		}
-		if !codec.IsNone(l.cdc) {
-			// The open framed segment's handle charges the physical twin;
-			// the logical dimension records the same zero-byte sync op.
-			l.acct.Sync()
+	}
+	closed := make([]int, 0, len(l.ends))
+	for s := range l.ends {
+		if l.seg == nil || s != l.step {
+			closed = append(closed, s)
 		}
 	}
-	ents, err := os.ReadDir(l.dir)
-	if err != nil {
-		return err
-	}
-	for _, e := range ents {
-		name := e.Name()
-		if !strings.HasPrefix(name, "seg-") || !strings.HasSuffix(name, ".log") {
-			continue
-		}
-		if l.f != nil {
-			if s, perr := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, "seg-"), ".log")); perr == nil && s == l.step {
-				continue // already synced through the open handle
-			}
-		}
-		if err := diskio.SyncFile(filepath.Join(l.dir, name), l.ct); err != nil {
-			return fmt.Errorf("msglog: %s: %w", name, err)
+	slices.Sort(closed) // one fsync order, so seeded storage faults replay
+	for _, s := range closed {
+		if err := diskio.SyncFile(l.SegmentPath(s), l.ct); err != nil {
+			return fmt.Errorf("msglog: %w", err)
 		}
 	}
 	return nil
@@ -392,39 +284,19 @@ func (l *Log) BytesLogged() int64 {
 	return l.bytes
 }
 
-// SegmentBytes reports the *logical* record bytes of every segment
-// still in the log (pruned segments excluded). This is the size of the
-// log slice a partition adoption must ship to the surviving host —
-// BytesLogged is the wrong number there, being a lifetime total that
-// still counts pruned segments. For framed segments the logical size is
-// recovered from the frame headers (a physical-only re-read), so the
-// migration cost model sees the same bytes whatever codec is active.
-func (l *Log) SegmentBytes() (int64, error) {
-	ents, err := os.ReadDir(l.dir)
-	if err != nil {
-		return 0, err
-	}
+// SegmentBytes reports the logical record bytes of every segment still
+// in the log (pruned segments excluded): the log slice a partition
+// adoption ships to the surviving host. BytesLogged is the wrong number
+// there, being a lifetime total that still counts pruned segments. The
+// log keeps every retained segment's end, so this reads nothing.
+func (l *Log) SegmentBytes() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	var total int64
-	for _, e := range ents {
-		name := e.Name()
-		if !strings.HasPrefix(name, "seg-") || !strings.HasSuffix(name, ".log") {
-			continue
-		}
-		if codec.IsNone(l.cdc) {
-			info, err := e.Info()
-			if err != nil {
-				return 0, err
-			}
-			total += info.Size()
-			continue
-		}
-		logical, _, err := loadSegment(filepath.Join(l.dir, name), diskio.PhysFor(l.ct))
-		if err != nil {
-			return 0, err
-		}
-		total += int64(len(logical))
+	for _, e := range l.ends {
+		total += e.Logical
 	}
-	return total, nil
+	return total
 }
 
 // Records reports the number of records appended so far.
@@ -438,11 +310,11 @@ func (l *Log) Records() int64 {
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.f == nil {
+	if l.seg == nil {
 		return nil
 	}
-	err := l.f.Close()
-	l.f = nil
+	err := l.seg.Close()
+	l.seg = nil
 	l.step = -1
 	return err
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"hybridgraph/internal/codec"
 	"hybridgraph/internal/comm"
 	"hybridgraph/internal/diskio"
 )
@@ -116,6 +117,70 @@ func TestSegmentReopenAfterStepChange(t *testing.T) {
 	if !msgsEqual(got, want) {
 		t.Fatalf("PushTo after reopen = %v, want %v", got, want)
 	}
+}
+
+// TestSizeQueriesReadNothing: under a codec the log still answers how big
+// its retained segments are, and where a reopened segment ends, from
+// memory. Neither SegmentBytes nor a rejoin's reopen reads a segment: the
+// counter and its physical twin see no read at all.
+func TestSizeQueriesReadNothing(t *testing.T) {
+	lz, err := codec.Lookup("lz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct, phys := &diskio.Counter{}, &diskio.Counter{}
+	ct.SetPhys(phys)
+	l, err := Open(filepath.Join(t.TempDir(), "msglog"), ct, lz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for step := 1; step <= 3; step++ {
+		for dst := 0; dst < 2; dst++ {
+			if err := l.AppendPush(step, dst, []comm.Msg{{Dst: 4, Val: float64(step)}, {Dst: 5, Val: 1}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	noReads := func(when string) {
+		t.Helper()
+		for _, c := range []*diskio.Counter{ct, phys} {
+			if c.Ops(diskio.SeqRead) != 0 || c.Ops(diskio.RandRead) != 0 {
+				t.Fatalf("%s read the log: %+v", when, c.Snapshot())
+			}
+		}
+	}
+	before, pbefore := ct.Snapshot(), phys.Snapshot()
+	if got := l.SegmentBytes(); got != l.BytesLogged() {
+		t.Fatalf("SegmentBytes = %d, want the %d bytes logged", got, l.BytesLogged())
+	}
+	if ct.Snapshot() != before || phys.Snapshot() != pbefore {
+		t.Fatalf("SegmentBytes charged I/O: %+v, physical %+v", ct.Snapshot().Sub(before), phys.Snapshot().Sub(pbefore))
+	}
+	// A stalled worker rejoins superstep 2 and appends to its segment again.
+	if err := l.AppendPush(2, 0, []comm.Msg{{Dst: 6, Val: 7}}); err != nil {
+		t.Fatal(err)
+	}
+	noReads("the reopen")
+	if got := l.SegmentBytes(); got != l.BytesLogged() {
+		t.Fatalf("SegmentBytes after the reopen = %d, want %d", got, l.BytesLogged())
+	}
+	got, err := l.PushTo(2, 0, &diskio.Counter{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []comm.Msg{{Dst: 4, Val: 2}, {Dst: 5, Val: 1}, {Dst: 6, Val: 7}}; !msgsEqual(got, want) {
+		t.Fatalf("PushTo after the reopen = %v, want %v", got, want)
+	}
+	if _, err := l.Prune(2); err != nil {
+		t.Fatal(err)
+	}
+	// Only superstep 3's two records are left.
+	want := int64(2 * len(encodeRecord(3, KindPush, 0, []comm.Msg{{Dst: 4, Val: 3}, {Dst: 5, Val: 1}})))
+	if got := l.SegmentBytes(); got != want {
+		t.Fatalf("SegmentBytes after Prune(2) = %d, want %d", got, want)
+	}
+	noReads("SegmentBytes")
 }
 
 func TestCorruptionDetected(t *testing.T) {

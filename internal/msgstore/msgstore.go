@@ -4,9 +4,10 @@
 // messages across destination vertices is the I/O problem the whole paper
 // attacks — and read back sequentially at the start of the next superstep
 // (the 2·IO(M_disk) term of Eq. 7, split across srw and ssr exactly as
-// Eq. 11 splits it). The cost is charged per spilled record; the bytes
-// reach the file a staging buffer at a time (DESIGN.md, "Charge model vs
-// physical execution"). Draining yields Groups: the superstep's messages
+// Eq. 11 splits it). The spill is one codec.SpillFile under every codec:
+// the cost is charged per spilled record, and the bytes reach the file a
+// staging buffer at a time (DESIGN.md, "Charge model vs physical
+// execution"). Draining yields Groups: the superstep's messages
 // grouped by destination in one flat array the inbox owns and reuses, each
 // vertex's values in delivery order — senders ascending, one sender's as
 // they arrived (DESIGN.md, "Message path"). An OnlineInbox adds MOCgraph's
@@ -38,82 +39,6 @@ const (
 	_ = uint(comm.MsgWireSize - recSize)
 )
 
-// spillFile is the spill backend: the raw accounted file, or a
-// compressed codec.SpillFile charging identical logical bytes while
-// staging compressed frames on the counter's physical twin. Records are
-// appended in arrival order either way; ReadAll reassembles the full
-// record stream.
-type spillFile interface {
-	// AppendRun spills the whole records in recs, one random write charged
-	// per record, and reports how many it accepted before a flush failed.
-	AppendRun(recs []byte, recSize int) (int, error)
-	ReadAll(p []byte) error
-	Close() error
-}
-
-// spillBufSize is the raw spill's staging buffer: the largest whole
-// number of records within 64 KiB, so a flush never splits a record.
-const spillBufSize = (64 << 10) / recSize * recSize
-
-// rawSpill is the codec-"none" backend. It charges the historical
-// sequence exactly — one random write per record at the record's logical
-// offset, one sequential whole-file read at drain — but moves the bytes a
-// staging buffer at a time and takes the charges a run at a time: records
-// collect in buf, reach the file in one uncharged write per spillBufSize
-// bytes, and each stretch between two flushes is one ChargeRun. A full
-// buffer is written by the AppendRun that needs the room, the tail by
-// ReadAll, so a write fault surfaces from the Add, Drain or Pending that
-// flushed, and a failed flush leaves buf intact for the retry.
-type rawSpill struct {
-	f       *diskio.File
-	off     int64  // logical end: bytes charged so far
-	buf     []byte // records charged but not yet written; they end at off
-	flushes *obs.Counter
-}
-
-func (r *rawSpill) AppendRun(recs []byte, recSize int) (int, error) {
-	accepted := 0
-	for len(recs) > 0 {
-		if len(r.buf)+recSize > cap(r.buf) {
-			if err := r.flush(); err != nil {
-				return accepted, err
-			}
-		}
-		k := min(len(recs), cap(r.buf)-len(r.buf)) / recSize
-		// Charged as random writes: Giraph's spilled messages have no
-		// destination locality, which is what makes push I/O-inefficient
-		// (Section 1, "expensive random writes").
-		r.f.ChargeRun(int64(recSize), k, r.off, diskio.RandWrite)
-		r.buf = append(r.buf, recs[:k*recSize]...)
-		r.off += int64(k * recSize)
-		recs = recs[k*recSize:]
-		accepted += k
-	}
-	return accepted, nil
-}
-
-func (r *rawSpill) flush() error {
-	if len(r.buf) == 0 {
-		return nil
-	}
-	if _, err := r.f.WriteUncharged(r.buf, r.off-int64(len(r.buf)), diskio.RandWrite); err != nil {
-		return err
-	}
-	r.buf = r.buf[:0]
-	r.flushes.Inc()
-	return nil
-}
-
-func (r *rawSpill) ReadAll(p []byte) error {
-	if err := r.flush(); err != nil {
-		return err
-	}
-	_, err := r.f.ReadAtClass(p, 0, diskio.SeqRead)
-	return err
-}
-
-func (r *rawSpill) Close() error { return r.f.Close() }
-
 // run is a stretch of the arrival stream one sender delivered: n messages from position off.
 type run struct{ from, off, n int }
 
@@ -125,15 +50,11 @@ func bySender(x, y run) int { return cmp.Compare(x.from, y.from) }
 // messages. Safe for concurrent Add from multiple senders.
 type Inbox struct {
 	mu       sync.Mutex
-	ct       *diskio.Counter
-	cdc      codec.Codec
-	path     string
 	capacity int // B_i in messages; <= 0 means unlimited (sufficient memory)
 	mem      []comm.Msg
-	runs     []run // who sent which stretch of the arrival stream mem ‖ spill, adjacent ones of a sender coalesced
-	spill    spillFile
-	stage    []byte // raw spill staging, allocated at the first spill and reused by every later one
-	readBack []byte // the spill read back at drain, reused
+	runs     []run            // who sent which stretch of the arrival stream mem ‖ spill, adjacent ones of a sender coalesced
+	spill    *codec.SpillFile // the overflow; its buffers last as long as the inbox
+	readBack []byte           // the spill read back at drain, reused
 	grouper  Grouper
 	ordered  []comm.Msg // the sparse drain's batch in delivery order, reused
 	enc      []byte     // a spilling batch as records, reused
@@ -143,7 +64,6 @@ type Inbox struct {
 
 	mSpilledMsgs  *obs.Counter // nil when metrics are disabled
 	mSpilledBytes *obs.Counter
-	mSpillFlushes *obs.Counter
 }
 
 // SetMetrics wires the inbox's spill tallies into reg ("msgstore.*"
@@ -153,19 +73,18 @@ func (b *Inbox) SetMetrics(reg *obs.Registry) {
 	defer b.mu.Unlock()
 	b.mSpilledMsgs = reg.Counter("msgstore.spilled_msgs")
 	b.mSpilledBytes = reg.Counter("msgstore.spilled_bytes")
-	// Physical writes of the raw spill's staging buffer, next to the
-	// per-record logical ops the Counter charges. (A codec spill's frame
-	// writes are already ops on the physical twin.)
-	b.mSpillFlushes = reg.Counter("msgstore.spill_flushes")
+	// Writes of the spill's staging buffer, next to the per-record
+	// logical ops the Counter charges.
+	b.spill.CountFlushes(reg.Counter("msgstore.spill_flushes"))
 }
 
 // NewInbox returns an inbox spilling to path once capacity messages are
 // buffered: capacity 0 means unlimited (sufficient memory), a negative
 // capacity means every message spills (MOCgraph's "messages sent to
 // disk-resident vertices reside on disk"). The spill file is created
-// lazily; cdc selects its on-disk encoding (nil or codec.None = raw).
+// lazily; cdc selects its on-disk encoding (nil means codec.None).
 func NewInbox(path string, ct *diskio.Counter, capacity int, cdc codec.Codec) *Inbox {
-	return &Inbox{ct: ct, cdc: cdc, path: path, capacity: capacity}
+	return &Inbox{capacity: capacity, spill: codec.NewSpillFile(path, ct, cdc)}
 }
 
 // Add accepts one message from sender 0. Beyond capacity the message is
@@ -217,20 +136,6 @@ func (b *Inbox) addFrom(from int, msgs []comm.Msg) error {
 // spillMsgs spills msgs in arrival order. When a flush fails part-way only
 // the records accepted so far are charged, counted and kept for the retry.
 func (b *Inbox) spillMsgs(msgs []comm.Msg) error {
-	if b.spill == nil {
-		if codec.IsNone(b.cdc) {
-			f, err := diskio.Create(b.path, b.ct)
-			if err != nil {
-				return err
-			}
-			if b.stage == nil {
-				b.stage = make([]byte, 0, spillBufSize)
-			}
-			b.spill = &rawSpill{f: f, buf: b.stage, flushes: b.mSpillFlushes}
-		} else {
-			b.spill = codec.NewSpillFile(b.path, b.ct, b.cdc)
-		}
-	}
 	b.enc = slices.Grow(b.enc[:0], len(msgs)*recSize)[:len(msgs)*recSize]
 	for i, m := range msgs {
 		comm.PutRecord(b.enc[i*recSize:], m)
@@ -288,11 +193,8 @@ func (b *Inbox) drain(extra []comm.Msg) (Groups, error) {
 	if err != nil {
 		return nil, err
 	}
-	if b.spill != nil {
-		if err := b.spill.Close(); err != nil {
-			return nil, err
-		}
-		b.spill = nil
+	if err := b.spill.Close(); err != nil {
+		return nil, err
 	}
 	b.runs = append(b.runs, run{math.MaxInt, len(all), len(extra)})
 	all = append(all, extra...)
@@ -325,7 +227,7 @@ func (b *Inbox) drain(extra []comm.Msg) (Groups, error) {
 // appendSpilled reads the spill back with one charged sequential read and
 // appends its records to dst in arrival order.
 func (b *Inbox) appendSpilled(dst []comm.Msg) ([]comm.Msg, error) {
-	if b.spill == nil {
+	if b.spillN == 0 {
 		return dst, nil
 	}
 	n := int(b.spillN * recSize)

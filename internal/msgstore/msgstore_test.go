@@ -2,17 +2,69 @@ package msgstore
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
 
+	"hybridgraph/internal/codec"
 	"hybridgraph/internal/comm"
 	"hybridgraph/internal/diskio"
 	"hybridgraph/internal/graph"
 )
+
+// spillBufSize is what one write of an identity-layout spill carries at
+// most: the whole records that fit its staging buffer.
+const spillBufSize = codec.SpillBufSize / recSize * recSize
+
+// TestSpillReusesBuffers: a spill's staging, frame and read-back buffers
+// last as long as the inbox, so once warm a spill-and-drain cycle under a
+// real codec allocates little beyond the Huffman tables DEFLATE builds
+// per decoded frame (~16 KiB here, against ~100 KiB when every cycle
+// allocated its own buffers).
+func TestSpillReusesBuffers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("measures allocation, which -race (run with -short) perturbs by dropping pooled coders")
+	}
+	lz, err := codec.Lookup("lz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ct diskio.Counter
+	b := NewInbox(filepath.Join(t.TempDir(), "spill.dat"), &ct, -1, lz)
+	msgs := make([]comm.Msg, 10000)
+	for i := range msgs {
+		msgs[i] = comm.Msg{Dst: graph.VertexID(i % 997), Val: float64(i)}
+	}
+	cycle := func() {
+		if err := b.AddAll(msgs); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.Drain(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	cycle()
+	// The fewest bytes any one warm cycle allocated: a garbage collection
+	// that empties the codec's coder pools lands on one cycle at most.
+	least := uint64(math.MaxUint64)
+	var ms runtime.MemStats
+	for i := 0; i < 5; i++ {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		cycle()
+		runtime.ReadMemStats(&ms)
+		least = min(least, ms.TotalAlloc-before)
+	}
+	if least > 32<<10 {
+		t.Fatalf("a warm spill cycle allocated %d B, want at most 32 KiB", least)
+	}
+}
 
 func newInbox(t *testing.T, capacity int) (*Inbox, *diskio.Counter) {
 	t.Helper()

@@ -136,7 +136,7 @@ const (
 	EventCheckpointFailed = "checkpoint_failed" // a checkpoint write failed; the attempt was abandoned
 	EventWALReplay        = "wal_replay"        // a restarted scheduler replayed its job WAL
 
-	// Block-codec events (Config.Codec != "none"): the per-superstep
+	// Block-codec events, under every codec: the per-superstep
 	// logical-vs-physical byte pairs on each direction of the codec.
 	EventCompress   = "compress"   // write side: logical bytes in, frame bytes out
 	EventDecompress = "decompress" // read side: frame bytes in, logical bytes out
@@ -217,7 +217,8 @@ type StepEvent struct {
 // one superstep: Logical is the uncompressed bytes the engines charged,
 // Physical the frame bytes that actually crossed the disk boundary.
 // Type "compress" pairs the write classes, "decompress" the read classes.
-// Emitted only when the job runs with a non-trivial codec.
+// Emitted under every codec; under the identity codec "none" Physical
+// equals Logical.
 type CodecEvent struct {
 	Type     string `json:"type"`
 	Step     int    `json:"step"`
