@@ -66,12 +66,11 @@ func runLegacy() {
 		diskSpec  = flag.String("disk-faults", "", "inject seeded storage faults, comma-separated k=v spec: seed=1,enospc=0.01,torn=0.01,syncfail=0.05,bitflip=0.001,cut=500,max=3")
 		stalls    = flag.String("stalls", "", "inject worker stalls, comma-separated step:worker pairs")
 		ckptEvery = flag.Int("ckpt-every", 0, "checkpoint every N supersteps (0 = policy default)")
-		deadline  = flag.Duration("barrier-deadline", 0, "barrier deadline for stall detection (0 = 250ms when stalls are scheduled)")
 		tcp       = flag.Bool("tcp", false, "run worker communication over loopback TCP")
 		codecName = flag.String("codec", "", "block codec for on-disk stores: none, delta, lz (default none)")
 		chargePhy = flag.Bool("charge-physical", false, "cost model charges physical (post-codec) bytes instead of logical bytes")
 		netSeed   = flag.Int64("net-seed", 0, "transport fault seed (with -tcp)")
-		netDrop   = flag.Float64("net-drop", 0, "transport request/response drop probability (with -tcp)")
+		netDrop   = flag.Float64("net-drop", 0, "probability that a request or response is lost to a broken connection (with -tcp)")
 		netDup    = flag.Float64("net-dup", 0, "transport duplicate probability (with -tcp)")
 	)
 	flag.Parse()
@@ -124,7 +123,6 @@ func runLegacy() {
 		Recovery:        *recovery,
 		MaxRestarts:     *maxRest,
 		CheckpointEvery: *ckptEvery,
-		BarrierDeadline: *deadline,
 		TCP:             *tcp,
 		Codec:           *codecName,
 		ChargePhysical:  *chargePhy,

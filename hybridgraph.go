@@ -101,14 +101,13 @@ type FaultPlan = faultplan.Plan
 // Crash is one scheduled worker failure.
 type Crash = faultplan.Crash
 
-// Stall is one scheduled worker hang, detected by the master's
-// barrier-deadline supervision (see Config.BarrierDeadline) instead of at
-// superstep start — the survivors complete the superstep the stalled
-// worker misses.
+// Stall is one scheduled worker hang, detected by the master at the
+// superstep's barrier instead of at superstep start — the survivors
+// complete the superstep the stalled worker misses.
 type Stall = faultplan.Stall
 
 // TransportFaults seeds the resilient TCP fabric's fault injector with
-// drop/delay/duplicate probabilities.
+// drop/delay/duplicate probabilities; a drop breaks the connection.
 type TransportFaults = faultplan.TransportFaults
 
 // DiskFaults seeds the storage-fault injector installed over the job's
@@ -165,9 +164,9 @@ type RecoveryNotice = core.RecoveryNotice
 // crash raises inside the engines; recovery normally absorbs it.
 var ErrInjectedFailure = core.ErrInjectedFailure
 
-// ErrStalledWorker matches (via errors.Is) the typed error the master's
-// barrier-deadline supervision raises for a hung worker; recovery
-// normally absorbs it.
+// ErrStalledWorker matches (via errors.Is) the typed error the master
+// raises for a worker that stalled at the barrier; recovery normally
+// absorbs it.
 var ErrStalledWorker = core.ErrStalledWorker
 
 // ErrNoSurvivors matches (via errors.Is) the typed failure a

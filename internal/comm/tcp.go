@@ -31,13 +31,14 @@ import (
 // duplicates), so the cost model is transport-independent; what the
 // sockets really carried is counted apart as "comm.tcp.frame_bytes".
 //
-// The fabric is resilient: every request carries a deadline, transport
-// errors (timeouts, broken pipes, resets) trigger bounded retries with
+// The fabric is resilient: transport errors (broken pipes, resets, and a
+// peer silent past the request deadline) trigger bounded retries with
 // exponential backoff and jitter over a fresh connection, and the serving
 // side deduplicates by sequence number so a retried Send or Signal whose
 // original was processed — only its response lost — is not applied twice.
-// Injected transport faults from a faultplan exercise exactly these paths
-// deterministically.
+// Injected transport faults from a faultplan exercise exactly these paths:
+// on a TCP stream a lost request or response shows up as a broken
+// connection, so an injected drop closes it and the client retries at once.
 type TCP struct {
 	mu        sync.RWMutex // guards handlers, addrs elements, counters below
 	handlers  map[int]Handler
@@ -65,39 +66,29 @@ type TCP struct {
 	mStale    *obs.Counter // "comm.stale_epoch"
 }
 
-// TCPConfig tunes the fabric's resilience machinery. Zero values select
-// defaults.
+// TCPConfig tunes the fabric. Zero values select defaults.
 type TCPConfig struct {
 	// Timeout is the per-request deadline covering one send+receive round
-	// trip. Default 5s, or 150ms when Faults are injected (loopback round
-	// trips are microseconds; a short deadline keeps fault runs brisk, and
-	// a spurious timeout is harmless — the retry is deduplicated).
+	// trip (default 5s). Only a peer that truly goes silent reaches it:
+	// an injected drop breaks the connection instead.
 	Timeout time.Duration
-	// MaxRetries bounds the retransmissions after the first attempt
-	// (default 8).
-	MaxRetries int
-	// Backoff is the base of the exponential retry backoff (default 1ms;
-	// doubled per attempt, capped at 100ms, plus up to 100% jitter).
-	Backoff time.Duration
 	// Faults, when non-nil, injects seeded transport faults on the serving
 	// side: dropped requests, dropped responses, duplicated deliveries and
 	// delays.
 	Faults *faultplan.TransportFaults
 }
 
+// maxRetries bounds the retransmissions after a request's first attempt;
+// retryBackoff is the base of their exponential backoff (doubled per
+// attempt, capped at 100ms, plus up to 100% jitter).
+const (
+	maxRetries   = 8
+	retryBackoff = time.Millisecond
+)
+
 func (c TCPConfig) withDefaults() TCPConfig {
 	if c.Timeout <= 0 {
-		if c.Faults != nil {
-			c.Timeout = 150 * time.Millisecond
-		} else {
-			c.Timeout = 5 * time.Second
-		}
-	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 8
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = time.Millisecond
+		c.Timeout = 5 * time.Second
 	}
 	return c
 }
@@ -484,9 +475,10 @@ func (f *TCP) serveConn(worker int, c net.Conn) {
 			d = f.roller.Roll()
 		}
 		if d.DropRequest {
-			// The request never reached the server: no processing, no
-			// response. The client times out and retries.
-			continue
+			// The request is lost before the server processes it. On a
+			// stream that is a broken connection: the client redials and
+			// retries at once.
+			return
 		}
 		process := func() tcpResponse {
 			msgs = msgs[:0]
@@ -508,9 +500,10 @@ func (f *TCP) serveConn(worker int, c net.Conn) {
 			time.Sleep(d.Delay)
 		}
 		if d.DropResponse {
-			// Processed, but the response is lost: the client's retry must
-			// be answered from the dedup record, not re-applied.
-			continue
+			// Processed, but the response is lost to a broken connection:
+			// the client's retry must be answered from the dedup record,
+			// not re-applied.
+			return
 		}
 		if err := s.send(&resp, resp.payload); err != nil {
 			return
@@ -657,7 +650,7 @@ func (f *TCP) roundTrip(w int, req *tcpRequest, msgs []Msg) (*tcpResponse, []Msg
 	req.Seq = f.seq.Add(1)
 	f.mRequests.Inc()
 	var lastErr error
-	for attempt := 0; attempt <= f.cfg.MaxRetries; attempt++ {
+	for attempt := 0; attempt <= maxRetries; attempt++ {
 		if attempt > 0 {
 			f.mRetries.Inc()
 			if err := f.sleepBackoff(attempt); err != nil {
@@ -697,14 +690,14 @@ func (f *TCP) roundTrip(w int, req *tcpRequest, msgs []Msg) (*tcpResponse, []Msg
 		return &resp, out, nil
 	}
 	return nil, nil, fmt.Errorf("comm: worker %d unreachable after %d attempts: %w",
-		w, f.cfg.MaxRetries+1, lastErr)
+		w, maxRetries+1, lastErr)
 }
 
-// sleepBackoff waits 2^(attempt-1)·Backoff, capped at 100ms, plus up to
-// 100% jitter so synchronised retry storms spread out. A cancelled job
-// context aborts the wait and returns its error.
+// sleepBackoff waits 2^(attempt-1)·retryBackoff, capped at 100ms, plus
+// up to 100% jitter so synchronised retry storms spread out. A cancelled
+// job context aborts the wait and returns its error.
 func (f *TCP) sleepBackoff(attempt int) error {
-	d := f.cfg.Backoff << uint(attempt-1)
+	d := retryBackoff << uint(attempt-1)
 	if max := 100 * time.Millisecond; d > max {
 		d = max
 	}

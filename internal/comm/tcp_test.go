@@ -1,6 +1,9 @@
 package comm
 
 import (
+	"errors"
+	"io"
+	"net"
 	"testing"
 	"time"
 
@@ -239,9 +242,8 @@ func TestTCPFaultyConcurrent(t *testing.T) {
 // yet the handler must have applied the operation exactly once.
 func TestTCPDroppedResponseStillAppliedOnce(t *testing.T) {
 	fab, err := NewTCPConfig(2, TCPConfig{
-		Timeout:    20 * time.Millisecond,
-		MaxRetries: 3,
-		Faults:     &faultplan.TransportFaults{Seed: 5, DropResponse: 1.0},
+		Timeout: 20 * time.Millisecond,
+		Faults:  &faultplan.TransportFaults{Seed: 5, DropResponse: 1.0},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -260,24 +262,85 @@ func TestTCPDroppedResponseStillAppliedOnce(t *testing.T) {
 }
 
 // TestTCPGivesUpOnDeadPeer checks roundTrip no longer blocks forever: a
-// peer that never answers costs a bounded number of timed-out attempts.
+// peer that accepts and reads but never answers costs a bounded number of
+// attempts, each ended by the request deadline.
 func TestTCPGivesUpOnDeadPeer(t *testing.T) {
-	fab, err := NewTCPConfig(2, TCPConfig{
-		Timeout:    15 * time.Millisecond,
-		MaxRetries: 2,
-		Faults:     &faultplan.TransportFaults{Seed: 1, DropRequest: 1.0},
-	})
+	fab, err := NewTCPConfig(2, TCPConfig{Timeout: 15 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { fab.Close() })
-	fab.Register(1, &recorder{})
+	silent, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { silent.Close() })
+	go func() {
+		for {
+			c, err := silent.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				io.Copy(io.Discard, c)
+			}()
+		}
+	}()
+	fab.mu.Lock()
+	fab.addrs[1] = silent.Addr().String()
+	fab.mu.Unlock()
+
 	start := time.Now()
-	if err := fab.Signal(0, 1, []graph.VertexID{1}, 1); err == nil {
-		t.Fatal("Signal to a black-holed peer should eventually fail")
+	err = fab.Signal(0, 1, []graph.VertexID{1}, 1)
+	if err == nil {
+		t.Fatal("Signal to a silent peer should eventually fail")
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("giving up took %v; retries are not bounded", elapsed)
+	}
+	var ne net.Error
+	if !errors.As(err, &ne) || !ne.Timeout() {
+		t.Fatalf("error %v does not wrap a timed-out net.Error", err)
+	}
+}
+
+// TestInjectedDropRetriesAtOnce: an injected drop breaks the connection,
+// so the client retries without waiting out the request deadline, and a
+// dropped response is still applied exactly once.
+func TestInjectedDropRetriesAtOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		faults faultplan.TransportFaults
+	}{
+		{"request", faultplan.TransportFaults{Seed: 1, DropRequest: 1.0}},
+		{"response", faultplan.TransportFaults{Seed: 1, DropResponse: 1.0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fab, err := NewTCPConfig(2, TCPConfig{Timeout: 5 * time.Second, Faults: &tc.faults})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { fab.Close() })
+			r := &recorder{}
+			fab.Register(1, r)
+			start := time.Now()
+			if err := fab.Send(&Packet{From: 0, To: 1, Msgs: []Msg{{Dst: 1, Val: 1}}}); err == nil {
+				t.Fatal("Send should fail when every attempt is dropped")
+			}
+			if elapsed := time.Since(start); elapsed > 2*time.Second {
+				t.Fatalf("giving up took %v; drops waited out the request deadline", elapsed)
+			}
+			r.mu.Lock()
+			defer r.mu.Unlock()
+			want := 0
+			if tc.faults.DropResponse > 0 {
+				want = 1
+			}
+			if len(r.packets) != want {
+				t.Fatalf("handler applied the send %d times, want %d", len(r.packets), want)
+			}
+		})
 	}
 }
 

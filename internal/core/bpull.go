@@ -39,7 +39,7 @@ func (w *worker) stepBPullProduce(t int, pushProduce bool) error {
 		return func(v graph.VertexID, rec *vertexfile.Record, responded bool) error {
 			// Estimate push's IO(E^t) from the in-memory adjacency index when
 			// hybrid carries one (edges of every updated vertex).
-			if w.adj != nil && !pushProduce && !w.job.cfg.EdgesInMemory {
+			if w.adj != nil && !pushProduce && !w.job.cfg.InMemory {
 				if eb, err := w.adj.EdgeBytes(v); err == nil {
 					w.addStat(func(s *workerStat) { s.estEt += eb })
 				}
@@ -261,7 +261,7 @@ func (w *worker) RespondPull(reqBlock, step int) ([]comm.Msg, int64, error) {
 		return nil, 0, err
 	}
 	ebar, ft := st.EdgeBytes, st.FragBytes
-	if w.job.cfg.EdgesInMemory {
+	if w.job.cfg.InMemory {
 		ebar, ft = 0, 0
 	}
 	if w.job.cfg.VerticesInMemory {

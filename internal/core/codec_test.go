@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math"
 	"testing"
-	"time"
 
 	"hybridgraph/internal/algo"
 	"hybridgraph/internal/catalog"
@@ -95,7 +94,7 @@ func TestNoneMirrorsPhysical(t *testing.T) {
 		for _, r := range runs {
 			label := string(e) + "/" + r.name
 			cfg := Config{Workers: 3, MsgBuf: 100, MaxSteps: 8, Recovery: r.policy,
-				CheckpointEvery: 2, FaultPlan: r.plan, BarrierDeadline: 50 * time.Millisecond}
+				CheckpointEvery: 2, FaultPlan: r.plan}
 			res := runOne(t, g, algo.NewPageRank(0.85), cfg, e)
 			if res.Restarts == 0 {
 				t.Fatalf("%s: the fault did not trigger recovery", label)

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"time"
 
 	"hybridgraph/internal/adjstore"
 	"hybridgraph/internal/codec"
@@ -125,9 +124,6 @@ type Config struct {
 	// (default 2, the paper's choice; Section 5.3 argues frequent
 	// switching is not cost effective).
 	SwitchInterval int
-	// EdgesInMemory keeps edge stores memory-resident while vertex values
-	// stay on disk (Table 5's ext-* scenarios for pull).
-	EdgesInMemory bool
 	// VerticesInMemory keeps vertex records memory-resident while edges
 	// stay on disk (Table 5 ext-edge).
 	VerticesInMemory bool
@@ -195,11 +191,6 @@ type Config struct {
 	// so a scheduler can track worker health and degradation live. The
 	// callback runs on the job's control goroutine; keep it fast.
 	OnRecovery func(RecoveryNotice)
-	// BarrierDeadline bounds how long the master waits at a superstep
-	// barrier before declaring the unfinished workers failed (stall
-	// detection). Zero defaults to 250ms when the fault plan schedules
-	// stalls; without stalls the barrier waits forever, as before.
-	BarrierDeadline time.Duration
 	// TraceWriter, when non-nil, receives the structured JSONL superstep
 	// trace journal: one obs.WorkerStepEvent per superstep per worker with
 	// the full I/O breakdown and net in/out bytes, one obs.StepEvent per
@@ -320,7 +311,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.InMemory {
 		c.MsgBuf = 0
-		c.EdgesInMemory = true
 		c.VerticesInMemory = true
 	}
 	pol := recoveryPolicies[c.Recovery]
@@ -329,9 +319,6 @@ func (c Config) withDefaults() Config {
 	}
 	if pol.adopt && c.MaxRestarts <= 0 {
 		c.MaxRestarts = 1
-	}
-	if c.BarrierDeadline <= 0 && c.FaultPlan != nil && len(c.FaultPlan.Stalls) > 0 {
-		c.BarrierDeadline = 250 * time.Millisecond
 	}
 	return c
 }

@@ -23,15 +23,14 @@ import (
 // schedule, Q^t history, aggregator value) survives a worker failure, so
 // recovery cost scales with the failed partition.
 
-// ErrStalledWorker is the sentinel every barrier-deadline stall detection
-// matches: errors.Is(err, ErrStalledWorker) distinguishes workers the
-// supervision declared failed for hanging from crashes and real errors.
-var ErrStalledWorker = errors.New("core: worker missed the barrier deadline")
+// ErrStalledWorker is the sentinel every stall detection matches:
+// errors.Is(err, ErrStalledWorker) distinguishes workers the master
+// declared failed for hanging from crashes and real errors.
+var ErrStalledWorker = errors.New("core: worker stalled at the barrier")
 
-// StalledWorker is the typed error the master's barrier-deadline
-// supervision raises when workers fail to reach the barrier of superstep
-// Step before the deadline. Unlike a crash — detected before the
-// superstep runs — the surviving workers have completed Step, so the
+// StalledWorker is the typed error the master raises when workers fail to
+// reach the barrier of superstep Step. Unlike a crash — detected before
+// the superstep runs — the surviving workers have completed Step, so the
 // stalled workers must rejoin a superstep the cluster already finished.
 type StalledWorker struct {
 	Step    int
@@ -40,7 +39,7 @@ type StalledWorker struct {
 
 // Error implements error.
 func (e *StalledWorker) Error() string {
-	return fmt.Sprintf("core: workers %v missed the barrier deadline at superstep %d", e.Workers, e.Step)
+	return fmt.Sprintf("core: workers %v stalled at the barrier of superstep %d", e.Workers, e.Step)
 }
 
 // Is makes errors.Is(err, ErrStalledWorker) true for every detection.

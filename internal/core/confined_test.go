@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"testing"
-	"time"
 
 	"hybridgraph/internal/algo"
 	"hybridgraph/internal/faultplan"
@@ -137,7 +136,7 @@ func TestConfinedRestoresOnlyFailedWorker(t *testing.T) {
 	}
 }
 
-// TestConfinedStallRejoin drives the barrier-deadline supervision: a
+// TestConfinedStallRejoin drives stall detection at the barrier: a
 // stalled worker is declared failed at a superstep the survivors
 // completed, recovers confined, and rejoins with the final values exactly
 // matching a fault-free run.
@@ -158,7 +157,6 @@ func TestConfinedStallRejoin(t *testing.T) {
 				cfg := base
 				cfg.Recovery = "confined"
 				cfg.FaultPlan = faultplan.NewPlan().WithStalls(faultplan.Stall{Step: 4, Worker: 1})
-				cfg.BarrierDeadline = 50 * time.Millisecond
 				cfg.TraceWriter = &buf
 				res, err := Run(g, prog, cfg, e)
 				if err != nil {
@@ -253,7 +251,6 @@ func TestConfinedCompoundFaults(t *testing.T) {
 	cfg.Recovery = "confined"
 	cfg.FaultPlan = faultplan.NewPlan(faultplan.Crash{Step: 3, Worker: 0}).
 		WithStalls(faultplan.Stall{Step: 6, Worker: 2})
-	cfg.BarrierDeadline = 50 * time.Millisecond
 	res, err := Run(g, algo.NewPageRank(0.85), cfg, Hybrid)
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"hybridgraph/internal/algo"
 	"hybridgraph/internal/faultplan"
@@ -103,7 +102,7 @@ func TestGoldenRecovery(t *testing.T) {
 				}
 				var journal bytes.Buffer
 				cfg := Config{Workers: 3, MsgBuf: 100, MaxSteps: 8, Parallelism: 2,
-					Recovery: policy, FaultPlan: p.plan, BarrierDeadline: 50 * time.Millisecond,
+					Recovery: policy, FaultPlan: p.plan,
 					TraceWriter: &journal}
 				if policy != "scratch" && policy != "resume" {
 					cfg.CheckpointEvery = 2

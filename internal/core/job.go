@@ -617,7 +617,7 @@ func (j *job) runOnce(engine Engine, res *metrics.JobResult, start int) error {
 		}
 		j.prevAgg = st.Aggregate
 		if stallErr != nil {
-			// The stalled workers missed the barrier deadline: journal the
+			// The stalled workers never reached the barrier: journal the
 			// fault and hand the incomplete superstep to recovery. The
 			// halting checks are re-applied after recovery folds the rejoin
 			// contributions back into this step's stats.
@@ -705,10 +705,6 @@ func (j *job) superstep(t int, engine, mode Engine) (metrics.StepStats, error) {
 	wallStart := time.Now()
 
 	stalling := j.injectStalls(t)
-	var release chan struct{}
-	if stalling != nil {
-		release = make(chan struct{})
-	}
 	var wg sync.WaitGroup
 	errs := make([]error, len(j.workers))
 	for i, w := range j.workers {
@@ -720,13 +716,13 @@ func (j *job) superstep(t int, engine, mode Engine) (metrics.StepStats, error) {
 		wg.Add(1)
 		go func(i int, w *worker) {
 			defer wg.Done()
-			if release != nil && stalling[i] {
+			if stalling != nil && stalling[i] {
 				// The stalled worker hangs mid-superstep: it stays reachable —
 				// deliveries land in its inbox and its Pull-Respond handler
-				// keeps serving — but it never reaches the barrier. The
-				// master's deadline supervision declares it failed, along with
-				// any adopted units riding on the same machine.
-				<-release
+				// keeps serving — but it never reaches the barrier. The stall
+				// is scheduled, so the master knows of it at once and declares
+				// it failed, along with any adopted units riding on the same
+				// machine, when the survivors reach the barrier.
 				ws := []int{w.id}
 				if j.own != nil {
 					ws = append(ws, j.own.adoptedBy(w.id)...)
@@ -750,24 +746,7 @@ func (j *job) superstep(t int, engine, mode Engine) (metrics.StepStats, error) {
 			}
 		}(i, w)
 	}
-	if release == nil {
-		wg.Wait()
-	} else {
-		deadline := j.cfg.BarrierDeadline
-		if deadline <= 0 {
-			deadline = 250 * time.Millisecond
-		}
-		done := make(chan struct{})
-		go func() { wg.Wait(); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(deadline):
-			// Barrier deadline expired: declare the missing workers failed
-			// and release their goroutines.
-			close(release)
-			<-done
-		}
-	}
+	wg.Wait()
 	var stallErr *StalledWorker
 	for _, err := range errs {
 		if err == nil {

@@ -196,7 +196,7 @@ func (w *worker) scatterSignals(t int, v graph.VertexID) error {
 	if err != nil {
 		return err
 	}
-	if w.job.cfg.EdgesInMemory {
+	if w.job.cfg.InMemory {
 		eb = 0
 	}
 	var scratch []graph.Half

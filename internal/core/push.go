@@ -87,7 +87,7 @@ func (w *worker) pushRes(sb *shardBuf, t int, v graph.VertexID, rec *vertexfile.
 	if err != nil {
 		return 0, err
 	}
-	if w.job.cfg.EdgesInMemory {
+	if w.job.cfg.InMemory {
 		eb = 0
 	}
 	if sb.edges, err = w.adj.EdgesBuf(v, sb.edges[:0], &sb.adj); err != nil {
@@ -230,7 +230,7 @@ func (w *worker) drainInbox(t int) (msgstore.Groups, error) {
 // with responders at t-1, their fragment auxiliary bytes, and an upper
 // bound on the svertex random reads.
 func (w *worker) estimateBpullCosts(t int) {
-	if w.job.cfg.EdgesInMemory && w.job.cfg.VerticesInMemory {
+	if w.job.cfg.InMemory {
 		return // the other mode would pay no disk I/O either
 	}
 	rp := readParity(t)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"testing"
-	"time"
 
 	"hybridgraph/internal/algo"
 	"hybridgraph/internal/diskio"
@@ -238,7 +237,6 @@ func TestReassignStallLimitEscalation(t *testing.T) {
 	cfg.FaultPlan = faultplan.NewPlan().WithStalls(
 		faultplan.Stall{Step: 3, Worker: 2},
 		faultplan.Stall{Step: 5, Worker: 2})
-	cfg.BarrierDeadline = 50 * time.Millisecond
 	cfg.TraceWriter = &buf
 	res, err := Run(g, algo.NewSSSP(0), cfg, Push)
 	if err != nil {

@@ -26,7 +26,7 @@ type failure struct {
 	workers   []int // the workers declared failed
 	step      int   // the superstep it was detected at
 	lastDone  int   // the last superstep every survivor completed
-	stalled   bool  // a missed barrier deadline rather than a crash
+	stalled   bool  // a stall at the barrier rather than a crash
 	permanent bool  // the fault plan declared the crash unrecoverable
 }
 

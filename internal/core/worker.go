@@ -280,7 +280,7 @@ func (w *worker) buildAdj(g *graph.Graph) error {
 		w.job.layoutReusedBytes += a.SizeBytes()
 		return nil
 	}
-	if w.job.cfg.EdgesInMemory {
+	if w.job.cfg.InMemory {
 		w.adj = adjstore.BuildMem(g, w.part)
 		return nil
 	}
@@ -305,7 +305,7 @@ func (w *worker) buildMirror(g *graph.Graph) error {
 	}
 	mg := sub.Build()
 	full := graph.Partition{Lo: 0, Hi: graph.VertexID(g.NumVertices)}
-	if w.job.cfg.EdgesInMemory {
+	if w.job.cfg.InMemory {
 		w.mirror = adjstore.BuildMem(mg, full)
 		return nil
 	}
@@ -330,7 +330,7 @@ func (w *worker) buildVE(g *graph.Graph) error {
 		w.job.layoutReusedBytes += ve.SizeBytes()
 		return nil
 	}
-	if w.job.cfg.EdgesInMemory {
+	if w.job.cfg.InMemory {
 		ve, err := veblock.BuildMem(g, w.job.layout, w.id)
 		if err != nil {
 			return err

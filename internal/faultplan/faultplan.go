@@ -47,12 +47,13 @@ func PermanentCrash(step, worker int) Crash {
 }
 
 // Stall schedules one worker hang: at superstep Step the worker stops
-// making progress without crashing, and the master's barrier-deadline
-// supervision declares it failed once the deadline expires. Unlike a
-// crash — which fires at the start of the superstep, before any worker
-// runs — a stall lets the survivors complete superstep Step, which is
-// exactly the asymmetry confined recovery must handle (the stalled
-// worker rejoins a superstep the rest of the cluster already finished).
+// making progress without crashing, and the master, which knows the
+// schedule, declares it failed when the survivors reach the barrier.
+// Unlike a crash — which fires at the start of the superstep, before any
+// worker runs — a stall lets the survivors complete superstep Step,
+// which is exactly the asymmetry confined recovery must handle (the
+// stalled worker rejoins a superstep the rest of the cluster already
+// finished).
 // Each stall fires at most once per job, like crashes.
 type Stall struct {
 	Step   int
@@ -73,11 +74,13 @@ type TransportFaults struct {
 	// Seed fixes the pseudo-random decision stream.
 	Seed int64
 	// DropRequest is the probability a request is lost before the server
-	// processes it: the client times out and retries.
+	// processes it. On a TCP stream a loss is a broken connection: the
+	// server closes it, and the client redials and retries at once.
 	DropRequest float64
 	// DropResponse is the probability the server processes a request but
-	// its response is lost: the client times out and retries, and the
-	// server-side dedup must suppress the re-application (exactly-once).
+	// its response is lost to a broken connection: the client retries at
+	// once, and the server-side dedup must suppress the re-application
+	// (exactly-once).
 	DropResponse float64
 	// Duplicate is the probability the network delivers a request twice:
 	// the second delivery must be absorbed by the dedup layer.
@@ -92,8 +95,8 @@ type TransportFaults struct {
 type Plan struct {
 	// Crashes lists the scheduled worker failures.
 	Crashes []Crash
-	// Stalls lists the scheduled worker hangs, detected by the master's
-	// barrier-deadline supervision rather than at superstep start.
+	// Stalls lists the scheduled worker hangs, detected by the master at
+	// the superstep's barrier rather than at superstep start.
 	Stalls []Stall
 	// Net holds transport faults applied when the job runs over TCP;
 	// nil injects none.

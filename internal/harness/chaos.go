@@ -3,7 +3,6 @@ package harness
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"hybridgraph/internal/algo"
 	"hybridgraph/internal/core"
@@ -70,7 +69,6 @@ func Chaos(o Options) ([]*Table, error) {
 					cfg := base
 					cfg.Recovery = policy
 					cfg.FaultPlan = plan
-					cfg.BarrierDeadline = 100 * time.Millisecond
 					cfg.TCP = tcp
 					res, err := core.Run(g, progs[alg](), cfg, e)
 					if err != nil {
@@ -152,7 +150,6 @@ func ReassignChaos(o Options) ([]*Table, error) {
 				}
 				cfg := base
 				cfg.FaultPlan = plan
-				cfg.BarrierDeadline = 100 * time.Millisecond
 				cfg.TCP = tcp
 				res, err := core.Run(g, progs[alg](), cfg, e)
 				if err != nil {

@@ -3,7 +3,6 @@ package harness
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"hybridgraph/internal/algo"
 	"hybridgraph/internal/core"
@@ -84,7 +83,6 @@ func DiskChaos(o Options) ([]*Table, error) {
 					if l.plan {
 						plan = faultplan.NewPlan(faultplan.RandomCrashes(seed, 2, 6, o.Workers)...).
 							WithStalls(faultplan.RandomStalls(seed+9973, 1, 6, o.Workers)...)
-						cfg.BarrierDeadline = 100 * time.Millisecond
 					}
 					cfg.FaultPlan = plan.WithDisk(l.disk)
 

@@ -153,8 +153,8 @@ type JobResult struct {
 	// steps since the last committed checkpoint; confined recovery replays
 	// them on the failed worker alone.
 	ReplayedSupersteps int
-	// Stalls counts workers the barrier-deadline supervision declared
-	// failed (hangs rather than crashes); included in Restarts.
+	// Stalls counts workers the master declared failed at a superstep's
+	// barrier (hangs rather than crashes); included in Restarts.
 	Stalls int
 
 	// LogIO is the confined policy's total sender-side message-log writes

@@ -247,12 +247,12 @@ type CheckpointEvent struct {
 
 // FaultEvent records an injected worker fault the master's detector saw:
 // a crash (detected at superstep start) or, with Kind "stall", a hang the
-// barrier-deadline supervision declared failed.
+// master declared failed at the superstep's barrier.
 type FaultEvent struct {
 	Type   string `json:"type"`
 	Step   int    `json:"step"`
 	Worker int    `json:"worker"`
-	Kind   string `json:"kind,omitempty"` // "" = crash, "stall" = barrier-deadline hang
+	Kind   string `json:"kind,omitempty"` // "" = crash, "stall" = hang at the barrier
 }
 
 // RecoveryEvent records one recovery: the policy applied, the superstep
