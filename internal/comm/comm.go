@@ -5,15 +5,19 @@
 // requests (b-pull), and per-svertex gathers (the pull baseline). The
 // default fabric is in-process (workers are goroutines, per the DESIGN.md
 // substitution); a TCP fabric with the same interface demonstrates
-// multi-process distribution. Messages cross every hop through buffers
-// their owner reuses (outbox, stage, the TCP connections' payload
-// buffers); DESIGN.md, "Message path", has the ownership rules.
+// multi-process distribution. Both embed one router: the handler table,
+// the job context and the byte ledger. Every call is synchronous and the
+// master reassigns ownership only between supersteps, so no request is in
+// flight across a reassignment and the fabrics carry no routing protocol:
+// a request names its destination worker and reaches that worker's
+// handler. Messages cross every hop through buffers their owner reuses
+// (outbox, stage, the TCP connections' payload buffers); DESIGN.md,
+// "Message path", has the ownership rules.
 package comm
 
 import (
 	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -46,7 +50,9 @@ type Msg struct {
 	Val float64
 }
 
-// Packet is a batch of messages bound for one worker.
+// Packet is a batch of messages bound for one worker, addressed by the
+// worker's id: an adopted unit keeps its id and its endpoint, so the
+// address never changes under a packet.
 type Packet struct {
 	From, To int
 	Step     int
@@ -54,13 +60,6 @@ type Packet struct {
 	// WireBytes is the encoded size given the concatenation the sender
 	// applied; 0 means "compute as unconcatenated".
 	WireBytes int64
-	// Epoch is the block-ownership epoch the sender believed current when
-	// it addressed the packet (0 = stamp at send). A receiver behind a
-	// reassignment rejects packets from an older epoch with
-	// StaleEpochError so the sender re-stamps and re-routes them against
-	// the new ownership table instead of the fabric silently accepting
-	// traffic addressed to a dead worker.
-	Epoch int64
 }
 
 // Bytes reports the packet's wire size.
@@ -83,14 +82,6 @@ func ConcatSize(msgs []Msg) int64 {
 		b += MsgValSize
 	}
 	return b
-}
-
-// SortByDst orders msgs by destination id so they concatenate maximally.
-// It serves the sender-side combiner (Outbox.flush) and lists of distinct
-// destinations. It is unstable — pdqsort's order among equal destinations,
-// pinned by a test: what folds in an order the data defines uses StableSortByDst.
-func SortByDst(msgs []Msg) {
-	slices.SortFunc(msgs, func(a, b Msg) int { return cmp.Compare(a.Dst, b.Dst) })
 }
 
 // smallBatch: below it a comparison sort beats the radix passes' set-up.
@@ -224,44 +215,6 @@ type Fabric interface {
 	TotalBytes() int64
 }
 
-// ErrStaleEpoch is the sentinel wrapped by every StaleEpochError;
-// errors.Is(err, ErrStaleEpoch) identifies an epoch rejection whichever
-// fabric produced it.
-var ErrStaleEpoch = errors.New("comm: stale ownership epoch")
-
-// StaleEpochError is the typed rejection a receiver returns for traffic
-// stamped with a block-ownership epoch older than its own: the sender is
-// operating on a routing table from before a partition reassignment and
-// must re-stamp and re-route.
-type StaleEpochError struct {
-	Sent, Current int64
-}
-
-// Error implements error.
-func (e *StaleEpochError) Error() string {
-	return fmt.Sprintf("comm: stale ownership epoch %d (current %d)", e.Sent, e.Current)
-}
-
-// Unwrap ties the error to the ErrStaleEpoch sentinel.
-func (e *StaleEpochError) Unwrap() error { return ErrStaleEpoch }
-
-// Rehomer is implemented by fabrics that support partition reassignment:
-// an epoch-versioned ownership view plus the ability to re-point a dead
-// worker's address at the survivor hosting its blocks. AdvanceEpoch
-// invalidates every in-flight packet stamped with the old epoch; Rehome
-// redirects traffic addressed to origin at host. Both built-in fabrics
-// implement it.
-type Rehomer interface {
-	// Epoch reports the current ownership epoch (starts at 1).
-	Epoch() int64
-	// AdvanceEpoch bumps the ownership epoch and returns the new value.
-	AdvanceEpoch() int64
-	// Rehome redirects traffic addressed to worker origin at worker host.
-	// The origin keeps its logical identity — packets still name it in
-	// From/To — only the physical endpoint moves.
-	Rehome(origin, host int)
-}
-
 // ContextSetter is implemented by fabrics that honour job cancellation:
 // once a context is installed, fabric operations fail fast with the
 // context's error after it is cancelled, so a cancelled job's workers
@@ -271,164 +224,120 @@ type ContextSetter interface {
 	SetContext(ctx context.Context)
 }
 
-// ctxHolder is the shared cancellation plumbing of both fabrics: an
-// atomically swappable context consulted before every operation.
-type ctxHolder struct {
-	v atomic.Pointer[context.Context]
+// router is what both fabrics share: the handler table, the job context
+// consulted before every operation, and the byte ledger. A fabric embeds
+// one and adds only how a request reaches the handler.
+type router struct {
+	mu       sync.RWMutex // guards handlers
+	handlers map[int]Handler
+	ctx      atomic.Pointer[context.Context]
+	in       []atomic.Int64
+	out      []atomic.Int64
+	total    atomic.Int64
 }
 
-func (c *ctxHolder) SetContext(ctx context.Context) {
+func newRouter(n int) router {
+	return router{handlers: make(map[int]Handler, n), in: make([]atomic.Int64, n), out: make([]atomic.Int64, n)}
+}
+
+// SetContext implements ContextSetter: once ctx is cancelled, new
+// operations fail fast with its error (and TCP round trips in flight stop
+// retrying).
+func (r *router) SetContext(ctx context.Context) {
 	if ctx != nil {
-		c.v.Store(&ctx)
+		r.ctx.Store(&ctx)
 	}
 }
 
-// err reports the installed context's cancellation error, nil when no
+// ctxErr reports the installed context's cancellation error, nil when no
 // context was installed or it is still live.
-func (c *ctxHolder) err() error {
-	if p := c.v.Load(); p != nil {
+func (r *router) ctxErr() error {
+	if p := r.ctx.Load(); p != nil {
 		return context.Cause(*p)
 	}
 	return nil
 }
 
-func (c *ctxHolder) done() <-chan struct{} {
-	if p := c.v.Load(); p != nil {
+func (r *router) ctxDone() <-chan struct{} {
+	if p := r.ctx.Load(); p != nil {
 		return (*p).Done()
 	}
 	return nil
 }
 
-// Local is the in-process fabric: handlers are invoked directly, which
-// keeps superstep semantics identical to a networked run while the paper's
-// byte accounting is applied to every interaction.
-type Local struct {
-	mu       sync.RWMutex
-	handlers map[int]Handler
-	homes    map[int]int // origin -> adopting host after a Rehome
-	epoch    atomic.Int64
-	ctx      ctxHolder
-	in       []atomic.Int64
-	out      []atomic.Int64
-	total    atomic.Int64
-
-	mPackets  *obs.Counter // "comm.packets"
-	mPullReqs *obs.Counter // "comm.pull_requests"
-	mGathers  *obs.Counter // "comm.gathers"
-	mSignals  *obs.Counter // "comm.signals"
-	mStale    *obs.Counter // "comm.stale_epoch"
-}
-
-// NewLocal returns a Local fabric for n workers.
-func NewLocal(n int) *Local {
-	l := &Local{handlers: make(map[int]Handler, n), in: make([]atomic.Int64, n), out: make([]atomic.Int64, n)}
-	l.epoch.Store(1)
-	return l
-}
-
-// SetMetrics wires the fabric's counters into reg (obs.MetricsSetter).
-// Call before the first superstep; a nil registry leaves metrics off.
-func (l *Local) SetMetrics(reg *obs.Registry) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.mPackets = reg.Counter("comm.packets")
-	l.mPullReqs = reg.Counter("comm.pull_requests")
-	l.mGathers = reg.Counter("comm.gathers")
-	l.mSignals = reg.Counter("comm.signals")
-	l.mStale = reg.Counter("comm.stale_epoch")
-	reg.RegisterFunc("comm.net_bytes", l.total.Load)
-}
-
-// SetContext implements ContextSetter: after ctx is cancelled every
-// fabric operation fails fast with its error.
-func (l *Local) SetContext(ctx context.Context) { l.ctx.SetContext(ctx) }
-
 // Register implements Fabric.
-func (l *Local) Register(worker int, h Handler) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.handlers[worker] = h
+func (r *router) Register(worker int, h Handler) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.handlers[worker] = h
 }
 
-func (l *Local) handler(w int) (Handler, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	h, ok := l.handlers[w]
+func (r *router) handler(w int) (Handler, error) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	h, ok := r.handlers[w]
 	if !ok {
 		return nil, fmt.Errorf("comm: no handler registered for worker %d", w)
 	}
 	return h, nil
 }
 
-func (l *Local) account(from, to int, bytes int64) {
-	if from == to {
-		// Loopback traffic never crosses the network; the paper's GANGLIA
-		// traffic measurements (Fig. 18) see inter-node bytes only.
+func (r *router) account(from, to int, bytes int64) {
+	// Loopback traffic never crosses the network; the paper's GANGLIA
+	// traffic measurements (Fig. 18) see inter-node bytes only.
+	if from == to || from < 0 || to < 0 || from >= len(r.out) || to >= len(r.in) {
 		return
 	}
-	l.out[from].Add(bytes)
-	l.in[to].Add(bytes)
-	l.total.Add(bytes)
+	r.out[from].Add(bytes)
+	r.in[to].Add(bytes)
+	r.total.Add(bytes)
 }
 
-// Epoch implements Rehomer.
-func (l *Local) Epoch() int64 { return l.epoch.Load() }
+// Traffic implements Fabric.
+func (r *router) Traffic(w int) (in, out int64) {
+	return r.in[w].Load(), r.out[w].Load()
+}
 
-// AdvanceEpoch implements Rehomer.
-func (l *Local) AdvanceEpoch() int64 { return l.epoch.Add(1) }
+// TotalBytes implements Fabric.
+func (r *router) TotalBytes() int64 { return r.total.Load() }
 
-// Rehome implements Rehomer. In-process the adopted worker unit keeps
-// serving its origin slot (the host drives it on its own goroutine), so
-// the handler table is untouched; the mapping is recorded so callers can
-// introspect where an origin now lives.
-func (l *Local) Rehome(origin, host int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.homes == nil {
-		l.homes = make(map[int]int)
+// Local is the in-process fabric: handlers are invoked directly, which
+// keeps superstep semantics identical to a networked run while the paper's
+// byte accounting is applied to every interaction.
+type Local struct {
+	router
+
+	mPackets  *obs.Counter // "comm.packets"
+	mPullReqs *obs.Counter // "comm.pull_requests"
+	mGathers  *obs.Counter // "comm.gathers"
+	mSignals  *obs.Counter // "comm.signals"
+}
+
+// NewLocal returns a Local fabric for n workers.
+func NewLocal(n int) *Local { return &Local{router: newRouter(n)} }
+
+// SetMetrics wires the fabric's counters into reg (obs.MetricsSetter).
+// Call before the first superstep; a nil registry leaves metrics off.
+func (l *Local) SetMetrics(reg *obs.Registry) {
+	l.mPackets = reg.Counter("comm.packets")
+	l.mPullReqs = reg.Counter("comm.pull_requests")
+	l.mGathers = reg.Counter("comm.gathers")
+	l.mSignals = reg.Counter("comm.signals")
+	reg.RegisterFunc("comm.net_bytes", l.total.Load)
+}
+
+// route opens every Local operation: fail fast on a cancelled job, then
+// find the destination's handler.
+func (l *Local) route(to int) (Handler, error) {
+	if err := l.ctxErr(); err != nil {
+		return nil, err
 	}
-	l.homes[origin] = host
+	return l.handler(to)
 }
 
-// HostOf reports where worker w's blocks are served: w itself, or the
-// survivor a Rehome pointed it at.
-func (l *Local) HostOf(w int) int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	if h, ok := l.homes[w]; ok {
-		return h
-	}
-	return w
-}
-
-// Send implements Fabric. Packets stamped with a pre-reassignment epoch
-// are rejected by the delivery path and re-routed here once against the
-// current ownership table; a packet that is stale again after the re-stamp
-// (a reassignment raced the retry) surfaces the rejection to the caller.
+// Send implements Fabric.
 func (l *Local) Send(p *Packet) error {
-	if err := l.ctx.err(); err != nil {
-		return err
-	}
-	if p.Epoch == 0 {
-		p.Epoch = l.epoch.Load()
-	}
-	err := l.deliver(p)
-	var stale *StaleEpochError
-	if errors.As(err, &stale) {
-		l.mStale.Inc()
-		p.Epoch = l.epoch.Load()
-		return l.deliver(p)
-	}
-	return err
-}
-
-// deliver is the receive side of Send: the epoch gate plus the handler
-// dispatch and accounting.
-func (l *Local) deliver(p *Packet) error {
-	if cur := l.epoch.Load(); p.Epoch < cur {
-		return &StaleEpochError{Sent: p.Epoch, Current: cur}
-	}
-	h, err := l.handler(p.To)
+	h, err := l.route(p.To)
 	if err != nil {
 		return err
 	}
@@ -439,10 +348,7 @@ func (l *Local) deliver(p *Packet) error {
 
 // PullRequest implements Fabric.
 func (l *Local) PullRequest(from, to, block, step int) ([]Msg, int64, error) {
-	if err := l.ctx.err(); err != nil {
-		return nil, 0, err
-	}
-	h, err := l.handler(to)
+	h, err := l.route(to)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -458,10 +364,7 @@ func (l *Local) PullRequest(from, to, block, step int) ([]Msg, int64, error) {
 
 // Gather implements Fabric.
 func (l *Local) Gather(from, to int, ids []graph.VertexID, step int) ([]GatherResult, error) {
-	if err := l.ctx.err(); err != nil {
-		return nil, err
-	}
-	h, err := l.handler(to)
+	h, err := l.route(to)
 	if err != nil {
 		return nil, err
 	}
@@ -477,10 +380,7 @@ func (l *Local) Gather(from, to int, ids []graph.VertexID, step int) ([]GatherRe
 
 // Signal implements Fabric.
 func (l *Local) Signal(from, to int, ids []graph.VertexID, step int) error {
-	if err := l.ctx.err(); err != nil {
-		return err
-	}
-	h, err := l.handler(to)
+	h, err := l.route(to)
 	if err != nil {
 		return err
 	}
@@ -488,11 +388,3 @@ func (l *Local) Signal(from, to int, ids []graph.VertexID, step int) error {
 	l.mSignals.Inc()
 	return h.DeliverSignals(ids, step)
 }
-
-// Traffic implements Fabric.
-func (l *Local) Traffic(w int) (in, out int64) {
-	return l.in[w].Load(), l.out[w].Load()
-}
-
-// TotalBytes implements Fabric.
-func (l *Local) TotalBytes() int64 { return l.total.Load() }

@@ -1,9 +1,7 @@
 package comm
 
 import (
-	"errors"
 	"math/rand"
-	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -73,7 +71,8 @@ func TestConcatSizeNeverExceedsRawProperty(t *testing.T) {
 		for i, d := range dsts {
 			msgs[i] = Msg{Dst: graph.VertexID(d % 16), Val: float64(i)}
 		}
-		SortByDst(msgs)
+		var tmp []Msg
+		msgs = StableSortByDst(msgs, &tmp)
 		c := ConcatSize(msgs)
 		raw := int64(len(msgs)) * MsgWireSize
 		return c <= raw && (len(msgs) == 0 || c >= int64(len(msgs))*MsgValSize)
@@ -260,31 +259,6 @@ func TestCombineSorted(t *testing.T) {
 	}
 }
 
-// SortByDst is unstable, and CombineSorted folds float values in the
-// order the sort leaves equal destinations in, so the permutation is part
-// of the value-identity contract: it must stay the one the reflection-
-// based sort.Slice produced, at every size class pdqsort branches on.
-func TestSortByDstKeepsSortSlicePermutation(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, n := range []int{0, 1, 2, 11, 12, 13, 50, 51, 300, 5000, 40000} {
-		for _, distinct := range []int{1, 3, 17, n/4 + 1} {
-			msgs := make([]Msg, n)
-			for i := range msgs {
-				msgs[i] = Msg{Dst: graph.VertexID(rng.Intn(distinct)), Val: float64(i)}
-			}
-			want := append([]Msg(nil), msgs...)
-			sort.Slice(want, func(i, j int) bool { return want[i].Dst < want[j].Dst })
-			SortByDst(msgs)
-			for i := range msgs {
-				if msgs[i] != want[i] {
-					t.Fatalf("n=%d distinct=%d: position %d holds %+v, sort.Slice put %+v there",
-						n, distinct, i, msgs[i], want[i])
-				}
-			}
-		}
-	}
-}
-
 func TestOutboxSenderCombine(t *testing.T) {
 	fab := NewLocal(2)
 	r := &recorder{}
@@ -315,64 +289,38 @@ func TestOutboxSenderCombine(t *testing.T) {
 	if fab.TotalBytes() != MsgWireSize {
 		t.Fatalf("wire bytes = %d, want %d", fab.TotalBytes(), MsgWireSize)
 	}
-}
 
-// TestLocalStaleEpochReroute: a packet stamped with a pre-reassignment
-// epoch is rejected by delivery and re-routed by Send against the current
-// ownership table instead of being silently accepted.
-func TestLocalStaleEpochReroute(t *testing.T) {
-	fab := NewLocal(2)
-	r := &recorder{}
+	// The combiner folds each destination's messages left to right in Add
+	// order. a*2 + b over values 0 and 1 is exact in float64 and yields a
+	// different sum for every order of the operands, so it pins that fold.
+	fab = NewLocal(2)
+	r = &recorder{}
 	fab.Register(1, r)
-	if fab.Epoch() != 1 {
-		t.Fatalf("initial epoch = %d, want 1", fab.Epoch())
+	ob = NewOutbox(fab, 2, 0, 1, 1<<20)
+	ob.SetCombine(func(a, b float64) float64 { return a*2 + b })
+	rng := rand.New(rand.NewSource(3))
+	want := map[graph.VertexID]float64{}
+	seen := map[graph.VertexID]bool{}
+	for i := 0; i < 60; i++ {
+		m := Msg{Dst: graph.VertexID(10 + rng.Intn(3)), Val: float64(rng.Intn(2))}
+		if seen[m.Dst] {
+			want[m.Dst] = want[m.Dst]*2 + m.Val
+		} else {
+			want[m.Dst], seen[m.Dst] = m.Val, true
+		}
+		if err := ob.Add(1, m); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if e := fab.AdvanceEpoch(); e != 2 {
-		t.Fatalf("AdvanceEpoch = %d, want 2", e)
-	}
-	p := &Packet{From: 0, To: 1, Epoch: 1, Msgs: []Msg{{Dst: 3, Val: 7}}}
-	if err := fab.Send(p); err != nil {
+	if err := ob.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if p.Epoch != 2 {
-		t.Fatalf("packet not re-stamped: epoch %d, want 2", p.Epoch)
+	if len(r.packets) != 1 || len(r.packets[0].Msgs) != len(want) {
+		t.Fatalf("packets = %v, want one packet of %d messages", r.packets, len(want))
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.packets) != 1 {
-		t.Fatalf("delivered %d times, want exactly 1", len(r.packets))
-	}
-}
-
-// TestLocalRehomeHostOf: after an adoption the origin slot keeps its
-// handler (the adopted unit runs in the survivor's process) but HostOf
-// reports the new machine for accounting.
-func TestLocalRehomeHostOf(t *testing.T) {
-	fab := NewLocal(3)
-	r := &recorder{}
-	fab.Register(1, r)
-	fab.AdvanceEpoch()
-	fab.Rehome(1, 2)
-	if h := fab.HostOf(1); h != 2 {
-		t.Fatalf("HostOf(1) = %d, want 2", h)
-	}
-	if h := fab.HostOf(0); h != 0 {
-		t.Fatalf("HostOf(0) = %d, want 0", h)
-	}
-	if err := fab.Send(&Packet{From: 0, To: 1, Msgs: []Msg{{Dst: 4, Val: 1}}}); err != nil {
-		t.Fatal(err)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.packets) != 1 {
-		t.Fatal("packet to the rehomed origin not delivered")
-	}
-}
-
-// TestStaleEpochErrorTyping: the typed rejection matches the sentinel.
-func TestStaleEpochErrorTyping(t *testing.T) {
-	err := error(&StaleEpochError{Sent: 1, Current: 3})
-	if !errors.Is(err, ErrStaleEpoch) {
-		t.Fatal("StaleEpochError does not unwrap to ErrStaleEpoch")
+	for _, m := range r.packets[0].Msgs {
+		if m.Val != want[m.Dst] {
+			t.Errorf("dst %d folded to %g, want the Add-order fold %g", m.Dst, m.Val, want[m.Dst])
+		}
 	}
 }

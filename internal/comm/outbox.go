@@ -25,6 +25,7 @@ type Outbox struct {
 	step      int
 	threshold int64
 	pending   [][]Msg
+	sorted    []Msg // the combiner's second sort buffer, reused
 	flushes   int64
 	sent      int64
 	combine   func(a, b float64) float64
@@ -37,7 +38,7 @@ type Outbox struct {
 // share a destination within one buffered packet combine — exactly the
 // limitation the paper demonstrates: once a threshold-triggered flush has
 // carried a message away, later messages to the same vertex cannot join
-// it.
+// it. Each destination's messages fold left to right in Add order.
 func (o *Outbox) SetCombine(c func(a, b float64) float64) { o.combine = c }
 
 // SavedBytes reports the wire bytes sender-side combining removed.
@@ -113,8 +114,7 @@ func (o *Outbox) flush(to int) error {
 	if o.combine != nil && len(msgs) > 1 {
 		raw := int64(len(msgs)) * MsgWireSize
 		o.touched += int64(len(msgs))
-		SortByDst(msgs)
-		p.Msgs = CombineSorted(msgs, o.combine)
+		p.Msgs = CombineSorted(StableSortByDst(msgs, &o.sorted), o.combine)
 		p.WireBytes = ConcatSize(p.Msgs)
 		o.saved += raw - p.WireBytes
 	}

@@ -2,7 +2,6 @@ package comm
 
 import (
 	"bufio"
-	"context"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -23,10 +22,10 @@ import (
 // worker owns a listener, requests are dispatched to the registered
 // handler on the serving side, and responses travel back on the same
 // connection. A frame is a small gob envelope (kind, sequence number,
-// epoch, addressing, the pull baseline's id lists) followed by the raw
-// message payload — a push packet or a pull response — as the run
-// AppendMsgs encodes: a count and MsgWireSize bytes per message. gob never
-// sees a message. Byte accounting uses the same semantic wire sizes as the
+// addressing, the pull baseline's id lists) followed by the raw message
+// payload — a push packet or a pull response — as the run AppendMsgs
+// encodes: a count and MsgWireSize bytes per message. gob never sees a
+// message. Byte accounting uses the same semantic wire sizes as the
 // Local fabric (message ids and values, not framing overhead or retry
 // duplicates), so the cost model is transport-independent; what the
 // sockets really carried is counted apart as "comm.tcp.frame_bytes".
@@ -39,21 +38,20 @@ import (
 // Injected transport faults from a faultplan exercise exactly these paths:
 // on a TCP stream a lost request or response shows up as a broken
 // connection, so an injected drop closes it and the client retries at once.
+//
+// Each worker keeps its listener for the whole job, an adopted unit's
+// included: the serving side dispatches by the request's destination
+// worker through the shared router, so the same handler answers whichever
+// host drives the unit.
 type TCP struct {
-	mu        sync.RWMutex // guards handlers, addrs elements, counters below
-	handlers  map[int]Handler
+	router
 	listeners []net.Listener
-	addrs     []string
+	addrs     []string // listener addresses, fixed at construction
 	peers     []*tcpPeer
 	dedups    []*dedup
 	cfg       TCPConfig
-	ctx       ctxHolder
 	roller    *faultplan.Roller
 	seq       atomic.Uint64
-	epoch     atomic.Int64
-	in        []atomic.Int64
-	out       []atomic.Int64
-	total     atomic.Int64
 	frames    atomic.Int64 // bytes written to sockets, both directions
 	closed    atomic.Bool
 
@@ -63,7 +61,6 @@ type TCP struct {
 	mRequests *obs.Counter // "comm.tcp.requests"
 	mRetries  *obs.Counter // "comm.tcp.retries"
 	mRedials  *obs.Counter // "comm.tcp.redials"
-	mStale    *obs.Counter // "comm.stale_epoch"
 }
 
 // TCPConfig tunes the fabric. Zero values select defaults.
@@ -216,7 +213,6 @@ const (
 type tcpRequest struct {
 	Kind  int
 	Seq   uint64 // fabric-wide id: constant across retries, the dedup key
-	Epoch int64  // sender's block-ownership epoch (0 = epoch-unaware)
 	From  int
 	To    int
 	Step  int
@@ -235,11 +231,6 @@ type tcpResponse struct {
 	Wire       int64
 	Results    []GatherResult
 	Err        string
-	// Stale rejects a request stamped with a pre-reassignment epoch: the
-	// client must re-stamp against the current ownership table and re-route
-	// (redial — the endpoint may have been rehomed). Never cached by the
-	// dedup layer, so the re-routed retry under the same Seq is processed.
-	Stale bool
 
 	// payload is what PayloadLen counts. Unexported, so gob never sees it;
 	// the serving side encodes it into bytes of its own per response,
@@ -350,14 +341,7 @@ func NewTCP(n int) (*TCP, error) { return NewTCPConfig(n, TCPConfig{}) }
 // optional injected transport faults.
 func NewTCPConfig(n int, cfg TCPConfig) (*TCP, error) {
 	cfg = cfg.withDefaults()
-	f := &TCP{
-		handlers: make(map[int]Handler, n),
-		cfg:      cfg,
-		in:       make([]atomic.Int64, n),
-		out:      make([]atomic.Int64, n),
-		jrng:     rand.New(rand.NewSource(1)),
-	}
-	f.epoch.Store(1)
+	f := &TCP{router: newRouter(n), cfg: cfg, jrng: rand.New(rand.NewSource(1))}
 	if cfg.Faults != nil {
 		f.roller = cfg.Faults.NewRoller()
 	}
@@ -399,12 +383,9 @@ func (f *TCP) Close() error {
 // (obs.MetricsSetter). Call before the first superstep; a nil registry
 // leaves metrics off.
 func (f *TCP) SetMetrics(reg *obs.Registry) {
-	f.mu.Lock()
 	f.mRequests = reg.Counter("comm.tcp.requests")
 	f.mRetries = reg.Counter("comm.tcp.retries")
 	f.mRedials = reg.Counter("comm.tcp.redials")
-	f.mStale = reg.Counter("comm.stale_epoch")
-	f.mu.Unlock()
 	for _, d := range f.dedups {
 		d.mu.Lock()
 		d.mHits = reg.Counter("comm.tcp.dedup_hits")
@@ -414,18 +395,6 @@ func (f *TCP) SetMetrics(reg *obs.Registry) {
 	// The physical twin of net_bytes: what the sockets carried, envelopes,
 	// responses and retransmissions included.
 	reg.RegisterFunc("comm.tcp.frame_bytes", f.frames.Load)
-}
-
-// SetContext implements ContextSetter: once ctx is cancelled, round trips
-// in flight stop retrying, backoff sleeps abort, and new operations fail
-// fast with the context's error.
-func (f *TCP) SetContext(ctx context.Context) { f.ctx.SetContext(ctx) }
-
-// Register implements Fabric.
-func (f *TCP) Register(worker int, h Handler) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.handlers[worker] = h
 }
 
 func (f *TCP) serve(worker int, ln net.Listener) {
@@ -453,22 +422,6 @@ func (f *TCP) serveConn(worker int, c net.Conn) {
 		raw, err := s.recvPayload(req.PayloadLen)
 		if err != nil {
 			return
-		}
-		// Epoch gate, BEFORE the dedup layer: a stale rejection must never
-		// be recorded under the request's Seq, or the client's re-stamped
-		// retry (same Seq) would be answered with the cached rejection
-		// forever instead of being processed.
-		if req.Epoch != 0 {
-			if cur := f.epoch.Load(); req.Epoch < cur {
-				f.mu.RLock()
-				stale := f.mStale
-				f.mu.RUnlock()
-				stale.Inc()
-				if err := s.send(&tcpResponse{Stale: true}, nil); err != nil {
-					return
-				}
-				continue
-			}
 		}
 		var d faultplan.Decision
 		if f.roller != nil {
@@ -512,17 +465,13 @@ func (f *TCP) serveConn(worker int, c net.Conn) {
 }
 
 // process dispatches one deduplicated request to its destination worker's
-// handler; msgs is the decoded payload of a push packet. Dispatch is by
-// req.To, not by which listener the request arrived on: after a Rehome, a
-// dead worker's traffic lands on the adopting host's listener but must
-// still reach the adopted unit's handler.
+// handler through the router, as Local does; msgs is the decoded payload
+// of a push packet.
 func (f *TCP) process(req *tcpRequest, msgs []Msg) tcpResponse {
 	var resp tcpResponse
-	f.mu.RLock()
-	h := f.handlers[req.To]
-	f.mu.RUnlock()
-	if h == nil {
-		resp.Err = fmt.Sprintf("comm: no handler registered for worker %d", req.To)
+	h, err := f.handler(req.To)
+	if err != nil {
+		resp.Err = err.Error()
 		return resp
 	}
 	switch req.Kind {
@@ -559,49 +508,6 @@ func (f *TCP) process(req *tcpRequest, msgs []Msg) tcpResponse {
 	return resp
 }
 
-// Epoch implements Rehomer.
-func (f *TCP) Epoch() int64 { return f.epoch.Load() }
-
-// AdvanceEpoch implements Rehomer.
-func (f *TCP) AdvanceEpoch() int64 { return f.epoch.Add(1) }
-
-// Rehome implements Rehomer: traffic addressed to origin now dials the
-// adopting host's endpoint. The dead endpoint's listener is closed, its
-// cached client connection dropped so the next round trip redials, and
-// its dedup history merged into the host's so a retry of a request the
-// dead endpoint already applied — only its response lost — is still
-// absorbed after the redial.
-func (f *TCP) Rehome(origin, host int) {
-	f.mu.Lock()
-	f.addrs[origin] = f.addrs[host]
-	f.mu.Unlock()
-	if a, b := f.dedups[origin], f.dedups[host]; a != b {
-		first, second := a, b
-		if host < origin {
-			first, second = b, a
-		}
-		first.mu.Lock()
-		second.mu.Lock()
-		for k, e := range a.entries {
-			if _, ok := b.entries[k]; !ok {
-				b.entries[k] = e
-				b.order = append(b.order, k)
-				b.bytes += e.bytes // zero while the entry is still in flight
-			}
-		}
-		second.mu.Unlock()
-		first.mu.Unlock()
-	}
-	f.listeners[origin].Close()
-	p := f.peers[origin]
-	p.mu.Lock()
-	if p.conn != nil {
-		p.conn.c.Close()
-		p.conn = nil
-	}
-	p.mu.Unlock()
-}
-
 // dial returns a cached connection to worker w, dialing on demand. Only
 // the destination's per-peer lock is held across the dial, so a slow or
 // dead peer stalls nobody else.
@@ -615,10 +521,7 @@ func (f *TCP) dial(w int) (*tcpConn, error) {
 	if f.closed.Load() {
 		return nil, errFabricClosed
 	}
-	f.mu.RLock()
-	addr := f.addrs[w]
-	f.mu.RUnlock()
-	nc, err := net.DialTimeout("tcp", addr, f.cfg.Timeout)
+	nc, err := net.DialTimeout("tcp", f.addrs[w], f.cfg.Timeout)
 	if err != nil {
 		return nil, err
 	}
@@ -657,7 +560,7 @@ func (f *TCP) roundTrip(w int, req *tcpRequest, msgs []Msg) (*tcpResponse, []Msg
 				return nil, nil, err
 			}
 		}
-		if err := f.ctx.err(); err != nil {
+		if err := f.ctxErr(); err != nil {
 			return nil, nil, err
 		}
 		if f.closed.Load() {
@@ -671,16 +574,6 @@ func (f *TCP) roundTrip(w int, req *tcpRequest, msgs []Msg) (*tcpResponse, []Msg
 		resp, out, err := c.do(req, msgs, f.cfg.Timeout)
 		if err != nil {
 			lastErr = err
-			f.invalidate(w, c)
-			continue
-		}
-		if resp.Stale {
-			// The receiver is ahead of us on block ownership: re-stamp with
-			// the current epoch and re-route over a fresh dial (the endpoint
-			// may have been rehomed under us).
-			cur := f.epoch.Load()
-			lastErr = &StaleEpochError{Sent: req.Epoch, Current: cur}
-			req.Epoch = cur
 			f.invalidate(w, c)
 			continue
 		}
@@ -709,27 +602,15 @@ func (f *TCP) sleepBackoff(attempt int) error {
 	select {
 	case <-tm.C:
 		return nil
-	case <-f.ctx.done():
-		return f.ctx.err()
+	case <-f.ctxDone():
+		return f.ctxErr()
 	}
-}
-
-func (f *TCP) account(from, to int, bytes int64) {
-	if from == to || from < 0 || to < 0 || from >= len(f.out) || to >= len(f.in) {
-		return
-	}
-	f.out[from].Add(bytes)
-	f.in[to].Add(bytes)
-	f.total.Add(bytes)
 }
 
 // Send implements Fabric.
 func (f *TCP) Send(p *Packet) error {
-	if p.Epoch == 0 {
-		p.Epoch = f.epoch.Load()
-	}
 	f.account(p.From, p.To, p.Bytes())
-	_, _, err := f.roundTrip(p.To, &tcpRequest{Kind: tcpSend, Epoch: p.Epoch, From: p.From, To: p.To,
+	_, _, err := f.roundTrip(p.To, &tcpRequest{Kind: tcpSend, From: p.From, To: p.To,
 		Step: p.Step, Wire: p.WireBytes}, p.Msgs)
 	return err
 }
@@ -737,7 +618,7 @@ func (f *TCP) Send(p *Packet) error {
 // PullRequest implements Fabric.
 func (f *TCP) PullRequest(from, to, block, step int) ([]Msg, int64, error) {
 	f.account(from, to, PullReqSize)
-	resp, msgs, err := f.roundTrip(to, &tcpRequest{Kind: tcpPull, Epoch: f.epoch.Load(),
+	resp, msgs, err := f.roundTrip(to, &tcpRequest{Kind: tcpPull,
 		From: from, To: to, Block: block, Step: step}, nil)
 	if err != nil {
 		return nil, 0, err
@@ -749,7 +630,7 @@ func (f *TCP) PullRequest(from, to, block, step int) ([]Msg, int64, error) {
 // Gather implements Fabric.
 func (f *TCP) Gather(from, to int, ids []graph.VertexID, step int) ([]GatherResult, error) {
 	f.account(from, to, int64(len(ids))*GatherIDSize)
-	resp, _, err := f.roundTrip(to, &tcpRequest{Kind: tcpGather, Epoch: f.epoch.Load(),
+	resp, _, err := f.roundTrip(to, &tcpRequest{Kind: tcpGather,
 		From: from, To: to, IDs: ids, Step: step}, nil)
 	if err != nil {
 		return nil, err
@@ -761,15 +642,7 @@ func (f *TCP) Gather(from, to int, ids []graph.VertexID, step int) ([]GatherResu
 // Signal implements Fabric.
 func (f *TCP) Signal(from, to int, ids []graph.VertexID, step int) error {
 	f.account(from, to, int64(len(ids))*GatherIDSize)
-	_, _, err := f.roundTrip(to, &tcpRequest{Kind: tcpSignal, Epoch: f.epoch.Load(),
+	_, _, err := f.roundTrip(to, &tcpRequest{Kind: tcpSignal,
 		From: from, To: to, IDs: ids, Step: step}, nil)
 	return err
 }
-
-// Traffic implements Fabric.
-func (f *TCP) Traffic(w int) (in, out int64) {
-	return f.in[w].Load(), f.out[w].Load()
-}
-
-// TotalBytes implements Fabric.
-func (f *TCP) TotalBytes() int64 { return f.total.Load() }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hybridgraph/internal/checkpoint"
-	"hybridgraph/internal/comm"
 	"hybridgraph/internal/diskio"
 	"hybridgraph/internal/metrics"
 	"hybridgraph/internal/obs"
@@ -174,22 +173,12 @@ func (j *job) masterRecord(t int) *checkpoint.Master {
 func (j *job) applyMaster(res *metrics.JobResult, m *checkpoint.Master) {
 	if j.own != nil && m.Epoch != 0 {
 		// Re-apply the recorded ownership: a resumed job continues with the
-		// shrunken worker set — dead slots stay dead, their partitions run
-		// on the recorded hosts, and the fabric epoch catches up so any
-		// straggler traffic from before the restart is rejected as stale.
+		// shrunken worker set — dead slots stay dead and their partitions
+		// run on the recorded hosts, each at its own fabric endpoint — and
+		// later adoptions number on from the recorded epoch.
 		j.own.epoch = m.Epoch
 		copy(j.own.dead, m.Dead)
 		copy(j.own.hosts, m.Hosts)
-		if rh, ok := j.fabric.(comm.Rehomer); ok {
-			for w, d := range j.own.dead {
-				if d {
-					rh.Rehome(w, j.own.hosts[w])
-				}
-			}
-			for rh.Epoch() < j.own.epoch {
-				rh.AdvanceEpoch()
-			}
-		}
 		j.jm.degraded.Set(int64(j.own.deadCount()))
 		for w, d := range j.own.dead {
 			if !d {

@@ -65,10 +65,10 @@ type job struct {
 	crashFired []bool // per fault-plan crash: already injected
 	stallFired []bool // per fault-plan stall: already injected
 
-	// Adopting-placement state (Recovery: "reassign"): the epoch-versioned
-	// ownership table, per-worker failure counts driving the permanence
-	// decision, and the per-unit migration-cost stash that lands in the
-	// first post-adoption superstep's stats. All nil under other policies.
+	// Adopting-placement state (Recovery: "reassign"): the ownership
+	// table, per-worker failure counts driving the permanence decision,
+	// and the per-unit migration-cost stash that lands in the first
+	// post-adoption superstep's stats. All nil under other policies.
 	own         *ownership
 	crashCounts []int
 	stallCounts []int

@@ -99,9 +99,6 @@ func TestBufferReuseIdentity(t *testing.T) {
 // re-encode from the sender's buffer and duplicates are absorbed before
 // the handler, so the scribbled run still equals a fault-free local one.
 func TestBufferReuseIdentityOverFaultyTCP(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fault-injected TCP runs wait out many injected timeouts")
-	}
 	g := graph.GenRMAT(300, 2400, 0.57, 0.19, 0.19, 78)
 	base := Config{Workers: 3, MsgBuf: 100, MaxSteps: 5, SendThreshold: 600}
 	for _, e := range []Engine{Push, Hybrid} {

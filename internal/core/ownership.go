@@ -1,17 +1,16 @@
 package core
 
-// ownership is the epoch-versioned block-ownership table the reassign
-// policy maintains: which workers are permanently dead and which survivor
-// hosts each dead worker's Vblock range. The table lives on the master
-// (the job), is bumped to a new epoch on every adoption, and is mirrored
-// into the comm fabric (comm.Rehomer) so in-flight traffic stamped with a
-// dead epoch is rejected at the receiver and re-routed by the sender —
-// never silently accepted by an endpoint that no longer owns the range.
+// ownership is the block-ownership table the reassign policy maintains:
+// which workers are permanently dead and which survivor hosts each dead
+// worker's Vblock range. The table lives on the master (the job) and
+// changes only between supersteps, after the barrier, when no fabric call
+// is in flight, so the fabrics need no view of it. Its epoch numbers the
+// adoptions (RecoveryNotice, the reassign/adopt_block trace events and the
+// checkpoint master record); nothing on the wire carries it.
 //
 // Adoption is whole-origin: a dead worker's entire partition moves to one
-// survivor, and the adopted unit keeps answering at its origin slot (the
-// fabric rewires the slot's address to the host). That choice is what
-// keeps results byte-identical — b-pull's per-origin combine fold trees
+// survivor, and the adopted unit keeps answering at its origin slot's own
+// fabric endpoint. That choice is what keeps results byte-identical — b-pull's per-origin combine fold trees
 // and push's per-origin packet canonicalisation both assume one origin is
 // served by one endpoint, so splitting a range across hosts would reorder
 // floating-point folds.

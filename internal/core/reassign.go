@@ -7,7 +7,6 @@ import (
 
 	"hybridgraph/internal/checkpoint"
 	"hybridgraph/internal/codec"
-	"hybridgraph/internal/comm"
 	"hybridgraph/internal/diskio"
 	"hybridgraph/internal/metrics"
 	"hybridgraph/internal/obs"
@@ -17,12 +16,12 @@ import (
 // permanently dead — a fault-plan crash marked Permanent, or the same
 // worker failing more than Config.MaxRestarts times — has no machine to
 // restart on, so a least-loaded survivor adopts its whole Vblock range.
-// The ownership table bumps to a new epoch, the fabric rewires the dead
-// slot's address to the host (stale-epoch traffic is rejected and re-sent,
-// see comm.Rehomer), and the host rebuilds the partition's stores from the
-// shared catalog before the usual restore and log replay. The adopted unit
-// keeps its origin identity, so final vertex values are byte-identical to
-// a fault-free run; migration traffic is charged to the Migration*
+// Adoption runs between supersteps, on the control goroutine after the
+// barrier, so no fabric traffic is in flight. The ownership table bumps to
+// a new epoch and the host rebuilds the partition's stores from the shared
+// catalog before the usual restore and log replay. The adopted unit keeps
+// its origin identity and its fabric endpoint, so final vertex values are
+// byte-identical to a fault-free run; migration traffic is charged to the Migration*
 // counters and journaled as reassign/adopt_block events.
 
 // ErrNoSurvivors is the typed failure a reassignment raises when a
@@ -125,18 +124,14 @@ func (j *job) pickHost() int {
 	return best
 }
 
-// adoptWorker performs one adoption: ownership and fabric epoch bump,
-// store rebuild from the shared catalog under a migration counter, and
-// the migration accounting and journal events. The recovery driver then
-// restores the snapshot and replays the logs — by then the unit is fully
-// re-homed, so replay traffic flows through the new placement.
+// adoptWorker performs one adoption: ownership epoch bump, store rebuild
+// from the shared catalog under a migration counter, and the migration
+// accounting and journal events. The recovery driver then restores the
+// snapshot and replays the logs — by then the unit is fully re-homed, so
+// replay runs on the new placement.
 func (j *job) adoptWorker(fw, host, step int, reason string, res *metrics.JobResult) error {
 	w := j.workers[fw]
 	epoch := j.own.adopt(fw, host)
-	if rh, ok := j.fabric.(comm.Rehomer); ok {
-		rh.AdvanceEpoch()
-		rh.Rehome(fw, host)
-	}
 
 	// Rebuild the dead machine's stores: vertex records fresh (the
 	// snapshot restore overwrites the values), adjacency and VE-BLOCK from

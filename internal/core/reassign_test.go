@@ -3,9 +3,11 @@ package core
 import (
 	"bytes"
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"hybridgraph/internal/algo"
+	"hybridgraph/internal/comm"
 	"hybridgraph/internal/diskio"
 	"hybridgraph/internal/faultplan"
 	"hybridgraph/internal/graph"
@@ -151,8 +153,8 @@ func TestReassignMatrix(t *testing.T) {
 }
 
 // TestReassignTCP runs the adoption over the loopback TCP fabric: the
-// rehomed slot's traffic crosses a real socket to the adopting host, and
-// stale-epoch rejection plus re-routing must leave the values untouched.
+// adopted unit keeps its own endpoint, so its traffic still crosses a real
+// socket, and the values must match the fault-free run's.
 func TestReassignTCP(t *testing.T) {
 	g := graph.GenRMAT(400, 3000, 0.57, 0.19, 0.19, 72)
 	for _, e := range []Engine{Push, BPull} {
@@ -515,5 +517,108 @@ func TestReassignOnRecoveryHook(t *testing.T) {
 	}
 	if notices[2].Worker != 1 || notices[2].Host == 1 || notices[2].Epoch < 2 {
 		t.Fatalf("reassign notice = %+v", notices[2])
+	}
+}
+
+// inflightFabric counts the fabric calls in progress, so a test can read
+// how many were in flight at any moment, and the calls made in all.
+type inflightFabric struct {
+	closeThrough
+	n, calls *atomic.Int64
+}
+
+// enter counts one call in and returns its exit.
+func (f inflightFabric) enter() func() {
+	f.n.Add(1)
+	f.calls.Add(1)
+	return func() { f.n.Add(-1) }
+}
+
+func (f inflightFabric) Send(p *comm.Packet) error {
+	defer f.enter()()
+	return f.Fabric.Send(p)
+}
+
+func (f inflightFabric) PullRequest(from, to, block, step int) ([]comm.Msg, int64, error) {
+	defer f.enter()()
+	return f.Fabric.PullRequest(from, to, block, step)
+}
+
+func (f inflightFabric) Gather(from, to int, ids []graph.VertexID, step int) ([]comm.GatherResult, error) {
+	defer f.enter()()
+	return f.Fabric.Gather(from, to, ids, step)
+}
+
+func (f inflightFabric) Signal(from, to int, ids []graph.VertexID, step int) error {
+	defer f.enter()()
+	return f.Fabric.Signal(from, to, ids, step)
+}
+
+// TestReassignNothingInFlightAtRecovery pins the invariant the fabrics
+// rely on to carry no routing protocol: ownership changes only between
+// supersteps, so when the master recovers a crash or a stall, or hands a
+// dead worker's partition to a survivor, no fabric call is in progress.
+// Every recovery notice reads the in-flight count of a wrapped fabric,
+// over Local and over a lossy, duplicating TCP link.
+func TestReassignNothingInFlightAtRecovery(t *testing.T) {
+	g := graph.GenRMAT(400, 3000, 0.57, 0.19, 0.19, 74)
+	var inflight, calls atomic.Int64
+	withFabricWrap(t, func(f comm.Fabric) comm.Fabric {
+		return inflightFabric{closeThrough{f}, &inflight, &calls}
+	})
+	plans := []struct {
+		recovery string
+		plan     func() *faultplan.Plan
+	}{
+		{"confined", func() *faultplan.Plan {
+			return faultplan.NewPlan(faultplan.Crash{Step: 3, Worker: 1}).
+				WithStalls(faultplan.Stall{Step: 5, Worker: 2})
+		}},
+		{"reassign", func() *faultplan.Plan {
+			return faultplan.NewPlan(faultplan.PermanentCrash(4, 1)).
+				WithStalls(faultplan.Stall{Step: 6, Worker: 2})
+		}},
+	}
+	kinds := map[string]int{}
+	for _, tcp := range []bool{false, true} {
+		for _, p := range plans {
+			for _, e := range []Engine{Push, BPull, Hybrid} {
+				name := p.recovery + "/" + string(e) + "/local"
+				if tcp {
+					name = p.recovery + "/" + string(e) + "/tcp"
+				}
+				t.Run(name, func(t *testing.T) {
+					plan := p.plan()
+					if tcp {
+						plan.Net = &faultplan.TransportFaults{Seed: 9,
+							DropRequest: 0.05, DropResponse: 0.05, Duplicate: 0.05}
+					}
+					var seen []int64
+					cfg := Config{Workers: 3, MsgBuf: 100, MaxSteps: 8, CheckpointEvery: 2,
+						TCP: tcp, Recovery: p.recovery, FaultPlan: plan,
+						OnRecovery: func(n RecoveryNotice) {
+							kinds[n.Kind]++
+							seen = append(seen, inflight.Load())
+						}}
+					if _, err := Run(g, algo.NewPageRank(0.85), cfg, e); err != nil {
+						t.Fatal(err)
+					}
+					if len(seen) < 2 || calls.Load() == 0 {
+						t.Fatalf("%d recovery notices over %d fabric calls, want a crash and a stall over traffic",
+							len(seen), calls.Load())
+					}
+					for i, n := range seen {
+						if n != 0 {
+							t.Fatalf("notice %d saw %d fabric calls in flight, want 0", i, n)
+						}
+					}
+				})
+			}
+		}
+	}
+	for _, k := range []string{"crash", "stall", "reassign"} {
+		if kinds[k] == 0 {
+			t.Errorf("no %q notice fired (notices by kind: %v)", k, kinds)
+		}
 	}
 }

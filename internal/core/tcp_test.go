@@ -50,13 +50,10 @@ func TestEnginesOverTCP(t *testing.T) {
 
 // TestEnginesOverFaultyTCP runs the engines over a TCP fabric with a
 // seeded fault plan dropping, delaying and duplicating well over 5% of
-// RPCs. The resilient fabric must absorb every fault via deadline-bounded
-// retries and serving-side dedup: results, superstep counts and byte
-// accounting must be identical to a fault-free in-process run.
+// RPCs. The resilient fabric must absorb every fault via retries over a
+// fresh connection and serving-side dedup: results, superstep counts and
+// byte accounting must be identical to a fault-free in-process run.
 func TestEnginesOverFaultyTCP(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fault-injected TCP runs wait out many injected timeouts")
-	}
 	g := graph.GenRMAT(300, 2400, 0.57, 0.19, 0.19, 78)
 	base := Config{Workers: 3, MsgBuf: 100, MaxSteps: 5}
 	prog := algo.NewPageRank(0.85)

@@ -281,6 +281,7 @@ type OnlineInbox struct {
 	cold    *Inbox
 	online  int64
 	hotMsgs []comm.Msg // the accumulators as messages at drain, reused
+	sortTmp []comm.Msg // partials' second sort buffer, reused
 
 	mOnlineMsgs     *obs.Counter // nil when metrics are disabled
 	mOnlineCombines *obs.Counter
@@ -352,7 +353,9 @@ func (o *OnlineInbox) partials(out []comm.Msg) []comm.Msg {
 		for dst, v := range acc {
 			out = append(out, comm.Msg{Dst: dst, Val: v})
 		}
-		comm.SortByDst(out[start:])
+		// Destinations are distinct within one accumulator, so the stable
+		// sort's order is the only order.
+		copy(out[start:], comm.StableSortByDst(out[start:], &o.sortTmp))
 	}
 	return out
 }
