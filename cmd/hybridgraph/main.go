@@ -49,7 +49,7 @@ func runLegacy() {
 		buffer    = flag.Int("buffer", 0, "message buffer B_i per worker in messages (0 = unlimited)")
 		steps     = flag.Int("steps", 0, "maximum supersteps (0 = algorithm default)")
 		source    = flag.Uint("source", 0, "source vertex for sssp")
-		inMemory  = flag.Bool("inmemory", false, "sufficient-memory scenario (no disk)")
+		inMemory  = flag.Bool("inmemory", false, "sufficient-memory scenario (store I/O not charged)")
 		ssd       = flag.Bool("ssd", false, "use the SSD (amazon) cost model instead of HDD")
 		blocks    = flag.Int("blocks", 0, "Vblocks per worker (0 = Eq. 5/6 automatic)")
 		cache     = flag.Int("cache", 0, "pull baseline vertex cache per worker (0 = unbounded)")

@@ -26,7 +26,6 @@ type Store struct {
 	lo     graph.VertexID
 	offs   []int64 // len N+1, byte offsets into the file
 	nEdges int64
-	memG   *graph.Graph // non-nil for memory-resident stores
 
 	ownMu sync.Mutex
 	own   PageBuf // Edges' buffer, for callers that bring none
@@ -76,13 +75,6 @@ func Build(path string, ct *diskio.Counter, g *graph.Graph, part graph.Partition
 	return s, nil
 }
 
-// BuildReverse is Build over the transpose: it stores, for each vertex of
-// the partition, its *in*-edges (sources as Dst fields). The pull baseline
-// gathers along in-edges.
-func BuildReverse(path string, ct *diskio.Counter, g *graph.Graph, part graph.Partition, cdc codec.Codec) (*Store, error) {
-	return Build(path, ct, g.Reverse(), part, cdc)
-}
-
 // Open opens a previously built adjacency file read-only, recomputing the
 // offset index from the staged graph — the index is a deterministic
 // function of (g, part), so the catalog need not persist it. The file size
@@ -114,17 +106,11 @@ func Open(path string, ct *diskio.Counter, g *graph.Graph, part graph.Partition,
 	return s, nil
 }
 
-// SizeBytes reports the store's edge-run bytes (the on-disk file size for
-// file-backed stores).
+// SizeBytes reports the store's edge-run bytes, its logical file size.
 func (s *Store) SizeBytes() int64 { return s.nEdges * edgeSize }
 
-// Close releases the underlying file, if any.
-func (s *Store) Close() error {
-	if s.f == nil {
-		return nil
-	}
-	return s.f.Close()
-}
+// Close releases the underlying file.
+func (s *Store) Close() error { return s.f.Close() }
 
 // Lo reports the first vertex id in the store.
 func (s *Store) Lo() graph.VertexID { return s.lo }
@@ -174,9 +160,6 @@ func (s *Store) EdgesBuf(v graph.VertexID, dst []graph.Half, pb *PageBuf) ([]gra
 	if err != nil {
 		return dst, err
 	}
-	if s.memG != nil {
-		return append(dst, s.memG.OutEdges(v)...), nil
-	}
 	off, length := s.offs[i], s.offs[i+1]-s.offs[i]
 	// A run that crosses a page boundary is decoded a window at a time, so
 	// a forward scan reads — and a compressed file inflates — each page once.
@@ -225,10 +208,9 @@ func (s *Store) SetMetrics(reg *obs.Registry) {
 	}
 }
 
-// SetCounter retargets the store's I/O accounting (no-op for
-// memory-resident stores).
+// SetCounter retargets the store's I/O accounting.
 func (s *Store) SetCounter(ct *diskio.Counter) {
-	if s == nil || s.f == nil {
+	if s == nil {
 		return
 	}
 	s.f.SetCounter(ct)

@@ -87,24 +87,6 @@ func TestPartitionedStoreOnlyHoldsItsRange(t *testing.T) {
 	}
 }
 
-func TestBuildReverseHoldsInEdges(t *testing.T) {
-	g := testGraph(t)
-	var ct diskio.Counter
-	s, err := BuildReverse(filepath.Join(t.TempDir(), "radj.dat"), &ct, g, graph.Partition{Lo: 0, Hi: 6}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	in0, err := s.Edges(0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Vertex 0 has in-edges from 3 and 5.
-	if len(in0) != 2 || in0[0].Dst != 3 || in0[1].Dst != 5 {
-		t.Fatalf("in-edges of 0 = %v", in0)
-	}
-}
-
 func TestReadAccountedSequential(t *testing.T) {
 	g := graph.GenUniform(200, 1000, 3)
 	s, ct := build(t, g, graph.Partition{Lo: 0, Hi: 200})

@@ -77,11 +77,6 @@ func (s *Set) Any() bool {
 // slice aliases the set's memory.
 func (s *Set) Words() []uint64 { return s.words }
 
-// CopyFrom overwrites s with o's bits. The sets must have equal capacity.
-func (s *Set) CopyFrom(o *Set) {
-	copy(s.words, o.words)
-}
-
 // MemBytes reports the approximate memory footprint, used by the paper's
 // "metadata memory is negligible" accounting.
 func (s *Set) MemBytes() int64 { return int64(len(s.words) * 8) }

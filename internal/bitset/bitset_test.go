@@ -66,20 +66,6 @@ func TestCountMatchesReferenceProperty(t *testing.T) {
 	}
 }
 
-func TestCopyFrom(t *testing.T) {
-	a, b := New(70), New(70)
-	a.Set(3)
-	a.Set(69)
-	b.CopyFrom(a)
-	if !b.Get(3) || !b.Get(69) || b.Count() != 2 {
-		t.Fatal("CopyFrom did not copy bits")
-	}
-	b.Clear(3)
-	if !a.Get(3) {
-		t.Fatal("CopyFrom aliased storage")
-	}
-}
-
 func TestMemBytes(t *testing.T) {
 	if got := New(64).MemBytes(); got != 8 {
 		t.Fatalf("MemBytes(64 bits) = %d, want 8", got)

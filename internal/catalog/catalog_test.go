@@ -11,7 +11,9 @@ import (
 
 	"hybridgraph/internal/algo"
 	"hybridgraph/internal/core"
+	"hybridgraph/internal/diskio"
 	"hybridgraph/internal/graph"
+	"hybridgraph/internal/metrics"
 	"hybridgraph/internal/obs"
 )
 
@@ -259,6 +261,58 @@ func TestCatalogReuseBitIdentical(t *testing.T) {
 					t.Fatalf("run %d: trace reused=%d, result reused=%d",
 						run, evs[0].ReusedBytes, res.LayoutReusedBytes)
 				}
+			}
+		})
+	}
+}
+
+// TestInMemoryIdentity pins the sufficient-memory scenario as a charge
+// rule: under InMemory no store charges anything, whether setup built the
+// stores from the graph or opened them from a catalog entry, so every
+// engine reports zero I/O and the same values and simulated time over
+// either source.
+func TestInMemoryIdentity(t *testing.T) {
+	g := testGraph()
+	c, err := Open(filepath.Join(t.TempDir(), "catalog"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry, err := c.Ingest("rmat", g, 3, 1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range core.Engines {
+		t.Run(string(e), func(t *testing.T) {
+			var runs [2]*metrics.JobResult
+			for i, src := range []core.StoreSource{nil, entry} {
+				res, err := core.Run(g, algo.NewPageRank(0.85), core.Config{
+					Workers: 3, InMemory: true, MaxSteps: 5, Stores: src}, e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.LoadIO != (diskio.Snapshot{}) {
+					t.Errorf("stores %d: LoadIO %v, want zero", i, res.LoadIO)
+				}
+				for _, st := range res.Steps {
+					if st.IO != (diskio.Snapshot{}) || st.LogIO != (diskio.Snapshot{}) ||
+						st.PhysIO != (diskio.Snapshot{}) || st.Parts != (metrics.IOBreakdown{}) {
+						t.Errorf("stores %d, step %d: IO %v, LogIO %v, PhysIO %v, Parts %+v; want all zero",
+							i, st.Step, st.IO, st.LogIO, st.PhysIO, st.Parts)
+					}
+				}
+				runs[i] = res
+			}
+			built, opened := runs[0], runs[1]
+			if len(built.Values) != len(opened.Values) {
+				t.Fatalf("%d values over built stores, %d over the entry", len(built.Values), len(opened.Values))
+			}
+			for v := range built.Values {
+				if built.Values[v] != opened.Values[v] {
+					t.Fatalf("vertex %d: %g over built stores, %g over the entry", v, built.Values[v], opened.Values[v])
+				}
+			}
+			if built.SimSeconds != opened.SimSeconds {
+				t.Errorf("SimSeconds %g over built stores, %g over the entry", built.SimSeconds, opened.SimSeconds)
 			}
 		})
 	}

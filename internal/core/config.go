@@ -74,8 +74,10 @@ type Config struct {
 	// MsgBuf is B_i, each worker's message buffer capacity in messages;
 	// <= 0 means unlimited.
 	MsgBuf int
-	// InMemory selects the paper's sufficient-memory scenario: all stores
-	// are memory-resident and no I/O is charged. Implies unlimited MsgBuf.
+	// InMemory selects the paper's sufficient-memory scenario (Fig. 7,
+	// B = ∞): the vertex, adjacency, mirror and VE-BLOCK stores are files
+	// like any other, but none of their I/O is charged. Implies
+	// VerticesInMemory and unlimited MsgBuf.
 	InMemory bool
 	// MaxSteps caps the number of supersteps (default 30; Always-Active
 	// programs also halt here).
@@ -124,8 +126,9 @@ type Config struct {
 	// (default 2, the paper's choice; Section 5.3 argues frequent
 	// switching is not cost effective).
 	SwitchInterval int
-	// VerticesInMemory keeps vertex records memory-resident while edges
-	// stay on disk (Table 5 ext-edge).
+	// VerticesInMemory holds vertex records resident while edges stay on
+	// disk (Table 5 ext-edge): the vertex store is a file whose I/O is not
+	// charged, and the engines drop their vertex terms (Vt, Vrr).
 	VerticesInMemory bool
 	// KeepFiles leaves the work directory in place after the job.
 	KeepFiles bool

@@ -7,6 +7,7 @@ import (
 	"hybridgraph/internal/diskio"
 	"hybridgraph/internal/graph"
 	"hybridgraph/internal/metrics"
+	"hybridgraph/internal/vertexfile"
 )
 
 func testPrograms(t *testing.T) map[string]algo.Program {
@@ -103,6 +104,51 @@ func TestSufficientMemoryHasNoDiskIO(t *testing.T) {
 			t.Fatalf("%s: sufficient-memory run did %d bytes of disk I/O (%s)",
 				e, res.IO.Total(), res.IO.String())
 		}
+	}
+}
+
+// TestVerticesInMemoryIdentity pins Table 5's ext-edge scenario as a
+// charge rule: holding the vertex store resident drops exactly the vertex
+// terms (Vt, Vrr) from every superstep and the vertex-store init from
+// loading, and changes no value.
+func TestVerticesInMemoryIdentity(t *testing.T) {
+	g := graph.GenRMAT(800, 6400, 0.57, 0.19, 0.19, 7)
+	for _, e := range []Engine{Push, BPull, Hybrid} {
+		t.Run(string(e), func(t *testing.T) {
+			var runs [2]*metrics.JobResult
+			for i, resident := range []bool{false, true} {
+				runs[i] = runOne(t, g, algo.NewPageRank(0.85),
+					Config{Workers: 3, MsgBuf: 200, MaxSteps: 5, VerticesInMemory: resident}, e)
+				for _, st := range runs[i].Steps {
+					if st.IO.Total() != st.Parts.Total() {
+						t.Errorf("resident=%v, step %d: IO %d B, Parts %d B", resident, st.Step, st.IO.Total(), st.Parts.Total())
+					}
+				}
+			}
+			disk, mem := runs[0], runs[1]
+			for v := range disk.Values {
+				if disk.Values[v] != mem.Values[v] {
+					t.Fatalf("vertex %d: %g on disk, %g resident", v, disk.Values[v], mem.Values[v])
+				}
+			}
+			if len(disk.Steps) != len(mem.Steps) {
+				t.Fatalf("%d supersteps on disk, %d resident", len(disk.Steps), len(mem.Steps))
+			}
+			for i, st := range mem.Steps {
+				d := disk.Steps[i]
+				if st.Parts.Vt != 0 || st.Parts.Vrr != 0 {
+					t.Errorf("step %d: resident run charged Vt %d, Vrr %d", st.Step, st.Parts.Vt, st.Parts.Vrr)
+				}
+				if want := d.IO.Total() - d.Parts.Vt - d.Parts.Vrr; st.IO.Total() != want {
+					t.Errorf("step %d: resident IO %d B, want disk %d − Vt %d − Vrr %d = %d",
+						st.Step, st.IO.Total(), d.IO.Total(), d.Parts.Vt, d.Parts.Vrr, want)
+				}
+			}
+			if drop, want := disk.LoadIO.Total()-mem.LoadIO.Total(), int64(g.NumVertices)*vertexfile.RecordSize; drop != want {
+				t.Errorf("LoadIO fell by %d B, want |V| × RecordSize = %d", drop, want)
+			}
+			t.Logf("IO %d → %d B", disk.IO.Total(), mem.IO.Total())
+		})
 	}
 }
 

@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"path/filepath"
 	"testing"
 
 	"hybridgraph/internal/algo"
 	"hybridgraph/internal/codec"
 	"hybridgraph/internal/comm"
+	"hybridgraph/internal/diskio"
 	"hybridgraph/internal/graph"
 	"hybridgraph/internal/metrics"
 	"hybridgraph/internal/obs"
@@ -108,11 +110,12 @@ func TestDecodeAmplification(t *testing.T) {
 	}
 	var chunks int64
 	for w := 0; w < workers; w++ {
-		s, err := veblock.BuildMem(g, layout, w)
+		s, err := veblock.Build(filepath.Join(t.TempDir(), "ve.dat"), &diskio.Counter{}, g, layout, w, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		chunks += (s.SizeBytes() + codec.ChunkSize - 1) / codec.ChunkSize
+		s.Close()
 	}
 	if chunks < 3*8 {
 		t.Fatalf("stores span %d chunks: too few to outgrow an 8-chunk cache threefold", chunks)

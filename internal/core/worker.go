@@ -248,6 +248,26 @@ func (w *worker) fab() comm.Fabric {
 // localIdx converts a vertex id into the worker-local flag index.
 func (w *worker) localIdx(v graph.VertexID) int { return int(v - w.part.Lo) }
 
+// resident reports whether the scenario holds a store in memory: the
+// vertex store under VerticesInMemory, every store under InMemory. A
+// resident store is the same file as any other; residence only decides
+// what it charges (DESIGN.md, "Charge model vs physical execution").
+func (w *worker) resident(vertices bool) bool {
+	if vertices {
+		return w.job.cfg.VerticesInMemory
+	}
+	return w.job.cfg.InMemory
+}
+
+// buildCt is the counter a store is built or opened under: the loading
+// counter, or for a resident store a counter nothing reads.
+func (w *worker) buildCt(vertices bool) *diskio.Counter {
+	if w.resident(vertices) {
+		return &diskio.Counter{}
+	}
+	return w.job.loadCt(w.id)
+}
+
 // buildVertexStore writes the initial vertex records.
 func (w *worker) buildVertexStore(g *graph.Graph) error {
 	recs := make([]vertexfile.Record, w.part.Len())
@@ -255,11 +275,7 @@ func (w *worker) buildVertexStore(g *graph.Graph) error {
 		v := w.part.Lo + graph.VertexID(i)
 		recs[i] = vertexfile.Record{ID: v, OutDeg: uint32(g.OutDegree(v))}
 	}
-	if w.job.cfg.VerticesInMemory {
-		w.vstore = vertexfile.CreateMem(w.part.Lo, recs)
-		return nil
-	}
-	vs, err := vertexfile.Create(filepath.Join(w.dir, "vertices.dat"), w.job.loadCt(w.id), w.part.Lo, recs)
+	vs, err := vertexfile.Create(filepath.Join(w.dir, "vertices.dat"), w.buildCt(true), w.part.Lo, recs)
 	if err != nil {
 		return err
 	}
@@ -272,7 +288,7 @@ func (w *worker) buildAdj(g *graph.Graph) error {
 		return nil
 	}
 	if src := w.job.cfg.Stores; src != nil {
-		a, err := src.OpenAdj(w.id, w.job.loadCt(w.id), g, w.part)
+		a, err := src.OpenAdj(w.id, w.buildCt(false), g, w.part)
 		if err != nil {
 			return err
 		}
@@ -280,11 +296,7 @@ func (w *worker) buildAdj(g *graph.Graph) error {
 		w.job.layoutReusedBytes += a.SizeBytes()
 		return nil
 	}
-	if w.job.cfg.InMemory {
-		w.adj = adjstore.BuildMem(g, w.part)
-		return nil
-	}
-	a, err := adjstore.Build(filepath.Join(w.dir, "adj.dat"), w.job.loadCt(w.id), g, w.part, w.job.cdc)
+	a, err := adjstore.Build(filepath.Join(w.dir, "adj.dat"), w.buildCt(false), g, w.part, w.job.cdc)
 	if err != nil {
 		return err
 	}
@@ -305,11 +317,7 @@ func (w *worker) buildMirror(g *graph.Graph) error {
 	}
 	mg := sub.Build()
 	full := graph.Partition{Lo: 0, Hi: graph.VertexID(g.NumVertices)}
-	if w.job.cfg.InMemory {
-		w.mirror = adjstore.BuildMem(mg, full)
-		return nil
-	}
-	m, err := adjstore.Build(filepath.Join(w.dir, "mirror.dat"), w.job.loadCt(w.id), mg, full, w.job.cdc)
+	m, err := adjstore.Build(filepath.Join(w.dir, "mirror.dat"), w.buildCt(false), mg, full, w.job.cdc)
 	if err != nil {
 		return err
 	}
@@ -322,7 +330,7 @@ func (w *worker) buildVE(g *graph.Graph) error {
 		return nil
 	}
 	if src := w.job.cfg.Stores; src != nil {
-		ve, err := src.OpenVE(w.id, w.job.loadCt(w.id), g, w.job.layout)
+		ve, err := src.OpenVE(w.id, w.buildCt(false), g, w.job.layout)
 		if err != nil {
 			return err
 		}
@@ -330,15 +338,7 @@ func (w *worker) buildVE(g *graph.Graph) error {
 		w.job.layoutReusedBytes += ve.SizeBytes()
 		return nil
 	}
-	if w.job.cfg.InMemory {
-		ve, err := veblock.BuildMem(g, w.job.layout, w.id)
-		if err != nil {
-			return err
-		}
-		w.ve = ve
-		return nil
-	}
-	ve, err := veblock.Build(filepath.Join(w.dir, "veblock.dat"), w.job.loadCt(w.id), g, w.job.layout, w.id, w.job.cdc)
+	ve, err := veblock.Build(filepath.Join(w.dir, "veblock.dat"), w.buildCt(false), g, w.job.layout, w.id, w.job.cdc)
 	if err != nil {
 		return err
 	}
@@ -346,15 +346,21 @@ func (w *worker) buildVE(g *graph.Graph) error {
 	return nil
 }
 
-// storesBuilt ends a (re)build of the worker's stores: built under the
-// loading counter, they charge the worker's own and report to its registry.
+// storesBuilt ends a (re)build of the worker's stores: they report to its
+// registry, and those the scenario keeps on disk charge the worker's
+// counter from now on. Resident stores keep their build counter.
 func (w *worker) storesBuilt() {
-	for _, s := range []interface {
-		SetCounter(*diskio.Counter)
-		SetMetrics(*obs.Registry)
-	}{w.vstore, w.adj, w.mirror, w.ve} {
-		s.SetCounter(w.ct)
-		s.SetMetrics(w.job.cfg.Metrics)
+	for _, s := range []struct {
+		store interface {
+			SetCounter(*diskio.Counter)
+			SetMetrics(*obs.Registry)
+		}
+		vertices bool
+	}{{w.vstore, true}, {w.adj, false}, {w.mirror, false}, {w.ve, false}} {
+		if !w.resident(s.vertices) {
+			s.store.SetCounter(w.ct)
+		}
+		s.store.SetMetrics(w.job.cfg.Metrics)
 	}
 }
 
@@ -386,7 +392,7 @@ func (w *worker) reset() {
 
 func (w *worker) initInboxes() {
 	for p := 0; p < 2; p++ {
-		capacity := w.effMsgBuf()
+		capacity := w.job.cfg.MsgBuf
 		if w.hot != nil && capacity > 0 {
 			// pushM spends the buffer on hot vertices; messages for cold
 			// (disk-resident) vertices go straight to disk.
@@ -403,14 +409,6 @@ func (w *worker) initInboxes() {
 			w.inboxes[p] = base
 		}
 	}
-}
-
-// effMsgBuf reports the worker's message-buffer capacity (0 = unlimited).
-func (w *worker) effMsgBuf() int {
-	if w.job.cfg.InMemory {
-		return 0
-	}
-	return w.job.cfg.MsgBuf
 }
 
 // pickHotSet selects pushM's in-memory vertices: the B_i highest in-degree

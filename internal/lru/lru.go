@@ -36,9 +36,6 @@ func New(capacity int) *Cache {
 	return &Cache{cap: capacity, ll: list.New(), items: make(map[uint32]*list.Element)}
 }
 
-// Cap reports the configured capacity.
-func (c *Cache) Cap() int { return c.cap }
-
 // Len reports the number of cached entries.
 func (c *Cache) Len() int { return len(c.items) }
 
@@ -77,21 +74,6 @@ func (c *Cache) Put(key uint32, val any) {
 		}
 	}
 	c.items[key] = c.ll.PushFront(&entry{key: key, val: val})
-}
-
-// Invalidate drops a key if present. Superstep boundaries invalidate
-// broadcast values that changed.
-func (c *Cache) Invalidate(key uint32) {
-	if el, ok := c.items[key]; ok {
-		c.ll.Remove(el)
-		delete(c.items, key)
-	}
-}
-
-// Clear drops every entry but keeps hit/miss statistics.
-func (c *Cache) Clear() {
-	c.ll.Init()
-	c.items = make(map[uint32]*list.Element)
 }
 
 // Each calls fn for every cached entry, most- to least-recently used.

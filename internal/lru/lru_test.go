@@ -52,24 +52,6 @@ func TestZeroCapacityStoresNothing(t *testing.T) {
 	}
 }
 
-func TestInvalidateAndClear(t *testing.T) {
-	c := New(4)
-	c.Put(1, 1)
-	c.Put(2, 2)
-	c.Invalidate(1)
-	if _, ok := c.Get(1); ok {
-		t.Fatal("invalidated key still present")
-	}
-	c.Invalidate(99) // no-op
-	c.Clear()
-	if c.Len() != 0 {
-		t.Fatal("Clear left entries")
-	}
-	if _, ok := c.Get(2); ok {
-		t.Fatal("cleared key still present")
-	}
-}
-
 func TestNeverExceedsCapacity(t *testing.T) {
 	c := New(16)
 	rng := rand.New(rand.NewSource(1))

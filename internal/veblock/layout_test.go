@@ -55,7 +55,7 @@ func TestLayoutDestinationMajor(t *testing.T) {
 				l := mkLayout(t, n, workers, blocksPer)
 				for w := 0; w < workers; w++ {
 					name := fmt.Sprintf("seed%d/w%d of %d/%d blocks", seed, w, workers, blocksPer)
-					s, err := BuildMem(g, l, w)
+					s, img, err := assemble(g, l, w, true)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -72,10 +72,10 @@ func TestLayoutDestinationMajor(t *testing.T) {
 							off += sp.size
 						}
 					}
-					if off != s.SizeBytes() || off != int64(len(s.buf)) {
-						t.Fatalf("%s: spans cover %d bytes, SizeBytes %d, image %d", name, off, s.SizeBytes(), len(s.buf))
+					if off != s.SizeBytes() || off != int64(len(img)) {
+						t.Fatalf("%s: spans cover %d bytes, SizeBytes %d, image %d", name, off, s.SizeBytes(), len(img))
 					}
-					if !bytes.Equal(s.buf, refImage(g, l, w)) {
+					if !bytes.Equal(img, refImage(g, l, w)) {
 						t.Fatalf("%s: image differs from the reference", name)
 					}
 					path := filepath.Join(t.TempDir(), "ve.dat")

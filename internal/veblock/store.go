@@ -48,7 +48,6 @@ type span struct {
 type Store struct {
 	layout *Layout
 	f      codec.Reader // the Eblock file, raw or compressed
-	buf    []byte       // memory-resident Eblocks when f is nil
 	firstB int          // global id of first local block
 	nLocal int          // number of local blocks
 	meta   []BlockMeta
@@ -99,17 +98,6 @@ func Open(path string, ct *diskio.Counter, g *graph.Graph, layout *Layout, w int
 		return nil, fmt.Errorf("veblock: %s is %d bytes, layout expects %d", path, size, s.SizeBytes())
 	}
 	s.f = f
-	return s, nil
-}
-
-// BuildMem constructs worker w's VE-BLOCK in memory: same structure and
-// scan semantics, no I/O charges (sufficient-memory scenario).
-func BuildMem(g *graph.Graph, layout *Layout, w int) (*Store, error) {
-	s, buf, err := assemble(g, layout, w, true)
-	if err != nil {
-		return nil, err
-	}
-	s.buf = buf
 	return s, nil
 }
 
@@ -212,13 +200,8 @@ func assemble(g *graph.Graph, layout *Layout, w int, image bool) (*Store, []byte
 	return s, buf, nil
 }
 
-// Close releases the underlying file, if any.
-func (s *Store) Close() error {
-	if s.f == nil {
-		return nil
-	}
-	return s.f.Close()
-}
+// Close releases the underlying file.
+func (s *Store) Close() error { return s.f.Close() }
 
 // LocalBlocks reports the number of Vblocks this worker owns.
 func (s *Store) LocalBlocks() int { return s.nLocal }
@@ -233,8 +216,7 @@ func (s *Store) Fragments() int64 { return s.frags }
 // Edges reports the number of edges stored.
 func (s *Store) Edges() int64 { return s.edges }
 
-// SizeBytes reports the store's Eblock bytes (the on-disk file size for
-// file-backed stores).
+// SizeBytes reports the store's Eblock bytes, its logical file size.
 func (s *Store) SizeBytes() int64 { return s.frags*FragAuxSize + s.edges*edgeSize }
 
 // Meta returns the metadata X_j of local block j (0-based local index).
@@ -330,9 +312,7 @@ func (s *Store) ScanBlock(i int, sb *ScanBuf, want func(j int) bool, fn func(src
 				return st, err
 			}
 		}
-		if s.f != nil {
-			s.f.Charge(sp.size, sp.off, diskio.SeqRead)
-		}
+		s.f.Charge(sp.size, sp.off, diskio.SeqRead)
 	}
 	return st, nil
 }
@@ -341,11 +321,8 @@ func (s *Store) ScanBlock(i int, sb *ScanBuf, want func(j int) bool, fn func(src
 // store, to the end of the window holding it. Windows sit on a scanWindow
 // grid — one aligned read of a raw file, one chunk of a compressed one
 // inflated in place — so what a stream of scans physically reads depends
-// only on the offsets it asks for. A resident image is one window.
+// only on the offsets it asks for.
 func (s *Store) window(sb *ScanBuf, pos int64) ([]byte, error) {
-	if s.f == nil {
-		return s.buf[pos:], nil
-	}
 	if sb.src != s || pos < sb.off || pos >= sb.off+int64(len(sb.Bytes)) {
 		base := pos - pos%scanWindow
 		sb.src, sb.off = s, base
@@ -381,10 +358,9 @@ func (s *Store) SetMetrics(reg *obs.Registry) {
 	}
 }
 
-// SetCounter retargets the store's I/O accounting (no-op for
-// memory-resident stores).
+// SetCounter retargets the store's I/O accounting.
 func (s *Store) SetCounter(ct *diskio.Counter) {
-	if s == nil || s.f == nil {
+	if s == nil {
 		return
 	}
 	s.f.SetCounter(ct)

@@ -52,11 +52,6 @@ type Store struct {
 	f  *diskio.File
 	lo graph.VertexID
 	n  int
-	// mem is non-nil for memory-resident stores (sufficient memory).
-	// memMu serialises access: remote pullers read broadcast columns while
-	// the owner's update scan writes records back.
-	mem   []Record
-	memMu sync.RWMutex
 
 	// scan is ReadBcastRun's page buffer; see scanCache.
 	scan scanCache
@@ -91,13 +86,8 @@ func Create(path string, ct *diskio.Counter, lo graph.VertexID, recs []Record) (
 	return s, nil
 }
 
-// Close releases the underlying file, if any.
-func (s *Store) Close() error {
-	if s.f == nil {
-		return nil
-	}
-	return s.f.Close()
-}
+// Close releases the underlying file.
+func (s *Store) Close() error { return s.f.Close() }
 
 // Lo reports the first vertex id held by the store.
 func (s *Store) Lo() graph.VertexID { return s.lo }
@@ -116,12 +106,6 @@ func (s *Store) Contains(v graph.VertexID) bool {
 func (s *Store) ReadRange(lo, hi graph.VertexID, recs []Record) error {
 	if err := s.checkRange(lo, hi, len(recs)); err != nil {
 		return err
-	}
-	if s.mem != nil {
-		s.memMu.RLock()
-		copy(recs, s.mem[lo-s.lo:hi-s.lo])
-		s.memMu.RUnlock()
-		return nil
 	}
 	bp := rangeBufs.Get().(*[]byte)
 	defer rangeBufs.Put(bp)
@@ -142,12 +126,6 @@ func (s *Store) WriteRange(lo, hi graph.VertexID, recs []Record) error {
 	if err := s.checkRange(lo, hi, len(recs)); err != nil {
 		return err
 	}
-	if s.mem != nil {
-		s.memMu.Lock()
-		copy(s.mem[lo-s.lo:hi-s.lo], recs)
-		s.memMu.Unlock()
-		return nil
-	}
 	bp := rangeBufs.Get().(*[]byte)
 	defer rangeBufs.Put(bp)
 	*bp = slices.Grow((*bp)[:0], int(hi-lo)*RecordSize)[:int(hi-lo)*RecordSize]
@@ -166,12 +144,6 @@ func (s *Store) WriteRange(lo, hi graph.VertexID, recs []Record) error {
 func (s *Store) ReadBcast(v graph.VertexID, parity int) (float64, error) {
 	if !s.Contains(v) {
 		return 0, fmt.Errorf("vertexfile: vertex %d outside [%d,%d)", v, s.lo, int(s.lo)+s.n)
-	}
-	if s.mem != nil {
-		s.memMu.RLock()
-		val := s.mem[v-s.lo].Bcast[parity&1]
-		s.memMu.RUnlock()
-		return val, nil
 	}
 	var b [8]byte
 	off := int64(v-s.lo)*RecordSize + 16 + int64(parity&1)*8
@@ -201,9 +173,6 @@ type ScanRun struct{ count, dev, lastOff int64 }
 func (s *Store) ReadBcastRun(v graph.VertexID, parity int, seen PageSet, run *ScanRun) (float64, error) {
 	if !s.Contains(v) {
 		return 0, fmt.Errorf("vertexfile: vertex %d outside [%d,%d)", v, s.lo, int(s.lo)+s.n)
-	}
-	if s.mem != nil {
-		return s.ReadBcast(v, parity)
 	}
 	off := int64(v-s.lo)*RecordSize + 16 + int64(parity&1)*8
 	var dev int64
@@ -312,12 +281,6 @@ func (s *Store) WriteRecord(r Record) error {
 	if !s.Contains(r.ID) {
 		return fmt.Errorf("vertexfile: vertex %d outside [%d,%d)", r.ID, s.lo, int(s.lo)+s.n)
 	}
-	if s.mem != nil {
-		s.memMu.Lock()
-		s.mem[r.ID-s.lo] = r
-		s.memMu.Unlock()
-		return nil
-	}
 	var b [RecordSize]byte
 	encode(b[:], r)
 	off := int64(r.ID-s.lo) * RecordSize
@@ -330,12 +293,6 @@ func (s *Store) WriteRecord(r Record) error {
 func (s *Store) ReadRecord(v graph.VertexID) (Record, error) {
 	if !s.Contains(v) {
 		return Record{}, fmt.Errorf("vertexfile: vertex %d outside [%d,%d)", v, s.lo, int(s.lo)+s.n)
-	}
-	if s.mem != nil {
-		s.memMu.RLock()
-		r := s.mem[v-s.lo]
-		s.memMu.RUnlock()
-		return r, nil
 	}
 	var b [RecordSize]byte
 	if _, err := s.f.ReadAtClass(b[:], int64(v-s.lo)*RecordSize, diskio.RandRead); err != nil {
@@ -372,12 +329,6 @@ func decode(b []byte) Record {
 	}
 }
 
-// SetCounter retargets the store's I/O accounting (no-op for
-// memory-resident stores). Used to separate loading cost from
-// computation cost.
-func (s *Store) SetCounter(ct *diskio.Counter) {
-	if s == nil || s.f == nil {
-		return
-	}
-	s.f.SetCounter(ct)
-}
+// SetCounter retargets the store's I/O accounting. Used to separate
+// loading cost from computation cost.
+func (s *Store) SetCounter(ct *diskio.Counter) { s.f.SetCounter(ct) }
