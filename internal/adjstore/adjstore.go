@@ -10,6 +10,7 @@ package adjstore
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 
 	"hybridgraph/internal/codec"
@@ -61,7 +62,7 @@ func Build(path string, ct *diskio.Counter, g *graph.Graph, part graph.Partition
 		for _, h := range g.OutEdges(v) {
 			var rec [edgeSize]byte
 			binary.LittleEndian.PutUint32(rec[0:], uint32(h.Dst))
-			binary.LittleEndian.PutUint32(rec[4:], floatBits(h.Weight))
+			binary.LittleEndian.PutUint32(rec[4:], math.Float32bits(h.Weight))
 			buf = append(buf, rec[:]...)
 			off += edgeSize
 			s.nEdges++
@@ -108,6 +109,9 @@ func Open(path string, ct *diskio.Counter, g *graph.Graph, part graph.Partition,
 
 // SizeBytes reports the store's edge-run bytes, its logical file size.
 func (s *Store) SizeBytes() int64 { return s.nEdges * edgeSize }
+
+// Path names the store's file.
+func (s *Store) Path() string { return s.f.Name() }
 
 // Close releases the underlying file.
 func (s *Store) Close() error { return s.f.Close() }
@@ -180,7 +184,7 @@ func (s *Store) EdgesBuf(v graph.VertexID, dst []graph.Half, pb *PageBuf) ([]gra
 		for o := 0; o < len(run); o += edgeSize {
 			dst = append(dst, graph.Half{
 				Dst:    graph.VertexID(binary.LittleEndian.Uint32(run[o:])),
-				Weight: floatFromBits(binary.LittleEndian.Uint32(run[o+4:])),
+				Weight: math.Float32frombits(binary.LittleEndian.Uint32(run[o+4:])),
 			})
 		}
 		pos += int64(len(run))

@@ -71,7 +71,6 @@ type Snapshot struct {
 type Master struct {
 	Step       int
 	Modes      []string
-	QtSigns    []bool
 	LastSwitch int
 	Rco        float64
 	PrevAgg    float64
@@ -197,10 +196,7 @@ func WriteMaster(path string, ct *diskio.Counter, m *Master, cdc codec.Codec) (i
 		p = append(p, byte(len(mode)))
 		p = append(p, mode...)
 	}
-	p = appendU32(p, uint32(len(m.QtSigns)))
-	for _, s := range m.QtSigns {
-		p = append(p, boolByte(s))
-	}
+	p = appendU32(p, 0) // retired slot: a Q^t sign history, now always empty
 	p = appendU64(p, uint64(int64(m.LastSwitch)))
 	p = appendF64(p, m.Rco)
 	p = appendF64(p, m.PrevAgg)
@@ -237,13 +233,9 @@ func ReadMaster(path string, ct *diskio.Counter) (*Master, error) {
 			m.Modes[i] = r.str(l)
 		}
 	}
-	n = int(r.u32())
-	if r.err == nil && n > 0 && n <= r.remaining() {
-		m.QtSigns = make([]bool, n)
-		for i := range m.QtSigns {
-			m.QtSigns[i] = r.u8() != 0
-		}
-	}
+	// Retired slot: older records carry a Q^t sign history here, one
+	// byte per superstep; skip it so their checkpoints still resume.
+	r.str(int(r.u32()))
 	m.LastSwitch = int(int64(r.u64()))
 	m.Rco = r.f64()
 	m.PrevAgg = r.f64()

@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"hybridgraph/internal/comm"
@@ -79,7 +80,7 @@ func TestMasterRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "master.dat")
 	ct := &diskio.Counter{}
 	m := &Master{Step: 8, Modes: []string{"b-pull", "push", "b-pull"},
-		QtSigns: []bool{true, false, true}, LastSwitch: -10, Rco: 0.4, PrevAgg: 1.25}
+		LastSwitch: -10, Rco: 0.4, PrevAgg: 1.25}
 	if _, err := WriteMaster(path, ct, m, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -95,10 +96,23 @@ func TestMasterRoundTrip(t *testing.T) {
 			t.Fatalf("modes[%d] = %q", i, got.Modes[i])
 		}
 	}
-	for i, s := range m.QtSigns {
-		if got.QtSigns[i] != s {
-			t.Fatalf("signs[%d] = %v", i, got.QtSigns[i])
-		}
+}
+
+// TestRestoreSurvivesRetiredMasterField: master records once carried a
+// Q^t sign history between the mode schedule and LastSwitch. The slot
+// stays, always empty, so a checkpoint written before it was retired still
+// resumes. The fixture was written by that older WriteMaster with signs
+// {true, false, true, true} and an ownership trailer.
+func TestRestoreSurvivesRetiredMasterField(t *testing.T) {
+	got, err := ReadMaster(filepath.Join("testdata", "master_sign_history.dat"), &diskio.Counter{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &Master{Step: 6, Modes: []string{"b-pull", "b-pull", "push", "push", "b-pull"},
+		LastSwitch: 4, Rco: 0.375, PrevAgg: -2.5,
+		Epoch: 2, Dead: []bool{false, true, false}, Hosts: []int{0, 2, 2}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("master = %+v, want %+v", got, want)
 	}
 }
 

@@ -74,6 +74,7 @@ type Reader interface {
 	Charge(n, off int64, c diskio.Class)
 	Size() (int64, error)
 	SetCounter(*diskio.Counter)
+	Name() string
 	Close() error
 }
 

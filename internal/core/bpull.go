@@ -75,7 +75,6 @@ func (w *worker) stepBPullProduce(t int, pushProduce bool) error {
 		}
 	} else {
 		lo, hi := w.job.layout.WorkerBlocks(w.id)
-		depth := w.job.cfg.PrefetchDepth
 		// A fetch fills a receiving buffer taken from the worker's idle list;
 		// the buffer goes back once its block has been updated.
 		type fetched struct {
@@ -83,75 +82,54 @@ func (w *worker) stepBPullProduce(t int, pushProduce bool) error {
 			mem int64
 			err error
 		}
-		launch := func(b int) chan fetched {
-			ch := make(chan fetched, 1)
-			go func() {
-				buf, mem, err := w.pullBlock(t, b)
-				ch <- fetched{buf, mem, err}
-			}()
-			return ch
-		}
-		// inflight holds the pipeline's pending fetches, oldest first (the
-		// next block to update is always inflight[0]). Every exit path —
-		// including a failed pull or a failed update — must receive from
-		// each remaining channel: an abandoned fetch would keep charging
-		// pull I/O to this superstep's counters after stepBPull returned,
-		// corrupting the Q^t inputs of whatever ran next.
-		var inflight []chan fetched
+		// next is the pending pre-pull of the block after the one updating,
+		// nil when none is in flight. Every exit path — including a failed
+		// pull or a failed update — must receive from it: an abandoned
+		// fetch would keep charging pull I/O to this superstep's counters
+		// after stepBPull returned, corrupting the Q^t inputs of whatever
+		// ran next.
+		var next chan fetched
 		defer func() {
-			for _, ch := range inflight {
-				<-ch
+			if next != nil {
+				<-next
 			}
 		}()
-		nextLaunch := lo + 1
 		for b := lo; b < hi; b++ {
-			var buf *recvBuf
-			var brMem int64
-			if len(inflight) > 0 {
-				ch := inflight[0]
-				inflight = inflight[1:]
-				f := <-ch
-				if f.err != nil {
-					return f.err
-				}
-				buf, brMem = f.buf, f.mem
+			var f fetched
+			if next != nil {
+				f, next = <-next, nil
 			} else {
-				var err error
-				buf, brMem, err = w.pullBlock(t, b)
-				if err != nil {
-					return err
-				}
+				f.buf, f.mem, f.err = w.pullBlock(t, b)
 			}
-			// Top the pipeline up to PrefetchDepth blocks ahead. Depth 1 is
-			// the paper's pre-pulling; depth 0 (DisablePrepull) never
-			// launches and always pulls inline. An inline pull consumes a
-			// block no launch covered, so nextLaunch may have to skip past
-			// it — it must always point strictly ahead of b.
-			if nextLaunch <= b {
-				nextLaunch = b + 1
+			if f.err != nil {
+				return f.err
 			}
-			for ; nextLaunch < hi && nextLaunch <= b+depth; nextLaunch++ {
-				inflight = append(inflight, launch(nextLaunch))
+			// Pre-pull block b+1 while b updates (the paper's pre-pulling;
+			// DisablePrepull pulls every block inline). Receiving-buffer
+			// memory is BR_i·(1+inflight): the block being updated plus a
+			// fetch actually in flight — the paper's BR_i = 2·n_i/V_i
+			// doubling — so the last block, and every block under
+			// DisablePrepull, pays a single buffer.
+			charged := f.mem
+			if !w.job.cfg.DisablePrepull && b+1 < hi {
+				ch := make(chan fetched, 1)
+				go func(b int) {
+					buf, mem, err := w.pullBlock(t, b)
+					ch <- fetched{buf, mem, err}
+				}(b + 1)
+				next = ch
+				charged += f.mem
 			}
-			// Receiving-buffer memory: BR_i·(1+inflight) — the block being
-			// updated plus one buffer per fetch actually in flight (the
-			// paper's BR_i = 2·n_i/V_i doubling at depth 1). Charged only
-			// when a prefetch really launched: the last block, and every
-			// block under DisablePrepull, pays the single buffer.
-			charged := brMem * int64(1+len(inflight))
 			w.addStat(func(s *workerStat) {
 				if charged > s.memBytes {
 					s.memBytes = charged
 				}
 			})
 			blk := w.job.layout.Blocks[b]
-			if err := runBlock(blk.Lo, blk.Hi, buf.groups); err != nil {
+			if err := runBlock(blk.Lo, blk.Hi, f.buf.groups); err != nil {
 				return err
 			}
-			w.pullFree.put(buf)
-		}
-		if len(inflight) > 0 {
-			return fmt.Errorf("core: b-pull prefetched past the last block")
+			w.pullFree.put(f.buf)
 		}
 	}
 	if outbox != nil {

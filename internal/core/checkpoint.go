@@ -155,7 +155,6 @@ func (j *job) masterRecord(t int) *checkpoint.Master {
 	for _, mode := range j.modes {
 		m.Modes = append(m.Modes, string(mode))
 	}
-	m.QtSigns = append(m.QtSigns, j.qtSigns...)
 	if j.own != nil {
 		// Reassign policy: the checkpoint records the ownership table so a
 		// daemon restart resumes with the shrunken worker set instead of
@@ -199,7 +198,6 @@ func (j *job) applyMaster(res *metrics.JobResult, m *checkpoint.Master) {
 		for _, mode := range m.Modes {
 			j.modes = append(j.modes, Engine(mode))
 		}
-		j.qtSigns = append(j.qtSigns[:0], m.QtSigns...)
 		j.lastSwitch = m.LastSwitch
 		j.rco = m.Rco
 	}

@@ -105,18 +105,15 @@ type Config struct {
 	// inputs and trace events are byte-identical to Parallelism=1 (see
 	// DESIGN.md, "Determinism under parallel compute").
 	Parallelism int
-	// PrefetchDepth is b-pull's block-fetch pipeline depth: how many
-	// Vblocks ahead of the one updating are being pulled concurrently
-	// (default 1, the paper's pre-pulling; DisablePrepull forces 0). The
-	// receiving-buffer memory charge scales with the fetches actually in
-	// flight: BR_i·(1+inflight).
-	PrefetchDepth int
 	// DisableCombine turns off message combining in b-pull even for
 	// combinable algorithms (Fig. 18's fairness setting); concatenation
 	// stays on.
 	DisableCombine bool
 	// DisablePrepull turns off b-pull's pre-pulling of the next Vblock
-	// (ablation; also the paper's concat-only configuration).
+	// (ablation; also the paper's concat-only configuration). With it
+	// unset, b-pull pulls exactly one Vblock ahead of the one updating and
+	// is charged a second receiving buffer BR_i while that fetch is in
+	// flight.
 	DisablePrepull bool
 	// SenderCombine turns on sender-side combining for the push engines
 	// (the paper's modified MOCgraph, pushM+com, Appendix E). Requires a
@@ -146,21 +143,6 @@ type Config struct {
 	// own firing state, so a Config (and its plan) can be reused across
 	// runs.
 	FaultPlan *faultplan.Plan
-	// PhaseAware enables the Appendix G extension: hybrid analyses the
-	// history of Q^t signs for periodicity and, when a Multi-Phase-Style
-	// cycle is detected, schedules modes from the matching phase of the
-	// previous cycle instead of the (poor) persistence forecast.
-	PhaseAware bool
-	// Async enables asynchronous iteration inside the push engine (the
-	// extension the paper flags: "HybridGraph can be extended to support
-	// the asynchronous iteration"): after the superstep's scan, each
-	// worker keeps draining and applying incoming messages eagerly —
-	// local relaxations and cross-worker ping-pong alike — until
-	// quiescence, instead of parking them for the next barrier. Sound
-	// only for monotone programs with commutative, idempotent-toward-
-	// fixpoint updates (SSSP, WCC); it collapses their long convergent
-	// tails into a handful of supersteps.
-	Async bool
 	// Recovery selects the fault-tolerance policy, one point in three
 	// choices (DESIGN.md, "Fault tolerance"):
 	//
@@ -176,11 +158,10 @@ type Config struct {
 	// only for algorithms whose fixpoint ignores the starting state (WCC,
 	// SSSP, converging PageRank). The failed-worker scope logs what every
 	// worker sends (internal/msglog) and replays only the failed worker
-	// against the survivors' logs; it requires synchronous iteration and
-	// an engine other than the pull baseline. "reassign" hands a
-	// permanently dead worker's partition — a crash marked Permanent, or
-	// more than MaxRestarts failures — to the least-loaded survivor and
-	// requires Workers >= 2.
+	// against the survivors' logs; it requires an engine other than the
+	// pull baseline. "reassign" hands a permanently dead worker's
+	// partition — a crash marked Permanent, or more than MaxRestarts
+	// failures — to the least-loaded survivor and requires Workers >= 2.
 	Recovery string
 	// MaxRestarts bounds how many times one worker may crash or stall
 	// before the reassign policy declares it permanently dead and hands
@@ -303,12 +284,6 @@ func (c Config) withDefaults() Config {
 			c.Parallelism = 1
 		}
 	}
-	if c.PrefetchDepth <= 0 {
-		c.PrefetchDepth = 1
-	}
-	if c.DisablePrepull {
-		c.PrefetchDepth = 0
-	}
 	if c.SwitchInterval <= 0 {
 		c.SwitchInterval = 2
 	}
@@ -342,9 +317,6 @@ func (c Config) validate(n int) (recoveryPolicy, error) {
 	if c.Parallelism < 0 {
 		return pol, fmt.Errorf("core: negative Parallelism")
 	}
-	if c.PrefetchDepth < 0 {
-		return pol, fmt.Errorf("core: negative PrefetchDepth")
-	}
 	// Parallelism/SendThreshold interaction: the parallel scan partitions
 	// the sender threshold across shards (comm.ShardThreshold, floored at
 	// one message per shard), so any threshold that can carry a message at
@@ -375,12 +347,6 @@ func (c Config) validate(n int) (recoveryPolicy, error) {
 	}
 	if !known {
 		return pol, fmt.Errorf("core: unknown recovery policy %q", c.Recovery)
-	}
-	if pol.failedOnly && c.Async {
-		// Async drains messages eagerly past the barrier, so a survivor's
-		// log is not a superstep-consistent record of what the failed
-		// worker must re-consume.
-		return pol, fmt.Errorf("core: %s recovery requires synchronous iteration (Async is set)", pol.name)
 	}
 	if pol.adopt && c.Workers < 2 {
 		// A single worker has no survivor to adopt its partition.

@@ -274,8 +274,4 @@ func TestConfinedRejectsPullBaseline(t *testing.T) {
 	if _, err := Run(g, algo.NewPageRank(0.85), cfg, Pull); err == nil {
 		t.Fatal("confined + pull baseline should be rejected")
 	}
-	cfg.Async = true
-	if _, err := Run(g, algo.NewSSSP(0), cfg, Push); err == nil {
-		t.Fatal("confined + async should be rejected")
-	}
 }

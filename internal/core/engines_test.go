@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"hybridgraph/internal/algo"
@@ -342,20 +343,38 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestDisablePrepullStillCorrect(t *testing.T) {
+// TestPrefetchOnOffIdentity: pre-pulling the next Vblock changes when a
+// block is fetched, not what is fetched. With and without it, b-pull and
+// hybrid give bit-equal values, per-step I/O and wire bytes, and simulated
+// time; only the receiving-buffer charge grows, because a pre-pull holds a
+// second buffer while the current block updates.
+func TestPrefetchOnOffIdentity(t *testing.T) {
 	g := graph.GenRMAT(700, 7000, 0.57, 0.19, 0.19, 42)
-	prog := algo.NewSSSP(0)
-	cfg := Config{Workers: 3, MsgBuf: 100, MaxSteps: 20}
-	a := runOne(t, g, prog, cfg, BPull)
-	cfg.DisablePrepull = true
-	b := runOne(t, g, prog, cfg, BPull)
-	for v := range a.Values {
-		if !almostEqual(a.Values[v], b.Values[v]) {
-			t.Fatalf("prepull changed results at vertex %d", v)
+	for _, e := range []Engine{BPull, Hybrid} {
+		cfg := Config{Workers: 3, MsgBuf: 100, MaxSteps: 20}
+		on := runOne(t, g, algo.NewSSSP(0), cfg, e)
+		cfg.DisablePrepull = true
+		off := runOne(t, g, algo.NewSSSP(0), cfg, e)
+		for v := range on.Values {
+			if math.Float64bits(on.Values[v]) != math.Float64bits(off.Values[v]) {
+				t.Fatalf("%s: vertex %d = %g with pre-pull, %g without", e, v, on.Values[v], off.Values[v])
+			}
 		}
-	}
-	// Pre-pulling doubles the per-block receive buffer accounting.
-	if a.MaxMemBytes <= b.MaxMemBytes {
-		t.Logf("note: prepull mem %d vs no-prepull %d", a.MaxMemBytes, b.MaxMemBytes)
+		if len(on.Steps) != len(off.Steps) {
+			t.Fatalf("%s: %d supersteps with pre-pull, %d without", e, len(on.Steps), len(off.Steps))
+		}
+		for i := range on.Steps {
+			a, b := on.Steps[i], off.Steps[i]
+			if a.IO != b.IO || a.NetBytes != b.NetBytes {
+				t.Errorf("%s step %d: IO %+v net %d with pre-pull, IO %+v net %d without",
+					e, a.Step, a.IO, a.NetBytes, b.IO, b.NetBytes)
+			}
+		}
+		if math.Float64bits(on.SimSeconds) != math.Float64bits(off.SimSeconds) {
+			t.Errorf("%s: SimSeconds %g with pre-pull, %g without", e, on.SimSeconds, off.SimSeconds)
+		}
+		if on.MaxMemBytes <= off.MaxMemBytes {
+			t.Errorf("%s: MaxMemBytes %d with pre-pull, not above %d without", e, on.MaxMemBytes, off.MaxMemBytes)
+		}
 	}
 }

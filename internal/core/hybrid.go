@@ -51,7 +51,6 @@ func (j *job) initHybridModes() {
 	}
 	j.rco = 0.4 // prior for the combining ratio before b-pull has run
 	j.lastSwitch = -10
-	j.qtSigns = nil
 }
 
 // produceMode reports how superstep t's messages leave the node: pushed
@@ -66,12 +65,8 @@ func (j *job) produceMode(t int) Engine {
 // scheduleMode runs Algorithm 3's evaluate() after superstep t: the
 // predicted Q^{t+2} picks modes[t+2], with switches spaced at least the
 // switching interval Δt = 2 apart (frequent switching is not cost
-// effective, Section 5.3). With PhaseAware set, a detected period in the
-// Q^t sign history overrides the persistence forecast — the Appendix G
-// proposal for Multi-Phase-Style algorithms, whose oscillating activity
-// defeats Δt-delayed switching.
+// effective, Section 5.3).
 func (j *job) scheduleMode(t int, st metrics.StepStats) {
-	j.qtSigns = append(j.qtSigns, st.Qt >= 0)
 	if t+2 >= len(j.modes) {
 		return
 	}
@@ -79,25 +74,8 @@ func (j *job) scheduleMode(t int, st metrics.StepStats) {
 	if st.Qt >= 0 {
 		want = BPull
 	}
-	periodic := false
-	if j.cfg.PhaseAware {
-		if p, ok := detectPeriod(j.qtSigns); ok {
-			// Predict t+2's sign from the same phase one period earlier.
-			idx := len(j.qtSigns) + 1 - p // 0-based index of step t+2-p
-			if idx >= 0 && idx < len(j.qtSigns) {
-				periodic = true
-				if j.qtSigns[idx] {
-					want = BPull
-				} else {
-					want = Push
-				}
-			}
-		}
-	}
 	cur := j.modes[t+1]
-	// A confidently periodic schedule may switch every superstep; the
-	// Δt spacing exists only because *mispredicted* switches are wasted.
-	if want != cur && !periodic && (t+2)-j.lastSwitch < j.cfg.SwitchInterval {
+	if want != cur && (t+2)-j.lastSwitch < j.cfg.SwitchInterval {
 		want = cur
 	}
 	if want != cur {
@@ -106,36 +84,6 @@ func (j *job) scheduleMode(t int, st metrics.StepStats) {
 	for i := t + 2; i < len(j.modes); i++ {
 		j.modes[i] = want
 	}
-}
-
-// detectPeriod looks for the smallest period p (2 ≤ p ≤ len/3) such that
-// the boolean history repeats over its last three cycles; requiring three
-// keeps spurious matches on short histories out.
-func detectPeriod(signs []bool) (int, bool) {
-	n := len(signs)
-	for p := 2; p*3 <= n; p++ {
-		ok := true
-		// The last 2p entries must match the p entries before them.
-		for i := n - 2*p; i < n && ok; i++ {
-			ok = signs[i] == signs[i-p]
-		}
-		if !ok {
-			continue
-		}
-		// Reject constant histories: a period needs both signs.
-		var hasTrue, hasFalse bool
-		for _, s := range signs[n-p:] {
-			if s {
-				hasTrue = true
-			} else {
-				hasFalse = true
-			}
-		}
-		if hasTrue && hasFalse {
-			return p, true
-		}
-	}
-	return 0, false
 }
 
 // finishQt evaluates Eq. (11) for the superstep from measured quantities

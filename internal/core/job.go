@@ -57,7 +57,6 @@ type job struct {
 	modes      []Engine // mode per superstep, index t (1-based)
 	lastSwitch int
 	rco        float64 // observed b-pull byte-savings ratio, for Mco estimates
-	qtSigns    []bool  // per-superstep "b-pull preferred" history (PhaseAware)
 
 	prevAgg float64 // last superstep's reduced aggregator value
 

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"hash/fnv"
 	"math"
-	"sync"
 	"testing"
 	"time"
 
@@ -11,8 +9,6 @@ import (
 	"hybridgraph/internal/comm"
 	"hybridgraph/internal/faultplan"
 	"hybridgraph/internal/graph"
-	"hybridgraph/internal/metrics"
-	"hybridgraph/internal/obs"
 )
 
 // closeThrough lets a wrapped fabric still be closed by the job.
@@ -114,66 +110,5 @@ func TestBufferReuseIdentityOverFaultyTCP(t *testing.T) {
 			got := runOne(t, g, algo.NewPageRank(0.85), faulty, e)
 			sameResults(t, string(e), want, got)
 		})
-	}
-}
-
-// packetLog records, in Send order, what every packet carried.
-type packetLog struct {
-	closeThrough
-	mu      sync.Mutex
-	packets []uint64 // one hash per packet: step, destination, every message
-}
-
-func (l *packetLog) Send(p *comm.Packet) error {
-	h := fnv.New64a()
-	put := func(x uint64) {
-		var b [8]byte
-		for i := range b {
-			b[i] = byte(x >> (8 * i))
-		}
-		h.Write(b[:])
-	}
-	put(uint64(p.Step))
-	put(uint64(p.To))
-	for _, m := range p.Msgs {
-		put(uint64(m.Dst))
-		put(math.Float64bits(m.Val))
-	}
-	l.mu.Lock()
-	l.packets = append(l.packets, h.Sum64())
-	l.mu.Unlock()
-	return l.Fabric.Send(p)
-}
-
-// TestAsyncPacketsDeterministic pins relaxAsync's Add order. It used to
-// range over a Go map, so with a sending threshold of a few messages the
-// packet boundaries — which messages travel together — changed run to
-// run. One worker keeps the ping-pong itself free of goroutine timing, so
-// the only freedom left was the iteration order.
-func TestAsyncPacketsDeterministic(t *testing.T) {
-	g := graph.GenRMAT(400, 3600, 0.57, 0.19, 0.19, 12)
-	run := func() (*metrics.JobResult, []uint64, int64) {
-		log := &packetLog{}
-		withFabricWrap(t, func(f comm.Fabric) comm.Fabric { log.closeThrough = closeThrough{f}; return log })
-		reg := obs.NewRegistry()
-		cfg := Config{Workers: 1, MsgBuf: 50, MaxSteps: 40, Async: true, SendThreshold: 3 * comm.MsgWireSize, Metrics: reg}
-		res := runOne(t, g, algo.NewSSSP(0), cfg, Push)
-		return res, log.packets, reg.Snapshot()["comm.packets"]
-	}
-	a, aPackets, aCount := run()
-	if len(aPackets) < 100 {
-		t.Fatalf("only %d packets: the threshold did not split the batches", len(aPackets))
-	}
-	for i := 0; i < 3; i++ {
-		b, bPackets, bCount := run()
-		sameResults(t, "async", a, b)
-		if aCount != bCount || len(aPackets) != len(bPackets) {
-			t.Fatalf("run %d sent %d packets (%d logged), first run %d (%d logged)", i, bCount, len(bPackets), aCount, len(aPackets))
-		}
-		for k := range aPackets {
-			if aPackets[k] != bPackets[k] {
-				t.Fatalf("run %d: packet %d of %d carried different messages than in the first run", i, k, len(aPackets))
-			}
-		}
 	}
 }

@@ -155,31 +155,6 @@ func TestParallelismPacketInvariance(t *testing.T) {
 	}
 }
 
-// The b-pull block-fetch pipeline must not change accounting at any depth.
-func TestPrefetchDepthByteIdentical(t *testing.T) {
-	g := graph.GenRMAT(800, 7200, 0.57, 0.19, 0.19, 79)
-	cfg := Config{Workers: 2, MsgBuf: 100, MaxSteps: 8, Parallelism: 4}
-	cfg.PrefetchDepth = 1
-	base := runOne(t, g, algo.NewSSSP(0), cfg, BPull)
-	for _, d := range []int{2, 3} {
-		cfg.PrefetchDepth = d
-		got := runOne(t, g, algo.NewSSSP(0), cfg, BPull)
-		if len(got.Values) != len(base.Values) {
-			t.Fatalf("depth %d: value count differs", d)
-		}
-		for v := range base.Values {
-			if math.Float64bits(base.Values[v]) != math.Float64bits(got.Values[v]) {
-				t.Fatalf("depth %d: vertex %d differs", d, v)
-			}
-		}
-		// A deeper pipeline holds more receive buffers, so MemBytes may
-		// legitimately grow; everything else must match.
-		if base.NetBytes != got.NetBytes || base.IO != got.IO {
-			t.Fatalf("depth %d: I/O accounting drifted", d)
-		}
-	}
-}
-
 // Crash + confined recovery under parallel compute: the replayed run must
 // converge to the same values as a fault-free sequential run.
 func TestParallelismConfinedRecovery(t *testing.T) {
@@ -201,14 +176,14 @@ func TestParallelismConfinedRecovery(t *testing.T) {
 	}
 }
 
-// A failed pull must deterministically drain its in-flight prefetches:
+// A failed pull must deterministically drain its in-flight pre-pull:
 // after a fault-injected run, no goroutine may still be charging reads to
-// the job's counters (the leak the depth-1 prepull had). The gate is
+// the job's counters (the leak the pre-pull once had). The gate is
 // tolerant of where the fault lands: either the run failed with a typed
 // disk fault or it succeeded with byte-identical values.
 func TestPrefetchDrainUnderDiskFaults(t *testing.T) {
 	g := graph.GenRMAT(500, 4000, 0.57, 0.19, 0.19, 81)
-	clean := Config{Workers: 2, MsgBuf: 60, MaxSteps: 6, Parallelism: 4, PrefetchDepth: 3}
+	clean := Config{Workers: 2, MsgBuf: 60, MaxSteps: 6, Parallelism: 4}
 	want := runOne(t, g, algo.NewSSSP(0), clean, BPull)
 	for seed := int64(1); seed <= 6; seed++ {
 		cfg := clean

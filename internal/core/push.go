@@ -65,11 +65,6 @@ func (w *worker) stepPush(t int, produce bool) error {
 			})
 		}
 	}
-	if w.job.cfg.Async && produce && w.job.engine == Push {
-		if err := w.relaxAsync(t); err != nil {
-			return err
-		}
-	}
 	if w.ve != nil {
 		w.estimateBpullCosts(t)
 	}
@@ -115,78 +110,6 @@ func (w *worker) pushRes(sb *shardBuf, t int, v graph.VertexID, rec *vertexfile.
 		sent++
 	}
 	return sent, nil
-}
-
-// relaxAsync is the asynchronous-iteration extension: instead of parking
-// messages that arrive during superstep t until the barrier, the worker
-// keeps draining its inbox and applying updates eagerly, pushing the
-// consequences on immediately. Workers ping-pong until global quiescence,
-// which for monotone programs collapses convergence into few supersteps.
-func (w *worker) relaxAsync(t int) error {
-	prog := w.job.prog
-	ctx := w.job.ctx(t)
-	in := w.inboxes[writeParity(t+1)]
-	w.growShards(1)
-	sb := &w.shards[0]
-	for {
-		if in.Received() == 0 {
-			return nil
-		}
-		msgs, err := in.Drain()
-		if err != nil {
-			return err
-		}
-		if len(msgs) == 0 {
-			return nil
-		}
-		outbox := w.sendBuffers(t)
-		var updated, responding, sent int64
-		// Ascending destination order: the Add sequence, and with it every
-		// packet's contents, is the same run to run.
-		for _, g := range msgs {
-			v, mv := g.Dst, g.Vals
-			rec, err := w.vstore.ReadRecord(v)
-			if err != nil {
-				return err
-			}
-			var respond bool
-			rec.Val, respond = prog.Update(ctx, v, int(rec.OutDeg), rec.Val, mv)
-			updated++
-			if !respond {
-				continue
-			}
-			responding++
-			bcast := w.bcastFor(ctx, v, rec.Val, int(rec.OutDeg), mv)
-			rec.Bcast[writeParity(t)] = bcast
-			if err := w.vstore.WriteRecord(rec); err != nil {
-				return err
-			}
-			sb.edges, err = w.adj.EdgesBuf(v, sb.edges[:0], &sb.adj)
-			if err != nil {
-				return err
-			}
-			for _, e := range sb.edges {
-				val, keep := w.msgValueFor(bcast, e.Dst, e.Weight)
-				if !keep {
-					continue
-				}
-				if err := outbox.Add(w.owner(e.Dst), comm.Msg{Dst: e.Dst, Val: val}); err != nil {
-					return err
-				}
-				sent++
-			}
-		}
-		if err := outbox.Flush(); err != nil {
-			return err
-		}
-		w.addStat(func(s *workerStat) {
-			s.updated += updated
-			s.responding += responding
-			s.produced += sent
-			s.cpu.Updates += updated
-			s.cpu.Messages += sent
-		})
-	}
 }
 
 // mergeStages replays the update scan's per-shard stages into outbox, behind

@@ -3,13 +3,16 @@ package core
 import (
 	"errors"
 	"fmt"
+	"os"
 	"slices"
 
+	"hybridgraph/internal/adjstore"
 	"hybridgraph/internal/checkpoint"
 	"hybridgraph/internal/codec"
 	"hybridgraph/internal/diskio"
 	"hybridgraph/internal/metrics"
 	"hybridgraph/internal/obs"
+	"hybridgraph/internal/veblock"
 )
 
 // Adopting placement (Recovery: "reassign"): a worker declared
@@ -18,11 +21,12 @@ import (
 // restart on, so a least-loaded survivor adopts its whole Vblock range.
 // Adoption runs between supersteps, on the control goroutine after the
 // barrier, so no fabric traffic is in flight. The ownership table bumps to
-// a new epoch and the host rebuilds the partition's stores from the shared
-// catalog before the usual restore and log replay. The adopted unit keeps
-// its origin identity and its fabric endpoint, so final vertex values are
-// byte-identical to a fault-free run; migration traffic is charged to the Migration*
-// counters and journaled as reassign/adopt_block events.
+// a new epoch and the host reopens the partition's edge stores, from the
+// shared catalog or the files setup wrote, before the usual restore and
+// log replay. The adopted unit keeps its origin identity and its fabric
+// endpoint, so final vertex values are byte-identical to a fault-free run;
+// migration traffic is charged to the Migration* counters and journaled as
+// reassign/adopt_block events.
 
 // ErrNoSurvivors is the typed failure a reassignment raises when a
 // permanent loss leaves no live worker to adopt the dead partition.
@@ -124,20 +128,21 @@ func (j *job) pickHost() int {
 	return best
 }
 
-// adoptWorker performs one adoption: ownership epoch bump, store rebuild
-// from the shared catalog under a migration counter, and the migration
-// accounting and journal events. The recovery driver then restores the
-// snapshot and replays the logs — by then the unit is fully re-homed, so
-// replay runs on the new placement.
+// adoptWorker performs one adoption: ownership epoch bump, the unit's
+// stores reopened under a migration counter, and the migration accounting
+// and journal events. The recovery driver then restores the snapshot and
+// replays the logs — by then the unit is fully re-homed, so replay runs on
+// the new placement.
 func (j *job) adoptWorker(fw, host, step int, reason string, res *metrics.JobResult) error {
 	w := j.workers[fw]
 	epoch := j.own.adopt(fw, host)
 
-	// Rebuild the dead machine's stores: vertex records fresh (the
-	// snapshot restore overwrites the values), adjacency and VE-BLOCK from
-	// the shared catalog source or the graph. The builds are charged to a
-	// migration counter — this is the I/O the adoption itself performs —
-	// and the stores then return to the unit's compute counter.
+	// Rebuild the dead machine's vertex records fresh (the snapshot restore
+	// overwrites the values) and reopen its adjacency and VE-BLOCK stores —
+	// the shared catalog's or the files setup wrote, whichever served the
+	// unit. The work is charged to a migration counter — this is the I/O
+	// the adoption itself performs — and the stores then return to the
+	// unit's compute counter.
 	migCt := &diskio.Counter{}
 	migPct := &diskio.Counter{}
 	migCt.SetPhys(migPct)
@@ -151,19 +156,25 @@ func (j *job) adoptWorker(fw, host, step int, reason string, res *metrics.JobRes
 		if err := w.buildVertexStore(j.g); err != nil {
 			return err
 		}
+		ct := w.buildCt(false)
+		var err error
 		if w.adj != nil {
+			path := w.adj.Path()
 			w.adj.Close()
-			w.adj = nil
-			if err := w.buildAdj(j.g); err != nil {
+			if w.adj, err = adjstore.Open(path, ct, j.g, w.part, j.cdc); err != nil {
+				return err
+			}
+			if err := chargeFetch(ct, w.adj.SizeBytes(), path); err != nil {
 				return err
 			}
 		}
 		if w.ve != nil {
+			path := w.ve.Path()
 			w.ve.Close()
-			w.ve = nil
-			if err := w.buildVE(j.g); err != nil {
+			if w.ve, err = veblock.Open(path, ct, j.g, j.layout, fw, j.cdc); err != nil {
 				return err
 			}
+			return chargeFetch(ct, w.ve.SizeBytes(), path)
 		}
 		return nil
 	}
@@ -224,5 +235,23 @@ func (j *job) adoptWorker(fw, host, step int, reason string, res *metrics.JobRes
 		j.cfg.OnRecovery(RecoveryNotice{Kind: "reassign", Step: step,
 			Worker: fw, Host: host, Epoch: epoch})
 	}
+	return nil
+}
+
+// chargeFetch charges a reopened store to ct as the adopting host's copy
+// of it: one sequential write of its logical size, with the file's on-disk
+// bytes on the physical side, and nothing for an empty store. This is the
+// charge a rebuild from the graph takes, so Cmig does not depend on where
+// the store came from.
+func chargeFetch(ct *diskio.Counter, logical int64, path string) error {
+	if logical == 0 {
+		return nil
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		return err
+	}
+	diskio.NewAccountant(ct).WriteAtClass(logical, 0, diskio.SeqWrite)
+	diskio.PhysFor(ct).Add(diskio.SeqWrite, st.Size())
 	return nil
 }

@@ -3,10 +3,12 @@ package core
 import (
 	"bytes"
 	"errors"
+	"math"
 	"sync/atomic"
 	"testing"
 
 	"hybridgraph/internal/algo"
+	"hybridgraph/internal/catalog"
 	"hybridgraph/internal/comm"
 	"hybridgraph/internal/diskio"
 	"hybridgraph/internal/faultplan"
@@ -474,6 +476,52 @@ func TestReassignDiskFaultSweep(t *testing.T) {
 	}
 }
 
+// TestReassignCmigIndependentOfStoreSource: Cmig = |snapshot| + Σ|seg| +
+// |adj| + |VE| whether setup built the dead unit's stores from the graph or
+// a catalog entry served them. Adoption reopens the stores either way and
+// charges each as the sequential write of its logical size, so migration
+// I/O, migration network bytes and recovery time agree between the two.
+func TestReassignCmigIndependentOfStoreSource(t *testing.T) {
+	g := graph.GenRMAT(400, 3000, 0.57, 0.19, 0.19, 71)
+	cat, err := catalog.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry, err := cat.Ingest("g", g, 3, 1, "none")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []Engine{Push, BPull, Hybrid} {
+		cfg := Config{Workers: 3, MsgBuf: 100, MaxSteps: 8, BlocksPerWorker: 1,
+			CheckpointEvery: 2, Recovery: "reassign",
+			FaultPlan: faultplan.NewPlan(faultplan.PermanentCrash(6, 1))}
+		built := runOne(t, g, algo.NewPageRank(0.85), cfg, e)
+		cfg.Stores = entry
+		served := runOne(t, g, algo.NewPageRank(0.85), cfg, e)
+		if built.Reassignments != 1 || served.Reassignments != 1 {
+			t.Fatalf("%s: reassignments %d (graph-built) and %d (catalog), want 1 each",
+				e, built.Reassignments, served.Reassignments)
+		}
+		for v := range built.Values {
+			if math.Float64bits(built.Values[v]) != math.Float64bits(served.Values[v]) {
+				t.Fatalf("%s: vertex %d = %g over the catalog, %g over graph-built stores",
+					e, v, served.Values[v], built.Values[v])
+			}
+		}
+		if built.MigrationIO != served.MigrationIO {
+			t.Errorf("%s: MigrationIO %+v (graph-built) vs %+v (catalog)", e, built.MigrationIO, served.MigrationIO)
+		}
+		if built.MigrationNetBytes != served.MigrationNetBytes {
+			t.Errorf("%s: MigrationNetBytes %d (graph-built) vs %d (catalog)",
+				e, built.MigrationNetBytes, served.MigrationNetBytes)
+		}
+		if math.Float64bits(built.RecoverySimSeconds) != math.Float64bits(served.RecoverySimSeconds) {
+			t.Errorf("%s: RecoverySimSeconds %g (graph-built) vs %g (catalog)",
+				e, built.RecoverySimSeconds, served.RecoverySimSeconds)
+		}
+	}
+}
+
 // TestReassignRejects: configurations the policy cannot honour fail fast.
 func TestReassignRejects(t *testing.T) {
 	g := graph.GenUniform(100, 500, 80)
@@ -481,11 +529,6 @@ func TestReassignRejects(t *testing.T) {
 	if _, err := Run(g, algo.NewPageRank(0.85), cfg, Pull); err == nil {
 		t.Fatal("reassign + pull baseline should be rejected")
 	}
-	cfg.Async = true
-	if _, err := Run(g, algo.NewSSSP(0), cfg, Push); err == nil {
-		t.Fatal("reassign + async should be rejected")
-	}
-	cfg.Async = false
 	cfg.Workers = 1
 	if _, err := Run(g, algo.NewPageRank(0.85), cfg, Push); err == nil {
 		t.Fatal("reassign with a single worker should be rejected")

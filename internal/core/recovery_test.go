@@ -59,60 +59,3 @@ func TestRecoveryFiresOnlyOnce(t *testing.T) {
 		t.Fatalf("Restarts = %d, want exactly 1", res.Restarts)
 	}
 }
-
-func TestDetectPeriod(t *testing.T) {
-	mk := func(pattern []bool, reps int) []bool {
-		var out []bool
-		for i := 0; i < reps; i++ {
-			out = append(out, pattern...)
-		}
-		return out
-	}
-	if p, ok := detectPeriod(mk([]bool{true, false}, 4)); !ok || p != 2 {
-		t.Fatalf("alternating: p=%d ok=%v, want 2", p, ok)
-	}
-	if p, ok := detectPeriod(mk([]bool{true, true, false, false}, 3)); !ok || p != 4 {
-		t.Fatalf("period 4: p=%d ok=%v", p, ok)
-	}
-	// Constant histories are not periodic in the useful sense.
-	if _, ok := detectPeriod(mk([]bool{true}, 12)); ok {
-		t.Fatal("constant history should not detect a period")
-	}
-	// Too short for three cycles.
-	if _, ok := detectPeriod([]bool{true, false, true, false}); ok {
-		t.Fatal("two cycles should not be enough evidence")
-	}
-	// Aperiodic.
-	if _, ok := detectPeriod([]bool{true, false, false, true, true, false, true, true, true}); ok {
-		t.Fatal("aperiodic history misdetected")
-	}
-}
-
-// TestPhaseAwareFollowsOscillation checks the Appendix G extension: on a
-// Multi-Phase-Style workload, the phase-aware switcher settles into a
-// periodic mode schedule matching the workload's cycle, while results stay
-// correct.
-func TestPhaseAwareFollowsOscillation(t *testing.T) {
-	g := graph.GenRMAT(800, 12000, 0.57, 0.19, 0.19, 53)
-	prog := algo.NewMultiPhase(3)
-	cfg := Config{Workers: 3, MsgBuf: 60, MaxSteps: 24, PhaseAware: true}
-	want := referenceRun(g, prog, cfg.withDefaults().MaxSteps)
-	res, err := Run(g, prog, cfg, Hybrid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range want {
-		if !almostEqual(res.Values[v], want[v]) {
-			t.Fatalf("vertex %d = %g, want %g", v, res.Values[v], want[v])
-		}
-	}
-	// After warm-up the mode sequence should show real alternation: both
-	// modes present in the back half of the run.
-	modes := map[string]bool{}
-	for _, s := range res.Steps[len(res.Steps)/2:] {
-		modes[s.Mode] = true
-	}
-	if len(modes) < 2 {
-		t.Logf("note: phase-aware hybrid stayed in %v for the whole back half", modes)
-	}
-}

@@ -67,9 +67,9 @@ func foldOrderPageRank(g *graph.Graph, prog algo.Program, parts []graph.Partitio
 }
 
 // TestFoldOrderIsAscendingSource pins b-pull's PageRank bits to the
-// reference above, whatever the block count, fabric, parallelism or
-// prefetch depth: the fold order is a property of the data, not of a sort
-// algorithm or a schedule.
+// reference above, whatever the block count, fabric or parallelism: the
+// fold order is a property of the data, not of a sort algorithm or a
+// schedule.
 func TestFoldOrderIsAscendingSource(t *testing.T) {
 	// Dense enough that most destinations hear from several sources on
 	// each worker, with parallel edges: where fold order shows.
@@ -79,15 +79,13 @@ func TestFoldOrderIsAscendingSource(t *testing.T) {
 	for _, blocks := range []int{1, 7} {
 		for _, tcp := range []bool{false, true} {
 			for _, par := range []int{1, 4} {
-				for _, depth := range []int{1, 3} {
-					cfg := Config{Workers: workers, MsgBuf: 60, MaxSteps: steps, BlocksPerWorker: blocks,
-						TCP: tcp, Parallelism: par, PrefetchDepth: depth}
-					got := runOne(t, g, algo.NewPageRank(0.85), cfg, BPull).Values
-					for v := range want {
-						if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
-							t.Fatalf("blocks=%d tcp=%v p=%d depth=%d: vertex %d = %x, ascending-source fold gives %x",
-								blocks, tcp, par, depth, v, math.Float64bits(got[v]), math.Float64bits(want[v]))
-						}
+				cfg := Config{Workers: workers, MsgBuf: 60, MaxSteps: steps, BlocksPerWorker: blocks,
+					TCP: tcp, Parallelism: par}
+				got := runOne(t, g, algo.NewPageRank(0.85), cfg, BPull).Values
+				for v := range want {
+					if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+						t.Fatalf("blocks=%d tcp=%v p=%d: vertex %d = %x, ascending-source fold gives %x",
+							blocks, tcp, par, v, math.Float64bits(got[v]), math.Float64bits(want[v]))
 					}
 				}
 			}
@@ -226,9 +224,11 @@ func TestScanScratchReuseIdentity(t *testing.T) {
 	for name, mk := range programs {
 		for _, tcp := range []bool{false, true} {
 			for _, par := range []int{1, 4} {
-				for _, depth := range []int{0, 1, 3} {
+				// depth is how many Vblocks b-pull pulls ahead: 0 under
+				// DisablePrepull, 1 with the paper's pre-pulling.
+				for _, depth := range []int{0, 1} {
 					// MsgBuf 2400 makes hybrid switch between the two scan
-					// paths; push has no prefetch pipeline to vary.
+					// paths; push has no pre-pull to vary.
 					engines := []Engine{BPull, Hybrid}
 					if depth == 1 {
 						engines = append(engines, Push)
@@ -237,7 +237,7 @@ func TestScanScratchReuseIdentity(t *testing.T) {
 						label := fmt.Sprintf("%s/%s/tcp=%v/p=%d/depth=%d", name, e, tcp, par, depth)
 						t.Run(label, func(t *testing.T) {
 							cfg := Config{Workers: 3, MsgBuf: 2400, MaxSteps: 6, BlocksPerWorker: 4,
-								TCP: tcp, Parallelism: par, PrefetchDepth: depth, DisablePrepull: depth == 0}
+								TCP: tcp, Parallelism: par, DisablePrepull: depth == 0}
 							testWrapFabric = nil
 							want := runOne(t, g, mk(), cfg, e)
 							withFabricWrap(t, poison)

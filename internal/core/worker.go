@@ -32,7 +32,6 @@ type inbox interface {
 	Drain() (msgstore.Groups, error)
 	Spilled() int64
 	MaxMemBytes() int64
-	Received() int64
 	// Pending lists buffered messages, in that order, without resetting.
 	Pending() ([]comm.Msg, error)
 }
@@ -91,9 +90,9 @@ type worker struct {
 	// superstep. None of them is charged to MemBytes, which models the
 	// paper's B_i/BS/BR from message counts. outbox is the sending buffer;
 	// shards[s] serves shard s of the update scan; pullFree holds b-pull's
-	// idle receiving buffers (one per fetch in flight plus the one being
-	// updated); respFree[y] the scratch Pull-Respond serves worker y in (one
-	// up to PrefetchDepth 1: y's consecutive requests continue in the same
+	// idle receiving buffers (the one being updated plus the pre-pull in
+	// flight); respFree[y] the scratch Pull-Respond serves worker y in (one:
+	// y's requests arrive one after another and continue in the same
 	// Eblock window); gathered is the pull baseline's.
 	outbox   *comm.Outbox
 	shards   []shardBuf

@@ -207,9 +207,9 @@ func (b *Inbox) drain(extra []comm.Msg) (Groups, error) {
 	if span := int64(hi) - int64(lo) + 1; len(all) > 0 && span <= denseSpan*int64(len(all)) {
 		out = b.grouper.scatter(all, b.runs, lo, int(span))
 	} else {
-		// Few messages over a wide id range (a relaxAsync round, a traversal
-		// frontier): group a copy in delivery order stably. Group reorders
-		// what it is given, so the copy is a buffer apart from b.mem.
+		// Few messages over a wide id range (a traversal frontier): group a
+		// copy in delivery order stably. Group reorders what it is given,
+		// so the copy is a buffer apart from b.mem.
 		b.ordered = slices.Grow(b.ordered[:0], len(all))
 		for _, r := range b.runs {
 			b.ordered = append(b.ordered, all[r.off:r.off+r.n]...)

@@ -200,6 +200,9 @@ func assemble(g *graph.Graph, layout *Layout, w int, image bool) (*Store, []byte
 	return s, buf, nil
 }
 
+// Path names the store's file.
+func (s *Store) Path() string { return s.f.Name() }
+
 // Close releases the underlying file.
 func (s *Store) Close() error { return s.f.Close() }
 

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"sync"
 
@@ -150,7 +151,7 @@ func (s *Store) ReadBcast(v graph.VertexID, parity int) (float64, error) {
 	if _, err := s.f.ReadAtClass(b[:], off, diskio.RandRead); err != nil {
 		return 0, err
 	}
-	return float64FromBits(b[:]), nil
+	return math.Float64frombits(binary.LittleEndian.Uint64(b[:])), nil
 }
 
 // PageSet tracks the 4 KiB pages one scan has already pulled into memory.
@@ -246,7 +247,7 @@ func (c *scanCache) read(f *diskio.File, off int64) (float64, error) {
 	if sp.n < in+BcastSize {
 		return 0, fmt.Errorf("vertexfile: %s: short page %d (%d bytes)", f.Name(), page, sp.n)
 	}
-	return float64FromBits(sp.data[in : in+BcastSize]), nil
+	return math.Float64frombits(binary.LittleEndian.Uint64(sp.data[in : in+BcastSize])), nil
 }
 
 // invalidate drops every cached page overlapping file bytes [off, off+n).
@@ -312,19 +313,19 @@ func (s *Store) checkRange(lo, hi graph.VertexID, n int) error {
 func encode(b []byte, r Record) {
 	binary.LittleEndian.PutUint32(b[0:], uint32(r.ID))
 	binary.LittleEndian.PutUint32(b[4:], r.OutDeg)
-	binary.LittleEndian.PutUint64(b[8:], float64Bits(r.Val))
-	binary.LittleEndian.PutUint64(b[16:], float64Bits(r.Bcast[0]))
-	binary.LittleEndian.PutUint64(b[24:], float64Bits(r.Bcast[1]))
+	binary.LittleEndian.PutUint64(b[8:], math.Float64bits(r.Val))
+	binary.LittleEndian.PutUint64(b[16:], math.Float64bits(r.Bcast[0]))
+	binary.LittleEndian.PutUint64(b[24:], math.Float64bits(r.Bcast[1]))
 }
 
 func decode(b []byte) Record {
 	return Record{
 		ID:     graph.VertexID(binary.LittleEndian.Uint32(b[0:])),
 		OutDeg: binary.LittleEndian.Uint32(b[4:]),
-		Val:    float64FromBitsU(binary.LittleEndian.Uint64(b[8:])),
+		Val:    math.Float64frombits(binary.LittleEndian.Uint64(b[8:])),
 		Bcast: [2]float64{
-			float64FromBitsU(binary.LittleEndian.Uint64(b[16:])),
-			float64FromBitsU(binary.LittleEndian.Uint64(b[24:])),
+			math.Float64frombits(binary.LittleEndian.Uint64(b[16:])),
+			math.Float64frombits(binary.LittleEndian.Uint64(b[24:])),
 		},
 	}
 }
