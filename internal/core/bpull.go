@@ -172,11 +172,13 @@ func (w *worker) pullBlock(t, b int) (*recvBuf, int64, error) {
 // each local Vblock whose res indicator and destination bitmap allow it,
 // scan the Eblock toward the requested block — together one forward pass
 // over the Eblock file; for each fragment whose source vertex responded at
-// t-1, random-read its broadcast value and generate one message per
-// clustered edge. The sending buffer BS is concatenated (and combined when
-// legal) before crossing the wire. The scan visits sources in ascending
-// id order, and that is the order a destination's values are listed, or
-// folded, in (DESIGN.md, "Fold order in Pull-Respond").
+// t-1, random-read its broadcast value — charged as such, served from the
+// superstep's copy of the column — and generate one message per clustered
+// edge. The other fragments' edges are not decoded. The sending buffer BS
+// is concatenated (and combined when legal) before crossing the wire. The
+// scan visits sources in ascending id order, and that is the order a
+// destination's values are listed, or folded, in (DESIGN.md, "Fold order
+// in Pull-Respond").
 func (w *worker) RespondPull(reqBlock, step int) ([]comm.Msg, int64, error) {
 	if reqBlock < 0 || reqBlock >= w.job.layout.NumBlocks() {
 		return nil, 0, fmt.Errorf("core: pull request for block %d of %d", reqBlock, w.job.layout.NumBlocks())
@@ -201,15 +203,18 @@ func (w *worker) RespondPull(reqBlock, step int) ([]comm.Msg, int64, error) {
 	// The svertex reads are charged once for the request, on every return.
 	var reads vertexfile.ScanRun
 	defer w.vstore.ChargeRun(&reads)
+	var col *vertexfile.Column
 	st, err := w.ve.ScanBlock(reqBlock, &rb.scan,
 		func(j int) bool { return w.blockRes[rp][j].Load() },
+		func(src graph.VertexID) bool { return w.respond[rp].Get(w.localIdx(src)) },
 		func(src graph.VertexID, edges []graph.Half) error {
-			if !w.respond[rp].Get(w.localIdx(src)) {
-				return nil
+			if col == nil {
+				var err error
+				if col, err = w.bcastColumn(rp); err != nil {
+					return err
+				}
 			}
-			w.scanMu.Lock()
-			bcast, err := w.vstore.ReadBcastRun(src, rp, w.scanPages, &reads)
-			w.scanMu.Unlock()
+			bcast, err := col.Read(src, &reads)
 			if err != nil {
 				return err
 			}

@@ -367,6 +367,11 @@ func (c Config) validate(n int) (recoveryPolicy, error) {
 	return pol, nil
 }
 
+// Reassigns reports whether c's recovery policy moves a permanently dead
+// worker's partition to a survivor. An unknown policy does not; Run
+// rejects it.
+func (c Config) Reassigns() bool { return recoveryPolicies[c.Recovery].adopt }
+
 // recoveryPolicy is Config.Recovery parsed into its three choices.
 type recoveryPolicy struct {
 	name       string        // as journaled ("" reads "scratch")

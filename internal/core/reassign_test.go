@@ -15,6 +15,17 @@ import (
 	"hybridgraph/internal/graph"
 )
 
+// Only the reassign policy moves a dead worker's partition; the service
+// asks Config.Reassigns instead of comparing policy names.
+func TestConfigReassigns(t *testing.T) {
+	for name, want := range map[string]bool{"": false, "scratch": false, "resume": false,
+		"checkpoint": false, "confined": false, "reassign": true, "no-such-policy": false} {
+		if got := (Config{Recovery: name}).Reassigns(); got != want {
+			t.Errorf("Config{Recovery: %q}.Reassigns() = %v, want %v", name, got, want)
+		}
+	}
+}
+
 // TestReassignMatrix is the tentpole acceptance matrix: killing one worker
 // permanently at a seeded superstep under the reassign policy must yield
 // final values byte-identical to a fault-free run across the three core

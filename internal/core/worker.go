@@ -76,14 +76,13 @@ type worker struct {
 	logCt   *diskio.Counter
 	sendLog comm.Fabric
 
-	// scanPages tracks which vertex-file pages this superstep's
-	// Pull-Respond scans have already pulled in: the value columns of the
-	// worker's Vblocks are small and stay OS-cached for the duration of a
-	// superstep, so only the first touch of each page transfers (the
-	// block-locality VE-BLOCK is designed to create). Reset per superstep
-	// because the columns are rewritten.
-	scanMu    sync.Mutex
-	scanPages vertexfile.PageSet
+	// col is this superstep's copy of the read-parity broadcast column,
+	// which Pull-Respond serves svertex values from: taken by the first
+	// request that meets a responding fragment, dropped by clearStepFlags
+	// (DESIGN.md, "Svertex reads").
+	colMu    sync.Mutex
+	col      vertexfile.Column
+	colTaken bool
 
 	// The message path's fixed buffers (DESIGN.md, "Message path"): built
 	// on first use, owned for the job, reset — never reallocated — per
@@ -647,8 +646,8 @@ func (w *worker) updateBlock(t int, lo, hi graph.VertexID, msgs msgstore.Groups,
 }
 
 // clearStepFlags resets the write-parity flag structures before a
-// superstep writes them, and drops the pull baseline's stale cached
-// broadcast values (they were written at a different parity).
+// superstep writes them, and drops the previous superstep's copy of the
+// broadcast column.
 func (w *worker) clearStepFlags(t int) {
 	wp := writeParity(t)
 	w.respond[wp].Reset()
@@ -658,12 +657,23 @@ func (w *worker) clearStepFlags(t int) {
 			w.blockRes[wp][i].Store(false)
 		}
 	}
-	w.scanMu.Lock()
-	if w.scanPages == nil {
-		w.scanPages = make(vertexfile.PageSet)
+	w.colMu.Lock()
+	w.colTaken = false
+	w.colMu.Unlock()
+}
+
+// bcastColumn returns this superstep's copy of broadcast column parity,
+// taking it on first use.
+func (w *worker) bcastColumn(parity int) (*vertexfile.Column, error) {
+	w.colMu.Lock()
+	defer w.colMu.Unlock()
+	if !w.colTaken {
+		if err := w.vstore.ReadColumn(parity, &w.col); err != nil {
+			return nil, err
+		}
+		w.colTaken = true
 	}
-	clear(w.scanPages)
-	w.scanMu.Unlock()
+	return &w.col, nil
 }
 
 // close releases all stores.

@@ -73,28 +73,6 @@ func (g *Graph) MaxDegree() int {
 	return maxd
 }
 
-// Reverse builds the transpose graph (in-edges become out-edges). The pull
-// baseline gathers along in-edges, so it needs the transpose at load time.
-func (g *Graph) Reverse() *Graph {
-	deg := make([]int32, g.NumVertices+1)
-	for _, h := range g.Adj {
-		deg[h.Dst+1]++
-	}
-	for i := 1; i <= g.NumVertices; i++ {
-		deg[i] += deg[i-1]
-	}
-	adj := make([]Half, len(g.Adj))
-	next := make([]int32, g.NumVertices)
-	copy(next, deg[:g.NumVertices])
-	for src := 0; src < g.NumVertices; src++ {
-		for _, h := range g.OutEdges(VertexID(src)) {
-			adj[next[h.Dst]] = Half{Dst: VertexID(src), Weight: h.Weight}
-			next[h.Dst]++
-		}
-	}
-	return &Graph{NumVertices: g.NumVertices, Index: deg, Adj: adj}
-}
-
 // Builder accumulates edges and produces a Graph. Duplicate edges are kept
 // (multigraphs are legal inputs for all four algorithms); self-loops are
 // dropped, matching the usual cleaning applied to the paper's datasets.

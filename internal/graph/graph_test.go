@@ -46,41 +46,6 @@ func TestBuilderDropsSelfLoopsAndOutOfRange(t *testing.T) {
 	}
 }
 
-func TestReverseIsInvolution(t *testing.T) {
-	g := GenUniform(100, 500, 7)
-	rr := g.Reverse().Reverse()
-	if rr.NumVertices != g.NumVertices || rr.NumEdges() != g.NumEdges() {
-		t.Fatalf("double reverse changed size: %d/%d vs %d/%d",
-			rr.NumVertices, rr.NumEdges(), g.NumVertices, g.NumEdges())
-	}
-	for v := 0; v < g.NumVertices; v++ {
-		a, b := g.OutEdges(VertexID(v)), rr.OutEdges(VertexID(v))
-		if len(a) != len(b) {
-			t.Fatalf("vertex %d degree changed: %d vs %d", v, len(a), len(b))
-		}
-		for i := range a {
-			if a[i].Dst != b[i].Dst {
-				t.Fatalf("vertex %d edge %d: dst %d vs %d", v, i, a[i].Dst, b[i].Dst)
-			}
-		}
-	}
-}
-
-func TestReversePreservesEdgeCountProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		n := 20 + int(seed%80+80)%80
-		g := GenUniform(n, n*4, seed)
-		r := g.Reverse()
-		if r.NumEdges() != g.NumEdges() {
-			return false
-		}
-		return r.Validate() == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestGeneratorsDeterministic(t *testing.T) {
 	a := GenRMAT(256, 1024, 0.57, 0.19, 0.19, 42)
 	b := GenRMAT(256, 1024, 0.57, 0.19, 0.19, 42)

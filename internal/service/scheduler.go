@@ -677,7 +677,7 @@ func (s *Scheduler) execute(j *job, ctx context.Context) (*metrics.JobResult, er
 		j.health, j.reassignments = nil, 0
 		j.status.Degraded, j.status.Reassignments = false, 0
 	}
-	if spec.Recovery == "reassign" {
+	if cfg.Reassigns() {
 		j.ensureHealth(entry.Workers() - 1)
 	}
 	s.mu.Unlock()

@@ -12,6 +12,7 @@ import (
 	"hybridgraph/internal/codec"
 	"hybridgraph/internal/diskio"
 	"hybridgraph/internal/graph"
+	"hybridgraph/internal/obs"
 )
 
 // refImage writes worker w's Eblock image the obvious way: destination
@@ -110,7 +111,8 @@ func TestLayoutDestinationMajor(t *testing.T) {
 
 // TestScanBlockEqualsScanEblocks checks the forward pass against the
 // per-Eblock scans it replaces, on a file whose spans outgrow the scan
-// window, with every other source block filtered out.
+// window, with every other source block filtered out and every third
+// source's edges stepped over.
 func TestScanBlockEqualsScanEblocks(t *testing.T) {
 	g := graph.GenRMAT(3000, 60000, 0.57, 0.19, 0.19, 3)
 	l := mkLayout(t, 3000, 2, 3)
@@ -133,11 +135,14 @@ func TestScanBlockEqualsScanEblocks(t *testing.T) {
 			edges string
 		}
 		var sb ScanBuf
+		keep := func(src graph.VertexID) bool { return src%3 != 0 }
 		for i := 0; i < l.NumBlocks(); i++ {
 			var want, got []frag
 			collect := func(into *[]frag) func(graph.VertexID, []graph.Half) error {
 				return func(src graph.VertexID, edges []graph.Half) error {
-					*into = append(*into, frag{src, fmt.Sprint(edges)})
+					if keep(src) {
+						*into = append(*into, frag{src, fmt.Sprint(edges)})
+					}
 					return nil
 				}
 			}
@@ -153,7 +158,12 @@ func TestScanBlockEqualsScanEblocks(t *testing.T) {
 				wantSt.Fragments += st.Fragments
 			}
 			s.SetCounter(&all)
-			gotSt, err := s.ScanBlock(i, &sb, func(j int) bool { return j%2 == 0 }, collect(&got))
+			gotSt, err := s.ScanBlock(i, &sb, func(j int) bool { return j%2 == 0 }, keep, func(src graph.VertexID, edges []graph.Half) error {
+				if !keep(src) {
+					t.Fatalf("fragment of source %d reached fn past keep", src)
+				}
+				return collect(&got)(src, edges)
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -163,6 +173,81 @@ func TestScanBlockEqualsScanEblocks(t *testing.T) {
 		}
 		if one.Snapshot() != all.Snapshot() {
 			t.Fatalf("%s: ScanBlock charged %+v, per-Eblock scans %+v", codecName, all.Snapshot(), one.Snapshot())
+		}
+	}
+}
+
+// TestScanBlockSkipReadsEveryWindow: stepping over the edges of sources
+// keep rejects moves the scan through exactly the windows a full scan
+// moves through — the same physical bytes, chunk lookups and chunk
+// decodes — and charges and counts the same. A rejected hub's fragment
+// spans whole windows, which a skip must still pass through.
+func TestScanBlockSkipReadsEveryWindow(t *testing.T) {
+	const hub = 1
+	rmat := graph.GenRMAT(3000, 60000, 0.57, 0.19, 0.19, 4)
+	b := graph.NewBuilder(rmat.NumVertices)
+	for u := graph.VertexID(0); int(u) < rmat.NumVertices; u++ {
+		for _, h := range rmat.OutEdges(u) {
+			b.AddEdge(u, h.Dst, h.Weight)
+		}
+	}
+	for k := 0; k < 3*scanWindow/edgeSize; k++ {
+		b.AddEdge(hub, graph.VertexID(k%500), 1) // all toward block 0
+	}
+	g := b.Build()
+	l := mkLayout(t, 3000, 2, 3)
+	for _, codecName := range []string{"none", "lz"} {
+		cdc, err := codec.Lookup(codecName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := Build(filepath.Join(t.TempDir(), "ve.dat"), &diskio.Counter{}, g, l, 0, cdc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		type pass struct {
+			st               ScanStats
+			io, phys         diskio.Snapshot
+			lookups, decodes int64
+			kept             int
+		}
+		scan := func(keep func(graph.VertexID) bool) pass {
+			var ct, pct diskio.Counter
+			ct.SetPhys(&pct)
+			s.SetCounter(&ct)
+			reg := obs.NewRegistry()
+			s.SetMetrics(reg)
+			var p pass
+			var sb ScanBuf
+			for i := 0; i < l.NumBlocks(); i++ {
+				st, err := s.ScanBlock(i, &sb, func(int) bool { return true }, keep, func(graph.VertexID, []graph.Half) error {
+					p.kept++
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				p.st.EdgeBytes += st.EdgeBytes
+				p.st.FragBytes += st.FragBytes
+				p.st.Fragments += st.Fragments
+			}
+			p.io, p.phys = ct.Snapshot(), pct.Snapshot()
+			p.lookups = reg.Counter("codec.chunk_lookups").Value()
+			p.decodes = reg.Counter("codec.chunk_decodes").Value()
+			return p
+		}
+		full := scan(func(graph.VertexID) bool { return true })
+		some := scan(func(src graph.VertexID) bool { return src%4 == 0 && src != hub })
+		if some.kept == 0 || some.kept >= full.kept {
+			t.Fatalf("%s: keep admitted %d of %d fragments: the skip went untested", codecName, some.kept, full.kept)
+		}
+		some.kept = full.kept
+		if some != full {
+			t.Fatalf("%s: skipping scan %+v, full scan %+v", codecName, some, full)
+		}
+		if codecName == "lz" && full.decodes == 0 {
+			t.Fatalf("lz: no chunk decodes counted")
 		}
 	}
 }

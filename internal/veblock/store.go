@@ -262,7 +262,7 @@ func (s *Store) ScanEblock(j, i int, fn func(src graph.VertexID, edges []graph.H
 	}
 	sb := scanBufs.Get().(*ScanBuf)
 	defer scanBufs.Put(sb)
-	return s.ScanBlock(i, sb, func(k int) bool { return k == j }, fn)
+	return s.ScanBlock(i, sb, func(k int) bool { return k == j }, func(graph.VertexID) bool { return true }, fn)
 }
 
 // ScanBlock serves one pull request for destination block i: the Eblocks
@@ -270,8 +270,12 @@ func (s *Store) ScanEblock(j, i int, fn func(src graph.VertexID, edges []graph.H
 // file offset — as one forward pass through sb's window. Each non-empty
 // Eblock is charged one sequential read of its length; the bytes move a
 // window at a time (DESIGN.md, "Charge model vs physical execution"). fn
-// runs once per fragment; its edges are sb's, overwritten by the next.
-func (s *Store) ScanBlock(i int, sb *ScanBuf, want func(j int) bool, fn func(src graph.VertexID, edges []graph.Half) error) (ScanStats, error) {
+// runs once per fragment whose source keep admits; its edges are sb's,
+// overwritten by the next. The edges of the other fragments are stepped
+// over undecoded, through the same windows, and counted in the stats all
+// the same.
+func (s *Store) ScanBlock(i int, sb *ScanBuf, want func(j int) bool, keep func(src graph.VertexID) bool,
+	fn func(src graph.VertexID, edges []graph.Half) error) (ScanStats, error) {
 	var st ScanStats
 	if i < 0 || i >= s.layout.NumBlocks() {
 		return st, fmt.Errorf("veblock: destination block %d out of range", i)
@@ -296,13 +300,14 @@ func (s *Store) ScanBlock(i int, sb *ScanBuf, want func(j int) bool, fn func(src
 			st.EdgeBytes += left * edgeSize
 			st.Fragments++
 			// A fragment's edges may continue into the next window.
+			decode := keep(src)
 			sb.Halves = sb.Halves[:0]
 			for left > 0 {
 				if b, err = s.window(sb, pos); err != nil {
 					return st, err
 				}
 				b = b[:min(left, int64(len(b))/edgeSize)*edgeSize]
-				for o := 0; o < len(b); o += edgeSize {
+				for o := 0; decode && o < len(b); o += edgeSize {
 					sb.Halves = append(sb.Halves, graph.Half{
 						Dst:    graph.VertexID(binary.LittleEndian.Uint32(b[o:])),
 						Weight: math.Float32frombits(binary.LittleEndian.Uint32(b[o+4:])),
@@ -310,6 +315,9 @@ func (s *Store) ScanBlock(i int, sb *ScanBuf, want func(j int) bool, fn func(src
 				}
 				pos += int64(len(b))
 				left -= int64(len(b)) / edgeSize
+			}
+			if !decode {
+				continue
 			}
 			if err := fn(src, sb.Halves); err != nil {
 				return st, err

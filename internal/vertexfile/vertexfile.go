@@ -20,12 +20,11 @@ package vertexfile
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"hybridgraph/internal/diskio"
 	"hybridgraph/internal/graph"
@@ -54,13 +53,13 @@ type Store struct {
 	lo graph.VertexID
 	n  int
 
-	// scan is ReadBcastRun's page buffer; see scanCache.
-	scan scanCache
+	columnReads *obs.Counter
 }
 
-// rangeBufs lends ReadRange and WriteRange the byte buffers they encode
-// through: as many as ranges are ever in flight at once (the update scan's
-// shards), each grown to the largest range it has carried.
+// rangeBufs lends ReadRange, WriteRange and ReadColumn the byte buffers
+// they encode through: as many as ranges are ever in flight at once (the
+// update scan's shards and a column copy), each grown to the largest range
+// it has carried.
 var rangeBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // Create builds a store at path for n vertices starting at id lo, writing
@@ -136,7 +135,6 @@ func (s *Store) WriteRange(lo, hi graph.VertexID, recs []Record) error {
 	}
 	off := int64(lo-s.lo) * RecordSize
 	_, err := s.f.WriteAtClass(buf, off, diskio.SeqWrite)
-	s.scan.invalidate(off, int64(len(buf)))
 	return err
 }
 
@@ -154,40 +152,9 @@ func (s *Store) ReadBcast(v graph.VertexID, parity int) (float64, error) {
 	return math.Float64frombits(binary.LittleEndian.Uint64(b[:])), nil
 }
 
-// PageSet tracks the 4 KiB pages one scan has already pulled into memory.
-// Pull-Respond's svertex reads ascend within each Eblock scan, so the
-// requested Vblock's pages stay hot for the duration of the scan — the
-// locality VE-BLOCK exists to create. A fresh PageSet per scan models
-// that; accesses without one pay a full page each.
-type PageSet map[int64]bool
-
-// ScanRun is one caller's tally of ReadBcastRun reads it has yet to charge:
-// how many, their device bytes, and where the last one was.
+// ScanRun is one caller's tally of Column reads it has yet to charge: how
+// many, their device bytes, and where the last one was.
 type ScanRun struct{ count, dev, lastOff int64 }
-
-// ReadBcastRun is ReadBcast with scan-local page accounting: the logical
-// cost is one broadcast column, the device cost one page per page not yet
-// in seen. The cost is tallied in run — one Pull-Respond request's reads —
-// and charged by ChargeRun; the bytes move per page — a page the model
-// calls hot is served from the store's page buffer, filled by one
-// uncharged page read per miss. A read that fails is not tallied.
-func (s *Store) ReadBcastRun(v graph.VertexID, parity int, seen PageSet, run *ScanRun) (float64, error) {
-	if !s.Contains(v) {
-		return 0, fmt.Errorf("vertexfile: vertex %d outside [%d,%d)", v, s.lo, int(s.lo)+s.n)
-	}
-	off := int64(v-s.lo)*RecordSize + 16 + int64(parity&1)*8
-	var dev int64
-	if page := off / diskio.PageSize; !seen[page] {
-		seen[page] = true
-		dev = diskio.PageSize
-	}
-	val, err := s.scan.read(s.f, off)
-	if err != nil {
-		return 0, err
-	}
-	run.count, run.dev, run.lastOff = run.count+1, run.dev+dev, off
-	return val, nil
-}
 
 // ChargeRun charges run's reads, exactly as charging each when it happened
 // would have. Callers charge on their error paths too.
@@ -197,83 +164,74 @@ func (s *Store) ChargeRun(run *ScanRun) {
 	}
 }
 
-// scanCachePages bounds the page buffer: 128 pages (512 KiB) hold the
-// records of 16384 vertices, a few Vblocks' worth of concurrent scans.
-const scanCachePages = 128
-
-// scanCache is a direct-mapped buffer of vertex-file pages serving
-// ReadBcastRun. It is implementation memory, not model memory (the cost
-// model already treats a scanned page as resident), so MemBytes does not
-// count it. A cached page must never outlive a write to its bytes: the
-// update scan rewrites broadcast columns while remote pulls read the
-// other parity from the same page, and the column written now is the one
-// read next superstep. Fills and invalidations therefore run under one
-// lock, and a writer invalidates after its write has reached the file —
-// a fill that raced the write is either dropped by the invalidation or
-// ordered after it and so reads the new bytes.
-type scanCache struct {
-	mu    sync.Mutex
-	pages []scanPage // allocated at the first scan read; slot = page % scanCachePages
-	reads *obs.Counter
+// Column is a copy of one broadcast column, taken for the span in which
+// the column cannot change — a superstep, for the read parity — with the
+// file pages its reads have charged so far.
+type Column struct {
+	lo      graph.VertexID
+	parity  int
+	vals    []float64
+	touched []atomic.Bool // by file page: a read has charged the page
 }
 
-type scanPage struct {
-	page int64 // file page held, -1 when empty
-	n    int   // valid bytes
-	data [diskio.PageSize]byte
-}
-
-// read returns the 8-byte column at file offset off.
-func (c *scanCache) read(f *diskio.File, off int64) (float64, error) {
-	page, in := off/diskio.PageSize, int(off%diskio.PageSize)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.pages == nil {
-		c.pages = make([]scanPage, scanCachePages)
-		for i := range c.pages {
-			c.pages[i].page = -1
+// ReadColumn copies broadcast column parity into c, reusing c's memory,
+// and forgets which pages c's reads touched. The copy is one sequential
+// pass over the file and is not charged: each read Column.Read serves is
+// charged as ReadBcast would charge it.
+func (s *Store) ReadColumn(parity int, c *Column) error {
+	c.lo, c.parity = s.lo, parity&1
+	c.vals = slices.Grow(c.vals[:0], s.n)[:s.n]
+	pages := (s.n*RecordSize + diskio.PageSize - 1) / diskio.PageSize
+	if cap(c.touched) < pages {
+		c.touched = make([]atomic.Bool, pages)
+	}
+	c.touched = c.touched[:pages]
+	for i := range c.touched {
+		c.touched[i].Store(false)
+	}
+	bp := rangeBufs.Get().(*[]byte)
+	defer rangeBufs.Put(bp)
+	const chunk = 4096 // records per read: the update scan's chunk, which the lent buffer already fits
+	at := 16 + 8*c.parity
+	for lo := 0; lo < s.n; lo += chunk {
+		k := min(chunk, s.n-lo)
+		*bp = slices.Grow((*bp)[:0], k*RecordSize)[:k*RecordSize]
+		buf := *bp
+		if _, err := s.f.ReadUncharged(buf, int64(lo)*RecordSize, diskio.SeqRead); err != nil {
+			return err
+		}
+		for i := range k {
+			c.vals[lo+i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*RecordSize+at:]))
 		}
 	}
-	sp := &c.pages[page%scanCachePages]
-	if sp.page != page {
-		sp.page = -1
-		n, err := f.ReadUncharged(sp.data[:], page*diskio.PageSize, diskio.RandRead)
-		if err != nil && !errors.Is(err, io.EOF) { // the file's last page is short
-			return 0, err
-		}
-		sp.page, sp.n = page, n
-		c.reads.Inc()
-	}
-	if sp.n < in+BcastSize {
-		return 0, fmt.Errorf("vertexfile: %s: short page %d (%d bytes)", f.Name(), page, sp.n)
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(sp.data[in : in+BcastSize])), nil
+	s.columnReads.Inc()
+	return nil
 }
 
-// invalidate drops every cached page overlapping file bytes [off, off+n).
-func (c *scanCache) invalidate(off, n int64) {
-	if n <= 0 {
-		return
+// Read returns vertex v's broadcast value and tallies in run what a
+// scan-local ReadBcast costs: 8 logical bytes, and one device page when no
+// read since ReadColumn has touched v's page. The page set is consulted
+// only when run moves to a new page, so concurrent runs share it at one
+// atomic access per page. A read that fails is not tallied.
+func (c *Column) Read(v graph.VertexID, run *ScanRun) (float64, error) {
+	i := int(v - c.lo) // wraps far past len(vals) below lo
+	if i >= len(c.vals) {
+		return 0, fmt.Errorf("vertexfile: vertex %d outside [%d,%d)", v, c.lo, int(c.lo)+len(c.vals))
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.pages == nil {
-		return
-	}
-	for p, last := off/diskio.PageSize, (off+n-1)/diskio.PageSize; p <= last; p++ {
-		if sp := &c.pages[p%scanCachePages]; sp.page == p {
-			sp.page = -1
+	off := int64(i)*RecordSize + 16 + int64(c.parity)*8
+	if page := off / diskio.PageSize; run.count == 0 || page != run.lastOff/diskio.PageSize {
+		if t := &c.touched[page]; !t.Load() && !t.Swap(true) {
+			run.dev += diskio.PageSize
 		}
 	}
+	run.count, run.lastOff = run.count+1, off
+	return c.vals[i], nil
 }
 
-// SetMetrics wires the store's physical scan reads into reg as
-// "vertexfile.scan_page_reads" — the page fills behind the per-read
-// logical charges. A nil registry disables the counter.
+// SetMetrics wires the store's column copies into reg as
+// "vertexfile.column_reads". A nil registry disables the counter.
 func (s *Store) SetMetrics(reg *obs.Registry) {
-	s.scan.mu.Lock()
-	s.scan.reads = reg.Counter("vertexfile.scan_page_reads")
-	s.scan.mu.Unlock()
+	s.columnReads = reg.Counter("vertexfile.column_reads")
 }
 
 // WriteRecord random-writes one full record (the pull baseline's
@@ -284,9 +242,7 @@ func (s *Store) WriteRecord(r Record) error {
 	}
 	var b [RecordSize]byte
 	encode(b[:], r)
-	off := int64(r.ID-s.lo) * RecordSize
-	_, err := s.f.WriteAtClass(b[:], off, diskio.RandWrite)
-	s.scan.invalidate(off, RecordSize)
+	_, err := s.f.WriteAtClass(b[:], int64(r.ID-s.lo)*RecordSize, diskio.RandWrite)
 	return err
 }
 
