@@ -35,6 +35,8 @@ func main() {
 		chaos   = flag.Int64("chaos-seed", 0, "base seed of the chaos campaign's fault schedules (0 = default 1)")
 		policy  = flag.String("recovery", "", "restrict the chaos/recovery experiments to one policy: scratch, resume, checkpoint, confined, reassign")
 		codecNm = flag.String("codec", "", "block codec every disk-backed job runs with: none, delta, lz (results identical; physical bytes shrink)")
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the experiments run to this file")
+		memProf = flag.String("memprofile", "", "write an allocation profile to this file once the experiments end")
 	)
 	flag.Parse()
 
@@ -73,6 +75,11 @@ func main() {
 		os.Exit(2)
 	}
 
+	stopProfiles, err := obs.StartProfiles(*cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(1)
+	}
 	for _, name := range names {
 		exp, ok := harness.ByName(name)
 		if !ok {
@@ -95,6 +102,10 @@ func main() {
 				}
 			}
 		}
+	}
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(1)
 	}
 }
 

@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"hybridgraph"
+	"hybridgraph/internal/obs"
 )
 
 func main() {
@@ -72,6 +73,8 @@ func runLegacy() {
 		netSeed   = flag.Int64("net-seed", 0, "transport fault seed (with -tcp)")
 		netDrop   = flag.Float64("net-drop", 0, "probability that a request or response is lost to a broken connection (with -tcp)")
 		netDup    = flag.Float64("net-dup", 0, "transport duplicate probability (with -tcp)")
+		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the job to this file")
+		memProf   = flag.String("memprofile", "", "write an allocation profile to this file once the job ends")
 	)
 	flag.Parse()
 
@@ -163,8 +166,15 @@ func runLegacy() {
 		fmt.Printf("debug    : http://%s/metrics (also /debug/vars, /debug/pprof)\n", srv.Addr)
 	}
 
+	stopProfiles, err := obs.StartProfiles(*cpuProf, *memProf)
+	if err != nil {
+		fatal(err)
+	}
 	res, err := hybridgraph.Run(g, prog, cfg, hybridgraph.Engine(*engine))
 	if err != nil {
+		fatal(err)
+	}
+	if err := stopProfiles(); err != nil {
 		fatal(err)
 	}
 	res.Dataset = name

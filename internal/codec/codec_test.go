@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"testing"
 
 	"hybridgraph/internal/diskio"
+	"hybridgraph/internal/obs"
 )
 
 // testBlocks covers the payload shapes the stores produce: empty, tiny,
@@ -307,6 +309,79 @@ func TestSpillFileRoundtrip(t *testing.T) {
 			snap := ct.Snapshot()
 			if snap.Bytes[diskio.RandWrite] != 2*4000*12 || snap.Bytes[diskio.SeqRead] != 2*4000*12 {
 				t.Fatalf("logical charges: %v", snap)
+			}
+		})
+	}
+}
+
+// A spill appended in batches that encode straight into the staging area
+// leaves the file, the logical and physical charges and the flush count
+// that one Append per record leaves, under the identity codec and framed.
+func TestSpillAppendEncodedMatchesAppend(t *testing.T) {
+	const n = 9000 // past several staging buffers and frames
+	recs := make([]byte, n*12)
+	for i := 0; i < n; i++ {
+		binary.LittleEndian.PutUint32(recs[i*12:], uint32(i%997))
+		binary.LittleEndian.PutUint64(recs[i*12+4:], uint64(i))
+	}
+	for _, name := range []string{"none", "lz"} {
+		c, _ := Lookup(name)
+		t.Run(name, func(t *testing.T) {
+			type result struct {
+				file          []byte
+				logical, phys diskio.Snapshot
+				flushes       int64
+			}
+			spill := func(add func(s *SpillFile) error) result {
+				var ct, phys diskio.Counter
+				ct.SetPhys(&phys)
+				var flushes obs.Counter
+				path := filepath.Join(t.TempDir(), "spill.dat")
+				s := NewSpillFile(path, &ct, c)
+				s.CountFlushes(&flushes)
+				if err := add(s); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.ReadAll(make([]byte, n*12)); err != nil {
+					t.Fatal(err)
+				}
+				file, err := readRawFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+				return result{file, ct.Snapshot(), phys.Snapshot(), flushes.Value()}
+			}
+			want := spill(func(s *SpillFile) error {
+				for i := 0; i < n; i++ {
+					if err := s.Append(recs[i*12 : i*12+12]); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			got := spill(func(s *SpillFile) error {
+				rng := rand.New(rand.NewSource(1))
+				for done := 0; done < n; {
+					k := min(n-done, 1+rng.Intn(3000))
+					accepted, err := s.AppendEncoded(k, 12, func(dst []byte, first int) {
+						copy(dst, recs[(done+first)*12:])
+					})
+					if err != nil || accepted != k {
+						return fmt.Errorf("accepted %d of %d: %v", accepted, k, err)
+					}
+					done += k
+				}
+				return nil
+			})
+			if !bytes.Equal(got.file, want.file) {
+				t.Fatalf("file holds %d bytes, %d with one Append per record, or differs", len(got.file), len(want.file))
+			}
+			if got.logical != want.logical || got.phys != want.phys || got.flushes != want.flushes {
+				t.Fatalf("charged %+v / %+v with %d flushes, per-record Append %+v / %+v with %d",
+					got.logical, got.phys, got.flushes, want.logical, want.phys, want.flushes)
 			}
 		})
 	}

@@ -258,15 +258,17 @@ func (s *SpillFile) Len() int64 { return s.logicalLen }
 
 // Append spills one record.
 func (s *SpillFile) Append(rec []byte) error {
-	_, err := s.AppendRun(rec, len(rec))
+	_, err := s.AppendEncoded(1, len(rec), func(dst []byte, _ int) { copy(dst, rec) })
 	return err
 }
 
-// AppendRun spills the whole recSize-byte records in recs and reports how
-// many it accepted, and charged, before a write failed.
-func (s *SpillFile) AppendRun(recs []byte, recSize int) (int, error) {
-	if recSize <= 0 || len(recs)%recSize != 0 {
-		return 0, fmt.Errorf("codec: %s: %d bytes is not a run of %d-byte records", s.path, len(recs), recSize)
+// AppendEncoded spills n recSize-byte records that put encodes straight
+// into the staging area: put(dst, first) fills dst, a whole number of
+// records, with records first, first+1 and so on. It reports how many
+// records it accepted, and charged, before a write failed.
+func (s *SpillFile) AppendEncoded(n, recSize int, put func(dst []byte, first int)) (int, error) {
+	if recSize <= 0 {
+		return 0, fmt.Errorf("codec: %s: %d-byte records", s.path, recSize)
 	}
 	if s.f == nil {
 		phys, acct := sides(s.ct, s.c != nil)
@@ -280,7 +282,7 @@ func (s *SpillFile) AppendRun(recs []byte, recSize int) (int, error) {
 		s.staging = make([]byte, 0, SpillBufSize)
 	}
 	accepted := 0
-	for len(recs) > 0 {
+	for accepted < n {
 		var k int
 		if s.c == nil {
 			if len(s.staging)+recSize > SpillBufSize {
@@ -288,16 +290,17 @@ func (s *SpillFile) AppendRun(recs []byte, recSize int) (int, error) {
 					return accepted, err
 				}
 			}
-			k = min(len(recs), SpillBufSize-len(s.staging)) / recSize
+			k = min((n-accepted)*recSize, SpillBufSize-len(s.staging)) / recSize
 		} else {
 			// The record that takes the staging area to SpillChunk or past
 			// it is the last of its frame.
-			k = min(len(recs)/recSize, (SpillChunk-len(s.staging)+recSize-1)/recSize)
+			k = min(n-accepted, (SpillChunk-len(s.staging)+recSize-1)/recSize)
 		}
 		s.acct.ChargeRun(int64(recSize), k, s.logicalLen, diskio.RandWrite)
-		s.staging = append(s.staging, recs[:k*recSize]...)
+		start := len(s.staging)
+		s.staging = slices.Grow(s.staging, k*recSize)[:start+k*recSize]
+		put(s.staging[start:], accepted)
 		s.logicalLen += int64(k * recSize)
-		recs = recs[k*recSize:]
 		accepted += k
 		if s.c != nil && len(s.staging) >= SpillChunk {
 			if err := s.flush(); err != nil {

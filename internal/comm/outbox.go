@@ -130,8 +130,9 @@ func (o *Outbox) Flushes() int64 { return o.flushes }
 
 // ShardThreshold partitions the sending threshold across the shards of a
 // parallel update scan: each shard's share of the 4 MB budget, floored at
-// one message. Stages grow on demand, so the share is a bound on what a
-// balanced scan stages per shard rather than an allocation.
+// one message. Stages grow on demand and replay into the one outbox, so
+// no engine uses the share; only the benchmark's stage probe passes it
+// to NewStage.
 func ShardThreshold(thresholdBytes int64, shards int) int64 {
 	if thresholdBytes <= 0 {
 		thresholdBytes = 4 << 20

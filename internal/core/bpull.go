@@ -48,22 +48,17 @@ func (w *worker) stepBPullProduce(t int, pushProduce bool) error {
 				return nil
 			}
 			// The switch superstep really reads the adjacency list and pushes.
-			sent, err := w.pushRes(sb, t, v, rec, responded)
-			if sent > 0 {
-				w.addStat(func(s *workerStat) {
-					s.produced += sent
-					s.cpu.Messages += sent
-				})
-			}
-			return err
+			return w.pushRes(sb, t, v, rec, responded)
 		}
 	}
 	runBlock := func(blo, bhi graph.VertexID, msgs msgstore.Groups) error {
-		if err := w.updateBlock(t, blo, bhi, msgs, hookFor); err != nil {
+		err := w.updateBlock(t, blo, bhi, msgs, hookFor)
+		if outbox == nil {
 			return err
 		}
-		if outbox == nil {
-			return nil
+		w.addPushTallies(false)
+		if err != nil {
+			return err
 		}
 		return w.mergeStages(outbox)
 	}

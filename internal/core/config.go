@@ -317,12 +317,12 @@ func (c Config) validate(n int) (recoveryPolicy, error) {
 	if c.Parallelism < 0 {
 		return pol, fmt.Errorf("core: negative Parallelism")
 	}
-	// Parallelism/SendThreshold interaction: the parallel scan partitions
-	// the sender threshold across shards (comm.ShardThreshold, floored at
-	// one message per shard), so any threshold that can carry a message at
-	// all partitions cleanly. A threshold below one wire message cannot —
-	// even the sequential outbox would flush every Add — so reject it here
-	// rather than let packet accounting silently degenerate.
+	// The threshold governs the worker's one outbox at any Parallelism:
+	// the parallel scan's later shards stage their sends in stages that
+	// grow on demand and replay into that outbox in shard order. A
+	// threshold below one wire message would make the outbox flush every
+	// Add, so reject it here rather than let packet accounting silently
+	// degenerate.
 	if c.SendThreshold > 0 && c.SendThreshold < comm.MsgWireSize {
 		return pol, fmt.Errorf("core: SendThreshold %d is smaller than one wire message (%d bytes)",
 			c.SendThreshold, comm.MsgWireSize)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"hybridgraph/internal/algo"
 	"hybridgraph/internal/comm"
 	"hybridgraph/internal/graph"
 	"hybridgraph/internal/msgstore"
@@ -37,18 +38,12 @@ func (w *worker) stepPush(t int, produce bool) error {
 			if rec.OutDeg == 0 {
 				return nil
 			}
-			sent, err := w.pushRes(sb, t, v, rec, responded && outbox != nil)
-			if sent > 0 {
-				w.addStat(func(s *workerStat) {
-					s.produced += sent
-					s.estM += sent
-					s.cpu.Messages += sent
-				})
-			}
-			return err
+			return w.pushRes(sb, t, v, rec, responded && outbox != nil)
 		}
 	}
-	if err := w.updateBlock(t, w.part.Lo, w.part.Hi, msgs, hookFor); err != nil {
+	err = w.updateBlock(t, w.part.Lo, w.part.Hi, msgs, hookFor)
+	w.addPushTallies(true)
+	if err != nil {
 		return err
 	}
 	if outbox != nil {
@@ -71,45 +66,78 @@ func (w *worker) stepPush(t int, produce bool) error {
 	return nil
 }
 
+// pushTally is what one shard's pushRes calls add up to over a scan:
+// messages sent, adjacency bytes charged and edges read. The shard keeps
+// it, so pushRes takes no lock; addPushTallies hands it to the stat.
+type pushTally struct{ sent, et, edges int64 }
+
 // pushRes is pushRes() for one updated vertex with out-edges: read its
 // adjacency run through the shard's window — Giraph loads a vertex with
 // its edges, so push reads the run of every *updated* vertex (V_act), not
 // just the responders: the IO(E^t) asymmetry against b-pull — and, when
 // send is set, send one message per edge, staged unless the shard is the
-// first. It reports how many.
-func (w *worker) pushRes(sb *shardBuf, t int, v graph.VertexID, rec *vertexfile.Record, send bool) (sent int64, err error) {
+// first. The shard's tally counts what it did.
+func (w *worker) pushRes(sb *shardBuf, t int, v graph.VertexID, rec *vertexfile.Record, send bool) error {
 	eb, err := w.adj.EdgeBytes(v)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if w.job.cfg.InMemory {
 		eb = 0
 	}
 	if sb.edges, err = w.adj.EdgesBuf(v, sb.edges[:0], &sb.adj); err != nil {
-		return 0, err
+		return err
 	}
-	edges := sb.edges
-	w.addStat(func(s *workerStat) {
-		s.parts.Et += eb
-		s.cpu.Edges += int64(len(edges))
-	})
+	sb.push.et += eb
+	sb.push.edges += int64(len(sb.edges))
 	if !send {
-		return 0, nil
+		return nil
 	}
 	staged := sb != &w.shards[0]
-	for _, e := range edges {
-		val, keep := w.msgValueFor(rec.Bcast[writeParity(t)], e.Dst, e.Weight)
+	bcast := rec.Bcast[writeParity(t)]
+	// msgValueFor's type assertion, made once per vertex, not once per edge.
+	ts, targeted := w.job.prog.(algo.TargetedSender)
+	for _, e := range sb.edges {
+		val, keep := 0.0, true
+		if targeted {
+			val, keep = ts.MsgValueTo(bcast, e.Dst, e.Weight)
+		} else {
+			val = w.job.prog.MsgValue(bcast, e.Weight)
+		}
 		if !keep {
 			continue
 		}
 		if m := (comm.Msg{Dst: e.Dst, Val: val}); staged {
 			sb.stage.Add(w.owner(e.Dst), m)
 		} else if err := w.outbox.Add(w.owner(e.Dst), m); err != nil {
-			return sent, err
+			return err
 		}
-		sent++
+		sb.push.sent++
 	}
-	return sent, nil
+	return nil
+}
+
+// addPushTallies adds the scan's push tallies to the superstep's stat, the
+// messages sent to the M_disk estimate too when estM is set, and zeroes
+// them. Called once the scan's shards have joined, even after an error.
+func (w *worker) addPushTallies(estM bool) {
+	var sum pushTally
+	for i := range w.shards {
+		p := &w.shards[i].push
+		sum.sent += p.sent
+		sum.et += p.et
+		sum.edges += p.edges
+		*p = pushTally{}
+	}
+	w.addStat(func(s *workerStat) {
+		s.produced += sum.sent
+		if estM {
+			s.estM += sum.sent
+		}
+		s.cpu.Messages += sum.sent
+		s.parts.Et += sum.et
+		s.cpu.Edges += sum.edges
+	})
 }
 
 // mergeStages replays the update scan's per-shard stages into outbox, behind

@@ -28,7 +28,8 @@ type inbox interface {
 	// sender 0) under one lock acquisition, copying what it keeps.
 	AddFrom(from int, msgs []comm.Msg) error
 	// Drain returns the parked messages grouped by destination, a vertex's
-	// values by sender, then as they arrived; valid until the next Drain.
+	// values by sender, then as they arrived; valid until either of the
+	// worker's inboxes drains again (they share one msgstore.Scratch).
 	Drain() (msgstore.Groups, error)
 	Spilled() int64
 	MaxMemBytes() int64
@@ -61,6 +62,7 @@ type worker struct {
 	active   [2]*bitset.Set // pull baseline activation flags by parity
 
 	inboxes [2]inbox                // push receive buffers by parity
+	drain   msgstore.Scratch        // what both inboxes drain in: they never drain at once
 	hot     map[graph.VertexID]bool // pushM hot vertex set
 
 	vcache *pullCache // pull baseline's resident vertex set
@@ -155,13 +157,14 @@ func (w *worker) addStat(f func(*workerStat)) {
 }
 
 // shardBuf is what one shard of the update scan works in: its send stage,
-// the vertex-record chunk, its window onto the adjacency file and the
-// edge list of the vertex being pushed.
+// the vertex-record chunk, its window onto the adjacency file, the edge
+// list of the vertex being pushed, and what its pushRes calls tallied.
 type shardBuf struct {
 	stage *comm.Stage // unused by shards[0]: its sends head the replay order and go straight to the outbox
 	recs  []vertexfile.Record
 	adj   adjstore.PageBuf
 	edges []graph.Half
+	push  pushTally
 }
 
 // growShards makes shards[0..n) usable. Called before a scan forks.
@@ -396,8 +399,8 @@ func (w *worker) initInboxes() {
 			// (disk-resident) vertices go straight to disk.
 			capacity = -1
 		}
-		base := msgstore.NewInbox(filepath.Join(w.dir, fmt.Sprintf("spill%d.dat", p)),
-			w.ct, capacity, w.job.cdc)
+		base := msgstore.NewSharedInbox(filepath.Join(w.dir, fmt.Sprintf("spill%d.dat", p)),
+			w.ct, capacity, w.job.cdc, &w.drain)
 		if w.hot != nil {
 			online := msgstore.NewOnlineInbox(base, w.hot, w.job.prog.Combiner())
 			online.SetMetrics(w.job.cfg.Metrics)

@@ -102,18 +102,26 @@ func (gr *Grouper) Group(msgs []comm.Msg, combine func(a, b float64) float64) Gr
 	return gr.groups
 }
 
-// scatter groups msgs — every destination within [lo, lo+span) — by
-// counting on dst-lo: count, prefix and group headers, then the values
-// scattered run by run in the order given, which a destination's values
-// keep. The runs cover msgs exactly once; msgs is left as it was.
-func (gr *Grouper) scatter(msgs []comm.Msg, order []run, lo graph.VertexID, span int) Groups {
+// scatter groups the arrival stream a — every destination within
+// [lo, lo+span) — by counting on dst-lo: count, prefix and group headers,
+// then the values scattered run by run in the order given, which a
+// destination's values keep. Spilled records are decoded where they were
+// read back. The runs cover a exactly once; a is left as it was.
+func (gr *Grouper) scatter(a *arrivals, order []run, lo graph.VertexID, span int) Groups {
 	gr.pos = slices.Grow(gr.pos[:0], span)[:span]
 	clear(gr.pos)
-	for i := range msgs {
-		gr.pos[msgs[i].Dst-lo]++
+	for _, m := range a.mem {
+		gr.pos[m.Dst-lo]++
 	}
-	gr.vals = slices.Grow(gr.vals[:0], len(msgs))[:len(msgs)]
-	gr.groups = slices.Grow(gr.groups[:0], min(len(msgs), span))
+	for o := 0; o < len(a.spill); o += recSize {
+		gr.pos[comm.GetRecord(a.spill[o:]).Dst-lo]++
+	}
+	for _, m := range a.extra {
+		gr.pos[m.Dst-lo]++
+	}
+	n := a.len()
+	gr.vals = slices.Grow(gr.vals[:0], n)[:n]
+	gr.groups = slices.Grow(gr.groups[:0], min(n, span))
 	next := uint32(0)
 	for d, c := range gr.pos {
 		if gr.pos[d] = next; c > 0 {
@@ -122,11 +130,23 @@ func (gr *Grouper) scatter(msgs []comm.Msg, order []run, lo graph.VertexID, span
 		}
 	}
 	for _, r := range order {
-		for _, m := range msgs[r.off : r.off+r.n] {
-			p := &gr.pos[m.Dst-lo]
-			gr.vals[*p] = m.Val
-			*p++
+		mem, spill, extra := a.cut(r)
+		for _, m := range mem {
+			gr.place(m, lo)
+		}
+		for o := 0; o < len(spill); o += recSize {
+			gr.place(comm.GetRecord(spill[o:]), lo)
+		}
+		for _, m := range extra {
+			gr.place(m, lo)
 		}
 	}
 	return gr.groups
+}
+
+// place writes m's value into the next slot of its destination.
+func (gr *Grouper) place(m comm.Msg, lo graph.VertexID) {
+	p := &gr.pos[m.Dst-lo]
+	gr.vals[*p] = m.Val
+	*p++
 }

@@ -7,10 +7,13 @@
 // Eq. 11 splits it). The spill is one codec.SpillFile under every codec:
 // the cost is charged per spilled record, and the bytes reach the file a
 // staging buffer at a time (DESIGN.md, "Charge model vs physical
-// execution"). Draining yields Groups: the superstep's messages
-// grouped by destination in one flat array the inbox owns and reuses, each
-// vertex's values in delivery order — senders ascending, one sender's as
-// they arrived (DESIGN.md, "Message path"). An OnlineInbox adds MOCgraph's
+// execution"); a spilled message is encoded straight into that buffer.
+// Draining yields Groups: the superstep's messages grouped by destination
+// in one flat array of the drain's Scratch, each vertex's values in
+// delivery order — senders ascending, one sender's as they arrived. A
+// dense batch is grouped where it lies, spilled messages from their
+// read-back bytes; a sparse one is copied once, in delivery order, to be
+// sorted (DESIGN.md, "Message path"). An OnlineInbox adds MOCgraph's
 // message online computing: messages for a configured hot set of vertices
 // are folded into in-memory accumulators immediately and never touch disk.
 package msgstore
@@ -46,6 +49,18 @@ type run struct{ from, off, n int }
 // ascending, one sender's stretches as they arrived.
 func bySender(x, y run) int { return cmp.Compare(x.from, y.from) }
 
+// Scratch is what a drain works in: the spill read back, the Grouper
+// that builds the Groups and the sparse path's batch in delivery order.
+// Inboxes that never drain at the same time — a worker's two parity
+// inboxes — can share one (NewSharedInbox); Pending reads the spill back
+// into it too. The Groups a drain returns live in its Scratch until the
+// next drain through it. The zero value is ready to use.
+type Scratch struct {
+	readBack []byte
+	grouper  Grouper
+	ordered  []comm.Msg
+}
+
 // Inbox is one worker's receive buffer for one superstep's incoming
 // messages. Safe for concurrent Add from multiple senders.
 type Inbox struct {
@@ -54,10 +69,7 @@ type Inbox struct {
 	mem      []comm.Msg
 	runs     []run            // who sent which stretch of the arrival stream mem ‖ spill, adjacent ones of a sender coalesced
 	spill    *codec.SpillFile // the overflow; its buffers last as long as the inbox
-	readBack []byte           // the spill read back at drain, reused
-	grouper  Grouper
-	ordered  []comm.Msg // the sparse drain's batch in delivery order, reused
-	enc      []byte     // a spilling batch as records, reused
+	scratch  *Scratch         // the inbox's own unless shared; set at construction
 	spillN   int64
 	received int64
 	maxMem   int64
@@ -82,9 +94,16 @@ func (b *Inbox) SetMetrics(reg *obs.Registry) {
 // buffered: capacity 0 means unlimited (sufficient memory), a negative
 // capacity means every message spills (MOCgraph's "messages sent to
 // disk-resident vertices reside on disk"). The spill file is created
-// lazily; cdc selects its on-disk encoding (nil means codec.None).
+// lazily; cdc selects its on-disk encoding (nil means codec.None). The
+// inbox drains in a Scratch of its own.
 func NewInbox(path string, ct *diskio.Counter, capacity int, cdc codec.Codec) *Inbox {
-	return &Inbox{capacity: capacity, spill: codec.NewSpillFile(path, ct, cdc)}
+	return NewSharedInbox(path, ct, capacity, cdc, new(Scratch))
+}
+
+// NewSharedInbox is NewInbox draining in sc, which no inbox that drains
+// at the same time may use.
+func NewSharedInbox(path string, ct *diskio.Counter, capacity int, cdc codec.Codec, sc *Scratch) *Inbox {
+	return &Inbox{capacity: capacity, spill: codec.NewSpillFile(path, ct, cdc), scratch: sc}
 }
 
 // Add accepts one message from sender 0. Beyond capacity the message is
@@ -133,14 +152,15 @@ func (b *Inbox) addFrom(from int, msgs []comm.Msg) error {
 	return err
 }
 
-// spillMsgs spills msgs in arrival order. When a flush fails part-way only
-// the records accepted so far are charged, counted and kept for the retry.
+// spillMsgs spills msgs in arrival order, each encoded straight into the
+// spill's staging buffer. When a flush fails part-way only the records
+// accepted so far are charged, counted and kept for the retry.
 func (b *Inbox) spillMsgs(msgs []comm.Msg) error {
-	b.enc = slices.Grow(b.enc[:0], len(msgs)*recSize)[:len(msgs)*recSize]
-	for i, m := range msgs {
-		comm.PutRecord(b.enc[i*recSize:], m)
-	}
-	accepted, err := b.spill.AppendRun(b.enc, recSize)
+	accepted, err := b.spill.AppendEncoded(len(msgs), recSize, func(dst []byte, first int) {
+		for i, m := range msgs[first : first+len(dst)/recSize] {
+			comm.PutRecord(dst[i*recSize:], m)
+		}
+	})
 	b.received += int64(accepted)
 	b.spillN += int64(accepted)
 	b.mSpilledMsgs.Add(int64(accepted))
@@ -176,7 +196,8 @@ func (b *Inbox) MaxMemBytes() int64 {
 // order-sensitive and how senders interleave depends on scheduling, but a
 // sender's own order does not: every run — and every recovery replay,
 // which injects sender by sender in log order — produces bit-identical
-// values. The result is valid until the next Drain.
+// values. The result lives in the inbox's Scratch, valid until the next
+// drain through it.
 func (b *Inbox) Drain() (Groups, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -186,37 +207,32 @@ func (b *Inbox) Drain() (Groups, error) {
 // denseSpan: a batch whose ids span at most this many times its length is dense.
 const denseSpan = 2
 
-// drain is Drain with extra listed after every sender's messages. Callers
+// drain is Drain with extra listed after every sender's messages. It
+// reads the arrival stream mem ‖ spill ‖ extra where it lies. Callers
 // hold b.mu.
 func (b *Inbox) drain(extra []comm.Msg) (Groups, error) {
-	all, err := b.appendSpilled(b.mem)
+	spilled, err := b.readSpill()
 	if err != nil {
 		return nil, err
 	}
 	if err := b.spill.Close(); err != nil {
 		return nil, err
 	}
-	b.runs = append(b.runs, run{math.MaxInt, len(all), len(extra)})
-	all = append(all, extra...)
+	a := arrivals{mem: b.mem, spill: spilled, extra: extra}
+	b.runs = append(b.runs, run{math.MaxInt, int(b.received), len(extra)})
 	slices.SortStableFunc(b.runs, bySender)
-	lo, hi := graph.VertexID(math.MaxUint32), graph.VertexID(0)
-	for i := range all {
-		lo, hi = min(lo, all[i].Dst), max(hi, all[i].Dst)
-	}
+	sc := b.scratch
+	lo, hi := a.bounds()
 	var out Groups
-	if span := int64(hi) - int64(lo) + 1; len(all) > 0 && span <= denseSpan*int64(len(all)) {
-		out = b.grouper.scatter(all, b.runs, lo, int(span))
+	if n, span := a.len(), int64(hi)-int64(lo)+1; n > 0 && span <= denseSpan*int64(n) {
+		out = sc.grouper.scatter(&a, b.runs, lo, int(span))
 	} else {
-		// Few messages over a wide id range (a traversal frontier): group a
-		// copy in delivery order stably. Group reorders what it is given,
-		// so the copy is a buffer apart from b.mem.
-		b.ordered = slices.Grow(b.ordered[:0], len(all))
-		for _, r := range b.runs {
-			b.ordered = append(b.ordered, all[r.off:r.off+r.n]...)
-		}
-		out = b.grouper.Group(b.ordered, nil)
+		// Few messages over a wide id range (a traversal frontier): group
+		// one copy in delivery order stably.
+		sc.ordered = a.appendRuns(sc.ordered[:0], b.runs)
+		out = sc.grouper.Group(sc.ordered, nil)
 	}
-	b.mem = all[:0]
+	b.mem = b.mem[:0]
 	b.runs = b.runs[:0]
 	b.spillN = 0
 	b.received = 0
@@ -224,22 +240,19 @@ func (b *Inbox) drain(extra []comm.Msg) (Groups, error) {
 	return out, nil
 }
 
-// appendSpilled reads the spill back with one charged sequential read and
-// appends its records to dst in arrival order.
-func (b *Inbox) appendSpilled(dst []comm.Msg) ([]comm.Msg, error) {
+// readSpill reads the spill back into the scratch with one charged
+// sequential read: the records in arrival order, nil when none spilled.
+func (b *Inbox) readSpill() ([]byte, error) {
 	if b.spillN == 0 {
-		return dst, nil
+		return nil, nil
 	}
+	sc := b.scratch
 	n := int(b.spillN * recSize)
-	b.readBack = slices.Grow(b.readBack[:0], n)[:n]
-	if err := b.spill.ReadAll(b.readBack); err != nil {
-		return dst, err
+	sc.readBack = slices.Grow(sc.readBack[:0], n)[:n]
+	if err := b.spill.ReadAll(sc.readBack); err != nil {
+		return nil, err
 	}
-	dst = slices.Grow(dst, int(b.spillN))
-	for o := 0; o < n; o += recSize {
-		dst = append(dst, comm.GetRecord(b.readBack[o:]))
-	}
-	return dst, nil
+	return sc.readBack, nil
 }
 
 // Pending returns a copy of every buffered message — memory and spill —
@@ -249,20 +262,66 @@ func (b *Inbox) appendSpilled(dst []comm.Msg) ([]comm.Msg, error) {
 func (b *Inbox) Pending() ([]comm.Msg, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	arrived := slices.Clone(b.mem)
-	if b.spillN > 0 {
-		var err error
-		if arrived, err = b.appendSpilled(arrived); err != nil {
-			return nil, err
-		}
+	spilled, err := b.readSpill()
+	if err != nil {
+		return nil, err
 	}
+	a := arrivals{mem: b.mem, spill: spilled}
 	runs := slices.Clone(b.runs) // b.runs stays in arrival order: the inbox may receive again
 	slices.SortStableFunc(runs, bySender)
-	out := make([]comm.Msg, 0, len(arrived))
-	for _, r := range runs {
-		out = append(out, arrived[r.off:r.off+r.n]...)
+	return a.appendRuns(make([]comm.Msg, 0, a.len()), runs), nil
+}
+
+// arrivals is the arrival stream a drain reads in place: the messages
+// kept in memory, then the spilled records as read back, then extra.
+// A run's offset and length count positions in the whole stream.
+type arrivals struct {
+	mem   []comm.Msg
+	spill []byte // whole records
+	extra []comm.Msg
+}
+
+func (a *arrivals) len() int { return len(a.mem) + len(a.spill)/recSize + len(a.extra) }
+
+// bounds returns the least and greatest destination in the stream.
+func (a *arrivals) bounds() (lo, hi graph.VertexID) {
+	lo = math.MaxUint32
+	for _, m := range a.mem {
+		lo, hi = min(lo, m.Dst), max(hi, m.Dst)
 	}
-	return out, nil
+	for o := 0; o < len(a.spill); o += recSize {
+		d := comm.GetRecord(a.spill[o:]).Dst
+		lo, hi = min(lo, d), max(hi, d)
+	}
+	for _, m := range a.extra {
+		lo, hi = min(lo, m.Dst), max(hi, m.Dst)
+	}
+	return lo, hi
+}
+
+// cut returns the parts of r that lie in each segment of the stream.
+func (a *arrivals) cut(r run) (mem []comm.Msg, spill []byte, extra []comm.Msg) {
+	end := r.off + r.n
+	m := len(a.mem)
+	s := m + len(a.spill)/recSize
+	mem = a.mem[min(r.off, m):min(end, m)]
+	spill = a.spill[(min(max(r.off, m), s)-m)*recSize : (min(max(end, m), s)-m)*recSize]
+	extra = a.extra[max(r.off, s)-s : max(end, s)-s]
+	return mem, spill, extra
+}
+
+// appendRuns appends the messages of runs to dst, run by run.
+func (a *arrivals) appendRuns(dst []comm.Msg, runs []run) []comm.Msg {
+	dst = slices.Grow(dst, a.len())
+	for _, r := range runs {
+		mem, spill, extra := a.cut(r)
+		dst = append(dst, mem...)
+		for o := 0; o < len(spill); o += recSize {
+			dst = append(dst, comm.GetRecord(spill[o:]))
+		}
+		dst = append(dst, extra...)
+	}
+	return dst
 }
 
 // OnlineInbox implements MOCgraph's message online computing: messages to

@@ -218,3 +218,32 @@ func TestDebugServerServesMetricsAndVars(t *testing.T) {
 		t.Fatalf("/debug/pprof/ = %q, want the pprof index", body)
 	}
 }
+
+// Both profiles land in their files, and an empty path writes nothing.
+func TestStartProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	stop, err := StartProfiles(cpu, mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := 0
+	for i := 0; i < 1e6; i++ {
+		sink += i % 7
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{cpu, mem} {
+		if st, err := os.Stat(p); err != nil || st.Size() == 0 {
+			t.Fatalf("%s: %v, want a non-empty profile (sink %d)", p, err, sink)
+		}
+	}
+	stop, err = StartProfiles("", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+}
