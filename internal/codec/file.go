@@ -223,11 +223,13 @@ const SpillBufSize = 64 << 10
 // charged as the paper's random write at its logical offset, one
 // ChargeRun per stretch between two writes, and staged in memory. In the
 // identity layout a full buffer is written by the append that needs the
-// room and the tail by ReadAll, so a failed write surfaces from the call
-// that flushed and leaves the buffer for the retry; otherwise each
+// room and the tail by ReadAllInto, so a failed write surfaces from the
+// call that flushed and leaves the buffer for the retry; otherwise each
 // SpillChunk is written as one frame once it fills and the tail stays in
-// memory. ReadAll charges the one sequential read of the whole spill.
-// Close drops the cycle's file but not the buffers.
+// memory. ReadAllInto charges the one sequential read of the whole spill;
+// the frames it reads back go into a buffer its caller keeps, so spills
+// that never read back at once can share one. Close drops the cycle's
+// file but not its buffers.
 type SpillFile struct {
 	path    string
 	c       Codec // the frames' codec; nil writes records as they are
@@ -238,7 +240,6 @@ type SpillFile struct {
 	acct       *diskio.Accountant
 	staging    []byte // records charged but not yet written
 	frame      []byte // the frame being written
-	readBack   []byte // the frames ReadAll reads back
 	physOff    int64
 	logicalLen int64
 }
@@ -326,9 +327,14 @@ func (s *SpillFile) flush() error {
 	return nil
 }
 
-// ReadAll fills p, which must be exactly Len() bytes, with the record
-// stream and charges the sequential read of the whole spill.
-func (s *SpillFile) ReadAll(p []byte) error {
+// ReadAll is ReadAllInto with a frame buffer allocated for the call.
+func (s *SpillFile) ReadAll(p []byte) error { return s.ReadAllInto(p, new([]byte)) }
+
+// ReadAllInto fills p, which must be exactly Len() bytes, with the record
+// stream and charges the sequential read of the whole spill. Under a real
+// codec the frames are read back into *frames, the caller's buffer, grown
+// as needed.
+func (s *SpillFile) ReadAllInto(p []byte, frames *[]byte) error {
 	if int64(len(p)) != s.logicalLen {
 		return fmt.Errorf("codec: %s: drain of %d bytes, spilled %d", s.path, len(p), s.logicalLen)
 	}
@@ -347,12 +353,12 @@ func (s *SpillFile) ReadAll(p []byte) error {
 		// The file holds the full chunks' frames; the tail is staged.
 		out := p[:0]
 		if s.physOff > 0 {
-			s.readBack = slices.Grow(s.readBack[:0], int(s.physOff))[:s.physOff]
-			if _, err := s.f.ReadAtClass(s.readBack, 0, diskio.SeqRead); err != nil {
+			*frames = slices.Grow((*frames)[:0], int(s.physOff))[:s.physOff]
+			if _, err := s.f.ReadAtClass(*frames, 0, diskio.SeqRead); err != nil {
 				return err
 			}
 			var err error
-			if out, err = decodeFrames(out, s.readBack); err != nil {
+			if out, err = decodeFrames(out, *frames); err != nil {
 				return fmt.Errorf("codec: %s: %w", s.path, err)
 			}
 		}

@@ -11,7 +11,7 @@
 // flight across a reassignment and the fabrics carry no routing protocol:
 // a request names its destination worker and reaches that worker's
 // handler. Messages cross every hop through buffers their owner reuses
-// (outbox, stage, the TCP connections' payload buffers); DESIGN.md,
+// (outbox, stage, the TCP connections' receive buffers); DESIGN.md,
 // "Message path", has the ownership rules.
 package comm
 
@@ -52,11 +52,12 @@ type Msg struct {
 
 // Packet is a batch of messages bound for one worker, addressed by the
 // worker's id: an adopted unit keeps its id and its endpoint, so the
-// address never changes under a packet.
+// address never changes under a packet. The messages travel as the
+// records Outbox.Add wrote.
 type Packet struct {
 	From, To int
 	Step     int
-	Msgs     []Msg
+	Msgs     Records
 	// WireBytes is the encoded size given the concatenation the sender
 	// applied; 0 means "compute as unconcatenated".
 	WireBytes int64
@@ -67,7 +68,7 @@ func (p *Packet) Bytes() int64 {
 	if p.WireBytes > 0 {
 		return p.WireBytes
 	}
-	return int64(len(p.Msgs)) * MsgWireSize
+	return int64(len(p.Msgs))
 }
 
 // ConcatSize reports the wire size of msgs when concatenated: each
@@ -178,7 +179,8 @@ func GatherResultsSize(res []GatherResult) int64 {
 type Handler interface {
 	// DeliverMessages accepts a push packet addressed to this worker for
 	// consumption in superstep p.Step+1. p and p.Msgs are the caller's and
-	// are overwritten once the call returns: copy what must outlive it.
+	// are overwritten once the call returns — on TCP, p.Msgs is the
+	// connection's receive buffer — so copy what must outlive it.
 	DeliverMessages(p *Packet) error
 	// RespondPull runs Pull-Respond (Algorithm 2) for the given global
 	// Vblock at superstep step, returning the generated (already

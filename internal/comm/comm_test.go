@@ -12,7 +12,7 @@ import (
 // recorder is a Handler that records everything it receives.
 type recorder struct {
 	mu      sync.Mutex
-	packets []*Packet
+	packets []*received
 	pulls   []int
 	gathers [][]graph.VertexID
 	signals [][]graph.VertexID
@@ -22,12 +22,20 @@ type recorder struct {
 func (r *recorder) DeliverMessages(p *Packet) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	// The packet and its messages are the sender's: keep a copy.
-	cp := *p
-	cp.Msgs = append([]Msg(nil), p.Msgs...)
-	r.packets = append(r.packets, &cp)
+	// The packet and its records are the sender's: keep a decoded copy.
+	r.packets = append(r.packets, &received{Packet: *p, Msgs: DecodeRecords(nil, p.Msgs)})
 	return nil
 }
+
+// received is a delivered packet as a recorder keeps it, its records
+// decoded.
+type received struct {
+	Packet
+	Msgs []Msg
+}
+
+// recs encodes msgs as a packet's records.
+func recs(msgs []Msg) Records { return AppendRecords(nil, msgs) }
 
 func (r *recorder) RespondPull(block, step int) ([]Msg, int64, error) {
 	r.mu.Lock()
@@ -86,7 +94,7 @@ func TestLocalSendAccountsBytes(t *testing.T) {
 	fab := NewLocal(3)
 	r := &recorder{}
 	fab.Register(1, r)
-	p := &Packet{From: 0, To: 1, Step: 2, Msgs: []Msg{{Dst: 5, Val: 1}, {Dst: 6, Val: 2}}}
+	p := &Packet{From: 0, To: 1, Step: 2, Msgs: recs([]Msg{{Dst: 5, Val: 1}, {Dst: 6, Val: 2}})}
 	if err := fab.Send(p); err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +118,7 @@ func TestLoopbackNotCounted(t *testing.T) {
 	fab := NewLocal(2)
 	r := &recorder{}
 	fab.Register(0, r)
-	if err := fab.Send(&Packet{From: 0, To: 0, Msgs: []Msg{{Dst: 1}}}); err != nil {
+	if err := fab.Send(&Packet{From: 0, To: 0, Msgs: recs([]Msg{{Dst: 1}})}); err != nil {
 		t.Fatal(err)
 	}
 	if fab.TotalBytes() != 0 {
@@ -227,7 +235,7 @@ func TestOutboxDefaultThreshold(t *testing.T) {
 }
 
 func TestPacketBytes(t *testing.T) {
-	p := &Packet{Msgs: make([]Msg, 5)}
+	p := &Packet{Msgs: make(Records, 5*MsgWireSize)}
 	if p.Bytes() != 5*MsgWireSize {
 		t.Fatalf("Bytes = %d", p.Bytes())
 	}

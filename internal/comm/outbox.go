@@ -16,15 +16,18 @@ import (
 // packets are flushed unconcatenated.
 //
 // An outbox is a fixed sending buffer: a worker builds one for the job and
-// Resets it every superstep. Each destination's buffer keeps its backing
-// array after a flush, which is sound because Fabric.Send is synchronous
-// and no fabric or handler retains p.Msgs (DESIGN.md, "Message path").
+// Resets it every superstep. Each destination's buffer holds the packet's
+// records as Add encodes them, and keeps its backing array after a flush,
+// which is sound because Fabric.Send is synchronous and no fabric or
+// handler retains p.Msgs (DESIGN.md, "Message path").
 type Outbox struct {
 	fabric    Fabric
 	from      int
 	step      int
 	threshold int64
-	pending   [][]Msg
+	limit     int // a buffer's largest size: the threshold rounded up to whole records
+	pending   []Records
+	msgs      []Msg // the combiner's decode buffer, reused
 	sorted    []Msg // the combiner's second sort buffer, reused
 	flushes   int64
 	sent      int64
@@ -59,7 +62,8 @@ func NewOutbox(fabric Fabric, workers, from, step int, thresholdBytes int64) *Ou
 		from:      from,
 		step:      step,
 		threshold: thresholdBytes,
-		pending:   make([][]Msg, workers),
+		limit:     int((thresholdBytes + MsgWireSize - 1) / MsgWireSize * MsgWireSize),
+		pending:   make([]Records, workers),
 	}
 }
 
@@ -78,16 +82,22 @@ func (o *Outbox) Reset(fabric Fabric, step int) {
 // minBuffer is where a message buffer that grows by doubling starts.
 const minBuffer = 64
 
-// Add buffers one message for worker to — in a buffer that grows by
-// doubling — flushing if the buffer reaches the threshold.
+// Add encodes one message into worker to's buffer, flushing it once it
+// holds the threshold's bytes. The buffer doubles, in whole records, up
+// to the threshold rounded up to a whole record: the size it is flushed
+// at, so after the first flush it never grows again.
 func (o *Outbox) Add(to int, m Msg) error {
 	buf := o.pending[to]
-	if len(buf) == cap(buf) {
-		buf = slices.Grow(buf, max(cap(buf), minBuffer))
+	n := len(buf)
+	if n == cap(buf) {
+		grown := make(Records, n, min(max(2*n, minBuffer*MsgWireSize), o.limit))
+		copy(grown, buf)
+		buf = grown
 	}
-	buf = append(buf, m)
+	buf = buf[:n+MsgWireSize]
+	PutRecord(buf[n:], m)
 	o.pending[to] = buf
-	if int64(len(buf))*MsgWireSize >= o.threshold {
+	if int64(len(buf)) >= o.threshold {
 		return o.flush(to)
 	}
 	return nil
@@ -106,17 +116,18 @@ func (o *Outbox) Flush() error {
 }
 
 func (o *Outbox) flush(to int) error {
-	msgs := o.pending[to]
-	o.pending[to] = msgs[:0] // the storage is ours again once Send returns
+	recs := o.pending[to]
+	o.pending[to] = recs[:0] // the storage is ours again once Send returns
 	o.flushes++
-	o.sent += int64(len(msgs))
-	p := &Packet{From: o.from, To: to, Step: o.step, Msgs: msgs}
-	if o.combine != nil && len(msgs) > 1 {
-		raw := int64(len(msgs)) * MsgWireSize
-		o.touched += int64(len(msgs))
-		p.Msgs = CombineSorted(StableSortByDst(msgs, &o.sorted), o.combine)
-		p.WireBytes = ConcatSize(p.Msgs)
-		o.saved += raw - p.WireBytes
+	o.sent += int64(recs.Len())
+	p := &Packet{From: o.from, To: to, Step: o.step, Msgs: recs}
+	if o.combine != nil && recs.Len() > 1 {
+		o.touched += int64(recs.Len())
+		o.msgs = DecodeRecords(o.msgs[:0], recs)
+		combined := CombineSorted(StableSortByDst(o.msgs, &o.sorted), o.combine)
+		p.Msgs = AppendRecords(recs[:0], combined) // never longer than recs: in place
+		p.WireBytes = ConcatSize(combined)
+		o.saved += int64(len(recs)) - p.WireBytes
 	}
 	return o.fabric.Send(p)
 }

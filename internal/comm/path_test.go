@@ -3,6 +3,7 @@ package comm
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"hybridgraph/internal/graph"
 	"hybridgraph/internal/obs"
@@ -16,8 +17,8 @@ type scribbler struct{ Fabric }
 
 func (s scribbler) Send(p *Packet) error {
 	err := s.Fabric.Send(p)
-	for i := range p.Msgs {
-		p.Msgs[i] = Msg{Dst: math.MaxUint32, Val: math.NaN()}
+	for o := 0; o < len(p.Msgs); o += MsgWireSize {
+		PutRecord(p.Msgs[o:], Msg{Dst: math.MaxUint32, Val: math.NaN()})
 	}
 	return err
 }
@@ -117,7 +118,7 @@ func TestSendBuffersGrowByDoubling(t *testing.T) {
 	fab := NewLocal(2)
 	fab.Register(1, &recorder{})
 	big := NewOutbox(fab, 2, 0, 1, 0) // 4 MB: nothing flushes
-	if got := steps(func(i int) { big.Add(1, Msg{Dst: graph.VertexID(i)}) }, func() int { return cap(big.pending[1]) }); got > 13 {
+	if got := steps(func(i int) { big.Add(1, Msg{Dst: graph.VertexID(i)}) }, func() int { return cap(big.pending[1]) / MsgWireSize }); got > 13 {
 		t.Errorf("outbox buffer reallocated %d times on the way to %d messages", got, n)
 	}
 	small := NewOutbox(fab, 2, 0, 1, 100*MsgWireSize)
@@ -126,11 +127,53 @@ func TestSendBuffersGrowByDoubling(t *testing.T) {
 			t.Fatal(err)
 		}
 	}, func() int { return 0 })
-	if c := cap(small.pending[1]); c > 128 { // 100 messages, rounded up to a size class
+	if c := cap(small.pending[1]) / MsgWireSize; c > 128 { // 100 messages, rounded up to a size class
 		t.Errorf("a 100-message threshold grew a %d-message buffer", c)
 	}
 	if small.Flushes() != n/100 {
 		t.Errorf("%d flushes, want %d", small.Flushes(), n/100)
+	}
+}
+
+// An outbox buffer grows in whole records and stops at the threshold
+// rounded up to a whole record: 4096 bytes flush after 342 records
+// (4104 B), and from the first flush on the buffer is reused, never
+// regrown.
+func TestOutboxThresholdRoundsUpToWholeRecords(t *testing.T) {
+	fab := NewLocal(2)
+	r := &recorder{}
+	fab.Register(1, r)
+	ob := NewOutbox(fab, 2, 0, 1, 4096)
+	var kept *byte // the buffer's backing array once it first flushed
+	for i := 0; i < 10*342+5; i++ {
+		if err := ob.Add(1, Msg{Dst: graph.VertexID(i), Val: float64(i)}); err != nil {
+			t.Fatal(err)
+		}
+		if c := cap(ob.pending[1]); c%MsgWireSize != 0 || c > 342*MsgWireSize {
+			t.Fatalf("after %d adds the buffer holds %d B: not whole records under the threshold", i+1, c)
+		}
+		if ob.Flushes() == 0 {
+			continue
+		}
+		if buf := unsafe.SliceData(ob.pending[1]); kept == nil {
+			kept = buf
+		} else if buf != kept {
+			t.Fatalf("the buffer was regrown after add %d, past the first flush", i+1)
+		}
+	}
+	if err := ob.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.packets) != 11 {
+		t.Fatalf("%d packets, want 11", len(r.packets))
+	}
+	for i, p := range r.packets[:10] {
+		if len(p.Msgs) != 342 {
+			t.Fatalf("packet %d carries %d records, want 342", i, len(p.Msgs))
+		}
+	}
+	if n := len(r.packets[10].Msgs); n != 5 {
+		t.Fatalf("the final flush carried %d records, want 5", n)
 	}
 }
 
@@ -149,7 +192,7 @@ func TestTCPDedupWindowBoundedByBytes(t *testing.T) {
 	r.mu.Unlock()
 	// A Send's record pins no bytes: the pulls' byte pressure must leave it
 	// alone, or a late retry would deliver the packet twice.
-	if err := fab.Send(&Packet{From: 0, To: 1, Step: 2, Msgs: []Msg{{Dst: 1, Val: 1}}}); err != nil {
+	if err := fab.Send(&Packet{From: 0, To: 1, Step: 2, Msgs: recs([]Msg{{Dst: 1, Val: 1}})}); err != nil {
 		t.Fatal(err)
 	}
 	sendSeq := fab.seq.Load()
@@ -198,20 +241,20 @@ func TestTCPDedupWindowBoundedByBytes(t *testing.T) {
 		t.Error("a retry of the most recent request was re-processed")
 		return tcpResponse{}
 	})
-	if got, err := DecodeMsgs(nil, resp.payload); err != nil || len(got) != perPull {
-		t.Fatalf("recorded response decodes to %d messages, %v", len(got), err)
+	if got, err := AsRecords(resp.payload); err != nil || got.Len() != perPull {
+		t.Fatalf("recorded response holds %d records, %v", got.Len(), err)
 	}
 }
 
 // comm.tcp.frame_bytes is the physical twin of comm.net_bytes: on an
 // unconcatenated push the sockets carry the semantic bytes plus one small
-// header per packet (request envelope, count prefix, response envelope)
-// and gob's one-off type descriptors per connection.
+// header per packet (request and response envelopes) and gob's one-off
+// type descriptors per connection.
 func TestTCPFrameBytesTracksNetBytes(t *testing.T) {
 	const (
 		perPacket   = 200
 		packets     = 150
-		frameHeader = 64   // request envelope + count prefix + response envelope
+		frameHeader = 64   // request envelope + response envelope
 		connSetup   = 1024 // gob type descriptors, once per direction
 	)
 	fab, _ := newTCPPair(t)
@@ -243,7 +286,7 @@ func TestTCPFrameBytesTracksNetBytes(t *testing.T) {
 	// Without a registry the counter is simply not exported.
 	bare, _ := newTCPPair(t)
 	bare.SetMetrics(nil)
-	if err := bare.Send(&Packet{From: 0, To: 1, Step: 1, Msgs: []Msg{{Dst: 1, Val: 1}}}); err != nil {
+	if err := bare.Send(&Packet{From: 0, To: 1, Step: 1, Msgs: recs([]Msg{{Dst: 1, Val: 1}})}); err != nil {
 		t.Fatal(err)
 	}
 }

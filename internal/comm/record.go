@@ -11,13 +11,55 @@ import (
 )
 
 // The one byte layout a message has outside a Go slice: MsgWireSize bytes,
-// destination id then value bits, little-endian. The TCP fabric's payloads,
-// msgstore's spill files and msglog's segments all go through the
-// functions below, and a run of messages is always a 4-byte count followed
-// by that many records.
+// destination id then value bits, little-endian. A pushed message is
+// written in it once, by Outbox.Add, and travels as Records — the TCP
+// fabric's payloads, msgstore's memory and spill files, msglog's segments
+// — until the drain that groups it reads it. Only msglog still frames a
+// run as a 4-byte count followed by that many records (AppendMsgs,
+// DecodeMsgs).
 
 // payloadHeader is the count prefix of an encoded run.
 const payloadHeader = 4
+
+// Records is a run of whole MsgWireSize-byte records with no count
+// prefix: how a push packet, an inbox's memory and a pull response's
+// payload hold their messages.
+type Records []byte
+
+// Len reports the number of records.
+func (r Records) Len() int { return len(r) / MsgWireSize }
+
+// At decodes record i.
+func (r Records) At(i int) Msg { return GetRecord(r[i*MsgWireSize:]) }
+
+// AppendRecords appends msgs to r as records.
+func AppendRecords(r Records, msgs []Msg) Records {
+	off := len(r)
+	r = slices.Grow(r, len(msgs)*MsgWireSize)[:off+len(msgs)*MsgWireSize]
+	for _, m := range msgs {
+		PutRecord(r[off:], m)
+		off += MsgWireSize
+	}
+	return r
+}
+
+// DecodeRecords appends the messages of r to dst.
+func DecodeRecords(dst []Msg, r Records) []Msg {
+	dst = slices.Grow(dst, r.Len())
+	for off := 0; off+MsgWireSize <= len(r); off += MsgWireSize {
+		dst = append(dst, GetRecord(r[off:]))
+	}
+	return dst
+}
+
+// AsRecords returns b as Records, or a *PayloadError when it is not a
+// whole number of records.
+func AsRecords(b []byte) (Records, error) {
+	if len(b)%MsgWireSize != 0 {
+		return nil, &PayloadError{Len: len(b), Count: -1, Bare: true}
+	}
+	return Records(b), nil
+}
 
 // PutRecord writes m into b[:MsgWireSize].
 func PutRecord(b []byte, m Msg) {
@@ -38,14 +80,19 @@ func GetRecord(b []byte) Msg {
 var ErrPayload = errors.New("comm: malformed message payload")
 
 // PayloadError reports an encoded run whose length disagrees with its
-// count prefix: truncated, padded, or not a whole number of records.
+// count prefix — truncated, padded, or not a whole number of records — or
+// bare Records that are not a whole number of records.
 type PayloadError struct {
 	Len   int   // bytes presented
-	Count int64 // records the prefix claims; -1 when the prefix itself is cut
+	Count int64 // records the prefix claims; -1 when there is no prefix or it is cut
+	Bare  bool  // the run has no count prefix
 }
 
 // Error implements error.
 func (e *PayloadError) Error() string {
+	if e.Bare {
+		return fmt.Sprintf("comm: malformed message payload: %d bytes are not whole %d-byte records", e.Len, MsgWireSize)
+	}
 	if e.Count < 0 {
 		return fmt.Sprintf("comm: malformed message payload: %d bytes cannot hold a count", e.Len)
 	}
@@ -55,17 +102,12 @@ func (e *PayloadError) Error() string {
 // Unwrap ties the error to ErrPayload.
 func (e *PayloadError) Unwrap() error { return ErrPayload }
 
-// AppendMsgs appends the encoded run of msgs to b.
+// AppendMsgs appends the encoded run of msgs to b: their count, then
+// their records.
 func AppendMsgs(b []byte, msgs []Msg) []byte {
-	off := len(b)
-	b = slices.Grow(b, payloadHeader+len(msgs)*MsgWireSize)[:off+payloadHeader+len(msgs)*MsgWireSize]
-	binary.LittleEndian.PutUint32(b[off:], uint32(len(msgs)))
-	off += payloadHeader
-	for _, m := range msgs {
-		PutRecord(b[off:], m)
-		off += MsgWireSize
-	}
-	return b
+	b = slices.Grow(b, payloadHeader+len(msgs)*MsgWireSize)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(msgs)))
+	return AppendRecords(b, msgs)
 }
 
 // DecodeMsgs decodes one encoded run, appending its messages to dst. b
@@ -78,9 +120,5 @@ func DecodeMsgs(dst []Msg, b []byte) ([]Msg, error) {
 	if int64(len(b)-payloadHeader) != count*MsgWireSize {
 		return dst, &PayloadError{Len: len(b), Count: count}
 	}
-	dst = slices.Grow(dst, int(count))
-	for off := payloadHeader; off < len(b); off += MsgWireSize {
-		dst = append(dst, GetRecord(b[off:]))
-	}
-	return dst, nil
+	return DecodeRecords(dst, b[payloadHeader:]), nil
 }

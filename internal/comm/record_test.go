@@ -85,6 +85,21 @@ func TestPayloadRejectsTruncatedAndOddLengths(t *testing.T) {
 			t.Errorf("%s: PayloadError.Len = %d for %d bytes; decoded %d messages", name, pe.Len, len(b), len(got))
 		}
 	}
+	// Bare records have no count to disagree with: only a partial record
+	// is malformed.
+	recs := enc[payloadHeader:]
+	for _, n := range []int{1, MsgWireSize - 1, MsgWireSize + 5, len(recs) - 1, len(recs) + 1} {
+		b := append(append([]byte(nil), recs...), make([]byte, MsgWireSize)...)[:n]
+		var pe *PayloadError
+		if _, err := AsRecords(b); !errors.As(err, &pe) || !pe.Bare || pe.Len != n {
+			t.Errorf("%d bare bytes: err = %v, want a bare *PayloadError", n, err)
+		}
+	}
+	for _, n := range []int{0, MsgWireSize, len(recs)} {
+		if r, err := AsRecords(recs[:n]); err != nil || r.Len() != n/MsgWireSize {
+			t.Errorf("%d bare bytes: %d records, %v", n, r.Len(), err)
+		}
+	}
 }
 
 // FuzzDecodeMsgs feeds arbitrary bytes to the payload decoder: it must

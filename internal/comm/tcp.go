@@ -23,12 +23,14 @@ import (
 // handler on the serving side, and responses travel back on the same
 // connection. A frame is a small gob envelope (kind, sequence number,
 // addressing, the pull baseline's id lists) followed by the raw message
-// payload — a push packet or a pull response — as the run AppendMsgs
-// encodes: a count and MsgWireSize bytes per message. gob never sees a
-// message. Byte accounting uses the same semantic wire sizes as the
-// Local fabric (message ids and values, not framing overhead or retry
-// duplicates), so the cost model is transport-independent; what the
-// sockets really carried is counted apart as "comm.tcp.frame_bytes".
+// payload — a push packet or a pull response — as bare Records,
+// MsgWireSize bytes per message: a push packet's are written as the
+// outbox encoded them and handed to the serving handler in the
+// connection's receive buffer. gob never sees a message. Byte accounting
+// uses the same semantic wire sizes as the Local fabric (message ids and
+// values, not framing overhead or retry duplicates), so the cost model is
+// transport-independent; what the sockets really carried is counted
+// apart as "comm.tcp.frame_bytes".
 //
 // The fabric is resilient: transport errors (broken pipes, resets, and a
 // peer silent past the request deadline) trigger bounded retries with
@@ -109,10 +111,10 @@ type tcpConn struct {
 
 // tcpStream is one end of a connection's framing, the same on both
 // sides: a gob envelope, followed — when the envelope's PayloadLen says so
-// — by that many raw bytes holding one AppendMsgs run. gob therefore only
-// ever sees the few dozen bytes of an envelope; the messages bypass it
-// through buf, the stream's one payload buffer, reused for every frame in
-// either direction.
+// — by that many raw bytes holding whole Records. gob therefore only
+// ever sees the few dozen bytes of an envelope; the messages bypass it:
+// a payload is written from its owner's buffer and read into buf, the
+// stream's receive buffer, reused for every frame it reads.
 type tcpStream struct {
 	r   *bufio.Reader // shared by dec and the payload reads
 	w   io.Writer     // the socket, tallied into the fabric's frame_bytes
@@ -165,22 +167,17 @@ func (c countingWriter) Write(b []byte) (int, error) {
 	return n, err
 }
 
-// do performs one framed round trip under the request deadline: msgs (a
-// push packet's, nil otherwise) are encoded into the stream's payload
-// buffer, and a response payload is decoded into a slice the caller owns
-// before the lock is released. The connection lock serialises concurrent
-// requests onto the shared stream.
-func (c *tcpConn) do(req *tcpRequest, msgs []Msg, timeout time.Duration) (tcpResponse, []Msg, error) {
+// do performs one framed round trip under the request deadline: payload
+// (a push packet's records, nil otherwise) is written as it is, and a
+// response payload is decoded into a slice the caller owns before the
+// lock is released. The connection lock serialises concurrent requests
+// onto the shared stream.
+func (c *tcpConn) do(req *tcpRequest, payload Records, timeout time.Duration) (tcpResponse, []Msg, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if timeout > 0 {
 		c.c.SetDeadline(time.Now().Add(timeout))
 		defer c.c.SetDeadline(time.Time{})
-	}
-	var payload []byte
-	if len(msgs) > 0 {
-		c.s.buf = AppendMsgs(c.s.buf[:0], msgs)
-		payload = c.s.buf
 	}
 	req.PayloadLen = len(payload)
 	if err := c.s.send(req, payload); err != nil {
@@ -196,9 +193,11 @@ func (c *tcpConn) do(req *tcpRequest, msgs []Msg, timeout time.Duration) (tcpRes
 	}
 	var out []Msg
 	if len(raw) > 0 {
-		if out, err = DecodeMsgs(nil, raw); err != nil {
+		recs, err := AsRecords(raw)
+		if err != nil {
 			return tcpResponse{}, nil, err
 		}
+		out = DecodeRecords(nil, recs)
 	}
 	return resp, out, nil
 }
@@ -218,7 +217,7 @@ type tcpRequest struct {
 	Step  int
 	Block int
 	// PayloadLen is the size of the raw payload following the envelope: a
-	// push packet's messages as AppendMsgs encodes them.
+	// push packet's records.
 	PayloadLen int
 	Wire       int64
 	IDs        []graph.VertexID
@@ -226,7 +225,7 @@ type tcpRequest struct {
 
 type tcpResponse struct {
 	// PayloadLen is the size of the raw payload following the envelope: a
-	// pull response's messages as AppendMsgs encodes them.
+	// pull response's records.
 	PayloadLen int
 	Wire       int64
 	Results    []GatherResult
@@ -410,9 +409,6 @@ func (f *TCP) serve(worker int, ln net.Listener) {
 func (f *TCP) serveConn(worker int, c net.Conn) {
 	defer c.Close()
 	s := newTCPStream(c, &f.frames)
-	// The decoded packet lives in msgs for the duration of one request:
-	// handlers copy what they keep, so it is reused by the next.
-	var msgs []Msg
 	for {
 		var req tcpRequest
 		if err := s.dec.Decode(&req); err != nil {
@@ -434,14 +430,13 @@ func (f *TCP) serveConn(worker int, c net.Conn) {
 			return
 		}
 		process := func() tcpResponse {
-			msgs = msgs[:0]
-			if len(raw) > 0 {
-				var err error
-				if msgs, err = DecodeMsgs(msgs, raw); err != nil {
-					return tcpResponse{Err: err.Error()}
-				}
+			// The packet is the stream's receive buffer, lent to the
+			// handler for this request alone: handlers copy what they keep.
+			recs, err := AsRecords(raw)
+			if err != nil {
+				return tcpResponse{Err: err.Error()}
 			}
-			return f.process(&req, msgs)
+			return f.process(&req, recs)
 		}
 		resp := f.dedups[worker].do(req.From, req.Seq, process)
 		if d.Duplicate {
@@ -465,9 +460,9 @@ func (f *TCP) serveConn(worker int, c net.Conn) {
 }
 
 // process dispatches one deduplicated request to its destination worker's
-// handler through the router, as Local does; msgs is the decoded payload
-// of a push packet.
-func (f *TCP) process(req *tcpRequest, msgs []Msg) tcpResponse {
+// handler through the router, as Local does; msgs is a push packet's
+// payload.
+func (f *TCP) process(req *tcpRequest, msgs Records) tcpResponse {
 	var resp tcpResponse
 	h, err := f.handler(req.To)
 	if err != nil {
@@ -485,7 +480,7 @@ func (f *TCP) process(req *tcpRequest, msgs []Msg) tcpResponse {
 		if len(out) > 0 {
 			// Encoded into bytes of its own: the dedup record outlives this
 			// request, and out belongs to the handler.
-			resp.payload = AppendMsgs(nil, out)
+			resp.payload = AppendRecords(nil, out)
 			resp.PayloadLen = len(resp.payload)
 		}
 		resp.Wire = wire
@@ -546,7 +541,7 @@ func (f *TCP) invalidate(w int, c *tcpConn) {
 // request: transport failures retry with backoff over a fresh connection
 // under the same sequence number; application-level errors surface
 // immediately without retrying.
-func (f *TCP) roundTrip(w int, req *tcpRequest, msgs []Msg) (*tcpResponse, []Msg, error) {
+func (f *TCP) roundTrip(w int, req *tcpRequest, payload Records) (*tcpResponse, []Msg, error) {
 	if w < 0 || w >= len(f.addrs) {
 		return nil, nil, fmt.Errorf("comm: no such worker %d", w)
 	}
@@ -571,7 +566,7 @@ func (f *TCP) roundTrip(w int, req *tcpRequest, msgs []Msg) (*tcpResponse, []Msg
 			lastErr = err
 			continue
 		}
-		resp, out, err := c.do(req, msgs, f.cfg.Timeout)
+		resp, out, err := c.do(req, payload, f.cfg.Timeout)
 		if err != nil {
 			lastErr = err
 			f.invalidate(w, c)

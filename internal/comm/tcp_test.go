@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -25,7 +26,7 @@ func newTCPPair(t *testing.T) (*TCP, *recorder) {
 
 func TestTCPSend(t *testing.T) {
 	fab, r := newTCPPair(t)
-	p := &Packet{From: 0, To: 1, Step: 3, Msgs: []Msg{{Dst: 7, Val: 1.5}, {Dst: 8, Val: 2.5}}}
+	p := &Packet{From: 0, To: 1, Step: 3, Msgs: recs([]Msg{{Dst: 7, Val: 1.5}, {Dst: 8, Val: 2.5}})}
 	if err := fab.Send(p); err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestTCPGatherAndSignal(t *testing.T) {
 func TestTCPUnregisteredHandler(t *testing.T) {
 	fab, _ := newTCPPair(t)
 	// Worker 0 has no handler.
-	if err := fab.Send(&Packet{From: 1, To: 0, Msgs: []Msg{{Dst: 1}}}); err == nil {
+	if err := fab.Send(&Packet{From: 1, To: 0, Msgs: recs([]Msg{{Dst: 1}})}); err == nil {
 		t.Fatal("Send to unregistered worker should fail")
 	}
 	if _, _, err := fab.PullRequest(1, 9, 0, 1); err == nil {
@@ -149,7 +150,7 @@ func TestTCPFaultyExactlyOnce(t *testing.T) {
 	})
 	const n = 50
 	for i := 0; i < n; i++ {
-		p := &Packet{From: 0, To: 1, Step: 2, Msgs: []Msg{{Dst: graph.VertexID(i), Val: float64(i)}}}
+		p := &Packet{From: 0, To: 1, Step: 2, Msgs: recs([]Msg{{Dst: graph.VertexID(i), Val: float64(i)}})}
 		if err := fab.Send(p); err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +230,7 @@ func TestTCPFaultyConcurrent(t *testing.T) {
 				done <- err
 				return
 			}
-			done <- fab.Send(&Packet{From: 0, To: 1, Step: 2, Msgs: []Msg{{Dst: graph.VertexID(i)}}})
+			done <- fab.Send(&Packet{From: 0, To: 1, Step: 2, Msgs: recs([]Msg{{Dst: graph.VertexID(i)}})})
 		}(i)
 	}
 	for i := 0; i < n; i++ {
@@ -258,7 +259,7 @@ func TestTCPDroppedResponseStillAppliedOnce(t *testing.T) {
 	t.Cleanup(func() { fab.Close() })
 	r := &recorder{}
 	fab.Register(1, r)
-	if err := fab.Send(&Packet{From: 0, To: 1, Msgs: []Msg{{Dst: 1, Val: 1}}}); err == nil {
+	if err := fab.Send(&Packet{From: 0, To: 1, Msgs: recs([]Msg{{Dst: 1, Val: 1}})}); err == nil {
 		t.Fatal("Send should fail when every response is lost")
 	}
 	r.mu.Lock()
@@ -332,7 +333,7 @@ func TestInjectedDropRetriesAtOnce(t *testing.T) {
 			r := &recorder{}
 			fab.Register(1, r)
 			start := time.Now()
-			if err := fab.Send(&Packet{From: 0, To: 1, Msgs: []Msg{{Dst: 1, Val: 1}}}); err == nil {
+			if err := fab.Send(&Packet{From: 0, To: 1, Msgs: recs([]Msg{{Dst: 1, Val: 1}})}); err == nil {
 				t.Fatal("Send should fail when every attempt is dropped")
 			}
 			if elapsed := time.Since(start); elapsed > 2*time.Second {
@@ -348,5 +349,30 @@ func TestInjectedDropRetriesAtOnce(t *testing.T) {
 				t.Fatalf("handler applied the send %d times, want %d", len(r.packets), want)
 			}
 		})
+	}
+}
+
+// A push frame whose payload is not a whole number of records is refused
+// by the serving side before any handler runs. The payload has left the
+// stream, so the connection stays in step and the next Send goes through.
+func TestTCPRefusesPartialRecords(t *testing.T) {
+	fab, r := newTCPPair(t)
+	bad := &Packet{From: 0, To: 1, Step: 1, Msgs: make(Records, 2*MsgWireSize+5)}
+	if err := fab.Send(bad); err == nil || !strings.Contains(err.Error(), "not whole") {
+		t.Fatalf("a 29-byte payload was answered with %v, want a refusal", err)
+	}
+	r.mu.Lock()
+	ran := len(r.packets)
+	r.mu.Unlock()
+	if ran != 0 {
+		t.Fatalf("the handler ran %d times for a refused payload", ran)
+	}
+	if err := fab.Send(&Packet{From: 0, To: 1, Step: 1, Msgs: recs([]Msg{{Dst: 4, Val: 2}})}); err != nil {
+		t.Fatalf("Send after the refusal: %v", err)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.packets) != 1 || len(r.packets[0].Msgs) != 1 || r.packets[0].Msgs[0] != (Msg{Dst: 4, Val: 2}) {
+		t.Fatalf("after the refusal the handler saw %v", r.packets)
 	}
 }

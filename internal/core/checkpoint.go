@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hybridgraph/internal/checkpoint"
+	"hybridgraph/internal/comm"
 	"hybridgraph/internal/diskio"
 	"hybridgraph/internal/metrics"
 	"hybridgraph/internal/obs"
@@ -255,7 +256,7 @@ func (w *worker) applySnapshot(s *checkpoint.Snapshot) error {
 			w.blockRes[p][i].Store(s.BlockRes[p][i])
 		}
 		if w.inboxes[p] != nil {
-			if err := w.inboxes[p].AddFrom(0, s.Pending[p]); err != nil {
+			if err := w.inboxes[p].AddFrom(0, comm.AppendRecords(nil, s.Pending[p])); err != nil {
 				return err
 			}
 		}

@@ -312,7 +312,7 @@ func (j *job) injectLogged(w *worker, step int, rf *replayFabric) error {
 		if err := w.DeliverMessages(&comm.Packet{From: sv.id, To: w.id, Step: step, Msgs: msgs}); err != nil {
 			return err
 		}
-		wire := int64(len(msgs)) * comm.MsgWireSize
+		wire := int64(len(msgs))
 		rf.add(sv.id, wire, wire)
 	}
 	return nil

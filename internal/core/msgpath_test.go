@@ -21,17 +21,17 @@ func (c closeThrough) Close() error {
 	return nil
 }
 
-// scribbleFabric overwrites a packet's messages with garbage the moment
-// Send returns. The worker's outbox does the same a little later when it
-// refills the buffer; doing it at once, every time, turns any fabric,
-// wrapper, log or inbox that kept p.Msgs instead of copying it into
-// corrupted values.
+// scribbleFabric overwrites a packet's records with NaN records the
+// moment Send returns. The worker's outbox does the same a little later
+// when it refills the buffer; doing it at once, every time, turns any
+// fabric, wrapper, log or inbox that kept p.Msgs instead of copying it
+// into corrupted values.
 type scribbleFabric struct{ closeThrough }
 
 func (s scribbleFabric) Send(p *comm.Packet) error {
 	err := s.Fabric.Send(p)
-	for i := range p.Msgs {
-		p.Msgs[i] = comm.Msg{Dst: math.MaxUint32, Val: math.NaN()}
+	for o := 0; o < len(p.Msgs); o += comm.MsgWireSize {
+		comm.PutRecord(p.Msgs[o:], comm.Msg{Dst: math.MaxUint32, Val: math.NaN()})
 	}
 	return err
 }

@@ -215,7 +215,7 @@ func (w *worker) DeliverMessages(p *comm.Packet) error {
 		return err
 	}
 	w.addStat(func(s *workerStat) {
-		s.cpu.Messages += int64(len(p.Msgs))
+		s.cpu.Messages += int64(p.Msgs.Len())
 	})
 	return nil
 }

@@ -26,7 +26,7 @@ import (
 type inbox interface {
 	// AddFrom accepts a packet worker from delivered (a restore re-adds as
 	// sender 0) under one lock acquisition, copying what it keeps.
-	AddFrom(from int, msgs []comm.Msg) error
+	AddFrom(from int, msgs comm.Records) error
 	// Drain returns the parked messages grouped by destination, a vertex's
 	// values by sender, then as they arrived; valid until either of the
 	// worker's inboxes drains again (they share one msgstore.Scratch).

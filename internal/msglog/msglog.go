@@ -47,7 +47,10 @@ const (
 )
 
 // recHeaderSize is kind(1) + step(4) + key(4) + count(4).
-const recHeaderSize = 1 + 4 + 4 + 4
+const recHeaderSize = 1 + 4 + 4 + countSize
+
+// countSize is the message count that opens a record's run.
+const countSize = 4
 
 // msgSize is one logged message: dst(4) + value bits(8).
 const msgSize = 4 + 8
@@ -89,18 +92,21 @@ func (l *Log) SegmentPath(step int) string {
 // AppendPush logs one outgoing push packet sent during superstep step to
 // worker dst. Call before handing the packet to the fabric so retries and
 // duplicated deliveries never double-log.
-func (l *Log) AppendPush(step, dst int, msgs []comm.Msg) error {
-	return l.append(step, KindPush, uint32(dst), msgs)
+func (l *Log) AppendPush(step, dst int, msgs comm.Records) error {
+	rec := recordHead(step, KindPush, uint32(dst), msgs.Len())
+	rec = binary.LittleEndian.AppendUint32(rec, uint32(msgs.Len()))
+	return l.append(step, sealRecord(append(rec, msgs...)))
 }
 
 // AppendPullResp logs one served pull response for global Vblock block at
 // superstep step, exactly as it crossed the wire (post concat/combine).
 func (l *Log) AppendPullResp(step, block int, msgs []comm.Msg) error {
-	return l.append(step, KindPullResp, uint32(block), msgs)
+	rec := comm.AppendMsgs(recordHead(step, KindPullResp, uint32(block), len(msgs)), msgs)
+	return l.append(step, sealRecord(rec))
 }
 
-func (l *Log) append(step int, kind Kind, key uint32, msgs []comm.Msg) error {
-	rec := encodeRecord(step, kind, key, msgs)
+// append writes the sealed record rec to step's segment.
+func (l *Log) append(step int, rec []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.switchTo(step); err != nil {
@@ -141,15 +147,15 @@ func (l *Log) switchTo(step int) error {
 }
 
 // PushTo reads every push record worker dst was sent during superstep
-// step, concatenated in append order (one record per flushed packet).
-// A missing segment or no matching record yields an empty slice: the
-// sender simply had nothing for dst that superstep. Read bytes are
-// charged to rct as sequential reads.
-func (l *Log) PushTo(step, dst int, rct *diskio.Counter) ([]comm.Msg, error) {
-	var out []comm.Msg
-	err := l.scan(step, rct, func(kind Kind, key uint32, msgs []comm.Msg) bool {
+// step, its records concatenated in append order (one log record per
+// flushed packet). A missing segment or no matching record yields no
+// records: the sender simply had nothing for dst that superstep. Read
+// bytes are charged to rct as sequential reads.
+func (l *Log) PushTo(step, dst int, rct *diskio.Counter) (comm.Records, error) {
+	var out comm.Records
+	err := l.scan(step, rct, func(kind Kind, key uint32, run []byte) bool {
 		if kind == KindPush && key == uint32(dst) {
-			out = append(out, msgs...)
+			out = append(out, run[countSize:]...)
 		}
 		return true
 	})
@@ -162,22 +168,26 @@ func (l *Log) PushTo(step, dst int, rct *diskio.Counter) ([]comm.Msg, error) {
 // both copies are identical by construction. ok is false when the
 // segment holds no record for block (the survivor served nothing).
 func (l *Log) PullResp(step, block int, rct *diskio.Counter) ([]comm.Msg, bool, error) {
-	var out []comm.Msg
-	found := false
-	err := l.scan(step, rct, func(kind Kind, key uint32, msgs []comm.Msg) bool {
+	var resp []byte
+	err := l.scan(step, rct, func(kind Kind, key uint32, run []byte) bool {
 		if kind == KindPullResp && key == uint32(block) {
-			out, found = msgs, true
+			resp = run
 			return false
 		}
 		return true
 	})
-	return out, found, err
+	if err != nil || resp == nil {
+		return nil, false, err
+	}
+	msgs, err := comm.DecodeMsgs(nil, resp)
+	return msgs, err == nil, err
 }
 
-// scan reads and verifies step's whole segment, invoking fn per record
-// until it returns false. The full-segment sequential read is the honest
-// cost: survivors stream a segment once per replayed superstep.
-func (l *Log) scan(step int, rct *diskio.Counter, fn func(kind Kind, key uint32, msgs []comm.Msg) bool) error {
+// scan reads and verifies step's whole segment, invoking fn per record —
+// its run of messages, count first — until it returns false. The
+// full-segment sequential read is the honest cost: survivors stream a
+// segment once per replayed superstep.
+func (l *Log) scan(step int, rct *diskio.Counter, fn func(kind Kind, key uint32, run []byte) bool) error {
 	path := l.SegmentPath(step)
 	buf, err := codec.ReadFile(path, rct)
 	if err != nil {
@@ -188,7 +198,7 @@ func (l *Log) scan(step int, rct *diskio.Counter, fn func(kind Kind, key uint32,
 	}
 	off := 0
 	for off < len(buf) {
-		kind, key, recStep, msgs, n, err := decodeRecord(buf[off:])
+		kind, key, recStep, run, n, err := decodeRecord(buf[off:])
 		if err != nil {
 			return fmt.Errorf("msglog: %s at offset %d: %w", path, off, err)
 		}
@@ -196,7 +206,7 @@ func (l *Log) scan(step int, rct *diskio.Counter, fn func(kind Kind, key uint32,
 			return fmt.Errorf("msglog: %s at offset %d: record for superstep %d in segment %d", path, off, recStep, step)
 		}
 		off += n
-		if !fn(kind, key, msgs) {
+		if !fn(kind, key, run) {
 			return nil
 		}
 	}
@@ -319,24 +329,32 @@ func (l *Log) Close() error {
 	return err
 }
 
-// encodeRecord frames one record:
+// A record is
 //
 //	kind(1) step(4) key(4) count(4) count×[dst(4) val(8)] crc(4)
 //
 // The CRC covers everything before it, so any torn or flipped byte fails
-// verification.
-func encodeRecord(step int, kind Kind, key uint32, msgs []comm.Msg) []byte {
-	buf := make([]byte, 0, recHeaderSize+len(msgs)*msgSize+4)
+// verification. The count and the records after it are one run as
+// comm.AppendMsgs encodes it.
+
+// recordHead starts a record of n messages: kind, step and key, with room
+// for the run and the CRC.
+func recordHead(step int, kind Kind, key uint32, n int) []byte {
+	buf := make([]byte, 0, recHeaderSize+n*msgSize+4)
 	buf = append(buf, byte(kind))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(step))
-	buf = binary.LittleEndian.AppendUint32(buf, key)
-	buf = comm.AppendMsgs(buf, msgs) // count(4) + the records
+	return binary.LittleEndian.AppendUint32(buf, key)
+}
+
+// sealRecord appends the CRC to a record's header and records.
+func sealRecord(buf []byte) []byte {
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }
 
 // decodeRecord parses and CRC-verifies one record from the front of b,
-// reporting how many bytes it consumed.
-func decodeRecord(b []byte) (kind Kind, key uint32, step int, msgs []comm.Msg, n int, err error) {
+// reporting how many bytes it consumed. run, the count and the records,
+// aliases b.
+func decodeRecord(b []byte) (kind Kind, key uint32, step int, run []byte, n int, err error) {
 	if len(b) < recHeaderSize+4 {
 		return 0, 0, 0, nil, 0, fmt.Errorf("truncated record header (%d bytes)", len(b))
 	}
@@ -356,9 +374,5 @@ func decodeRecord(b []byte) (kind Kind, key uint32, step int, msgs []comm.Msg, n
 	if kind != KindPush && kind != KindPullResp {
 		return 0, 0, 0, nil, 0, fmt.Errorf("unknown record kind %d", kind)
 	}
-	// The header's count and the records after it are one encoded run.
-	if msgs, err = comm.DecodeMsgs(nil, b[recHeaderSize-4:n-4]); err != nil {
-		return 0, 0, 0, nil, 0, err
-	}
-	return kind, key, step, msgs, n, nil
+	return kind, key, step, body[recHeaderSize-countSize:], n, nil
 }

@@ -1,6 +1,10 @@
 package msglog
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -22,6 +26,9 @@ func openTest(t *testing.T) (*Log, *diskio.Counter) {
 	return l, ct
 }
 
+// recs encodes msgs as a push packet's records.
+func recs(msgs []comm.Msg) comm.Records { return comm.AppendRecords(nil, msgs) }
+
 func msgsEqual(a, b []comm.Msg) bool {
 	if len(a) != len(b) {
 		return false
@@ -39,13 +46,13 @@ func TestPushRoundTrip(t *testing.T) {
 	p1 := []comm.Msg{{Dst: 1, Val: 0.5}, {Dst: 9, Val: -3}}
 	p2 := []comm.Msg{{Dst: 4, Val: 7}}
 	other := []comm.Msg{{Dst: 2, Val: 1}}
-	if err := l.AppendPush(3, 1, p1); err != nil {
+	if err := l.AppendPush(3, 1, recs(p1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendPush(3, 2, other); err != nil {
+	if err := l.AppendPush(3, 2, recs(other)); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendPush(3, 1, p2); err != nil {
+	if err := l.AppendPush(3, 1, recs(p2)); err != nil {
 		t.Fatal(err)
 	}
 	rct := &diskio.Counter{}
@@ -54,7 +61,7 @@ func TestPushRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := append(append([]comm.Msg(nil), p1...), p2...)
-	if !msgsEqual(got, want) {
+	if !msgsEqual(comm.DecodeRecords(nil, got), want) {
 		t.Fatalf("PushTo = %v, want %v", got, want)
 	}
 	if rct.Snapshot().Total() == 0 {
@@ -69,6 +76,42 @@ func TestPushRoundTrip(t *testing.T) {
 	}
 	if got, err := l.PushTo(4, 1, rct); err != nil || len(got) != 0 {
 		t.Fatalf("PushTo(4,1) = %v, %v, want empty (missing segment)", got, err)
+	}
+}
+
+// A push record's bytes are spelled out field by field, independently of
+// the encoder: the segment holds exactly kind, step, key, count, one
+// (dst, value bits) pair per message and the CRC of all of it.
+func TestPushRecordLayout(t *testing.T) {
+	l, _ := openTest(t)
+	msgs := []comm.Msg{{Dst: 7, Val: -1.5}, {Dst: 1 << 30, Val: math.Copysign(0, -1)}}
+	if err := l.AppendPush(9, 2, recs(msgs)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AppendPullResp(9, 4, msgs[:1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	record := func(kind Kind, key uint32, msgs []comm.Msg) []byte {
+		b := []byte{byte(kind)}
+		b = binary.LittleEndian.AppendUint32(b, 9)
+		b = binary.LittleEndian.AppendUint32(b, key)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(msgs)))
+		for _, m := range msgs {
+			b = binary.LittleEndian.AppendUint32(b, uint32(m.Dst))
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(m.Val))
+		}
+		return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+	}
+	want := append(record(KindPush, 2, msgs), record(KindPullResp, 4, msgs[:1])...)
+	got, err := os.ReadFile(l.SegmentPath(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("segment holds\n %x\nwant\n %x", got, want)
 	}
 }
 
@@ -98,14 +141,14 @@ func TestPullRespFirstRecordWins(t *testing.T) {
 
 func TestSegmentReopenAfterStepChange(t *testing.T) {
 	l, _ := openTest(t)
-	if err := l.AppendPush(2, 0, []comm.Msg{{Dst: 1, Val: 1}}); err != nil {
+	if err := l.AppendPush(2, 0, recs([]comm.Msg{{Dst: 1, Val: 1}})); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendPush(3, 0, []comm.Msg{{Dst: 2, Val: 2}}); err != nil {
+	if err := l.AppendPush(3, 0, recs([]comm.Msg{{Dst: 2, Val: 2}})); err != nil {
 		t.Fatal(err)
 	}
 	// A rejoining worker appends to an earlier step's segment again.
-	if err := l.AppendPush(2, 0, []comm.Msg{{Dst: 3, Val: 3}}); err != nil {
+	if err := l.AppendPush(2, 0, recs([]comm.Msg{{Dst: 3, Val: 3}})); err != nil {
 		t.Fatal(err)
 	}
 	rct := &diskio.Counter{}
@@ -114,7 +157,7 @@ func TestSegmentReopenAfterStepChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []comm.Msg{{Dst: 1, Val: 1}, {Dst: 3, Val: 3}}
-	if !msgsEqual(got, want) {
+	if !msgsEqual(comm.DecodeRecords(nil, got), want) {
 		t.Fatalf("PushTo after reopen = %v, want %v", got, want)
 	}
 }
@@ -137,7 +180,7 @@ func TestSizeQueriesReadNothing(t *testing.T) {
 	defer l.Close()
 	for step := 1; step <= 3; step++ {
 		for dst := 0; dst < 2; dst++ {
-			if err := l.AppendPush(step, dst, []comm.Msg{{Dst: 4, Val: float64(step)}, {Dst: 5, Val: 1}}); err != nil {
+			if err := l.AppendPush(step, dst, recs([]comm.Msg{{Dst: 4, Val: float64(step)}, {Dst: 5, Val: 1}})); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -158,7 +201,7 @@ func TestSizeQueriesReadNothing(t *testing.T) {
 		t.Fatalf("SegmentBytes charged I/O: %+v, physical %+v", ct.Snapshot().Sub(before), phys.Snapshot().Sub(pbefore))
 	}
 	// A stalled worker rejoins superstep 2 and appends to its segment again.
-	if err := l.AppendPush(2, 0, []comm.Msg{{Dst: 6, Val: 7}}); err != nil {
+	if err := l.AppendPush(2, 0, recs([]comm.Msg{{Dst: 6, Val: 7}})); err != nil {
 		t.Fatal(err)
 	}
 	noReads("the reopen")
@@ -169,14 +212,14 @@ func TestSizeQueriesReadNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []comm.Msg{{Dst: 4, Val: 2}, {Dst: 5, Val: 1}, {Dst: 6, Val: 7}}; !msgsEqual(got, want) {
+	if want := []comm.Msg{{Dst: 4, Val: 2}, {Dst: 5, Val: 1}, {Dst: 6, Val: 7}}; !msgsEqual(comm.DecodeRecords(nil, got), want) {
 		t.Fatalf("PushTo after the reopen = %v, want %v", got, want)
 	}
 	if _, err := l.Prune(2); err != nil {
 		t.Fatal(err)
 	}
 	// Only superstep 3's two records are left.
-	want := int64(2 * len(encodeRecord(3, KindPush, 0, []comm.Msg{{Dst: 4, Val: 3}, {Dst: 5, Val: 1}})))
+	want := int64(2 * (recHeaderSize + 2*msgSize + 4))
 	if got := l.SegmentBytes(); got != want {
 		t.Fatalf("SegmentBytes after Prune(2) = %d, want %d", got, want)
 	}
@@ -185,7 +228,7 @@ func TestSizeQueriesReadNothing(t *testing.T) {
 
 func TestCorruptionDetected(t *testing.T) {
 	l, _ := openTest(t)
-	if err := l.AppendPush(2, 1, []comm.Msg{{Dst: 5, Val: 5}}); err != nil {
+	if err := l.AppendPush(2, 1, recs([]comm.Msg{{Dst: 5, Val: 5}})); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -208,7 +251,7 @@ func TestCorruptionDetected(t *testing.T) {
 func TestPrune(t *testing.T) {
 	l, _ := openTest(t)
 	for step := 1; step <= 6; step++ {
-		if err := l.AppendPush(step, 0, []comm.Msg{{Dst: 1, Val: float64(step)}}); err != nil {
+		if err := l.AppendPush(step, 0, recs([]comm.Msg{{Dst: 1, Val: float64(step)}})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -227,12 +270,12 @@ func TestPrune(t *testing.T) {
 	rct := &diskio.Counter{}
 	for step := 5; step <= 6; step++ {
 		got, err := l.PushTo(step, 0, rct)
-		if err != nil || len(got) != 1 {
+		if err != nil || got.Len() != 1 {
 			t.Fatalf("segment %d unreadable after prune: %v, %v", step, got, err)
 		}
 	}
 	// The log keeps appending after a prune closed its open segment.
-	if err := l.AppendPush(7, 0, []comm.Msg{{Dst: 2, Val: 7}}); err != nil {
+	if err := l.AppendPush(7, 0, recs([]comm.Msg{{Dst: 2, Val: 7}})); err != nil {
 		t.Fatal(err)
 	}
 }

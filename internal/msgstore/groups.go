@@ -105,16 +105,15 @@ func (gr *Grouper) Group(msgs []comm.Msg, combine func(a, b float64) float64) Gr
 // scatter groups the arrival stream a — every destination within
 // [lo, lo+span) — by counting on dst-lo: count, prefix and group headers,
 // then the values scattered run by run in the order given, which a
-// destination's values keep. Spilled records are decoded where they were
-// read back. The runs cover a exactly once; a is left as it was.
+// destination's values keep. Records are decoded where they lie, in
+// memory or read back. The runs cover a exactly once; a is left as it was.
 func (gr *Grouper) scatter(a *arrivals, order []run, lo graph.VertexID, span int) Groups {
 	gr.pos = slices.Grow(gr.pos[:0], span)[:span]
 	clear(gr.pos)
-	for _, m := range a.mem {
-		gr.pos[m.Dst-lo]++
-	}
-	for o := 0; o < len(a.spill); o += recSize {
-		gr.pos[comm.GetRecord(a.spill[o:]).Dst-lo]++
+	for _, recs := range [2]comm.Records{a.mem, a.spill} {
+		for o := 0; o < len(recs); o += recSize {
+			gr.pos[comm.GetRecord(recs[o:]).Dst-lo]++
+		}
 	}
 	for _, m := range a.extra {
 		gr.pos[m.Dst-lo]++
@@ -131,11 +130,10 @@ func (gr *Grouper) scatter(a *arrivals, order []run, lo graph.VertexID, span int
 	}
 	for _, r := range order {
 		mem, spill, extra := a.cut(r)
-		for _, m := range mem {
-			gr.place(m, lo)
-		}
-		for o := 0; o < len(spill); o += recSize {
-			gr.place(comm.GetRecord(spill[o:]), lo)
+		for _, recs := range [2]comm.Records{mem, spill} {
+			for o := 0; o < len(recs); o += recSize {
+				gr.place(comm.GetRecord(recs[o:]), lo)
+			}
 		}
 		for _, m := range extra {
 			gr.place(m, lo)

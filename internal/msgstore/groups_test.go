@@ -128,7 +128,7 @@ func senderMajorLists(streams map[int][]comm.Msg) map[graph.VertexID][]float64 {
 func poison(b *Inbox, last Groups) {
 	nan := math.Float64frombits(0x7ff8dead00000000)
 	sc := b.scratch
-	for _, buf := range [][]comm.Msg{b.mem[:cap(b.mem)], sc.ordered[:cap(sc.ordered)], sc.grouper.tmp[:cap(sc.grouper.tmp)]} {
+	for _, buf := range [][]comm.Msg{sc.ordered[:cap(sc.ordered)], sc.grouper.tmp[:cap(sc.grouper.tmp)]} {
 		for i := range buf {
 			buf[i] = comm.Msg{Dst: 0xdeadbeef, Val: nan}
 		}
@@ -136,8 +136,10 @@ func poison(b *Inbox, last Groups) {
 	for i := range sc.grouper.vals[:cap(sc.grouper.vals)] {
 		sc.grouper.vals[:cap(sc.grouper.vals)][i] = nan
 	}
-	for i := range sc.readBack[:cap(sc.readBack)] {
-		sc.readBack[:cap(sc.readBack)][i] = 0xff
+	for _, buf := range [][]byte{b.mem[:cap(b.mem)], sc.readBack[:cap(sc.readBack)], sc.frames[:cap(sc.frames)]} {
+		for i := range buf {
+			buf[i] = 0xff
+		}
 	}
 	for i := range last {
 		last[i].Dst = 0xdeadbeef
@@ -156,7 +158,7 @@ func deliver(t *testing.T, b *Inbox, streams map[int][]comm.Msg, rng *rand.Rand)
 	sort.Sort(sort.Reverse(sort.IntSlice(senders)))
 	if rng == nil {
 		for _, from := range senders {
-			if err := b.AddFrom(from, streams[from]); err != nil {
+			if err := b.AddFrom(from, recs(streams[from])); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -169,7 +171,7 @@ func deliver(t *testing.T, b *Inbox, streams map[int][]comm.Msg, rng *rand.Rand)
 	for len(senders) > 0 {
 		i := rng.Intn(len(senders))
 		k := min(1+rng.Intn(40), len(left[i]))
-		if err := b.AddFrom(senders[i], left[i][:k]); err != nil {
+		if err := b.AddFrom(senders[i], recs(left[i][:k])); err != nil {
 			t.Fatal(err)
 		}
 		if left[i] = left[i][k:]; len(left[i]) == 0 {
@@ -350,7 +352,7 @@ func send(wg *sync.WaitGroup, t *testing.T, b *Inbox, streams map[int][]comm.Msg
 			defer wg.Done()
 			for len(msgs) > 0 {
 				k := min(40, len(msgs))
-				if err := b.AddFrom(from, msgs[:k]); err != nil {
+				if err := b.AddFrom(from, recs(msgs[:k])); err != nil {
 					t.Error(err)
 					return
 				}
@@ -374,34 +376,36 @@ func receiveMsgs() []comm.Msg {
 }
 
 // receive adds msgs to in packet by packet, then drains it.
-func receive(in *Inbox, msgs []comm.Msg) (Groups, error) {
-	for off := 0; off < len(msgs); off += receivePacket {
-		if err := in.AddFrom(off/receivePacket%2, msgs[off:off+receivePacket]); err != nil {
+func receive(in *Inbox, msgs comm.Records) (Groups, error) {
+	const packet = receivePacket * recSize
+	for off := 0; off < len(msgs); off += packet {
+		if err := in.AddFrom(off/packet%2, msgs[off:off+packet]); err != nil {
 			return nil, err
 		}
 	}
 	return in.Drain()
 }
 
-// A drained spilled message is held as its 12-byte record read back and
-// its 8-byte grouped value, never as a 16-byte message too: one cold cycle
-// of BenchmarkInboxDrain's spill case, a fresh inbox included, allocates
-// at most 28 B per message (42 B while drains copied the read-back
-// records into messages).
-func TestSpillCycleBytesPerMessage(t *testing.T) {
+// recs encodes msgs as a packet's records.
+func recs(msgs []comm.Msg) comm.Records { return comm.AppendRecords(nil, msgs) }
+
+// coldCycleBytes is the fewest bytes per message that one cold cycle of
+// BenchmarkInboxDrain at capacity allocates, a fresh inbox included, over
+// three cycles: anything else the process allocates meanwhile lands on
+// one of them at most. The records are encoded before the measured window.
+func coldCycleBytes(t *testing.T, capacity int) float64 {
+	t.Helper()
 	if testing.Short() || raceEnabled {
 		t.Skip("measures allocation, which the race detector perturbs")
 	}
-	msgs := receiveMsgs()
-	paths := []string{filepath.Join(t.TempDir(), "a.dat"), filepath.Join(t.TempDir(), "b.dat"), filepath.Join(t.TempDir(), "c.dat")}
-	// The fewest bytes of three cold cycles: anything else the process
-	// allocates meanwhile lands on one of them at most.
+	msgs := recs(receiveMsgs())
 	least := uint64(math.MaxUint64)
 	var ms runtime.MemStats
-	for _, path := range paths {
+	for range 3 {
+		path := filepath.Join(t.TempDir(), "s.dat")
 		runtime.ReadMemStats(&ms)
 		before := ms.TotalAlloc
-		out, err := receive(NewInbox(path, &diskio.Counter{}, receiveN/10, nil), msgs)
+		out, err := receive(NewInbox(path, &diskio.Counter{}, capacity, nil), msgs)
 		runtime.ReadMemStats(&ms)
 		if err != nil {
 			t.Fatal(err)
@@ -411,15 +415,35 @@ func TestSpillCycleBytesPerMessage(t *testing.T) {
 		}
 		least = min(least, ms.TotalAlloc-before)
 	}
-	if perMsg := float64(least) / receiveN; perMsg > 28 {
+	t.Logf("%.1f B per message", float64(least)/receiveN)
+	return float64(least) / receiveN
+}
+
+// A drained spilled message is held as its 12-byte record read back and
+// its 8-byte grouped value, never as a 16-byte message too: one cold cycle
+// of BenchmarkInboxDrain's spill case allocates at most 28 B per message
+// (42 B while drains copied the read-back records into messages).
+func TestSpillCycleBytesPerMessage(t *testing.T) {
+	if perMsg := coldCycleBytes(t, receiveN/10); perMsg > 28 {
 		t.Fatalf("a cold add-and-drain cycle allocated %.1f B per message, want at most 28", perMsg)
+	}
+}
+
+// A message kept in memory is held as the 12-byte record its packet
+// carried and its 8-byte grouped value: one cold cycle of
+// BenchmarkInboxDrain's memory case allocates at most 56 B per message,
+// the memory buffer's doubling included (71 B while the inbox kept
+// 16-byte messages).
+func TestMemoryCycleBytesPerMessage(t *testing.T) {
+	if perMsg := coldCycleBytes(t, 0); perMsg > 56 {
+		t.Fatalf("a cold in-memory add-and-drain cycle allocated %.1f B per message, want at most 56", perMsg)
 	}
 }
 
 // BenchmarkInboxDrain is one superstep's receive side (receiveMsgs), added
 // and drained — in memory, and with all but a tenth spilled.
 func BenchmarkInboxDrain(b *testing.B) {
-	msgs := receiveMsgs()
+	msgs := recs(receiveMsgs())
 	for name, capacity := range map[string]int{"memory": 0, "spill": receiveN / 10} {
 		b.Run(name, func(b *testing.B) {
 			in := NewInbox(filepath.Join(b.TempDir(), "s.dat"), &diskio.Counter{}, capacity, nil)

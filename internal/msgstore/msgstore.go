@@ -7,12 +7,14 @@
 // Eq. 11 splits it). The spill is one codec.SpillFile under every codec:
 // the cost is charged per spilled record, and the bytes reach the file a
 // staging buffer at a time (DESIGN.md, "Charge model vs physical
-// execution"); a spilled message is encoded straight into that buffer.
+// execution"). Messages arrive as the 12-byte records a push packet
+// carries (comm.Records) and stay records — in memory, and copied straight
+// into that buffer when spilled — until the drain decodes them.
 // Draining yields Groups: the superstep's messages grouped by destination
 // in one flat array of the drain's Scratch, each vertex's values in
 // delivery order — senders ascending, one sender's as they arrived. A
-// dense batch is grouped where it lies, spilled messages from their
-// read-back bytes; a sparse one is copied once, in delivery order, to be
+// dense batch is grouped from the records where they lie, in memory or
+// read back; a sparse one is decoded once, in delivery order, to be
 // sorted (DESIGN.md, "Message path"). An OnlineInbox adds MOCgraph's
 // message online computing: messages for a configured hot set of vertices
 // are folded into in-memory accumulators immediately and never touch disk.
@@ -49,14 +51,16 @@ type run struct{ from, off, n int }
 // ascending, one sender's stretches as they arrived.
 func bySender(x, y run) int { return cmp.Compare(x.from, y.from) }
 
-// Scratch is what a drain works in: the spill read back, the Grouper
-// that builds the Groups and the sparse path's batch in delivery order.
-// Inboxes that never drain at the same time — a worker's two parity
-// inboxes — can share one (NewSharedInbox); Pending reads the spill back
-// into it too. The Groups a drain returns live in its Scratch until the
-// next drain through it. The zero value is ready to use.
+// Scratch is what a drain works in: the spill read back (and, under a
+// real codec, its compressed frames), the Grouper that builds the Groups
+// and the sparse path's batch in delivery order. Inboxes that never drain
+// at the same time — a worker's two parity inboxes — can share one
+// (NewSharedInbox); Pending reads the spill back into it too. The Groups
+// a drain returns live in its Scratch until the next drain through it.
+// The zero value is ready to use.
 type Scratch struct {
-	readBack []byte
+	readBack comm.Records
+	frames   []byte
 	grouper  Grouper
 	ordered  []comm.Msg
 }
@@ -66,7 +70,7 @@ type Scratch struct {
 type Inbox struct {
 	mu       sync.Mutex
 	capacity int // B_i in messages; <= 0 means unlimited (sufficient memory)
-	mem      []comm.Msg
+	mem      comm.Records
 	runs     []run            // who sent which stretch of the arrival stream mem ‖ spill, adjacent ones of a sender coalesced
 	spill    *codec.SpillFile // the overflow; its buffers last as long as the inbox
 	scratch  *Scratch         // the inbox's own unless shared; set at construction
@@ -108,59 +112,94 @@ func NewSharedInbox(path string, ct *diskio.Counter, capacity int, cdc codec.Cod
 
 // Add accepts one message from sender 0. Beyond capacity the message is
 // spilled with random-write accounting. A spill write fault is reported by
-// the Add whose record needed the staging buffer flushed (see spillMsgs).
-func (b *Inbox) Add(m comm.Msg) error { return b.AddFrom(0, []comm.Msg{m}) }
+// the Add whose record needed the staging buffer flushed (see spillRun).
+func (b *Inbox) Add(m comm.Msg) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.add(0, m)
+}
 
 // AddAll accepts a batch from sender 0.
-func (b *Inbox) AddAll(msgs []comm.Msg) error { return b.AddFrom(0, msgs) }
+func (b *Inbox) AddAll(msgs []comm.Msg) error { return b.AddFrom(0, comm.AppendRecords(nil, msgs)) }
 
-// AddFrom accepts a batch — a packet worker from delivered — under one
-// lock acquisition, copying what it keeps: msgs stays the caller's.
-func (b *Inbox) AddFrom(from int, msgs []comm.Msg) error {
+// AddFrom accepts a packet worker from delivered under one lock
+// acquisition, copying what it keeps: msgs stays the caller's.
+func (b *Inbox) AddFrom(from int, msgs comm.Records) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.addFrom(from, msgs)
 }
 
-// addFrom is AddFrom under b.mu. The head of the batch that fits in memory
-// goes in with one append; the rest spills as one run, charged per record.
-func (b *Inbox) addFrom(from int, msgs []comm.Msg) error {
-	n := len(msgs)
-	if b.capacity != 0 {
-		n = min(n, max(b.capacity-len(b.mem), 0))
+// room reports how many of n messages fit in memory.
+func (b *Inbox) room(n int) int {
+	if b.capacity == 0 {
+		return n
 	}
+	return min(n, max(b.capacity-b.mem.Len(), 0))
+}
+
+// keep appends n records' worth of room to mem — doubling, not append's
+// 1.25× — and returns it for the caller to fill.
+func (b *Inbox) keep(n int) []byte {
+	l := len(b.mem)
+	if l+n*recSize > cap(b.mem) {
+		b.mem = slices.Grow(b.mem, max(n*recSize, cap(b.mem)))
+	}
+	b.mem = b.mem[:l+n*recSize]
+	b.received += int64(n)
+	b.maxMem = max(b.maxMem, int64(len(b.mem)))
+	return b.mem[l:]
+}
+
+// add is Add from sender from under b.mu: the record is encoded straight
+// into memory or into the spill's staging area.
+func (b *Inbox) add(from int, m comm.Msg) error {
 	before := b.received
-	if n > 0 {
-		if len(b.mem)+n > cap(b.mem) {
-			b.mem = slices.Grow(b.mem, max(n, cap(b.mem))) // doubling, not append's 1.25×
-		}
-		b.mem = append(b.mem, msgs[:n]...)
-		b.received += int64(n)
-		b.maxMem = max(b.maxMem, int64(len(b.mem))*recSize)
-	}
 	var err error
-	if n < len(msgs) {
-		err = b.spillMsgs(msgs[n:])
+	if b.room(1) == 1 {
+		comm.PutRecord(b.keep(1), m)
+	} else {
+		err = b.spillRun(1, func(dst []byte, _ int) { comm.PutRecord(dst, m) })
 	}
-	if got := int(b.received - before); got > 0 {
-		if last := len(b.runs) - 1; last >= 0 && b.runs[last].from == from {
-			b.runs[last].n += got
-		} else {
-			b.runs = append(b.runs, run{from, int(before), got})
-		}
-	}
+	b.noteRun(from, before)
 	return err
 }
 
-// spillMsgs spills msgs in arrival order, each encoded straight into the
-// spill's staging buffer. When a flush fails part-way only the records
-// accepted so far are charged, counted and kept for the retry.
-func (b *Inbox) spillMsgs(msgs []comm.Msg) error {
-	accepted, err := b.spill.AppendEncoded(len(msgs), recSize, func(dst []byte, first int) {
-		for i, m := range msgs[first : first+len(dst)/recSize] {
-			comm.PutRecord(dst[i*recSize:], m)
-		}
-	})
+// addFrom is AddFrom under b.mu. The head of the batch that fits in memory
+// goes in with one copy; the rest spills as one run, charged per record.
+func (b *Inbox) addFrom(from int, msgs comm.Records) error {
+	before := b.received
+	n := b.room(msgs.Len())
+	if n > 0 {
+		copy(b.keep(n), msgs[:n*recSize])
+	}
+	var err error
+	if rest := msgs[n*recSize:]; len(rest) > 0 {
+		err = b.spillRun(rest.Len(), func(dst []byte, first int) { copy(dst, rest[first*recSize:]) })
+	}
+	b.noteRun(from, before)
+	return err
+}
+
+// noteRun records that from delivered what arrived since the stream held
+// before messages, coalescing with from's previous stretch when adjacent.
+func (b *Inbox) noteRun(from int, before int64) {
+	got := int(b.received - before)
+	if got == 0 {
+		return
+	}
+	if last := len(b.runs) - 1; last >= 0 && b.runs[last].from == from {
+		b.runs[last].n += got
+	} else {
+		b.runs = append(b.runs, run{from, int(before), got})
+	}
+}
+
+// spillRun appends n records, which put writes straight into the spill's
+// staging area, in arrival order. When a flush fails part-way only the
+// records accepted so far are charged, counted and kept for the retry.
+func (b *Inbox) spillRun(n int, put func(dst []byte, first int)) error {
+	accepted, err := b.spill.AppendEncoded(n, recSize, put)
 	b.received += int64(accepted)
 	b.spillN += int64(accepted)
 	b.mSpilledMsgs.Add(int64(accepted))
@@ -242,14 +281,14 @@ func (b *Inbox) drain(extra []comm.Msg) (Groups, error) {
 
 // readSpill reads the spill back into the scratch with one charged
 // sequential read: the records in arrival order, nil when none spilled.
-func (b *Inbox) readSpill() ([]byte, error) {
+func (b *Inbox) readSpill() (comm.Records, error) {
 	if b.spillN == 0 {
 		return nil, nil
 	}
 	sc := b.scratch
 	n := int(b.spillN * recSize)
 	sc.readBack = slices.Grow(sc.readBack[:0], n)[:n]
-	if err := b.spill.ReadAll(sc.readBack); err != nil {
+	if err := b.spill.ReadAllInto(sc.readBack, &sc.frames); err != nil {
 		return nil, err
 	}
 	return sc.readBack, nil
@@ -272,26 +311,24 @@ func (b *Inbox) Pending() ([]comm.Msg, error) {
 	return a.appendRuns(make([]comm.Msg, 0, a.len()), runs), nil
 }
 
-// arrivals is the arrival stream a drain reads in place: the messages
-// kept in memory, then the spilled records as read back, then extra.
-// A run's offset and length count positions in the whole stream.
+// arrivals is the arrival stream a drain reads in place: the records kept
+// in memory, then the spilled records as read back, then extra. A run's
+// offset and length count positions in the whole stream.
 type arrivals struct {
-	mem   []comm.Msg
-	spill []byte // whole records
-	extra []comm.Msg
+	mem, spill comm.Records
+	extra      []comm.Msg
 }
 
-func (a *arrivals) len() int { return len(a.mem) + len(a.spill)/recSize + len(a.extra) }
+func (a *arrivals) len() int { return a.mem.Len() + a.spill.Len() + len(a.extra) }
 
 // bounds returns the least and greatest destination in the stream.
 func (a *arrivals) bounds() (lo, hi graph.VertexID) {
 	lo = math.MaxUint32
-	for _, m := range a.mem {
-		lo, hi = min(lo, m.Dst), max(hi, m.Dst)
-	}
-	for o := 0; o < len(a.spill); o += recSize {
-		d := comm.GetRecord(a.spill[o:]).Dst
-		lo, hi = min(lo, d), max(hi, d)
+	for _, recs := range [2]comm.Records{a.mem, a.spill} {
+		for o := 0; o < len(recs); o += recSize {
+			d := comm.GetRecord(recs[o:]).Dst
+			lo, hi = min(lo, d), max(hi, d)
+		}
 	}
 	for _, m := range a.extra {
 		lo, hi = min(lo, m.Dst), max(hi, m.Dst)
@@ -300,11 +337,11 @@ func (a *arrivals) bounds() (lo, hi graph.VertexID) {
 }
 
 // cut returns the parts of r that lie in each segment of the stream.
-func (a *arrivals) cut(r run) (mem []comm.Msg, spill []byte, extra []comm.Msg) {
+func (a *arrivals) cut(r run) (mem, spill comm.Records, extra []comm.Msg) {
 	end := r.off + r.n
-	m := len(a.mem)
-	s := m + len(a.spill)/recSize
-	mem = a.mem[min(r.off, m):min(end, m)]
+	m := a.mem.Len()
+	s := m + a.spill.Len()
+	mem = a.mem[min(r.off, m)*recSize : min(end, m)*recSize]
 	spill = a.spill[(min(max(r.off, m), s)-m)*recSize : (min(max(end, m), s)-m)*recSize]
 	extra = a.extra[max(r.off, s)-s : max(end, s)-s]
 	return mem, spill, extra
@@ -315,10 +352,8 @@ func (a *arrivals) appendRuns(dst []comm.Msg, runs []run) []comm.Msg {
 	dst = slices.Grow(dst, a.len())
 	for _, r := range runs {
 		mem, spill, extra := a.cut(r)
-		dst = append(dst, mem...)
-		for o := 0; o < len(spill); o += recSize {
-			dst = append(dst, comm.GetRecord(spill[o:]))
-		}
+		dst = comm.DecodeRecords(dst, mem)
+		dst = comm.DecodeRecords(dst, spill)
 		dst = append(dst, extra...)
 	}
 	return dst
@@ -363,23 +398,38 @@ func NewOnlineInbox(cold *Inbox, hot map[graph.VertexID]bool, combine func(a, b 
 }
 
 // Add accepts one message from sender 0, consuming it online when possible.
-func (o *OnlineInbox) Add(m comm.Msg) error { return o.AddFrom(0, []comm.Msg{m}) }
+func (o *OnlineInbox) Add(m comm.Msg) error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.fold(0, m) {
+		return nil
+	}
+	o.cold.mu.Lock()
+	defer o.cold.mu.Unlock()
+	return o.cold.add(0, m)
+}
 
-// AddFrom accepts a batch from worker from, each lock taken once.
-func (o *OnlineInbox) AddFrom(from int, msgs []comm.Msg) error {
+// AddFrom accepts a packet from worker from, each lock taken once: hot
+// records fold, each stretch of cold ones goes on to the cold inbox as it
+// is.
+func (o *OnlineInbox) AddFrom(from int, msgs comm.Records) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.cold.mu.Lock()
 	defer o.cold.mu.Unlock()
-	for i, m := range msgs {
-		if o.fold(from, m) {
+	cold := 0 // the first record of the current stretch of cold ones
+	for i := range msgs.Len() {
+		m := msgs.At(i)
+		if !o.hot[m.Dst] {
 			continue
 		}
-		if err := o.cold.addFrom(from, msgs[i:i+1]); err != nil {
+		if err := o.cold.addFrom(from, msgs[cold*recSize:i*recSize]); err != nil {
 			return err
 		}
+		o.fold(from, m)
+		cold = i + 1
 	}
-	return nil
+	return o.cold.addFrom(from, msgs[cold*recSize:])
 }
 
 // fold consumes m online, into from's accumulator, when its destination is

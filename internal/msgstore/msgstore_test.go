@@ -40,8 +40,9 @@ func TestSpillReusesBuffers(t *testing.T) {
 	for i := range msgs {
 		msgs[i] = comm.Msg{Dst: graph.VertexID(i % 997), Val: float64(i)}
 	}
+	packet := recs(msgs)
 	cycle := func() {
-		if err := b.AddAll(msgs); err != nil {
+		if err := b.AddFrom(0, packet); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := b.Drain(); err != nil {
@@ -371,7 +372,7 @@ func TestOnlineInboxFoldIsSenderMajor(t *testing.T) {
 		left := map[int][]comm.Msg{0: streams[0], 1: streams[1], 3: streams[3]}
 		for _, from := range []int{3, 1, 0, 1, 0, 3, 0, 1, 1, 0} { // enough turns for every stream
 			k := min(len(left[from]), 1+rng.Intn(2))
-			if err := o.AddFrom(from, left[from][:k]); err != nil {
+			if err := o.AddFrom(from, recs(left[from][:k])); err != nil {
 				t.Fatal(err)
 			}
 			left[from] = left[from][k:]
