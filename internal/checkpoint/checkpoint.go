@@ -44,7 +44,6 @@ const (
 	kindWorker  = 1
 	kindMaster  = 2
 	recordBytes = 32
-	msgBytes    = 12
 )
 
 // Snapshot is one worker's superstep-consistent state after superstep Step:
@@ -61,8 +60,9 @@ type Snapshot struct {
 	// BlockRes is the per-Vblock responding indicator by parity (b-pull).
 	BlockRes [2][]bool
 	// Pending are the parked inbox messages by parity (push): messages
-	// delivered during Step for consumption at Step+1.
-	Pending [2][]comm.Msg
+	// delivered during Step for consumption at Step+1. A snapshot read
+	// from disk aliases the file's bytes here.
+	Pending [2]comm.Records
 }
 
 // Master is the job-level state the master commits with a checkpoint:
@@ -119,11 +119,8 @@ func WriteSnapshot(path string, ct *diskio.Counter, s *Snapshot, cdc codec.Codec
 		}
 	}
 	for par := 0; par < 2; par++ {
-		p = appendU32(p, uint32(len(s.Pending[par])))
-		for _, m := range s.Pending[par] {
-			p = appendU32(p, uint32(m.Dst))
-			p = appendF64(p, m.Val)
-		}
+		p = appendU32(p, uint32(s.Pending[par].Len()))
+		p = append(p, s.Pending[par]...)
 	}
 	return writeFile(path, ct, p, cdc)
 }
@@ -172,13 +169,7 @@ func ReadSnapshot(path string, ct *diskio.Counter) (*Snapshot, error) {
 		}
 	}
 	for par := 0; par < 2; par++ {
-		n := int(r.u32())
-		if r.err == nil && n > 0 && n <= r.remaining()/msgBytes {
-			s.Pending[par] = make([]comm.Msg, n)
-			for i := range s.Pending[par] {
-				s.Pending[par][i] = comm.Msg{Dst: graph.VertexID(r.u32()), Val: r.f64()}
-			}
-		}
+		s.Pending[par] = r.bytes(int(r.u32()) * comm.MsgWireSize)
 	}
 	if r.err != nil {
 		return nil, fmt.Errorf("checkpoint: %s: %w", path, r.err)
@@ -471,11 +462,14 @@ func (r *reader) u64() uint64 {
 
 func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
 
-func (r *reader) str(n int) string {
+func (r *reader) str(n int) string { return string(r.bytes(n)) }
+
+// bytes returns the next n bytes as they lie in the payload.
+func (r *reader) bytes(n int) []byte {
 	if !r.need(n) {
-		return ""
+		return nil
 	}
-	v := string(r.b[r.off : r.off+n])
+	v := r.b[r.off : r.off+n : r.off+n]
 	r.off += n
 	return v
 }

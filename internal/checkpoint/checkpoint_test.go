@@ -1,6 +1,8 @@
 package checkpoint
 
 import (
+	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -23,7 +25,7 @@ func testSnapshot() *Snapshot {
 	s.Respond = [2][]uint64{{0xdeadbeef, 1}, {0, 0xffff}}
 	s.Active = [2][]uint64{{7}, {9}}
 	s.BlockRes = [2][]bool{{true, false, true}, {false, false, false}}
-	s.Pending = [2][]comm.Msg{nil, {{Dst: 205, Val: 3.25}, {Dst: 299, Val: -1}}}
+	s.Pending = [2]comm.Records{nil, comm.AppendRecords(nil, []comm.Msg{{Dst: 205, Val: 3.25}, {Dst: 299, Val: -1}})}
 	return s
 }
 
@@ -65,10 +67,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 				t.Fatalf("blockRes[%d][%d] = %v", p, i, got.BlockRes[p][i])
 			}
 		}
-		for i, m := range s.Pending[p] {
-			if got.Pending[p][i] != m {
-				t.Fatalf("pending[%d][%d] = %+v", p, i, got.Pending[p][i])
-			}
+		if !bytes.Equal(got.Pending[p], s.Pending[p]) {
+			t.Fatalf("pending[%d] = %x, want %x", p, got.Pending[p], s.Pending[p])
 		}
 	}
 	if ct.Bytes(diskio.SeqRead) != n {
@@ -113,6 +113,55 @@ func TestRestoreSurvivesRetiredMasterField(t *testing.T) {
 		Epoch: 2, Dead: []bool{false, true, false}, Hosts: []int{0, 2, 2}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("master = %+v, want %+v", got, want)
+	}
+}
+
+// TestSnapshotPendingBytesPinned: a snapshot's pending runs are a count
+// followed by 12-byte records, whatever type holds them in memory. The
+// fixture was written by a WriteSnapshot that encoded its pending
+// messages one field at a time, with pending records in both parities,
+// NaN payloads, negative zeros and 2^31 ids; it must decode to those bits
+// and be written back byte for byte.
+func TestSnapshotPendingBytesPinned(t *testing.T) {
+	path := filepath.Join("testdata", "snapshot_pending.dat")
+	got, err := ReadSnapshot(path, &diskio.Counter{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan := math.Float64frombits(0x7ff8dead0000beef)
+	negZero := math.Copysign(0, -1)
+	want := [2][]comm.Msg{
+		{{Dst: 1 << 31, Val: nan}, {Dst: 40, Val: negZero}},
+		{{Dst: 41, Val: 1.5}, {Dst: 1 << 31, Val: negZero}, {Dst: 40, Val: math.NaN()}, {Dst: 41, Val: -7}},
+	}
+	for p := range want {
+		msgs := comm.DecodeRecords(nil, got.Pending[p])
+		if len(msgs) != len(want[p]) {
+			t.Fatalf("pending[%d] holds %d messages, want %d", p, len(msgs), len(want[p]))
+		}
+		for i, m := range want[p] {
+			if msgs[i].Dst != m.Dst || math.Float64bits(msgs[i].Val) != math.Float64bits(m.Val) {
+				t.Fatalf("pending[%d][%d] = %v (bits %x), want %v (bits %x)", p, i, msgs[i], math.Float64bits(msgs[i].Val), m, math.Float64bits(m.Val))
+			}
+		}
+	}
+	if got.Step != 11 || got.Worker != 1 || len(got.Records) != 2 {
+		t.Fatalf("header = step %d worker %d, %d records", got.Step, got.Worker, len(got.Records))
+	}
+	out := filepath.Join(t.TempDir(), "snap.dat")
+	if _, err := WriteSnapshot(out, &diskio.Counter{}, got, nil); err != nil {
+		t.Fatal(err)
+	}
+	fixture, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, fixture) {
+		t.Fatalf("rewritten snapshot differs from the fixture:\n %x\nwant\n %x", again, fixture)
 	}
 }
 

@@ -13,17 +13,13 @@ import (
 // The one byte layout a message has outside a Go slice: MsgWireSize bytes,
 // destination id then value bits, little-endian. A pushed message is
 // written in it once, by Outbox.Add, and travels as Records — the TCP
-// fabric's payloads, msgstore's memory and spill files, msglog's segments
-// — until the drain that groups it reads it. Only msglog still frames a
-// run as a 4-byte count followed by that many records (AppendMsgs,
-// DecodeMsgs).
-
-// payloadHeader is the count prefix of an encoded run.
-const payloadHeader = 4
+// fabric's payloads, msgstore's memory, spill files and pending lists,
+// msglog's segments, checkpoint snapshots — until the drain that groups
+// it reads it. Where a store needs a count in front of a run (a log
+// record, a snapshot's pending list), the store writes it.
 
 // Records is a run of whole MsgWireSize-byte records with no count
-// prefix: how a push packet, an inbox's memory and a pull response's
-// payload hold their messages.
+// prefix: how every store and payload above holds its messages.
 type Records []byte
 
 // Len reports the number of records.
@@ -56,7 +52,7 @@ func DecodeRecords(dst []Msg, r Records) []Msg {
 // whole number of records.
 func AsRecords(b []byte) (Records, error) {
 	if len(b)%MsgWireSize != 0 {
-		return nil, &PayloadError{Len: len(b), Count: -1, Bare: true}
+		return nil, &PayloadError{Len: len(b)}
 	}
 	return Records(b), nil
 }
@@ -79,46 +75,16 @@ func GetRecord(b []byte) Msg {
 // ErrPayload is the sentinel every PayloadError wraps.
 var ErrPayload = errors.New("comm: malformed message payload")
 
-// PayloadError reports an encoded run whose length disagrees with its
-// count prefix — truncated, padded, or not a whole number of records — or
-// bare Records that are not a whole number of records.
+// PayloadError reports bytes presented as Records that are not a whole
+// number of records.
 type PayloadError struct {
-	Len   int   // bytes presented
-	Count int64 // records the prefix claims; -1 when there is no prefix or it is cut
-	Bare  bool  // the run has no count prefix
+	Len int // bytes presented
 }
 
 // Error implements error.
 func (e *PayloadError) Error() string {
-	if e.Bare {
-		return fmt.Sprintf("comm: malformed message payload: %d bytes are not whole %d-byte records", e.Len, MsgWireSize)
-	}
-	if e.Count < 0 {
-		return fmt.Sprintf("comm: malformed message payload: %d bytes cannot hold a count", e.Len)
-	}
-	return fmt.Sprintf("comm: malformed message payload: %d bytes for %d records", e.Len, e.Count)
+	return fmt.Sprintf("comm: malformed message payload: %d bytes are not whole %d-byte records", e.Len, MsgWireSize)
 }
 
 // Unwrap ties the error to ErrPayload.
 func (e *PayloadError) Unwrap() error { return ErrPayload }
-
-// AppendMsgs appends the encoded run of msgs to b: their count, then
-// their records.
-func AppendMsgs(b []byte, msgs []Msg) []byte {
-	b = slices.Grow(b, payloadHeader+len(msgs)*MsgWireSize)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(msgs)))
-	return AppendRecords(b, msgs)
-}
-
-// DecodeMsgs decodes one encoded run, appending its messages to dst. b
-// must be exactly the run.
-func DecodeMsgs(dst []Msg, b []byte) ([]Msg, error) {
-	if len(b) < payloadHeader {
-		return dst, &PayloadError{Len: len(b), Count: -1}
-	}
-	count := int64(binary.LittleEndian.Uint32(b))
-	if int64(len(b)-payloadHeader) != count*MsgWireSize {
-		return dst, &PayloadError{Len: len(b), Count: count}
-	}
-	return DecodeRecords(dst, b[payloadHeader:]), nil
-}

@@ -35,64 +35,42 @@ func TestPayloadRoundTripKeepsEveryBit(t *testing.T) {
 		{Dst: math.MaxUint32, Val: math.SmallestNonzeroFloat64},
 		{Dst: 7, Val: -math.MaxFloat64},
 	}
-	enc := AppendMsgs(nil, msgs)
-	if want := payloadHeader + len(msgs)*MsgWireSize; len(enc) != want {
+	enc := AppendRecords(nil, msgs)
+	if want := len(msgs) * MsgWireSize; len(enc) != want {
 		t.Fatalf("encoded %d bytes, want %d", len(enc), want)
 	}
-	got, err := DecodeMsgs(nil, enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameBits(got, msgs) {
+	if got := DecodeRecords(nil, enc); !sameBits(got, msgs) {
 		t.Fatalf("round trip changed bits:\n got  %v\n want %v", got, msgs)
 	}
+	for i := range msgs {
+		if got := enc.At(i); !sameBits([]Msg{got}, msgs[i:i+1]) {
+			t.Fatalf("At(%d) = %v, want %v", i, got, msgs[i])
+		}
+	}
 	// Appending: both sides extend what they are given.
-	prefix := []byte("hdr")
-	enc2 := AppendMsgs(prefix, msgs[:2])
-	if !bytes.HasPrefix(enc2, prefix) || !bytes.Equal(enc2[3:], AppendMsgs(nil, msgs[:2])) {
-		t.Fatal("AppendMsgs disturbed the bytes it was appending to")
+	prefix := Records("hdr")
+	enc2 := AppendRecords(prefix, msgs[:2])
+	if !bytes.HasPrefix(enc2, prefix) || !bytes.Equal(enc2[3:], AppendRecords(nil, msgs[:2])) {
+		t.Fatal("AppendRecords disturbed the bytes it was appending to")
 	}
-	got, err = DecodeMsgs(msgs[:1:1], enc2[3:])
-	if err != nil || !sameBits(got, append(msgs[:1:1], msgs[:2]...)) {
-		t.Fatalf("DecodeMsgs did not append: %v, %v", got, err)
+	if got := DecodeRecords(msgs[:1:1], enc2[3:]); !sameBits(got, append(msgs[:1:1], msgs[:2]...)) {
+		t.Fatalf("DecodeRecords did not append: %v", got)
 	}
-	// The empty run is a bare count.
-	if got, err := DecodeMsgs(nil, AppendMsgs(nil, nil)); err != nil || len(got) != 0 {
-		t.Fatalf("empty run: %v, %v", got, err)
+	// The empty run is no bytes at all.
+	if enc := AppendRecords(nil, nil); len(enc) != 0 || len(DecodeRecords(nil, enc)) != 0 {
+		t.Fatalf("empty run encoded as %x", enc)
 	}
 }
 
+// Bare records have no count to disagree with: only a partial record is
+// malformed.
 func TestPayloadRejectsTruncatedAndOddLengths(t *testing.T) {
-	enc := AppendMsgs(nil, []Msg{{Dst: 1, Val: 1}, {Dst: 2, Val: 2}, {Dst: 3, Val: 3}})
-	bad := map[string][]byte{
-		"nil":              nil,
-		"cut count":        enc[:payloadHeader-1],
-		"count only":       enc[:payloadHeader],
-		"cut mid record":   enc[:payloadHeader+MsgWireSize+5],
-		"one record short": enc[:len(enc)-MsgWireSize],
-		"one byte short":   enc[:len(enc)-1],
-		"one byte long":    append(append([]byte(nil), enc...), 0),
-		"one record long":  append(append([]byte(nil), enc...), make([]byte, MsgWireSize)...),
-	}
-	for name, b := range bad {
-		got, err := DecodeMsgs(nil, b)
-		var pe *PayloadError
-		if !errors.Is(err, ErrPayload) || !errors.As(err, &pe) {
-			t.Errorf("%s: err = %v, want a *PayloadError", name, err)
-			continue
-		}
-		if pe.Len != len(b) || len(got) != 0 {
-			t.Errorf("%s: PayloadError.Len = %d for %d bytes; decoded %d messages", name, pe.Len, len(b), len(got))
-		}
-	}
-	// Bare records have no count to disagree with: only a partial record
-	// is malformed.
-	recs := enc[payloadHeader:]
+	recs := AppendRecords(nil, []Msg{{Dst: 1, Val: 1}, {Dst: 2, Val: 2}, {Dst: 3, Val: 3}})
 	for _, n := range []int{1, MsgWireSize - 1, MsgWireSize + 5, len(recs) - 1, len(recs) + 1} {
 		b := append(append([]byte(nil), recs...), make([]byte, MsgWireSize)...)[:n]
 		var pe *PayloadError
-		if _, err := AsRecords(b); !errors.As(err, &pe) || !pe.Bare || pe.Len != n {
-			t.Errorf("%d bare bytes: err = %v, want a bare *PayloadError", n, err)
+		if r, err := AsRecords(b); !errors.Is(err, ErrPayload) || !errors.As(err, &pe) || pe.Len != n || r != nil {
+			t.Errorf("%d bare bytes: %d records, err = %v, want a *PayloadError", n, r.Len(), err)
 		}
 	}
 	for _, n := range []int{0, MsgWireSize, len(recs)} {
@@ -102,24 +80,24 @@ func TestPayloadRejectsTruncatedAndOddLengths(t *testing.T) {
 	}
 }
 
-// FuzzDecodeMsgs feeds arbitrary bytes to the payload decoder: it must
-// return either a typed error or messages that re-encode to the input
-// exactly — never panic, never accept a run it cannot reproduce.
-func FuzzDecodeMsgs(f *testing.F) {
+// FuzzAsRecords feeds arbitrary bytes to the payload check: it must
+// return either a typed error or records that re-encode to the input
+// exactly — never panic, never accept bytes it cannot reproduce.
+func FuzzAsRecords(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(AppendMsgs(nil, nil))
-	f.Add(AppendMsgs(nil, []Msg{{Dst: 9, Val: math.NaN()}, {Dst: graph.VertexID(1 << 31), Val: math.Copysign(0, -1)}}))
+	f.Add([]byte(AppendRecords(nil, []Msg{{Dst: 1, Val: 1}})))
+	f.Add([]byte(AppendRecords(nil, []Msg{{Dst: 9, Val: math.NaN()}, {Dst: graph.VertexID(1 << 31), Val: math.Copysign(0, -1)}})))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
-	f.Add(AppendMsgs(nil, []Msg{{Dst: 1, Val: 1}})[:9])
+	f.Add([]byte(AppendRecords(nil, []Msg{{Dst: 1, Val: 1}})[:9]))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		msgs, err := DecodeMsgs(nil, b)
+		r, err := AsRecords(b)
 		if err != nil {
-			if !errors.Is(err, ErrPayload) {
-				t.Fatalf("untyped error %v", err)
+			if !errors.Is(err, ErrPayload) || len(b)%MsgWireSize == 0 {
+				t.Fatalf("%d bytes: %v", len(b), err)
 			}
 			return
 		}
-		if again := AppendMsgs(nil, msgs); !bytes.Equal(again, b) {
+		if again := AppendRecords(nil, DecodeRecords(nil, r)); !bytes.Equal(again, b) {
 			t.Fatalf("accepted %x but re-encodes to %x", b, again)
 		}
 	})

@@ -148,7 +148,7 @@ func (s *tcpStream) send(env any, payload []byte) error {
 // decoded. The result is buf: valid until the stream's next frame.
 func (s *tcpStream) recvPayload(n int) ([]byte, error) {
 	if n < 0 || n > maxPayload {
-		return nil, &PayloadError{Len: n, Count: -1}
+		return nil, fmt.Errorf("%w: frame announces %d payload bytes", ErrPayload, n)
 	}
 	s.buf = slices.Grow(s.buf[:0], n)[:n]
 	_, err := io.ReadFull(s.r, s.buf)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hybridgraph/internal/checkpoint"
-	"hybridgraph/internal/comm"
 	"hybridgraph/internal/diskio"
 	"hybridgraph/internal/metrics"
 	"hybridgraph/internal/obs"
@@ -229,11 +228,11 @@ func (w *worker) buildSnapshot(t int) (*checkpoint.Snapshot, error) {
 			}
 		}
 		if ib := w.inboxes[p]; ib != nil {
-			msgs, err := ib.Pending()
+			recs, err := ib.Pending()
 			if err != nil {
 				return nil, err
 			}
-			s.Pending[p] = msgs
+			s.Pending[p] = recs
 		}
 	}
 	return s, nil
@@ -256,7 +255,7 @@ func (w *worker) applySnapshot(s *checkpoint.Snapshot) error {
 			w.blockRes[p][i].Store(s.BlockRes[p][i])
 		}
 		if w.inboxes[p] != nil {
-			if err := w.inboxes[p].AddFrom(0, comm.AppendRecords(nil, s.Pending[p])); err != nil {
+			if err := w.inboxes[p].AddFrom(0, s.Pending[p]); err != nil {
 				return err
 			}
 		}

@@ -145,10 +145,11 @@ func (rf *replayFabric) PullRequest(from, to, block, step int) ([]comm.Msg, int6
 		return msgs, wire, nil
 	}
 	// Drop mode: the survivor serves its log segment — zero recompute I/O.
-	msgs, _, err := rf.j.workers[to].mlog.PullResp(step, block, rf.logCt)
+	recs, _, err := rf.j.workers[to].mlog.PullResp(step, block, rf.logCt)
 	if err != nil {
 		return nil, 0, err
 	}
+	msgs := comm.DecodeRecords(nil, recs)
 	wire := comm.ConcatSize(msgs)
 	rf.add(to, wire, comm.PullReqSize+wire)
 	return msgs, wire, nil

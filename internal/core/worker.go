@@ -34,7 +34,7 @@ type inbox interface {
 	Spilled() int64
 	MaxMemBytes() int64
 	// Pending lists buffered messages, in that order, without resetting.
-	Pending() ([]comm.Msg, error)
+	Pending() (comm.Records, error)
 }
 
 // worker is one computational node: a vertex partition, its disk stores,

@@ -7,7 +7,10 @@
 // the whole job (the GraphD-style confined recovery the paper's
 // prototype omits).
 //
-// Records are CRC-framed individually, so a torn tail write surfaces as a
+// A record holds its messages as comm.Records — the 12-byte layout the
+// fabric sends and the inbox keeps — behind a count the log writes, and
+// PushTo and PullResp hand them back as those bytes. Records are
+// CRC-framed individually, so a torn tail write surfaces as a
 // verification error instead of silently replaying garbage. Segments are
 // one file per superstep, written by a codec.Appender and read back by
 // codec.ReadFile under every codec, and are pruned once the checkpoint
@@ -47,13 +50,7 @@ const (
 )
 
 // recHeaderSize is kind(1) + step(4) + key(4) + count(4).
-const recHeaderSize = 1 + 4 + 4 + countSize
-
-// countSize is the message count that opens a record's run.
-const countSize = 4
-
-// msgSize is one logged message: dst(4) + value bits(8).
-const msgSize = 4 + 8
+const recHeaderSize = 1 + 4 + 4 + 4
 
 // Log is one worker's message log. Appends are serialised internally
 // (pull responses run on requester goroutines); reads take the same lock
@@ -94,14 +91,13 @@ func (l *Log) SegmentPath(step int) string {
 // duplicated deliveries never double-log.
 func (l *Log) AppendPush(step, dst int, msgs comm.Records) error {
 	rec := recordHead(step, KindPush, uint32(dst), msgs.Len())
-	rec = binary.LittleEndian.AppendUint32(rec, uint32(msgs.Len()))
 	return l.append(step, sealRecord(append(rec, msgs...)))
 }
 
 // AppendPullResp logs one served pull response for global Vblock block at
 // superstep step, exactly as it crossed the wire (post concat/combine).
 func (l *Log) AppendPullResp(step, block int, msgs []comm.Msg) error {
-	rec := comm.AppendMsgs(recordHead(step, KindPullResp, uint32(block), len(msgs)), msgs)
+	rec := comm.AppendRecords(recordHead(step, KindPullResp, uint32(block), len(msgs)), msgs)
 	return l.append(step, sealRecord(rec))
 }
 
@@ -153,9 +149,9 @@ func (l *Log) switchTo(step int) error {
 // bytes are charged to rct as sequential reads.
 func (l *Log) PushTo(step, dst int, rct *diskio.Counter) (comm.Records, error) {
 	var out comm.Records
-	err := l.scan(step, rct, func(kind Kind, key uint32, run []byte) bool {
+	err := l.scan(step, rct, func(kind Kind, key uint32, recs comm.Records) bool {
 		if kind == KindPush && key == uint32(dst) {
-			out = append(out, run[countSize:]...)
+			out = append(out, recs...)
 		}
 		return true
 	})
@@ -166,28 +162,27 @@ func (l *Log) PushTo(step, dst int, rct *diskio.Counter) (comm.Records, error) {
 // block at superstep step. Only the first matching record counts —
 // duplicate RPC deliveries under a faulty transport may log twice, and
 // both copies are identical by construction. ok is false when the
-// segment holds no record for block (the survivor served nothing).
-func (l *Log) PullResp(step, block int, rct *diskio.Counter) ([]comm.Msg, bool, error) {
-	var resp []byte
-	err := l.scan(step, rct, func(kind Kind, key uint32, run []byte) bool {
+// segment holds no record for block (the survivor served nothing), true
+// for a logged empty response.
+func (l *Log) PullResp(step, block int, rct *diskio.Counter) (resp comm.Records, ok bool, err error) {
+	err = l.scan(step, rct, func(kind Kind, key uint32, recs comm.Records) bool {
 		if kind == KindPullResp && key == uint32(block) {
-			resp = run
+			resp, ok = recs, true
 			return false
 		}
 		return true
 	})
-	if err != nil || resp == nil {
+	if err != nil {
 		return nil, false, err
 	}
-	msgs, err := comm.DecodeMsgs(nil, resp)
-	return msgs, err == nil, err
+	return resp, ok, nil
 }
 
-// scan reads and verifies step's whole segment, invoking fn per record —
-// its run of messages, count first — until it returns false. The
-// full-segment sequential read is the honest cost: survivors stream a
-// segment once per replayed superstep.
-func (l *Log) scan(step int, rct *diskio.Counter, fn func(kind Kind, key uint32, run []byte) bool) error {
+// scan reads and verifies step's whole segment, invoking fn per record
+// with its messages until it returns false. The full-segment sequential
+// read is the honest cost: survivors stream a segment once per replayed
+// superstep.
+func (l *Log) scan(step int, rct *diskio.Counter, fn func(kind Kind, key uint32, recs comm.Records) bool) error {
 	path := l.SegmentPath(step)
 	buf, err := codec.ReadFile(path, rct)
 	if err != nil {
@@ -198,7 +193,7 @@ func (l *Log) scan(step int, rct *diskio.Counter, fn func(kind Kind, key uint32,
 	}
 	off := 0
 	for off < len(buf) {
-		kind, key, recStep, run, n, err := decodeRecord(buf[off:])
+		kind, key, recStep, recs, n, err := decodeRecord(buf[off:])
 		if err != nil {
 			return fmt.Errorf("msglog: %s at offset %d: %w", path, off, err)
 		}
@@ -206,7 +201,7 @@ func (l *Log) scan(step int, rct *diskio.Counter, fn func(kind Kind, key uint32,
 			return fmt.Errorf("msglog: %s at offset %d: record for superstep %d in segment %d", path, off, recStep, step)
 		}
 		off += n
-		if !fn(kind, key, run) {
+		if !fn(kind, key, recs) {
 			return nil
 		}
 	}
@@ -334,16 +329,16 @@ func (l *Log) Close() error {
 //	kind(1) step(4) key(4) count(4) count×[dst(4) val(8)] crc(4)
 //
 // The CRC covers everything before it, so any torn or flipped byte fails
-// verification. The count and the records after it are one run as
-// comm.AppendMsgs encodes it.
+// verification. The records after the count are comm.Records.
 
-// recordHead starts a record of n messages: kind, step and key, with room
-// for the run and the CRC.
-func recordHead(step int, kind Kind, key uint32, n int) []byte {
-	buf := make([]byte, 0, recHeaderSize+n*msgSize+4)
+// recordHead starts a record of n messages: kind, step, key and count,
+// with room for the records and the CRC.
+func recordHead(step int, kind Kind, key uint32, n int) comm.Records {
+	buf := make([]byte, 0, recHeaderSize+n*comm.MsgWireSize+4)
 	buf = append(buf, byte(kind))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(step))
-	return binary.LittleEndian.AppendUint32(buf, key)
+	buf = binary.LittleEndian.AppendUint32(buf, key)
+	return binary.LittleEndian.AppendUint32(buf, uint32(n))
 }
 
 // sealRecord appends the CRC to a record's header and records.
@@ -352,9 +347,9 @@ func sealRecord(buf []byte) []byte {
 }
 
 // decodeRecord parses and CRC-verifies one record from the front of b,
-// reporting how many bytes it consumed. run, the count and the records,
-// aliases b.
-func decodeRecord(b []byte) (kind Kind, key uint32, step int, run []byte, n int, err error) {
+// reporting how many bytes it consumed. recs, the records after the
+// count, aliases b.
+func decodeRecord(b []byte) (kind Kind, key uint32, step int, recs comm.Records, n int, err error) {
 	if len(b) < recHeaderSize+4 {
 		return 0, 0, 0, nil, 0, fmt.Errorf("truncated record header (%d bytes)", len(b))
 	}
@@ -362,7 +357,7 @@ func decodeRecord(b []byte) (kind Kind, key uint32, step int, run []byte, n int,
 	step = int(binary.LittleEndian.Uint32(b[1:]))
 	key = binary.LittleEndian.Uint32(b[5:])
 	count := int(binary.LittleEndian.Uint32(b[9:]))
-	n = recHeaderSize + count*msgSize + 4
+	n = recHeaderSize + count*comm.MsgWireSize + 4
 	if count < 0 || n > len(b) {
 		return 0, 0, 0, nil, 0, fmt.Errorf("truncated record body (count %d, %d bytes left)", count, len(b))
 	}
@@ -374,5 +369,5 @@ func decodeRecord(b []byte) (kind Kind, key uint32, step int, run []byte, n int,
 	if kind != KindPush && kind != KindPullResp {
 		return 0, 0, 0, nil, 0, fmt.Errorf("unknown record kind %d", kind)
 	}
-	return kind, key, step, body[recHeaderSize-countSize:], n, nil
+	return kind, key, step, body[recHeaderSize:], n, nil
 }

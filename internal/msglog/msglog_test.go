@@ -131,11 +131,18 @@ func TestPullRespFirstRecordWins(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("PullResp = ok %v, err %v", ok, err)
 	}
-	if !msgsEqual(got, resp) {
+	if !msgsEqual(comm.DecodeRecords(nil, got), resp) {
 		t.Fatalf("PullResp = %v, want %v", got, resp)
 	}
 	if _, ok, err := l.PullResp(5, 8, rct); err != nil || ok {
 		t.Fatalf("PullResp(5,8) ok=%v err=%v, want absent", ok, err)
+	}
+	// A served empty response is found, not absent.
+	if err := l.AppendPullResp(5, 9, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok, err := l.PullResp(5, 9, rct); err != nil || !ok || got.Len() != 0 {
+		t.Fatalf("PullResp(5,9) = %d records, ok=%v err=%v, want found and empty", got.Len(), ok, err)
 	}
 }
 
@@ -219,7 +226,7 @@ func TestSizeQueriesReadNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Only superstep 3's two records are left.
-	want := int64(2 * (recHeaderSize + 2*msgSize + 4))
+	want := int64(2 * (recHeaderSize + 2*comm.MsgWireSize + 4))
 	if got := l.SegmentBytes(); got != want {
 		t.Fatalf("SegmentBytes after Prune(2) = %d, want %d", got, want)
 	}

@@ -110,13 +110,10 @@ func (gr *Grouper) Group(msgs []comm.Msg, combine func(a, b float64) float64) Gr
 func (gr *Grouper) scatter(a *arrivals, order []run, lo graph.VertexID, span int) Groups {
 	gr.pos = slices.Grow(gr.pos[:0], span)[:span]
 	clear(gr.pos)
-	for _, recs := range [2]comm.Records{a.mem, a.spill} {
-		for o := 0; o < len(recs); o += recSize {
-			gr.pos[comm.GetRecord(recs[o:]).Dst-lo]++
+	for _, recs := range *a {
+		for ; len(recs) >= recSize; recs = recs[recSize:] {
+			gr.pos[comm.GetRecord(recs).Dst-lo]++
 		}
-	}
-	for _, m := range a.extra {
-		gr.pos[m.Dst-lo]++
 	}
 	n := a.len()
 	gr.vals = slices.Grow(gr.vals[:0], n)[:n]
@@ -129,22 +126,14 @@ func (gr *Grouper) scatter(a *arrivals, order []run, lo graph.VertexID, span int
 		}
 	}
 	for _, r := range order {
-		mem, spill, extra := a.cut(r)
-		for _, recs := range [2]comm.Records{mem, spill} {
-			for o := 0; o < len(recs); o += recSize {
-				gr.place(comm.GetRecord(recs[o:]), lo)
+		for _, recs := range a.cut(r) {
+			for ; len(recs) >= recSize; recs = recs[recSize:] {
+				m := comm.GetRecord(recs)
+				p := &gr.pos[m.Dst-lo]
+				gr.vals[*p] = m.Val
+				*p++
 			}
-		}
-		for _, m := range extra {
-			gr.place(m, lo)
 		}
 	}
 	return gr.groups
-}
-
-// place writes m's value into the next slot of its destination.
-func (gr *Grouper) place(m comm.Msg, lo graph.VertexID) {
-	p := &gr.pos[m.Dst-lo]
-	gr.vals[*p] = m.Val
-	*p++
 }

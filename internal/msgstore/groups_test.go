@@ -235,7 +235,7 @@ func TestDrainIsSenderMajor(t *testing.T) {
 					}
 					checkGroups(t, label, got, want)
 					restored := NewInbox(filepath.Join(t.TempDir(), "r.dat"), &ct, capacity, cdc)
-					if err := restored.AddAll(pending); err != nil {
+					if err := restored.AddFrom(0, pending); err != nil {
 						t.Fatal(err)
 					}
 					again, err := restored.Drain()

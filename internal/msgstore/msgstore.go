@@ -9,7 +9,8 @@
 // staging buffer at a time (DESIGN.md, "Charge model vs physical
 // execution"). Messages arrive as the 12-byte records a push packet
 // carries (comm.Records) and stay records — in memory, and copied straight
-// into that buffer when spilled — until the drain decodes them.
+// into that buffer when spilled, and in the copy Pending makes for a
+// checkpoint — until the drain decodes them.
 // Draining yields Groups: the superstep's messages grouped by destination
 // in one flat array of the drain's Scratch, each vertex's values in
 // delivery order — senders ascending, one sender's as they arrived. A
@@ -33,16 +34,9 @@ import (
 	"hybridgraph/internal/obs"
 )
 
-const recSize = 12 // dst uint32 + val float64
-
-// recSize is this store's on-disk record layout while comm.MsgWireSize is
-// the fabric's wire accounting; Q^t, Spilled and MdiskW are only coherent
-// if the two agree. These constant conversions fail to compile the moment
-// the constants diverge in either direction.
-const (
-	_ = uint(recSize - comm.MsgWireSize)
-	_ = uint(comm.MsgWireSize - recSize)
-)
+// recSize is one stored message: the fabric's record, so Q^t, Spilled
+// and MdiskW count the bytes the wire accounting does.
+const recSize = comm.MsgWireSize
 
 // run is a stretch of the arrival stream one sender delivered: n messages from position off.
 type run struct{ from, off, n int }
@@ -118,9 +112,6 @@ func (b *Inbox) Add(m comm.Msg) error {
 	defer b.mu.Unlock()
 	return b.add(0, m)
 }
-
-// AddAll accepts a batch from sender 0.
-func (b *Inbox) AddAll(msgs []comm.Msg) error { return b.AddFrom(0, comm.AppendRecords(nil, msgs)) }
 
 // AddFrom accepts a packet worker from delivered under one lock
 // acquisition, copying what it keeps: msgs stays the caller's.
@@ -249,7 +240,7 @@ const denseSpan = 2
 // drain is Drain with extra listed after every sender's messages. It
 // reads the arrival stream mem ‖ spill ‖ extra where it lies. Callers
 // hold b.mu.
-func (b *Inbox) drain(extra []comm.Msg) (Groups, error) {
+func (b *Inbox) drain(extra comm.Records) (Groups, error) {
 	spilled, err := b.readSpill()
 	if err != nil {
 		return nil, err
@@ -257,8 +248,8 @@ func (b *Inbox) drain(extra []comm.Msg) (Groups, error) {
 	if err := b.spill.Close(); err != nil {
 		return nil, err
 	}
-	a := arrivals{mem: b.mem, spill: spilled, extra: extra}
-	b.runs = append(b.runs, run{math.MaxInt, int(b.received), len(extra)})
+	a := arrivals{b.mem, spilled, extra}
+	b.runs = append(b.runs, run{math.MaxInt, int(b.received), extra.Len()})
 	slices.SortStableFunc(b.runs, bySender)
 	sc := b.scratch
 	lo, hi := a.bounds()
@@ -268,7 +259,12 @@ func (b *Inbox) drain(extra []comm.Msg) (Groups, error) {
 	} else {
 		// Few messages over a wide id range (a traversal frontier): group
 		// one copy in delivery order stably.
-		sc.ordered = a.appendRuns(sc.ordered[:0], b.runs)
+		sc.ordered = slices.Grow(sc.ordered[:0], a.len())
+		for _, r := range b.runs {
+			for _, recs := range a.cut(r) {
+				sc.ordered = comm.DecodeRecords(sc.ordered, recs)
+			}
+		}
 		out = sc.grouper.Group(sc.ordered, nil)
 	}
 	b.mem = b.mem[:0]
@@ -298,65 +294,54 @@ func (b *Inbox) readSpill() (comm.Records, error) {
 // without resetting the inbox, in delivery order, so that re-added from
 // one sender (a checkpoint restore) they drain to the same lists. The
 // spill re-read is charged as a sequential read like any checkpoint byte.
-func (b *Inbox) Pending() ([]comm.Msg, error) {
+func (b *Inbox) Pending() (comm.Records, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	spilled, err := b.readSpill()
 	if err != nil {
 		return nil, err
 	}
-	a := arrivals{mem: b.mem, spill: spilled}
+	a := arrivals{b.mem, spilled, nil}
 	runs := slices.Clone(b.runs) // b.runs stays in arrival order: the inbox may receive again
 	slices.SortStableFunc(runs, bySender)
-	return a.appendRuns(make([]comm.Msg, 0, a.len()), runs), nil
+	out := make(comm.Records, 0, a.len()*recSize)
+	for _, r := range runs {
+		for _, recs := range a.cut(r) {
+			out = append(out, recs...)
+		}
+	}
+	return out, nil
 }
 
 // arrivals is the arrival stream a drain reads in place: the records kept
 // in memory, then the spilled records as read back, then extra. A run's
-// offset and length count positions in the whole stream.
-type arrivals struct {
-	mem, spill comm.Records
-	extra      []comm.Msg
-}
+// offset and length count positions in the whole stream. Loops range over
+// the array's value: ranging through a pointer keeps the compiler from
+// dropping the value decode that only counting loops leave unused.
+type arrivals [3]comm.Records
 
-func (a *arrivals) len() int { return a.mem.Len() + a.spill.Len() + len(a.extra) }
+func (a *arrivals) len() int { return (len(a[0]) + len(a[1]) + len(a[2])) / recSize }
 
 // bounds returns the least and greatest destination in the stream.
 func (a *arrivals) bounds() (lo, hi graph.VertexID) {
 	lo = math.MaxUint32
-	for _, recs := range [2]comm.Records{a.mem, a.spill} {
-		for o := 0; o < len(recs); o += recSize {
-			d := comm.GetRecord(recs[o:]).Dst
+	for _, recs := range *a {
+		for ; len(recs) >= recSize; recs = recs[recSize:] {
+			d := comm.GetRecord(recs).Dst
 			lo, hi = min(lo, d), max(hi, d)
 		}
-	}
-	for _, m := range a.extra {
-		lo, hi = min(lo, m.Dst), max(hi, m.Dst)
 	}
 	return lo, hi
 }
 
 // cut returns the parts of r that lie in each segment of the stream.
-func (a *arrivals) cut(r run) (mem, spill comm.Records, extra []comm.Msg) {
-	end := r.off + r.n
-	m := a.mem.Len()
-	s := m + a.spill.Len()
-	mem = a.mem[min(r.off, m)*recSize : min(end, m)*recSize]
-	spill = a.spill[(min(max(r.off, m), s)-m)*recSize : (min(max(end, m), s)-m)*recSize]
-	extra = a.extra[max(r.off, s)-s : max(end, s)-s]
-	return mem, spill, extra
-}
-
-// appendRuns appends the messages of runs to dst, run by run.
-func (a *arrivals) appendRuns(dst []comm.Msg, runs []run) []comm.Msg {
-	dst = slices.Grow(dst, a.len())
-	for _, r := range runs {
-		mem, spill, extra := a.cut(r)
-		dst = comm.DecodeRecords(dst, mem)
-		dst = comm.DecodeRecords(dst, spill)
-		dst = append(dst, extra...)
+func (a *arrivals) cut(r run) (parts arrivals) {
+	start, end := r.off*recSize, (r.off+r.n)*recSize
+	for i, seg := range *a {
+		parts[i] = seg[min(start, len(seg)):min(end, len(seg))]
+		start, end = max(start-len(seg), 0), max(end-len(seg), 0)
 	}
-	return dst
+	return parts
 }
 
 // OnlineInbox implements MOCgraph's message online computing: messages to
@@ -374,8 +359,8 @@ type OnlineInbox struct {
 	got     map[graph.VertexID]bool // destinations some accumulator holds
 	cold    *Inbox
 	online  int64
-	hotMsgs []comm.Msg // the accumulators as messages at drain, reused
-	sortTmp []comm.Msg // partials' second sort buffer, reused
+	hotRecs comm.Records     // the accumulators as records at drain, reused
+	dsts    []graph.VertexID // partials' per-sender destination ids, reused
 
 	mOnlineMsgs     *obs.Counter // nil when metrics are disabled
 	mOnlineCombines *obs.Counter
@@ -395,18 +380,6 @@ func (o *OnlineInbox) SetMetrics(reg *obs.Registry) {
 // combine must be a commutative, associative reducer.
 func NewOnlineInbox(cold *Inbox, hot map[graph.VertexID]bool, combine func(a, b float64) float64) *OnlineInbox {
 	return &OnlineInbox{hot: hot, combine: combine, got: make(map[graph.VertexID]bool), cold: cold}
-}
-
-// Add accepts one message from sender 0, consuming it online when possible.
-func (o *OnlineInbox) Add(m comm.Msg) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.fold(0, m) {
-		return nil
-	}
-	o.cold.mu.Lock()
-	defer o.cold.mu.Unlock()
-	return o.cold.add(0, m)
 }
 
 // AddFrom accepts a packet from worker from, each lock taken once: hot
@@ -432,12 +405,9 @@ func (o *OnlineInbox) AddFrom(from int, msgs comm.Records) error {
 	return o.cold.addFrom(from, msgs[cold*recSize:])
 }
 
-// fold consumes m online, into from's accumulator, when its destination is
-// hot. Callers hold o.mu.
-func (o *OnlineInbox) fold(from int, m comm.Msg) bool {
-	if !o.hot[m.Dst] {
-		return false
-	}
+// fold consumes m, whose destination is hot, into from's accumulator.
+// Callers hold o.mu.
+func (o *OnlineInbox) fold(from int, m comm.Msg) {
 	for len(o.acc) <= from {
 		o.acc = append(o.acc, make(map[graph.VertexID]float64))
 	}
@@ -451,20 +421,20 @@ func (o *OnlineInbox) fold(from int, m comm.Msg) bool {
 	o.got[m.Dst] = true
 	o.online++
 	o.mOnlineMsgs.Inc()
-	return true
 }
 
-// partials appends the accumulators to out as messages, senders ascending
+// partials appends the accumulators to out as records, senders ascending
 // and each sender's ascending by destination.
-func (o *OnlineInbox) partials(out []comm.Msg) []comm.Msg {
+func (o *OnlineInbox) partials(out comm.Records) comm.Records {
 	for _, acc := range o.acc {
-		start := len(out)
-		for dst, v := range acc {
-			out = append(out, comm.Msg{Dst: dst, Val: v})
+		o.dsts = o.dsts[:0]
+		for dst := range acc {
+			o.dsts = append(o.dsts, dst)
 		}
-		// Destinations are distinct within one accumulator, so the stable
-		// sort's order is the only order.
-		copy(out[start:], comm.StableSortByDst(out[start:], &o.sortTmp))
+		slices.Sort(o.dsts)
+		for _, dst := range o.dsts {
+			out = comm.AppendRecords(out, []comm.Msg{{Dst: dst, Val: acc[dst]}})
+		}
 	}
 	return out
 }
@@ -502,7 +472,7 @@ func (o *OnlineInbox) MaxMemBytes() int64 {
 // cold inbox's messages followed by the online accumulators' values in
 // (sender, destination) order, so checkpoint bytes are deterministic and a
 // restore folds them as Drain would have.
-func (o *OnlineInbox) Pending() ([]comm.Msg, error) {
+func (o *OnlineInbox) Pending() (comm.Records, error) {
 	out, err := o.cold.Pending()
 	if err != nil {
 		return nil, err
@@ -517,9 +487,9 @@ func (o *OnlineInbox) Pending() ([]comm.Msg, error) {
 func (o *OnlineInbox) Drain() (Groups, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.hotMsgs = o.partials(o.hotMsgs[:0])
+	o.hotRecs = o.partials(o.hotRecs[:0])
 	o.cold.mu.Lock()
-	out, err := o.cold.drain(o.hotMsgs)
+	out, err := o.cold.drain(o.hotRecs)
 	o.cold.mu.Unlock()
 	if err != nil {
 		return nil, err

@@ -27,8 +27,8 @@ const spillBufSize = codec.SpillBufSize / recSize * recSize
 // per decoded frame (~16 KiB here, against ~100 KiB when every cycle
 // allocated its own buffers).
 func TestSpillReusesBuffers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("measures allocation, which -race (run with -short) perturbs by dropping pooled coders")
+	if testing.Short() || raceEnabled {
+		t.Skip("measures allocation, which the race detector perturbs by dropping pooled coders")
 	}
 	lz, err := codec.Lookup("lz")
 	if err != nil {
@@ -214,11 +214,11 @@ func TestOnlineInboxCombinesHot(t *testing.T) {
 	hot := map[graph.VertexID]bool{1: true, 2: true}
 	o := NewOnlineInbox(cold, hot, func(a, b float64) float64 { return a + b })
 	for i := 0; i < 10; i++ {
-		if err := o.Add(comm.Msg{Dst: 1, Val: 1}); err != nil {
+		if err := o.AddFrom(0, recs([]comm.Msg{{Dst: 1, Val: 1}})); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := o.Add(comm.Msg{Dst: 5, Val: 3}); err != nil { // cold → spill
+	if err := o.AddFrom(0, recs([]comm.Msg{{Dst: 5, Val: 3}})); err != nil { // cold → spill
 		t.Fatal(err)
 	}
 	if o.OnlineCount() != 10 || o.Spilled() != 1 {
@@ -252,17 +252,17 @@ func TestOnlineInboxReceivedCountsMessages(t *testing.T) {
 	hot := map[graph.VertexID]bool{1: true, 2: true}
 	o := NewOnlineInbox(cold, hot, func(a, b float64) float64 { return a + b })
 	for i := 0; i < 10; i++ {
-		if err := o.Add(comm.Msg{Dst: 1, Val: 1}); err != nil {
+		if err := o.AddFrom(0, recs([]comm.Msg{{Dst: 1, Val: 1}})); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 3; i++ {
-		if err := o.Add(comm.Msg{Dst: 2, Val: 1}); err != nil {
+		if err := o.AddFrom(0, recs([]comm.Msg{{Dst: 2, Val: 1}})); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 2; i++ {
-		if err := o.Add(comm.Msg{Dst: 5, Val: 1}); err != nil { // cold → spill
+		if err := o.AddFrom(0, recs([]comm.Msg{{Dst: 5, Val: 1}})); err != nil { // cold → spill
 			t.Fatal(err)
 		}
 	}
@@ -284,7 +284,7 @@ func TestOnlineInboxFoldsColdStragglers(t *testing.T) {
 	hot := map[graph.VertexID]bool{1: true}
 	o := NewOnlineInbox(cold, hot, func(a, b float64) float64 { return a + b })
 	cold.Add(comm.Msg{Dst: 1, Val: 5}) // bypasses the online path
-	o.Add(comm.Msg{Dst: 1, Val: 2})
+	o.AddFrom(0, recs([]comm.Msg{{Dst: 1, Val: 2}}))
 	drained, err := o.Drain()
 	if err != nil {
 		t.Fatal(err)
@@ -386,10 +386,8 @@ func TestOnlineInboxFoldIsSenderMajor(t *testing.T) {
 		}
 		check(fmt.Sprintf("cycle %d", cycle), o)
 		restored := NewOnlineInbox(NewInbox(filepath.Join(t.TempDir(), "r.dat"), &diskio.Counter{}, -1, nil), hot, sub)
-		for _, m := range pending {
-			if err := restored.Add(m); err != nil {
-				t.Fatal(err)
-			}
+		if err := restored.AddFrom(0, pending); err != nil {
+			t.Fatal(err)
 		}
 		check(fmt.Sprintf("cycle %d restored", cycle), restored)
 	}

@@ -1,6 +1,7 @@
 package msgstore
 
 import (
+	"bytes"
 	"errors"
 	"path/filepath"
 	"testing"
@@ -37,7 +38,7 @@ func TestSpillChargesPerRecord(t *testing.T) {
 		var want diskio.Counter
 		var wantFlushes int64
 		for cycle := 0; cycle < 2; cycle++ {
-			if err := b.AddAll(msgs); err != nil {
+			if err := b.AddFrom(0, recs(msgs)); err != nil {
 				t.Fatal(err)
 			}
 			spilled := b.Spilled()
@@ -76,7 +77,7 @@ func TestSpillChargesPerRecord(t *testing.T) {
 func TestPendingSeesStagedRecords(t *testing.T) {
 	b, _ := newInbox(t, 2)
 	msgs := seqMsgs(10)
-	if err := b.AddAll(msgs); err != nil {
+	if err := b.AddFrom(0, recs(msgs)); err != nil {
 		t.Fatal(err)
 	}
 	for pass := 0; pass < 2; pass++ {
@@ -84,13 +85,8 @@ func TestPendingSeesStagedRecords(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(msgs) {
-			t.Fatalf("Pending returned %d messages, want %d", len(got), len(msgs))
-		}
-		for i := range msgs {
-			if got[i] != msgs[i] {
-				t.Fatalf("Pending[%d] = %+v, want %+v", i, got[i], msgs[i])
-			}
+		if !bytes.Equal(got, recs(msgs)) {
+			t.Fatalf("Pending returned %v, want %v", comm.DecodeRecords(nil, got), msgs)
 		}
 	}
 	if err := b.Add(comm.Msg{Dst: 1, Val: 99}); err != nil {
@@ -128,7 +124,7 @@ func TestSpillFlushFaultSurfacesTyped(t *testing.T) {
 	var ct diskio.Counter
 	b := NewInbox(path, &ct, -1, nil)
 	msgs := seqMsgs(5)
-	if err := b.AddAll(msgs); err != nil {
+	if err := b.AddFrom(0, recs(msgs)); err != nil {
 		t.Fatalf("Add before any flush: %v", err)
 	}
 	_, err := b.Drain()
@@ -173,7 +169,7 @@ func TestSpillFlushENOSPC(t *testing.T) {
 		diskio.Install(dir, diskio.NewFaultFS(diskio.FaultConfig{Seed: seed, WriteENOSPC: 0.5, MaxFaults: 1}))
 		var ct diskio.Counter
 		b := NewInbox(path, &ct, -1, nil)
-		if err := b.AddAll(msgs); err != nil {
+		if err := b.AddFrom(0, recs(msgs)); err != nil {
 			if !errors.Is(err, diskio.ErrDiskFault) {
 				t.Fatalf("seed %d: untyped create failure: %v", seed, err)
 			}
