@@ -56,7 +56,7 @@ func (w *worker) stepBPullProduce(t int, pushProduce bool) error {
 		if outbox == nil {
 			return err
 		}
-		w.addPushTallies(false)
+		w.addPushTallies()
 		if err != nil {
 			return err
 		}
@@ -264,7 +264,6 @@ func (w *worker) RespondPull(reqBlock, step int) ([]comm.Msg, int64, error) {
 
 	w.addStat(func(s *workerStat) {
 		s.produced += produced
-		s.estM += produced
 		s.mcoBytes += rawBytes - wire
 		s.parts.Vrr += vrr
 		s.parts.Ebar += ebar

@@ -47,7 +47,7 @@ func sameStepsEx(t *testing.T, label string, a, b []metrics.StepStats, comparePh
 			t.Errorf("%s step %d: mode %q vs %q", label, x.Step, x.Mode, y.Mode)
 		}
 		if x.Produced != y.Produced || x.Combined != y.Combined ||
-			x.NetBytes != y.NetBytes || x.NetMsgs != y.NetMsgs ||
+			x.NetBytes != y.NetBytes ||
 			x.Requests != y.Requests || x.Responding != y.Responding ||
 			x.Updated != y.Updated || x.Spilled != y.Spilled {
 			t.Errorf("%s step %d: counters differ: %+v vs %+v", label, x.Step, x, y)

@@ -1,16 +1,17 @@
 package core
 
 import (
+	"container/list"
+	"fmt"
 	"sync"
 
 	"hybridgraph/internal/graph"
-	"hybridgraph/internal/lru"
 	"hybridgraph/internal/obs"
 	"hybridgraph/internal/vertexfile"
 )
 
 // pullCache models the paper's disk extension of GraphLab PowerGraph
-// (Appendix F): up to cap vertex records live in memory under LRU; while
+// (Appendix F): up to capacity vertex records live in memory under LRU; while
 // resident they are read and updated for free, and a dirty record pays one
 // random write only when evicted. A miss pays one random read. With the
 // cache larger than the per-superstep working set (Table 5's ext-edge-v3
@@ -22,9 +23,9 @@ import (
 type pullCache struct {
 	mu        sync.Mutex
 	vs        *vertexfile.Store
-	lru       *lru.Cache                         // bounded mode
-	all       map[graph.VertexID]*pullCacheEntry // unbounded mode
-	evictErr  error
+	capacity  int
+	ll        *list.List      // resident *pullCacheEntry, most recently used first
+	slots     []*list.Element // by local index; nil while not resident
 	hits      int64
 	misses    int64
 	evictions int64
@@ -41,51 +42,51 @@ type pullCacheEntry struct {
 
 // newPullCache returns a cache of the given capacity in vertices;
 // capacity <= 0 means unbounded (the ext-edge scenario: vertices nominally
-// memory-resident).
+// memory-resident), which is a capacity of the whole partition: every key
+// is one of the store's vertices, so such a cache never evicts.
 func newPullCache(vs *vertexfile.Store, capacity int, reg *obs.Registry) *pullCache {
-	c := &pullCache{
+	if capacity <= 0 {
+		capacity = vs.Len()
+	}
+	return &pullCache{
 		vs:         vs,
+		capacity:   capacity,
+		ll:         list.New(),
+		slots:      make([]*list.Element, vs.Len()),
 		mHits:      reg.Counter("pullcache.hits"),
 		mMisses:    reg.Counter("pullcache.misses"),
 		mEvictions: reg.Counter("pullcache.evictions"),
 	}
-	if capacity > 0 {
-		c.lru = lru.New(capacity)
-		c.lru.SetOnEvict(func(key uint32, val any) {
-			e := val.(*pullCacheEntry)
-			if e.dirty {
-				c.evictions++
-				c.mEvictions.Inc()
-				if err := c.vs.WriteRecord(e.rec); err != nil && c.evictErr == nil {
-					c.evictErr = err
-				}
-			}
-		})
-	} else {
-		c.all = make(map[graph.VertexID]*pullCacheEntry)
-	}
-	return c
 }
 
-func (c *pullCache) lookup(v graph.VertexID) (*pullCacheEntry, bool) {
-	if c.all != nil {
-		e, ok := c.all[v]
-		return e, ok
-	}
-	if val, ok := c.lru.Get(uint32(v)); ok {
-		return val.(*pullCacheEntry), true
-	}
-	return nil, false
-}
-
-func (c *pullCache) insert(v graph.VertexID, e *pullCacheEntry) error {
-	if c.all != nil {
-		c.all[v] = e
+// lookup returns v's resident entry, promoting it to most recently used,
+// or nil.
+func (c *pullCache) lookup(v graph.VertexID) *pullCacheEntry {
+	if !c.vs.Contains(v) {
 		return nil
 	}
-	c.lru.Put(uint32(v), e)
-	err := c.evictErr
-	c.evictErr = nil
+	el := c.slots[v-c.vs.Lo()]
+	if el == nil {
+		return nil
+	}
+	c.ll.MoveToFront(el)
+	return el.Value.(*pullCacheEntry)
+}
+
+// insert makes a non-resident entry the most recently used; a full cache
+// first evicts its least recently used record, writing it back if dirty.
+func (c *pullCache) insert(e *pullCacheEntry) error {
+	var err error
+	if c.ll.Len() >= c.capacity {
+		old := c.ll.Remove(c.ll.Back()).(*pullCacheEntry)
+		c.slots[old.rec.ID-c.vs.Lo()] = nil
+		if old.dirty {
+			c.evictions++
+			c.mEvictions.Inc()
+			err = c.vs.WriteRecord(old.rec)
+		}
+	}
+	c.slots[e.rec.ID-c.vs.Lo()] = c.ll.PushFront(e)
 	return err
 }
 
@@ -94,7 +95,7 @@ func (c *pullCache) insert(v graph.VertexID, e *pullCacheEntry) error {
 func (c *pullCache) get(v graph.VertexID) (vertexfile.Record, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.lookup(v); ok {
+	if e := c.lookup(v); e != nil {
 		c.hits++
 		c.mHits.Inc()
 		return e.rec, nil
@@ -105,7 +106,7 @@ func (c *pullCache) get(v graph.VertexID) (vertexfile.Record, error) {
 	if err != nil {
 		return rec, err
 	}
-	return rec, c.insert(v, &pullCacheEntry{rec: rec})
+	return rec, c.insert(&pullCacheEntry{rec: rec})
 }
 
 // put writes a record through the cache: resident records update in place
@@ -114,14 +115,17 @@ func (c *pullCache) get(v graph.VertexID) (vertexfile.Record, error) {
 func (c *pullCache) put(rec vertexfile.Record) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.lookup(rec.ID); ok {
+	if !c.vs.Contains(rec.ID) {
+		return fmt.Errorf("pullcache: vertex %d is not in this partition", rec.ID)
+	}
+	if e := c.lookup(rec.ID); e != nil {
 		e.rec = rec
 		e.dirty = true
 		return nil
 	}
 	c.misses++
 	c.mMisses.Inc()
-	return c.insert(rec.ID, &pullCacheEntry{rec: rec, dirty: true})
+	return c.insert(&pullCacheEntry{rec: rec, dirty: true})
 }
 
 // readBcast reads one broadcast column through the cache (the gather-side
@@ -134,33 +138,25 @@ func (c *pullCache) readBcast(v graph.VertexID, parity int) (float64, error) {
 	return rec.Bcast[parity&1], nil
 }
 
-// flush writes every dirty resident record back, leaving the store
-// authoritative (run at job end before values are collected).
+// flush writes every dirty resident record back in ascending vertex order,
+// leaving the store authoritative (run at job end before values are
+// collected, and inside a checkpoint's I/O window, whose page-granular
+// device bytes depend on the order of the writes).
 func (c *pullCache) flush() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.all != nil {
-		for _, e := range c.all {
-			if e.dirty {
-				if err := c.vs.WriteRecord(e.rec); err != nil {
-					return err
-				}
-				e.dirty = false
-			}
+	for _, el := range c.slots {
+		if el == nil {
+			continue
 		}
-		return nil
-	}
-	var err error
-	c.lru.Each(func(key uint32, val any) {
-		e := val.(*pullCacheEntry)
-		if e.dirty {
-			if werr := c.vs.WriteRecord(e.rec); werr != nil && err == nil {
-				err = werr
+		if e := el.Value.(*pullCacheEntry); e.dirty {
+			if err := c.vs.WriteRecord(e.rec); err != nil {
+				return err
 			}
 			e.dirty = false
 		}
-	})
-	return err
+	}
+	return nil
 }
 
 // stats reports hits, misses and dirty evictions.
@@ -174,8 +170,5 @@ func (c *pullCache) stats() (hits, misses, evictions int64) {
 func (c *pullCache) resident() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.all != nil {
-		return len(c.all)
-	}
-	return c.lru.Len()
+	return c.ll.Len()
 }

@@ -42,7 +42,7 @@ func (w *worker) stepPush(t int, produce bool) error {
 		}
 	}
 	err = w.updateBlock(t, w.part.Lo, w.part.Hi, msgs, hookFor)
-	w.addPushTallies(true)
+	w.addPushTallies()
 	if err != nil {
 		return err
 	}
@@ -117,10 +117,10 @@ func (w *worker) pushRes(sb *shardBuf, t int, v graph.VertexID, rec *vertexfile.
 	return nil
 }
 
-// addPushTallies adds the scan's push tallies to the superstep's stat, the
-// messages sent to the M_disk estimate too when estM is set, and zeroes
-// them. Called once the scan's shards have joined, even after an error.
-func (w *worker) addPushTallies(estM bool) {
+// addPushTallies adds the scan's push tallies to the superstep's stat and
+// zeroes them. Called once the scan's shards have joined, even after an
+// error.
+func (w *worker) addPushTallies() {
 	var sum pushTally
 	for i := range w.shards {
 		p := &w.shards[i].push
@@ -131,9 +131,6 @@ func (w *worker) addPushTallies(estM bool) {
 	}
 	w.addStat(func(s *workerStat) {
 		s.produced += sum.sent
-		if estM {
-			s.estM += sum.sent
-		}
 		s.cpu.Messages += sum.sent
 		s.parts.Et += sum.et
 		s.cpu.Edges += sum.edges
@@ -167,7 +164,6 @@ func (w *worker) drainInbox(t int) (msgstore.Groups, error) {
 	w.addStat(func(s *workerStat) {
 		s.parts.MdiskR += spilled * comm.MsgWireSize
 		s.cpu.Spilled += spilled // Giraph's sort-merge handling of disk messages
-		s.msgsInMem += inMem
 		if m := inMem * comm.MsgWireSize; m > s.memBytes {
 			s.memBytes = m
 		}

@@ -111,19 +111,16 @@ type workerStat struct {
 	mcoBytes   int64 // network bytes saved by concat/combine
 	updated    int64
 	responding int64
-	msgsInMem  int64 // messages held in memory at the receive side
 	requests   int64
 	cpu        metrics.CPUWork
 	parts      metrics.IOBreakdown
 	memBytes   int64 // peak buffer memory this superstep
 
 	// Hybrid prediction inputs gathered while running the other mode.
-	estEt       int64 // adjacency bytes push would read
-	estEbar     int64 // Eblock edge bytes b-pull would read
-	estFt       int64 // fragment aux bytes b-pull would read
-	estVrr      int64 // svertex bytes b-pull would random-read
-	estM        int64 // messages the superstep produced (for M_disk estimate)
-	blockedTime float64
+	estEt   int64 // adjacency bytes push would read
+	estEbar int64 // Eblock edge bytes b-pull would read
+	estFt   int64 // fragment aux bytes b-pull would read
+	estVrr  int64 // svertex bytes b-pull would random-read
 
 	agg    float64 // reduced aggregator contributions (Aggregating programs)
 	aggSet bool
@@ -149,7 +146,7 @@ func (w *worker) resetStat() {
 	w.mu.Unlock()
 }
 
-// addIOPart accumulates into the superstep I/O breakdown under the lock.
+// addStat applies f to the superstep's stat under the lock.
 func (w *worker) addStat(f func(*workerStat)) {
 	w.mu.Lock()
 	f(&w.stat)

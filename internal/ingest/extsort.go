@@ -131,7 +131,14 @@ func (s *sorter) spill() error {
 		return nil
 	}
 	sortRecs(s.buf)
-	path, err := s.writeRun(s.buf)
+	i := 0
+	path, err := s.writeRun(func() (rec, bool, error) {
+		if i == len(s.buf) {
+			return rec{}, false, nil
+		}
+		i++
+		return s.buf[i-1], true, nil
+	})
 	if err != nil {
 		return err
 	}
@@ -146,12 +153,14 @@ func (s *sorter) spill() error {
 // not depend on the algorithm.
 func sortRecs(recs []rec) { slices.SortFunc(recs, recCompare) }
 
-// writeRun writes recs (already sorted) as a run file: a sequence of
-// codec frames of spillFrameRecs records each. Physical frame bytes
-// land on the spill counter's physical twin; the logical charge is the
-// raw record stream, written sequentially — the paper's accounting
-// discipline, applied to ingest scratch I/O.
-func (s *sorter) writeRun(recs []rec) (string, error) {
+// writeRun writes the records next yields, in order, as the sorter's next
+// run file: a sequence of codec frames of spillFrameRecs records each,
+// staged in the sorter's payload buffer and written at the physical end.
+// Physical frame bytes land on the spill counter's physical twin; the
+// logical charge is the raw record stream, written sequentially and taken
+// once at the end — the paper's accounting discipline, applied to ingest
+// scratch I/O.
+func (s *sorter) writeRun(next func() (rec, bool, error)) (string, error) {
 	path := filepath.Join(s.dir, fmt.Sprintf("%s-%06d.run", s.prefix, s.seq))
 	s.seq++
 	f, err := diskio.Create(path, diskio.PhysFor(s.ct))
@@ -159,14 +168,20 @@ func (s *sorter) writeRun(recs []rec) (string, error) {
 		return "", err
 	}
 	var physOff, logical int64
-	for off := 0; off < len(recs); off += spillFrameRecs {
-		end := off + spillFrameRecs
-		if end > len(recs) {
-			end = len(recs)
-		}
+	for more := true; more; {
 		s.payload = s.payload[:0]
-		for _, r := range recs[off:end] {
-			s.payload = appendRec(s.payload, r)
+		for more && len(s.payload) < spillFrameRecs*recSize {
+			var r rec
+			if r, more, err = next(); err != nil {
+				f.Close()
+				return "", err
+			}
+			if more {
+				s.payload = appendRec(s.payload, r)
+			}
+		}
+		if len(s.payload) == 0 {
+			break
 		}
 		s.frame = codec.AppendFrame(s.frame[:0], s.cdc, s.payload)
 		if _, err := f.WriteAtClass(s.frame, physOff, diskio.SeqWrite); err != nil {
@@ -218,55 +233,9 @@ func (s *sorter) mergeToFile(runs []string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	path := filepath.Join(s.dir, fmt.Sprintf("%s-%06d.run", s.prefix, s.seq))
-	s.seq++
-	f, err := diskio.Create(path, diskio.PhysFor(s.ct))
+	path, err := s.writeRun(it.next)
 	if err != nil {
 		it.close()
-		return "", err
-	}
-	var physOff, logical int64
-	count := 0
-	s.payload = s.payload[:0]
-	flush := func() error {
-		if len(s.payload) == 0 {
-			return nil
-		}
-		s.frame = codec.AppendFrame(s.frame[:0], s.cdc, s.payload)
-		if _, err := f.WriteAtClass(s.frame, physOff, diskio.SeqWrite); err != nil {
-			return err
-		}
-		physOff += int64(len(s.frame))
-		logical += int64(len(s.payload))
-		s.payload = s.payload[:0]
-		return nil
-	}
-	for {
-		r, ok, err := it.next()
-		if err != nil {
-			it.close()
-			f.Close()
-			return "", err
-		}
-		if !ok {
-			break
-		}
-		s.payload = appendRec(s.payload, r)
-		count++
-		if count%spillFrameRecs == 0 {
-			if err := flush(); err != nil {
-				it.close()
-				f.Close()
-				return "", err
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		f.Close()
-		return "", err
-	}
-	diskio.NewAccountant(s.ct).WriteAtClass(logical, 0, diskio.SeqWrite)
-	if err := f.Close(); err != nil {
 		return "", err
 	}
 	for _, r := range runs {

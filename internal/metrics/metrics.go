@@ -54,7 +54,6 @@ type StepStats struct {
 	Produced   int64 // messages generated (M)
 	Combined   int64 // messages eliminated by concat/combine (Mco)
 	NetBytes   int64 // bytes across the fabric this superstep
-	NetMsgs    int64 // message values across the fabric
 	Requests   int64 // pull/gather requests issued
 	Responding int64 // vertices whose respond flag was set
 	Updated    int64 // vertices whose update()/compute() ran

@@ -23,13 +23,12 @@ const (
 	scanWindow = codec.ChunkSize
 )
 
-// BlockMeta is the paper's X_j metadata for one Vblock: kept in memory on
-// the owning worker ("the memory for metadata ... is negligible").
+// BlockMeta is the part of the paper's X_j metadata for one Vblock that
+// something reads: kept in memory on the owning worker ("the memory for
+// metadata ... is negligible"). X_j's vertex count and in/out-degree
+// counters are charged by MetaMemBytes but not kept.
 type BlockMeta struct {
-	NumVertices int
-	InDegree    int64
-	OutDegree   int64
-	Bitmap      *bitset.Set // bit i set ⇔ Eblock g_ji is non-empty
+	Bitmap *bitset.Set // bit i set ⇔ Eblock g_ji is non-empty
 }
 
 type span struct {
@@ -135,7 +134,6 @@ func assemble(g *graph.Graph, layout *Layout, w int, image bool) (*Store, []byte
 		return nil
 	}
 	for j := range s.meta {
-		s.meta[j].NumVertices = layout.Blocks[lo+j].Len()
 		s.meta[j].Bitmap = bitset.New(v)
 		s.spans[j] = make([]span, v)
 	}
@@ -145,7 +143,6 @@ func assemble(g *graph.Graph, layout *Layout, w int, image bool) (*Store, []byte
 			sp.frags++
 		}
 		sp.edges++
-		s.meta[j].OutDegree++
 	})
 	if err != nil {
 		return nil, nil, err
@@ -163,12 +160,6 @@ func assemble(g *graph.Graph, layout *Layout, w int, image bool) (*Store, []byte
 			}
 			s.frags += int64(sp.frags)
 			s.edges += int64(sp.edges)
-		}
-	}
-	// In-degrees of local vertices (metadata item "ind" of X_j).
-	for _, h := range g.Adj {
-		if b := layout.BlockOf(h.Dst); b >= lo && b < hi {
-			s.meta[b-lo].InDegree++
 		}
 	}
 	if !image {
