@@ -10,125 +10,66 @@ import (
 	"hybridgraph/internal/vertexfile"
 )
 
-// stepBPull runs one block-centric pull superstep (Algorithms 1 and 2):
-// for each local Vblock, send its block id to every worker, merge the
-// returned (concatenated/combined) messages into the receiving buffer BR,
-// and run update() over the block. Superstep 1 only initialises vertices —
-// "b-pull starts exchanging messages from the 2nd superstep" (Section 6.5)
-// — which is the one extra superstep of Appendix B.
-func (w *worker) stepBPull(t int) error {
-	return w.stepBPullProduce(t, false)
-}
-
-// stepBPullThenPush is hybrid's b-pull→push switch superstep (Fig. 6):
-// pullRes() and update() run as usual, and pushRes() is invoked
-// immediately on the new values, pushing messages for superstep t+1.
-func (w *worker) stepBPullThenPush(t int) error {
-	return w.stepBPullProduce(t, true)
-}
-
-func (w *worker) stepBPullProduce(t int, pushProduce bool) error {
-	var outbox *comm.Outbox
-	if pushProduce {
-		outbox = w.sendBuffers(t)
+// pullBlocks is b-pull's consume side from superstep 2 on (Algorithms 1
+// and 2): for each local Vblock, send its block id to every worker, merge
+// the returned (concatenated/combined) messages into the receiving buffer
+// BR, and hand them to update for the block.
+func (w *worker) pullBlocks(t int, update func(lo, hi graph.VertexID, msgs msgstore.Groups) error) error {
+	lo, hi := w.job.layout.WorkerBlocks(w.id)
+	// A fetch fills a receiving buffer taken from the worker's idle list;
+	// the buffer goes back once its block has been updated.
+	type fetched struct {
+		buf *recvBuf
+		mem int64
+		err error
 	}
-	// Shard 0 sends as it goes, the others stage, and the stages replay into
-	// the outbox in shard order after each block's scan joins (see stepPush).
-	hookFor := func(shard int) updateHook {
-		sb := &w.shards[shard]
-		return func(v graph.VertexID, rec *vertexfile.Record, responded bool) error {
-			// Estimate push's IO(E^t) from the in-memory adjacency index when
-			// hybrid carries one (edges of every updated vertex).
-			if w.adj != nil && !pushProduce && !w.job.cfg.InMemory {
-				if eb, err := w.adj.EdgeBytes(v); err == nil {
-					w.addStat(func(s *workerStat) { s.estEt += eb })
-				}
-			}
-			if !pushProduce || rec.OutDeg == 0 {
-				return nil
-			}
-			// The switch superstep really reads the adjacency list and pushes.
-			return w.pushRes(sb, t, v, rec, responded)
+	// next is the pending pre-pull of the block after the one updating,
+	// nil when none is in flight. Every exit path — including a failed
+	// pull or a failed update — must receive from it: an abandoned fetch
+	// would keep charging pull I/O to this superstep's counters after the
+	// step returned, corrupting the Q^t inputs of whatever ran next.
+	var next chan fetched
+	defer func() {
+		if next != nil {
+			<-next
 		}
-	}
-	runBlock := func(blo, bhi graph.VertexID, msgs msgstore.Groups) error {
-		err := w.updateBlock(t, blo, bhi, msgs, hookFor)
-		if outbox == nil {
+	}()
+	for b := lo; b < hi; b++ {
+		var f fetched
+		if next != nil {
+			f, next = <-next, nil
+		} else {
+			f.buf, f.mem, f.err = w.pullBlock(t, b)
+		}
+		if f.err != nil {
+			return f.err
+		}
+		// Pre-pull block b+1 while b updates (the paper's pre-pulling;
+		// DisablePrepull pulls every block inline). Receiving-buffer
+		// memory is BR_i·(1+inflight): the block being updated plus a
+		// fetch actually in flight — the paper's BR_i = 2·n_i/V_i
+		// doubling — so the last block, and every block under
+		// DisablePrepull, pays a single buffer.
+		charged := f.mem
+		if !w.job.cfg.DisablePrepull && b+1 < hi {
+			ch := make(chan fetched, 1)
+			go func(b int) {
+				buf, mem, err := w.pullBlock(t, b)
+				ch <- fetched{buf, mem, err}
+			}(b + 1)
+			next = ch
+			charged += f.mem
+		}
+		w.addStat(func(s *workerStat) {
+			if charged > s.memBytes {
+				s.memBytes = charged
+			}
+		})
+		blk := w.job.layout.Blocks[b]
+		if err := update(blk.Lo, blk.Hi, f.buf.groups); err != nil {
 			return err
 		}
-		w.addPushTallies()
-		if err != nil {
-			return err
-		}
-		return w.mergeStages(outbox)
-	}
-
-	if t == 1 {
-		// Initialisation superstep: nothing to pull yet.
-		if err := runBlock(w.part.Lo, w.part.Hi, nil); err != nil {
-			return err
-		}
-	} else {
-		lo, hi := w.job.layout.WorkerBlocks(w.id)
-		// A fetch fills a receiving buffer taken from the worker's idle list;
-		// the buffer goes back once its block has been updated.
-		type fetched struct {
-			buf *recvBuf
-			mem int64
-			err error
-		}
-		// next is the pending pre-pull of the block after the one updating,
-		// nil when none is in flight. Every exit path — including a failed
-		// pull or a failed update — must receive from it: an abandoned
-		// fetch would keep charging pull I/O to this superstep's counters
-		// after stepBPull returned, corrupting the Q^t inputs of whatever
-		// ran next.
-		var next chan fetched
-		defer func() {
-			if next != nil {
-				<-next
-			}
-		}()
-		for b := lo; b < hi; b++ {
-			var f fetched
-			if next != nil {
-				f, next = <-next, nil
-			} else {
-				f.buf, f.mem, f.err = w.pullBlock(t, b)
-			}
-			if f.err != nil {
-				return f.err
-			}
-			// Pre-pull block b+1 while b updates (the paper's pre-pulling;
-			// DisablePrepull pulls every block inline). Receiving-buffer
-			// memory is BR_i·(1+inflight): the block being updated plus a
-			// fetch actually in flight — the paper's BR_i = 2·n_i/V_i
-			// doubling — so the last block, and every block under
-			// DisablePrepull, pays a single buffer.
-			charged := f.mem
-			if !w.job.cfg.DisablePrepull && b+1 < hi {
-				ch := make(chan fetched, 1)
-				go func(b int) {
-					buf, mem, err := w.pullBlock(t, b)
-					ch <- fetched{buf, mem, err}
-				}(b + 1)
-				next = ch
-				charged += f.mem
-			}
-			w.addStat(func(s *workerStat) {
-				if charged > s.memBytes {
-					s.memBytes = charged
-				}
-			})
-			blk := w.job.layout.Blocks[b]
-			if err := runBlock(blk.Lo, blk.Hi, f.buf.groups); err != nil {
-				return err
-			}
-			w.pullFree.put(f.buf)
-		}
-	}
-	if outbox != nil {
-		return outbox.Flush()
+		w.pullFree.put(f.buf)
 	}
 	return nil
 }

@@ -152,8 +152,11 @@ func (j *job) masterRecord(t int) *checkpoint.Master {
 		Rco:        j.rco,
 		PrevAgg:    j.prevAgg,
 	}
-	for _, mode := range j.modes {
-		m.Modes = append(m.Modes, string(mode))
+	if j.engine == Hybrid {
+		// The other engines' schedules are fixed: setup rebuilds them.
+		for _, mode := range j.modes {
+			m.Modes = append(m.Modes, string(mode))
+		}
 	}
 	if j.own != nil {
 		// Reassign policy: the checkpoint records the ownership table so a

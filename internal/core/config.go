@@ -115,9 +115,11 @@ type Config struct {
 	// is charged a second receiving buffer BR_i while that fetch is in
 	// flight.
 	DisablePrepull bool
-	// SenderCombine turns on sender-side combining for the push engines
-	// (the paper's modified MOCgraph, pushM+com, Appendix E). Requires a
-	// combinable algorithm.
+	// SenderCombine turns on sender-side combining (the paper's modified
+	// MOCgraph, pushM+com, Appendix E) in every superstep that pushes:
+	// every superstep of push and pushM, and hybrid's push supersteps and
+	// its b-pull→push switch supersteps. A program without a combiner
+	// sends uncombined.
 	SenderCombine bool
 	// SwitchInterval is hybrid's minimum spacing Δt between switches
 	// (default 2, the paper's choice; Section 5.3 argues frequent

@@ -252,11 +252,7 @@ func (j *job) replayStep(w *worker, u, base int, rf *replayFabric, res *metrics.
 			return workerStat{}, err
 		}
 	}
-	mode := j.engine
-	if j.engine == Hybrid {
-		mode = j.modes[u]
-	}
-	if err := j.stepWorker(w, u, j.engine, mode); err != nil {
+	if err := j.stepWorker(w, u); err != nil {
 		return workerStat{}, err
 	}
 

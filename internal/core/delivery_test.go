@@ -3,9 +3,11 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"hybridgraph/internal/algo"
+	"hybridgraph/internal/comm"
 	"hybridgraph/internal/faultplan"
 	"hybridgraph/internal/graph"
 	"hybridgraph/internal/obs"
@@ -123,5 +125,48 @@ func TestFirstShardSendsWithoutStaging(t *testing.T) {
 			t.Errorf("%s: p=1 sent %d packets, %d wire bytes, logged %d (%d charged); p=4 %d, %d, %d (%d)",
 				e, p1, n1, l1, io1, p4, n4, l4, io4)
 		}
+	}
+}
+
+// repeatFabric counts the packets that carry one destination vertex more
+// than once.
+type repeatFabric struct {
+	closeThrough
+	repeats *atomic.Int64
+}
+
+func (f repeatFabric) Send(p *comm.Packet) error {
+	seen := make(map[graph.VertexID]bool, p.Msgs.Len())
+	for i := 0; i < p.Msgs.Len(); i++ {
+		d := p.Msgs.At(i).Dst
+		if seen[d] {
+			f.repeats.Add(1)
+			break
+		}
+		seen[d] = true
+	}
+	return f.Fabric.Send(p)
+}
+
+// TestSenderCombineOnSwitchSuperstep: under SenderCombine every superstep
+// that pushes combines its packets, hybrid's b-pull→push switch superstep
+// included, so no packet carries a destination twice.
+func TestSenderCombineOnSwitchSuperstep(t *testing.T) {
+	g := graph.GenRMAT(900, 8100, 0.57, 0.19, 0.19, 77)
+	var repeats atomic.Int64
+	withFabricWrap(t, func(f comm.Fabric) comm.Fabric { return repeatFabric{closeThrough{f}, &repeats} })
+	cfg := Config{Workers: 3, MsgBuf: 4000, MaxSteps: 8, SendThreshold: 1200, SenderCombine: true}
+	res := runOne(t, g, algo.NewPageRank(0.85), cfg, Hybrid)
+	switched := false
+	for i := 1; i < len(res.Steps); i++ {
+		if res.Steps[i-1].Mode == string(BPull) && res.Steps[i].Mode == string(Push) {
+			switched = true
+		}
+	}
+	if !switched {
+		t.Fatal("hybrid never switched from b-pull to push: the test needs a switch superstep")
+	}
+	if n := repeats.Load(); n != 0 {
+		t.Fatalf("%d packets repeat a destination under SenderCombine", n)
 	}
 }

@@ -246,6 +246,13 @@ func TestPushMRequiresCombiner(t *testing.T) {
 	}
 }
 
+func TestUnknownEngineRejected(t *testing.T) {
+	g := graph.GenUniform(100, 500, 13)
+	if _, err := Run(g, algo.NewPageRank(0.85), Config{Workers: 2, MaxSteps: 3}, Engine("bogus")); err == nil {
+		t.Fatal("an unknown engine should be rejected")
+	}
+}
+
 func TestHybridSwitchesOnTraversal(t *testing.T) {
 	// SSSP on a skewed graph with a modest buffer: hybrid should start in
 	// b-pull (Theorem 2) and switch to push as the message volume decays.

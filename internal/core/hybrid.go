@@ -5,27 +5,42 @@ import (
 	"hybridgraph/internal/metrics"
 )
 
-// Hybrid mode scheduling (Section 5.3-5.4, Algorithm 3).
+// Mode schedules and hybrid's scheduler (Section 5.3-5.4, Algorithm 3).
 //
-// Modes are decided two supersteps ahead: the statistics of superstep t
-// predict Q^{t+2} (Shang-Yu persistence forecasting with Δt = 2), so while
-// superstep t runs, modes[t] and modes[t+1] are already fixed. That is
-// what makes Fig. 6's switch supersteps well-defined: superstep t consumes
-// messages per modes[t] and produces per modes[t+1]; when they differ the
-// superstep executes the switch (pullRes+update+pushRes, or load+update
-// alone).
+// Every engine runs a schedule, j.modes: superstep t consumes messages per
+// modes[t] and produces per modes[t+1]. Push, pushM, pull and b-pull keep
+// one mode throughout. Hybrid decides its modes two supersteps ahead: the
+// statistics of superstep t predict Q^{t+2} (Shang-Yu persistence
+// forecasting with Δt = 2), so while superstep t runs, modes[t] and
+// modes[t+1] are already fixed. That is what makes Fig. 6's switch
+// supersteps well-defined: when the two differ the superstep executes the
+// switch (pullRes+update+pushRes, or load+update alone).
 
-// initHybridModes picks the starting mode before any superstep has run
-// (Algorithm 3, line 2). Theorem 2's rule — b-pull when B ≤ B⊥ = |E|/2−f —
-// decides the clear cases. When B > B⊥ we additionally evaluate Eq. (11)
-// directly under the theorem's own broadcast assumption (every vertex
-// sends on every out-edge, M = |E|): the theorem drops constant factors
-// that matter when fragments are small relative to messages, and the
-// direct Qt estimate is strictly sharper. With unlimited buffers
-// (sufficient memory) communication dominates and b-pull's concatenation
-// and combining always win, so b-pull starts.
-func (j *job) initHybridModes() {
-	init := BPull
+// initModes fills the schedule before any superstep has run: the engine's
+// own mode, or for hybrid the starting mode of Algorithm 3, line 2, with
+// the switcher's priors.
+func (j *job) initModes() {
+	first := j.engine
+	if j.engine == Hybrid {
+		first = j.hybridStart()
+		j.rco = 0.4 // prior for the combining ratio before b-pull has run
+		j.lastSwitch = -10
+	}
+	j.modes = make([]Engine, j.cfg.MaxSteps+3)
+	for i := range j.modes {
+		j.modes[i] = first
+	}
+}
+
+// hybridStart picks hybrid's starting mode. Theorem 2's rule — b-pull when
+// B ≤ B⊥ = |E|/2−f — decides the clear cases. When B > B⊥ we additionally
+// evaluate Eq. (11) directly under the theorem's own broadcast assumption
+// (every vertex sends on every out-edge, M = |E|): the theorem drops
+// constant factors that matter when fragments are small relative to
+// messages, and the direct Qt estimate is strictly sharper. With unlimited
+// buffers (sufficient memory) communication dominates and b-pull's
+// concatenation and combining always win, so b-pull starts.
+func (j *job) hybridStart() Engine {
 	if j.bTotal > 0 {
 		bLower := int64(j.g.NumEdges())/2 - j.totalFrags
 		if j.bTotal > bLower {
@@ -41,16 +56,11 @@ func (j *job) initHybridModes() {
 			// Mco conservatively 0: the decision rests on I/O alone,
 			// exactly as Theorem 2's derivation does.
 			if metrics.Qt(j.cfg.Profile, 0, mdisk, vrr, et, ebar, ft) < 0 {
-				init = Push
+				return Push
 			}
 		}
 	}
-	j.modes = make([]Engine, j.cfg.MaxSteps+3)
-	for i := range j.modes {
-		j.modes[i] = init
-	}
-	j.rco = 0.4 // prior for the combining ratio before b-pull has run
-	j.lastSwitch = -10
+	return BPull
 }
 
 // produceMode reports how superstep t's messages leave the node: pushed

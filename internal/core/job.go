@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -51,11 +52,15 @@ type job struct {
 	layoutReusedBytes int64
 
 	totalFrags int64
-	bTotal     int64 // B = Σ B_i in messages (0 = unlimited)
+	bTotal     int64   // B = Σ B_i in messages (0 = unlimited)
+	inDeg      []int32 // per-vertex in-degree, counted once on first use
 
-	// hybrid state
-	modes      []Engine // mode per superstep, index t (1-based)
-	lastSwitch int
+	// modes is the job's schedule, one mode per superstep, index t
+	// (1-based): superstep t consumes messages per modes[t] and produces
+	// them per modes[t+1]. Every engine but hybrid keeps one mode
+	// throughout; hybrid rewrites the tail after each superstep.
+	modes      []Engine
+	lastSwitch int     // hybrid: superstep the last switch took effect
 	rco        float64 // observed b-pull byte-savings ratio, for Mco estimates
 
 	prevAgg float64 // last superstep's reduced aggregator value
@@ -171,10 +176,10 @@ func RunContext(ctx context.Context, g *graph.Graph, prog algo.Program, cfg Conf
 		Parallelism: cfg.Parallelism,
 		Codec:       j.cdc.Name(),
 	}
-	if err := j.setup(engine, res); err != nil {
+	if err := j.setup(res); err != nil {
 		return nil, err
 	}
-	if err := j.run(engine, res); err != nil {
+	if err := j.run(res); err != nil {
 		if j.faultFS != nil {
 			res.DiskFaults = j.faultFS.Stats().Total()
 		}
@@ -310,7 +315,11 @@ func (j *job) blocksPerWorker() []int {
 		case j.prog.Combiner() != nil:
 			out[w] = veblock.BlocksCombinable(p.Len(), t, j.cfg.MsgBuf)
 		default:
-			out[w] = veblock.BlocksConcatOnly(j.inDegreeSum(p), j.cfg.MsgBuf, p.Len())
+			var ind int64
+			for _, d := range j.inDegrees()[p.Lo:p.Hi] {
+				ind += int64(d)
+			}
+			out[w] = veblock.BlocksConcatOnly(ind, j.cfg.MsgBuf, p.Len())
 		}
 		if out[w] < 1 {
 			out[w] = 1
@@ -319,21 +328,27 @@ func (j *job) blocksPerWorker() []int {
 	return out
 }
 
-func (j *job) inDegreeSum(p graph.Partition) int64 {
-	var ind int64
-	for u := 0; u < j.g.NumVertices; u++ {
-		for _, h := range j.g.OutEdges(graph.VertexID(u)) {
-			if p.Contains(h.Dst) {
-				ind++
+// inDegrees returns every vertex's in-degree, counted in one pass over the
+// edges the first time the job asks.
+func (j *job) inDegrees() []int32 {
+	if j.inDeg == nil {
+		j.inDeg = make([]int32, j.g.NumVertices)
+		for u := 0; u < j.g.NumVertices; u++ {
+			for _, h := range j.g.OutEdges(graph.VertexID(u)) {
+				j.inDeg[h.Dst]++
 			}
 		}
 	}
-	return ind
+	return j.inDeg
 }
 
 // setup partitions the graph, builds the stores each engine needs, and
 // records the loading cost (Fig. 16) into res.
-func (j *job) setup(engine Engine, res *metrics.JobResult) error {
+func (j *job) setup(res *metrics.JobResult) error {
+	engine := j.engine
+	if !slices.Contains(Engines, engine) {
+		return fmt.Errorf("core: unknown engine %q", engine)
+	}
 	if engine == PushM && j.prog.Combiner() == nil {
 		// MOCgraph's online computing needs commutative messages, which is
 		// why the paper's LPA and SA plots have no pushM bars.
@@ -386,9 +401,9 @@ func (j *job) setup(engine Engine, res *metrics.JobResult) error {
 		j.bTotal = int64(j.cfg.MsgBuf) * int64(t)
 	}
 
+	pushes := engine == Push || engine == PushM || engine == Hybrid
 	needVE := engine == BPull || engine == Hybrid
-	needAdj := engine == Push || engine == PushM || engine == Hybrid ||
-		(engine == Pull && j.prog.Style() != algo.AlwaysActive)
+	needAdj := pushes || (engine == Pull && j.prog.Style() != algo.AlwaysActive)
 	needMirror := engine == Pull
 
 	if needVE {
@@ -442,10 +457,10 @@ func (j *job) setup(engine Engine, res *metrics.JobResult) error {
 		}
 		j.layoutBuildBytes += j.loadCts[w].Snapshot().Sub(edgeBase).Bytes[diskio.SeqWrite]
 		if engine == PushM {
-			wk.pickHotSet(j.g, j.cfg.MsgBuf)
+			wk.pickHotSet(j.cfg.MsgBuf)
 		}
 		wk.initFlags()
-		if engine == Push || engine == PushM || engine == Hybrid {
+		if pushes {
 			wk.initInboxes()
 		}
 		wk.storesBuilt()
@@ -491,15 +506,13 @@ func (j *job) setup(engine Engine, res *metrics.JobResult) error {
 		j.trace.Emit(ev)
 	}
 
-	if engine == Hybrid {
-		j.initHybridModes()
-	}
+	j.initModes()
 	return nil
 }
 
 // run drives the superstep loop, handing every detected worker failure to
 // the recovery driver and resuming where it says.
-func (j *job) run(engine Engine, res *metrics.JobResult) error {
+func (j *job) run(res *metrics.JobResult) error {
 	start := 1
 	if j.cfg.ResumeFromCheckpoint {
 		// A restarted daemon re-runs an interrupted job in its original
@@ -518,7 +531,7 @@ func (j *job) run(engine Engine, res *metrics.JobResult) error {
 		}
 	}
 	for {
-		err := j.runOnce(engine, res, start)
+		err := j.runOnce(res, start)
 		if err == nil {
 			return nil
 		}
@@ -565,7 +578,7 @@ func (j *job) injectCrash(t int) (worker int, permanent, fired bool) {
 	return 0, false, false
 }
 
-func (j *job) runOnce(engine Engine, res *metrics.JobResult, start int) error {
+func (j *job) runOnce(res *metrics.JobResult, start int) error {
 	for t := start; t <= j.cfg.MaxSteps; t++ {
 		// Master barrier loop cancellation point: a cancelled context stops
 		// the job between supersteps even when no fabric traffic is in
@@ -585,17 +598,13 @@ func (j *job) runOnce(engine Engine, res *metrics.JobResult, start int) error {
 			}
 			return &InjectedFailure{Step: t, Worker: w, Permanent: perm}
 		}
-		mode := engine
-		if engine == Hybrid {
-			mode = j.modes[t]
-		}
-		st, err := j.superstep(t, engine, mode)
+		st, err := j.superstep(t)
 		var stallErr *StalledWorker
 		if err != nil && !errors.As(err, &stallErr) {
 			return err
 		}
 		res.Steps = append(res.Steps, st)
-		if engine == Hybrid {
+		if j.engine == Hybrid {
 			j.scheduleMode(t, st)
 		}
 		if st.SwitchedFrom != "" {
@@ -605,7 +614,7 @@ func (j *job) runOnce(engine Engine, res *metrics.JobResult, start int) error {
 			// The step summary is emitted after the hybrid scheduler ran, so
 			// NextMode carries the decision this superstep's Q^t just made.
 			ev := obs.StepEvent{Type: obs.EventStep, Stats: st}
-			if engine == Hybrid && t+2 < len(j.modes) {
+			if j.engine == Hybrid && t+2 < len(j.modes) {
 				ev.NextMode = string(j.modes[t+2])
 			}
 			j.trace.Emit(ev)
@@ -640,14 +649,12 @@ func (j *job) runOnce(engine Engine, res *metrics.JobResult, start int) error {
 			return err
 		}
 	}
-	if engine == Pull {
-		// Dirty resident vertex records must reach the store before final
-		// values are read out.
-		for _, w := range j.workers {
-			if w.vcache != nil {
-				if err := w.vcache.flush(); err != nil {
-					return err
-				}
+	// The pull baseline's dirty resident vertex records must reach the
+	// store before final values are read out.
+	for _, w := range j.workers {
+		if w.vcache != nil {
+			if err := w.vcache.flush(); err != nil {
+				return err
 			}
 		}
 	}
@@ -684,7 +691,8 @@ func (j *job) injectStalls(t int) []bool {
 // A returned *StalledWorker error (and only that error) comes with valid
 // stats: the survivors completed the superstep and their numbers are
 // real; the stalled workers contributed nothing.
-func (j *job) superstep(t int, engine, mode Engine) (metrics.StepStats, error) {
+func (j *job) superstep(t int) (metrics.StepStats, error) {
+	mode := j.modes[t]
 	type before struct {
 		io      diskio.Snapshot
 		log     diskio.Snapshot
@@ -729,7 +737,7 @@ func (j *job) superstep(t int, engine, mode Engine) (metrics.StepStats, error) {
 				errs[i] = &StalledWorker{Step: t, Workers: ws}
 				return
 			}
-			if errs[i] = j.stepWorker(w, t, engine, mode); errs[i] != nil {
+			if errs[i] = j.stepWorker(w, t); errs[i] != nil {
 				return
 			}
 			if j.own != nil {
@@ -738,7 +746,7 @@ func (j *job) superstep(t int, engine, mode Engine) (metrics.StepStats, error) {
 				// executes its units serially, and the fixed order keeps the
 				// visit sequence deterministic.
 				for _, u := range j.own.adoptedBy(w.id) {
-					if errs[i] = j.stepWorker(j.workers[u], t, engine, mode); errs[i] != nil {
+					if errs[i] = j.stepWorker(j.workers[u], t); errs[i] != nil {
 						return
 					}
 				}
@@ -764,7 +772,7 @@ func (j *job) superstep(t int, engine, mode Engine) (metrics.StepStats, error) {
 	wall := time.Since(wallStart).Seconds()
 
 	st := metrics.StepStats{Step: t, Mode: string(mode), WallSeconds: wall}
-	if engine == Hybrid && t > 1 && j.modes[t] != j.modes[t-1] {
+	if t > 1 && mode != j.modes[t-1] {
 		st.SwitchedFrom = string(j.modes[t-1])
 	}
 	aggProg, aggregating := j.prog.(algo.Aggregating)
@@ -791,8 +799,8 @@ func (j *job) superstep(t int, engine, mode Engine) (metrics.StepStats, error) {
 		s := w.stat
 		w.mu.Unlock()
 
-		// pushM/push: spill written for next superstep (M_disk).
-		if mode == Push || mode == PushM || (engine == Hybrid && j.produceMode(t) == Push) {
+		// A superstep that pushes: spill written for the next one (M_disk).
+		if p := j.produceMode(t); p == Push || p == PushM {
 			if ib := w.inboxes[writeParity(t+1)]; ib != nil {
 				s.parts.MdiskW += ib.Spilled() * comm.MsgWireSize
 			}
@@ -944,21 +952,12 @@ func addBreakdown(dst *metrics.IOBreakdown, s metrics.IOBreakdown) {
 	dst.MdiskR += s.MdiskR
 }
 
-// stepWorker dispatches one worker's superstep by mode.
-func (j *job) stepWorker(w *worker, t int, engine, mode Engine) error {
-	switch mode {
-	case Push, PushM:
-		produce := engine != Hybrid || j.produceMode(t) == Push
-		return w.stepPush(t, produce)
-	case BPull:
-		if engine == Hybrid && j.produceMode(t) == Push {
-			// Fig. 6 switch superstep b-pull→push: pullRes+update, then
-			// pushRes immediately.
-			return w.stepBPullThenPush(t)
-		}
-		return w.stepBPull(t)
-	case Pull:
+// stepWorker runs one worker's superstep t by the job's schedule: the
+// pull baseline's own step, or the step that consumes messages per
+// modes[t] and produces them per modes[t+1].
+func (j *job) stepWorker(w *worker, t int) error {
+	if j.modes[t] == Pull {
 		return w.stepPull(t)
 	}
-	return fmt.Errorf("core: unknown mode %q", mode)
+	return w.step(t, j.modes[t], j.produceMode(t))
 }

@@ -8,19 +8,20 @@ import (
 	"hybridgraph/internal/vertexfile"
 )
 
-// stepPush runs one push superstep (Giraph's compute(), decoupled per
-// Section 5.2 into load + update + pushRes): drain the messages pushed
-// during the previous superstep, scan the vertex partition invoking
-// update(), and — when produce is set — immediately push new messages
-// toward their destination workers. produce is false only on hybrid's
-// push→b-pull switch superstep (Fig. 6), where load()+update() run alone.
-func (w *worker) stepPush(t int, produce bool) error {
-	msgs, err := w.drainInbox(t)
-	if err != nil {
-		return err
-	}
+// step runs superstep t on the worker (Section 5.2's compute() split
+// into load + update + pushRes and pullRes + update): it consumes the
+// messages sent during t-1 the way consume says and produces its own the
+// way produce says. A push consumer drains what was pushed to it and runs
+// update() over the partition; a b-pull consumer pulls its messages block
+// by block (pullBlocks) and updates each block as it arrives. A push
+// producer runs pushRes() on every updated vertex, sending through the
+// outbox and combining under SenderCombine; a b-pull producer leaves its
+// messages to be pulled at t+1. When consume and produce differ this is
+// one of hybrid's switch supersteps (Fig. 6).
+func (w *worker) step(t int, consume, produce Engine) error {
+	pull, push := consume == BPull, produce != BPull
 	var outbox *comm.Outbox
-	if produce {
+	if push {
 		outbox = w.sendBuffers(t)
 		if w.job.cfg.SenderCombine {
 			if c := w.job.prog.Combiner(); c != nil {
@@ -28,28 +29,58 @@ func (w *worker) stepPush(t int, produce bool) error {
 			}
 		}
 	}
-	// The first shard of the update scan sends through the outbox as it
+	// The first shard of each update scan sends through the outbox as it
 	// goes; the others stage their sends and the stages replay into it in
 	// shard order after the scan joins — the sequential Add sequence, so
 	// packet boundaries, combine batches and wire bytes are Parallelism-invariant.
 	hookFor := func(shard int) updateHook {
 		sb := &w.shards[shard]
 		return func(v graph.VertexID, rec *vertexfile.Record, responded bool) error {
+			if pull && !push {
+				// Estimate push's IO(E^t) from the in-memory adjacency index when
+				// hybrid carries one (edges of every updated vertex).
+				if w.adj != nil && !w.job.cfg.InMemory {
+					if eb, err := w.adj.EdgeBytes(v); err == nil {
+						w.addStat(func(s *workerStat) { s.estEt += eb })
+					}
+				}
+				return nil
+			}
 			if rec.OutDeg == 0 {
 				return nil
 			}
-			return w.pushRes(sb, t, v, rec, responded && outbox != nil)
+			// A push consumer loads every updated vertex with its edges,
+			// whether it sends or not.
+			return w.pushRes(sb, t, v, rec, responded && push)
 		}
 	}
-	err = w.updateBlock(t, w.part.Lo, w.part.Hi, msgs, hookFor)
-	w.addPushTallies()
+	update := func(lo, hi graph.VertexID, msgs msgstore.Groups) error {
+		err := w.updateBlock(t, lo, hi, msgs, hookFor)
+		w.addPushTallies()
+		if err != nil || outbox == nil {
+			return err
+		}
+		return w.mergeStages(outbox)
+	}
+	var err error
+	switch {
+	case pull && t > 1:
+		err = w.pullBlocks(t, update)
+	case pull:
+		// Superstep 1 only initialises vertices: "b-pull starts exchanging
+		// messages from the 2nd superstep" (Section 6.5), the one extra
+		// superstep of Appendix B.
+		err = update(w.part.Lo, w.part.Hi, nil)
+	default:
+		var msgs msgstore.Groups
+		if msgs, err = w.drainInbox(t); err == nil {
+			err = update(w.part.Lo, w.part.Hi, msgs)
+		}
+	}
 	if err != nil {
 		return err
 	}
 	if outbox != nil {
-		if err := w.mergeStages(outbox); err != nil {
-			return err
-		}
 		if err := outbox.Flush(); err != nil {
 			return err
 		}
@@ -60,7 +91,7 @@ func (w *worker) stepPush(t int, produce bool) error {
 			})
 		}
 	}
-	if w.ve != nil {
+	if !pull && w.ve != nil {
 		w.estimateBpullCosts(t)
 	}
 	return nil

@@ -251,9 +251,7 @@ func (j *job) resetAll() {
 		w.reset()
 	}
 	j.prevAgg = 0
-	if j.engine == Hybrid {
-		j.initHybridModes()
-	}
+	j.initModes()
 }
 
 // rollbackLogs empties every worker's message log after a whole-job

@@ -263,10 +263,10 @@ func loadedJob(tb testing.TB, g *graph.Graph, cfg Config) *job {
 	}
 	tb.Cleanup(func() { j.close(false) })
 	res := &metrics.JobResult{}
-	if err := j.setup(BPull, res); err != nil {
+	if err := j.setup(res); err != nil {
 		tb.Fatal(err)
 	}
-	if err := j.run(BPull, res); err != nil {
+	if err := j.run(res); err != nil {
 		tb.Fatal(err)
 	}
 	return j
@@ -296,5 +296,35 @@ func BenchmarkRespondPull(b *testing.B) {
 				b.Fatal("no messages generated")
 			}
 		})
+	}
+}
+
+// TestConcatOnlyBlocksFromInDegrees: a concatenate-only program's Vblock
+// counts follow Eq. (6) from each partition's in-degree sum, counted here
+// edge by edge.
+func TestConcatOnlyBlocksFromInDegrees(t *testing.T) {
+	g := graph.GenRMAT(2000, 24000, 0.57, 0.19, 0.19, 13)
+	const buf = 700
+	j := &job{cfg: Config{Workers: 3, MsgBuf: buf}.withDefaults(), g: g, prog: algo.NewLPA(), engine: BPull}
+	j.parts = graph.RangePartition(g.NumVertices, 3)
+	got := j.blocksPerWorker()
+	split := false
+	for w, p := range j.parts {
+		ind := 0
+		for u := 0; u < g.NumVertices; u++ {
+			for _, h := range g.OutEdges(graph.VertexID(u)) {
+				if p.Contains(h.Dst) {
+					ind++
+				}
+			}
+		}
+		want := min(max((ind+buf-1)/buf, 1), p.Len())
+		if got[w] != want {
+			t.Errorf("worker %d: %d blocks, want %d from %d in-edges", w, got[w], want, ind)
+		}
+		split = split || want > 1
+	}
+	if !split {
+		t.Fatal("every worker has one block: the test needs a split partition")
 	}
 }

@@ -411,7 +411,7 @@ func (w *worker) initInboxes() {
 
 // pickHotSet selects pushM's in-memory vertices: the B_i highest in-degree
 // vertices of the partition (MOCgraph's hot-aware placement).
-func (w *worker) pickHotSet(g *graph.Graph, capacity int) {
+func (w *worker) pickHotSet(capacity int) {
 	if capacity <= 0 || capacity >= w.part.Len() {
 		// Unlimited buffer: everything is hot.
 		w.hot = make(map[graph.VertexID]bool, w.part.Len())
@@ -420,14 +420,7 @@ func (w *worker) pickHotSet(g *graph.Graph, capacity int) {
 		}
 		return
 	}
-	indeg := make([]int32, w.part.Len())
-	for u := 0; u < g.NumVertices; u++ {
-		for _, h := range g.OutEdges(graph.VertexID(u)) {
-			if w.part.Contains(h.Dst) {
-				indeg[h.Dst-w.part.Lo]++
-			}
-		}
-	}
+	indeg := w.job.inDegrees()[w.part.Lo:w.part.Hi]
 	type vd struct {
 		v graph.VertexID
 		d int32
