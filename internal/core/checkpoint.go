@@ -63,7 +63,7 @@ func (j *job) maybeCheckpoint(t int, res *metrics.JobResult) error {
 		// still sees the previous committed checkpoint. Remove what partial
 		// files made it to disk (marker first, as always).
 		res.CheckpointWriteFailures++
-		j.jm.ckptFails.Inc()
+		j.cfg.Metrics.Counter("checkpoint.write_failures").Inc()
 		j.trace.Emit(obs.CheckpointFailedEvent{Type: obs.EventCheckpointFailed,
 			Step: t, Reason: werr.Error()})
 		coord.Remove(t, len(j.workers))
@@ -77,7 +77,7 @@ func (j *job) maybeCheckpoint(t int, res *metrics.JobResult) error {
 			// Pruning is housekeeping: the stale checkpoint's marker went
 			// first, so it can never shadow the one just committed. Log the
 			// failure and move on rather than failing the job.
-			j.jm.pruneFails.Inc()
+			j.cfg.Metrics.Counter("checkpoint.prune_failures").Inc()
 			j.trace.Emit(obs.PruneFailedEvent{Type: obs.EventPruneFailed,
 				Step: older, Reason: err.Error()})
 		}
@@ -95,17 +95,17 @@ func (j *job) maybeCheckpoint(t int, res *metrics.JobResult) error {
 				continue
 			}
 			n, err := w.mlog.Prune(through)
-			j.jm.logPrunes.Add(int64(n))
+			j.cfg.Metrics.Counter("msglog.segments_pruned").Add(int64(n))
 			if err != nil {
-				j.jm.pruneFails.Inc()
+				j.cfg.Metrics.Counter("checkpoint.prune_failures").Inc()
 				j.trace.Emit(obs.PruneFailedEvent{Type: obs.EventPruneFailed,
 					Step: through, Reason: "msglog: " + err.Error()})
 			}
 		}
 	}
 	res.Checkpoints++
-	j.jm.ckptCommits.Inc()
-	j.jm.ckptBytes.Add(delta.Total())
+	j.cfg.Metrics.Counter("checkpoint.commits").Inc()
+	j.cfg.Metrics.Counter("checkpoint.bytes").Add(delta.Total())
 	j.trace.Emit(obs.CheckpointEvent{Type: obs.EventCheckpoint, Step: t,
 		Workers: len(j.workers), Bytes: delta.Total(),
 		SimSecs: j.cfg.Profile.DiskSeconds(delta)})
@@ -181,7 +181,7 @@ func (j *job) applyMaster(res *metrics.JobResult, m *checkpoint.Master) {
 		j.own.epoch = m.Epoch
 		copy(j.own.dead, m.Dead)
 		copy(j.own.hosts, m.Hosts)
-		j.jm.degraded.Set(int64(j.own.deadCount()))
+		j.cfg.Metrics.Gauge("core.workers_degraded").Set(int64(j.own.deadCount()))
 		for w, d := range j.own.dead {
 			if !d {
 				continue

@@ -271,8 +271,8 @@ func (j *job) replayStep(w *worker, u, base int, rf *replayFabric, res *metrics.
 	w.mu.Unlock()
 	simSecs := j.chargeReplay(res, d.Add(logD), pd.Add(lpd), net, stat.cpu.Seconds(j.cfg.Profile))
 	res.ReplayedSupersteps++
-	j.jm.replayBytes.Add(d.Total() + logD.Total())
-	j.jm.replaySteps.Inc()
+	j.cfg.Metrics.Counter("replay.bytes").Add(d.Total() + logD.Total())
+	j.cfg.Metrics.Counter("replay.supersteps").Inc()
 	if j.trace != nil {
 		j.trace.Emit(obs.ReplayStepEvent{Type: obs.EventReplayStep, Step: u,
 			Worker: w.id, Rejoin: rf.rejoin, IO: d, LogBytes: logD.Total(),

@@ -96,48 +96,34 @@ func (j *job) scheduleMode(t int, st metrics.StepStats) {
 	}
 }
 
-// finishQt evaluates Eq. (11) for the superstep from measured quantities
-// plus the estimates the other mode requires, and records the prediction
-// inputs (Figs. 11-13 report their accuracy).
-func (j *job) finishQt(t int, mode Engine, st *metrics.StepStats) {
+// finishQt evaluates Eq. (11) for the superstep from what the mode of the
+// moment measured plus the estimates of the other mode's costs (Section
+// 5.3), and refreshes the concatenation ratio push supersteps estimate Mco
+// with. Figs. 11-13 score the prediction by comparing the measured
+// quantities at t and t+2, so nothing here stores a forecast.
+func (j *job) finishQt(mode Engine, st *metrics.StepStats) {
 	p := j.cfg.Profile
-	var estEbar, estFt, estVrr, estEt int64
-	var mdisk int64
-	var mcoBytes int64
-
 	switch mode {
 	case BPull:
 		// Measured b-pull side; push side estimated.
-		mcoBytes = st.McoBytes
-		estEt = st.EstEt
+		estEt := st.EstEt
 		if st.Parts.Et > 0 { // a switch superstep measured real push edges
 			estEt += st.Parts.Et
 		}
+		var mdisk int64
 		if j.bTotal > 0 {
 			if over := st.Produced - j.bTotal; over > 0 {
 				mdisk = over * comm.MsgWireSize
 			}
 		}
-		st.Qt = metrics.Qt(p, mcoBytes, mdisk, st.Parts.Vrr, estEt, st.Parts.Ebar, st.Parts.Ft)
-		st.Pred = metrics.Prediction{
-			Mco:      mcoBytes,
-			CioPush:  st.Parts.Vt + estEt + 2*mdisk,
-			CioBpull: st.Parts.CioBpull(),
-		}
+		st.Qt = metrics.Qt(p, st.McoBytes, mdisk, st.Parts.Vrr, estEt, st.Parts.Ebar, st.Parts.Ft)
 		if st.Produced > 0 {
-			j.rco = float64(mcoBytes) / float64(st.Produced*comm.MsgWireSize)
+			j.rco = float64(st.McoBytes) / float64(st.Produced*comm.MsgWireSize)
 		}
 	case Push, PushM:
 		// Measured push side; b-pull side estimated from metadata.
-		estEbar, estFt, estVrr = st.EstEbar, st.EstFt, st.EstVrr
-		mdisk = st.Parts.MdiskW
-		mcoBytes = int64(float64(st.Produced*comm.MsgWireSize) * j.rco)
-		st.Qt = metrics.Qt(p, mcoBytes, mdisk, estVrr, st.Parts.Et, estEbar, estFt)
-		st.Pred = metrics.Prediction{
-			Mco:      mcoBytes,
-			CioPush:  st.Parts.CioPush(),
-			CioBpull: st.Parts.Vt + estEbar + estFt + estVrr,
-		}
+		mcoBytes := int64(float64(st.Produced*comm.MsgWireSize) * j.rco)
+		st.Qt = metrics.Qt(p, mcoBytes, st.Parts.MdiskW, st.EstVrr, st.Parts.Et, st.EstEbar, st.EstFt)
 	default:
 		st.Qt = 0
 	}

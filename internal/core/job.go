@@ -95,9 +95,9 @@ type job struct {
 	// between supersteps only.
 	replayFab *replayFabric
 
-	// observability: nil trace drops events, nil-instrument jm no-ops.
+	// observability: nil trace drops events (a nil cfg.Metrics hands out
+	// instruments that no-op).
 	trace *obs.Tracer
-	jm    jobMetrics
 }
 
 // testWrapFabric, when a test sets it, wraps every job's fabric once
@@ -158,7 +158,6 @@ func RunContext(ctx context.Context, g *graph.Graph, prog algo.Program, cfg Conf
 	}
 	j.trace = tr
 	defer tr.Close()
-	j.jm = newJobMetrics(cfg.Metrics)
 	if err := j.setupDir(); err != nil {
 		return nil, err
 	}
@@ -186,7 +185,7 @@ func RunContext(ctx context.Context, g *graph.Graph, prog algo.Program, cfg Conf
 		return nil, err
 	}
 	res.Finish()
-	j.jm.compression.Set(int64(res.CompressionRatio * 1000))
+	j.cfg.Metrics.Gauge("core.compression_ratio_milli").Set(int64(res.CompressionRatio * 1000))
 	if j.faultFS != nil {
 		res.DiskFaults = j.faultFS.Stats().Total()
 	}
@@ -240,7 +239,7 @@ func (j *job) setupDir() error {
 	if plan := j.cfg.FaultPlan; plan != nil && plan.Disk != nil && plan.Disk.Enabled() {
 		j.faultFS = diskio.NewFaultFS(*plan.Disk)
 		j.faultFS.OnFault = func(e *diskio.Error) {
-			j.jm.diskFaults.Inc()
+			j.cfg.Metrics.Counter("core.disk_faults").Inc()
 			if j.trace != nil {
 				j.trace.Emit(obs.DiskFaultEvent{Type: obs.EventDiskFault,
 					Op: e.Op, Path: e.Path, Class: e.Class, Kind: string(e.Kind)})
@@ -588,7 +587,7 @@ func (j *job) runOnce(res *metrics.JobResult, start int) error {
 		}
 		if w, perm, fired := j.injectCrash(t); fired {
 			// The fault detector notices the crashed worker at the barrier.
-			j.jm.faults.Inc()
+			j.cfg.Metrics.Counter("core.injected_faults").Inc()
 			if j.trace != nil {
 				kind := ""
 				if perm {
@@ -608,7 +607,7 @@ func (j *job) runOnce(res *metrics.JobResult, start int) error {
 			j.scheduleMode(t, st)
 		}
 		if st.SwitchedFrom != "" {
-			j.jm.switches.Inc()
+			j.cfg.Metrics.Counter("core.mode_switches").Inc()
 		}
 		if j.trace != nil {
 			// The step summary is emitted after the hybrid scheduler ran, so
@@ -629,8 +628,8 @@ func (j *job) runOnce(res *metrics.JobResult, start int) error {
 			// fault and hand the incomplete superstep to recovery. The
 			// halting checks are re-applied after recovery folds the rejoin
 			// contributions back into this step's stats.
-			j.jm.faults.Inc()
-			j.jm.stalls.Add(int64(len(stallErr.Workers)))
+			j.cfg.Metrics.Counter("core.injected_faults").Inc()
+			j.cfg.Metrics.Counter("core.stalled_workers").Add(int64(len(stallErr.Workers)))
 			if j.trace != nil {
 				for _, w := range stallErr.Workers {
 					j.trace.Emit(obs.FaultEvent{Type: obs.EventFault, Step: t,
@@ -807,7 +806,6 @@ func (j *job) superstep(t int) (metrics.StepStats, error) {
 		}
 
 		st.Produced += s.produced
-		st.Combined += s.mcoBytes / comm.MsgIDSize // reported in id units
 		st.NetBytes += nOut
 		st.Requests += s.requests
 		st.Responding += s.responding
@@ -902,7 +900,7 @@ func (j *job) superstep(t int) (metrics.StepStats, error) {
 	}
 	st.SimSeconds = simMax
 	j.lastStepAggSet = aggSet
-	j.finishQt(t, mode, &st)
+	j.finishQt(mode, &st)
 
 	if j.trace != nil {
 		// One codec event pair per superstep under every codec, derived
@@ -926,16 +924,17 @@ func (j *job) superstep(t int) (metrics.StepStats, error) {
 		}
 	}
 
-	j.jm.supersteps.Inc()
-	j.jm.step.Set(int64(t))
-	j.jm.updated.Add(st.Updated)
-	j.jm.produced.Add(st.Produced)
-	j.jm.spilled.Add(st.Spilled)
-	j.jm.netBytes.Add(st.NetBytes)
-	j.jm.ioBytes.Add(st.IO.Total())
-	j.jm.logBytes.Add(st.LogIO.Total())
-	j.jm.physBytes.Add(st.PhysIO.Total())
-	j.jm.memPeak.Max(st.MemBytes)
+	reg := j.cfg.Metrics
+	reg.Counter("core.supersteps").Inc()
+	reg.Gauge("core.superstep").Set(int64(t))
+	reg.Counter("core.updated_vertices").Add(st.Updated)
+	reg.Counter("core.produced_msgs").Add(st.Produced)
+	reg.Counter("core.spilled_msgs").Add(st.Spilled)
+	reg.Counter("core.net_bytes").Add(st.NetBytes)
+	reg.Counter("core.io_bytes").Add(st.IO.Total())
+	reg.Counter("msglog.bytes_logged").Add(st.LogIO.Total())
+	reg.Counter("core.phys_bytes").Add(st.PhysIO.Total())
+	reg.Gauge("core.mem_bytes_peak").Max(st.MemBytes)
 	if stallErr != nil {
 		return st, stallErr
 	}

@@ -9,77 +9,6 @@ import (
 	"hybridgraph/internal/obs"
 )
 
-// jobMetrics caches the registry instruments the superstep loop touches so
-// the hot path pays pointer increments, not map lookups. Every field is
-// nil when metrics are disabled, and the obs instruments no-op on nil.
-type jobMetrics struct {
-	supersteps  *obs.Counter // "core.supersteps"
-	updated     *obs.Counter // "core.updated_vertices"
-	produced    *obs.Counter // "core.produced_msgs"
-	spilled     *obs.Counter // "core.spilled_msgs"
-	netBytes    *obs.Counter // "core.net_bytes"
-	ioBytes     *obs.Counter // "core.io_bytes" (logical superstep bytes)
-	switches    *obs.Counter // "core.mode_switches"
-	faults      *obs.Counter // "core.injected_faults"
-	recoveries  *obs.Counter // "core.recoveries"
-	ckptCommits *obs.Counter // "checkpoint.commits"
-	ckptBytes   *obs.Counter // "checkpoint.bytes"
-	restores    *obs.Counter // "checkpoint.restores"
-	restoreFail *obs.Counter // "checkpoint.restore_failures"
-	pruneFails  *obs.Counter // "checkpoint.prune_failures"
-	stalls      *obs.Counter // "core.stalled_workers"
-	confined    *obs.Counter // "core.confined_recoveries"
-	logBytes    *obs.Counter // "msglog.bytes_logged"
-	logPrunes   *obs.Counter // "msglog.segments_pruned"
-	replayBytes *obs.Counter // "replay.bytes"
-	replaySteps *obs.Counter // "replay.supersteps"
-	diskFaults  *obs.Counter // "core.disk_faults" (injected storage faults observed)
-	ckptFails   *obs.Counter // "checkpoint.write_failures" (abandoned, not committed)
-	reassigns   *obs.Counter // "core.reassignments" (partitions adopted by survivors)
-	migIOBytes  *obs.Counter // "migration.io_bytes" (store-rebuild I/O of adoptions)
-	migNetBytes *obs.Counter // "migration.net_bytes" (state shipped to adopting hosts)
-	physBytes   *obs.Counter // "core.phys_bytes" (physical post-codec superstep bytes)
-	compression *obs.Gauge   // "core.compression_ratio_milli" (logical/physical ×1000)
-	step        *obs.Gauge   // "core.superstep" (the superstep in flight)
-	memPeak     *obs.Gauge   // "core.mem_bytes_peak"
-	degraded    *obs.Gauge   // "core.workers_degraded" (permanently-dead workers)
-}
-
-func newJobMetrics(reg *obs.Registry) jobMetrics {
-	return jobMetrics{
-		supersteps:  reg.Counter("core.supersteps"),
-		updated:     reg.Counter("core.updated_vertices"),
-		produced:    reg.Counter("core.produced_msgs"),
-		spilled:     reg.Counter("core.spilled_msgs"),
-		netBytes:    reg.Counter("core.net_bytes"),
-		ioBytes:     reg.Counter("core.io_bytes"),
-		switches:    reg.Counter("core.mode_switches"),
-		faults:      reg.Counter("core.injected_faults"),
-		recoveries:  reg.Counter("core.recoveries"),
-		ckptCommits: reg.Counter("checkpoint.commits"),
-		ckptBytes:   reg.Counter("checkpoint.bytes"),
-		restores:    reg.Counter("checkpoint.restores"),
-		restoreFail: reg.Counter("checkpoint.restore_failures"),
-		pruneFails:  reg.Counter("checkpoint.prune_failures"),
-		stalls:      reg.Counter("core.stalled_workers"),
-		confined:    reg.Counter("core.confined_recoveries"),
-		logBytes:    reg.Counter("msglog.bytes_logged"),
-		logPrunes:   reg.Counter("msglog.segments_pruned"),
-		replayBytes: reg.Counter("replay.bytes"),
-		replaySteps: reg.Counter("replay.supersteps"),
-		diskFaults:  reg.Counter("core.disk_faults"),
-		ckptFails:   reg.Counter("checkpoint.write_failures"),
-		reassigns:   reg.Counter("core.reassignments"),
-		migIOBytes:  reg.Counter("migration.io_bytes"),
-		migNetBytes: reg.Counter("migration.net_bytes"),
-		physBytes:   reg.Counter("core.phys_bytes"),
-		compression: reg.Gauge("core.compression_ratio_milli"),
-		step:        reg.Gauge("core.superstep"),
-		memPeak:     reg.Gauge("core.mem_bytes_peak"),
-		degraded:    reg.Gauge("core.workers_degraded"),
-	}
-}
-
 // newJobTracer resolves the three trace configuration knobs in precedence
 // order: an explicit writer, an explicit file path, or an auto-named file
 // inside a directory. Returns nil (tracing disabled) when none is set.

@@ -46,7 +46,7 @@ func sameStepsEx(t *testing.T, label string, a, b []metrics.StepStats, comparePh
 		if x.Mode != y.Mode {
 			t.Errorf("%s step %d: mode %q vs %q", label, x.Step, x.Mode, y.Mode)
 		}
-		if x.Produced != y.Produced || x.Combined != y.Combined ||
+		if x.Produced != y.Produced || x.McoBytes != y.McoBytes ||
 			x.NetBytes != y.NetBytes ||
 			x.Requests != y.Requests || x.Responding != y.Responding ||
 			x.Updated != y.Updated || x.Spilled != y.Spilled {

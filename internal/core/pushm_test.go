@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"hybridgraph/internal/algo"
+	"hybridgraph/internal/comm"
 	"hybridgraph/internal/faultplan"
 	"hybridgraph/internal/graph"
 	"hybridgraph/internal/metrics"
@@ -17,7 +18,8 @@ import (
 // pushChargeLines renders every charge one push-family job makes: the
 // value bits, and per superstep the mode, the class-tagged disk bytes, ops
 // and device bytes, the simulated seconds, peak memory, wire bytes, the
-// Eq. (7)/(8) parts, the messages produced and combined, and the Q^t bits.
+// Eq. (7)/(8) parts, the messages produced, the concatenation and
+// combining savings in id units (McoBytes/MsgIDSize), and the Q^t bits.
 func pushChargeLines(label string, res *metrics.JobResult) []string {
 	h := fnv.New64a()
 	var b [8]byte
@@ -29,7 +31,7 @@ func pushChargeLines(label string, res *metrics.JobResult) []string {
 	for _, s := range res.Steps {
 		out = append(out, fmt.Sprintf("%s step=%d mode=%s bytes=%v ops=%v dev=%v sim=%016x mem=%d net=%d parts=%v produced=%d combined=%d qt=%016x",
 			label, s.Step, s.Mode, s.IO.Bytes, s.IO.Ops, s.IO.Dev, math.Float64bits(s.SimSeconds),
-			s.MemBytes, s.NetBytes, s.Parts, s.Produced, s.Combined, math.Float64bits(s.Qt)))
+			s.MemBytes, s.NetBytes, s.Parts, s.Produced, s.McoBytes/comm.MsgIDSize, math.Float64bits(s.Qt)))
 	}
 	return out
 }

@@ -213,10 +213,11 @@ func (j *job) adoptWorker(fw, host, step int, reason string, res *metrics.JobRes
 	res.Degraded = true
 	res.RecoverySimSeconds += j.diskSeconds(migIO, migPhys) + j.cfg.Profile.NetSeconds(netBytes)
 	j.pendingMig[fw] = pendingMig{set: true, io: migIO, net: netBytes}
-	j.jm.reassigns.Inc()
-	j.jm.migIOBytes.Add(migIO.Total())
-	j.jm.migNetBytes.Add(netBytes)
-	j.jm.degraded.Set(int64(j.own.deadCount()))
+	reg := j.cfg.Metrics
+	reg.Counter("core.reassignments").Inc()
+	reg.Counter("migration.io_bytes").Add(migIO.Total())
+	reg.Counter("migration.net_bytes").Add(netBytes)
+	reg.Gauge("core.workers_degraded").Set(int64(j.own.deadCount()))
 
 	if j.trace != nil {
 		j.trace.Emit(obs.ReassignEvent{Type: obs.EventReassign, Step: step,

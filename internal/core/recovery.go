@@ -71,7 +71,7 @@ func (j *job) recoverFailure(res *metrics.JobResult, f failure) (start int, halt
 			return 0, false, err
 		}
 	}
-	j.jm.recoveries.Inc()
+	j.cfg.Metrics.Counter("core.recoveries").Inc()
 	if j.pol.failedOnly {
 		ev := obs.RecoveryEvent{Type: obs.EventRecovery, Policy: j.pol.name,
 			RestartStep: f.lastDone + 1, Worker: units[0]}
@@ -103,7 +103,7 @@ func (j *job) recoverFailure(res *metrics.JobResult, f failure) (start int, halt
 		}
 		if covered {
 			res.ConfinedRecoveries += len(units)
-			j.jm.confined.Add(int64(len(units)))
+			j.cfg.Metrics.Counter("core.confined_recoveries").Add(int64(len(units)))
 			j.trace.Emit(ev)
 			return f.lastDone + 1, j.finishStall(res, f, rej), nil
 		}
@@ -173,7 +173,7 @@ func (j *job) restore(res *metrics.JobResult, ws []*worker, whole bool) (step in
 		j.chargeReplay(res, delta, phys, 0, 0)
 		if ok {
 			res.Restores++
-			j.jm.restores.Inc()
+			j.cfg.Metrics.Counter("checkpoint.restores").Inc()
 			j.trace.Emit(obs.CheckpointEvent{Type: obs.EventRestore, Step: step,
 				Workers: len(ws), Bytes: delta.Total(), SimSecs: j.cfg.Profile.DiskSeconds(delta)})
 		}
@@ -234,7 +234,7 @@ func (j *job) restore(res *metrics.JobResult, ws []*worker, whole bool) (step in
 			}
 			return ck, true, nil
 		}
-		j.jm.restoreFail.Inc()
+		j.cfg.Metrics.Counter("checkpoint.restore_failures").Inc()
 		j.trace.Emit(obs.RestoreFailedEvent{Type: obs.EventRestoreFailed, Step: ck, Reason: reason})
 		coord.Remove(ck, len(j.workers))
 	}

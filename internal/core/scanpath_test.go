@@ -257,7 +257,6 @@ func loadedJob(tb testing.TB, g *graph.Graph, cfg Config) *job {
 	cfg = cfg.withDefaults()
 	j := &job{cfg: cfg, runCtx: context.Background(), g: g, prog: algo.NewPageRank(0.85), engine: BPull}
 	j.cdc, _ = codec.Lookup(cfg.Codec)
-	j.jm = newJobMetrics(nil)
 	if err := j.setupDir(); err != nil {
 		tb.Fatal(err)
 	}

@@ -2,17 +2,18 @@ package diskio
 
 import "sync"
 
-// Accountant is the one implementation of the charge rules: sequential
-// position, last-touched page, per-page device amplification for random
-// classes, the zero-byte sync op. It charges a Counter without performing
-// any I/O. Every File holds one (in mirror mode, so its charges also
-// reach the counter's physical twin) and charges what its reads and
-// writes moved; a bare Accountant replays the same sequence with no file
-// behind it. Compressed stores use a bare one to keep the *logical* byte
-// dimension byte-identical to an uncompressed run: every logical access
-// is charged here exactly as the raw File would have charged it, while
-// the store's real frame I/O goes through an ordinary File opened on the
-// counter's physical twin. A bare Accountant applies the raw
+// Accountant is the one implementation of the charge rules: each access
+// is charged under the class its caller names, random classes pay per-page
+// device amplification except on the last-touched page, and a sync is a
+// zero-byte op. It charges a Counter without performing any I/O. Every
+// File holds one (in mirror mode, so its charges also reach the counter's
+// physical twin) and charges what its reads and writes moved; a bare
+// Accountant replays the same sequence with no file behind it.
+// Compressed stores use a bare one to keep the *logical* byte dimension
+// byte-identical to an uncompressed run: every logical access is charged
+// here exactly as the raw File would have charged it, while the store's
+// real frame I/O goes through an ordinary File opened on the counter's
+// physical twin. A bare Accountant applies the raw
 // (non-mirroring) tally update, so its charges never leak into the
 // physical dimension; a mirroring one (NewMirrorAccountant) charges for
 // a store whose file holds its logical bytes as they are.
@@ -20,7 +21,6 @@ type Accountant struct {
 	mu       sync.Mutex
 	ct       *Counter
 	mirror   bool  // also charge ct's physical twin (File's accountant)
-	seqPos   int64 // next offset that still counts as sequential
 	lastPage int64 // most recently touched page, for device-byte accounting
 }
 
@@ -82,7 +82,6 @@ func (a *Accountant) WriteAtClass(n, off int64, c Class) { a.Charge(n, off, c) }
 // Charge records one n-byte access of class c at off.
 func (a *Accountant) Charge(n, off int64, c Class) {
 	a.mu.Lock()
-	a.seqPos = off + n
 	dev := a.devCharge(off, n, c)
 	ct := a.ct
 	a.mu.Unlock()
@@ -90,17 +89,16 @@ func (a *Accountant) Charge(n, off int64, c Class) {
 }
 
 // ChargeRun records count back-to-back recSize-byte accesses, the first
-// at off, leaving counter, sequential position and last-touched page
-// exactly where count successive Charge calls would, in one update. Page
-// visits of such a run never go back, so a random-class run pays each page
-// it touches once, except a first page that is still the last one touched.
+// at off, leaving counter and last-touched page exactly where count
+// successive Charge calls would, in one update. Page visits of such a run
+// never go back, so a random-class run pays each page it touches once,
+// except a first page that is still the last one touched.
 func (a *Accountant) ChargeRun(recSize int64, count int, off int64, c Class) {
 	if count <= 0 {
 		return
 	}
 	n := recSize * int64(count)
 	a.mu.Lock()
-	a.seqPos = off + n
 	dev := n
 	if n > 0 {
 		first, last := off/PageSize, (off+n-1)/PageSize
@@ -121,7 +119,6 @@ func (a *Accountant) ChargeRun(recSize int64, count int, off int64, c Class) {
 // itself.
 func (a *Accountant) ChargeDev(n, off int64, c Class, dev int64) {
 	a.mu.Lock()
-	a.seqPos = off + n
 	if n > 0 {
 		a.lastPage = (off + n - 1) / PageSize
 	}
@@ -131,49 +128,19 @@ func (a *Accountant) ChargeDev(n, off int64, c Class, dev int64) {
 }
 
 // ChargeDevRun is count ChargeDev calls of n bytes in one update: dev
-// device bytes in total, the last access at lastOff, and counter,
-// sequential position and last-touched page left exactly where they would.
+// device bytes in total, the last access at lastOff, and counter and
+// last-touched page left exactly where they would.
 func (a *Accountant) ChargeDevRun(n int64, count int, lastOff int64, c Class, dev int64) {
 	if count <= 0 {
 		return
 	}
 	a.mu.Lock()
-	a.seqPos = lastOff + n
 	if n > 0 {
 		a.lastPage = (lastOff + n - 1) / PageSize
 	}
 	ct := a.ct
 	a.mu.Unlock()
 	ct.addOps(c, n*int64(count), dev, int64(count), a.mirror)
-}
-
-// classify predicts the class chargeAuto will assign an access at off: one
-// that continues exactly where the previous access ended is sequential,
-// anything else random.
-func (a *Accountant) classify(off int64, randC, seqC Class) Class {
-	a.mu.Lock()
-	seq := off == a.seqPos
-	a.mu.Unlock()
-	if seq {
-		return seqC
-	}
-	return randC
-}
-
-// chargeAuto records an n-byte access under position-based classification.
-func (a *Accountant) chargeAuto(n, off int64, randC, seqC Class) {
-	a.mu.Lock()
-	c := randC
-	if off == a.seqPos {
-		c = seqC
-	}
-	a.seqPos = off + n
-	dev := a.devCharge(off, n, c)
-	ct := a.ct
-	a.mu.Unlock()
-	if n > 0 {
-		a.add(ct, c, n, dev)
-	}
 }
 
 // Sync charges the zero-byte sequential-write op File.Sync records.

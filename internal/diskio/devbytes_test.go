@@ -113,9 +113,8 @@ func TestSnapshotDevTotal(t *testing.T) {
 
 // TestChargeRunEqualsRepeatedCharge is ChargeRun's whole contract: after
 // any history, one ChargeRun(recSize, count, off, c) leaves the counter
-// (ops, bytes, device bytes), its physical twin, the sequential position
-// and the last-touched page exactly where count Charge calls over the
-// same tiling leave them — for the mirroring accountant a File holds and
+// (ops, bytes, device bytes), its physical twin and the last-touched page
+// exactly where count Charge calls over the same tiling leave them — for the mirroring accountant a File holds and
 // the bare one a compressed store holds, for records that straddle pages
 // and records larger than a page.
 func TestChargeRunEqualsRepeatedCharge(t *testing.T) {
@@ -145,10 +144,10 @@ func TestChargeRunEqualsRepeatedCharge(t *testing.T) {
 			}
 			off += recSize * int64(count)
 			if runCt.Snapshot() != refCt.Snapshot() || runPhys.Snapshot() != refPhys.Snapshot() ||
-				run.seqPos != ref.seqPos || run.lastPage != ref.lastPage {
-				t.Fatalf("mirror=%v step %d: ChargeRun(%d, %d, off, %v) left %+v phys %+v seqPos %d lastPage %d;\n%d Charge calls leave %+v phys %+v seqPos %d lastPage %d",
-					mirror, step, recSize, count, c, runCt.Snapshot(), runPhys.Snapshot(), run.seqPos, run.lastPage,
-					count, refCt.Snapshot(), refPhys.Snapshot(), ref.seqPos, ref.lastPage)
+				run.lastPage != ref.lastPage {
+				t.Fatalf("mirror=%v step %d: ChargeRun(%d, %d, off, %v) left %+v phys %+v lastPage %d;\n%d Charge calls leave %+v phys %+v lastPage %d",
+					mirror, step, recSize, count, c, runCt.Snapshot(), runPhys.Snapshot(), run.lastPage,
+					count, refCt.Snapshot(), refPhys.Snapshot(), ref.lastPage)
 			}
 		}
 		if mirror == (runPhys.Snapshot() == Snapshot{}) {
@@ -159,8 +158,8 @@ func TestChargeRunEqualsRepeatedCharge(t *testing.T) {
 
 // ChargeDevRun is count ChargeDev calls taken at once: scattered offsets,
 // a caller-computed device charge per access (a fresh page or a hot one),
-// mirror and bare accountant — tallies, sequential position and
-// last-touched page end up where the per-access calls leave them, also
+// mirror and bare accountant — tallies and last-touched page end up where
+// the per-access calls leave them, also
 // when other charges run in between.
 func TestChargeDevRunEqualsRepeatedChargeDev(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
@@ -191,10 +190,10 @@ func TestChargeDevRunEqualsRepeatedChargeDev(t *testing.T) {
 				ref.Charge(100, off, RandRead)
 			}
 			if runCt.Snapshot() != refCt.Snapshot() || runPhys.Snapshot() != refPhys.Snapshot() ||
-				run.seqPos != ref.seqPos || run.lastPage != ref.lastPage {
-				t.Fatalf("mirror=%v step %d: ChargeDevRun(%d, %d, %d, %v, %d) left %+v phys %+v seqPos %d lastPage %d;\n%d ChargeDev calls leave %+v phys %+v seqPos %d lastPage %d",
-					mirror, step, n, count, lastOff, c, dev, runCt.Snapshot(), runPhys.Snapshot(), run.seqPos, run.lastPage,
-					count, refCt.Snapshot(), refPhys.Snapshot(), ref.seqPos, ref.lastPage)
+				run.lastPage != ref.lastPage {
+				t.Fatalf("mirror=%v step %d: ChargeDevRun(%d, %d, %d, %v, %d) left %+v phys %+v lastPage %d;\n%d ChargeDev calls leave %+v phys %+v lastPage %d",
+					mirror, step, n, count, lastOff, c, dev, runCt.Snapshot(), runPhys.Snapshot(), run.lastPage,
+					count, refCt.Snapshot(), refPhys.Snapshot(), ref.lastPage)
 			}
 		}
 		if mirror == (runPhys.Snapshot() == Snapshot{}) {

@@ -63,15 +63,12 @@ type Counter struct {
 
 // Add records n logical bytes of class c as one operation with an equal
 // device transfer (used for sequential access and direct accounting).
-func (ct *Counter) Add(c Class, n int64) { ct.AddDev(c, n, n) }
-
-// AddDev records n logical bytes moved with dev device bytes. When a
-// physical twin is attached (SetPhys), the same charge is mirrored into
-// it: for uncompressed files the bytes that hit the device *are* the
+// When a physical twin is attached (SetPhys), the same charge is mirrored
+// into it: for uncompressed files the bytes that hit the device *are* the
 // logical bytes, so the physical dimension tracks charge-for-charge.
 // Compressed stores instead charge logical bytes through an Accountant
 // (which does not mirror) and let their real frame I/O land on the twin.
-func (ct *Counter) AddDev(c Class, n, dev int64) { ct.addOps(c, n, dev, 1, true) }
+func (ct *Counter) Add(c Class, n int64) { ct.addOps(c, n, n, 1, true) }
 
 // addOps is the tally update: n logical and dev device bytes moved by ops
 // operations, mirrored into the physical twin when asked.
@@ -133,15 +130,6 @@ func (ct *Counter) Snapshot() Snapshot {
 		s.Ops[c] = ct.Ops(c)
 	}
 	return s
-}
-
-// Reset zeroes all tallies.
-func (ct *Counter) Reset() {
-	for c := Class(0); c < numClasses; c++ {
-		ct.bytes[c].Store(0)
-		ct.dev[c].Store(0)
-		ct.ops[c].Store(0)
-	}
 }
 
 // Snapshot is an immutable copy of a Counter's tallies. Subtracting two
@@ -356,36 +344,18 @@ func (af *File) Size() (int64, error) {
 	return st.Size(), nil
 }
 
-// ReadAt reads len(p) bytes at off. The access is classified automatically:
-// a read that continues exactly where the previous access on this File
-// ended counts as sequential, anything else as random. The classification
-// matches how the paper reasons about Eblock scans (sequential) versus
-// svertex lookups (random).
-func (af *File) ReadAt(p []byte, off int64) (int, error) {
-	n, err := af.ReadUncharged(p, off, af.acct.classify(off, RandRead, SeqRead))
-	af.acct.chargeAuto(int64(n), off, RandRead, SeqRead)
-	return n, err
-}
-
-// WriteAt writes p at off with automatic sequential/random classification.
-func (af *File) WriteAt(p []byte, off int64) (int, error) {
-	n, err := af.WriteUncharged(p, off, af.acct.classify(off, RandWrite, SeqWrite))
-	af.acct.chargeAuto(int64(n), off, RandWrite, SeqWrite)
-	return n, err
-}
-
-// ReadAtClass reads with an explicit class, for callers that know the
-// device-level pattern better than position heuristics do (e.g. Giraph's
-// message spill is written in arrival order, which the paper charges as
-// random writes regardless of file offsets, because the *logical* locality
-// over destination vertices is poor).
+// ReadAtClass reads p at off and charges what moved under class c. The
+// class is what the access is, never inferred from its offset: Giraph's
+// message spill, say, is written in arrival order at ascending offsets,
+// yet the paper charges it as random writes because its *logical*
+// locality over destination vertices is poor.
 func (af *File) ReadAtClass(p []byte, off int64, c Class) (int, error) {
 	n, err := af.ReadUncharged(p, off, c)
 	af.acct.Charge(int64(n), off, c)
 	return n, err
 }
 
-// WriteAtClass writes with an explicit class.
+// WriteAtClass writes p at off and charges what moved under class c.
 func (af *File) WriteAtClass(p []byte, off int64, c Class) (int, error) {
 	n, err := af.WriteUncharged(p, off, c)
 	af.acct.Charge(int64(n), off, c)

@@ -7,48 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestSequentialVersusRandomClassification(t *testing.T) {
-	var ct Counter
-	f, err := Create(filepath.Join(t.TempDir(), "x"), &ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-
-	buf := make([]byte, 100)
-	// Two back-to-back writes: both sequential.
-	if _, err := f.WriteAt(buf, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteAt(buf, 100); err != nil {
-		t.Fatal(err)
-	}
-	if got := ct.Bytes(SeqWrite); got != 200 {
-		t.Fatalf("SeqWrite = %d, want 200", got)
-	}
-	// A jump back: random.
-	if _, err := f.WriteAt(buf, 0); err != nil {
-		t.Fatal(err)
-	}
-	if got := ct.Bytes(RandWrite); got != 100 {
-		t.Fatalf("RandWrite = %d, want 100", got)
-	}
-	// Reading from the middle after a write elsewhere: random, then the
-	// continuation is sequential.
-	if _, err := f.ReadAt(buf[:50], 10); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.ReadAt(buf[:50], 60); err != nil {
-		t.Fatal(err)
-	}
-	if got := ct.Bytes(RandRead); got != 50 {
-		t.Fatalf("RandRead = %d, want 50", got)
-	}
-	if got := ct.Bytes(SeqRead); got != 50 {
-		t.Fatalf("SeqRead = %d, want 50", got)
-	}
-}
-
 func TestExplicitClassOverride(t *testing.T) {
 	var ct Counter
 	f, err := Create(filepath.Join(t.TempDir(), "x"), &ct)
@@ -108,15 +66,6 @@ func TestSnapshotAddSubProperty(t *testing.T) {
 	}
 }
 
-func TestCounterReset(t *testing.T) {
-	var ct Counter
-	ct.Add(SeqRead, 100)
-	ct.Reset()
-	if ct.Total() != 0 || ct.Ops(SeqRead) != 0 {
-		t.Fatal("Reset did not zero the counter")
-	}
-}
-
 func TestProfileSeconds(t *testing.T) {
 	var s Snapshot
 	s.Dev[RandRead] = 1177 * 1024 // device bytes drive the cost model
@@ -155,7 +104,7 @@ func TestOpenExisting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteAt([]byte("hello"), 0); err != nil {
+	if _, err := f.WriteAtClass([]byte("hello"), 0, SeqWrite); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -170,7 +119,7 @@ func TestOpenExisting(t *testing.T) {
 		t.Fatalf("Size = %d, %v; want 5", sz, err)
 	}
 	buf := make([]byte, 5)
-	if _, err := g.ReadAt(buf, 0); err != nil {
+	if _, err := g.ReadAtClass(buf, 0, SeqRead); err != nil {
 		t.Fatal(err)
 	}
 	if string(buf) != "hello" {

@@ -35,24 +35,12 @@ func (b IOBreakdown) CioPush() int64 { return b.Vt + b.Et + b.MdiskW + b.MdiskR 
 // CioBpull evaluates Eq. (8) for this breakdown.
 func (b IOBreakdown) CioBpull() int64 { return b.Vt + b.Ebar + b.Ft + b.Vrr }
 
-// Prediction holds the quantities hybrid forecasts for superstep t+Δt
-// while running superstep t (Section 5.3): the concatenation/combining
-// savings Mco (in messages) and the two engines' I/O costs (in bytes).
-// When the engine of the moment cannot measure a quantity it estimates it
-// from VE-BLOCK metadata or the adjacency index, as the paper describes.
-type Prediction struct {
-	Mco      int64
-	CioPush  int64
-	CioBpull int64
-}
-
 // StepStats aggregates one superstep across the cluster.
 type StepStats struct {
 	Step int
 	Mode string // engine that executed this superstep ("push", "b-pull", …)
 
 	Produced   int64 // messages generated (M)
-	Combined   int64 // messages eliminated by concat/combine (Mco)
 	NetBytes   int64 // bytes across the fabric this superstep
 	Requests   int64 // pull/gather requests issued
 	Responding int64 // vertices whose respond flag was set
@@ -103,14 +91,13 @@ type StepStats struct {
 	// implementing algo.Aggregating (e.g. PageRank's L1 rank delta).
 	Aggregate float64
 
-	CPUSeconds   float64 // modelled compute time, max across workers
-	DiskSeconds  float64
+	CPUSeconds   float64 // modelled compute time, summed across workers
+	DiskSeconds  float64 // modelled disk time, summed across workers
 	NetSeconds   float64 // a.k.a. blocking time: the exchange component
 	SimSeconds   float64 // max across workers of (cpu+disk+net)
 	WallSeconds  float64 // measured wall clock of the superstep
 	Qt           float64 // Eq. (11) evaluated from this superstep's data
-	Pred         Prediction
-	SwitchedFrom string // non-empty when this superstep executed a switch
+	SwitchedFrom string  // non-empty when this superstep executed a switch
 }
 
 // JobResult is the outcome of one engine run.
