@@ -65,9 +65,12 @@ type Snapshot struct {
 	Pending [2]comm.Records
 }
 
-// Master is the job-level state the master commits with a checkpoint:
-// hybrid's mode schedule and switching history, without which a restored
-// switcher would re-learn from nothing.
+// Master is the job-level state the master commits with a checkpoint: the
+// mode scheduler's state, the last reduced aggregate and, under the
+// reassign policy, the ownership table. Every engine writes Rco, its
+// observed combining ratio; only hybrid writes Modes, its whole schedule,
+// and a LastSwitch other than 0, without which a restored switcher would
+// re-learn from nothing. The fixed schedules are rebuilt, not restored.
 type Master struct {
 	Step       int
 	Modes      []string

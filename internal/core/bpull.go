@@ -61,9 +61,7 @@ func (w *worker) pullBlocks(t int, update func(lo, hi graph.VertexID, msgs msgst
 			charged += f.mem
 		}
 		w.addStat(func(s *workerStat) {
-			if charged > s.memBytes {
-				s.memBytes = charged
-			}
+			s.memBytes = max(s.memBytes, charged)
 		})
 		blk := w.job.layout.Blocks[b]
 		if err := update(blk.Lo, blk.Hi, f.buf.groups); err != nil {
@@ -211,9 +209,7 @@ func (w *worker) RespondPull(reqBlock, step int) ([]comm.Msg, int64, error) {
 		s.parts.Ft += ft
 		s.cpu.Messages += produced
 		s.cpu.Edges += ebar / 8 // every scanned edge costs, responding or not
-		if bsMem > s.memBytes {
-			s.memBytes = bsMem
-		}
+		s.memBytes = max(s.memBytes, bsMem)
 	})
 	if w.mlog != nil && w.job.layout.OwnerOfBlock(reqBlock) != w.id {
 		// Confined recovery: log the response exactly as it crosses the wire,

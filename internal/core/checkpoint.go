@@ -14,8 +14,9 @@ import (
 // every CheckpointEvery supersteps each worker snapshots its vertex values,
 // flag vectors and parked inbox messages — the mode-specific state each
 // engine needs — and the master commits the checkpoint only after every
-// snapshot is durably in place, together with its own record of hybrid's
-// mode schedule. The restore walk is in recovery.go.
+// snapshot is durably in place, together with its own record of the job:
+// the scheduler's state and the last reduced aggregate. The restore walk is
+// in recovery.go.
 
 // maybeCheckpoint writes and commits a checkpoint after superstep t when
 // the interval says so. All checkpoint I/O runs through the workers' disk
@@ -143,21 +144,11 @@ func (j *job) writeCheckpoint(coord checkpoint.Coordinator, t int, mct *diskio.C
 	return nil
 }
 
-// masterRecord captures the job-level state a restore must bring back so
-// hybrid's switcher does not re-learn from nothing.
+// masterRecord captures the job-level state a restore must bring back: the
+// scheduler's, the last reduced aggregate and the ownership table.
 func (j *job) masterRecord(t int) *checkpoint.Master {
-	m := &checkpoint.Master{
-		Step:       t,
-		LastSwitch: j.lastSwitch,
-		Rco:        j.rco,
-		PrevAgg:    j.prevAgg,
-	}
-	if j.engine == Hybrid {
-		// The other engines' schedules are fixed: setup rebuilds them.
-		for _, mode := range j.modes {
-			m.Modes = append(m.Modes, string(mode))
-		}
-	}
+	m := &checkpoint.Master{Step: t, PrevAgg: j.prevAgg}
+	j.sched.record(m)
 	if j.own != nil {
 		// Reassign policy: the checkpoint records the ownership table so a
 		// daemon restart resumes with the shrunken worker set instead of
@@ -170,8 +161,8 @@ func (j *job) masterRecord(t int) *checkpoint.Master {
 }
 
 // applyMaster restores the job-level state a master record carries: the
-// ownership table under the reassign policy, hybrid's switcher, and the
-// last reduced aggregate.
+// ownership table under the reassign policy, the scheduler's state, and
+// the last reduced aggregate.
 func (j *job) applyMaster(res *metrics.JobResult, m *checkpoint.Master) {
 	if j.own != nil && m.Epoch != 0 {
 		// Re-apply the recorded ownership: a resumed job continues with the
@@ -196,14 +187,7 @@ func (j *job) applyMaster(res *metrics.JobResult, m *checkpoint.Master) {
 			}
 		}
 	}
-	if j.engine == Hybrid {
-		j.modes = j.modes[:0]
-		for _, mode := range m.Modes {
-			j.modes = append(j.modes, Engine(mode))
-		}
-		j.lastSwitch = m.LastSwitch
-		j.rco = m.Rco
-	}
+	j.sched.restore(m)
 	j.prevAgg = m.PrevAgg
 }
 

@@ -28,7 +28,7 @@ type job struct {
 	runCtx  context.Context
 	g       *graph.Graph
 	prog    algo.Program
-	engine  Engine
+	sched   scheduler
 	parts   []graph.Partition
 	layout  *veblock.Layout
 	fabric  comm.Fabric
@@ -54,14 +54,6 @@ type job struct {
 	totalFrags int64
 	bTotal     int64   // B = Σ B_i in messages (0 = unlimited)
 	inDeg      []int32 // per-vertex in-degree, counted once on first use
-
-	// modes is the job's schedule, one mode per superstep, index t
-	// (1-based): superstep t consumes messages per modes[t] and produces
-	// them per modes[t+1]. Every engine but hybrid keeps one mode
-	// throughout; hybrid rewrites the tail after each superstep.
-	modes      []Engine
-	lastSwitch int     // hybrid: superstep the last switch took effect
-	rco        float64 // observed b-pull byte-savings ratio, for Mco estimates
 
 	prevAgg float64 // last superstep's reduced aggregator value
 
@@ -147,10 +139,14 @@ func RunContext(ctx context.Context, g *graph.Graph, prog algo.Program, cfg Conf
 	if err != nil {
 		return nil, err
 	}
+	sched, err := newScheduler(cfg, engine, prog, pol)
+	if err != nil {
+		return nil, err
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	j := &job{cfg: cfg, runCtx: ctx, g: g, prog: prog, engine: engine, pol: pol}
+	j := &job{cfg: cfg, runCtx: ctx, g: g, prog: prog, sched: sched, pol: pol}
 	j.cdc, _ = codec.Lookup(cfg.Codec)
 	tr, err := newJobTracer(cfg, prog, engine)
 	if err != nil {
@@ -162,12 +158,10 @@ func RunContext(ctx context.Context, g *graph.Graph, prog algo.Program, cfg Conf
 		return nil, err
 	}
 	defer func() { j.close(err != nil) }()
-	if tr != nil {
-		tr.Emit(obs.JobEvent{Type: obs.EventJobStart, JobID: cfg.JobLabel,
-			Engine: string(engine), Algorithm: prog.Name(), Workers: cfg.Workers,
-			Parallelism: cfg.Parallelism,
-			Vertices:    g.NumVertices, Edges: int64(g.NumEdges())})
-	}
+	tr.Emit(obs.JobEvent{Type: obs.EventJobStart, JobID: cfg.JobLabel,
+		Engine: string(engine), Algorithm: prog.Name(), Workers: cfg.Workers,
+		Parallelism: cfg.Parallelism,
+		Vertices:    g.NumVertices, Edges: int64(g.NumEdges())})
 	res := &metrics.JobResult{
 		Engine:      string(engine),
 		Algorithm:   prog.Name(),
@@ -194,13 +188,11 @@ func RunContext(ctx context.Context, g *graph.Graph, prog algo.Program, cfg Conf
 		return nil, err
 	}
 	res.Values = vals
-	if tr != nil {
-		tr.Emit(obs.JobEvent{Type: obs.EventJobEnd, JobID: cfg.JobLabel,
-			Engine: string(engine), Algorithm: prog.Name(), Workers: cfg.Workers,
-			Parallelism: cfg.Parallelism,
-			Steps:       len(res.Steps), SimSecs: res.SimSeconds,
-			NetBytes: res.NetBytes, IOBytes: res.IO.Total(), Restarts: res.Restarts})
-	}
+	tr.Emit(obs.JobEvent{Type: obs.EventJobEnd, JobID: cfg.JobLabel,
+		Engine: string(engine), Algorithm: prog.Name(), Workers: cfg.Workers,
+		Parallelism: cfg.Parallelism,
+		Steps:       len(res.Steps), SimSecs: res.SimSeconds,
+		NetBytes: res.NetBytes, IOBytes: res.IO.Total(), Restarts: res.Restarts})
 	if err := tr.Close(); err != nil {
 		return nil, fmt.Errorf("core: trace journal: %w", err)
 	}
@@ -292,8 +284,6 @@ func (j *job) ctx(t int) *algo.Context {
 		Aggregate: j.prevAgg}
 }
 
-func (j *job) loadCt(w int) *diskio.Counter { return j.loadCts[w] }
-
 // blocksPerWorker derives each worker's Vblock count from Eq. (5)/(6), or
 // honours the explicit configuration. A store source's geometry is
 // authoritative: its VE files were laid out for a specific block count,
@@ -344,26 +334,11 @@ func (j *job) inDegrees() []int32 {
 // setup partitions the graph, builds the stores each engine needs, and
 // records the loading cost (Fig. 16) into res.
 func (j *job) setup(res *metrics.JobResult) error {
-	engine := j.engine
-	if !slices.Contains(Engines, engine) {
-		return fmt.Errorf("core: unknown engine %q", engine)
-	}
-	if engine == PushM && j.prog.Combiner() == nil {
-		// MOCgraph's online computing needs commutative messages, which is
-		// why the paper's LPA and SA plots have no pushM bars.
-		return fmt.Errorf("core: pushM requires a combinable algorithm, %s is not", j.prog.Name())
-	}
 	t := j.cfg.Workers
 	j.parts = graph.RangePartition(j.g.NumVertices, t)
 	if j.cfg.FaultPlan != nil {
 		j.crashFired = make([]bool, len(j.cfg.FaultPlan.Crashes))
 		j.stallFired = make([]bool, len(j.cfg.FaultPlan.Stalls))
-	}
-	if j.pol.failedOnly && engine == Pull {
-		// The pull baseline's gather/scatter exchanges carry whole vertex
-		// states on demand, not superstep-framed messages; there is nothing
-		// a sender-side log could replay.
-		return fmt.Errorf("core: %s recovery does not support the pull baseline", j.pol.name)
 	}
 	if j.pol.adopt {
 		j.own = newOwnership(t)
@@ -400,10 +375,12 @@ func (j *job) setup(res *metrics.JobResult) error {
 		j.bTotal = int64(j.cfg.MsgBuf) * int64(t)
 	}
 
-	pushes := engine == Push || engine == PushM || engine == Hybrid
-	needVE := engine == BPull || engine == Hybrid
-	needAdj := pushes || (engine == Pull && j.prog.Style() != algo.AlwaysActive)
-	needMirror := engine == Pull
+	// The stores are those of every mode the schedule can hold.
+	modes := j.sched.emits()
+	pushM, pull := slices.Contains(modes, PushM), slices.Contains(modes, Pull)
+	pushes := pushM || slices.Contains(modes, Push)
+	needVE := slices.Contains(modes, BPull)
+	needAdj := pushes || (pull && j.prog.Style() != algo.AlwaysActive)
 
 	if needVE {
 		layout, err := veblock.NewLayout(j.parts, j.blocksPerWorker())
@@ -443,7 +420,7 @@ func (j *job) setup(res *metrics.JobResult) error {
 				return err
 			}
 		}
-		if needMirror {
+		if pull {
 			if err := wk.buildMirror(j.g); err != nil {
 				return err
 			}
@@ -455,7 +432,7 @@ func (j *job) setup(res *metrics.JobResult) error {
 			j.totalFrags += wk.ve.Fragments()
 		}
 		j.layoutBuildBytes += j.loadCts[w].Snapshot().Sub(edgeBase).Bytes[diskio.SeqWrite]
-		if engine == PushM {
+		if pushM {
 			wk.pickHotSet(j.cfg.MsgBuf)
 		}
 		wk.initFlags()
@@ -463,7 +440,7 @@ func (j *job) setup(res *metrics.JobResult) error {
 			wk.initInboxes()
 		}
 		wk.storesBuilt()
-		if engine == Pull {
+		if pull {
 			wk.vcache = newPullCache(wk.vstore, j.cfg.VertexCache, j.cfg.Metrics)
 		}
 		if j.pol.failedOnly {
@@ -505,7 +482,7 @@ func (j *job) setup(res *metrics.JobResult) error {
 		j.trace.Emit(ev)
 	}
 
-	j.initModes()
+	j.sched.start(j)
 	return nil
 }
 
@@ -603,20 +580,14 @@ func (j *job) runOnce(res *metrics.JobResult, start int) error {
 			return err
 		}
 		res.Steps = append(res.Steps, st)
-		if j.engine == Hybrid {
-			j.scheduleMode(t, st)
-		}
+		next := j.sched.after(t, st)
 		if st.SwitchedFrom != "" {
 			j.cfg.Metrics.Counter("core.mode_switches").Inc()
 		}
 		if j.trace != nil {
-			// The step summary is emitted after the hybrid scheduler ran, so
+			// The step summary is emitted after the scheduler ran, so
 			// NextMode carries the decision this superstep's Q^t just made.
-			ev := obs.StepEvent{Type: obs.EventStep, Stats: st}
-			if j.engine == Hybrid && t+2 < len(j.modes) {
-				ev.NextMode = string(j.modes[t+2])
-			}
-			j.trace.Emit(ev)
+			j.trace.Emit(obs.StepEvent{Type: obs.EventStep, Stats: st, NextMode: string(next)})
 			if st.SwitchedFrom != "" {
 				j.trace.Emit(obs.ModeSwitchEvent{Type: obs.EventModeSwitch,
 					Step: t, From: st.SwitchedFrom, To: st.Mode})
@@ -691,7 +662,8 @@ func (j *job) injectStalls(t int) []bool {
 // stats: the survivors completed the superstep and their numbers are
 // real; the stalled workers contributed nothing.
 func (j *job) superstep(t int) (metrics.StepStats, error) {
-	mode := j.modes[t]
+	plan := j.sched.plan()
+	mode := plan.modes[t]
 	type before struct {
 		io      diskio.Snapshot
 		log     diskio.Snapshot
@@ -771,19 +743,15 @@ func (j *job) superstep(t int) (metrics.StepStats, error) {
 	wall := time.Since(wallStart).Seconds()
 
 	st := metrics.StepStats{Step: t, Mode: string(mode), WallSeconds: wall}
-	if t > 1 && mode != j.modes[t-1] {
-		st.SwitchedFrom = string(j.modes[t-1])
+	if t > 1 && mode != plan.modes[t-1] {
+		st.SwitchedFrom = string(plan.modes[t-1])
 	}
 	aggProg, aggregating := j.prog.(algo.Aggregating)
 	aggSet := false
-	var simMax float64
-	var hostSim map[int]float64
-	if j.own != nil {
-		// Under reassignment a host machine runs its own unit plus its
-		// adopted ones serially, so the superstep's critical path is the
-		// per-host sum of unit times, maxed across hosts.
-		hostSim = make(map[int]float64, len(j.workers))
-	}
+	// A host machine runs its own unit plus, under reassignment, its
+	// adopted ones serially, so the superstep's critical path is the
+	// per-host sum of unit times, maxed across hosts.
+	hostSim := make([]float64, len(j.workers))
 	for i, w := range j.workers {
 		d := w.ct.Snapshot().Sub(befores[i].io)
 		pd := j.pcts[i].Snapshot().Sub(befores[i].phys)
@@ -799,7 +767,7 @@ func (j *job) superstep(t int) (metrics.StepStats, error) {
 		w.mu.Unlock()
 
 		// A superstep that pushes: spill written for the next one (M_disk).
-		if p := j.produceMode(t); p == Push || p == PushM {
+		if p := plan.produce(t); p == Push || p == PushM {
 			if ib := w.inboxes[writeParity(t+1)]; ib != nil {
 				s.parts.MdiskW += ib.Spilled() * comm.MsgWireSize
 			}
@@ -818,16 +786,12 @@ func (j *job) superstep(t int) (metrics.StepStats, error) {
 
 		mem := s.memBytes
 		if ib := w.inboxes[writeParity(t+1)]; ib != nil {
-			if m := ib.MaxMemBytes(); m > mem {
-				mem = m
-			}
+			mem = max(mem, ib.MaxMemBytes())
 		}
 		if w.ve != nil {
 			mem += w.ve.MetaMemBytes()
 		}
-		if mem > st.MemBytes {
-			st.MemBytes = mem
-		}
+		st.MemBytes = max(st.MemBytes, mem)
 
 		host := w.id
 		var migIO diskio.Snapshot
@@ -868,15 +832,9 @@ func (j *job) superstep(t int) (metrics.StepStats, error) {
 		netSec := j.cfg.Profile.NetSeconds(nIn + nOut)
 		st.CPUSeconds += cpuSec
 		st.DiskSeconds += diskSec
-		if netSec > st.NetSeconds {
-			st.NetSeconds = netSec
-		}
+		st.NetSeconds = max(st.NetSeconds, netSec)
 		sim := cpuSec + diskSec + netSec
-		if hostSim != nil {
-			hostSim[host] += sim
-		} else if sim > simMax {
-			simMax = sim
-		}
+		hostSim[host] += sim
 
 		// Hybrid prediction inputs.
 		st.McoBytes += s.mcoBytes
@@ -894,11 +852,8 @@ func (j *job) superstep(t int) (metrics.StepStats, error) {
 		}
 	}
 	for _, s := range hostSim {
-		if s > simMax {
-			simMax = s
-		}
+		st.SimSeconds = max(st.SimSeconds, s)
 	}
-	st.SimSeconds = simMax
 	j.lastStepAggSet = aggSet
 	j.finishQt(mode, &st)
 
@@ -955,8 +910,9 @@ func addBreakdown(dst *metrics.IOBreakdown, s metrics.IOBreakdown) {
 // pull baseline's own step, or the step that consumes messages per
 // modes[t] and produces them per modes[t+1].
 func (j *job) stepWorker(w *worker, t int) error {
-	if j.modes[t] == Pull {
+	plan := j.sched.plan()
+	if plan.modes[t] == Pull {
 		return w.stepPull(t)
 	}
-	return w.step(t, j.modes[t], j.produceMode(t))
+	return w.step(t, plan.modes[t], plan.produce(t))
 }

@@ -251,7 +251,7 @@ func (j *job) resetAll() {
 		w.reset()
 	}
 	j.prevAgg = 0
-	j.initModes()
+	j.sched.start(j)
 }
 
 // rollbackLogs empties every worker's message log after a whole-job

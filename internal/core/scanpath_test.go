@@ -255,7 +255,7 @@ func TestScanScratchReuseIdentity(t *testing.T) {
 func loadedJob(tb testing.TB, g *graph.Graph, cfg Config) *job {
 	cfg.MaxSteps = 1
 	cfg = cfg.withDefaults()
-	j := &job{cfg: cfg, runCtx: context.Background(), g: g, prog: algo.NewPageRank(0.85), engine: BPull}
+	j := &job{cfg: cfg, runCtx: context.Background(), g: g, prog: algo.NewPageRank(0.85), sched: &fixed{mode: BPull}}
 	j.cdc, _ = codec.Lookup(cfg.Codec)
 	if err := j.setupDir(); err != nil {
 		tb.Fatal(err)
@@ -304,7 +304,7 @@ func BenchmarkRespondPull(b *testing.B) {
 func TestConcatOnlyBlocksFromInDegrees(t *testing.T) {
 	g := graph.GenRMAT(2000, 24000, 0.57, 0.19, 0.19, 13)
 	const buf = 700
-	j := &job{cfg: Config{Workers: 3, MsgBuf: buf}.withDefaults(), g: g, prog: algo.NewLPA(), engine: BPull}
+	j := &job{cfg: Config{Workers: 3, MsgBuf: buf}.withDefaults(), g: g, prog: algo.NewLPA(), sched: &fixed{mode: BPull}}
 	j.parts = graph.RangePartition(g.NumVertices, 3)
 	got := j.blocksPerWorker()
 	split := false

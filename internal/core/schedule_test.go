@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -78,5 +81,37 @@ func TestRecoveredHybridKeepsSchedule(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestBadEngineLeavesNoTrace: an engine the job cannot run is rejected
+// before anything observable happens — no job_start line in the journal,
+// no work directory.
+func TestBadEngineLeavesNoTrace(t *testing.T) {
+	g := graph.GenUniform(100, 500, 13)
+	for _, c := range []struct {
+		name   string
+		engine Engine
+		prog   algo.Program
+		policy string
+	}{
+		{"unknown engine", Engine("nope"), algo.NewPageRank(0.85), ""},
+		{"pushM over LPA", PushM, algo.NewLPA(), ""},
+		{"pull under confined", Pull, algo.NewPageRank(0.85), "confined"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var journal bytes.Buffer
+			dir := filepath.Join(t.TempDir(), "work")
+			cfg := Config{Workers: 2, MaxSteps: 3, Recovery: c.policy, TraceWriter: &journal, WorkDir: dir}
+			if _, err := Run(g, c.prog, cfg, c.engine); err == nil {
+				t.Fatal("Run accepted the job")
+			}
+			if journal.Len() > 0 {
+				t.Fatalf("the journal holds %q", journal.String())
+			}
+			if _, err := os.Stat(dir); !os.IsNotExist(err) {
+				t.Fatalf("the work directory exists (stat: %v)", err)
+			}
+		})
 	}
 }

@@ -1,10 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"path/filepath"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -263,7 +263,7 @@ func (w *worker) buildCt(vertices bool) *diskio.Counter {
 	if w.resident(vertices) {
 		return &diskio.Counter{}
 	}
-	return w.job.loadCt(w.id)
+	return w.job.loadCts[w.id]
 }
 
 // buildVertexStore writes the initial vertex records.
@@ -412,34 +412,20 @@ func (w *worker) initInboxes() {
 // pickHotSet selects pushM's in-memory vertices: the B_i highest in-degree
 // vertices of the partition (MOCgraph's hot-aware placement).
 func (w *worker) pickHotSet(capacity int) {
-	if capacity <= 0 || capacity >= w.part.Len() {
-		// Unlimited buffer: everything is hot.
-		w.hot = make(map[graph.VertexID]bool, w.part.Len())
-		for v := w.part.Lo; v < w.part.Hi; v++ {
-			w.hot[v] = true
-		}
-		return
+	if capacity <= 0 || capacity > w.part.Len() {
+		capacity = w.part.Len() // unlimited buffer: everything is hot
 	}
 	indeg := w.job.inDegrees()[w.part.Lo:w.part.Hi]
-	type vd struct {
-		v graph.VertexID
-		d int32
+	order := make([]int, len(indeg))
+	for i := range order {
+		order[i] = i
 	}
-	all := make([]vd, w.part.Len())
-	for i := range all {
-		all[i] = vd{w.part.Lo + graph.VertexID(i), indeg[i]}
-	}
-	// Partial selection: simple sort is fine at our scales; ties break by
-	// id for determinism.
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].d != all[j].d {
-			return all[i].d > all[j].d
-		}
-		return all[i].v < all[j].v
-	})
+	// Highest in-degree first; the stable sort breaks ties by id, for
+	// determinism.
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(indeg[b], indeg[a]) })
 	w.hot = make(map[graph.VertexID]bool, capacity)
-	for i := 0; i < capacity && i < len(all); i++ {
-		w.hot[all[i].v] = true
+	for _, i := range order[:capacity] {
+		w.hot[w.part.Lo+graph.VertexID(i)] = true
 	}
 }
 
@@ -505,13 +491,7 @@ func (w *worker) updateBlock(t int, lo, hi graph.VertexID, msgs msgstore.Groups,
 
 	const chunk = 4096
 	nChunks := (int(hi-lo) + chunk - 1) / chunk
-	shards := w.job.cfg.Parallelism
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > nChunks {
-		shards = nChunks
-	}
+	shards := min(max(w.job.cfg.Parallelism, 1), nChunks)
 
 	w.growShards(shards)
 	hooks := make([]updateHook, shards)
@@ -541,10 +521,7 @@ func (w *worker) updateBlock(t int, lo, hi graph.VertexID, msgs msgstore.Groups,
 		cur := msgs.Seek(lo + graph.VertexID(cLo*chunk))
 		for c := cLo; c < cHi; c++ {
 			clo := lo + graph.VertexID(c*chunk)
-			chi := clo + chunk
-			if chi > hi {
-				chi = hi
-			}
+			chi := min(clo+chunk, hi)
 			recs = recs[:int(chi-clo)]
 			if err := w.vstore.ReadRange(clo, chi, recs); err != nil {
 				return err
@@ -621,12 +598,7 @@ func (w *worker) updateBlock(t int, lo, hi graph.VertexID, msgs msgstore.Groups,
 		return nil
 	}
 
-	var err error
-	if shards == 1 {
-		err = scan(0)
-	} else {
-		err = parallelDo(shards, scan)
-	}
+	err := parallelDo(shards, scan)
 	if aggregating {
 		for c := 0; c < nChunks; c++ {
 			if aggSets[c] {

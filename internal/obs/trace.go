@@ -204,13 +204,15 @@ type WorkerStepEvent struct {
 }
 
 // StepEvent is the cluster-aggregated superstep record: the same StepStats
-// the JobResult keeps, plus hybrid's decision for superstep t+2 (the mode
-// the Q^t evaluation just scheduled). Emitted after the hybrid scheduler
-// has run, so NextMode reflects the decision this superstep's data made.
+// the JobResult keeps, plus the mode scheduler's decision for superstep
+// t+2. Emitted after the scheduler has run, so NextMode is the mode this
+// superstep's Q^t just chose; superstep t+2 runs it, if it runs at all.
+// Only hybrid decides: a fixed schedule (push, pushM, pull, b-pull) leaves
+// NextMode empty.
 type StepEvent struct {
 	Type     string            `json:"type"`
 	Stats    metrics.StepStats `json:"stats"`
-	NextMode string            `json:"next_mode,omitempty"` // hybrid: modes[t+2]
+	NextMode string            `json:"next_mode,omitempty"` // modes[t+2]; hybrid only
 }
 
 // CodecEvent summarises one direction of the block codec's work during
