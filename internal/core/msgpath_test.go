@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -110,5 +112,109 @@ func TestBufferReuseIdentityOverFaultyTCP(t *testing.T) {
 			got := runOne(t, g, algo.NewPageRank(0.85), faulty, e)
 			sameResults(t, string(e), want, got)
 		})
+	}
+}
+
+// pullGuard checks what Pull-Respond's reuse of its respond buffer rests
+// on: a requester never has two pulls from one responder in flight at
+// once, so a response may lie in the responder's buffer for that
+// requester until the requester's next pull from it. The guard counts
+// overlapping pulls, and scribbles over a response as soon as the same
+// requester pulls from the same responder again — where the responder is
+// free to reuse it — so a consumer that held on to a response instead of
+// copying it reads NaNs.
+type pullGuard struct {
+	closeThrough
+	mu       sync.Mutex
+	inFlight map[[2]int]int
+	last     map[[2]int][]comm.Msg
+	pulls    int
+	overlaps int
+}
+
+func (g *pullGuard) PullRequest(from, to, block, step int) ([]comm.Msg, int64, error) {
+	key := [2]int{from, to}
+	g.mu.Lock()
+	g.pulls++
+	if g.inFlight[key] > 0 {
+		g.overlaps++
+	}
+	g.inFlight[key]++
+	fill(g.last[key], poisonMsg)
+	delete(g.last, key)
+	g.mu.Unlock()
+	msgs, wire, err := g.Fabric.PullRequest(from, to, block, step)
+	g.mu.Lock()
+	g.inFlight[key]--
+	g.last[key] = msgs
+	g.mu.Unlock()
+	return msgs, wire, err
+}
+
+// TestOnePullInFlightPerPair runs b-pull and hybrid under the guard over
+// both fabrics, with pre-pulling on and off, at two parallelisms, clean
+// and with one crash recovered by the confined and the reassign policies:
+// no requester may overlap two pulls from one responder, and every run
+// must equal the unguarded one bit for bit.
+func TestOnePullInFlightPerPair(t *testing.T) {
+	g := graph.GenRMAT(300, 2400, 0.57, 0.19, 0.19, 17)
+	programs := map[string]func() algo.Program{
+		"pagerank": func() algo.Program { return algo.NewPageRank(0.85) },
+		"sssp":     func() algo.Program { return algo.NewSSSP(0) },
+	}
+	faults := []struct {
+		name     string
+		recovery string
+		crash    faultplan.Crash
+	}{
+		{name: "clean"},
+		{"confined", "confined", faultplan.Crash{Step: 4, Worker: 1}},
+		{"reassign", "reassign", faultplan.PermanentCrash(4, 1)},
+	}
+	for pname, mk := range programs {
+		for _, fault := range faults {
+			for _, e := range []Engine{BPull, Hybrid} {
+				for _, tcp := range []bool{false, true} {
+					for _, prepull := range []bool{true, false} {
+						for _, par := range []int{2, 4} {
+							label := fmt.Sprintf("%s/%s/%s/tcp=%v/prepull=%v/p=%d", pname, fault.name, e, tcp, prepull, par)
+							t.Run(label, func(t *testing.T) {
+								cfg := Config{Workers: 3, MsgBuf: 600, MaxSteps: 7, BlocksPerWorker: 3,
+									TCP: tcp, DisablePrepull: !prepull, Parallelism: par}
+								if fault.recovery != "" {
+									cfg.Recovery, cfg.CheckpointEvery = fault.recovery, 2
+									cfg.FaultPlan = faultplan.NewPlan(fault.crash)
+								}
+								testWrapFabric = nil
+								want := runOne(t, g, mk(), cfg, e)
+								guard := &pullGuard{inFlight: map[[2]int]int{}, last: map[[2]int][]comm.Msg{}}
+								withFabricWrap(t, func(f comm.Fabric) comm.Fabric {
+									guard.closeThrough = closeThrough{f}
+									return guard
+								})
+								got := runOne(t, g, mk(), cfg, e)
+								sameResults(t, label, want, got)
+								if fault.recovery != "" {
+									adopted := 0
+									if fault.crash.Permanent {
+										adopted = 1
+									}
+									if got.ConfinedRecoveries != 1 || got.Reassignments != adopted {
+										t.Fatalf("the crash was not recovered: %d confined recoveries, %d reassignments",
+											got.ConfinedRecoveries, got.Reassignments)
+									}
+								}
+								if guard.pulls == 0 {
+									t.Fatal("no pull request crossed the fabric")
+								}
+								if guard.overlaps > 0 {
+									t.Fatalf("%d of %d pulls overlapped an earlier pull between the same two workers", guard.overlaps, guard.pulls)
+								}
+							})
+						}
+					}
+				}
+			}
+		}
 	}
 }
