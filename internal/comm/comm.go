@@ -11,8 +11,8 @@
 // flight across a reassignment and the fabrics carry no routing protocol:
 // a request names its destination worker and reaches that worker's
 // handler. Messages cross every hop through buffers their owner reuses
-// (outbox, stage, the TCP connections' receive buffers); DESIGN.md,
-// "Message path", has the ownership rules.
+// (outbox, stage, a responder's respond buffers, the TCP connections'
+// receive buffers); DESIGN.md, "Message path", has the ownership rules.
 package comm
 
 import (
@@ -184,8 +184,10 @@ type Handler interface {
 	DeliverMessages(p *Packet) error
 	// RespondPull runs Pull-Respond (Algorithm 2) for the given global
 	// Vblock at superstep step, returning the generated (already
-	// concatenated/combined) messages and their wire size. The fabric reads
-	// the messages before it returns and keeps no reference to them.
+	// concatenated/combined) messages and their wire size. The messages
+	// may lie in the handler's own buffer for the requesting worker, valid
+	// until that worker's next pull from this one: the fabric encodes them
+	// or hands them to the requester, and keeps no reference to them.
 	RespondPull(reqBlock, step int) ([]Msg, int64, error)
 	// GatherValues runs the pull baseline's mirror-side gather: for each
 	// requested destination vertex, generate message values from this
@@ -205,7 +207,9 @@ type Fabric interface {
 	// the storage. Implementations and wrappers must not retain p.Msgs.
 	Send(p *Packet) error
 	// PullRequest performs a synchronous block-centric pull. The returned
-	// messages belong to the caller.
+	// messages are valid until from's next PullRequest to to, which from
+	// issues only after this one returned; the caller copies what it keeps
+	// past that. Implementations and wrappers must not retain them.
 	PullRequest(from, to, block, step int) ([]Msg, int64, error)
 	// Gather performs a synchronous vertex-cut gather.
 	Gather(from, to int, ids []graph.VertexID, step int) ([]GatherResult, error)

@@ -19,7 +19,9 @@ import (
 // Resets it every superstep. Each destination's buffer holds the packet's
 // records as Add encodes them, and keeps its backing array after a flush,
 // which is sound because Fabric.Send is synchronous and no fabric or
-// handler retains p.Msgs (DESIGN.md, "Message path").
+// handler retains p.Msgs (DESIGN.md, "Message path"). Given the most
+// records a superstep sends each destination (SetBounds), a buffer is
+// allocated once, at its working size.
 type Outbox struct {
 	fabric    Fabric
 	from      int
@@ -27,6 +29,7 @@ type Outbox struct {
 	threshold int64
 	limit     int // a buffer's largest size: the threshold rounded up to whole records
 	pending   []Records
+	bound     []int // per destination: the size a buffer first grows to, at most limit
 	msgs      []Msg // the combiner's decode buffer, reused
 	sorted    []Msg // the combiner's second sort buffer, reused
 	flushes   int64
@@ -64,6 +67,18 @@ func NewOutbox(fabric Fabric, workers, from, step int, thresholdBytes int64) *Ou
 		threshold: thresholdBytes,
 		limit:     int((thresholdBytes + MsgWireSize - 1) / MsgWireSize * MsgWireSize),
 		pending:   make([]Records, workers),
+		bound:     make([]int, workers),
+	}
+}
+
+// SetBounds tells the outbox the most records one superstep adds for each
+// destination: records[to] for worker to. A buffer then grows straight to
+// that many records, or to the size it flushes at if that is smaller, and
+// doubles past it only if a superstep adds more. Bounds size buffers
+// only: packets, flushes and bytes are those of an outbox without them.
+func (o *Outbox) SetBounds(records []int64) {
+	for to, n := range records {
+		o.bound[to] = int(min(n*MsgWireSize, int64(o.limit)))
 	}
 }
 
@@ -83,14 +98,19 @@ func (o *Outbox) Reset(fabric Fabric, step int) {
 const minBuffer = 64
 
 // Add encodes one message into worker to's buffer, flushing it once it
-// holds the threshold's bytes. The buffer doubles, in whole records, up
-// to the threshold rounded up to a whole record: the size it is flushed
-// at, so after the first flush it never grows again.
+// holds the threshold's bytes. A full buffer grows to its bound when it
+// is below it, else doubles, in whole records; either way up to the
+// threshold rounded up to a whole record: the size it is flushed at, so
+// after the first flush it never grows again.
 func (o *Outbox) Add(to int, m Msg) error {
 	buf := o.pending[to]
 	n := len(buf)
 	if n == cap(buf) {
-		grown := make(Records, n, min(max(2*n, minBuffer*MsgWireSize), o.limit))
+		size := o.bound[to]
+		if n >= size {
+			size = max(2*n, minBuffer*MsgWireSize)
+		}
+		grown := make(Records, n, min(size, o.limit))
 		copy(grown, buf)
 		buf = grown
 	}

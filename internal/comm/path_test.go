@@ -1,7 +1,9 @@
 package comm
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -288,5 +290,124 @@ func TestTCPFrameBytesTracksNetBytes(t *testing.T) {
 	bare.SetMetrics(nil)
 	if err := bare.Send(&Packet{From: 0, To: 1, Step: 1, Msgs: recs([]Msg{{Dst: 1, Val: 1}})}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sink is a Handler that drops everything, allocating nothing.
+type sink struct{}
+
+func (sink) DeliverMessages(*Packet) error                              { return nil }
+func (sink) RespondPull(int, int) ([]Msg, int64, error)                 { return nil, 0, nil }
+func (sink) GatherValues([]graph.VertexID, int) ([]GatherResult, error) { return nil, nil }
+func (sink) DeliverSignals([]graph.VertexID, int) error                 { return nil }
+
+// An outbox given its bounds allocates each destination's buffer once,
+// at the working size, where an unbounded one doubles its way there; once
+// warm, a superstep's Adds allocate nothing.
+func TestBoundedOutboxAllocatesOncePerDestination(t *testing.T) {
+	if raceEnabled {
+		t.Skip("counts allocations, which the race detector perturbs")
+	}
+	const per = 5000 // records per destination per superstep
+	fab := NewLocal(3)
+	for w := range 3 {
+		fab.Register(w, sink{})
+	}
+	newOutbox := func(bounded bool) *Outbox {
+		ob := NewOutbox(fab, 3, 0, 1, 0) // 4 MB: nothing flushes
+		if bounded {
+			ob.SetBounds([]int64{0, per, per})
+		}
+		return ob
+	}
+	adds := func(ob *Outbox) {
+		for i := range per {
+			for to := 1; to <= 2; to++ {
+				if err := ob.Add(to, Msg{Dst: graph.VertexID(i), Val: 1}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	growths := func(bounded bool) float64 {
+		built := testing.AllocsPerRun(5, func() { newOutbox(bounded) })
+		return testing.AllocsPerRun(5, func() { adds(newOutbox(bounded)) }) - built
+	}
+	if got := growths(true); got != 2 {
+		t.Errorf("a bounded outbox's first superstep allocated %v buffers for 2 destinations, want 2", got)
+	}
+	if got := growths(false); got <= 2 {
+		t.Errorf("an unbounded outbox allocated %v buffers for 2 destinations: the bound has nothing to save", got)
+	}
+	ob := newOutbox(true)
+	adds(ob)
+	if got := testing.AllocsPerRun(5, func() { ob.Reset(fab, 2); adds(ob) }); got != 0 {
+		t.Errorf("a warm superstep's Adds allocated %v times, want 0", got)
+	}
+}
+
+// Bounds size buffers, nothing else: a bounded outbox's packets — their
+// boundaries and records, Sent, Flushes and the bytes on the wire — equal
+// an unbounded one's, whether the bound covers the traffic or falls short
+// of it, with and without the sender combiner.
+func TestBoundedOutboxSendsWhatUnboundedSends(t *testing.T) {
+	const workers = 3
+	traffic := []int64{0, 700, 90} // records per destination per superstep
+	run := func(bounds []int64, threshold int64, combine bool) (*recorder, *Local, int64, int64) {
+		fab := NewLocal(workers)
+		r := &recorder{}
+		for w := range workers {
+			fab.Register(w, r)
+		}
+		ob := NewOutbox(fab, workers, 0, 1, threshold)
+		if bounds != nil {
+			ob.SetBounds(bounds)
+		}
+		var sent, flushes int64
+		for step := 1; step <= 3; step++ {
+			ob.Reset(fab, step)
+			if combine {
+				ob.SetCombine(func(a, b float64) float64 { return a + b })
+			}
+			for i := range int64(700) {
+				for to, n := range traffic {
+					if i < n {
+						m := Msg{Dst: graph.VertexID(i % 37), Val: float64(step*1000) + float64(i)}
+						if err := ob.Add(to, m); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+			if err := ob.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			sent += ob.Sent()
+			flushes += ob.Flushes()
+		}
+		return r, fab, sent, flushes
+	}
+	for _, threshold := range []int64{0, 100 * MsgWireSize, 4096} {
+		for _, combine := range []bool{false, true} {
+			want, wantFab, wantSent, wantFlushes := run(nil, threshold, combine)
+			for name, bounds := range map[string][]int64{
+				"exact":   traffic,
+				"short":   {0, 300, 10},
+				"ample":   {50, 5000, 5000},
+				"missing": {0, 0, 0},
+			} {
+				label := fmt.Sprintf("threshold=%d/combine=%v/%s", threshold, combine, name)
+				got, gotFab, sent, flushes := run(bounds, threshold, combine)
+				if sent != wantSent || flushes != wantFlushes {
+					t.Errorf("%s: sent %d in %d packets, want %d in %d", label, sent, flushes, wantSent, wantFlushes)
+				}
+				if gotFab.TotalBytes() != wantFab.TotalBytes() {
+					t.Errorf("%s: %d bytes on the wire, want %d", label, gotFab.TotalBytes(), wantFab.TotalBytes())
+				}
+				if !reflect.DeepEqual(got.packets, want.packets) {
+					t.Errorf("%s: the packets differ from an unbounded outbox's", label)
+				}
+			}
+		}
 	}
 }

@@ -113,6 +113,13 @@ func (w *worker) pullBlock(t, b int) (*recvBuf, int64, error) {
 // scan visits sources in ascending id order, and that is the order a
 // destination's values are listed, or folded, in (DESIGN.md, "Fold order
 // in Pull-Respond").
+//
+// The response is built in the requesting worker's respondBuf and stays
+// valid until that worker's next pull from this one: a worker has one
+// pull from each responder in flight at a time (pullBlocks fetches one
+// block at once), and every consumer — pullBlock, the TCP server, the
+// message log, confined replay's self-pull — copies or encodes the
+// response before then.
 func (w *worker) RespondPull(reqBlock, step int) ([]comm.Msg, int64, error) {
 	if reqBlock < 0 || reqBlock >= w.job.layout.NumBlocks() {
 		return nil, 0, fmt.Errorf("core: pull request for block %d of %d", reqBlock, w.job.layout.NumBlocks())
@@ -133,7 +140,8 @@ func (w *worker) RespondPull(reqBlock, step int) ([]comm.Msg, int64, error) {
 		rb.seen = slices.Grow(rb.seen[:0], n)[:n]
 		clear(rb.seen)
 	}
-	var produced, distinct, vrr int64
+	sender := newMsgSender(w.job.prog)
+	var produced, vrr int64
 	// The svertex reads are charged once for the request, on every return.
 	var reads vertexfile.ScanRun
 	defer w.vstore.ChargeRun(&reads)
@@ -154,7 +162,7 @@ func (w *worker) RespondPull(reqBlock, step int) ([]comm.Msg, int64, error) {
 			}
 			vrr += vertexfile.BcastSize
 			for _, e := range edges {
-				val, keep := w.msgValueFor(bcast, e.Dst, e.Weight)
+				val, keep := sender.value(bcast, e.Dst, e.Weight)
 				if !keep {
 					continue
 				}
@@ -169,7 +177,6 @@ func (w *worker) RespondPull(reqBlock, step int) ([]comm.Msg, int64, error) {
 					rb.acc[d] = combine(rb.acc[d], val)
 				default:
 					rb.seen[d], rb.acc[d] = true, val
-					distinct++
 				}
 			}
 			return nil
@@ -185,17 +192,18 @@ func (w *worker) RespondPull(reqBlock, step int) ([]comm.Msg, int64, error) {
 		vrr = 0
 	}
 
-	// The response is the one allocation that leaves the call.
+	// The response leaves the call in the buffer's own storage: the folded
+	// values listed into msgs, or the sorted messages.
 	var out []comm.Msg
 	if combine != nil {
-		out = make([]comm.Msg, 0, distinct)
 		for d, ok := range rb.seen {
 			if ok {
-				out = append(out, comm.Msg{Dst: blk.Lo + graph.VertexID(d), Val: rb.acc[d]})
+				rb.msgs = append(rb.msgs, comm.Msg{Dst: blk.Lo + graph.VertexID(d), Val: rb.acc[d]})
 			}
 		}
+		out = rb.msgs
 	} else {
-		out = slices.Clone(comm.StableSortByDst(rb.msgs, &rb.tmp))
+		out = comm.StableSortByDst(rb.msgs, &rb.tmp)
 	}
 	rawBytes := produced * comm.MsgWireSize
 	wire := comm.ConcatSize(out)

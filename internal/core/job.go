@@ -52,8 +52,9 @@ type job struct {
 	layoutReusedBytes int64
 
 	totalFrags int64
-	bTotal     int64   // B = Σ B_i in messages (0 = unlimited)
-	inDeg      []int32 // per-vertex in-degree, counted once on first use
+	bTotal     int64      // B = Σ B_i in messages (0 = unlimited)
+	counted    edgeCensus // see census
+	censusOnce sync.Once
 
 	prevAgg float64 // last superstep's reduced aggregator value
 
@@ -305,7 +306,7 @@ func (j *job) blocksPerWorker() []int {
 			out[w] = veblock.BlocksCombinable(p.Len(), t, j.cfg.MsgBuf)
 		default:
 			var ind int64
-			for _, d := range j.inDegrees()[p.Lo:p.Hi] {
+			for _, d := range j.census().inDeg[p.Lo:p.Hi] {
 				ind += int64(d)
 			}
 			out[w] = veblock.BlocksConcatOnly(ind, j.cfg.MsgBuf, p.Len())
@@ -317,18 +318,35 @@ func (j *job) blocksPerWorker() []int {
 	return out
 }
 
-// inDegrees returns every vertex's in-degree, counted in one pass over the
-// edges the first time the job asks.
-func (j *job) inDegrees() []int32 {
-	if j.inDeg == nil {
-		j.inDeg = make([]int32, j.g.NumVertices)
-		for u := 0; u < j.g.NumVertices; u++ {
-			for _, h := range j.g.OutEdges(graph.VertexID(u)) {
-				j.inDeg[h.Dst]++
+// edgeCensus is what the job counts in its one walk over g's edges, the
+// first time anything asks: every vertex's in-degree, and per (sending
+// worker, destination worker) the out-edges from the one's partition into
+// the other's — the most records the sender's outbox is handed for that
+// destination in one superstep, since push sends at most one message per
+// out-edge.
+type edgeCensus struct {
+	inDeg []int32
+	sends [][]int64 // sends[from][to]
+}
+
+// census returns the job's edge census, walking g once, on first use.
+// The partitions must be set.
+func (j *job) census() *edgeCensus {
+	j.censusOnce.Do(func() {
+		c := &j.counted
+		c.inDeg = make([]int32, j.g.NumVertices)
+		c.sends = make([][]int64, len(j.parts))
+		for from, p := range j.parts {
+			c.sends[from] = make([]int64, len(j.parts))
+			for u := p.Lo; u < p.Hi; u++ {
+				for _, h := range j.g.OutEdges(u) {
+					c.inDeg[h.Dst]++
+					c.sends[from][graph.OwnerOf(j.parts, h.Dst)]++
+				}
 			}
 		}
-	}
-	return j.inDeg
+	})
+	return &j.counted
 }
 
 // setup partitions the graph, builds the stores each engine needs, and

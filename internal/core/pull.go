@@ -144,6 +144,7 @@ func (w *worker) GatherValues(ids []graph.VertexID, step int) ([]comm.GatherResu
 	rp := readParity(step)
 	prog := w.job.prog
 	combine := prog.Combiner()
+	sender := newMsgSender(prog)
 	var out []comm.GatherResult
 	var edges, produced int64
 	scratch := make([]graph.Half, 0, 128)
@@ -165,7 +166,7 @@ func (w *worker) GatherValues(ids []graph.VertexID, step int) ([]comm.GatherResu
 			if err != nil {
 				return nil, err
 			}
-			mv, keep := w.msgValueFor(bcast, dst, h.Weight)
+			mv, keep := sender.value(bcast, dst, h.Weight)
 			if !keep {
 				continue
 			}

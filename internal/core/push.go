@@ -1,7 +1,6 @@
 package core
 
 import (
-	"hybridgraph/internal/algo"
 	"hybridgraph/internal/comm"
 	"hybridgraph/internal/graph"
 	"hybridgraph/internal/msgstore"
@@ -126,15 +125,9 @@ func (w *worker) pushRes(sb *shardBuf, t int, v graph.VertexID, rec *vertexfile.
 	}
 	staged := sb != &w.shards[0]
 	bcast := rec.Bcast[writeParity(t)]
-	// msgValueFor's type assertion, made once per vertex, not once per edge.
-	ts, targeted := w.job.prog.(algo.TargetedSender)
+	sender := newMsgSender(w.job.prog)
 	for _, e := range sb.edges {
-		val, keep := 0.0, true
-		if targeted {
-			val, keep = ts.MsgValueTo(bcast, e.Dst, e.Weight)
-		} else {
-			val = w.job.prog.MsgValue(bcast, e.Weight)
-		}
+		val, keep := sender.value(bcast, e.Dst, e.Weight)
 		if !keep {
 			continue
 		}

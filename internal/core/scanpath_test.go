@@ -147,10 +147,11 @@ func TestDecodeAmplification(t *testing.T) {
 
 // poisonFabric scribbles over every scan-path scratch buffer the moment
 // its user is done with it: a worker's Pull-Respond scratch (Eblock
-// window, edge list, fold slots, message and sort buffers) after each
-// response it serves, and its update shards' adjacency windows and edge
-// lists whenever it sends — by then the update scan that used them has
-// joined. A window is emptied as well as scribbled, since holding valid
+// window, edge list, fold slots) after each response it serves, the
+// message and sort buffers a requester's response lies in when that
+// requester pulls again, and its update shards' adjacency windows and
+// edge lists whenever it sends — by then the update scan that used them
+// has joined. A window is emptied as well as scribbled, since holding valid
 // bytes across calls is its job. Anything that kept a reference into a
 // buffer instead of copying out of it, or trusted a buffer's old
 // contents, turns into NaNs and wild vertex ids.
@@ -180,22 +181,31 @@ func fill[T any](s []T, v T) {
 }
 
 func (h poisonHandler) RespondPull(reqBlock, step int) ([]comm.Msg, int64, error) {
+	// The requester's previous response has been read once it pulls again.
+	poisonIdle(&h.w.respFree[h.w.job.layout.OwnerOfBlock(reqBlock)], true)
 	out, wire, err := h.Handler.RespondPull(reqBlock, step)
 	for y := range h.w.respFree {
-		free := &h.w.respFree[y]
-		free.mu.Lock()
-		for _, rb := range free.free { // idle, so nobody is reading them
-			fill(rb.scan.Bytes, 0xff)
-			rb.scan.Bytes = rb.scan.Bytes[:0]
-			fill(rb.scan.Halves, graph.Half{Dst: math.MaxUint32, Weight: float32(math.NaN())})
-			fill(rb.acc, math.NaN())
-			fill(rb.seen, true)
+		poisonIdle(&h.w.respFree[y], false)
+	}
+	return out, wire, err
+}
+
+// poisonIdle scribbles over the idle buffers' scan scratch, and over their
+// responses too when responses is set.
+func poisonIdle(free *idleList[respondBuf], responses bool) {
+	free.mu.Lock()
+	defer free.mu.Unlock()
+	for _, rb := range free.free { // idle, so nobody is scanning in them
+		fill(rb.scan.Bytes, 0xff)
+		rb.scan.Bytes = rb.scan.Bytes[:0]
+		fill(rb.scan.Halves, graph.Half{Dst: math.MaxUint32, Weight: float32(math.NaN())})
+		fill(rb.acc, math.NaN())
+		fill(rb.seen, true)
+		if responses {
 			fill(rb.msgs, poisonMsg)
 			fill(rb.tmp, poisonMsg)
 		}
-		free.mu.Unlock()
 	}
-	return out, wire, err
 }
 
 func (f *poisonFabric) Send(p *comm.Packet) error {
@@ -252,10 +262,10 @@ func TestScanScratchReuseIdentity(t *testing.T) {
 
 // loadedJob sets a job up and runs its first superstep, so every vertex has
 // responded and its workers can serve pull requests for superstep 2.
-func loadedJob(tb testing.TB, g *graph.Graph, cfg Config) *job {
+func loadedJob(tb testing.TB, g *graph.Graph, prog algo.Program, cfg Config) *job {
 	cfg.MaxSteps = 1
 	cfg = cfg.withDefaults()
-	j := &job{cfg: cfg, runCtx: context.Background(), g: g, prog: algo.NewPageRank(0.85), sched: &fixed{mode: BPull}}
+	j := &job{cfg: cfg, runCtx: context.Background(), g: g, prog: prog, sched: &fixed{mode: BPull}}
 	j.cdc, _ = codec.Lookup(cfg.Codec)
 	if err := j.setupDir(); err != nil {
 		tb.Fatal(err)
@@ -277,7 +287,7 @@ func BenchmarkRespondPull(b *testing.B) {
 	g := graph.GenRMAT(8000, 120000, 0.57, 0.19, 0.19, 5)
 	for _, codecName := range []string{"none", "lz"} {
 		b.Run(codecName, func(b *testing.B) {
-			j := loadedJob(b, g, Config{Workers: 2, MsgBuf: 800, BlocksPerWorker: 10, Codec: codecName, Parallelism: 1})
+			j := loadedJob(b, g, algo.NewPageRank(0.85), Config{Workers: 2, MsgBuf: 800, BlocksPerWorker: 10, Codec: codecName, Parallelism: 1})
 			w := j.workers[0]
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -325,5 +335,36 @@ func TestConcatOnlyBlocksFromInDegrees(t *testing.T) {
 	}
 	if !split {
 		t.Fatal("every worker has one block: the test needs a split partition")
+	}
+}
+
+// A warm Pull-Respond allocates nothing: the scan, the fold slots or the
+// sort, and the response itself all live in the requester's respondBuf.
+// (Under codec lz, DEFLATE builds its Huffman tables per decoded chunk.)
+func TestRespondPullAllocatesNothingWhenWarm(t *testing.T) {
+	if raceEnabled {
+		t.Skip("counts allocations, which the race detector perturbs")
+	}
+	g := graph.GenRMAT(2000, 24000, 0.57, 0.19, 0.19, 5)
+	for _, prog := range []algo.Program{algo.NewPageRank(0.85), algo.NewLPA()} { // combines; concatenates
+		j := loadedJob(t, g, prog, Config{Workers: 2, MsgBuf: 200, BlocksPerWorker: 4, Parallelism: 1})
+		w := j.workers[0]
+		var msgs int
+		serve := func() {
+			for blk := 0; blk < j.layout.NumBlocks(); blk++ {
+				out, _, err := w.RespondPull(blk, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				msgs += len(out)
+			}
+		}
+		serve()
+		if msgs == 0 {
+			t.Fatalf("%s: no messages generated", prog.Name())
+		}
+		if got := testing.AllocsPerRun(10, serve); got != 0 {
+			t.Errorf("%s: a warm round of %d pull requests allocated %v times, want 0", prog.Name(), j.layout.NumBlocks(), got)
+		}
 	}
 }

@@ -92,9 +92,10 @@ type worker struct {
 	// paper's B_i/BS/BR from message counts. outbox is the sending buffer;
 	// shards[s] serves shard s of the update scan; pullFree holds b-pull's
 	// idle receiving buffers (the one being updated plus the pre-pull in
-	// flight); respFree[y] the scratch Pull-Respond serves worker y in (one:
-	// y's requests arrive one after another and continue in the same
-	// Eblock window); gathered is the pull baseline's.
+	// flight); respFree[y] the buffer Pull-Respond serves worker y in, and
+	// returns y's response in (one: y's requests arrive one after another,
+	// continue in the same Eblock window, and each response is read before
+	// y's next request); gathered is the pull baseline's.
 	outbox   *comm.Outbox
 	shards   []shardBuf
 	pullFree idleList[recvBuf]
@@ -176,6 +177,7 @@ func (w *worker) growShards(n int) {
 func (w *worker) sendBuffers(t int) *comm.Outbox {
 	if w.outbox == nil {
 		w.outbox = comm.NewOutbox(w.fab(), len(w.job.workers), w.id, t, w.job.cfg.SendThreshold)
+		w.outbox.SetBounds(w.job.census().sends[w.id])
 	} else {
 		w.outbox.Reset(w.fab(), t)
 	}
@@ -193,12 +195,13 @@ type recvBuf struct {
 	groups  msgstore.Groups // a fetched block's messages, until its update ends
 }
 
-// respondBuf is what one Pull-Respond call works in; nothing in it escapes.
+// respondBuf is what one Pull-Respond call works in. The response it
+// returns lies in msgs or tmp and is read before the requester's next pull.
 type respondBuf struct {
 	scan      veblock.ScanBuf
 	acc       []float64  // combining programs: one fold slot per vertex of the block
 	seen      []bool     // which slots hold a value
-	msgs, tmp []comm.Msg // concatenating programs: messages in scan order; the sort's second buffer
+	msgs, tmp []comm.Msg // the response; for concatenating programs the messages in scan order, then the sort's second buffer
 }
 
 // idleList holds the buffers of one kind that are not in use. take builds
@@ -415,7 +418,7 @@ func (w *worker) pickHotSet(capacity int) {
 	if capacity <= 0 || capacity > w.part.Len() {
 		capacity = w.part.Len() // unlimited buffer: everything is hot
 	}
-	indeg := w.job.inDegrees()[w.part.Lo:w.part.Hi]
+	indeg := w.job.census().inDeg[w.part.Lo:w.part.Hi]
 	order := make([]int, len(indeg))
 	for i := range order {
 		order[i] = i
@@ -434,14 +437,25 @@ func (w *worker) pickHotSet(capacity int) {
 func writeParity(t int) int { return t & 1 }
 func readParity(t int) int  { return (t - 1) & 1 }
 
-// msgValueFor computes one edge's message from the broadcast value,
+// msgSender computes one edge's message from the broadcast value,
 // honouring targeted senders (Pregel's SendMessageTo): keep=false
-// suppresses the message on this edge.
-func (w *worker) msgValueFor(bcast float64, dst graph.VertexID, weight float32) (float64, bool) {
-	if ts, ok := w.job.prog.(algo.TargetedSender); ok {
-		return ts.MsgValueTo(bcast, dst, weight)
+// suppresses the message on this edge. newMsgSender makes the
+// TargetedSender assertion once, so a scan does not repeat it per edge.
+type msgSender struct {
+	prog     algo.Program
+	targeted algo.TargetedSender // nil when the program broadcasts
+}
+
+func newMsgSender(prog algo.Program) msgSender {
+	ts, _ := prog.(algo.TargetedSender)
+	return msgSender{prog, ts}
+}
+
+func (s msgSender) value(bcast float64, dst graph.VertexID, weight float32) (val float64, keep bool) {
+	if s.targeted != nil {
+		return s.targeted.MsgValueTo(bcast, dst, weight)
 	}
-	return w.job.prog.MsgValue(bcast, weight), true
+	return s.prog.MsgValue(bcast, weight), true
 }
 
 // bcastFor computes the broadcast value a responding vertex stores,
