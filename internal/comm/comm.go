@@ -12,7 +12,8 @@
 // a request names its destination worker and reaches that worker's
 // handler. Messages cross every hop through buffers their owner reuses
 // (outbox, stage, a responder's respond buffers, the TCP connections'
-// receive buffers); DESIGN.md, "Message path", has the ownership rules.
+// receive and send buffers, the TCP fabric's per-pair pull slots);
+// DESIGN.md, "Message path", has the ownership rules.
 package comm
 
 import (
@@ -186,8 +187,10 @@ type Handler interface {
 	// Vblock at superstep step, returning the generated (already
 	// concatenated/combined) messages and their wire size. The messages
 	// may lie in the handler's own buffer for the requesting worker, valid
-	// until that worker's next pull from this one: the fabric encodes them
-	// or hands them to the requester, and keeps no reference to them.
+	// until that worker's next pull from this one: Local hands them to the
+	// requester; TCP's pull record borrows them for retries and reads them
+	// only until that next pull arrives, which retires the record before
+	// the handler runs again.
 	RespondPull(reqBlock, step int) ([]Msg, int64, error)
 	// GatherValues runs the pull baseline's mirror-side gather: for each
 	// requested destination vertex, generate message values from this
@@ -203,8 +206,9 @@ type Fabric interface {
 	Register(worker int, h Handler)
 	// Send delivers a push packet; counted as From-out / To-in bytes. It is
 	// synchronous: when it returns the receiver has copied (or the wire has
-	// carried) the messages, nothing holds p.Msgs, and the sender reuses
-	// the storage. Implementations and wrappers must not retain p.Msgs.
+	// carried) the messages, nothing holds p or p.Msgs, and the sender
+	// reuses both for its next packet. Implementations and wrappers must
+	// retain neither.
 	Send(p *Packet) error
 	// PullRequest performs a synchronous block-centric pull. The returned
 	// messages are valid until from's next PullRequest to to, which from

@@ -18,10 +18,11 @@ import (
 // An outbox is a fixed sending buffer: a worker builds one for the job and
 // Resets it every superstep. Each destination's buffer holds the packet's
 // records as Add encodes them, and keeps its backing array after a flush,
-// which is sound because Fabric.Send is synchronous and no fabric or
-// handler retains p.Msgs (DESIGN.md, "Message path"). Given the most
-// records a superstep sends each destination (SetBounds), a buffer is
-// allocated once, at its working size.
+// and every flush hands the fabric the outbox's one Packet header. Both
+// are sound because Fabric.Send is synchronous and no fabric or handler
+// retains p or p.Msgs (DESIGN.md, "Message path"). Given the most records
+// a superstep sends each destination (SetBounds), a buffer is allocated
+// once, at its working size.
 type Outbox struct {
 	fabric    Fabric
 	from      int
@@ -37,6 +38,8 @@ type Outbox struct {
 	combine   func(a, b float64) float64
 	saved     int64 // wire bytes saved by sender-side combining
 	touched   int64 // messages processed by the combiner
+
+	pkt Packet // the header every flush hands the fabric
 }
 
 // SetCombine enables sender-side combining at flush time (the paper's
@@ -140,7 +143,8 @@ func (o *Outbox) flush(to int) error {
 	o.pending[to] = recs[:0] // the storage is ours again once Send returns
 	o.flushes++
 	o.sent += int64(recs.Len())
-	p := &Packet{From: o.from, To: to, Step: o.step, Msgs: recs}
+	p := &o.pkt
+	*p = Packet{From: o.from, To: to, Step: o.step, Msgs: recs}
 	if o.combine != nil && recs.Len() > 1 {
 		o.touched += int64(recs.Len())
 		o.msgs = DecodeRecords(o.msgs[:0], recs)

@@ -11,10 +11,10 @@ import (
 	"hybridgraph/internal/obs"
 )
 
-// scribbler is a fabric wrapper that overwrites a packet's messages with
-// garbage the moment Send returns — what the sender's buffer reuse does a
-// little later anyway. Anything downstream that kept p.Msgs instead of
-// copying it shows up as corrupted deliveries.
+// scribbler is a fabric wrapper that overwrites a packet's messages and
+// header with garbage the moment Send returns — what the sender's buffer
+// reuse does a little later anyway. Anything downstream that kept p or
+// p.Msgs instead of copying them shows up as corrupted deliveries.
 type scribbler struct{ Fabric }
 
 func (s scribbler) Send(p *Packet) error {
@@ -22,6 +22,7 @@ func (s scribbler) Send(p *Packet) error {
 	for o := 0; o < len(p.Msgs); o += MsgWireSize {
 		PutRecord(p.Msgs[o:], Msg{Dst: math.MaxUint32, Val: math.NaN()})
 	}
+	*p = Packet{From: -1, To: -1, Step: -1, Msgs: p.Msgs[:0], WireBytes: -1}
 	return err
 }
 
@@ -179,44 +180,56 @@ func TestOutboxThresholdRoundsUpToWholeRecords(t *testing.T) {
 	}
 }
 
-// The dedup window pins whole pull responses; its byte bound must hold
-// over a long run of large pulls, and the retry most likely to arrive —
+// gatherer is a Handler whose every gather returns the same results.
+type gatherer struct {
+	sink
+	res []GatherResult
+}
+
+func (g gatherer) GatherValues([]graph.VertexID, int) ([]GatherResult, error) { return g.res, nil }
+
+// The dedup window pins whole gather responses; its byte bound must hold
+// over a long run of large gathers, and the retry most likely to arrive —
 // of the request that just completed — must still be answered from the
-// record rather than re-run.
+// record rather than re-run. A pull's record is kept by its pair, not in
+// the window.
 func TestTCPDedupWindowBoundedByBytes(t *testing.T) {
-	fab, r := newTCPPair(t)
-	const perPull = 1700 // messages: ~20 KB a response, ~200 MB over the run
-	r.mu.Lock()
-	r.pullOut = make([]Msg, perPull)
-	for i := range r.pullOut {
-		r.pullOut[i] = Msg{Dst: graph.VertexID(i), Val: float64(i)}
+	fab, err := NewTCP(2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	r.mu.Unlock()
-	// A Send's record pins no bytes: the pulls' byte pressure must leave it
-	// alone, or a late retry would deliver the packet twice.
+	t.Cleanup(func() { fab.Close() })
+	const perGather = 2500 // values: ~20 KB a response, ~200 MB over the run
+	vals := make([]float64, perGather)
+	for i := range vals {
+		vals[i] = float64(i)
+	}
+	fab.Register(1, gatherer{res: []GatherResult{{Dst: 1, Vals: vals}}})
+	// A Send's record pins no bytes: the gathers' byte pressure must leave
+	// it alone, or a late retry would deliver the packet twice.
 	if err := fab.Send(&Packet{From: 0, To: 1, Step: 2, Msgs: recs([]Msg{{Dst: 1, Val: 1}})}); err != nil {
 		t.Fatal(err)
 	}
 	sendSeq := fab.seq.Load()
 	d := fab.dedups[1]
 	var peak int64
-	pulls := 10000
+	gathers := 10000
 	if testing.Short() {
-		pulls = 4000 // still 80 MB against the 64 MB bound
+		gathers = 4000 // still 80 MB against the 64 MB bound
 	}
-	for i := 0; i < pulls; i++ {
-		msgs, _, err := fab.PullRequest(0, 1, i, 2)
+	for i := 0; i < gathers; i++ {
+		res, err := fab.Gather(0, 1, []graph.VertexID{1}, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(msgs) != perPull || msgs[perPull-1].Val != perPull-1 {
-			t.Fatalf("pull %d returned %d messages", i, len(msgs))
+		if len(res) != 1 || len(res[0].Vals) != perGather || res[0].Vals[perGather-1] != perGather-1 {
+			t.Fatalf("gather %d returned %d results", i, len(res))
 		}
 		if i == 3600 {
-			// The byte bound has been evicting for a few hundred pulls; the
+			// The byte bound has been evicting for a few hundred gathers; the
 			// count bound (4096) has not been reached.
 			d.do(0, sendSeq, func() tcpResponse {
-				t.Error("a retry of the Send that preceded the pulls was re-processed")
+				t.Error("a retry of the Send that preceded the gathers was re-processed")
 				return tcpResponse{}
 			})
 		}
@@ -228,7 +241,7 @@ func TestTCPDedupWindowBoundedByBytes(t *testing.T) {
 				sum += e.bytes
 			}
 			if sum != d.bytes {
-				t.Fatalf("after %d pulls the entries hold %d bytes, the tally says %d", i+1, sum, d.bytes)
+				t.Fatalf("after %d gathers the entries hold %d bytes, the tally says %d", i+1, sum, d.bytes)
 			}
 		}
 		d.mu.Unlock()
@@ -243,8 +256,21 @@ func TestTCPDedupWindowBoundedByBytes(t *testing.T) {
 		t.Error("a retry of the most recent request was re-processed")
 		return tcpResponse{}
 	})
-	if got, err := AsRecords(resp.payload); err != nil || got.Len() != perPull {
-		t.Fatalf("recorded response holds %d records, %v", got.Len(), err)
+	if len(resp.Results) != 1 || len(resp.Results[0].Vals) != perGather {
+		t.Fatalf("recorded response holds %d results", len(resp.Results))
+	}
+	if _, _, err := fab.PullRequest(0, 1, 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	d.mu.Lock()
+	_, windowed := d.entries[dedupKey{0, fab.seq.Load()}]
+	d.mu.Unlock()
+	pp := d.pair(0)
+	pp.mu.Lock()
+	paired := pp.seq == fab.seq.Load()
+	pp.mu.Unlock()
+	if windowed || !paired {
+		t.Fatal("a pull's record went into the window instead of its pair")
 	}
 }
 
@@ -303,7 +329,8 @@ func (sink) DeliverSignals([]graph.VertexID, int) error                 { return
 
 // An outbox given its bounds allocates each destination's buffer once,
 // at the working size, where an unbounded one doubles its way there; once
-// warm, a superstep's Adds allocate nothing.
+// warm, a superstep's Adds and Flush allocate nothing: every flush hands
+// the fabric the outbox's one Packet header.
 func TestBoundedOutboxAllocatesOncePerDestination(t *testing.T) {
 	if raceEnabled {
 		t.Skip("counts allocations, which the race detector perturbs")
@@ -340,9 +367,16 @@ func TestBoundedOutboxAllocatesOncePerDestination(t *testing.T) {
 		t.Errorf("an unbounded outbox allocated %v buffers for 2 destinations: the bound has nothing to save", got)
 	}
 	ob := newOutbox(true)
-	adds(ob)
-	if got := testing.AllocsPerRun(5, func() { ob.Reset(fab, 2); adds(ob) }); got != 0 {
-		t.Errorf("a warm superstep's Adds allocated %v times, want 0", got)
+	superstep := func() {
+		ob.Reset(fab, 2)
+		adds(ob)
+		if err := ob.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	superstep()
+	if got := testing.AllocsPerRun(5, superstep); got != 0 {
+		t.Errorf("a warm superstep's Adds and Flush allocated %v times, want 0", got)
 	}
 }
 

@@ -35,7 +35,7 @@ import (
 // The fabric is resilient: transport errors (broken pipes, resets, and a
 // peer silent past the request deadline) trigger bounded retries with
 // exponential backoff and jitter over a fresh connection, and the serving
-// side deduplicates by sequence number so a retried Send or Signal whose
+// side deduplicates by sequence number so a retried request whose
 // original was processed — only its response lost — is not applied twice.
 // Injected transport faults from a faultplan exercise exactly these paths:
 // on a TCP stream a lost request or response shows up as a broken
@@ -51,6 +51,7 @@ type TCP struct {
 	addrs     []string // listener addresses, fixed at construction
 	peers     []*tcpPeer
 	dedups    []*dedup
+	pulled    []pullSlot // per (requester, responder) pair, at from·n+to
 	cfg       TCPConfig
 	roller    *faultplan.Roller
 	seq       atomic.Uint64
@@ -107,6 +108,18 @@ type tcpConn struct {
 	mu sync.Mutex
 	c  net.Conn
 	s  *tcpStream
+}
+
+// pullSlot is the buffer one (requester, responder) pair's pull responses
+// are decoded into, reused at the pair's next pull: exactly the lifetime
+// Fabric.PullRequest gives its result. A buffer per connection would not
+// do, because every in-process requester shares the connection to a
+// peer. mu is held for the whole round trip, retries included, so a
+// caller that overlaps two pulls of one pair queues them instead of
+// racing on the buffer, and the responder sees the pair's pulls in order.
+type pullSlot struct {
+	mu   sync.Mutex
+	msgs []Msg
 }
 
 // tcpStream is one end of a connection's framing, the same on both
@@ -169,10 +182,11 @@ func (c countingWriter) Write(b []byte) (int, error) {
 
 // do performs one framed round trip under the request deadline: payload
 // (a push packet's records, nil otherwise) is written as it is, and a
-// response payload is decoded into a slice the caller owns before the
-// lock is released. The connection lock serialises concurrent requests
-// onto the shared stream.
-func (c *tcpConn) do(req *tcpRequest, payload Records, timeout time.Duration) (tcpResponse, []Msg, error) {
+// response payload — a pull's — is decoded into *into, the requesting
+// pair's slot, before the lock is released; into is nil for every other
+// kind. The connection lock serialises concurrent requests onto the
+// shared stream.
+func (c *tcpConn) do(req *tcpRequest, payload Records, into *[]Msg, timeout time.Duration) (tcpResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if timeout > 0 {
@@ -181,25 +195,24 @@ func (c *tcpConn) do(req *tcpRequest, payload Records, timeout time.Duration) (t
 	}
 	req.PayloadLen = len(payload)
 	if err := c.s.send(req, payload); err != nil {
-		return tcpResponse{}, nil, err
+		return tcpResponse{}, err
 	}
 	var resp tcpResponse
 	if err := c.s.dec.Decode(&resp); err != nil {
-		return tcpResponse{}, nil, err
+		return tcpResponse{}, err
 	}
 	raw, err := c.s.recvPayload(resp.PayloadLen)
 	if err != nil {
-		return tcpResponse{}, nil, err
+		return tcpResponse{}, err
 	}
-	var out []Msg
-	if len(raw) > 0 {
-		recs, err := AsRecords(raw)
-		if err != nil {
-			return tcpResponse{}, nil, err
-		}
-		out = DecodeRecords(nil, recs)
+	recs, err := AsRecords(raw)
+	if err != nil {
+		return tcpResponse{}, err
 	}
-	return resp, out, nil
+	if into != nil {
+		*into = DecodeRecords((*into)[:0], recs)
+	}
+	return resp, nil
 }
 
 const (
@@ -231,21 +244,27 @@ type tcpResponse struct {
 	Results    []GatherResult
 	Err        string
 
-	// payload is what PayloadLen counts. Unexported, so gob never sees it;
-	// the serving side encodes it into bytes of its own per response,
-	// because the dedup record keeps it for retries.
-	payload []byte
+	// msgs is a pull response as the handler returned it, and PayloadLen
+	// counts its records. Unexported, so gob never sees it. It lies in the
+	// handler's buffer for the requester, valid until the requester's next
+	// pull from this worker; the pull's dedup record borrows it rather
+	// than copying it (pullPair), and serveConn encodes it into the
+	// connection's send buffer.
+	msgs []Msg
 }
 
 // dedup is one serving worker's exactly-once filter: the first delivery of
 // a sequence number runs the handler, every later delivery (a client retry
 // or a duplicated packet) waits for and returns the recorded response.
+// Sends, gathers and signals keep their records in a bounded window;
+// each requester's pulls keep theirs in its pullPair.
 type dedup struct {
 	mu      sync.Mutex
 	entries map[dedupKey]*dedupEntry
 	order   []dedupKey
-	bytes   int64        // response bytes the completed entries retain
-	mHits   *obs.Counter // "comm.tcp.dedup_hits"; guarded by mu — serve
+	bytes   int64             // response bytes the completed entries retain
+	pairs   map[int]*pullPair // per requesting worker
+	mHits   *obs.Counter      // "comm.tcp.dedup_hits"; guarded by mu — serve
 	// goroutines predate SetMetrics, so a bare field would race.
 }
 
@@ -260,18 +279,92 @@ type dedupEntry struct {
 	bytes int64 // credited to dedup.bytes at completion, under dedup.mu
 }
 
+// pullPair is what a serving worker keeps of one requester's pulls: the
+// record of the newest, which borrows the handler's response instead of
+// copying it. The requester starts a pull only after its previous one
+// returned (the client holds the pair's pullSlot across the round trip),
+// so a newer sequence number retires the record: the handler is about to
+// reuse the buffer the old response lies in. A retired number can only
+// arrive on a connection the client has given up on; it runs no handler
+// and reads no buffer, and its connection is closed. mu orders the
+// retirement against encoding: a response is encoded only under mu and
+// only while its number is the newest.
+type pullPair struct {
+	mu   sync.Mutex
+	seq  uint64      // the newest pull seen; 0 before the first
+	last *dedupEntry // its record
+}
+
 // dedupWindow and dedupMaxBytes bound remembered responses per worker, by
-// count and by the bytes they pin (a completed pull entry holds its whole
-// response). Retries arrive within milliseconds of the original, so a few
-// thousand entries — or, for block-sized pull responses, the last few
-// dozen — is far more history than any in-flight retry needs.
+// count and by the bytes they pin (a completed gather entry holds its
+// results). Retries arrive within milliseconds of the original, so a few
+// thousand entries — or, for large gathers, the last few dozen — is far
+// more history than any in-flight retry needs.
 const (
 	dedupWindow   = 4096
 	dedupMaxBytes = 64 << 20
 )
 
 func newDedup() *dedup {
-	return &dedup{entries: make(map[dedupKey]*dedupEntry)}
+	return &dedup{entries: make(map[dedupKey]*dedupEntry), pairs: make(map[int]*pullPair)}
+}
+
+// pair returns from's pull record, made on its first pull.
+func (d *dedup) pair(from int) *pullPair {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	pp := d.pairs[from]
+	if pp == nil {
+		pp = &pullPair{}
+		d.pairs[from] = pp
+	}
+	return pp
+}
+
+// serve is pull when pp is a pull's pair, else do.
+func (d *dedup) serve(pp *pullPair, from int, seq uint64, process func() tcpResponse) (tcpResponse, bool) {
+	if pp != nil {
+		return d.pull(pp, seq, process)
+	}
+	return d.do(from, seq, process), true
+}
+
+// pull is do for a pull: the first delivery of the pair's newest sequence
+// number runs process, a later one waits for and returns its record, and
+// a retired one returns ok false without either.
+func (d *dedup) pull(pp *pullPair, seq uint64, process func() tcpResponse) (resp tcpResponse, ok bool) {
+	pp.mu.Lock()
+	if seq < pp.seq {
+		pp.mu.Unlock()
+		return tcpResponse{}, false
+	}
+	if seq == pp.seq {
+		e := pp.last
+		pp.mu.Unlock()
+		d.mu.Lock()
+		d.mHits.Inc()
+		d.mu.Unlock()
+		<-e.done
+		return e.resp, true
+	}
+	e := &dedupEntry{done: make(chan struct{})}
+	pp.seq, pp.last = seq, e
+	pp.mu.Unlock()
+	e.resp = process()
+	close(e.done)
+	return e.resp, true
+}
+
+// encode appends seq's response msgs to buf[:0] as records, unless a
+// newer pull of the pair has retired seq — the handler may be rewriting
+// msgs — in which case ok is false and msgs is not read.
+func (pp *pullPair) encode(seq uint64, msgs []Msg, buf Records) (Records, bool) {
+	pp.mu.Lock()
+	defer pp.mu.Unlock()
+	if seq != pp.seq {
+		return buf, false
+	}
+	return AppendRecords(buf[:0], msgs), true
 }
 
 func (d *dedup) do(from int, seq uint64, process func() tcpResponse) tcpResponse {
@@ -290,7 +383,7 @@ func (d *dedup) do(from int, seq uint64, process func() tcpResponse) tcpResponse
 	resp := process()
 	d.mu.Lock()
 	e.resp = resp
-	e.bytes = int64(len(resp.payload)) + GatherResultsSize(resp.Results)
+	e.bytes = GatherResultsSize(resp.Results)
 	d.bytes += e.bytes
 	close(e.done)
 	d.evict(key)
@@ -356,6 +449,7 @@ func NewTCPConfig(n int, cfg TCPConfig) (*TCP, error) {
 		f.dedups = append(f.dedups, newDedup())
 		go f.serve(w, ln)
 	}
+	f.pulled = make([]pullSlot, n*n)
 	return f, nil
 }
 
@@ -409,6 +503,7 @@ func (f *TCP) serve(worker int, ln net.Listener) {
 func (f *TCP) serveConn(worker int, c net.Conn) {
 	defer c.Close()
 	s := newTCPStream(c, &f.frames)
+	var out Records // the connection's send buffer for pull responses
 	for {
 		var req tcpRequest
 		if err := s.dec.Decode(&req); err != nil {
@@ -438,11 +533,19 @@ func (f *TCP) serveConn(worker int, c net.Conn) {
 			}
 			return f.process(&req, recs)
 		}
-		resp := f.dedups[worker].do(req.From, req.Seq, process)
+		dd := f.dedups[worker]
+		var pp *pullPair
+		if req.Kind == tcpPull {
+			pp = dd.pair(req.From)
+		}
+		resp, ok := dd.serve(pp, req.From, req.Seq, process)
+		if !ok {
+			return // a retired pull: its requester has moved on
+		}
 		if d.Duplicate {
 			// The network delivered the request twice; the dedup layer must
 			// absorb the copy without re-invoking the handler.
-			f.dedups[worker].do(req.From, req.Seq, process)
+			dd.serve(pp, req.From, req.Seq, process)
 		}
 		if d.Delay > 0 {
 			time.Sleep(d.Delay)
@@ -453,7 +556,14 @@ func (f *TCP) serveConn(worker int, c net.Conn) {
 			// not re-applied.
 			return
 		}
-		if err := s.send(&resp, resp.payload); err != nil {
+		var payload Records
+		if pp != nil {
+			if out, ok = pp.encode(req.Seq, resp.msgs, out); !ok {
+				return // retired while this connection waited
+			}
+			payload = out
+		}
+		if err := s.send(&resp, payload); err != nil {
 			return
 		}
 	}
@@ -477,12 +587,10 @@ func (f *TCP) process(req *tcpRequest, msgs Records) tcpResponse {
 		}
 	case tcpPull:
 		out, wire, err := h.RespondPull(req.Block, req.Step)
-		if len(out) > 0 {
-			// Encoded into bytes of its own: the dedup record outlives this
-			// request, and out belongs to the handler.
-			resp.payload = AppendRecords(nil, out)
-			resp.PayloadLen = len(resp.payload)
-		}
+		// Borrowed, not copied: out stays valid until the requester's next
+		// pull, which retires this record first.
+		resp.msgs = out
+		resp.PayloadLen = len(out) * MsgWireSize
 		resp.Wire = wire
 		if err != nil {
 			resp.Err = err.Error()
@@ -540,10 +648,10 @@ func (f *TCP) invalidate(w int, c *tcpConn) {
 // roundTrip performs one at-most-once-applied, at-least-once-delivered
 // request: transport failures retry with backoff over a fresh connection
 // under the same sequence number; application-level errors surface
-// immediately without retrying.
-func (f *TCP) roundTrip(w int, req *tcpRequest, payload Records) (*tcpResponse, []Msg, error) {
-	if w < 0 || w >= len(f.addrs) {
-		return nil, nil, fmt.Errorf("comm: no such worker %d", w)
+// immediately without retrying. A pull's response is decoded into *into.
+func (f *TCP) roundTrip(w int, req *tcpRequest, payload Records, into *[]Msg) (tcpResponse, error) {
+	if err := f.checkWorker(w); err != nil {
+		return tcpResponse{}, err
 	}
 	req.Seq = f.seq.Add(1)
 	f.mRequests.Inc()
@@ -552,33 +660,40 @@ func (f *TCP) roundTrip(w int, req *tcpRequest, payload Records) (*tcpResponse, 
 		if attempt > 0 {
 			f.mRetries.Inc()
 			if err := f.sleepBackoff(attempt); err != nil {
-				return nil, nil, err
+				return tcpResponse{}, err
 			}
 		}
 		if err := f.ctxErr(); err != nil {
-			return nil, nil, err
+			return tcpResponse{}, err
 		}
 		if f.closed.Load() {
-			return nil, nil, errFabricClosed
+			return tcpResponse{}, errFabricClosed
 		}
 		c, err := f.dial(w)
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		resp, out, err := c.do(req, payload, f.cfg.Timeout)
+		resp, err := c.do(req, payload, into, f.cfg.Timeout)
 		if err != nil {
 			lastErr = err
 			f.invalidate(w, c)
 			continue
 		}
 		if resp.Err != "" {
-			return nil, nil, errors.New(resp.Err)
+			return tcpResponse{}, errors.New(resp.Err)
 		}
-		return &resp, out, nil
+		return resp, nil
 	}
-	return nil, nil, fmt.Errorf("comm: worker %d unreachable after %d attempts: %w",
+	return tcpResponse{}, fmt.Errorf("comm: worker %d unreachable after %d attempts: %w",
 		w, maxRetries+1, lastErr)
+}
+
+func (f *TCP) checkWorker(w int) error {
+	if w < 0 || w >= len(f.addrs) {
+		return fmt.Errorf("comm: no such worker %d", w)
+	}
+	return nil
 }
 
 // sleepBackoff waits 2^(attempt-1)·retryBackoff, capped at 100ms, plus
@@ -605,28 +720,38 @@ func (f *TCP) sleepBackoff(attempt int) error {
 // Send implements Fabric.
 func (f *TCP) Send(p *Packet) error {
 	f.account(p.From, p.To, p.Bytes())
-	_, _, err := f.roundTrip(p.To, &tcpRequest{Kind: tcpSend, From: p.From, To: p.To,
-		Step: p.Step, Wire: p.WireBytes}, p.Msgs)
+	_, err := f.roundTrip(p.To, &tcpRequest{Kind: tcpSend, From: p.From, To: p.To,
+		Step: p.Step, Wire: p.WireBytes}, p.Msgs, nil)
 	return err
 }
 
-// PullRequest implements Fabric.
+// PullRequest implements Fabric. The response is decoded into the pair's
+// slot, so both ids are checked before it is indexed.
 func (f *TCP) PullRequest(from, to, block, step int) ([]Msg, int64, error) {
+	if err := f.checkWorker(from); err != nil {
+		return nil, 0, err
+	}
+	if err := f.checkWorker(to); err != nil {
+		return nil, 0, err
+	}
+	slot := &f.pulled[from*len(f.addrs)+to]
+	slot.mu.Lock()
+	defer slot.mu.Unlock()
 	f.account(from, to, PullReqSize)
-	resp, msgs, err := f.roundTrip(to, &tcpRequest{Kind: tcpPull,
-		From: from, To: to, Block: block, Step: step}, nil)
+	resp, err := f.roundTrip(to, &tcpRequest{Kind: tcpPull,
+		From: from, To: to, Block: block, Step: step}, nil, &slot.msgs)
 	if err != nil {
 		return nil, 0, err
 	}
 	f.account(to, from, resp.Wire)
-	return msgs, resp.Wire, nil
+	return slot.msgs, resp.Wire, nil
 }
 
 // Gather implements Fabric.
 func (f *TCP) Gather(from, to int, ids []graph.VertexID, step int) ([]GatherResult, error) {
 	f.account(from, to, int64(len(ids))*GatherIDSize)
-	resp, _, err := f.roundTrip(to, &tcpRequest{Kind: tcpGather,
-		From: from, To: to, IDs: ids, Step: step}, nil)
+	resp, err := f.roundTrip(to, &tcpRequest{Kind: tcpGather,
+		From: from, To: to, IDs: ids, Step: step}, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -637,7 +762,7 @@ func (f *TCP) Gather(from, to int, ids []graph.VertexID, step int) ([]GatherResu
 // Signal implements Fabric.
 func (f *TCP) Signal(from, to int, ids []graph.VertexID, step int) error {
 	f.account(from, to, int64(len(ids))*GatherIDSize)
-	_, _, err := f.roundTrip(to, &tcpRequest{Kind: tcpSignal,
-		From: from, To: to, IDs: ids, Step: step}, nil)
+	_, err := f.roundTrip(to, &tcpRequest{Kind: tcpSignal,
+		From: from, To: to, IDs: ids, Step: step}, nil, nil)
 	return err
 }

@@ -85,7 +85,7 @@ func (w *worker) pullBlock(t, b int) (*recvBuf, int64, error) {
 		combine = nil
 	}
 	buf := w.pullFree.take()
-	buf.msgs = buf.msgs[:0]
+	buf.msgs = slices.Grow(buf.msgs[:0], w.job.brBound(b, combine != nil))
 	for y := range w.job.workers {
 		msgs, _, err := w.fab().PullRequest(w.id, y, b, t)
 		if err != nil {
@@ -136,6 +136,7 @@ func (w *worker) RespondPull(reqBlock, step int) ([]comm.Msg, int64, error) {
 	n := blk.Len()
 	rb.msgs = rb.msgs[:0]
 	if combine != nil {
+		rb.msgs = slices.Grow(rb.msgs, n) // the folded values: at most one per vertex
 		rb.acc = slices.Grow(rb.acc[:0], n)[:n]
 		rb.seen = slices.Grow(rb.seen[:0], n)[:n]
 		clear(rb.seen)
@@ -230,4 +231,20 @@ func (w *worker) RespondPull(reqBlock, step int) ([]comm.Msg, int64, error) {
 		}
 	}
 	return out, wire, nil
+}
+
+// brBound is the most messages one pull of global block b returns from
+// all workers together, the size BR grows to once: under a combiner each
+// responder sends at most one per vertex of the block, otherwise the
+// responders together send at most one per in-edge of the block.
+func (j *job) brBound(b int, combine bool) int {
+	blk := j.layout.Blocks[b]
+	if combine {
+		return len(j.workers) * blk.Len()
+	}
+	var n int
+	for _, d := range j.census().inDeg[blk.Lo:blk.Hi] {
+		n += int(d)
+	}
+	return n
 }

@@ -23,11 +23,12 @@ func (c closeThrough) Close() error {
 	return nil
 }
 
-// scribbleFabric overwrites a packet's records with NaN records the
-// moment Send returns. The worker's outbox does the same a little later
-// when it refills the buffer; doing it at once, every time, turns any
-// fabric, wrapper, log or inbox that kept p.Msgs instead of copying it
-// into corrupted values.
+// scribbleFabric overwrites a packet's records with NaN records, and its
+// header with impossible addressing, the moment Send returns. The
+// worker's outbox does the same a little later when it refills the
+// buffer and reuses the header; doing it at once, every time, turns any
+// fabric, wrapper, log or inbox that kept p or p.Msgs instead of copying
+// them into corrupted values.
 type scribbleFabric struct{ closeThrough }
 
 func (s scribbleFabric) Send(p *comm.Packet) error {
@@ -35,6 +36,7 @@ func (s scribbleFabric) Send(p *comm.Packet) error {
 	for o := 0; o < len(p.Msgs); o += comm.MsgWireSize {
 		comm.PutRecord(p.Msgs[o:], comm.Msg{Dst: math.MaxUint32, Val: math.NaN()})
 	}
+	*p = comm.Packet{From: -1, To: -1, Step: -1, Msgs: p.Msgs[:0], WireBytes: -1}
 	return err
 }
 

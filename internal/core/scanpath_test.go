@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"hybridgraph/internal/algo"
@@ -365,6 +366,52 @@ func TestRespondPullAllocatesNothingWhenWarm(t *testing.T) {
 		}
 		if got := testing.AllocsPerRun(10, serve); got != 0 {
 			t.Errorf("%s: a warm round of %d pull requests allocated %v times, want 0", prog.Name(), j.layout.NumBlocks(), got)
+		}
+	}
+}
+
+// A cold Pull-Request grows BR once, straight to its bound, which holds
+// what every responder returns; a warm one allocates nothing on the Local
+// fabric: BR has grown, the responders answer from their respond buffers,
+// and the Grouper's buffers have grown too.
+func TestPullBlockAllocatesNothingWhenWarm(t *testing.T) {
+	if raceEnabled {
+		t.Skip("counts allocations, which the race detector perturbs")
+	}
+	g := graph.GenRMAT(2000, 24000, 0.57, 0.19, 0.19, 5)
+	for _, prog := range []algo.Program{algo.NewPageRank(0.85), algo.NewLPA()} { // combines; concatenates
+		j := loadedJob(t, g, prog, Config{Workers: 2, MsgBuf: 200, BlocksPerWorker: 4, Parallelism: 1})
+		w := j.workers[0]
+		lo, hi := j.layout.WorkerBlocks(w.id)
+		for b := lo; b < hi; b++ {
+			w.pullFree = idleList[recvBuf]{} // a cold BR
+			buf, _, err := w.pullBlock(2, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bound := j.brBound(b, prog.Combiner() != nil)
+			if len(buf.msgs) > bound || cap(buf.msgs) != cap(slices.Grow([]comm.Msg(nil), bound)) {
+				t.Errorf("%s: block %d's BR holds %d messages in %d slots, want one growth to its bound %d",
+					prog.Name(), b, len(buf.msgs), cap(buf.msgs), bound)
+			}
+		}
+		var msgs int64
+		pull := func() {
+			for b := lo; b < hi; b++ {
+				buf, _, err := w.pullBlock(2, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				msgs += buf.groups.Msgs()
+				w.pullFree.put(buf)
+			}
+		}
+		pull()
+		if msgs == 0 {
+			t.Fatalf("%s: no messages pulled", prog.Name())
+		}
+		if got := testing.AllocsPerRun(10, pull); got != 0 {
+			t.Errorf("%s: a warm round of %d pulled blocks allocated %v times, want 0", prog.Name(), hi-lo, got)
 		}
 	}
 }

@@ -75,9 +75,16 @@ type Grouper struct {
 func (gr *Grouper) Group(msgs []comm.Msg, combine func(a, b float64) float64) Groups {
 	msgs = comm.StableSortByDst(msgs, &gr.tmp)
 	// Sized once up front: appends below must never move the array the
-	// groups already built point into.
+	// groups already built point into. The headers, one per distinct
+	// destination, are counted first so they too grow once.
 	gr.vals = slices.Grow(gr.vals[:0], len(msgs))
-	gr.groups = gr.groups[:0]
+	dsts := 0
+	for i := range msgs {
+		if i == 0 || msgs[i].Dst != msgs[i-1].Dst {
+			dsts++
+		}
+	}
+	gr.groups = slices.Grow(gr.groups[:0], dsts)
 	for lo := 0; lo < len(msgs); {
 		hi := lo + 1
 		for hi < len(msgs) && msgs[hi].Dst == msgs[lo].Dst {

@@ -292,6 +292,30 @@ func TestGrouperAllocatesNothingWhenWarm(t *testing.T) {
 	}
 }
 
+// A cold Grouper grows each of its buffers once: on a sorted batch, which
+// needs no radix scratch, that is the flat value array and the group
+// headers, counted before they are built.
+func TestColdGrouperGrowsHeadersOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("counts allocations, which the race detector perturbs")
+	}
+	msgs := make([]comm.Msg, 30000)
+	for i := range msgs {
+		msgs[i] = comm.Msg{Dst: graph.VertexID(i / 3 * 7), Val: float64(i)} // 10 000 destinations
+	}
+	var groups int
+	allocs := testing.AllocsPerRun(10, func() {
+		var gr Grouper
+		groups = len(gr.Group(msgs, nil))
+	})
+	if groups != len(msgs)/3 {
+		t.Fatalf("%d groups, want %d", groups, len(msgs)/3)
+	}
+	if allocs != 2 {
+		t.Errorf("a cold Grouper allocated %v times for a sorted batch, want 2: the values and the headers", allocs)
+	}
+}
+
 // Two inboxes drain in one Scratch the way a worker's parity inboxes do:
 // one drains while the senders deliver into the other concurrently, and
 // while its groups are still in use the other lists its Pending messages;
