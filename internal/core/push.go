@@ -173,19 +173,25 @@ func (w *worker) mergeStages(outbox *comm.Outbox) error {
 }
 
 // drainInbox loads the messages pushed during superstep t-1, charging the
-// spill read-back and the sort-merge handling of spilled messages.
+// spill read-back and the sort-merge handling of spilled messages. Under
+// a combiner the drain folds each vertex's values into one; the messages
+// it folded away are charged here, as update() would have been charged
+// for them, so the buffer memory and CPU charges are those of the
+// unfolded lists.
 func (w *worker) drainInbox(t int) (msgstore.Groups, error) {
 	ib := w.inboxes[t&1]
 	if ib == nil {
 		return nil, nil
 	}
-	spilled := ib.Spilled()
+	spilled, unfolded := ib.Spilled(), ib.Unfolded()
 	msgs, err := ib.Drain()
 	if err != nil {
 		return nil, err
 	}
-	inMem := msgs.Msgs() - spilled
+	inMem := unfolded - spilled
+	folded := unfolded - msgs.Msgs()
 	w.addStat(func(s *workerStat) {
+		s.cpu.Messages += folded
 		s.parts.MdiskR += spilled * comm.MsgWireSize
 		s.cpu.Spilled += spilled // Giraph's sort-merge handling of disk messages
 		if m := inMem * comm.MsgWireSize; m > s.memBytes {

@@ -28,9 +28,14 @@ type inbox interface {
 	// sender 0) under one lock acquisition, copying what it keeps.
 	AddFrom(from int, msgs comm.Records) error
 	// Drain returns the parked messages grouped by destination, a vertex's
-	// values by sender, then as they arrived; valid until either of the
-	// worker's inboxes drains again (they share one msgstore.Scratch).
+	// values by sender, then as they arrived — under the program's
+	// combiner folded in that order into one value; valid until either of
+	// the worker's inboxes drains again (they share one msgstore.Scratch).
 	Drain() (msgstore.Groups, error)
+	// Unfolded reports how many values the next Drain would hand update()
+	// without its fold — a pushM hot destination counting once, its
+	// messages folded as they arrived: what the superstep is charged for.
+	Unfolded() int64
 	Spilled() int64
 	MaxMemBytes() int64
 	// Pending lists buffered messages, in that order, without resetting.
@@ -402,10 +407,11 @@ func (w *worker) initInboxes() {
 		base := msgstore.NewSharedInbox(filepath.Join(w.dir, fmt.Sprintf("spill%d.dat", p)),
 			w.ct, capacity, w.job.cdc, &w.drain)
 		if w.hot != nil {
-			online := msgstore.NewOnlineInbox(base, w.hot, w.job.prog.Combiner())
+			online := msgstore.NewOnlineInbox(base, w.hot, w.job.prog.Combiner()) // base folds under it too
 			online.SetMetrics(w.job.cfg.Metrics)
 			w.inboxes[p] = online
 		} else {
+			base.SetCombine(w.job.prog.Combiner())
 			base.SetMetrics(w.job.cfg.Metrics)
 			w.inboxes[p] = base
 		}
@@ -474,9 +480,10 @@ type updateHook func(v graph.VertexID, rec *vertexfile.Record, responded bool) e
 
 // updateBlock runs update()/Init over vertices [lo,hi) with the delivered
 // messages, maintaining values, broadcast columns and responding flags.
-// Message slices are the concatenated per-vertex lists — windows of the
-// groups' flat array, which update() must not keep; combinable programs
-// may see them pre-combined — update() is agnostic.
+// Message slices are windows of the groups' flat array, which update()
+// must not keep: the concatenated per-vertex lists, or, for a combinable
+// program, one value per vertex — push's drain and b-pull's Pull-Respond
+// both fold — and update() is agnostic.
 //
 // The scan is sharded across cfg.Parallelism goroutines. Shards are
 // contiguous runs of whole 4 KB chunks on a grid anchored at lo, so the

@@ -2,6 +2,7 @@ package msgstore
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 
 	"hybridgraph/internal/comm"
@@ -62,10 +63,11 @@ func (c *Cursor) Vals(v graph.VertexID) []float64 {
 // reuses: building a batch allocates nothing once they have grown to the
 // largest batch seen. The zero value is ready to use.
 type Grouper struct {
-	tmp    []comm.Msg // the radix sort's second buffer
-	pos    []uint32   // the counting scatter's slot per destination id
-	vals   []float64  // the flat backing array
-	groups Groups
+	tmp     []comm.Msg // the radix sort's second buffer
+	pos     []uint32   // the counting scatter's slot per destination id
+	touched []uint64   // the dense fold's bitmap of destination ids holding a value
+	vals    []float64  // the flat backing array
+	groups  Groups
 }
 
 // Group groups msgs by destination, keeping each destination's values in
@@ -75,14 +77,19 @@ type Grouper struct {
 func (gr *Grouper) Group(msgs []comm.Msg, combine func(a, b float64) float64) Groups {
 	msgs = comm.StableSortByDst(msgs, &gr.tmp)
 	// Sized once up front: appends below must never move the array the
-	// groups already built point into. The headers, one per distinct
-	// destination, are counted first so they too grow once.
-	gr.vals = slices.Grow(gr.vals[:0], len(msgs))
+	// groups already built point into. The distinct destinations are
+	// counted first, so the headers grow once, and so do the values when
+	// each destination folds to one.
 	dsts := 0
 	for i := range msgs {
 		if i == 0 || msgs[i].Dst != msgs[i-1].Dst {
 			dsts++
 		}
+	}
+	if combine != nil {
+		gr.vals = slices.Grow(gr.vals[:0], dsts)
+	} else {
+		gr.vals = slices.Grow(gr.vals[:0], len(msgs))
 	}
 	gr.groups = slices.Grow(gr.groups[:0], dsts)
 	for lo := 0; lo < len(msgs); {
@@ -142,5 +149,49 @@ func (gr *Grouper) scatter(a *arrivals, order []run, lo graph.VertexID, span int
 			}
 		}
 	}
+	return gr.groups
+}
+
+// fold is scatter under a combiner: one pass over the runs in the order
+// given folds each destination's values left to right into its slot, the
+// value array indexed by dst-lo and a bitmap telling which slots hold a
+// value; then the held slots are packed, ascending, to the front of the
+// array. A destination's first value is kept as it is, so a single
+// message reaches update() with its own bits.
+func (gr *Grouper) fold(a *arrivals, order []run, lo graph.VertexID, span int, combine func(a, b float64) float64) Groups {
+	gr.vals = slices.Grow(gr.vals[:0], span)[:span]
+	words := (span + 63) / 64
+	gr.touched = slices.Grow(gr.touched[:0], words)[:words]
+	clear(gr.touched)
+	for _, r := range order {
+		for _, recs := range a.cut(r) {
+			for ; len(recs) >= recSize; recs = recs[recSize:] {
+				m := comm.GetRecord(recs)
+				d := m.Dst - lo
+				w, bit := &gr.touched[d/64], uint64(1)<<(d%64)
+				if *w&bit != 0 {
+					gr.vals[d] = combine(gr.vals[d], m.Val)
+				} else {
+					*w |= bit
+					gr.vals[d] = m.Val
+				}
+			}
+		}
+	}
+	dsts := 0
+	for _, w := range gr.touched {
+		dsts += bits.OnesCount64(w)
+	}
+	gr.groups = slices.Grow(gr.groups[:0], dsts)
+	k := 0
+	for i, w := range gr.touched {
+		for ; w != 0; w &= w - 1 {
+			d := i*64 + bits.TrailingZeros64(w)
+			gr.vals[k] = gr.vals[d] // k <= d: the slots left of d are packed already
+			gr.groups = append(gr.groups, Group{Dst: lo + graph.VertexID(d), Vals: gr.vals[k : k+1 : k+1]})
+			k++
+		}
+	}
+	gr.vals = gr.vals[:k]
 	return gr.groups
 }

@@ -13,12 +13,14 @@
 // checkpoint — until the drain decodes them.
 // Draining yields Groups: the superstep's messages grouped by destination
 // in one flat array of the drain's Scratch, each vertex's values in
-// delivery order — senders ascending, one sender's as they arrived. A
-// dense batch is grouped from the records where they lie, in memory or
-// read back; a sparse one is decoded once, in delivery order, to be
-// sorted (DESIGN.md, "Message path"). An OnlineInbox adds MOCgraph's
-// message online computing: messages for a configured hot set of vertices
-// are folded into in-memory accumulators immediately and never touch disk.
+// delivery order — senders ascending, one sender's as they arrived — or,
+// under a combiner (SetCombine), folded left to right in that order into
+// one value per vertex. A dense batch is grouped from the records where
+// they lie, in memory or read back; a sparse one is decoded once, in
+// delivery order, to be sorted (DESIGN.md, "Message path"). An
+// OnlineInbox adds MOCgraph's message online computing: messages for a
+// configured hot set of vertices are folded into in-memory accumulators
+// immediately and never touch disk.
 package msgstore
 
 import (
@@ -71,6 +73,7 @@ type Inbox struct {
 	spillN   int64
 	received int64
 	maxMem   int64
+	combine  func(a, b float64) float64 // folds a drain's lists when non-nil
 
 	mSpilledMsgs  *obs.Counter // nil when metrics are disabled
 	mSpilledBytes *obs.Counter
@@ -86,6 +89,17 @@ func (b *Inbox) SetMetrics(reg *obs.Registry) {
 	// Writes of the spill's staging buffer, next to the per-record
 	// logical ops the Counter charges.
 	b.spill.CountFlushes(reg.Counter("msgstore.spill_flushes"))
+}
+
+// SetCombine makes every later drain fold each destination's values, in
+// delivery order, into one: combine(…combine(v1, v2)…, vn). combine must
+// be the program's commutative, associative reducer; it runs under the
+// inbox's lock, so it must not call the inbox. nil lists every value
+// again.
+func (b *Inbox) SetCombine(combine func(a, b float64) float64) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.combine = combine
 }
 
 // NewInbox returns an inbox spilling to path once capacity messages are
@@ -205,6 +219,10 @@ func (b *Inbox) Received() int64 {
 	return b.received
 }
 
+// Unfolded reports how many values the next Drain would list without a
+// combiner: one per message accepted so far.
+func (b *Inbox) Unfolded() int64 { return b.Received() }
+
 // Spilled reports the number of messages that went to disk (|M_disk|).
 func (b *Inbox) Spilled() int64 {
 	b.mu.Lock()
@@ -226,8 +244,9 @@ func (b *Inbox) MaxMemBytes() int64 {
 // order-sensitive and how senders interleave depends on scheduling, but a
 // sender's own order does not: every run — and every recovery replay,
 // which injects sender by sender in log order — produces bit-identical
-// values. The result lives in the inbox's Scratch, valid until the next
-// drain through it.
+// values. Under a combiner each vertex's list is folded, in that order,
+// into one value. The result lives in the inbox's Scratch, valid until
+// the next drain through it.
 func (b *Inbox) Drain() (Groups, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -255,7 +274,11 @@ func (b *Inbox) drain(extra comm.Records) (Groups, error) {
 	lo, hi := a.bounds()
 	var out Groups
 	if n, span := a.len(), int64(hi)-int64(lo)+1; n > 0 && span <= denseSpan*int64(n) {
-		out = sc.grouper.scatter(&a, b.runs, lo, int(span))
+		if b.combine != nil {
+			out = sc.grouper.fold(&a, b.runs, lo, int(span), b.combine)
+		} else {
+			out = sc.grouper.scatter(&a, b.runs, lo, int(span))
+		}
 	} else {
 		// Few messages over a wide id range (a traversal frontier): group
 		// one copy in delivery order stably.
@@ -265,7 +288,7 @@ func (b *Inbox) drain(extra comm.Records) (Groups, error) {
 				sc.ordered = comm.DecodeRecords(sc.ordered, recs)
 			}
 		}
-		out = sc.grouper.Group(sc.ordered, nil)
+		out = sc.grouper.Group(sc.ordered, b.combine)
 	}
 	b.mem = b.mem[:0]
 	b.runs = b.runs[:0]
@@ -377,8 +400,10 @@ func (o *OnlineInbox) SetMetrics(reg *obs.Registry) {
 }
 
 // NewOnlineInbox wraps cold with online computing for the hot vertices.
-// combine must be a commutative, associative reducer.
+// combine must be a commutative, associative reducer; cold folds under it
+// too, which is how Drain folds the senders' accumulators into one value.
 func NewOnlineInbox(cold *Inbox, hot map[graph.VertexID]bool, combine func(a, b float64) float64) *OnlineInbox {
+	cold.SetCombine(combine)
 	return &OnlineInbox{hot: hot, combine: combine, got: make(map[graph.VertexID]bool), cold: cold}
 }
 
@@ -449,6 +474,17 @@ func (o *OnlineInbox) Received() int64 {
 	return online + o.cold.Received()
 }
 
+// Unfolded reports how many values the next Drain would list were only
+// the online accumulators folded: one per cold message and one per hot
+// destination, since a hot destination's messages never reach the cold
+// inbox through AddFrom.
+func (o *OnlineInbox) Unfolded() int64 {
+	o.mu.Lock()
+	hot := int64(len(o.got))
+	o.mu.Unlock()
+	return hot + o.cold.Unfolded()
+}
+
 // OnlineCount reports how many messages were consumed online.
 func (o *OnlineInbox) OnlineCount() int64 {
 	o.mu.Lock()
@@ -483,7 +519,10 @@ func (o *OnlineInbox) Pending() (comm.Records, error) {
 }
 
 // Drain merges the online accumulators with the cold inbox's contents and
-// resets both.
+// resets both. The accumulators join the drain's stream after every
+// sender's cold messages, and the cold inbox folds under the combiner, so
+// a hot vertex's value is any cold stragglers, then each sender's
+// accumulator, folded in that order.
 func (o *OnlineInbox) Drain() (Groups, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -493,18 +532,6 @@ func (o *OnlineInbox) Drain() (Groups, error) {
 	o.cold.mu.Unlock()
 	if err != nil {
 		return nil, err
-	}
-	for i := range out {
-		// Fold a hot vertex's values — any cold stragglers, then each
-		// sender's accumulator — so the consumer sees one combined message.
-		if g := &out[i]; len(g.Vals) > 1 && o.hot[g.Dst] {
-			v := g.Vals[0]
-			for _, c := range g.Vals[1:] {
-				v = o.combine(v, c)
-			}
-			g.Vals = g.Vals[:1]
-			g.Vals[0] = v
-		}
 	}
 	for _, acc := range o.acc {
 		clear(acc)

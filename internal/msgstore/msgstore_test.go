@@ -342,7 +342,8 @@ func TestInboxRoundTripProperty(t *testing.T) {
 // senders in ascending order, so it does not depend on how the senders'
 // packets interleave — with an order-sensitive reducer standing in for a
 // float sum's rounding — and a restore of what Pending lists folds to the
-// same bits. Memory still counts one slot per hot destination.
+// same bits. A cold vertex's values fold in delivery order. Memory still
+// counts one slot per hot destination.
 func TestOnlineInboxFoldIsSenderMajor(t *testing.T) {
 	sub := func(a, b float64) float64 { return a - b }
 	hot := map[graph.VertexID]bool{1: true, 2: true}
@@ -351,8 +352,9 @@ func TestOnlineInboxFoldIsSenderMajor(t *testing.T) {
 		1: {{Dst: 2, Val: 4}, {Dst: 1, Val: 5}, {Dst: 9, Val: 91}, {Dst: 1, Val: 6}},
 		3: {{Dst: 1, Val: 7}},
 	}
-	// dst 1: ((1-2) - (5-6)) - 7; dst 2: 3 - 4; dst 9 is cold and listed.
-	want := map[graph.VertexID][]float64{1: {-7}, 2: {-1}, 9: {90, 91}}
+	// dst 1: ((1-2) - (5-6)) - 7; dst 2: 3 - 4; dst 9 is cold, and the
+	// cold inbox folds it in delivery order: 90 - 91.
+	want := map[graph.VertexID][]float64{1: {-7}, 2: {-1}, 9: {-1}}
 	check := func(label string, o *OnlineInbox) {
 		t.Helper()
 		if got := o.MaxMemBytes(); got != 2*recSize {
