@@ -6,6 +6,7 @@ import (
 
 	"hybridgraph/internal/comm"
 	"hybridgraph/internal/graph"
+	"hybridgraph/internal/metrics"
 	"hybridgraph/internal/msgstore"
 	"hybridgraph/internal/vertexfile"
 )
@@ -60,8 +61,8 @@ func (w *worker) pullBlocks(t int, update func(lo, hi graph.VertexID, msgs msgst
 			next = ch
 			charged += f.mem
 		}
-		w.addStat(func(s *workerStat) {
-			s.memBytes = max(s.memBytes, charged)
+		w.addStat(func(s *metrics.WorkerStep) {
+			s.MemBytes = max(s.MemBytes, charged)
 		})
 		blk := w.job.layout.Blocks[b]
 		if err := update(blk.Lo, blk.Hi, f.buf.groups); err != nil {
@@ -96,8 +97,8 @@ func (w *worker) pullBlock(t, b int) (*recvBuf, int64, error) {
 	}
 	buf.groups = buf.grouper.Group(buf.msgs, combine)
 	held := buf.groups.Msgs()*comm.MsgValSize + int64(len(buf.groups))*comm.MsgIDSize
-	w.addStat(func(s *workerStat) {
-		s.requests += int64(len(w.job.workers))
+	w.addStat(func(s *metrics.WorkerStep) {
+		s.Requests += int64(len(w.job.workers))
 	})
 	return buf, held, nil
 }
@@ -210,15 +211,15 @@ func (w *worker) RespondPull(reqBlock, step int) ([]comm.Msg, int64, error) {
 	wire := comm.ConcatSize(out)
 	bsMem := int64(len(out)) * comm.MsgWireSize
 
-	w.addStat(func(s *workerStat) {
-		s.produced += produced
-		s.mcoBytes += rawBytes - wire
-		s.parts.Vrr += vrr
-		s.parts.Ebar += ebar
-		s.parts.Ft += ft
-		s.cpu.Messages += produced
-		s.cpu.Edges += ebar / 8 // every scanned edge costs, responding or not
-		s.memBytes = max(s.memBytes, bsMem)
+	w.addStat(func(s *metrics.WorkerStep) {
+		s.Produced += produced
+		s.McoBytes += rawBytes - wire
+		s.Parts.Vrr += vrr
+		s.Parts.Ebar += ebar
+		s.Parts.Ft += ft
+		s.CPU.Messages += produced
+		s.CPU.Edges += ebar / 8 // every scanned edge costs, responding or not
+		s.MemBytes = max(s.MemBytes, bsMem)
 	})
 	if w.mlog != nil && w.job.layout.OwnerOfBlock(reqBlock) != w.id {
 		// Confined recovery: log the response exactly as it crosses the wire,

@@ -178,9 +178,9 @@ type Config struct {
 	// callback runs on the job's control goroutine; keep it fast.
 	OnRecovery func(RecoveryNotice)
 	// TraceWriter, when non-nil, receives the structured JSONL superstep
-	// trace journal: one obs.WorkerStepEvent per superstep per worker with
-	// the full I/O breakdown and net in/out bytes, one obs.StepEvent per
-	// superstep with the aggregated StepStats, Q^t inputs and hybrid's
+	// trace journal: each superstep's metrics.WorkerStep rows (one per
+	// worker, plus one per stalled worker's rejoin), then one
+	// obs.StepEvent with their StepStats.Fold, the Q^t inputs and hybrid's
 	// scheduling decision, plus events for mode switches, checkpoint
 	// commits, injected faults and recoveries. Nil disables tracing at
 	// zero cost.

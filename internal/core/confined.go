@@ -155,39 +155,31 @@ func (rf *replayFabric) PullRequest(from, to, block, step int) ([]comm.Msg, int6
 	return msgs, wire, nil
 }
 
-// finishStall patches a stalled superstep's stats with the failed workers'
-// rejoin contributions — the semantic quantities that drive halting
-// decisions — and re-applies the halting checks the superstep
-// skipped: otherwise a recovered run could iterate past the step a
-// fault-free run stops at. It reports whether the job is finished.
-func (j *job) finishStall(res *metrics.JobResult, f failure, rej workerStat) bool {
+// finishStall completes a stalled superstep, which the loop recorded from
+// the survivors alone: it folds the rejoin rows in, journals them and then
+// the step, and re-applies the halting checks the superstep skipped, so a
+// recovered run stops where a fault-free run does. It reports whether the
+// job is finished.
+func (j *job) finishStall(res *metrics.JobResult, f failure, rejoin []metrics.WorkerStep) bool {
 	if !f.stalled {
 		return false
 	}
-	// The loop recorded the stalled superstep's stats before it failed.
 	st := &res.Steps[len(res.Steps)-1]
-	st.Updated += rej.updated
-	st.Responding += rej.responding
-	st.Produced += rej.produced
-	aggProg, aggregating := j.prog.(algo.Aggregating)
-	if rej.aggSet {
-		if j.lastStepAggSet {
-			st.Aggregate = aggProg.Reduce(st.Aggregate, rej.agg)
-		} else {
-			st.Aggregate = rej.agg
-		}
-	}
+	st.Fold(rejoin, j.reduce, j.lastStepAggSet)
+	j.emitRows(rejoin)
+	j.emitStep(st, j.stalledNext)
 	j.prevAgg = st.Aggregate
-	return st.Responding == 0 || (aggregating && f.step > 1 && aggProg.Converged(st.Aggregate))
+	ag, aggregating := j.prog.(algo.Aggregating)
+	return st.Responding == 0 || (aggregating && f.step > 1 && ag.Converged(st.Aggregate))
 }
 
 // replay brings failed worker w from checkpoint base (0: its freshly
 // loaded state) up to f.lastDone alone, behind the replay fabric, then
 // parks the messages the survivors sent it during f.lastDone for the
-// superstep the resumed loop runs next, and returns the stats of a
-// stalled worker's rejoin superstep. Nothing is discarded: the survivors
-// never roll back.
-func (j *job) replay(res *metrics.JobResult, w *worker, base int, f failure) (workerStat, error) {
+// superstep the resumed loop runs next, and returns a stalled worker's
+// rejoin row: what the stalled superstep's halting checks read, and what
+// the rejoin logged. Nothing is discarded: the survivors never roll back.
+func (j *job) replay(res *metrics.JobResult, w *worker, base int, f failure) (metrics.WorkerStep, error) {
 	if base == 0 {
 		// Superstep 1's Init overwrites the values.
 		w.reset()
@@ -200,21 +192,23 @@ func (j *job) replay(res *metrics.JobResult, w *worker, base int, f failure) (wo
 	j.replayFab = rf
 	defer func() { j.replayFab = nil }()
 
-	var rej workerStat
+	var rej metrics.WorkerStep
 	for u := base + 1; u <= f.lastDone; u++ {
 		// Replay can span many supersteps; honour cancellation between them
 		// so an abort during recovery returns promptly with the context's
 		// cause instead of replaying to completion first.
 		if err := context.Cause(j.runCtx); err != nil {
-			return workerStat{}, err
+			return metrics.WorkerStep{}, err
 		}
 		rf.rejoin = f.stalled && u == f.lastDone
 		r, err := j.replayStep(w, u, base, rf, res)
 		if err != nil {
-			return workerStat{}, err
+			return metrics.WorkerStep{}, err
 		}
 		if rf.rejoin {
-			rej = r
+			rej = metrics.WorkerStep{Step: u, Worker: w.id, Host: j.own.hostOf(w.id),
+				Mode: string(j.sched.plan().modes[u]), Updated: r.Updated, Responding: r.Responding,
+				Produced: r.Produced, LogIO: r.LogIO, Aggregate: r.Aggregate, AggSet: r.AggSet}
 		}
 	}
 	if f.lastDone > base {
@@ -222,7 +216,7 @@ func (j *job) replay(res *metrics.JobResult, w *worker, base int, f failure) (wo
 		rf.resetStep()
 		win := openWindow(w.ct, rf.logCt)
 		if err := j.injectLogged(w, f.lastDone, rf); err != nil {
-			return workerStat{}, err
+			return metrics.WorkerStep{}, err
 		}
 		logical, phys := win.delta()
 		_, net := rf.takeStep()
@@ -234,8 +228,9 @@ func (j *job) replay(res *metrics.JobResult, w *worker, base int, f failure) (wo
 // replayStep re-executes superstep u on the failed worker alone, behind
 // the replay fabric. Messages the survivors pushed to it during u-1 are
 // injected from their logs first (unless u-1 is the checkpoint step,
-// whose deliveries the snapshot already parked).
-func (j *job) replayStep(w *worker, u, base int, rf *replayFabric, res *metrics.JobResult) (workerStat, error) {
+// whose deliveries the snapshot already parked). It returns the worker's
+// tallies, with what it logged in LogIO.
+func (j *job) replayStep(w *worker, u, base int, rf *replayFabric, res *metrics.JobResult) (metrics.WorkerStep, error) {
 	rf.resetStep()
 	own, logs := openWindow(w.ct), openWindow(rf.logCt)
 	logBefore := w.logCt.Snapshot()
@@ -249,27 +244,23 @@ func (j *job) replayStep(w *worker, u, base int, rf *replayFabric, res *metrics.
 	w.clearStepFlags(u)
 	if u-1 > base {
 		if err := j.injectLogged(w, u-1, rf); err != nil {
-			return workerStat{}, err
+			return metrics.WorkerStep{}, err
 		}
 	}
 	if err := j.stepWorker(w, u); err != nil {
-		return workerStat{}, err
+		return metrics.WorkerStep{}, err
 	}
 
 	d, pd := own.delta()
 	logD, lpd := logs.delta()
-	if rf.rejoin {
-		// The rejoin finishes the stalled superstep, whose stats the loop has
-		// recorded: what it logs is that superstep's LogIO. Its physical
-		// bytes are on the worker's twin, inside pd.
-		st := &res.Steps[len(res.Steps)-1]
-		st.LogIO = st.LogIO.Add(w.logCt.Snapshot().Sub(logBefore))
-	}
 	served, net := rf.takeStep()
 	w.mu.Lock()
 	stat := w.stat
 	w.mu.Unlock()
-	simSecs := j.chargeReplay(res, d.Add(logD), pd.Add(lpd), net, stat.cpu.Seconds(j.cfg.Profile))
+	// A rejoin's log appends are the stalled superstep's LogIO; their
+	// physical bytes are on the worker's twin, inside pd.
+	stat.LogIO = w.logCt.Snapshot().Sub(logBefore)
+	simSecs := j.chargeReplay(res, d.Add(logD), pd.Add(lpd), net, stat.CPU.Seconds(j.cfg.Profile))
 	res.ReplayedSupersteps++
 	j.cfg.Metrics.Counter("replay.bytes").Add(d.Total() + logD.Total())
 	j.cfg.Metrics.Counter("replay.supersteps").Inc()

@@ -56,7 +56,10 @@ type job struct {
 	counted    edgeCensus // see census
 	censusOnce sync.Once
 
-	prevAgg float64 // last superstep's reduced aggregator value
+	prevAgg float64                    // last superstep's reduced aggregator value
+	reduce  func(a, b float64) float64 // the program's aggregate reducer; nil if it has none
+	rows    []metrics.WorkerStep       // superstep's rows, one per worker, reused
+	wins    []stepWindow               // what superstep reads before each worker runs
 
 	pol        recoveryPolicy
 	crashFired []bool // per fault-plan crash: already injected
@@ -79,10 +82,11 @@ type job struct {
 	// directory when the fault plan carries a Disk config; nil otherwise.
 	faultFS *diskio.FaultFS
 
-	// lastStepAggSet records whether any worker contributed to the last
-	// superstep's aggregate — a stalled worker's rejoin needs it to fold
-	// its contribution in correctly.
+	// lastStepAggSet records whether the last superstep's aggregate is set,
+	// and stalledNext the mode the scheduler chose after it: a stalled
+	// superstep's rejoin needs both to fold its rows in and journal it.
 	lastStepAggSet bool
+	stalledNext    Engine
 	// replayFab, while non-nil, redirects the failed worker's superstep
 	// sends and pulls through the log-replay fabric. Installed and removed
 	// between supersteps only.
@@ -148,6 +152,9 @@ func RunContext(ctx context.Context, g *graph.Graph, prog algo.Program, cfg Conf
 		ctx = context.Background()
 	}
 	j := &job{cfg: cfg, runCtx: ctx, g: g, prog: prog, sched: sched, pol: pol}
+	if ag, ok := prog.(algo.Aggregating); ok {
+		j.reduce = ag.Reduce
+	}
 	j.cdc, _ = codec.Lookup(cfg.Codec)
 	tr, err := newJobTracer(cfg, prog, engine)
 	if err != nil {
@@ -389,6 +396,7 @@ func (j *job) setup(res *metrics.JobResult) error {
 	j.loadCts = make([]*diskio.Counter, t)
 	j.pcts = make([]*diskio.Counter, t)
 	j.workers = make([]*worker, t)
+	j.rows, j.wins = make([]metrics.WorkerStep, t), make([]stepWindow, t)
 	if j.cfg.MsgBuf > 0 {
 		j.bTotal = int64(j.cfg.MsgBuf) * int64(t)
 	}
@@ -602,21 +610,13 @@ func (j *job) runOnce(res *metrics.JobResult, start int) error {
 		if st.SwitchedFrom != "" {
 			j.cfg.Metrics.Counter("core.mode_switches").Inc()
 		}
-		if j.trace != nil {
-			// The step summary is emitted after the scheduler ran, so
-			// NextMode carries the decision this superstep's Q^t just made.
-			j.trace.Emit(obs.StepEvent{Type: obs.EventStep, Stats: st, NextMode: string(next)})
-			if st.SwitchedFrom != "" {
-				j.trace.Emit(obs.ModeSwitchEvent{Type: obs.EventModeSwitch,
-					Step: t, From: st.SwitchedFrom, To: st.Mode})
-			}
-		}
 		j.prevAgg = st.Aggregate
 		if stallErr != nil {
 			// The stalled workers never reached the barrier: journal the
-			// fault and hand the incomplete superstep to recovery. The
-			// halting checks are re-applied after recovery folds the rejoin
-			// contributions back into this step's stats.
+			// fault and hand the incomplete superstep to recovery, which
+			// folds the rejoin rows into this step's stats, journals the
+			// step and re-applies the halting checks.
+			j.stalledNext = next
 			j.cfg.Metrics.Counter("core.injected_faults").Inc()
 			j.cfg.Metrics.Counter("core.stalled_workers").Add(int64(len(stallErr.Workers)))
 			if j.trace != nil {
@@ -627,6 +627,7 @@ func (j *job) runOnce(res *metrics.JobResult, start int) error {
 			}
 			return stallErr
 		}
+		j.emitStep(&st, next)
 		if st.Responding == 0 {
 			break
 		}
@@ -675,28 +676,40 @@ func (j *job) injectStalls(t int) []bool {
 	return out
 }
 
-// superstep runs one superstep across all workers and aggregates stats.
-// A returned *StalledWorker error (and only that error) comes with valid
-// stats: the survivors completed the superstep and their numbers are
-// real; the stalled workers contributed nothing.
+// emitStep journals superstep st and any switch it made; next is the
+// decision the scheduler took after it.
+func (j *job) emitStep(st *metrics.StepStats, next Engine) {
+	if j.trace == nil {
+		return
+	}
+	j.trace.Emit(obs.StepEvent{Type: obs.EventStep, Stats: *st, NextMode: string(next)})
+	if st.SwitchedFrom != "" {
+		j.trace.Emit(obs.ModeSwitchEvent{Type: obs.EventModeSwitch,
+			Step: st.Step, From: st.SwitchedFrom, To: st.Mode})
+	}
+}
+
+// stepWindow reads a worker's compute counter (with the physical twin),
+// message-log counter and fabric traffic around its superstep.
+type stepWindow struct {
+	io, log ioWindow
+	in, out int64
+}
+
+// superstep runs one superstep across all workers and folds their rows
+// into its stats. A returned *StalledWorker error (and only that error)
+// comes with valid stats: the survivors completed the superstep and their
+// numbers are real; the stalled workers contributed nothing.
 func (j *job) superstep(t int) (metrics.StepStats, error) {
 	plan := j.sched.plan()
 	mode := plan.modes[t]
-	type before struct {
-		io      diskio.Snapshot
-		log     diskio.Snapshot
-		phys    diskio.Snapshot
-		in, out int64
-	}
-	befores := make([]before, len(j.workers))
 	for i, w := range j.workers {
 		w.resetStat()
 		w.clearStepFlags(t)
-		in, out := j.fabric.Traffic(w.id)
-		befores[i] = before{io: w.ct.Snapshot(), phys: j.pcts[i].Snapshot(), in: in, out: out}
-		if w.logCt != nil {
-			befores[i].log = w.logCt.Snapshot()
-		}
+		win := &j.wins[i]
+		win.io.open(w.ct)
+		win.log.open(w.logCt)
+		win.in, win.out = j.fabric.Traffic(w.id)
 	}
 	wallStart := time.Now()
 
@@ -764,115 +777,43 @@ func (j *job) superstep(t int) (metrics.StepStats, error) {
 	if t > 1 && mode != plan.modes[t-1] {
 		st.SwitchedFrom = string(plan.modes[t-1])
 	}
-	aggProg, aggregating := j.prog.(algo.Aggregating)
-	aggSet := false
-	// A host machine runs its own unit plus, under reassignment, its
-	// adopted ones serially, so the superstep's critical path is the
-	// per-host sum of unit times, maxed across hosts.
-	hostSim := make([]float64, len(j.workers))
 	for i, w := range j.workers {
-		d := w.ct.Snapshot().Sub(befores[i].io)
-		pd := j.pcts[i].Snapshot().Sub(befores[i].phys)
-		var logD diskio.Snapshot
-		if w.logCt != nil {
-			logD = w.logCt.Snapshot().Sub(befores[i].log)
-		}
-		in, out := j.fabric.Traffic(w.id)
-		nIn, nOut := in-befores[i].in, out-befores[i].out
-
+		r, win := &j.rows[i], &j.wins[i]
 		w.mu.Lock()
-		s := w.stat
+		*r = w.stat
 		w.mu.Unlock()
+		r.Step, r.Worker, r.Host, r.Mode = t, w.id, j.own.hostOf(w.id), string(mode)
+		r.IO, r.PhysIO = win.io.delta()
+		r.LogIO, _ = win.log.delta()
+		in, out := j.fabric.Traffic(w.id)
+		r.NetIn, r.NetOut = in-win.in, out-win.out
 
 		// A superstep that pushes: spill written for the next one (M_disk).
-		if p := plan.produce(t); p == Push || p == PushM {
-			if ib := w.inboxes[writeParity(t+1)]; ib != nil {
-				s.parts.MdiskW += ib.Spilled() * comm.MsgWireSize
-			}
+		ib := w.inboxes[writeParity(t+1)]
+		if p := plan.produce(t); ib != nil && (p == Push || p == PushM) {
+			r.Parts.MdiskW += ib.Spilled() * comm.MsgWireSize
 		}
-
-		st.Produced += s.produced
-		st.NetBytes += nOut
-		st.Requests += s.requests
-		st.Responding += s.responding
-		st.Updated += s.updated
-		st.Spilled += s.parts.MdiskW / comm.MsgWireSize
-		st.IO = st.IO.Add(d)
-		st.LogIO = st.LogIO.Add(logD)
-		st.PhysIO = st.PhysIO.Add(pd)
-		addBreakdown(&st.Parts, s.parts)
-
-		mem := s.memBytes
-		if ib := w.inboxes[writeParity(t+1)]; ib != nil {
-			mem = max(mem, ib.MaxMemBytes())
+		r.Spilled = r.Parts.MdiskW / comm.MsgWireSize
+		if ib != nil {
+			r.MemBytes = max(r.MemBytes, ib.MaxMemBytes())
 		}
 		if w.ve != nil {
-			mem += w.ve.MetaMemBytes()
+			r.MemBytes += w.ve.MetaMemBytes()
 		}
-		st.MemBytes = max(st.MemBytes, mem)
-
-		host := w.id
-		var migIO diskio.Snapshot
-		var migNet int64
+		// A migration since the last superstep lands on the adopted unit's row.
 		if j.own != nil {
-			host = j.own.hostOf(w.id)
-			// A migration that completed since the last superstep lands its
-			// cost here, on the adopted unit's row, exactly once — the
-			// JobResult totals were charged at adoption and are independent.
-			if pm := j.pendingMig[w.id]; pm.set {
-				migIO, migNet = pm.io, pm.net
-				st.MigrationIO = st.MigrationIO.Add(migIO)
-				st.MigrationNetBytes += migNet
-				j.pendingMig[w.id] = pendingMig{}
-			}
+			pm := j.pendingMig[w.id]
+			r.MigrationIO, r.MigrationNetBytes = pm.io, pm.net
+			j.pendingMig[w.id] = pendingMig{}
 		}
 
-		if j.trace != nil {
-			// One journal line per worker per superstep: exactly the numbers
-			// this loop folds into st, so summing a step's worker events must
-			// reproduce the StepStats (the accounting cross-check test).
-			j.trace.Emit(obs.WorkerStepEvent{Type: obs.EventWorkerStep,
-				Step: t, Worker: w.id, Host: host, Mode: string(mode),
-				Updated: s.updated, Responding: s.responding,
-				Produced: s.produced, Requests: s.requests,
-				Spilled: s.parts.MdiskW / comm.MsgWireSize,
-				NetIn:   nIn, NetOut: nOut,
-				IO: d, LogIO: logD, PhysIO: pd, Parts: s.parts, MemBytes: mem,
-				MigrationIO: migIO, MigrationNetBytes: migNet})
-		}
-
-		cpuSec := s.cpu.Seconds(j.cfg.Profile)
-		// Message-log appends are real sequential writes the confined policy
-		// pays during normal execution; they cost time but stay out of st.IO
-		// so the Q^t inputs and the trace-vs-stats cross-check see pure
-		// Eq. (7)/(8) traffic.
-		diskSec := j.diskSeconds(d.Add(logD), pd)
-		netSec := j.cfg.Profile.NetSeconds(nIn + nOut)
-		st.CPUSeconds += cpuSec
-		st.DiskSeconds += diskSec
-		st.NetSeconds = max(st.NetSeconds, netSec)
-		sim := cpuSec + diskSec + netSec
-		hostSim[host] += sim
-
-		// Hybrid prediction inputs.
-		st.McoBytes += s.mcoBytes
-		st.EstEt += s.estEt
-		st.EstEbar += s.estEbar
-		st.EstFt += s.estFt
-		st.EstVrr += s.estVrr
-
-		if aggregating && s.aggSet {
-			if !aggSet {
-				st.Aggregate, aggSet = s.agg, true
-			} else {
-				st.Aggregate = aggProg.Reduce(st.Aggregate, s.agg)
-			}
-		}
+		r.CPUSeconds = r.CPU.Seconds(j.cfg.Profile)
+		// Message-log appends cost disk time but stay out of IO (StepStats.LogIO).
+		r.DiskSeconds = j.diskSeconds(r.IO.Add(r.LogIO), r.PhysIO)
+		r.NetSeconds = j.cfg.Profile.NetSeconds(r.NetIn + r.NetOut)
 	}
-	for _, s := range hostSim {
-		st.SimSeconds = max(st.SimSeconds, s)
-	}
-	j.lastStepAggSet = aggSet
+	j.lastStepAggSet = st.Fold(j.rows, j.reduce, false)
+	j.emitRows(j.rows)
 	j.finishQt(mode, &st)
 
 	if j.trace != nil {
@@ -881,19 +822,14 @@ func (j *job) superstep(t int) (metrics.StepStats, error) {
 		// direction, the read classes decompress. Logical bytes include the
 		// message log — the codec stores it too. Under the identity codec
 		// the physical bytes equal the logical ones.
-		wLog := st.IO.Bytes[diskio.SeqWrite] + st.IO.Bytes[diskio.RandWrite] +
-			st.LogIO.Bytes[diskio.SeqWrite] + st.LogIO.Bytes[diskio.RandWrite]
-		rLog := st.IO.Bytes[diskio.SeqRead] + st.IO.Bytes[diskio.RandRead] +
-			st.LogIO.Bytes[diskio.SeqRead] + st.LogIO.Bytes[diskio.RandRead]
-		wPhys := st.PhysIO.Bytes[diskio.SeqWrite] + st.PhysIO.Bytes[diskio.RandWrite]
-		rPhys := st.PhysIO.Bytes[diskio.SeqRead] + st.PhysIO.Bytes[diskio.RandRead]
-		if wLog > 0 {
-			j.trace.Emit(obs.CodecEvent{Type: obs.EventCompress, Step: t,
-				Codec: j.cdc.Name(), Logical: wLog, Physical: wPhys})
+		lg, ph := st.IO.Add(st.LogIO).Bytes, st.PhysIO.Bytes
+		if l := lg[diskio.SeqWrite] + lg[diskio.RandWrite]; l > 0 {
+			j.trace.Emit(obs.CodecEvent{Type: obs.EventCompress, Step: t, Codec: j.cdc.Name(),
+				Logical: l, Physical: ph[diskio.SeqWrite] + ph[diskio.RandWrite]})
 		}
-		if rLog > 0 {
-			j.trace.Emit(obs.CodecEvent{Type: obs.EventDecompress, Step: t,
-				Codec: j.cdc.Name(), Logical: rLog, Physical: rPhys})
+		if l := lg[diskio.SeqRead] + lg[diskio.RandRead]; l > 0 {
+			j.trace.Emit(obs.CodecEvent{Type: obs.EventDecompress, Step: t, Codec: j.cdc.Name(),
+				Logical: l, Physical: ph[diskio.SeqRead] + ph[diskio.RandRead]})
 		}
 	}
 
@@ -914,14 +850,14 @@ func (j *job) superstep(t int) (metrics.StepStats, error) {
 	return st, nil
 }
 
-func addBreakdown(dst *metrics.IOBreakdown, s metrics.IOBreakdown) {
-	dst.Vt += s.Vt
-	dst.Et += s.Et
-	dst.Ebar += s.Ebar
-	dst.Ft += s.Ft
-	dst.Vrr += s.Vrr
-	dst.MdiskW += s.MdiskW
-	dst.MdiskR += s.MdiskR
+// emitRows journals rows, one superstep event each.
+func (j *job) emitRows(rows []metrics.WorkerStep) {
+	if j.trace == nil {
+		return
+	}
+	for _, r := range rows {
+		j.trace.Emit(obs.WorkerStepEvent{Type: obs.EventWorkerStep, WorkerStep: r})
+	}
 }
 
 // stepWorker runs one worker's superstep t by the job's schedule: the

@@ -28,8 +28,13 @@ func newOwnership(n int) *ownership {
 	return o
 }
 
-// hostOf reports the worker hosting w's partition.
-func (o *ownership) hostOf(w int) int { return o.hosts[w] }
+// hostOf reports the worker hosting w's partition (w on a nil table).
+func (o *ownership) hostOf(w int) int {
+	if o == nil {
+		return w
+	}
+	return o.hosts[w]
+}
 
 // isDead reports whether w is permanently lost.
 func (o *ownership) isDead(w int) bool { return o.dead[w] }

@@ -206,3 +206,29 @@ func TestPrefetchDrainUnderDiskFaults(t *testing.T) {
 }
 
 func itoa(n int) string { return strconv.Itoa(n) }
+
+// TestParallelAggregateIsChunkOrdered pins the aggregator's float order in
+// a sharded update scan: one worker's single block spans several 4096-vertex
+// chunks, each chunk reduces its contributions left to right, and the
+// chunk partials fold in chunk order whatever shard scanned them, so the
+// aggregate is bit-identical at every parallelism.
+func TestParallelAggregateIsChunkOrdered(t *testing.T) {
+	g := graph.GenRMAT(20000, 80000, 0.57, 0.19, 0.19, 5)
+	for _, e := range []Engine{Push, BPull} {
+		t.Run(string(e), func(t *testing.T) {
+			cfg := Config{Workers: 1, MaxSteps: 5, Parallelism: 1}
+			base := runOne(t, g, algo.NewConvergingPageRank(0.85, 0), cfg, e)
+			for _, p := range []int{2, 3, 8} {
+				cfg.Parallelism = p
+				got := runOne(t, g, algo.NewConvergingPageRank(0.85, 0), cfg, e)
+				for i, st := range got.Steps {
+					a := base.Steps[i].Aggregate
+					if math.Float64bits(st.Aggregate) != math.Float64bits(a) {
+						t.Fatalf("p=%d step %d: aggregate %x, sequential scan %x",
+							p, st.Step, math.Float64bits(st.Aggregate), math.Float64bits(a))
+					}
+				}
+			}
+		})
+	}
+}

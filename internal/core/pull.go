@@ -4,6 +4,7 @@ import (
 	"hybridgraph/internal/algo"
 	"hybridgraph/internal/comm"
 	"hybridgraph/internal/graph"
+	"hybridgraph/internal/metrics"
 	"hybridgraph/internal/msgstore"
 	"hybridgraph/internal/vertexfile"
 )
@@ -85,15 +86,15 @@ func (w *worker) stepPull(t int) error {
 			if err := w.vcache.put(rec); err != nil {
 				return err
 			}
-			w.addStat(func(s *workerStat) {
-				s.updated++
-				s.cpu.Updates++
-				s.cpu.Messages += int64(len(mv))
+			w.addStat(func(s *metrics.WorkerStep) {
+				s.Updated++
+				s.CPU.Updates++
+				s.CPU.Messages += int64(len(mv))
 				if respond {
-					s.responding++
+					s.Responding++
 				}
 				if hasContrib {
-					s.reduceAgg(prog, contrib)
+					s.Reduce(w.job.reduce, contrib)
 				}
 			})
 			if traversal && respond {
@@ -103,9 +104,9 @@ func (w *worker) stepPull(t int) error {
 			}
 		}
 	}
-	w.addStat(func(s *workerStat) {
-		if m := int64(w.vcache.resident()) * vertexfile.RecordSize; m > s.memBytes {
-			s.memBytes = m
+	w.addStat(func(s *metrics.WorkerStep) {
+		if m := int64(w.vcache.resident()) * vertexfile.RecordSize; m > s.MemBytes {
+			s.MemBytes = m
 		}
 	})
 	return nil
@@ -128,8 +129,8 @@ func (w *worker) gatherAll(t int, ids []graph.VertexID) (msgstore.Groups, error)
 			}
 		}
 	}
-	w.addStat(func(s *workerStat) {
-		s.requests += int64(len(ids)) * int64(len(w.job.workers))
+	w.addStat(func(s *metrics.WorkerStep) {
+		s.Requests += int64(len(ids)) * int64(len(w.job.workers))
 	})
 	return buf.grouper.Group(buf.msgs, nil), nil
 }
@@ -181,10 +182,10 @@ func (w *worker) GatherValues(ids []graph.VertexID, step int) ([]comm.GatherResu
 			out = append(out, comm.GatherResult{Dst: dst, Vals: vals})
 		}
 	}
-	w.addStat(func(s *workerStat) {
-		s.produced += produced
-		s.cpu.Edges += edges
-		s.cpu.Messages += produced
+	w.addStat(func(s *metrics.WorkerStep) {
+		s.Produced += produced
+		s.CPU.Edges += edges
+		s.CPU.Messages += produced
 	})
 	return out, nil
 }
@@ -205,9 +206,9 @@ func (w *worker) scatterSignals(t int, v graph.VertexID) error {
 	if err != nil {
 		return err
 	}
-	w.addStat(func(s *workerStat) {
-		s.parts.Et += eb
-		s.cpu.Edges += int64(len(scratch))
+	w.addStat(func(s *metrics.WorkerStep) {
+		s.Parts.Et += eb
+		s.CPU.Edges += int64(len(scratch))
 	})
 	byOwner := make(map[int][]graph.VertexID)
 	for _, h := range scratch {

@@ -3,6 +3,7 @@ package core
 import (
 	"hybridgraph/internal/comm"
 	"hybridgraph/internal/graph"
+	"hybridgraph/internal/metrics"
 	"hybridgraph/internal/msgstore"
 	"hybridgraph/internal/vertexfile"
 )
@@ -40,7 +41,7 @@ func (w *worker) step(t int, consume, produce Engine) error {
 				// hybrid carries one (edges of every updated vertex).
 				if w.adj != nil && !w.job.cfg.InMemory {
 					if eb, err := w.adj.EdgeBytes(v); err == nil {
-						w.addStat(func(s *workerStat) { s.estEt += eb })
+						w.addStat(func(s *metrics.WorkerStep) { s.EstEt += eb })
 					}
 				}
 				return nil
@@ -84,9 +85,9 @@ func (w *worker) step(t int, consume, produce Engine) error {
 			return err
 		}
 		if saved := outbox.SavedBytes(); saved > 0 {
-			w.addStat(func(s *workerStat) {
-				s.mcoBytes += saved
-				s.cpu.Messages += outbox.CombinedTouches() // combining is not free
+			w.addStat(func(s *metrics.WorkerStep) {
+				s.McoBytes += saved
+				s.CPU.Messages += outbox.CombinedTouches() // combining is not free
 			})
 		}
 	}
@@ -153,11 +154,11 @@ func (w *worker) addPushTallies() {
 		sum.edges += p.edges
 		*p = pushTally{}
 	}
-	w.addStat(func(s *workerStat) {
-		s.produced += sum.sent
-		s.cpu.Messages += sum.sent
-		s.parts.Et += sum.et
-		s.cpu.Edges += sum.edges
+	w.addStat(func(s *metrics.WorkerStep) {
+		s.Produced += sum.sent
+		s.CPU.Messages += sum.sent
+		s.Parts.Et += sum.et
+		s.CPU.Edges += sum.edges
 	})
 }
 
@@ -190,12 +191,12 @@ func (w *worker) drainInbox(t int) (msgstore.Groups, error) {
 	}
 	inMem := unfolded - spilled
 	folded := unfolded - msgs.Msgs()
-	w.addStat(func(s *workerStat) {
-		s.cpu.Messages += folded
-		s.parts.MdiskR += spilled * comm.MsgWireSize
-		s.cpu.Spilled += spilled // Giraph's sort-merge handling of disk messages
-		if m := inMem * comm.MsgWireSize; m > s.memBytes {
-			s.memBytes = m
+	w.addStat(func(s *metrics.WorkerStep) {
+		s.CPU.Messages += folded
+		s.Parts.MdiskR += spilled * comm.MsgWireSize
+		s.CPU.Spilled += spilled // Giraph's sort-merge handling of disk messages
+		if m := inMem * comm.MsgWireSize; m > s.MemBytes {
+			s.MemBytes = m
 		}
 	})
 	return msgs, nil
@@ -227,10 +228,10 @@ func (w *worker) estimateBpullCosts(t int) {
 			vrr += int64(frags) * vertexfile.BcastSize
 		}
 	}
-	w.addStat(func(s *workerStat) {
-		s.estEbar += ebar
-		s.estFt += ft
-		s.estVrr += vrr
+	w.addStat(func(s *metrics.WorkerStep) {
+		s.EstEbar += ebar
+		s.EstFt += ft
+		s.EstVrr += vrr
 	})
 }
 
@@ -240,8 +241,8 @@ func (w *worker) DeliverMessages(p *comm.Packet) error {
 	if err := w.inboxes[writeParity(p.Step+1)].AddFrom(p.From, p.Msgs); err != nil {
 		return err
 	}
-	w.addStat(func(s *workerStat) {
-		s.cpu.Messages += int64(p.Msgs.Len())
+	w.addStat(func(s *metrics.WorkerStep) {
+		s.CPU.Messages += int64(p.Msgs.Len())
 	})
 	return nil
 }

@@ -33,12 +33,9 @@ import (
 var ErrNoSurvivors = errors.New("core: no surviving workers to adopt the failed partition")
 
 // pendingMig is one adopted unit's migration cost, stashed until the next
-// superstep runs so StepStats.MigrationIO/MigrationNetBytes and the
-// unit's WorkerStepEvent land the same numbers (the trace-vs-stats
-// cross-check covers migration like everything else). The JobResult
-// totals are charged directly at adoption and do not depend on this.
+// superstep puts it on the unit's row. The JobResult totals are charged
+// directly at adoption and do not depend on this.
 type pendingMig struct {
-	set bool
 	io  diskio.Snapshot
 	net int64
 }
@@ -212,7 +209,7 @@ func (j *job) adoptWorker(fw, host, step int, reason string, res *metrics.JobRes
 	res.MigrationNetBytes += netBytes
 	res.Degraded = true
 	res.RecoverySimSeconds += j.diskSeconds(migIO, migPhys) + j.cfg.Profile.NetSeconds(netBytes)
-	j.pendingMig[fw] = pendingMig{set: true, io: migIO, net: netBytes}
+	j.pendingMig[fw] = pendingMig{io: migIO, net: netBytes}
 	reg := j.cfg.Metrics
 	reg.Counter("core.reassignments").Inc()
 	reg.Counter("migration.io_bytes").Add(migIO.Total())

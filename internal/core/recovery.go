@@ -75,7 +75,7 @@ func (j *job) recoverFailure(res *metrics.JobResult, f failure) (start int, halt
 	if j.pol.failedOnly {
 		ev := obs.RecoveryEvent{Type: obs.EventRecovery, Policy: j.pol.name,
 			RestartStep: f.lastDone + 1, Worker: units[0]}
-		var rej workerStat
+		var rejoin []metrics.WorkerStep
 		covered := true
 		for _, u := range units {
 			w := j.workers[u]
@@ -92,11 +92,8 @@ func (j *job) recoverFailure(res *metrics.JobResult, f failure) (start int, halt
 			if err != nil {
 				return 0, false, err
 			}
-			rej.updated += r.updated
-			rej.responding += r.responding
-			rej.produced += r.produced
-			if r.aggSet {
-				rej.reduceAgg(j.prog, r.agg)
+			if f.stalled {
+				rejoin = append(rejoin, r)
 			}
 			ev.Restored = ev.Restored || restored
 			ev.Replayed += f.lastDone - base
@@ -105,9 +102,12 @@ func (j *job) recoverFailure(res *metrics.JobResult, f failure) (start int, halt
 			res.ConfinedRecoveries += len(units)
 			j.cfg.Metrics.Counter("core.confined_recoveries").Add(int64(len(units)))
 			j.trace.Emit(ev)
-			return f.lastDone + 1, j.finishStall(res, f, rej), nil
+			return f.lastDone + 1, j.finishStall(res, f, rejoin), nil
 		}
 	}
+	// A stalled superstep is discarded with the rest below, and journaled
+	// as the survivors left it.
+	j.finishStall(res, f, nil)
 
 	restart := 1
 	if j.pol.source == fromCheckpoint {
@@ -270,24 +270,36 @@ func (j *job) rollbackLogs(base int) error {
 	return nil
 }
 
-// ioWindow reads a set of counters before and after a recovery or
-// checkpoint activity: delta is what the activity moved, logically and on
-// the counters' physical twins.
+// ioWindow reads a set of counters before and after a superstep, a
+// recovery or a checkpoint activity: delta is what the activity moved,
+// logically and on the counters' physical twins.
 type ioWindow struct {
 	cts, phys       []*diskio.Counter
 	before, pbefore []diskio.Snapshot
 }
 
 func openWindow(cts ...*diskio.Counter) *ioWindow {
-	w := &ioWindow{cts: cts}
+	w := &ioWindow{}
+	w.open(cts...)
+	return w
+}
+
+// open starts the window over again on the non-nil counters of cts,
+// reusing its storage.
+func (w *ioWindow) open(cts ...*diskio.Counter) {
+	w.cts, w.phys = w.cts[:0], w.phys[:0]
+	w.before, w.pbefore = w.before[:0], w.pbefore[:0]
 	for _, c := range cts {
+		if c == nil {
+			continue
+		}
+		w.cts = append(w.cts, c)
 		w.before = append(w.before, c.Snapshot())
 		if p := c.Phys(); p != nil && !slices.Contains(w.phys, p) {
 			w.phys = append(w.phys, p)
 			w.pbefore = append(w.pbefore, p.Snapshot())
 		}
 	}
-	return w
 }
 
 func (w *ioWindow) delta() (logical, phys diskio.Snapshot) {

@@ -10,6 +10,7 @@ import (
 	"hybridgraph/internal/algo"
 	"hybridgraph/internal/faultplan"
 	"hybridgraph/internal/graph"
+	"hybridgraph/internal/metrics"
 	"hybridgraph/internal/obs"
 )
 
@@ -234,7 +235,7 @@ func checkTracedRun(t *testing.T, g *graph.Graph, prog algo.Program, engine Engi
 			sum.NetIn += ev.NetIn
 			sum.NetOut += ev.NetOut
 			sum.IO = sum.IO.Add(ev.IO)
-			addBreakdown(&sum.Parts, ev.Parts)
+			sum.Parts.Add(ev.Parts)
 			if ev.MemBytes > memMax {
 				memMax = ev.MemBytes
 			}
@@ -381,5 +382,95 @@ func TestTraceDirAutoNames(t *testing.T) {
 	}
 	if len(matches) != 1 {
 		t.Fatalf("journals in %s = %v, want one pagerank_push_*.jsonl", dir, matches)
+	}
+}
+
+// TestStalledStepJournalMatchesResult pins the journal of a stalled
+// superstep under the two policies that complete it with a rejoin: every
+// superstep has exactly one step event, equal to the StepStats the result
+// holds, and its superstep rows — the survivors' plus the rejoin's — sum to
+// those stats on every summed field, max to them on the maxed ones and
+// reduce to the same aggregate.
+func TestStalledStepJournalMatchesResult(t *testing.T) {
+	g := graph.GenRMAT(600, 4200, 0.57, 0.19, 0.19, 21)
+	prog := algo.NewConvergingPageRank(0.85, 1e-12)
+	for _, policy := range []string{"confined", "reassign"} {
+		t.Run(policy, func(t *testing.T) {
+			var buf bytes.Buffer
+			cfg := Config{Workers: 3, MsgBuf: 150, MaxSteps: 8, Recovery: policy,
+				FaultPlan:   faultplan.NewPlan().WithStalls(faultplan.Stall{Step: 5, Worker: 2}),
+				TraceWriter: &buf}
+			res, err := Run(g, prog, cfg, Hybrid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stalls != 1 {
+				t.Fatalf("Stalls = %d, want 1", res.Stalls)
+			}
+			p := parseTrace(t, buf.Bytes())
+			if len(p.steps) != len(res.Steps) {
+				t.Fatalf("%d step events for %d supersteps", len(p.steps), len(res.Steps))
+			}
+			rows := map[int][]obs.WorkerStepEvent{}
+			for _, ev := range p.workerSteps {
+				rows[ev.Step] = append(rows[ev.Step], ev)
+			}
+			for i, st := range res.Steps {
+				if se := p.steps[i].Stats; se != st {
+					t.Fatalf("step %d: step event %+v, result %+v", st.Step, se, st)
+				}
+				want := cfg.Workers
+				if st.Step == 5 {
+					want++ // the stalled worker's rejoin
+				}
+				if len(rows[st.Step]) != want {
+					t.Fatalf("step %d: %d superstep rows, want %d", st.Step, len(rows[st.Step]), want)
+				}
+				if rej := rows[st.Step][want-1]; st.Step == 5 && (rej.Worker != 2 || !rej.AggSet) {
+					t.Fatalf("step 5: last row %+v, want worker 2's rejoin with an aggregate", rej)
+				}
+				var sum metrics.StepStats
+				sum.Step, sum.Mode, sum.WallSeconds, sum.Qt, sum.SwitchedFrom =
+					st.Step, st.Mode, st.WallSeconds, st.Qt, st.SwitchedFrom
+				hostSecs := map[int]float64{}
+				aggSet := false
+				for _, r := range rows[st.Step] {
+					sum.Produced += r.Produced
+					sum.NetBytes += r.NetOut
+					sum.Requests += r.Requests
+					sum.Responding += r.Responding
+					sum.Updated += r.Updated
+					sum.Spilled += r.Spilled
+					sum.IO = sum.IO.Add(r.IO)
+					sum.LogIO = sum.LogIO.Add(r.LogIO)
+					sum.PhysIO = sum.PhysIO.Add(r.PhysIO)
+					sum.Parts.Add(r.Parts)
+					sum.MemBytes = max(sum.MemBytes, r.MemBytes)
+					sum.MigrationIO = sum.MigrationIO.Add(r.MigrationIO)
+					sum.MigrationNetBytes += r.MigrationNetBytes
+					sum.McoBytes += r.McoBytes
+					sum.EstEt += r.EstEt
+					sum.EstEbar += r.EstEbar
+					sum.EstFt += r.EstFt
+					sum.EstVrr += r.EstVrr
+					sum.CPUSeconds += r.CPUSeconds
+					sum.DiskSeconds += r.DiskSeconds
+					sum.NetSeconds = max(sum.NetSeconds, r.NetSeconds)
+					hostSecs[r.Host] += r.CPUSeconds + r.DiskSeconds + r.NetSeconds
+					switch {
+					case r.AggSet && aggSet:
+						sum.Aggregate = prog.Reduce(sum.Aggregate, r.Aggregate)
+					case r.AggSet:
+						sum.Aggregate, aggSet = r.Aggregate, true
+					}
+				}
+				for _, s := range hostSecs {
+					sum.SimSeconds = max(sum.SimSeconds, s)
+				}
+				if sum != st {
+					t.Fatalf("step %d: rows sum to %+v, result %+v", st.Step, sum, st)
+				}
+			}
+		})
 	}
 }

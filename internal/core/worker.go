@@ -74,11 +74,11 @@ type worker struct {
 
 	// Failed-worker recovery ("confined", "reassign"): every outgoing push
 	// packet and served pull response is appended to mlog so survivors can
-	// serve a failed worker's replay without recomputing. Log writes are charged
-	// to logCt, kept apart from ct so Q^t inputs and the trace-vs-stats
-	// cross-check see pure Eq. (7)/(8) traffic; the per-step delta
-	// surfaces as StepStats.LogIO. sendLog wraps the job fabric with the
-	// append-before-send hook; nil when the policy is off.
+	// serve a failed worker's replay without recomputing. Log writes are
+	// charged to logCt, kept apart from ct so Q^t inputs see pure Eq.
+	// (7)/(8) traffic; the per-step delta surfaces as StepStats.LogIO.
+	// sendLog wraps the job fabric with the append-before-send hook; nil
+	// when the policy is off.
 	mlog    *msglog.Log
 	logCt   *diskio.Counter
 	sendLog comm.Fabric
@@ -103,57 +103,23 @@ type worker struct {
 	// y's next request); gathered is the pull baseline's.
 	outbox   *comm.Outbox
 	shards   []shardBuf
+	chunkAgg []metrics.WorkerStep // updateBlock's per-chunk aggregator partials
 	pullFree idleList[recvBuf]
 	respFree []idleList[respondBuf]
 	gathered recvBuf
 
-	mu   sync.Mutex // guards stat: RespondPull/Gather run on requester goroutines
-	stat workerStat
-}
-
-// workerStat accumulates one superstep's activity on one worker.
-type workerStat struct {
-	produced   int64 // messages generated before concat/combine
-	mcoBytes   int64 // network bytes saved by concat/combine
-	updated    int64
-	responding int64
-	requests   int64
-	cpu        metrics.CPUWork
-	parts      metrics.IOBreakdown
-	memBytes   int64 // peak buffer memory this superstep
-
-	// Hybrid prediction inputs gathered while running the other mode.
-	estEt   int64 // adjacency bytes push would read
-	estEbar int64 // Eblock edge bytes b-pull would read
-	estFt   int64 // fragment aux bytes b-pull would read
-	estVrr  int64 // svertex bytes b-pull would random-read
-
-	agg    float64 // reduced aggregator contributions (Aggregating programs)
-	aggSet bool
-}
-
-// reduceAgg folds one contribution into the worker's aggregate under the
-// program's reducer. Callers hold w.mu via addStat.
-func (s *workerStat) reduceAgg(prog algo.Program, c float64) {
-	ag, ok := prog.(algo.Aggregating)
-	if !ok {
-		return
-	}
-	if !s.aggSet {
-		s.agg, s.aggSet = c, true
-		return
-	}
-	s.agg = ag.Reduce(s.agg, c)
+	mu   sync.Mutex         // guards stat: RespondPull/Gather run on requester goroutines
+	stat metrics.WorkerStep // this superstep's tallies; the master fills in the rest of the row
 }
 
 func (w *worker) resetStat() {
 	w.mu.Lock()
-	w.stat = workerStat{}
+	w.stat = metrics.WorkerStep{}
 	w.mu.Unlock()
 }
 
 // addStat applies f to the superstep's stat under the lock.
-func (w *worker) addStat(f func(*workerStat)) {
+func (w *worker) addStat(f func(*metrics.WorkerStep)) {
 	w.mu.Lock()
 	f(&w.stat)
 	w.mu.Unlock()
@@ -509,6 +475,7 @@ func (w *worker) updateBlock(t int, lo, hi graph.VertexID, msgs msgstore.Groups,
 	wp := writeParity(t)
 	style := prog.Style()
 	aggProg, aggregating := prog.(algo.Aggregating)
+	reduce := w.job.reduce
 
 	const chunk = 4096
 	nChunks := (int(hi-lo) + chunk - 1) / chunk
@@ -523,11 +490,11 @@ func (w *worker) updateBlock(t int, lo, hi graph.VertexID, msgs msgstore.Groups,
 	}
 
 	// Per-chunk aggregator partials, folded in chunk order after the join.
-	var aggVals []float64
-	var aggSets []bool
+	var aggs []metrics.WorkerStep
 	if aggregating {
-		aggVals = make([]float64, nChunks)
-		aggSets = make([]bool, nChunks)
+		w.chunkAgg = slices.Grow(w.chunkAgg[:0], nChunks)[:nChunks]
+		aggs = w.chunkAgg
+		clear(aggs)
 	}
 
 	scan := func(shard int) error {
@@ -553,8 +520,7 @@ func (w *worker) updateBlock(t int, lo, hi graph.VertexID, msgs msgstore.Groups,
 			}
 			var updated, responding int64
 			var msgCount int64
-			var agg float64
-			aggAny := false
+			var agg metrics.WorkerStep // this chunk's aggregator partial
 			for i := range recs {
 				rec := &recs[i]
 				v := rec.ID
@@ -576,12 +542,7 @@ func (w *worker) updateBlock(t int, lo, hi graph.VertexID, msgs msgstore.Groups,
 					rec.Val, respond = prog.Update(ctx, v, int(rec.OutDeg), rec.Val, mv)
 					updated++
 					if aggregating {
-						c := aggProg.Contribute(before, rec.Val)
-						if !aggAny {
-							agg, aggAny = c, true
-						} else {
-							agg = aggProg.Reduce(agg, c)
-						}
+						agg.Reduce(reduce, aggProg.Contribute(before, rec.Val))
 					}
 				default:
 					continue
@@ -605,29 +566,28 @@ func (w *worker) updateBlock(t int, lo, hi graph.VertexID, msgs msgstore.Groups,
 			if err := w.vstore.WriteRange(clo, chi, recs); err != nil {
 				return err
 			}
-			if aggAny {
-				aggVals[c], aggSets[c] = agg, true
+			if aggregating {
+				aggs[c] = agg
 			}
-			w.addStat(func(s *workerStat) {
-				s.updated += updated
-				s.responding += responding
-				s.parts.Vt += vt
-				s.cpu.Updates += updated
-				s.cpu.Messages += msgCount
+			w.addStat(func(s *metrics.WorkerStep) {
+				s.Updated += updated
+				s.Responding += responding
+				s.Parts.Vt += vt
+				s.CPU.Updates += updated
+				s.CPU.Messages += msgCount
 			})
 		}
 		return nil
 	}
 
 	err := parallelDo(shards, scan)
-	if aggregating {
-		for c := 0; c < nChunks; c++ {
-			if aggSets[c] {
-				partial := aggVals[c]
-				w.addStat(func(s *workerStat) { s.reduceAgg(prog, partial) })
+	w.addStat(func(s *metrics.WorkerStep) {
+		for c := range aggs {
+			if aggs[c].AggSet {
+				s.Reduce(reduce, aggs[c].Aggregate)
 			}
 		}
-	}
+	})
 	return err
 }
 

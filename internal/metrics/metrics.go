@@ -29,11 +29,120 @@ func (b IOBreakdown) Total() int64 {
 	return b.Vt + b.Et + b.Ebar + b.Ft + b.Vrr + b.MdiskW + b.MdiskR
 }
 
+// Add accumulates o into b.
+func (b *IOBreakdown) Add(o IOBreakdown) {
+	b.Vt += o.Vt
+	b.Et += o.Et
+	b.Ebar += o.Ebar
+	b.Ft += o.Ft
+	b.Vrr += o.Vrr
+	b.MdiskW += o.MdiskW
+	b.MdiskR += o.MdiskR
+}
+
 // CioPush evaluates Eq. (7) for this breakdown.
 func (b IOBreakdown) CioPush() int64 { return b.Vt + b.Et + b.MdiskW + b.MdiskR }
 
 // CioBpull evaluates Eq. (8) for this breakdown.
 func (b IOBreakdown) CioBpull() int64 { return b.Vt + b.Ebar + b.Ft + b.Vrr }
+
+// WorkerStep is one worker's row of one superstep: what it tallied while
+// it ran, the counter deltas the master read around it and the modelled
+// seconds they cost. The trace journal records the rows as they are and
+// StepStats.Fold sums them, so journal and stats agree by construction.
+type WorkerStep struct {
+	Step       int             `json:"step"`
+	Worker     int             `json:"worker"`
+	Mode       string          `json:"mode"`
+	Updated    int64           `json:"updated"`
+	Responding int64           `json:"responding"`
+	Produced   int64           `json:"produced"` // messages generated before concat/combine
+	Requests   int64           `json:"requests"`
+	Spilled    int64           `json:"spilled"` // messages spilled for t+1 (|M_disk|)
+	NetIn      int64           `json:"net_in"`
+	NetOut     int64           `json:"net_out"`
+	IO         diskio.Snapshot `json:"io"`        // class-tagged disk delta
+	Parts      IOBreakdown     `json:"parts"`     // Eq. (7)/(8) categories
+	MemBytes   int64           `json:"mem_bytes"` // peak buffer memory
+	LogIO      diskio.Snapshot `json:"log_io"`    // message-log writes, kept out of IO (see StepStats)
+	// Host is the worker whose goroutine ran this unit: itself, or the
+	// survivor that adopted it under reassignment.
+	Host              int             `json:"host"`
+	MigrationIO       diskio.Snapshot `json:"migration_io,omitempty"` // see StepStats
+	MigrationNetBytes int64           `json:"migration_net_bytes,omitempty"`
+	PhysIO            diskio.Snapshot `json:"phys_io,omitzero"` // post-codec IO+LogIO; zero in memory
+
+	CPU         CPUWork `json:"cpu"`
+	CPUSeconds  float64 `json:"cpu_seconds"`
+	DiskSeconds float64 `json:"disk_seconds"`
+	NetSeconds  float64 `json:"net_seconds"`
+	McoBytes    int64   `json:"mco_bytes"` // hybrid's inputs, as in StepStats
+	EstEt       int64   `json:"est_et"`
+	EstEbar     int64   `json:"est_ebar"`
+	EstFt       int64   `json:"est_ft"`
+	EstVrr      int64   `json:"est_vrr"`
+	Aggregate   float64 `json:"aggregate"` // reduced contributions, if AggSet
+	AggSet      bool    `json:"agg_set"`
+}
+
+// Reduce folds aggregator contribution c into the row's aggregate: the
+// first contribution sets it, every later one is reduced onto it.
+func (r *WorkerStep) Reduce(reduce func(a, b float64) float64, c float64) {
+	if !r.AggSet {
+		r.Aggregate, r.AggSet = c, true
+		return
+	}
+	r.Aggregate = reduce(r.Aggregate, c)
+}
+
+// Fold adds rows into s in row order: counts, bytes, CPU and disk seconds
+// add; MemBytes, NetSeconds and SimSeconds take the max, SimSeconds over
+// per-host sums of row seconds (a host runs its units serially). The rows'
+// aggregates reduce together, then onto s.Aggregate if aggSet says it is
+// set; Fold reports whether it is set afterwards.
+func (s *StepStats) Fold(rows []WorkerStep, reduce func(a, b float64) float64, aggSet bool) bool {
+	var part WorkerStep
+	for i := range rows {
+		r := &rows[i]
+		s.Produced += r.Produced
+		s.NetBytes += r.NetOut
+		s.Requests += r.Requests
+		s.Responding += r.Responding
+		s.Updated += r.Updated
+		s.Spilled += r.Spilled
+		s.IO = s.IO.Add(r.IO)
+		s.LogIO = s.LogIO.Add(r.LogIO)
+		s.PhysIO = s.PhysIO.Add(r.PhysIO)
+		s.Parts.Add(r.Parts)
+		s.MemBytes = max(s.MemBytes, r.MemBytes)
+		s.MigrationIO = s.MigrationIO.Add(r.MigrationIO)
+		s.MigrationNetBytes += r.MigrationNetBytes
+		s.CPUSeconds += r.CPUSeconds
+		s.DiskSeconds += r.DiskSeconds
+		s.NetSeconds = max(s.NetSeconds, r.NetSeconds)
+		s.McoBytes += r.McoBytes
+		s.EstEt += r.EstEt
+		s.EstEbar += r.EstEbar
+		s.EstFt += r.EstFt
+		s.EstVrr += r.EstVrr
+		if r.AggSet {
+			part.Reduce(reduce, r.Aggregate)
+		}
+		var host float64 // r's host runs all its rows serially
+		for k := range rows {
+			if q := &rows[k]; q.Host == r.Host {
+				host += q.CPUSeconds + q.DiskSeconds + q.NetSeconds
+			}
+		}
+		s.SimSeconds = max(s.SimSeconds, host)
+	}
+	seed := WorkerStep{Aggregate: s.Aggregate, AggSet: aggSet}
+	if part.AggSet {
+		seed.Reduce(reduce, part.Aggregate)
+	}
+	s.Aggregate = seed.Aggregate
+	return seed.AggSet
+}
 
 // StepStats aggregates one superstep across the cluster.
 type StepStats struct {
@@ -53,9 +162,8 @@ type StepStats struct {
 
 	// LogIO is the confined recovery policy's sender-side message-log
 	// writes this superstep (internal/msglog), charged to DiskSeconds but
-	// kept out of IO and Parts so the Q^t inputs and the trace-vs-stats
-	// cross-check stay exact: log bytes are policy overhead, not Eq.
-	// (7)/(8) traffic.
+	// kept out of IO and Parts so the Q^t inputs stay exact: log bytes are
+	// policy overhead, not Eq. (7)/(8) traffic.
 	LogIO diskio.Snapshot
 
 	// PhysIO is the physical (post-codec) bytes this superstep's disk
@@ -72,9 +180,8 @@ type StepStats struct {
 	// traffic of rebuilding the adopted worker's stores from the shared
 	// catalog, and the bytes of state that logically moved between
 	// machines (snapshot + retained log segments + fetched layout
-	// bytes). Kept out of IO/Parts for the same reason as LogIO — policy
-	// overhead, not Eq. (7)/(8) traffic — and mirrored by the adopted
-	// unit's WorkerStepEvent so the trace-vs-stats cross-check covers them.
+	// bytes). Kept out of IO/Parts for the same reason as LogIO, and
+	// carried by the adopted unit's row.
 	MigrationIO       diskio.Snapshot
 	MigrationNetBytes int64
 
@@ -94,7 +201,7 @@ type StepStats struct {
 	CPUSeconds   float64 // modelled compute time, summed across workers
 	DiskSeconds  float64 // modelled disk time, summed across workers
 	NetSeconds   float64 // a.k.a. blocking time: the exchange component
-	SimSeconds   float64 // max across workers of (cpu+disk+net)
+	SimSeconds   float64 // max across hosts of Σ (cpu+disk+net) of their units
 	WallSeconds  float64 // measured wall clock of the superstep
 	Qt           float64 // Eq. (11) evaluated from this superstep's data
 	SwitchedFrom string  // non-empty when this superstep executed a switch

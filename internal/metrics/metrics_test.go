@@ -112,3 +112,70 @@ func TestFinishIdempotentProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestStepStatsFold(t *testing.T) {
+	// Not commutative, so the result pins the order: rows left to right,
+	// then onto the seed.
+	reduce := func(a, b float64) float64 { return 2*a + b }
+	var io diskio.Snapshot
+	io.Bytes[diskio.SeqRead] = 100
+	rows := []WorkerStep{
+		{Worker: 0, Host: 0, Updated: 5, Produced: 7, NetOut: 40, IO: io, MemBytes: 10,
+			Parts: IOBreakdown{Vt: 3}, EstEt: 1, McoBytes: 2,
+			CPUSeconds: 1, DiskSeconds: 2, NetSeconds: 3, Aggregate: 1, AggSet: true},
+		{Worker: 1, Host: 1, Updated: 6, Produced: 8, NetOut: 50, IO: io, MemBytes: 30,
+			Parts: IOBreakdown{Vt: 4}, EstEt: 1, McoBytes: 3,
+			CPUSeconds: 4, DiskSeconds: 1, NetSeconds: 2, Aggregate: 2, AggSet: true},
+		{Worker: 2, Host: 0, Updated: 7, Produced: 9, NetOut: 60, IO: io, MemBytes: 20,
+			Parts: IOBreakdown{Vt: 5}, EstEt: 1, McoBytes: 4,
+			CPUSeconds: 0.5, DiskSeconds: 0.5, NetSeconds: 1, Aggregate: 3, AggSet: true},
+		{Worker: 3, Host: 3, Updated: 1}, // contributes no aggregate
+	}
+	var st StepStats
+	if !st.Fold(rows, reduce, false) {
+		t.Fatal("Fold reports the aggregate unset")
+	}
+	if st.Updated != 19 || st.Produced != 24 || st.NetBytes != 150 ||
+		st.IO.Bytes[diskio.SeqRead] != 300 || st.Parts.Vt != 12 || st.EstEt != 3 || st.McoBytes != 9 {
+		t.Fatalf("sums = %+v", st)
+	}
+	if st.CPUSeconds != 5.5 || st.DiskSeconds != 3.5 {
+		t.Fatalf("CPUSeconds, DiskSeconds = %g, %g, want 5.5, 3.5", st.CPUSeconds, st.DiskSeconds)
+	}
+	if st.MemBytes != 30 || st.NetSeconds != 3 {
+		t.Fatalf("MemBytes, NetSeconds = %d, %g, want the maxima 30, 3", st.MemBytes, st.NetSeconds)
+	}
+	// Host 0 runs workers 0 and 2 serially: 6+2 s, more than host 1's 7 s.
+	if st.SimSeconds != 8 {
+		t.Fatalf("SimSeconds = %g, want host 0's 8", st.SimSeconds)
+	}
+	// ((1, 2) → 4, 3) → 11.
+	if st.Aggregate != 11 {
+		t.Fatalf("Aggregate = %g, want 11", st.Aggregate)
+	}
+
+	// A set seed: the rows reduce together first, then onto it.
+	seeded := StepStats{Aggregate: 5}
+	seeded.Fold(rows, reduce, true)
+	if seeded.Aggregate != 2*5+11 {
+		t.Fatalf("seeded Aggregate = %g, want 21", seeded.Aggregate)
+	}
+	// An unset seed is overwritten, whatever it holds.
+	unset := StepStats{Aggregate: 5}
+	unset.Fold(rows, reduce, false)
+	if unset.Aggregate != 11 {
+		t.Fatalf("unset-seed Aggregate = %g, want 11", unset.Aggregate)
+	}
+	// No contribution leaves the seed as it is.
+	if unset.Fold(rows[3:], reduce, false) || unset.Aggregate != 11 {
+		t.Fatalf("a row without an aggregate changed it: %g", unset.Aggregate)
+	}
+
+	// Rejoin rows carry no seconds: SimSeconds stays, counts add.
+	rejoin := []WorkerStep{{Worker: 1, Host: 1, Updated: 2}, {Worker: 2, Host: 0, Updated: 3}}
+	before := st.SimSeconds
+	st.Fold(rejoin, reduce, true)
+	if st.SimSeconds != before || st.Updated != 24 {
+		t.Fatalf("after rejoin rows SimSeconds = %g (was %g), Updated = %d", st.SimSeconds, before, st.Updated)
+	}
+}

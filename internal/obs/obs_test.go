@@ -13,6 +13,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"hybridgraph/internal/metrics"
 )
 
 func TestRegistryCountersAndGauges(t *testing.T) {
@@ -106,7 +108,8 @@ func TestTracerWritesJSONL(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf)
 	tr.Emit(JobEvent{Type: EventJobStart, Engine: "hybrid", Algorithm: "pagerank", Workers: 3})
-	tr.Emit(WorkerStepEvent{Type: EventWorkerStep, Step: 1, Worker: 0, Mode: "push", Produced: 7})
+	tr.Emit(WorkerStepEvent{Type: EventWorkerStep,
+		WorkerStep: metrics.WorkerStep{Step: 1, Worker: 0, Mode: "push", Produced: 7}})
 	tr.Emit(StepEvent{Type: EventStep})
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)

@@ -13,9 +13,10 @@ import (
 // Tracer writes a structured JSONL trace journal: one JSON object per
 // line, each carrying a "type" discriminator. The journal is the live,
 // per-worker view of the byte accounting that JobResult only totals —
-// every superstep emits one WorkerStepEvent per worker plus one StepEvent
-// for the cluster, and mode switches, checkpoint commits, injected faults
-// and recoveries get events of their own.
+// every superstep emits its metrics.WorkerStep rows (one per worker, plus
+// one per stalled worker's rejoin) and then one StepEvent holding their
+// fold, and mode switches, checkpoint commits, injected faults and
+// recoveries get events of their own.
 //
 // A nil Tracer drops everything, so callers emit unconditionally after one
 // nil check. Safe for concurrent Emit from worker goroutines.
@@ -159,48 +160,11 @@ type JobEvent struct {
 	Restarts    int     `json:"restarts,omitempty"`    // job_end
 }
 
-// WorkerStepEvent is one worker's share of one superstep: the full I/O
-// breakdown of Eqs. (7)/(8), the class-tagged disk snapshot delta, and the
-// fabric bytes this worker moved. Summing a step's WorkerStepEvents
-// reproduces the StepStats the job reports — the cross-check the
-// accounting tests pin down.
+// WorkerStepEvent is one row of one superstep, exactly as StepStats.Fold
+// summed it into the superstep's StepStats.
 type WorkerStepEvent struct {
-	Type       string              `json:"type"`
-	Step       int                 `json:"step"`
-	Worker     int                 `json:"worker"`
-	Mode       string              `json:"mode"`
-	Updated    int64               `json:"updated"`
-	Responding int64               `json:"responding"`
-	Produced   int64               `json:"produced"`
-	Requests   int64               `json:"requests"`
-	Spilled    int64               `json:"spilled"` // messages spilled for t+1 (|M_disk|)
-	NetIn      int64               `json:"net_in"`
-	NetOut     int64               `json:"net_out"`
-	IO         diskio.Snapshot     `json:"io"`    // class-tagged disk delta
-	Parts      metrics.IOBreakdown `json:"parts"` // Eq. (7)/(8) categories
-	MemBytes   int64               `json:"mem_bytes"`
-	// LogIO is the confined policy's sender-side message-log writes this
-	// worker performed during the superstep. Kept apart from IO so the
-	// worker-events-sum-to-StepStats cross-check and the Q^t inputs stay
-	// exact: log bytes are policy overhead, not Eq. (7)/(8) traffic.
-	LogIO diskio.Snapshot `json:"log_io"`
-	// Host names the worker whose goroutine executed this unit's share of
-	// the superstep — itself normally, the adopting survivor after a
-	// reassignment. The correctness matrix reads it to prove the dead
-	// worker never executes after its partition moved.
-	Host int `json:"host"`
-	// MigrationIO/MigrationNetBytes land an adoption's migration cost on
-	// the adopted unit's first post-reassignment superstep, mirroring the
-	// StepStats fields so the events-sum-to-stats cross-check covers them.
-	MigrationIO       diskio.Snapshot `json:"migration_io,omitempty"`
-	MigrationNetBytes int64           `json:"migration_net_bytes,omitempty"`
-	// PhysIO is the physical (post-codec) disk delta this worker's
-	// superstep traffic moved, the compressed counterpart of IO+LogIO
-	// (equal to it charge-for-charge under codec "none"). Summing a
-	// step's worker PhysIO reproduces StepStats.PhysIO, the physical leg
-	// of the events-sum-to-stats cross-check. Omitted only when zero
-	// (in-memory runs).
-	PhysIO diskio.Snapshot `json:"phys_io,omitzero"`
+	Type string `json:"type"`
+	metrics.WorkerStep
 }
 
 // StepEvent is the cluster-aggregated superstep record: the same StepStats
@@ -208,7 +172,7 @@ type WorkerStepEvent struct {
 // t+2. Emitted after the scheduler has run, so NextMode is the mode this
 // superstep's Q^t just chose; superstep t+2 runs it, if it runs at all.
 // Only hybrid decides: a fixed schedule (push, pushM, pull, b-pull) leaves
-// NextMode empty.
+// NextMode empty. A stalled superstep's event waits for its rejoin rows.
 type StepEvent struct {
 	Type     string            `json:"type"`
 	Stats    metrics.StepStats `json:"stats"`
