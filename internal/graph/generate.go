@@ -12,6 +12,12 @@ import (
 // c=0.19 reproduces that skew. The generator is deterministic for a given
 // seed.
 func GenRMAT(n, m int, a, b, c float64, seed int64) *Graph {
+	return rmatBuilder(n, m, a, b, c, seed).Build()
+}
+
+// rmatBuilder, webBuilder and uniformBuilder hold their generators'
+// edges in generation order, before Build sorts them.
+func rmatBuilder(n, m int, a, b, c float64, seed int64) *Builder {
 	rng := rand.New(rand.NewSource(seed))
 	levels := 0
 	for 1<<levels < n {
@@ -41,7 +47,7 @@ func GenRMAT(n, m int, a, b, c float64, seed int64) *Graph {
 		}
 		bld.AddEdge(VertexID(src), VertexID(dst), randWeight(rng))
 	}
-	return bld.Build()
+	return bld
 }
 
 // GenWeb generates a web-like directed graph: vertices are grouped into
@@ -49,6 +55,10 @@ func GenRMAT(n, m int, a, b, c float64, seed int64) *Graph {
 // like the paper's wiki and uk web graphs), and the rest link to random
 // pages on popular hosts. Deterministic for a given seed.
 func GenWeb(n, m, hostSize int, intraProb float64, seed int64) *Graph {
+	return webBuilder(n, m, hostSize, intraProb, seed).Build()
+}
+
+func webBuilder(n, m, hostSize int, intraProb float64, seed int64) *Builder {
 	if hostSize < 2 {
 		hostSize = 2
 	}
@@ -82,13 +92,17 @@ func GenWeb(n, m, hostSize int, intraProb float64, seed int64) *Graph {
 		}
 		bld.AddEdge(VertexID(src), VertexID(dst), randWeight(rng))
 	}
-	return bld.Build()
+	return bld
 }
 
 // GenUniform generates an Erdős–Rényi style directed graph with n vertices
 // and approximately m uniformly random edges. Used by property tests as a
 // skew-free control.
 func GenUniform(n, m int, seed int64) *Graph {
+	return uniformBuilder(n, m, seed).Build()
+}
+
+func uniformBuilder(n, m int, seed int64) *Builder {
 	rng := rand.New(rand.NewSource(seed))
 	bld := NewBuilder(n)
 	for bld.Len() < m {
@@ -99,7 +113,7 @@ func GenUniform(n, m int, seed int64) *Graph {
 		}
 		bld.AddEdge(VertexID(src), VertexID(dst), randWeight(rng))
 	}
-	return bld.Build()
+	return bld
 }
 
 // GenChain generates a simple path 0→1→…→n-1 plus optional extra shortcut

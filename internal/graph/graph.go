@@ -6,8 +6,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // VertexID identifies a vertex. The paper range-partitions vertices by id,
@@ -98,14 +99,12 @@ func (b *Builder) Len() int { return len(b.edges) }
 
 // Build sorts the accumulated edges into CSR form and returns the graph.
 // The builder may be reused afterwards but shares no storage with the
-// result.
+// result. The sort is unstable: equal (Src, Dst) pairs keep the order
+// pdqsort leaves them in, which sorted input does not disturb.
 func (b *Builder) Build() *Graph {
-	sort.Slice(b.edges, func(i, j int) bool {
-		if b.edges[i].Src != b.edges[j].Src {
-			return b.edges[i].Src < b.edges[j].Src
-		}
-		return b.edges[i].Dst < b.edges[j].Dst
-	})
+	if !slices.IsSortedFunc(b.edges, edgeCompare) {
+		slices.SortFunc(b.edges, edgeCompare)
+	}
 	idx := make([]int32, b.n+1)
 	for _, e := range b.edges {
 		idx[e.Src+1]++
@@ -118,6 +117,14 @@ func (b *Builder) Build() *Graph {
 		adj[i] = Half{Dst: e.Dst, Weight: e.Weight}
 	}
 	return &Graph{NumVertices: b.n, Index: idx, Adj: adj}
+}
+
+// edgeCompare orders edges by (Src, Dst); the weight plays no part.
+func edgeCompare(x, y Edge) int {
+	if x.Src != y.Src {
+		return cmp.Compare(x.Src, y.Src)
+	}
+	return cmp.Compare(x.Dst, y.Dst)
 }
 
 // Validate checks structural invariants of a Graph and returns an error

@@ -189,6 +189,7 @@ func (b *builder) finish(n int) (*Stats, error) {
 		return nil, err
 	}
 	sb := newSorter(b.spillDir, "b", b.o.SpillCT, b.o.Codec, b.o.MemBudget)
+	sb.presorted = true // mergeA feeds it in (src, dst, w) order, owner rising with src
 	if err := b.mergeA(n, parts, layout, sb); err != nil {
 		return nil, err
 	}

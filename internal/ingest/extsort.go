@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -98,6 +99,10 @@ type sorter struct {
 	cdc     codec.Codec
 	capRecs int
 	fanIn   int
+	// presorted marks phase B's sorter, whose records arrive with a
+	// nondecreasing and (src, dst, w) nondecreasing within each a; its
+	// runs are ordered by bucketRecs.
+	presorted bool
 
 	buf     []rec
 	runs    []string
@@ -130,7 +135,7 @@ func (s *sorter) spill() error {
 	if len(s.buf) == 0 {
 		return nil
 	}
-	sortRecs(s.buf)
+	s.sortRun()
 	i := 0
 	path, err := s.writeRun(func() (rec, bool, error) {
 		if i == len(s.buf) {
@@ -152,6 +157,75 @@ func (s *sorter) spill() error {
 // so equal records are identical and the unstable sort's output bytes do
 // not depend on the algorithm.
 func sortRecs(recs []rec) { slices.SortFunc(recs, recCompare) }
+
+// sortRun puts the buffered run in recCompare order.
+func (s *sorter) sortRun() {
+	if !s.presorted || !bucketRecs(s.buf) {
+		sortRecs(s.buf)
+	}
+}
+
+// bucketRecs puts recs in recCompare order in O(n), without comparing
+// records, when they arrive as phase B feeds them: a nondecreasing, and
+// (src, dst, w) nondecreasing among records of equal a. A stable
+// counting pass on b within each stretch of equal a then yields exactly
+// the (a, b, src, dst, w) order. Input that breaks the precondition is
+// left untouched and reported false.
+func bucketRecs(recs []rec) bool {
+	if uint64(len(recs)) > math.MaxUint32 {
+		return false
+	}
+	for i := 1; i < len(recs); i++ {
+		p, r := recs[i-1], recs[i]
+		p.b, r.b = 0, 0
+		if recCompare(p, r) > 0 {
+			return false
+		}
+	}
+	for lo := 0; lo < len(recs); {
+		hi, minB, maxB := lo+1, recs[lo].b, recs[lo].b
+		for ; hi < len(recs) && recs[hi].a == recs[lo].a; hi++ {
+			minB, maxB = min(minB, recs[hi].b), max(maxB, recs[hi].b)
+		}
+		bucketByB(recs[lo:hi], minB, maxB)
+		lo = hi
+	}
+	return true
+}
+
+// bucketByB stably orders records that share one a value by b, which
+// lies in [minB, maxB]. Each record's destination slot is kept in its a
+// field, the same throughout seg and restored at the end, so the pass
+// needs no memory per record.
+func bucketByB(seg []rec, minB, maxB uint32) {
+	if minB == maxB {
+		return
+	}
+	a := seg[0].a
+	slot := make([]uint32, maxB-minB+1)
+	for _, r := range seg {
+		slot[r.b-minB]++
+	}
+	next := uint32(0)
+	for k, n := range slot {
+		slot[k] = next
+		next += n
+	}
+	for i := range seg {
+		k := seg[i].b - minB
+		seg[i].a = slot[k]
+		slot[k]++
+	}
+	// Each swap lands one record in its slot for good.
+	for i := range seg {
+		for j := int(seg[i].a); j != i; j = int(seg[i].a) {
+			seg[i], seg[j] = seg[j], seg[i]
+		}
+	}
+	for i := range seg {
+		seg[i].a = a
+	}
+}
 
 // writeRun writes the records next yields, in order, as the sorter's next
 // run file: a sequence of codec frames of spillFrameRecs records each,
@@ -199,7 +273,7 @@ func (s *sorter) writeRun(next func() (rec, bool, error)) (string, error) {
 // iterator. With spilled runs it first cascades merge generations until
 // at most fanIn runs remain, then merges those (plus the tail) live.
 func (s *sorter) finish() (*mergeIter, error) {
-	sortRecs(s.buf)
+	s.sortRun()
 	for len(s.runs) > s.fanIn {
 		var next []string
 		for i := 0; i < len(s.runs); i += s.fanIn {

@@ -31,14 +31,6 @@ type CPUWork struct {
 	Spilled  int64
 }
 
-// Add accumulates o into w.
-func (w *CPUWork) Add(o CPUWork) {
-	w.Messages += o.Messages
-	w.Edges += o.Edges
-	w.Updates += o.Updates
-	w.Spilled += o.Spilled
-}
-
 // Seconds converts the tallied work into modelled seconds under profile p
 // (whose CPUFactor captures physical versus virtual CPUs).
 func (w CPUWork) Seconds(p diskio.Profile) float64 {

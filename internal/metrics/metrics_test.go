@@ -65,12 +65,6 @@ func TestCPUWorkSeconds(t *testing.T) {
 	if got := w.Seconds(p); math.Abs(got-want) > 1e-18 {
 		t.Fatalf("Seconds = %g, want %g", got, want)
 	}
-	var acc CPUWork
-	acc.Add(w)
-	acc.Add(w)
-	if acc.Messages != 2000 || acc.Spilled != 100 {
-		t.Fatalf("Add = %+v", acc)
-	}
 }
 
 func TestJobResultFinish(t *testing.T) {
