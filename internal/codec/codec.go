@@ -33,13 +33,11 @@
 package codec
 
 import (
-	"bytes"
 	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"slices"
 	"sort"
 	"sync"
@@ -307,9 +305,11 @@ func (deltaCodec) Decode(dst, src []byte, logicalLen int) ([]byte, error) {
 
 // ---- lz -------------------------------------------------------------
 
-// lzCodec is the general byte codec: DEFLATE (stdlib compress/flate)
-// with a raw-copy fallback when compression does not pay. Marker byte
-// as in deltaCodec.
+// lzCodec is the general byte codec: DEFLATE with a raw-copy fallback
+// when compression does not pay, marker byte as in deltaCodec. It encodes
+// with compress/flate at BestSpeed and decodes with this package's
+// whole-frame inflater (inflate.go), which accepts exactly the streams
+// compress/flate's reader yields the logical length from.
 type lzCodec struct{}
 
 const (
@@ -332,14 +332,15 @@ func (e *flateEnc) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-var (
-	flateEncs = sync.Pool{New: func() any {
-		e := &flateEnc{}
-		e.zw, _ = flate.NewWriter(e, flate.BestSpeed) // the level is valid
-		return e
-	}}
-	flateDecs = sync.Pool{New: func() any { return flate.NewReader(bytes.NewReader(nil)) }}
-)
+var flateEncs = sync.Pool{New: func() any {
+	e := &flateEnc{}
+	e.zw, _ = flate.NewWriter(e, flate.BestSpeed) // the level is valid
+	return e
+}}
+
+// maxInflateRatio bounds the bytes a DEFLATE stream yields per byte: a
+// 258-byte match costs at least two bits.
+const maxInflateRatio = 1032
 
 func (lzCodec) Encode(dst, src []byte) []byte {
 	if len(src) == 0 {
@@ -372,20 +373,17 @@ func (lzCodec) Decode(dst, src []byte, logicalLen int) ([]byte, error) {
 		}
 		return append(dst, src[1:]...), nil
 	case lzFlate:
-		zr := flateDecs.Get().(io.ReadCloser)
-		defer flateDecs.Put(zr)
-		if err := zr.(flate.Resetter).Reset(bytes.NewReader(src[1:]), nil); err != nil {
-			return dst, fmt.Errorf("%w: flate decode: %v", ErrCorrupt, err)
+		// Refuse a length no stream of this size yields before allocating it.
+		if logicalLen > maxInflateRatio*(len(src)-1) {
+			return dst, fmt.Errorf("%w: %d-byte flate stream cannot yield logical length %d", ErrCorrupt, len(src)-1, logicalLen)
 		}
 		dst = slices.Grow(dst, logicalLen)
 		out := dst[len(dst) : len(dst)+logicalLen]
-		if _, err := io.ReadFull(zr, out); err != nil {
-			return dst, fmt.Errorf("%w: flate decode: %v", ErrCorrupt, err)
-		}
-		// Exactly logicalLen bytes, then EOF.
-		var one [1]byte
-		if n, _ := zr.Read(one[:]); n != 0 {
-			return dst, fmt.Errorf("%w: flate stream longer than logical length %d", ErrCorrupt, logicalLen)
+		if n := inflate(out, src[1:]); n != logicalLen {
+			if n > logicalLen {
+				return dst, fmt.Errorf("%w: flate stream longer than logical length %d", ErrCorrupt, logicalLen)
+			}
+			return dst, fmt.Errorf("%w: flate stream yields %d of logical length %d", ErrCorrupt, n, logicalLen)
 		}
 		return dst[:len(dst)+logicalLen], nil
 	default:

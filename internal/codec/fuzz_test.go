@@ -72,3 +72,17 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 	})
 }
+
+// FuzzInflate holds the package's DEFLATE decoder to the compress/flate
+// oracle: for any stream and logical length, the same accept-or-reject
+// and the same bytes; and, where the stream yields under 64 KiB, the
+// same count of bytes before the stream ends or fails.
+func FuzzInflate(f *testing.F) {
+	for _, s := range inflateSeeds(f) {
+		f.Add(s.stream, uint32(s.n))
+	}
+	f.Fuzz(func(t *testing.T, stream []byte, n uint32) {
+		checkInflate(t, stream, int(n%(1<<16)))
+		checkYield(t, stream, 1<<16)
+	})
+}

@@ -341,31 +341,34 @@ func TestConcatOnlyBlocksFromInDegrees(t *testing.T) {
 
 // A warm Pull-Respond allocates nothing: the scan, the fold slots or the
 // sort, and the response itself all live in the requester's respondBuf.
-// (Under codec lz, DEFLATE builds its Huffman tables per decoded chunk.)
+// Under codec lz the Eblock chunks inflate into the scan window or the
+// BlockFile's cache slots, with the inflater's tables pooled.
 func TestRespondPullAllocatesNothingWhenWarm(t *testing.T) {
 	if raceEnabled {
 		t.Skip("counts allocations, which the race detector perturbs")
 	}
 	g := graph.GenRMAT(2000, 24000, 0.57, 0.19, 0.19, 5)
-	for _, prog := range []algo.Program{algo.NewPageRank(0.85), algo.NewLPA()} { // combines; concatenates
-		j := loadedJob(t, g, prog, Config{Workers: 2, MsgBuf: 200, BlocksPerWorker: 4, Parallelism: 1})
-		w := j.workers[0]
-		var msgs int
-		serve := func() {
-			for blk := 0; blk < j.layout.NumBlocks(); blk++ {
-				out, _, err := w.RespondPull(blk, 2)
-				if err != nil {
-					t.Fatal(err)
+	for _, cdc := range []string{"none", "lz"} {
+		for _, prog := range []algo.Program{algo.NewPageRank(0.85), algo.NewLPA()} { // combines; concatenates
+			j := loadedJob(t, g, prog, Config{Workers: 2, MsgBuf: 200, BlocksPerWorker: 4, Parallelism: 1, Codec: cdc})
+			w := j.workers[0]
+			var msgs int
+			serve := func() {
+				for blk := 0; blk < j.layout.NumBlocks(); blk++ {
+					out, _, err := w.RespondPull(blk, 2)
+					if err != nil {
+						t.Fatal(err)
+					}
+					msgs += len(out)
 				}
-				msgs += len(out)
 			}
-		}
-		serve()
-		if msgs == 0 {
-			t.Fatalf("%s: no messages generated", prog.Name())
-		}
-		if got := testing.AllocsPerRun(10, serve); got != 0 {
-			t.Errorf("%s: a warm round of %d pull requests allocated %v times, want 0", prog.Name(), j.layout.NumBlocks(), got)
+			serve()
+			if msgs == 0 {
+				t.Fatalf("%s/%s: no messages generated", cdc, prog.Name())
+			}
+			if got := testing.AllocsPerRun(10, serve); got != 0 {
+				t.Errorf("%s/%s: a warm round of %d pull requests allocated %v times, want 0", cdc, prog.Name(), j.layout.NumBlocks(), got)
+			}
 		}
 	}
 }
