@@ -33,14 +33,12 @@
 package codec
 
 import (
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"slices"
 	"sort"
-	"sync"
 )
 
 // Frame geometry.
@@ -307,9 +305,10 @@ func (deltaCodec) Decode(dst, src []byte, logicalLen int) ([]byte, error) {
 
 // lzCodec is the general byte codec: DEFLATE with a raw-copy fallback
 // when compression does not pay, marker byte as in deltaCodec. It encodes
-// with compress/flate at BestSpeed and decodes with this package's
-// whole-frame inflater (inflate.go), which accepts exactly the streams
-// compress/flate's reader yields the logical length from.
+// with this package's whole-frame deflater (deflate.go) and decodes with
+// its whole-frame inflater (inflate.go), which accepts exactly the streams
+// compress/flate's reader yields the logical length from, whatever wrote
+// them.
 type lzCodec struct{}
 
 const (
@@ -320,24 +319,6 @@ const (
 func (lzCodec) Name() string { return "lz" }
 func (lzCodec) ID() byte     { return 2 }
 
-// DEFLATE coders are kept across frames: building one costs far more than
-// coding a frame, and Reset leaves one exactly as its constructor would.
-type flateEnc struct {
-	zw  *flate.Writer
-	out []byte // the frame being appended to
-}
-
-func (e *flateEnc) Write(p []byte) (int, error) {
-	e.out = append(e.out, p...)
-	return len(p), nil
-}
-
-var flateEncs = sync.Pool{New: func() any {
-	e := &flateEnc{}
-	e.zw, _ = flate.NewWriter(e, flate.BestSpeed) // the level is valid
-	return e
-}}
-
 // maxInflateRatio bounds the bytes a DEFLATE stream yields per byte: a
 // 258-byte match costs at least two bits.
 const maxInflateRatio = 1032
@@ -347,16 +328,8 @@ func (lzCodec) Encode(dst, src []byte) []byte {
 		return append(dst, lzRaw)
 	}
 	start := len(dst)
-	e := flateEncs.Get().(*flateEnc)
-	e.out = append(dst, lzFlate)
-	e.zw.Reset(e)
-	_, err := e.zw.Write(src)
-	if err == nil {
-		err = e.zw.Close()
-	}
-	dst, e.out = e.out, nil
-	flateEncs.Put(e)
-	if err != nil || len(dst)-start-1 >= len(src) {
+	dst = deflateFrame(append(dst, lzFlate), src)
+	if len(dst)-start-1 >= len(src) {
 		return append(append(dst[:start], lzRaw), src...)
 	}
 	return dst

@@ -86,3 +86,28 @@ func FuzzInflate(f *testing.F) {
 		checkYield(t, stream, 1<<16)
 	})
 }
+
+// FuzzDeflate holds the package's DEFLATE encoder to two decoders: any
+// block it encodes must decode to the same bytes through lzCodec.Decode
+// and through compress/flate's reader, the test-code oracle. An encoder
+// that has just encoded another block must write the same stream again,
+// so a frame's physical bytes do not depend on what was encoded before.
+// Seeds stay under 1 KiB, as FuzzInflate's do: minimizing what the
+// mutator grows from larger ones takes whole runs. TestDeflateRoundtrip
+// covers inputs of several blocks.
+func FuzzDeflate(f *testing.F) {
+	fuzzSeeds(f)
+	f.Add(bytes.Repeat([]byte("abcd"), 200))
+	f.Add(bytes.Repeat([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8}, 100))
+	e := new(encoder)
+	f.Fuzz(func(t *testing.T, block []byte) {
+		if len(block) == 0 {
+			return
+		}
+		first := checkDeflate(t, e, block)
+		e.encode(nil, block[len(block)/2:])
+		if again := e.encode(nil, block); !bytes.Equal(again, first) {
+			t.Fatalf("%d-byte block: a used encoder wrote a different stream", len(block))
+		}
+	})
+}

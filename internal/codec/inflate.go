@@ -3,7 +3,8 @@ package codec
 import (
 	"encoding/binary"
 	"math/bits"
-	"sync"
+
+	"hybridgraph/internal/freelist"
 )
 
 // A whole-frame DEFLATE (RFC 1951) decoder for lzCodec. A frame's payload
@@ -90,13 +91,7 @@ func init() {
 	}
 	litInfo[256] = flagEOB
 	for s := 257; s < 286; s++ {
-		base, extra := 3+s-257, 0
-		if s >= 265 && s < 285 {
-			extra = (s - 261) / 4
-			base = 3 + (4+(s-261)%4)<<extra
-		} else if s == 285 {
-			base = 258
-		}
+		base, extra := lengthCode(s)
 		litInfo[s] = uint32(base)<<16 | uint32(extra)<<4 | flagLen
 	}
 	litInfo[286], litInfo[287] = flagBad, flagBad
@@ -134,6 +129,18 @@ func init() {
 	if !okLit || !okDist {
 		panic("codec: fixed DEFLATE codes are incomplete")
 	}
+}
+
+// lengthCode returns the base length and extra bits of length symbol s.
+func lengthCode(s int) (base, extra int) {
+	switch {
+	case s == 285:
+		return 258, 0
+	case s >= 265:
+		extra = (s - 261) / 4
+		return 3 + (4+(s-261)%4)<<extra, extra
+	}
+	return 3 + s - 257, 0
 }
 
 // build fills t with the lookup table of the canonical code whose code
@@ -233,7 +240,7 @@ func fill(t []uint32, e uint32) {
 // code's most significant bit first into a least-significant-first stream.
 func reverse(c, n uint) uint { return uint(bits.Reverse16(uint16(c))) >> (16 - n) }
 
-// inflater decodes one stream at a time; it is pooled for its tables.
+// inflater decodes one stream at a time; it is kept for its tables.
 type inflater struct {
 	in  []byte
 	pos int    // next byte of in to load; past len(in), the zero bytes that pad the end
@@ -246,13 +253,15 @@ type inflater struct {
 	lens [numLit + numDist]uint8
 }
 
-var inflaters = sync.Pool{New: func() any { return new(inflater) }}
+// inflaters caps at 16 idle inflaters (about 14 KiB each): more than a
+// job's workers and their scans decode at once.
+var inflaters = freelist.New[inflater](16)
 
 // inflate decodes the DEFLATE stream in into out and returns how many
 // bytes the stream yields before it ends or fails; len(out)+1 stands for
 // any count beyond len(out). The stream is accepted iff that is len(out).
 func inflate(out, in []byte) int {
-	f := inflaters.Get().(*inflater)
+	f := inflaters.Get()
 	n := f.decode(out, in)
 	f.in = nil
 	inflaters.Put(f)

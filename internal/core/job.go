@@ -210,13 +210,19 @@ func RunContext(ctx context.Context, g *graph.Graph, prog algo.Program, cfg Conf
 // collectValues reads the final vertex values back out of the stores.
 func (j *job) collectValues() ([]float64, error) {
 	vals := make([]float64, j.g.NumVertices)
+	// In update-scan chunks, so that the store's lent buffer stays chunk
+	// sized rather than growing to the partition.
+	const chunk = 4096
+	recs := make([]vertexfile.Record, chunk)
 	for _, w := range j.workers {
-		recs := make([]vertexfile.Record, w.part.Len())
-		if err := w.vstore.ReadRange(w.part.Lo, w.part.Hi, recs); err != nil {
-			return nil, err
-		}
-		for _, r := range recs {
-			vals[r.ID] = r.Val
+		for lo := w.part.Lo; lo < w.part.Hi; lo += chunk {
+			hi := min(lo+chunk, w.part.Hi)
+			if err := w.vstore.ReadRange(lo, hi, recs[:hi-lo]); err != nil {
+				return nil, err
+			}
+			for _, r := range recs[:hi-lo] {
+				vals[r.ID] = r.Val
+			}
 		}
 	}
 	return vals, nil

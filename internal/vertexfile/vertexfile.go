@@ -23,10 +23,10 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"hybridgraph/internal/diskio"
+	"hybridgraph/internal/freelist"
 	"hybridgraph/internal/graph"
 	"hybridgraph/internal/obs"
 )
@@ -58,9 +58,21 @@ type Store struct {
 
 // rangeBufs lends ReadRange, WriteRange and ReadColumn the byte buffers
 // they encode through: as many as ranges are ever in flight at once (the
-// update scan's shards and a column copy), each grown to the largest range
-// it has carried.
-var rangeBufs = sync.Pool{New: func() any { return new([]byte) }}
+// update scan's shards and a column copy). It keeps 16 idle buffers at
+// most, none over maxKeptRange bytes.
+var rangeBufs = freelist.New[[]byte](16)
+
+// maxKeptRange is the largest buffer rangeBufs keeps: twice an update-scan
+// or column chunk of 4096 records, for growth's rounding. A whole-partition
+// range (collecting values, a checkpoint) grows a buffer of |V_w| records,
+// which is left to the collector rather than held for the process's life.
+const maxKeptRange = 2 * 4096 * RecordSize
+
+func putRangeBuf(bp *[]byte) {
+	if cap(*bp) <= maxKeptRange {
+		rangeBufs.Put(bp)
+	}
+}
 
 // Create builds a store at path for n vertices starting at id lo, writing
 // the initial records sequentially. recs must have length n and be in id
@@ -107,8 +119,8 @@ func (s *Store) ReadRange(lo, hi graph.VertexID, recs []Record) error {
 	if err := s.checkRange(lo, hi, len(recs)); err != nil {
 		return err
 	}
-	bp := rangeBufs.Get().(*[]byte)
-	defer rangeBufs.Put(bp)
+	bp := rangeBufs.Get()
+	defer putRangeBuf(bp)
 	*bp = slices.Grow((*bp)[:0], int(hi-lo)*RecordSize)[:int(hi-lo)*RecordSize]
 	buf := *bp
 	if _, err := s.f.ReadAtClass(buf, int64(lo-s.lo)*RecordSize, diskio.SeqRead); err != nil {
@@ -126,8 +138,8 @@ func (s *Store) WriteRange(lo, hi graph.VertexID, recs []Record) error {
 	if err := s.checkRange(lo, hi, len(recs)); err != nil {
 		return err
 	}
-	bp := rangeBufs.Get().(*[]byte)
-	defer rangeBufs.Put(bp)
+	bp := rangeBufs.Get()
+	defer putRangeBuf(bp)
 	*bp = slices.Grow((*bp)[:0], int(hi-lo)*RecordSize)[:int(hi-lo)*RecordSize]
 	buf := *bp
 	for i, r := range recs {
@@ -189,8 +201,8 @@ func (s *Store) ReadColumn(parity int, c *Column) error {
 	for i := range c.touched {
 		c.touched[i].Store(false)
 	}
-	bp := rangeBufs.Get().(*[]byte)
-	defer rangeBufs.Put(bp)
+	bp := rangeBufs.Get()
+	defer putRangeBuf(bp)
 	const chunk = 4096 // records per read: the update scan's chunk, which the lent buffer already fits
 	at := 16 + 8*c.parity
 	for lo := 0; lo < s.n; lo += chunk {

@@ -163,3 +163,39 @@ func TestContains(t *testing.T) {
 		}
 	}
 }
+
+// A whole-partition range grows a buffer past maxKeptRange; rangeBufs
+// does not keep it, so its bytes do not stay live after the job. Chunk-
+// sized buffers are kept.
+func TestRangeBufsDropWholePartitionBuffers(t *testing.T) {
+	const n = 3 * maxKeptRange / RecordSize
+	s, _ := newStore(t, 0, n)
+	recs := make([]Record, n)
+	if err := s.ReadRange(0, n, recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WriteRange(0, n, recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ReadRange(0, 4096, recs[:4096]); err != nil {
+		t.Fatal(err)
+	}
+	var held []*[]byte
+	kept := 0
+	for range 16 {
+		bp := rangeBufs.Get()
+		if cap(*bp) > maxKeptRange {
+			t.Errorf("rangeBufs holds a %d-byte buffer, more than %d", cap(*bp), maxKeptRange)
+		}
+		if cap(*bp) >= 4096*RecordSize {
+			kept++
+		}
+		held = append(held, bp)
+	}
+	for _, bp := range held {
+		rangeBufs.Put(bp)
+	}
+	if kept == 0 {
+		t.Errorf("rangeBufs kept no %d-byte chunk buffer", 4096*RecordSize)
+	}
+}
